@@ -3,18 +3,24 @@
 Matrices are 2-D int64 arrays of element codes; a field is described by
 (p, m, exp, log) where exp/log are the context's discrete-log tables.
 Every kernel exists twice: a numba @njit version and a pure-numpy
-fallback.  The active backend is chosen by the EAQMDS_BACKEND
+version.  The active backend is chosen by the EAQMDS_BACKEND
 environment variable ("numba" or "numpy"; default numba when it
-imports).  benchmarks/bench_kernels.py compares the two.
+imports, and asking for numba without it is an error).
+benchmarks/bench_kernels.py compares the two.
 
 Addition in GF(p^m) is digit-wise mod p on the base-p encoding, so an
 array sum along an axis is a digit-wise modular sum; the numpy paths
-lean on that.
+lean on that.  The two numpy distance oracles avoid per-item Python
+loops: the minor oracle eliminates a batch of k x k column minors as one
+(B, k, k) tensor, and minimum-weight search enumerates messages
+projectively (highest nonzero digit 1), which needs an alphabet whose
+nonzero elements are closed under multiplication.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -35,7 +41,7 @@ _backend = os.environ.get("EAQMDS_BACKEND", "numba" if HAVE_NUMBA else "numpy")
 if _backend not in ("numba", "numpy"):
     raise ValueError(f"EAQMDS_BACKEND must be 'numba' or 'numpy', got {_backend!r}")
 if _backend == "numba" and not HAVE_NUMBA:
-    _backend = "numpy"
+    raise ValueError("numba backend requested but numba is not importable")
 
 
 def get_backend() -> str:
@@ -307,41 +313,93 @@ def _np_eliminate(M, exp, log, p, m, Q):
 
 
 def _np_min_weight(G, alphabet, exp, log, p, m, chunk=1 << 14):
+    """Projective enumeration: scaling a message by a nonzero alphabet
+    element keeps the codeword's weight, so only messages whose highest
+    nonzero digit is the field's 1 are visited.  For each leading
+    position j, digits below j range over the alphabet (chunked through
+    one tensor product) and digits above j are zero."""
     k, n = G.shape
     A = alphabet.shape[0]
-    total = A**k
     best = n + 1
     lG = np.where(G != 0, log[G], -1)
-    for lo in range(1, total, chunk):
-        hi = min(lo + chunk, total)
-        ids = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, k), dtype=np.int64)
-        for j in range(k):
-            digits[:, j] = ids % A
-            ids //= A
-        msgs = alphabet[digits]
-        lm = np.where(msgs != 0, log[msgs], -1)
-        prod_log = lm[:, :, None] + lG[None, :, :]
-        prod = np.where((lm[:, :, None] >= 0) & (lG[None, :, :] >= 0),
-                        exp[np.maximum(prod_log, 0)], 0)
-        cw = _np_sum_field(prod, 1, p, m)
-        w = np.count_nonzero(cw, axis=1)
-        w = w[w > 0]
-        if w.size:
-            best = min(best, int(w.min()))
+    for j in range(k):
+        total = A**j
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
+            ids = np.arange(lo, hi, dtype=np.int64)
+            lm = np.zeros((hi - lo, j + 1), dtype=np.int64)  # log 1 = 0
+            for i in range(j):
+                digit = alphabet[ids % A]
+                lm[:, i] = np.where(digit != 0, log[digit], -1)
+                ids //= A
+            prod_log = lm[:, :, None] + lG[None, :j + 1, :]
+            prod = np.where((lm[:, :, None] >= 0) & (lG[None, :j + 1, :] >= 0),
+                            exp[np.maximum(prod_log, 0)], 0)
+            cw = _np_sum_field(prod, 1, p, m)
+            w = np.count_nonzero(cw, axis=1)
+            w = w[w > 0]
+            if w.size:
+                best = min(best, int(w.min()))
     return best
 
 
+# Minors per vectorized elimination.  A batch holds _MINOR_BATCH * k * k
+# entries, below the (1 << 14) * k * n of one _np_min_weight chunk.
+_MINOR_BATCH = 1 << 12
+
+
+def _np_first_singular(M, exp, log, p, m, Q):
+    """Offset of the first singular matrix in a (B, k, k) batch, -1 if
+    none.  Forward elimination runs on every matrix at once: column c
+    takes a per-matrix pivot row from rows c.. (row c moves into its
+    slot), scaled so that adding (row * factor) clears the rows below.
+    A matrix with no pivot in some column is singular; only the matrices
+    before it can still change the answer, so the batch is cut there."""
+    k = M.shape[1]
+    neg_one = 0 if p == 2 else (Q - 1) // 2  # log(-1)
+    first = -1
+    for c in range(k):
+        nz = M[:, c:, c] != 0
+        has = nz.any(axis=1)
+        if not has.all():
+            first = int(np.argmin(has))
+            M, nz = M[:first], nz[:first]
+        if c == k - 1 or first == 0:
+            break
+        b = np.arange(M.shape[0])
+        piv = c + nz.argmax(axis=1)
+        prow = M[b, piv, c:]
+        M[b, piv, c:] = M[:, c, c:]
+        # log of -(pivot row)/pivot, so that M[i] + M[i, c] * scaled row
+        # clears column c
+        lp = log[prow]
+        shift = (neg_one - lp[:, :1]) % (Q - 1)
+        lr = np.where(lp[:, 1:] >= 0, (lp[:, 1:] + shift) % (Q - 1), -1)
+        lf = log[M[:, c + 1:, c]]
+        upd = np.where((lf[:, :, None] >= 0) & (lr[:, None, :] >= 0),
+                       exp[np.maximum(lf[:, :, None] + lr[:, None, :], 0)], 0)
+        M[:, c + 1:, c + 1:] = _np_add_arrays(M[:, c + 1:, c + 1:], upd, p, m)
+    return first
+
+
 def _np_first_singular_minor(G, exp, log, p, m, Q, start_index):
-    from itertools import combinations, islice
+    """Walk the column subsets from `start_index` in batches of
+    _MINOR_BATCH and eliminate each batch as one (B, k, k) tensor."""
     k, n = G.shape
-    for count, cols in enumerate(
-            islice(combinations(range(n), k), start_index, None),
-            start=start_index):
-        sub = np.ascontiguousarray(G[:, cols])
-        if _np_eliminate(sub, exp, log, p, m, Q) < k:
-            return count
-    return -1
+    if k == 0:
+        return -1
+    subsets = islice(combinations(range(n), k), start_index, None)
+    start = start_index
+    while True:
+        cols = np.fromiter(chain.from_iterable(islice(subsets, _MINOR_BATCH)),
+                           dtype=np.int64).reshape(-1, k)
+        if cols.shape[0] == 0:
+            return -1
+        batch = np.ascontiguousarray(G[:, cols].transpose(1, 0, 2))
+        offset = _np_first_singular(batch, exp, log, p, m, Q)
+        if offset >= 0:
+            return start + offset
+        start += cols.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +436,31 @@ def rank(M: np.ndarray, ctx) -> int:
     return eliminate(M, ctx)[1]
 
 
+def _check_projective_alphabet(alphabet, log, Q):
+    """Raise ValueError unless the alphabet holds 0 and its nonzero
+    elements are closed under multiplication.  A finite closed set of
+    d nonzero elements is the subgroup of d-th roots of unity, so the
+    test is that d divides Q - 1 and every log is a multiple of
+    (Q - 1) / d."""
+    nonzero = np.unique(alphabet[alphabet != 0])
+    d = nonzero.size
+    if (d == 0 or not np.any(alphabet == 0) or (Q - 1) % d
+            or np.any(log[nonzero] % ((Q - 1) // d))):
+        raise ValueError(
+            "min_weight needs an alphabet of 0 and a multiplicatively "
+            "closed set of nonzero elements, such as a subfield")
+
+
 def min_weight(G: np.ndarray, ctx, alphabet: np.ndarray | None = None) -> int:
     """Exact minimum Hamming weight of the span of G's rows, messages
-    drawn from `alphabet` (default: the whole field)."""
+    drawn from `alphabet` (default: the whole field).  An alphabet must
+    hold 0 and be closed under multiplication, else ValueError."""
     exp, log, p, m, _ = _field_args(ctx)
     if alphabet is None:
         alphabet = np.arange(ctx.order, dtype=np.int64)
     else:
         alphabet = np.asarray(alphabet, dtype=np.int64)
+        _check_projective_alphabet(alphabet, log, ctx.order)
     if _backend == "numba":
         return int(_nb_min_weight(np.ascontiguousarray(G), alphabet,
                                   exp, log, p, m))

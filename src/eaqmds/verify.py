@@ -36,7 +36,6 @@ from .eaqecc import ebit_count
 class OracleBudget:
     max_codewords: int = 10**7
     max_minors: int = 10**6
-    time_limit: float | None = None
 
     def __post_init__(self):
         if self.max_codewords < 1 or self.max_minors < 1:
@@ -250,15 +249,15 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
 
 
 def _consta_intersection(q, t, d1, d2, Z: DefiningSet, ctx) -> dict:
-    """Check |Z1 & Z2^{-q}| = (t-1)/2 and rank(H1 H2^dagger) = (t-1)/2
-    for the split of Z around its anchor exponent."""
+    """Check that the split of Z around its anchor exponent rebuilds Z,
+    |Z1 & Z2^{-q}| = (t-1)/2 and rank(H1 H2^dagger) = (t-1)/2."""
     s = (t - 1) // 2
     anchor = s * (q - 1)
     modulus = Z.modulus
     e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
     z1 = frozenset((1 + t * (e0 - j)) % modulus for j in range(1, d1 + 1))
     z2 = frozenset((1 + t * (e0 + j)) % modulus for j in range(1, d2 + 1))
-    assert z1 | z2 | {anchor} == Z.elements
+    split_ok = z1 | z2 | {anchor} == Z.elements
     inter = z1 & frozenset((-q * z) % modulus for z in z2)
     Z1 = DefiningSet(modulus, t, z1)
     Z2 = DefiningSet(modulus, t, z2)
@@ -266,6 +265,7 @@ def _consta_intersection(q, t, d1, d2, Z: DefiningSet, ctx) -> dict:
     H2 = constacyclic_code(ctx, Z2).H
     cross_rank = matrix_rank(mat_mul(H1, hermitian_adjoint(H2, q)))
     return {
+        "split_ok": split_ok,
         "intersection": len(inter),
         "intersection_ok": len(inter) == s,
         "cross_rank": cross_rank,

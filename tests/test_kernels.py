@@ -2,17 +2,24 @@
 context-arithmetic reference.
 
 numba is optional; the numba cases are skipped when it is not installed
-and run wherever it is.
+and run wherever it is.  The property tests pin the numpy oracles
+(batched minors, projective enumeration) to per-item references.
 """
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
+from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import eaqmds
 from eaqmds import kernels
@@ -35,6 +42,30 @@ def ref_matmul(A, B, ctx):
                 s = ctx.add(s, ctx.mul(int(A[i, k]), int(B[k, j])))
             C[i, j] = s
     return C
+
+
+def ref_is_singular(S, ctx):
+    """Per-minor Gaussian elimination in context arithmetic."""
+    S = [[int(v) for v in row] for row in S]
+    k = len(S)
+    for c in range(k):
+        piv = next((r for r in range(c, k) if S[r][c]), None)
+        if piv is None:
+            return True
+        S[c], S[piv] = S[piv], S[c]
+        inv = ctx.inv(S[c][c])
+        for r in range(c + 1, k):
+            f = ctx.neg(ctx.mul(S[r][c], inv))
+            S[r] = [ctx.add(a, ctx.mul(f, b)) for a, b in zip(S[r], S[c])]
+    return False
+
+
+def ref_first_singular_minor(G, ctx, start):
+    k, n = G.shape
+    for index, cols in enumerate(combinations(range(n), k)):
+        if index >= start and ref_is_singular(G[:, cols], ctx):
+            return index
+    return -1
 
 
 def ref_min_weight(G, ctx, alphabet):
@@ -125,6 +156,103 @@ def test_first_singular_minor(backend, backend_sandbox):
     assert kernels.first_singular_minor(Gbad, ctx, start_index=5) == 5
 
 
+@contextmanager
+def numpy_backend():
+    saved = kernels.get_backend()
+    kernels.set_backend("numpy")
+    try:
+        yield
+    finally:
+        kernels.set_backend(saved)
+
+
+@st.composite
+def minor_cases(draw):
+    """A random k x n matrix over GF(p^m), p in {2, 3, 5}, with forced
+    singular minors: a zero column or a column that is a multiple of
+    another."""
+    p, m = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]))
+    ctx = build_field(p, m)
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 8))
+    cells = st.integers(0, ctx.order - 1)
+    G = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                               min_size=k, max_size=k)), dtype=np.int64)
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        scale = draw(cells)
+        G[:, dst] = [ctx.mul(scale, int(v)) for v in G[:, src]]
+    start = draw(st.integers(0, math.comb(n, k) + 1))
+    return ctx, G, start
+
+
+@settings(max_examples=150, deadline=None)
+@given(minor_cases(), st.integers(1, 6))
+# column 1 is zero and start skips (0, 1): the first singular minor,
+# (1, 2), lacks a pivot in column 0; the later (1, 3) lacks one in both
+# columns, so a batch not cut at (1, 2) reports (1, 3)
+@example(case=(build_field(2, 2), np.array([[3, 0, 2, 3, 2],
+                                            [2, 0, 3, 0, 3]]), 1), batch=6)
+def test_batched_minor_oracle_matches_reference(case, batch):
+    ctx, G, start = case
+    expected = ref_first_singular_minor(G, ctx, start)
+    # the default batch, a random one, and batches that put the first
+    # singular minor last in one batch and first in the next
+    sizes = {kernels._MINOR_BATCH, batch}
+    if expected > start:
+        sizes |= {expected - start, expected - start + 1}
+    with numpy_backend():
+        for size in sizes:
+            with mock.patch.object(kernels, "_MINOR_BATCH", size):
+                assert kernels.first_singular_minor(G, ctx, start) == expected
+
+
+@st.composite
+def weight_cases(draw):
+    """A random generator matrix and an alphabet of 0 plus the subgroup
+    of d-th roots of unity; d = Q - 1 is the whole field and
+    d = p^e - 1 a subfield."""
+    p, m = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                 (3, 2), (5, 1), (5, 2)]))
+    ctx = build_field(p, m)
+    Q = ctx.order
+    d = draw(st.sampled_from([d for d in range(1, Q) if (Q - 1) % d == 0]))
+    alphabet = [0] + [int(ctx.exp[i * ((Q - 1) // d)]) for i in range(d)]
+    k = draw(st.integers(1, 3))
+    assume(len(alphabet) ** k <= 1000)
+    n = draw(st.integers(1, 6))
+    cells = st.integers(0, Q - 1)
+    G = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                               min_size=k, max_size=k)), dtype=np.int64)
+    return ctx, G, alphabet
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight_cases())
+def test_projective_min_weight_matches_reference(case):
+    ctx, G, alphabet = case
+    expected = ref_min_weight(G, ctx, alphabet)
+    assume(expected > 0)  # the kernel skips zero codewords
+    with numpy_backend():
+        assert kernels.min_weight(G, ctx, np.array(alphabet)) == expected
+        if len(alphabet) == ctx.order:
+            assert kernels.min_weight(G, ctx) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 2), (2, 3), (5, 1), (7, 1)]), st.data())
+def test_min_weight_rejects_unclosed_alphabet(pm, data):
+    ctx = build_field(*pm)
+    alphabet = data.draw(st.sets(st.integers(0, ctx.order - 1), min_size=1))
+    nonzero = alphabet - {0}
+    closed = 0 in alphabet and bool(nonzero) and all(
+        ctx.mul(a, b) in nonzero for a in nonzero for b in nonzero)
+    assume(not closed)
+    G = np.ones((1, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="multiplicatively closed"):
+        kernels.min_weight(G, ctx, np.array(sorted(alphabet)))
+
+
 def test_pow_entries(gf16):
     rng = np.random.default_rng(5)
     M = rng.integers(0, 16, (4, 4)).astype(np.int64)
@@ -173,3 +301,9 @@ def test_backend_env_flag():
     assert bad.returncode != 0
     assert "ValueError: EAQMDS_BACKEND must be 'numba' or 'numpy'" \
         in bad.stderr
+    if not HAVE_NUMBA:
+        # an explicit request for numba is refused, as set_backend does
+        out = _import_kernels_with_backend("numba")
+        assert out.returncode != 0
+        assert "ValueError: numba backend requested but numba is not " \
+            "importable" in out.stderr

@@ -10,11 +10,13 @@ from eaqmds.codes import (
     generator_matrix,
     rs_parity_check,
 )
-from eaqmds.cosets import DefiningSet, cyclotomic_coset
+from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
 from eaqmds.eaqecc import build_classical
 from eaqmds.verify import (
     BudgetExceeded,
     OracleBudget,
+    _consta_intersection,
+    _rank_entry,
     certify_distance,
     dual_containment_matrix_oracle,
     exhaustive_min_distance,
@@ -106,6 +108,22 @@ def test_run_lemma_sweep_small():
     rep = run_lemma_sweep("consta", [5], [3])
     assert rep.ok and len(rep.entries) == 1
     assert rep.entries[0]["intersection"] == 1
+
+
+def test_consta_split_mismatch_is_reported():
+    # q = 5, t = 3 admits only delta1 = delta2 = 2; Z then has 5 elements
+    ctx = constacyclic_context(5, 8, 3)
+    Z = defining_set("v", 5, t=3, delta1=2, delta2=2)
+    H = constacyclic_code(ctx, Z).H
+    good = _consta_intersection(5, 3, 2, 2, Z, ctx)
+    assert good["split_ok"]
+    assert _rank_entry("consta", 5, 8, 3, {}, Z, H, 3, **good)["ok"]
+    # a defining set missing one element is not rebuilt by the split
+    short = DefiningSet(Z.modulus, Z.r, Z.elements - {max(Z.elements)})
+    extra = _consta_intersection(5, 3, 2, 2, short, ctx)
+    assert extra["split_ok"] is False
+    entry = _rank_entry("consta", 5, 8, 3, {}, short, H, 3, **extra)
+    assert entry["ok"] is False and entry["split_ok"] is False
 
 
 def test_run_lemma_sweep_errors():
