@@ -1,9 +1,8 @@
 """Dense matrices and polynomials over a FieldContext.
 
 Matrix entries are integer element codes in a numpy int64 array; the
-heavy operations (products, elimination) go through the kernels module
-when the field has log tables and fall back to context arithmetic
-otherwise.
+heavy operations (products, elimination, entrywise powers) go through
+the kernels module.
 """
 
 from __future__ import annotations
@@ -82,17 +81,13 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over GF({self.ctx.order}))"
 
     def dump(self) -> str:
-        """Debug grid: log indices ('-' for zero), or coefficient tuples
-        when the field carries no log table."""
+        """Debug grid of log indices, '-' for zero."""
         lines = []
         for i in range(self.nrows):
             cells = []
             for j in range(self.ncols):
                 v = int(self.data[i, j])
-                if self.ctx.has_tables:
-                    cells.append("-" if v == 0 else str(int(self.ctx.log[v])))
-                else:
-                    cells.append(str(self.ctx.coeffs(v)))
+                cells.append("-" if v == 0 else str(int(self.ctx.log[v])))
             lines.append(" ".join(cells))
         return "\n".join(lines)
 
@@ -103,75 +98,22 @@ def _same_ctx(A: Matrix, B: Matrix) -> FieldContext:
     return A.ctx
 
 
-# -- pure-python fallbacks for tableless (large) fields -----------------------
-
-def _py_matmul(A: np.ndarray, B: np.ndarray, ctx: FieldContext) -> np.ndarray:
-    rows, inner = A.shape
-    cols = B.shape[1]
-    C = np.zeros((rows, cols), dtype=np.int64)
-    for i in range(rows):
-        for k in range(inner):
-            a = int(A[i, k])
-            if not a:
-                continue
-            for j in range(cols):
-                b = int(B[k, j])
-                if b:
-                    C[i, j] = ctx.add(int(C[i, j]), ctx.mul(a, b))
-    return C
-
-
-def _py_eliminate(M: np.ndarray, ctx: FieldContext) -> tuple[np.ndarray, int]:
-    M = M.copy()
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if M[i, c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            M[[r, pivot]] = M[[pivot, r]]
-        inv = ctx.inv(int(M[r, c]))
-        for j in range(c, cols):
-            M[r, j] = ctx.mul(int(M[r, j]), inv)
-        for i in range(rows):
-            if i != r and M[i, c]:
-                f = ctx.neg(int(M[i, c]))
-                for j in range(c, cols):
-                    if M[r, j]:
-                        M[i, j] = ctx.add(int(M[i, j]), ctx.mul(f, int(M[r, j])))
-        r += 1
-        if r == rows:
-            break
-    return M, r
-
-
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     ctx = _same_ctx(A, B)
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.shape} @ {B.shape}")
-    if ctx.has_tables:
-        return Matrix(ctx, kernels.matmul(A.data, B.data, ctx))
-    return Matrix(ctx, _py_matmul(A.data, B.data, ctx))
+    return Matrix(ctx, kernels.matmul(A.data, B.data, ctx))
 
 
 def hermitian_adjoint(M: Matrix, q: int) -> Matrix:
     """Conjugate transpose under a -> a^q."""
     _check_conj_compat(M.ctx, q)
-    if M.ctx.has_tables:
-        conj = kernels.pow_entries(M.data, q, M.ctx)
-    else:
-        conj = np.array([[M.ctx.pow(int(v), q) for v in row]
-                         for row in M.data], dtype=np.int64).reshape(M.shape)
-    return Matrix(M.ctx, conj.T)
+    return Matrix(M.ctx, kernels.pow_entries(M.data, q, M.ctx).T)
 
 
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    if M.ctx.has_tables:
-        R, r = kernels.eliminate(M.data, M.ctx)
-    else:
-        R, r = _py_eliminate(M.data, M.ctx)
+    R, r = kernels.eliminate(M.data, M.ctx)
     pivots = []
     for i in range(r):
         nz = np.nonzero(R[i])[0]
@@ -182,9 +124,7 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 def matrix_rank(M: Matrix) -> int:
     if M.nrows == 0 or M.ncols == 0:
         return 0
-    if M.ctx.has_tables:
-        return kernels.rank(M.data, M.ctx)
-    return _py_eliminate(M.data, M.ctx)[1]
+    return kernels.rank(M.data, M.ctx)
 
 
 def nullspace_basis(H: Matrix) -> Matrix:

@@ -6,7 +6,8 @@ table between entanglement-assisted and standard quantum MDS codes).
 
 Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error, 3 internal error (any exception
+other than ValueError, with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 
 from .eaqecc import FAMILIES, EaqeccParams, enumerate_family
@@ -33,6 +34,7 @@ from .verify import (
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+INTERNAL_ERROR = 3
 
 
 @dataclass
@@ -51,7 +53,6 @@ class CliConfig:
     output: str | None = None
     max_codewords: int = 10**7
     max_minors: int = 10**6
-    jobs: int = 1
 
 
 def _is_prime_power(q: int) -> bool:
@@ -155,18 +156,11 @@ def cmd_enumerate(cfg: CliConfig) -> int:
                 return USAGE_ERROR
             tasks.append((fam, q, t))
 
-    def run(task) -> list[EaqeccParams]:
-        fam, q, t = task
-        return enumerate_family(fam, q, t, n=cfg.n if fam in ("i", "iii")
-                                else None)
-
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    params = [p for group in results for p in group]
+    params: list[EaqeccParams] = []
+    for fam, q, t in tasks:
+        n = cfg.n if fam in ("i", "iii") else None
+        params.extend(enumerate_family(fam, q, t, n=n))
     if cfg.d is not None:
         params = [p for p in params if p.d == cfg.d]
         if not params:
@@ -184,18 +178,11 @@ def cmd_enumerate(cfg: CliConfig) -> int:
 def cmd_verify(cfg: CliConfig) -> int:
     lemmas = list(ALL_LEMMAS) if cfg.lemma == "all" else [cfg.lemma]
     reports = []
-
-    def run(lemma):
+    for lemma in lemmas:
         qs = cfg.q_values or list(DEFAULT_SWEEPS[lemma][0])
         ts = [cfg.t] if cfg.t is not None else (
             list(DEFAULT_SWEEPS[lemma][1]) if DEFAULT_SWEEPS[lemma][1] else None)
-        return run_lemma_sweep(lemma, qs, ts)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(run, lemmas))
-    else:
-        reports = [run(lemma) for lemma in lemmas]
+        reports.append(run_lemma_sweep(lemma, qs, ts))
     doc = {"reports": [json.loads(r.to_json()) for r in reports]}
     _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
     for r in reports:
@@ -334,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None)
         p.add_argument("--format", dest="fmt", choices=fmt_choices,
                        default=fmt_choices[0])
-        p.add_argument("--jobs", type=int, default=1)
 
     p_enum = sub.add_parser("enumerate", help="emit family code records")
     p_enum.add_argument("--family", default="all",
@@ -352,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the default sweep grid")
     p_ver.add_argument("--t", type=int, default=None)
     p_ver.add_argument("--output", default=None)
-    p_ver.add_argument("--jobs", type=int, default=1)
 
     p_dist = sub.add_parser("distance", help="oracle-certify one instance")
     p_dist.add_argument("--family", required=True, choices=list(FAMILIES))
@@ -383,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else 0
     cfg = CliConfig(command=ns.command)
     for name in ("t", "n", "d", "delta", "delta1", "delta2", "lemma", "fmt",
-                 "output", "jobs", "family", "max_codewords", "max_minors"):
+                 "output", "family", "max_codewords", "max_minors"):
         if hasattr(ns, name):
             setattr(cfg, name, getattr(ns, name))
     try:
@@ -398,9 +383,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return {"enumerate": cmd_enumerate, "verify": cmd_verify,
                 "distance": cmd_distance, "table": cmd_table}[ns.command](cfg)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 Elements are stored as integers in [0, p^m): the base-p digits of the
 integer are the coefficients (ascending degree) of the element's
-polynomial representation over GF(p).  Small fields additionally carry
-discrete-log tables, so multiplication reduces to index arithmetic;
-large fields use polynomial arithmetic modulo the field's irreducible
-modulus.  Both backends implement the same operation contract and the
-test suite cross-checks them element-by-element on small fields.
+polynomial representation over GF(p).  Every field carries exp/log
+tables of a primitive element, so multiplication, inversion and powers
+reduce to index arithmetic; addition is digit-wise mod p.  Polynomial
+arithmetic modulo the field's irreducible modulus finds the primitive
+element and the multiplication matrix the tables are built from, and
+the test suite checks the tables against it.
 
 The conjugation map a -> a^q backs the Hermitian inner product on
 GF(q^2)^n (and its non-involutive analogue on GF(q^4)).
@@ -19,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_SIZE_LIMIT = 1 << 20   # hard ceiling on field order
-DEFAULT_TABLE_LIMIT = 1 << 16  # above this, skip log tables
+SIZE_LIMIT = 1 << 20  # hard ceiling on field order: 24 MB of tables
+_TABLE_CHUNK = 1 << 10  # powers per block of the table build (its scratch)
 
 
 def is_prime(n: int) -> bool:
@@ -188,18 +189,14 @@ class FieldContext:
     Obtain instances through :func:`build_field`.
     """
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...],
-                 build_tables: bool):
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.order = p**m
         self.modulus = modulus
         self._mod_list = list(modulus)
         self.generator = self._find_generator()
-        self.exp: np.ndarray | None = None
-        self.log: np.ndarray | None = None
-        if build_tables:
-            self._build_tables()
+        self.exp, self.log = self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
@@ -214,23 +211,51 @@ class FieldContext:
                 return cand
         raise RuntimeError("no primitive element found")  # unreachable
 
-    def _build_tables(self) -> None:
-        n = self.order - 1
-        exp = np.zeros(2 * n, dtype=np.int64)
+    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp[i] = g^i for 0 <= i < 2(Q-1), and log[g^i] = i, log[0] = -1.
+
+        Multiplication by g is GF(p)-linear on digit vectors: digits(g*a)
+        = digits(a) @ T, with row j of T the digits of g*x^j.  So g^(s+i)
+        has the digits of g^i times T^s.  The first block of powers comes
+        from doubling (g^(L+i) = g^i g^L for i < L); every later block is
+        the first one times T^s.  Only one block of digit vectors is held
+        at a time, never a digit matrix of the whole field.  Products of
+        digit vectors stay below m * p^2 <= 2^40 for orders up to
+        SIZE_LIMIT, so int64 is exact.
+        """
+        p, m, n = self.p, self.m, self.order - 1
+        g = self.generator
+        T = np.array([_int_to_digits(self._mul_poly(g, p**j), p, m)
+                      for j in range(m)], dtype=np.int64)
+        size = min(_TABLE_CHUNK, n)
+        block = np.zeros((size, m), dtype=np.int64)
+        block[0, 0] = 1
+        step, filled = T, 1  # step = T^filled
+        while filled < size:
+            h = min(filled, size - filled)
+            block[filled:filled + h] = block[:h] @ step % p
+            step = step @ step % p
+            filled *= 2
+        # size is either n (one block) or _TABLE_CHUNK, a power of two,
+        # and then step = T^size
+        weights = p ** np.arange(m, dtype=np.int64)
+        exp = np.empty(2 * n, dtype=np.int64)
         log = np.full(self.order, -1, dtype=np.int64)
-        val = 1
-        for i in range(n):
-            exp[i] = val
-            log[val] = i
-            val = self._mul_poly(val, self.generator)
-        if val != 1:
+        shift = np.eye(m, dtype=np.int64)  # T^s
+        for s in range(0, n, size):
+            h = min(size, n - s)
+            codes = (block[:h] @ shift % p) @ weights
+            exp[s:s + h] = codes
+            log[codes] = np.arange(s, s + h)
+            shift = shift @ step % p
+        if log[1:].min() < 0:
             raise RuntimeError("generator does not have full order")
         exp[n:] = exp[:n]
         exp.setflags(write=False)
         log.setflags(write=False)
-        self.exp, self.log = exp, log
+        return exp, log
 
-    # -- polynomial-representation backend ------------------------------------
+    # -- polynomial arithmetic: generator search and table build --------------
 
     def _mul_poly(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -251,14 +276,7 @@ class FieldContext:
             e >>= 1
         return result
 
-    def _inv_poly(self, a: int) -> int:
-        return self._pow_poly(a, self.order - 2)
-
     # -- public arithmetic on element codes -----------------------------------
-
-    @property
-    def has_tables(self) -> bool:
-        return self.exp is not None
 
     def check_code(self, a: int) -> int:
         if not 0 <= a < self.order:
@@ -292,15 +310,11 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.exp is None:
-            return self._mul_poly(a, b)
         return int(self.exp[self.log[a] + self.log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        if self.exp is None:
-            return self._inv_poly(a)
         return int(self.exp[(self.order - 1) - self.log[a]])
 
     def div(self, a: int, b: int) -> int:
@@ -311,9 +325,6 @@ class FieldContext:
             if e < 0:
                 raise ZeroDivisionError("zero has no inverse")
             return 0 if e else 1
-        if self.exp is None:
-            return self._pow_poly(a, e) if e >= 0 else \
-                self._pow_poly(self._inv_poly(a), -e)
         return int(self.exp[(int(self.log[a]) * e) % (self.order - 1)])
 
     def element_order(self, a: int) -> int:
@@ -343,9 +354,6 @@ class FieldContext:
             "generator": self.generator,
         }
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        return tuple(_int_to_digits(self.check_code(a), self.p, self.m))
-
     def __repr__(self) -> str:
         return f"GF({self.order})"
 
@@ -353,23 +361,20 @@ class FieldContext:
 _FIELD_CACHE: dict[tuple, FieldContext] = {}
 
 
-def build_field(p: int, m: int, modulus: list[int] | tuple[int, ...] | None = None,
-                tables: bool | None = None,
-                size_limit: int = DEFAULT_SIZE_LIMIT) -> FieldContext:
-    """Construct (or fetch the cached) GF(p^m).
+def build_field(p: int, m: int, modulus: list[int] | tuple[int, ...] | None = None
+                ) -> FieldContext:
+    """Construct (or fetch the cached) GF(p^m), of order at most SIZE_LIMIT.
 
     `modulus` overrides the default lexicographically smallest monic
-    irreducible; it must be monic of degree m over GF(p).  `tables`
-    forces or suppresses log tables (default: build them when the
-    order is at most DEFAULT_TABLE_LIMIT).
+    irreducible; it must be monic of degree m over GF(p).
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree m={m} must be >= 1")
-    if p**m > size_limit:
+    if p**m > SIZE_LIMIT:
         raise ValueError(
-            f"field order {p**m} exceeds the size ceiling {size_limit}")
+            f"field order {p**m} exceeds the size ceiling {SIZE_LIMIT}")
     if modulus is None:
         mod = smallest_irreducible(p, m)
     else:
@@ -378,11 +383,10 @@ def build_field(p: int, m: int, modulus: list[int] | tuple[int, ...] | None = No
             raise ValueError("modulus must be monic of degree m")
         if not is_irreducible(list(mod), p):
             raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
-    build_tables = tables if tables is not None else p**m <= DEFAULT_TABLE_LIMIT
-    key = (p, m, mod, build_tables)
+    key = (p, m, mod)
     ctx = _FIELD_CACHE.get(key)
     if ctx is None:
-        ctx = FieldContext(p, m, mod, build_tables)
+        ctx = FieldContext(p, m, mod)
         _FIELD_CACHE[key] = ctx
     return ctx
 

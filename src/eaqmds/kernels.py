@@ -1,235 +1,25 @@
-"""Hot numeric kernels over table-backed finite fields.
+"""Hot numeric kernels over table-backed finite fields, in numpy.
 
 Matrices are 2-D int64 arrays of element codes; a field is described by
 (p, m, exp, log) where exp/log are the context's discrete-log tables.
-Every kernel exists twice: a numba @njit version and a pure-numpy
-version.  The active backend is chosen by the EAQMDS_BACKEND
-environment variable ("numba" or "numpy"; default numba when it
-imports, and asking for numba without it is an error).
-benchmarks/bench_kernels.py compares the two.
 
 Addition in GF(p^m) is digit-wise mod p on the base-p encoding, so an
-array sum along an axis is a digit-wise modular sum; the numpy paths
-lean on that.  The two numpy distance oracles avoid per-item Python
-loops: the minor oracle eliminates a batch of k x k column minors as one
-(B, k, k) tensor, and minimum-weight search enumerates messages
-projectively (highest nonzero digit 1), which needs an alphabet whose
-nonzero elements are closed under multiplication.
+array sum along an axis is a digit-wise modular sum.  The two distance
+oracles avoid per-item Python loops: the minor oracle eliminates a
+batch of k x k column minors as one (B, k, k) tensor, and minimum-weight
+search enumerates messages projectively (highest nonzero digit 1), which
+needs an alphabet whose nonzero elements are closed under
+multiplication.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import chain, combinations, islice
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional; the numpy backend needs only numpy
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-_backend = os.environ.get("EAQMDS_BACKEND", "numba" if HAVE_NUMBA else "numpy")
-if _backend not in ("numba", "numpy"):
-    raise ValueError(f"EAQMDS_BACKEND must be 'numba' or 'numpy', got {_backend!r}")
-if _backend == "numba" and not HAVE_NUMBA:
-    raise ValueError("numba backend requested but numba is not importable")
-
-
-def get_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, inline="always")
-def _nb_add(a, b, p, m):
-    if p == 2:
-        return a ^ b
-    s = 0
-    pw = 1
-    for _ in range(m):
-        s += ((a + b) % p) * pw
-        a //= p
-        b //= p
-        pw *= p
-    return s
-
-
-@njit(cache=True, inline="always")
-def _nb_neg(a, p, m):
-    if p == 2:
-        return a
-    s = 0
-    pw = 1
-    for _ in range(m):
-        s += ((-a) % p) * pw
-        a //= p
-        pw *= p
-    return s
-
-
-@njit(cache=True, inline="always")
-def _nb_mul(a, b, exp, log):
-    if a == 0 or b == 0:
-        return np.int64(0)
-    return exp[log[a] + log[b]]
-
-
-@njit(cache=True)
-def _nb_matmul(A, B, exp, log, p, m):
-    rows, inner = A.shape
-    cols = B.shape[1]
-    C = np.zeros((rows, cols), dtype=np.int64)
-    for i in range(rows):
-        for k in range(inner):
-            a = A[i, k]
-            if a == 0:
-                continue
-            la = log[a]
-            for j in range(cols):
-                b = B[k, j]
-                if b != 0:
-                    C[i, j] = _nb_add(C[i, j], exp[la + log[b]], p, m)
-    return C
-
-
-@njit(cache=True)
-def _nb_eliminate(M, exp, log, p, m, Q):
-    """In-place forward elimination; returns rank. Pivot = first nonzero."""
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols):
-        pivot = -1
-        for i in range(r, rows):
-            if M[i, c] != 0:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        if pivot != r:
-            for j in range(cols):
-                t = M[r, j]
-                M[r, j] = M[pivot, j]
-                M[pivot, j] = t
-        linv = (Q - 1) - log[M[r, c]]
-        for j in range(c, cols):
-            M[r, j] = _nb_mul(M[r, j], exp[linv % (Q - 1)], exp, log)
-        for i in range(rows):
-            if i != r and M[i, c] != 0:
-                f = _nb_neg(M[i, c], p, m)
-                lf = log[f]
-                for j in range(c, cols):
-                    v = M[r, j]
-                    if v != 0:
-                        M[i, j] = _nb_add(M[i, j], exp[lf + log[v]], p, m)
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-@njit(cache=True)
-def _nb_min_weight(G, alphabet, exp, log, p, m):
-    """Minimum Hamming weight over nonzero alphabet^k message combinations.
-
-    Odometer enumeration with incremental codeword updates: advancing a
-    message digit adds (new - old) * row to the running codeword.
-    """
-    k, n = G.shape
-    A = alphabet.shape[0]
-    delta = np.empty(A, dtype=np.int64)  # alphabet[v+1 (mod A)] - alphabet[v]
-    for v in range(A):
-        delta[v] = _nb_add(alphabet[(v + 1) % A],
-                           _nb_neg(alphabet[v], p, m), p, m)
-    digits = np.zeros(k, dtype=np.int64)
-    cw = np.zeros(n, dtype=np.int64)
-    best = n + 1
-    total = 1
-    for _ in range(k):
-        total *= A
-    for _ in range(total - 1):
-        j = 0
-        while digits[j] == A - 1:
-            d = delta[A - 1]
-            ld = log[d]
-            for c in range(n):
-                g = G[j, c]
-                if g != 0:
-                    cw[c] = _nb_add(cw[c], exp[ld + log[g]], p, m)
-            digits[j] = 0
-            j += 1
-        d = delta[digits[j]]
-        if d != 0:
-            ld = log[d]
-            for c in range(n):
-                g = G[j, c]
-                if g != 0:
-                    cw[c] = _nb_add(cw[c], exp[ld + log[g]], p, m)
-        digits[j] += 1
-        w = 0
-        for c in range(n):
-            if cw[c] != 0:
-                w += 1
-        if 0 < w < best:
-            best = w
-    return best
-
-
-@njit(cache=True)
-def _nb_first_singular_minor(G, exp, log, p, m, Q, start_index):
-    """Index of the first singular k x k column-minor in lexicographic
-    order, or -1 if all C(n, k) minors are nonsingular."""
-    k, n = G.shape
-    idx = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        idx[i] = i
-    # fast-forward to start_index combinations from the beginning
-    count = 0
-    sub = np.empty((k, k), dtype=np.int64)
-    while True:
-        if count >= start_index:
-            for j in range(k):
-                col = idx[j]
-                for i in range(k):
-                    sub[i, j] = G[i, col]
-            if _nb_eliminate(sub, exp, log, p, m, Q) < k:
-                return count
-        count += 1
-        i = k - 1
-        while i >= 0 and idx[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            return np.int64(-1)
-        idx[i] += 1
-        for j in range(i + 1, k):
-            idx[j] = idx[j - 1] + 1
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def _np_add_arrays(a, b, p, m):
+def _add_arrays(a, b, p, m):
     if p == 2:
         return a ^ b
     out = np.zeros_like(a + b)
@@ -240,7 +30,7 @@ def _np_add_arrays(a, b, p, m):
     return out
 
 
-def _np_neg_array(a, p, m):
+def _neg_array(a, p, m):
     if p == 2:
         return a.copy()
     out = np.zeros_like(a)
@@ -251,11 +41,11 @@ def _np_neg_array(a, p, m):
     return out
 
 
-def _np_sum_field(x, axis, p, m):
+def _sum_field(x, axis, p, m):
     """Field sum along an axis: digit-wise modular sum of codes."""
     if p == 2:
         return np.bitwise_xor.reduce(x, axis=axis)
-    out = np.zeros(np.sum(x, axis=axis).shape, dtype=np.int64)
+    out = np.zeros(x.shape[:axis] + x.shape[axis + 1:], dtype=np.int64)
     pw = 1
     for _ in range(m):
         out += (np.sum((x // pw) % p, axis=axis) % p) * pw
@@ -263,7 +53,7 @@ def _np_sum_field(x, axis, p, m):
     return out
 
 
-def _np_scale_row(row, factor, exp, log):
+def _scale_row(row, factor, exp, log):
     """factor * row, vectorized through the log table."""
     if factor == 0:
         return np.zeros_like(row)
@@ -273,7 +63,7 @@ def _np_scale_row(row, factor, exp, log):
     return out
 
 
-def _np_matmul(A, B, exp, log, p, m):
+def _matmul(A, B, exp, log, p, m):
     rows, inner = A.shape
     cols = B.shape[1]
     la = np.where(A != 0, log[A], -1)
@@ -281,10 +71,10 @@ def _np_matmul(A, B, exp, log, p, m):
     prod_log = la[:, :, None] + lb[None, :, :]
     prod = np.where((la[:, :, None] >= 0) & (lb[None, :, :] >= 0),
                     exp[np.maximum(prod_log, 0)], 0)
-    return _np_sum_field(prod.reshape(rows, inner, cols), 1, p, m)
+    return _sum_field(prod.reshape(rows, inner, cols), 1, p, m)
 
 
-def _np_eliminate(M, exp, log, p, m, Q):
+def _eliminate(M, exp, log, p, m, Q):
     rows, cols = M.shape
     r = 0
     for c in range(cols):
@@ -295,24 +85,24 @@ def _np_eliminate(M, exp, log, p, m, Q):
         if pivot != r:
             M[[r, pivot]] = M[[pivot, r]]
         inv = exp[(Q - 1) - log[M[r, c]]]
-        M[r] = _np_scale_row(M[r], int(inv), exp, log)
+        M[r] = _scale_row(M[r], int(inv), exp, log)
         col = M[:, c].copy()
         col[r] = 0
         rows_nz = np.nonzero(col)[0]
         if rows_nz.size:
-            factors = _np_neg_array(col[rows_nz], p, m)
+            factors = _neg_array(col[rows_nz], p, m)
             upd = np.zeros((rows_nz.size, cols), dtype=np.int64)
             frow = M[r]
             fnz = frow != 0
             upd[:, fnz] = exp[log[factors][:, None] + log[frow[fnz]][None, :]]
-            M[rows_nz] = _np_add_arrays(M[rows_nz], upd, p, m)
+            M[rows_nz] = _add_arrays(M[rows_nz], upd, p, m)
         r += 1
         if r == rows:
             break
     return r
 
 
-def _np_min_weight(G, alphabet, exp, log, p, m, chunk=1 << 14):
+def _min_weight(G, alphabet, exp, log, p, m, chunk=1 << 14):
     """Projective enumeration: scaling a message by a nonzero alphabet
     element keeps the codeword's weight, so only messages whose highest
     nonzero digit is the field's 1 are visited.  For each leading
@@ -335,7 +125,7 @@ def _np_min_weight(G, alphabet, exp, log, p, m, chunk=1 << 14):
             prod_log = lm[:, :, None] + lG[None, :j + 1, :]
             prod = np.where((lm[:, :, None] >= 0) & (lG[None, :j + 1, :] >= 0),
                             exp[np.maximum(prod_log, 0)], 0)
-            cw = _np_sum_field(prod, 1, p, m)
+            cw = _sum_field(prod, 1, p, m)
             w = np.count_nonzero(cw, axis=1)
             w = w[w > 0]
             if w.size:
@@ -344,11 +134,11 @@ def _np_min_weight(G, alphabet, exp, log, p, m, chunk=1 << 14):
 
 
 # Minors per vectorized elimination.  A batch holds _MINOR_BATCH * k * k
-# entries, below the (1 << 14) * k * n of one _np_min_weight chunk.
+# entries, below the (1 << 14) * k * n of one _min_weight chunk.
 _MINOR_BATCH = 1 << 12
 
 
-def _np_first_singular(M, exp, log, p, m, Q):
+def _first_singular(M, exp, log, p, m, Q):
     """Offset of the first singular matrix in a (B, k, k) batch, -1 if
     none.  Forward elimination runs on every matrix at once: column c
     takes a per-matrix pivot row from rows c.. (row c moves into its
@@ -378,11 +168,11 @@ def _np_first_singular(M, exp, log, p, m, Q):
         lf = log[M[:, c + 1:, c]]
         upd = np.where((lf[:, :, None] >= 0) & (lr[:, None, :] >= 0),
                        exp[np.maximum(lf[:, :, None] + lr[:, None, :], 0)], 0)
-        M[:, c + 1:, c + 1:] = _np_add_arrays(M[:, c + 1:, c + 1:], upd, p, m)
+        M[:, c + 1:, c + 1:] = _add_arrays(M[:, c + 1:, c + 1:], upd, p, m)
     return first
 
 
-def _np_first_singular_minor(G, exp, log, p, m, Q, start_index):
+def _first_singular_minor(G, exp, log, p, m, Q, start_index):
     """Walk the column subsets from `start_index` in batches of
     _MINOR_BATCH and eliminate each batch as one (B, k, k) tensor."""
     k, n = G.shape
@@ -396,40 +186,30 @@ def _np_first_singular_minor(G, exp, log, p, m, Q, start_index):
         if cols.shape[0] == 0:
             return -1
         batch = np.ascontiguousarray(G[:, cols].transpose(1, 0, 2))
-        offset = _np_first_singular(batch, exp, log, p, m, Q)
+        offset = _first_singular(batch, exp, log, p, m, Q)
         if offset >= 0:
             return start + offset
         start += cols.shape[0]
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# public entry points
 # ---------------------------------------------------------------------------
 
 def _field_args(ctx):
-    if ctx.exp is None:
-        raise ValueError(
-            f"kernels need log tables; GF({ctx.order}) was built without them")
     return ctx.exp, ctx.log, ctx.p, ctx.m, ctx.order
 
 
 def matmul(A: np.ndarray, B: np.ndarray, ctx) -> np.ndarray:
     exp, log, p, m, _ = _field_args(ctx)
-    if _backend == "numba":
-        return _nb_matmul(np.ascontiguousarray(A), np.ascontiguousarray(B),
-                          exp, log, p, m)
-    return _np_matmul(A, B, exp, log, p, m)
+    return _matmul(A, B, exp, log, p, m)
 
 
 def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, int]:
     """Reduced row echelon form (copy) and rank."""
     exp, log, p, m, Q = _field_args(ctx)
-    work = np.ascontiguousarray(M.copy())
-    if _backend == "numba":
-        r = int(_nb_eliminate(work, exp, log, p, m, Q))
-    else:
-        r = _np_eliminate(work, exp, log, p, m, Q)
-    return work, r
+    work = M.copy()
+    return work, _eliminate(work, exp, log, p, m, Q)
 
 
 def rank(M: np.ndarray, ctx) -> int:
@@ -461,21 +241,14 @@ def min_weight(G: np.ndarray, ctx, alphabet: np.ndarray | None = None) -> int:
     else:
         alphabet = np.asarray(alphabet, dtype=np.int64)
         _check_projective_alphabet(alphabet, log, ctx.order)
-    if _backend == "numba":
-        return int(_nb_min_weight(np.ascontiguousarray(G), alphabet,
-                                  exp, log, p, m))
-    return _np_min_weight(G, alphabet, exp, log, p, m)
+    return _min_weight(G, alphabet, exp, log, p, m)
 
 
 def first_singular_minor(G: np.ndarray, ctx, start_index: int = 0) -> int:
     """Lexicographic index of the first singular k x k minor, -1 if none.
     `start_index` allows resuming a long enumeration."""
     exp, log, p, m, Q = _field_args(ctx)
-    if _backend == "numba":
-        return int(_nb_first_singular_minor(
-            np.ascontiguousarray(G), exp, log, p, m, Q,
-            np.int64(start_index)))
-    return _np_first_singular_minor(G, exp, log, p, m, Q, start_index)
+    return _first_singular_minor(G, exp, log, p, m, Q, start_index)
 
 
 def pow_entries(M: np.ndarray, e: int, ctx) -> np.ndarray:

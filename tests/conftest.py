@@ -1,29 +1,6 @@
-import numpy as np
 import pytest
 
-from eaqmds import kernels
 from eaqmds.galois import build_field
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the numba kernels once so timed tests measure the
-    algorithms, not JIT startup."""
-    ctx = build_field(2, 2)
-    A = np.array([[1, 2], [3, 0]], dtype=np.int64)
-    kernels.matmul(A, A, ctx)
-    kernels.rank(A, ctx)
-    kernels.min_weight(A, ctx)
-    kernels.first_singular_minor(A, ctx)
-    kernels.eliminate(A, ctx)
-
-
-@pytest.fixture
-def backend_sandbox():
-    """Restore the kernel backend after a test that switches it."""
-    saved = kernels.get_backend()
-    yield
-    kernels.set_backend(saved)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eaqmds import cli
 from eaqmds.cli import main, parse_q, table_rows
 
 
@@ -87,15 +88,6 @@ def test_enumerate_deterministic_output(tmp_path, capsys):
         assert main(["enumerate", "--q", "5", "--output", str(p)]) == 0
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_enumerate_jobs_matches_serial(tmp_path, capsys):
-    a, b = tmp_path / "serial.json", tmp_path / "par.json"
-    assert main(["enumerate", "--q", "3,5", "--output", str(a)]) == 0
-    assert main(["enumerate", "--q", "3,5", "--jobs", "4",
-                 "--output", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_verify_cli(capsys):
@@ -203,3 +195,18 @@ def test_table_rows_verified():
 def test_cli_rejects_unknown_arguments(capsys):
     assert main(["enumerate", "--q", "4", "--nope"]) == 2
     capsys.readouterr()
+
+
+def test_exit_codes_separate_bugs_from_usage_errors(monkeypatch, capsys):
+    def raises(exc):
+        def cmd(cfg):
+            raise exc
+        return cmd
+
+    monkeypatch.setattr(cli, "cmd_table", raises(KeyError("family")))
+    assert main(["table", "--q", "5"]) == cli.INTERNAL_ERROR == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError: 'family'" in err
+    monkeypatch.setattr(cli, "cmd_table", raises(ValueError("bad input")))
+    assert main(["table", "--q", "5"]) == cli.USAGE_ERROR == 2
+    assert capsys.readouterr().err == "error: bad input\n"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from eaqmds.galois import (
@@ -36,7 +37,6 @@ def test_build_field_errors():
         build_field(2, 0)
     with pytest.raises(ValueError):
         build_field(2, 21)  # 2^21 above the size ceiling
-    build_field(2, 21, size_limit=1 << 22, tables=False)  # raised ceiling ok
 
 
 def test_modulus_validation():
@@ -122,19 +122,35 @@ def test_unit_group_order(p, m):
         assert ctx.pow(a, ctx.order - 1) == 1
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (2, 4), (5, 2), (3, 4)])
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 4), (5, 2), (3, 4), (17, 4)])
 def test_table_and_polynomial_backends_agree(p, m):
-    with_tables = build_field(p, m, tables=True)
-    poly_only = build_field(p, m, tables=False)
-    assert not poly_only.has_tables and with_tables.has_tables
-    assert with_tables.generator == poly_only.generator
-    for a in range(p**m):
-        for b in range(p**m):
-            assert with_tables.mul(a, b) == poly_only.mul(a, b)
-            assert with_tables.add(a, b) == poly_only.add(a, b)
+    """Table arithmetic against polynomial arithmetic modulo the field's
+    modulus: every pair in small fields, sampled pairs in GF(17^4)."""
+    ctx = build_field(p, m)
+    Q = ctx.order
+    if Q <= 81:
+        pairs = [(a, b) for a in range(Q) for b in range(Q)]
+    else:
+        rng = np.random.default_rng(17)
+        pairs = rng.integers(0, Q, (3000, 2)).tolist()
+    for a, b in pairs:
+        assert ctx.mul(a, b) == ctx._mul_poly(a, b)
         if a:
-            assert with_tables.inv(a) == poly_only.inv(a)
-            assert with_tables.pow(a, 7) == poly_only.pow(a, 7)
+            assert ctx.mul(ctx.inv(a), a) == 1
+            assert ctx.inv(a) == ctx._pow_poly(a, Q - 2)
+            assert ctx.pow(a, 7) == ctx._pow_poly(a, 7)
+            assert ctx.pow(a, -3) == ctx._pow_poly(ctx._pow_poly(a, Q - 2), 3)
+
+
+def test_log_table_covers_largest_field():
+    ctx = build_field(2, 20)
+    n = ctx.order - 1
+    assert ctx.log[0] == -1
+    assert np.array_equal(np.sort(ctx.log[1:]), np.arange(n))
+    assert np.array_equal(ctx.exp[ctx.log[1:]], np.arange(1, ctx.order))
+    assert np.array_equal(ctx.exp[n:], ctx.exp[:n])
+    g = ctx.generator
+    assert ctx.exp[1] == g and ctx.exp[12345] == ctx._pow_poly(g, 12345)
 
 
 def test_smallest_irreducible_known_values():
@@ -160,4 +176,4 @@ def test_prime_helpers():
 
 def test_build_field_caching():
     assert build_field(3, 2) is build_field(3, 2)
-    assert build_field(3, 2) is not build_field(3, 2, tables=False)
+    assert build_field(5, 2) is not build_field(5, 2, modulus=[3, 0, 1])

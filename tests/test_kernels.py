@@ -1,19 +1,12 @@
-"""Backend agreement: numba and numpy kernels against a direct
-context-arithmetic reference.
+"""Kernels against direct context-arithmetic references, written here
+and in reference.py.
 
-numba is optional; the numba cases are skipped when it is not installed
-and run wherever it is.  The property tests pin the numpy oracles
-(batched minors, projective enumeration) to per-item references.
+The property tests pin the vectorized oracles (batched minors,
+projective enumeration) to per-item references.
 """
 
-import importlib.util
 import math
-import os
-import subprocess
-import sys
-from contextlib import contextmanager
 from itertools import combinations
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,27 +14,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import eaqmds
 from eaqmds import kernels
 from eaqmds.galois import build_field
+from reference import ref_matmul, ref_rref
 
 FIELDS = [(2, 2), (3, 2), (5, 2), (2, 8)]
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA,
-                                 reason="numba is not installed")
-BACKENDS = [pytest.param("numba", marks=needs_numba), "numpy"]
-
-
-def ref_matmul(A, B, ctx):
-    C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for i in range(A.shape[0]):
-        for j in range(B.shape[1]):
-            s = 0
-            for k in range(A.shape[1]):
-                s = ctx.add(s, ctx.mul(int(A[i, k]), int(B[k, j])))
-            C[i, j] = s
-    return C
 
 
 def ref_is_singular(S, ctx):
@@ -85,49 +62,40 @@ def ref_min_weight(G, ctx, alphabet):
 
 
 @pytest.mark.parametrize("pm", FIELDS)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matmul_matches_reference(pm, backend, backend_sandbox):
+def test_matmul_matches_reference(pm):
     ctx = build_field(*pm)
     rng = np.random.default_rng(7)
-    kernels.set_backend(backend)
     for shape in [(3, 4, 5), (1, 6, 1), (8, 8, 8)]:
         A = rng.integers(0, ctx.order, (shape[0], shape[1])).astype(np.int64)
         B = rng.integers(0, ctx.order, (shape[1], shape[2])).astype(np.int64)
         assert np.array_equal(kernels.matmul(A, B, ctx), ref_matmul(A, B, ctx))
 
 
-@needs_numba
 @pytest.mark.parametrize("pm", FIELDS)
-def test_rank_backends_agree(pm, backend_sandbox):
+def test_eliminate_matches_reference(pm):
     ctx = build_field(*pm)
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        M = rng.integers(0, ctx.order, (6, 9)).astype(np.int64)
-        kernels.set_backend("numba")
-        r1 = kernels.rank(M, ctx)
-        R1, _ = kernels.eliminate(M, ctx)
-        kernels.set_backend("numpy")
-        assert kernels.rank(M, ctx) == r1
-        R2, _ = kernels.eliminate(M, ctx)
-        assert np.array_equal(R1, R2)
+    for rows in (6, 6, 6, 6, 6, 3, 9, 12):
+        M = rng.integers(0, ctx.order, (rows, 9)).astype(np.int64)
+        M[rows // 2] = M[0]  # rank deficient in the tall cases
+        R, r = kernels.eliminate(M, ctx)
+        R_ref, r_ref = ref_rref(M, ctx)
+        assert r == r_ref == kernels.rank(M, ctx)
+        assert np.array_equal(R, R_ref)
 
 
-def test_rank_known_cases(backend_sandbox):
+def test_rank_known_cases():
     ctx = build_field(3, 2)
-    for backend in ("numba", "numpy") if HAVE_NUMBA else ("numpy",):
-        kernels.set_backend(backend)
-        assert kernels.rank(np.zeros((3, 3), dtype=np.int64), ctx) == 0
-        assert kernels.rank(np.eye(4, dtype=np.int64), ctx) == 4
-        # duplicated row
-        M = np.array([[1, 2, 3], [1, 2, 3], [0, 1, 0]], dtype=np.int64)
-        assert kernels.rank(M, ctx) == 2
+    assert kernels.rank(np.zeros((3, 3), dtype=np.int64), ctx) == 0
+    assert kernels.rank(np.eye(4, dtype=np.int64), ctx) == 4
+    # duplicated row
+    M = np.array([[1, 2, 3], [1, 2, 3], [0, 1, 0]], dtype=np.int64)
+    assert kernels.rank(M, ctx) == 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_min_weight_matches_bruteforce(backend, backend_sandbox):
+def test_min_weight_matches_bruteforce():
     ctx = build_field(3, 2)
     rng = np.random.default_rng(3)
-    kernels.set_backend(backend)
     for _ in range(5):
         G = rng.integers(0, 9, (2, 5)).astype(np.int64)
         if kernels.rank(G, ctx) < 2:
@@ -141,10 +109,8 @@ def test_min_weight_matches_bruteforce(backend, backend_sandbox):
             ref_min_weight(G, ctx, sub.tolist())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_first_singular_minor(backend, backend_sandbox):
+def test_first_singular_minor():
     ctx = build_field(2, 2)
-    kernels.set_backend(backend)
     # evaluations of {1, x} at the four distinct points of GF(4):
     # every 2x2 minor is a Vandermonde determinant, hence nonsingular
     G = np.array([[1, 1, 1, 1], [0, 1, 2, 3]], dtype=np.int64)
@@ -154,16 +120,6 @@ def test_first_singular_minor(backend, backend_sandbox):
     Gbad = np.array([[1, 1, 1, 1], [0, 1, 3, 3]], dtype=np.int64)
     assert kernels.first_singular_minor(Gbad, ctx) == 5
     assert kernels.first_singular_minor(Gbad, ctx, start_index=5) == 5
-
-
-@contextmanager
-def numpy_backend():
-    saved = kernels.get_backend()
-    kernels.set_backend("numpy")
-    try:
-        yield
-    finally:
-        kernels.set_backend(saved)
 
 
 @st.composite
@@ -201,10 +157,9 @@ def test_batched_minor_oracle_matches_reference(case, batch):
     sizes = {kernels._MINOR_BATCH, batch}
     if expected > start:
         sizes |= {expected - start, expected - start + 1}
-    with numpy_backend():
-        for size in sizes:
-            with mock.patch.object(kernels, "_MINOR_BATCH", size):
-                assert kernels.first_singular_minor(G, ctx, start) == expected
+    for size in sizes:
+        with mock.patch.object(kernels, "_MINOR_BATCH", size):
+            assert kernels.first_singular_minor(G, ctx, start) == expected
 
 
 @st.composite
@@ -233,10 +188,9 @@ def test_projective_min_weight_matches_reference(case):
     ctx, G, alphabet = case
     expected = ref_min_weight(G, ctx, alphabet)
     assume(expected > 0)  # the kernel skips zero codewords
-    with numpy_backend():
-        assert kernels.min_weight(G, ctx, np.array(alphabet)) == expected
-        if len(alphabet) == ctx.order:
-            assert kernels.min_weight(G, ctx) == expected
+    assert kernels.min_weight(G, ctx, np.array(alphabet)) == expected
+    if len(alphabet) == ctx.order:
+        assert kernels.min_weight(G, ctx) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,50 +214,3 @@ def test_pow_entries(gf16):
     for i in range(4):
         for j in range(4):
             assert P[i, j] == gf16.pow(int(M[i, j]), 4)
-
-
-def test_backend_selection(backend_sandbox):
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-    kernels.set_backend("numpy")
-    assert kernels.get_backend() == "numpy"
-
-
-def test_kernels_require_tables():
-    ctx = build_field(3, 2, tables=False)
-    with pytest.raises(ValueError):
-        kernels.rank(np.eye(2, dtype=np.int64), ctx)
-
-
-def _import_kernels_with_backend(value):
-    """Import eaqmds.kernels in a fresh interpreter with EAQMDS_BACKEND
-    set to ``value``; the child finds the same eaqmds package as this
-    process, whether it is installed or on PYTHONPATH."""
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("EAQMDS_")}
-    env["EAQMDS_BACKEND"] = value
-    pkg_root = str(Path(eaqmds.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from eaqmds import kernels; print(kernels.get_backend())"],
-        env=env, capture_output=True, text=True)
-
-
-def test_backend_env_flag():
-    out = _import_kernels_with_backend("numpy")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-    # an unknown value is refused at import, so the variable is read
-    # even where numpy is the only backend available
-    bad = _import_kernels_with_backend("fortran")
-    assert bad.returncode != 0
-    assert "ValueError: EAQMDS_BACKEND must be 'numba' or 'numpy'" \
-        in bad.stderr
-    if not HAVE_NUMBA:
-        # an explicit request for numba is refused, as set_backend does
-        out = _import_kernels_with_backend("numba")
-        assert out.returncode != 0
-        assert "ValueError: numba backend requested but numba is not " \
-            "importable" in out.stderr
