@@ -1,4 +1,4 @@
-"""Dense matrices and polynomials over a FieldContext.
+"""Dense matrices over a FieldContext.
 
 Matrix entries are integer element codes in a numpy int64 array; the
 heavy operations (products, elimination, entrywise powers) go through
@@ -7,7 +7,7 @@ the kernels module.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -141,66 +141,3 @@ def nullspace_basis(H: Matrix) -> Matrix:
         for i, pc in enumerate(pivots):
             basis[bi, pc] = ctx.neg(int(R.data[i, f]))
     return Matrix(ctx, basis)
-
-
-class Polynomial:
-    """Polynomial over one field context; coefficients ascending."""
-
-    def __init__(self, ctx: FieldContext, coeffs: Iterable[int]) -> None:
-        cs = [ctx.check_code(int(c)) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, x: FieldElement | int) -> FieldElement:
-        code = x.code if isinstance(x, FieldElement) else self.ctx.check_code(x)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = self.ctx.add(self.ctx.mul(acc, code), c)
-        return FieldElement(self.ctx, acc)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if other.ctx is not self.ctx:
-            raise ValueError("polynomials over different field contexts")
-        if not self.coeffs or not other.coeffs:
-            return Polynomial(self.ctx, [])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = self.ctx.add(out[i + j], self.ctx.mul(a, b))
-        return Polynomial(self.ctx, out)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Polynomial) and other.ctx is self.ctx
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)} over GF({self.ctx.order}))"
-
-
-def poly_from_roots(roots: Sequence[FieldElement],
-                    ctx: FieldContext | None = None) -> Polynomial:
-    """Monic polynomial prod (x - r); the empty product is 1 (needs ctx)."""
-    if roots:
-        ctx = roots[0].ctx
-        for r in roots:
-            if r.ctx is not ctx:
-                raise ValueError("roots from different field contexts")
-    elif ctx is None:
-        raise ValueError("empty root list needs an explicit field context")
-    poly = Polynomial(ctx, [1])
-    for r in roots:
-        poly = poly * Polynomial(ctx, [ctx.neg(r.code), 1])
-    return poly

@@ -1,76 +1,94 @@
-"""Concrete classical codes as parity-check matrices.
+"""Concrete classical codes over GF(q^2) as parity-check matrices.
 
-Constacyclic codes are built one row per defining-set exponent z:
-(1, eta^z, eta^{2z}, ..., eta^{(n-1)z}).  When rn | q^2-1 the rows live
-in GF(q^2); for n | q^2+1 the roots need GF(q^4) and the parity-check
-matrix is kept over that extension (the Hermitian adjoint then uses
-a -> a^q entrywise, which is not an involution there).
+Every code lives over GF(q^2).  A lambda-constacyclic code with
+defining set Z is built from one table of its context:
+
+* rn | q^2-1: the roots eta^z lie in GF(q^2) and row z is
+  (eta^{zj})_j, read off the power table E[m] = eta^m.
+* n | q^2+1 (family i, r = 1): the roots beta^z lie only in the
+  quadratic extension of GF(q^2), but Z = -Z and the traces
+  tr[m] = beta^m + beta^-m lie in GF(q^2).  The pair {z, n-z} gives the
+  rows tr[zj] and tr[z(j+1)], which are [[1, 1], [beta^z, beta^-z]]
+  times the root rows (beta^{zj}), (beta^{-zj}); that matrix is
+  invertible when 2z != 0 (mod n).  z = 0 gives the all-ones row and
+  z = n/2 the row ((-1)^j).  So the root matrix is T H with T invertible
+  over the extension: the same code and the same rank(H H^dagger).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Matrix, Polynomial, matrix_rank, nullspace_basis, poly_from_roots
+from .algebra import Matrix, matrix_rank, nullspace_basis
 from .cosets import DefiningSet, bch_design_distance
 from .galois import FieldContext, build_field, factor_prime_power
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstacyclicContext:
-    """Root-of-unity data for lambda-constacyclic codes of length n."""
+    """Root-of-unity table for lambda-constacyclic codes of length n."""
 
     q: int
     n: int
     r: int
     field: FieldContext
-    eta: int    # primitive rn-th root of unity, eta^n = lam
-    lam: int    # shift constant, primitive r-th root of unity
-    zeta: int   # primitive n-th root of unity, eta^r
+    lam: int            # shift constant, a primitive r-th root of unity
+    table: np.ndarray   # E[m] = eta^m (m < rn), or tr[m] (m < n) when traces
 
-    def __post_init__(self):
-        f = self.field
-        if f.element_order(self.eta) != self.r * self.n:
-            raise ValueError("eta does not have order rn")
-        if self.lam != f.pow(self.eta, self.n):
-            raise ValueError("lambda != eta^n")
-        if self.zeta != f.pow(self.eta, self.r):
-            raise ValueError("zeta != eta^r")
-        if self.r > 1 and f.element_order(self.lam) != self.r:
-            raise ValueError("lambda is not a primitive r-th root of unity")
+    @property
+    def traces(self) -> bool:
+        """True when the n-th roots of unity lie outside GF(q^2)."""
+        return (self.q * self.q - 1) % (self.r * self.n) != 0
+
+
+@lru_cache(maxsize=None)
+def _trace_table(f: FieldContext, n: int) -> np.ndarray:
+    """tr[m] = beta^m + beta^-m (m < n) for a primitive n-th root of
+    unity beta over f.  tr is the Lucas sequence V_0 = 2, V_1 = t,
+    V_{m+1} = t V_m - V_{m-1}, and beta^m = 1 iff V_m = 2, so t is the
+    smallest element code whose sequence first returns to 2 at m = n."""
+    two = f.add(1, 1)
+    for t in range(f.order):
+        tr = [two, t]
+        while tr[-1] != two and len(tr) <= n:
+            tr.append(f.sub(f.mul(t, tr[-1]), tr[-2]))
+        if tr[-1] == two and len(tr) == n + 1:
+            table = np.array(tr[:n], dtype=np.int64)
+            table.setflags(write=False)
+            return table
+    raise RuntimeError(f"no element of order {n} over GF({f.order})")
 
 
 def constacyclic_context(q: int, n: int, r: int = 1,
                          field: FieldContext | None = None) -> ConstacyclicContext:
-    """Pick the evaluation field (GF(q^2) or GF(q^4)) and fix eta."""
+    """Fix the GF(q^2) table for length n and shift order r: powers of eta
+    when rn | q^2-1, traces of beta when r = 1 and n | q^2+1."""
     p, e = factor_prime_power(q)
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n={n}, q={q}) != 1")
-    rn = r * n
-    if (q**2 - 1) % rn == 0:
-        degree = 2 * e
-    elif r == 1 and (q**4 - 1) % n == 0:
-        degree = 4 * e
-    else:
+    qsq, rn = q * q, r * n
+    traces = (qsq - 1) % rn != 0
+    if traces and (r != 1 or (qsq + 1) % n):
         raise ValueError(
-            f"rn={rn} divides neither q^2-1 nor (r=1 case) q^4-1 for q={q}")
+            f"rn={rn} divides neither q^2-1 nor (r=1 case) q^2+1 for q={q}")
     if field is None:
-        field = build_field(p, degree)
-    elif field.p != p or field.m != degree:
+        field = build_field(p, 2 * e)
+    elif field.p != p or field.m != 2 * e:
         raise ValueError(
-            f"provided field GF({field.order}) is not GF({p}^{degree})")
-    eta = field.pow(field.generator, (field.order - 1) // rn)
-    lam = field.pow(eta, n)
-    zeta = field.pow(eta, r)
-    return ConstacyclicContext(q, n, r, field, eta, lam, zeta)
+            f"provided field GF({field.order}) is not GF({p}^{2 * e})")
+    if traces:
+        return ConstacyclicContext(q, n, r, field, 1, _trace_table(field, n))
+    table = field.exp[np.arange(rn) * ((field.order - 1) // rn)]
+    return ConstacyclicContext(q, n, r, field, int(table[n % rn]), table)
 
 
 @dataclass
 class ClassicalCode:
-    """[n, k, d_design] code over GF(q^2) (or GF(q^4)) via its parity check."""
+    """[n, k, d_design] code over GF(q^2) via its parity check."""
 
     n: int
     k: int
@@ -79,7 +97,6 @@ class ClassicalCode:
     q: int
     defining_set: DefiningSet | None = None
     rs_r: int | None = None
-    cyc: ConstacyclicContext | None = None
     family: str | None = None
     d_verified: int | None = field(default=None, compare=False)
     _gen: Matrix | None = field(default=None, compare=False, repr=False)
@@ -109,54 +126,48 @@ class ClassicalCode:
                 f"over GF({self.field.order}))")
 
 
+def _trace_rows(ctx: ConstacyclicContext, Z: DefiningSet) -> np.ndarray:
+    """GF(q^2) rows spanning the root rows (beta^{zj})_j, z in Z = -Z."""
+    n, zs = ctx.n, Z.elements
+    if any((n - z) % n not in zs for z in zs):
+        raise ValueError("defining set is not closed under z -> -z, so the "
+                         "code is not defined over GF(q^2)")
+    j = np.arange(n, dtype=np.int64)
+    pairs = np.array(sorted(z for z in zs if 0 < 2 * z < n), dtype=np.int64)
+    shifts = np.stack([j, j + 1])                         # (2, n)
+    rows = [ctx.table[(pairs[:, None, None] * shifts) % n].reshape(-1, n)]
+    if 0 in zs:
+        rows.insert(0, np.ones((1, n), dtype=np.int64))
+    if n % 2 == 0 and n // 2 in zs:
+        rows.append(np.where(j % 2, ctx.field.neg(1), 1)[None, :])
+    return np.concatenate(rows)
+
+
 def constacyclic_code(ctx: ConstacyclicContext, Z: DefiningSet,
                       family: str | None = None) -> ClassicalCode:
     """Code with roots {eta^z : z in Z}; k = n - |Z|, d from the BCH bound."""
     if Z.modulus != ctx.r * ctx.n or Z.r != ctx.r:
         raise ValueError("defining set does not match the constacyclic context")
-    f = ctx.field
     n = ctx.n
     zs = Z.sorted()
-    H = np.zeros((len(zs), n), dtype=np.int64)
-    for i, z in enumerate(zs):
-        root = f.pow(ctx.eta, z)
-        acc = 1
-        for j in range(n):
-            H[i, j] = acc
-            acc = f.mul(acc, root)
-    Hm = Matrix(f, H)
+    if ctx.traces:
+        H = _trace_rows(ctx, Z)
+    else:
+        z = np.array(zs, dtype=np.int64)[:, None]
+        H = ctx.table[z * np.arange(n) % Z.modulus]
+    Hm = Matrix(ctx.field, H)
     if len(zs) and matrix_rank(Hm) != len(zs):
         raise ValueError("parity-check rows are not independent")
     d = bch_design_distance(Z) if zs else 1
     return ClassicalCode(n=n, k=n - len(zs), d_design=d, H=Hm, q=ctx.q,
-                         defining_set=Z, cyc=ctx, family=family)
-
-
-def rs_parity_check(qm: int, r: int) -> ClassicalCode:
-    """Reed-Solomon code of length qm-1: rows alpha^{ij}, i = 1..r-1;
-    parameters [qm-1, qm-r, r]."""
-    p, e = factor_prime_power(qm)
-    n = qm - 1
-    if not 1 <= r <= n - 2:
-        raise ValueError(f"r={r} outside [1, {n - 2}]")
-    f = build_field(p, e)
-    alpha = f.generator
-    H = np.zeros((r - 1, n), dtype=np.int64)
-    for i in range(1, r):
-        root = f.pow(alpha, i)
-        acc = 1
-        for j in range(n):
-            H[i - 1, j] = acc
-            acc = f.mul(acc, root)
-    Z = DefiningSet(n, 1, frozenset(range(1, r)))
-    return ClassicalCode(n=n, k=n - r + 1, d_design=r, H=Matrix(f, H), q=qm,
-                         defining_set=Z if r > 1 else None, rs_r=r)
+                         defining_set=Z, family=family)
 
 
 def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> ClassicalCode:
     """Reed-Solomon code of length q^2-1 extended by an overall parity
-    check: evaluation points are all of GF(q^2) (zero first), the first
-    row is all ones (0^0 = 1); parameters [q^2, q^2-r, r+1]."""
+    check: evaluation points are 0, then g^0, g^1, ..., g^{q^2-2} for the
+    field's generator g; H[i, j] = point_j^i with 0^0 = 1, so the first
+    row is all ones; parameters [q^2, q^2-r, r+1]."""
     p, e = factor_prime_power(q)
     n = q * q
     if not 1 <= r <= n - 2:
@@ -164,64 +175,18 @@ def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> Class
     f = field if field is not None else build_field(p, 2 * e)
     if f.order != n:
         raise ValueError(f"field GF({f.order}) is not GF({n})")
-    points = [0, 1]
-    acc = f.generator
-    for _ in range(n - 2):
-        points.append(acc)
-        acc = f.mul(acc, f.generator)
     H = np.zeros((r, n), dtype=np.int64)
-    H[0, :] = 1
-    for j, pt in enumerate(points):
-        acc = 1
-        for i in range(1, r):
-            acc = f.mul(acc, pt)
-            H[i, j] = acc
+    H[:, 1:] = f.exp[np.arange(r)[:, None] * np.arange(n - 1) % (n - 1)]
+    H[0, 0] = 1
     return ClassicalCode(n=n, k=n - r, d_design=r + 1, H=Matrix(f, H), q=q,
                          rs_r=r)
 
 
 def generator_matrix(code: ClassicalCode) -> Matrix:
-    """Nullspace basis of H (cached); k rows over the evaluation field."""
+    """Nullspace basis of H (cached); k rows over GF(q^2)."""
     if code._gen is None:
         G = nullspace_basis(code.H)
         if G.nrows != code.k:
             raise RuntimeError("nullspace dimension does not match k")
         code._gen = G
     return code._gen
-
-
-def generator_polynomial(code: ClassicalCode) -> Polynomial:
-    """g(x) = prod_{z in Z} (x - eta^z), monic of degree |Z|."""
-    if code.defining_set is None or code.cyc is None:
-        raise ValueError("generator polynomial needs a constacyclic code")
-    f = code.field
-    roots = [f.element(f.pow(code.cyc.eta, z))
-             for z in code.defining_set.sorted()]
-    return poly_from_roots(roots, ctx=f)
-
-
-def cyclic_shift_generator(code: ClassicalCode) -> Matrix:
-    """Generator matrix (x^i g(x), i = 0..k-1) from the generator
-    polynomial.  For a code with roots in GF(q^4) but defining set closed
-    under multiplication by q^2, g(x) has subfield coefficients, so the
-    rows span the GF(q^2)-subfield subcode inside the extension field."""
-    g = generator_polynomial(code)
-    n, k = code.n, code.k
-    rows = np.zeros((k, n), dtype=np.int64)
-    for i in range(k):
-        for j, c in enumerate(g.coeffs):
-            rows[i, i + j] = c
-    return Matrix(code.field, rows)
-
-
-def subfield_alphabet(code: ClassicalCode) -> np.ndarray:
-    """Codes of the GF(q^2)-subfield inside the evaluation field
-    (everything when the code already lives over GF(q^2))."""
-    f = code.field
-    qsq = code.q * code.q
-    if f.order == qsq:
-        return np.arange(f.order, dtype=np.int64)
-    members = [a for a in range(f.order) if f.pow(a, qsq) == a]
-    if len(members) != qsq:
-        raise RuntimeError("subfield size mismatch")
-    return np.array(members, dtype=np.int64)

@@ -100,7 +100,7 @@ def ea_singleton_check(params: EaqeccParams) -> bool:
 
 
 def derive_eaqecc(code: ClassicalCode, q: int) -> EaqeccParams:
-    """[[n, 2k - n + c, d; c]]_q from a classical code over GF(q^2)/GF(q^4)."""
+    """[[n, 2k - n + c, d; c]]_q from a classical code over GF(q^2)."""
     c = ebit_count(code.H, q)
     k = 2 * code.k - code.n + c
     if k < 0:

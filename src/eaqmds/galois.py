@@ -4,19 +4,18 @@ Elements are stored as integers in [0, p^m): the base-p digits of the
 integer are the coefficients (ascending degree) of the element's
 polynomial representation over GF(p).  Every field carries exp/log
 tables of a primitive element, so multiplication, inversion and powers
-reduce to index arithmetic; addition is digit-wise mod p.  Polynomial
-arithmetic modulo the field's irreducible modulus finds the primitive
+reduce to index arithmetic; addition is digit-wise mod p.  Arithmetic
+on polynomials modulo the field's irreducible modulus finds the primitive
 element and the multiplication matrix the tables are built from, and
 the test suite checks the tables against it.
 
-The conjugation map a -> a^q backs the Hermitian inner product on
-GF(q^2)^n (and its non-involutive analogue on GF(q^4)).
+The conjugation map a -> a^q (see algebra.hermitian_adjoint) backs the
+Hermitian inner product on GF(q^2)^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -433,16 +432,6 @@ class FieldElement:
         return f"{self.code}@GF({self.ctx.order})"
 
 
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch one of add/sub/mul/div on two elements of one field."""
-    try:
-        fn = {"add": a.__add__, "sub": a.__sub__,
-              "mul": a.__mul__, "div": a.__truediv__}[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}") from None
-    return fn(b)
-
-
 def _check_conj_compat(ctx: FieldContext, q: int) -> None:
     qp, qe = factor_prime_power(q)
     if qp != ctx.p or ctx.m % qe != 0:
@@ -450,28 +439,6 @@ def _check_conj_compat(ctx: FieldContext, q: int) -> None:
             f"conjugation exponent q={q} incompatible with GF({ctx.order})")
 
 
-def conjugate(a: FieldElement, q: int) -> FieldElement:
-    """a -> a^q; an involution on GF(q^2), order 4 on GF(q^4)."""
-    _check_conj_compat(a.ctx, q)
-    return FieldElement(a.ctx, a.ctx.pow(a.code, q))
-
-
 def element_order(a: FieldElement) -> int:
     """Smallest e >= 1 with a^e = 1; divides p^m - 1."""
     return a.ctx.element_order(a.code)
-
-
-@lru_cache(maxsize=None)
-def splitting_field_degree(n: int, q: int) -> int:
-    """Multiplicative order of q modulo n: degree over GF(q) where
-    the n-th roots of unity live."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    import math
-    if math.gcd(n, q) != 1:
-        raise ValueError(f"gcd({n},{q}) != 1: no primitive n-th root of unity")
-    e, acc = 1, q % n
-    while acc != 1 % n:
-        acc = (acc * q) % n
-        e += 1
-    return e

@@ -7,9 +7,7 @@ Addition in GF(p^m) is digit-wise mod p on the base-p encoding, so an
 array sum along an axis is a digit-wise modular sum.  The two distance
 oracles avoid per-item Python loops: the minor oracle eliminates a
 batch of k x k column minors as one (B, k, k) tensor, and minimum-weight
-search enumerates messages projectively (highest nonzero digit 1), which
-needs an alphabet whose nonzero elements are closed under
-multiplication.
+search enumerates messages projectively (highest nonzero digit 1).
 """
 
 from __future__ import annotations
@@ -102,26 +100,24 @@ def _eliminate(M, exp, log, p, m, Q):
     return r
 
 
-def _min_weight(G, alphabet, exp, log, p, m, chunk=1 << 14):
-    """Projective enumeration: scaling a message by a nonzero alphabet
+def _min_weight(G, exp, log, p, m, Q, chunk=1 << 14):
+    """Projective enumeration: scaling a message by a nonzero field
     element keeps the codeword's weight, so only messages whose highest
-    nonzero digit is the field's 1 are visited.  For each leading
-    position j, digits below j range over the alphabet (chunked through
-    one tensor product) and digits above j are zero."""
+    nonzero digit is 1 are visited.  For each leading position j, digits
+    below j range over the field (chunked through one tensor product)
+    and digits above j are zero."""
     k, n = G.shape
-    A = alphabet.shape[0]
     best = n + 1
     lG = np.where(G != 0, log[G], -1)
     for j in range(k):
-        total = A**j
+        total = Q**j
         for lo in range(0, total, chunk):
             hi = min(lo + chunk, total)
             ids = np.arange(lo, hi, dtype=np.int64)
             lm = np.zeros((hi - lo, j + 1), dtype=np.int64)  # log 1 = 0
             for i in range(j):
-                digit = alphabet[ids % A]
-                lm[:, i] = np.where(digit != 0, log[digit], -1)
-                ids //= A
+                lm[:, i] = log[ids % Q]   # log 0 = -1 marks a zero digit
+                ids //= Q
             prod_log = lm[:, :, None] + lG[None, :j + 1, :]
             prod = np.where((lm[:, :, None] >= 0) & (lG[None, :j + 1, :] >= 0),
                             exp[np.maximum(prod_log, 0)], 0)
@@ -216,32 +212,10 @@ def rank(M: np.ndarray, ctx) -> int:
     return eliminate(M, ctx)[1]
 
 
-def _check_projective_alphabet(alphabet, log, Q):
-    """Raise ValueError unless the alphabet holds 0 and its nonzero
-    elements are closed under multiplication.  A finite closed set of
-    d nonzero elements is the subgroup of d-th roots of unity, so the
-    test is that d divides Q - 1 and every log is a multiple of
-    (Q - 1) / d."""
-    nonzero = np.unique(alphabet[alphabet != 0])
-    d = nonzero.size
-    if (d == 0 or not np.any(alphabet == 0) or (Q - 1) % d
-            or np.any(log[nonzero] % ((Q - 1) // d))):
-        raise ValueError(
-            "min_weight needs an alphabet of 0 and a multiplicatively "
-            "closed set of nonzero elements, such as a subfield")
-
-
-def min_weight(G: np.ndarray, ctx, alphabet: np.ndarray | None = None) -> int:
-    """Exact minimum Hamming weight of the span of G's rows, messages
-    drawn from `alphabet` (default: the whole field).  An alphabet must
-    hold 0 and be closed under multiplication, else ValueError."""
-    exp, log, p, m, _ = _field_args(ctx)
-    if alphabet is None:
-        alphabet = np.arange(ctx.order, dtype=np.int64)
-    else:
-        alphabet = np.asarray(alphabet, dtype=np.int64)
-        _check_projective_alphabet(alphabet, log, ctx.order)
-    return _min_weight(G, alphabet, exp, log, p, m)
+def min_weight(G: np.ndarray, ctx) -> int:
+    """Exact minimum Hamming weight of the span of G's rows."""
+    exp, log, p, m, Q = _field_args(ctx)
+    return _min_weight(G, exp, log, p, m, Q)
 
 
 def first_singular_minor(G: np.ndarray, ctx, start_index: int = 0) -> int:

@@ -3,7 +3,8 @@
 The distance oracles are deliberately separate routes from the BCH
 design distance: full message enumeration when the message space fits
 the budget, otherwise the minor criterion (a code is MDS iff every
-k x k minor of a generator matrix is nonsingular).  The sweep harness
+k x k minor of a generator matrix, equivalently every (n-k)-square minor
+of a full-rank parity check, is nonsingular).  The sweep harness
 rebuilds every admissible family instance and compares rank(H H^dagger)
 against the predicted ebit count.
 """
@@ -15,18 +16,14 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import kernels
 from .algebra import Matrix, hermitian_adjoint, mat_mul, matrix_rank
 from .codes import (
     ClassicalCode,
-    cyclic_shift_generator,
     constacyclic_code,
     constacyclic_context,
     extended_rs_code,
     generator_matrix,
-    subfield_alphabet,
 )
 from .cosets import DefiningSet, defining_set
 from .eaqecc import ebit_count
@@ -46,24 +43,24 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def exhaustive_min_distance(G: Matrix, budget: OracleBudget = OracleBudget(),
-                            alphabet: np.ndarray | None = None) -> int:
-    """Minimum Hamming weight over all nonzero codewords m G, m ranging
-    over alphabet^k (the whole field by default)."""
+def exhaustive_min_distance(G: Matrix, budget: OracleBudget = OracleBudget()) -> int:
+    """Minimum Hamming weight over all nonzero codewords m G."""
     k = G.nrows
-    size = G.ctx.order if alphabet is None else len(alphabet)
+    size = G.ctx.order
     if size**k > budget.max_codewords:
         raise BudgetExceeded(
             f"{size}^{k} codewords exceed the budget {budget.max_codewords}")
     if k == 0:
         raise ValueError("empty generator matrix has no nonzero codewords")
-    return kernels.min_weight(G.data, G.ctx, alphabet)
+    return kernels.min_weight(G.data, G.ctx)
 
 
 def mds_minor_oracle(G: Matrix, budget: OracleBudget = OracleBudget(),
                      start: int = 0) -> bool:
-    """True iff every k x k minor of G is nonsingular (hence d = n-k+1).
-    Subsets are visited in lexicographic order; `start` resumes."""
+    """True iff every k x k minor of the k x n matrix G is nonsingular.
+    For a generator matrix that means d = n-k+1; so does it for a full-rank
+    parity check, whose every n-k columns are then independent.  Subsets
+    are visited in lexicographic order; `start` resumes."""
     k, n = G.shape
     if math.comb(n, k) > budget.max_minors:
         raise BudgetExceeded(
@@ -89,22 +86,14 @@ def certify_distance(code: ClassicalCode,
     n, k = code.n, code.k
     if k == 0:
         return {"method": "design-only", "is_mds": None, "d": None}
-    if code.field.order in (code.q, code.q**2):
-        # the code lives over its own alphabet field
-        G = generator_matrix(code)
-        alpha = None
-        msg_space = code.field.order**k
-    else:
-        # roots in GF(q^4): enumerate the GF(q^2)-subfield subcode
-        G = cyclic_shift_generator(code)
-        alpha = subfield_alphabet(code)
-        msg_space = len(alpha)**k
-    if msg_space <= budget.max_codewords:
-        d = exhaustive_min_distance(G, budget, alpha)
+    if code.field.order**k <= budget.max_codewords:
+        d = exhaustive_min_distance(generator_matrix(code), budget)
         return {"method": "enumeration", "is_mds": d == n - k + 1, "d": d}
-    Gext = generator_matrix(code)
     if math.comb(n, k) <= budget.max_minors:
-        ok = mds_minor_oracle(Gext, budget)
+        # C(n, k) = C(n, n-k) minors either way: test the smaller matrix
+        H = code.H
+        M = H if H.nrows == n - k < k else generator_matrix(code)
+        ok = mds_minor_oracle(M, budget)
         return {"method": "minors", "is_mds": ok, "d": n - k + 1 if ok else None}
     return {"method": "design-only", "is_mds": None, "d": None}
 

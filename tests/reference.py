@@ -1,7 +1,11 @@
 """Pure-Python references in context arithmetic, one element at a time,
-for the vectorized kernels and the matrix layer built on them."""
+for the vectorized kernels and the matrix layer built on them, and the
+GF(q^4) root-evaluation route to family i that checks its trace rows."""
 
 import numpy as np
+
+from eaqmds.algebra import Matrix
+from eaqmds.galois import FieldElement, build_field
 
 
 def ref_matmul(A, B, ctx):
@@ -35,3 +39,91 @@ def ref_rref(M, ctx):
         if r == rows:
             break
     return np.array(R, dtype=np.int64).reshape(rows, cols), r
+
+
+class Polynomial:
+    """Polynomial over one field context; coefficients ascending."""
+
+    def __init__(self, ctx, coeffs):
+        cs = [ctx.check_code(int(c)) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.ctx = ctx
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __call__(self, x):
+        code = x.code if isinstance(x, FieldElement) else self.ctx.check_code(x)
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = self.ctx.add(self.ctx.mul(acc, code), c)
+        return FieldElement(self.ctx, acc)
+
+    def __mul__(self, other):
+        if other.ctx is not self.ctx:
+            raise ValueError("polynomials over different field contexts")
+        if not self.coeffs or not other.coeffs:
+            return Polynomial(self.ctx, [])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = self.ctx.add(out[i + j], self.ctx.mul(a, b))
+        return Polynomial(self.ctx, out)
+
+
+def poly_from_roots(roots, ctx=None):
+    """Monic polynomial prod (x - r); the empty product is 1 (needs ctx)."""
+    if roots:
+        ctx = roots[0].ctx
+        if any(r.ctx is not ctx for r in roots):
+            raise ValueError("roots from different field contexts")
+    elif ctx is None:
+        raise ValueError("empty root list needs an explicit field context")
+    poly = Polynomial(ctx, [1])
+    for r in roots:
+        poly = poly * Polynomial(ctx, [ctx.neg(r.code), 1])
+    return poly
+
+
+# ---------------------------------------------------------------------------
+# family i by root evaluation in GF(q^4), the route the trace rows replace
+# ---------------------------------------------------------------------------
+
+def quadratic_extension(f):
+    """GF(p^{2m}) for f = GF(p^m), and emb[a], the image of every element
+    code of f under x -> w for w a root of f's modulus, found by search."""
+    f4 = build_field(f.p, 2 * f.m)
+    modulus = Polynomial(f4, f.modulus)  # GF(p) digits are element codes
+    w = next(x for x in range(f4.order) if modulus(x).code == 0)
+    powers = [f4.pow(w, i) for i in range(f.m)]
+    emb = []
+    for a in range(f.order):
+        acc = 0
+        for d, wi in zip(digits(a, f.p, f.m), powers):
+            acc = f4.add(acc, f4.mul(d, wi))
+        emb.append(acc)
+    return f4, np.array(emb, dtype=np.int64)
+
+
+def digits(a, p, m):
+    return [(a // p**i) % p for i in range(m)]
+
+
+def trace_root(ctx):
+    """(GF(q^4), emb, beta) with beta + 1/beta = emb(ctx.table[1])."""
+    f4, emb = quadratic_extension(ctx.field)
+    t = int(emb[ctx.table[1]])
+    beta = next(b for b in range(1, f4.order)
+                if f4.add(b, f4.inv(b)) == t)
+    return f4, emb, beta
+
+
+def root_rows(f4, beta, zs, n):
+    """Rows (beta^{zj})_j, j < n, one per z in zs."""
+    return Matrix(f4, [[f4.pow(beta, z * j) for j in range(n)] for z in zs])

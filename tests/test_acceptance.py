@@ -284,15 +284,20 @@ def test_criterion_7_constacyclic_intersection():
 
 
 def test_criterion_8_representation_invariance():
-    """Family iii at q = 5 rebuilt under x^2 + 3 instead of x^2 + 1
-    yields identical parameter records."""
-    default = enumerate_family("iii", 5)
+    """Families i-v at q = 5 (t = 3 for family v) rebuilt over GF(25)
+    under x^2 + 3 instead of x^2 + 1 yield identical parameter records."""
     alt_field = build_field(5, 2, modulus=[3, 0, 1])
     assert alt_field.modulus != build_field(5, 2).modulus
-    alt = enumerate_family("iii", 5, field=alt_field)
-    base_records = [(p.n, p.k, p.d, p.c) for p in default]
-    alt_records = [(p.n, p.k, p.d, p.c) for p in alt]
-    assert base_records == alt_records
-    assert [p.defining_set for p in default] == [p.defining_set for p in alt]
-    print(f"ACCEPTANCE 8 PASS {len(base_records)} records identical "
+    total = 0
+    for family in FAMILIES:
+        t = 3 if family == "v" else None
+        default = enumerate_family(family, 5, t)
+        alt = enumerate_family(family, 5, t, field=alt_field)
+        base_records = [(p.n, p.k, p.d, p.c) for p in default]
+        assert base_records == [(p.n, p.k, p.d, p.c) for p in alt]
+        assert [p.defining_set for p in default] == \
+            [p.defining_set for p in alt]
+        assert all(p.field == alt_field.descriptor() for p in alt)
+        total += len(base_records)
+    print(f"ACCEPTANCE 8 PASS {total} records of families i-v identical "
           "under the alternative modulus")

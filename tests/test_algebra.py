@@ -3,18 +3,24 @@ import pytest
 
 from eaqmds.algebra import (
     Matrix,
-    Polynomial,
     hermitian_adjoint,
     mat_mul,
     matrix_rank,
     nullspace_basis,
-    poly_from_roots,
     rref,
 )
 from eaqmds.codes import constacyclic_code, constacyclic_context
 from eaqmds.cosets import defining_set
+from eaqmds.eaqecc import ebit_count
 from eaqmds.galois import build_field
-from reference import ref_matmul, ref_rref
+from reference import (
+    Polynomial,
+    poly_from_roots,
+    ref_matmul,
+    ref_rref,
+    root_rows,
+    trace_root,
+)
 
 
 def test_poly_from_roots_empty_and_linear(gf9):
@@ -73,24 +79,26 @@ def test_rank_examples(gf9):
 
 
 def test_gram_rank_of_small_cyclic_code():
-    # q = 2, n = 5, Z = {0, 1, 4}: the Gram entry (z1, z2) is
-    # sum_j eta^{(z1 + 2 z2) j} = n [z1 + 2 z2 = 0 mod 5] computed by
-    # geometric-sum expansion, so only the (0, 0) entry survives.
+    # q = 2, n = 5, Z = {0, 1, 4}: over GF(16) the Gram entry (z1, z2) of
+    # the root rows is sum_j beta^{(z1 + 2 z2) j} = n [z1 + 2 z2 = 0 mod 5]
+    # computed by geometric-sum expansion, so only the (0, 0) entry
+    # survives; the trace rows over GF(4) have the same Gram rank.
     ctx = constacyclic_context(2, 5, 1)
     Z = defining_set("i", 2, delta=1, n=5)
     assert Z.sorted() == [0, 1, 4]
-    H = constacyclic_code(ctx, Z).H
-    gram = mat_mul(H, hermitian_adjoint(H, 2))
-    f = ctx.field
+    f4, _, beta = trace_root(ctx)
+    H_root = root_rows(f4, beta, Z.sorted(), 5)
+    gram = mat_mul(H_root, hermitian_adjoint(H_root, 2))
     hand = [[0] * 3 for _ in range(3)]
     for i, z1 in enumerate(Z.sorted()):
         for j, z2 in enumerate(Z.sorted()):
             s = 0
             for col in range(5):
-                s = f.add(s, f.pow(ctx.eta, (z1 + 2 * z2) * col))
+                s = f4.add(s, f4.pow(beta, (z1 + 2 * z2) * col))
             hand[i][j] = s
-    assert gram == Matrix(f, hand)
+    assert gram == Matrix(f4, hand)
     assert matrix_rank(gram) == 1
+    assert ebit_count(constacyclic_code(ctx, Z).H, 2) == 1
 
 
 def test_mat_mul_identity_and_errors(gf9):
@@ -172,7 +180,7 @@ def test_rref_pivots(gf4):
 
 def test_matrix_ops_match_python_reference():
     rng = np.random.default_rng(21)
-    # GF(17^4) is the field of family i at q = 17
+    # a small field and one of order 17^4 ~ 2^16, odd characteristic
     for ctx in (build_field(3, 2), build_field(17, 4)):
         data = rng.integers(0, ctx.order, (4, 7))
         data[3] = data[0]

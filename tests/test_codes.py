@@ -1,25 +1,24 @@
 import numpy as np
 import pytest
 
-from eaqmds.algebra import Matrix, mat_mul, matrix_rank
+from eaqmds.algebra import Matrix, hermitian_adjoint, mat_mul, matrix_rank
 from eaqmds.codes import (
     constacyclic_code,
     constacyclic_context,
-    cyclic_shift_generator,
     extended_rs_code,
     generator_matrix,
-    generator_polynomial,
-    rs_parity_check,
-    subfield_alphabet,
 )
 from eaqmds.cosets import DefiningSet, defining_set
+from eaqmds.eaqecc import ebit_count
+from reference import poly_from_roots, root_rows, trace_root
 
 
 def test_context_picks_evaluation_field():
-    # 17 | q^2+1 for q = 4: roots need GF(q^4) = GF(256)
+    # 17 | q^2+1 for q = 4: the roots lie in GF(256), their traces in GF(16)
     ctx = constacyclic_context(4, 17, 1)
-    assert ctx.field.order == 256
-    assert ctx.field.element_order(ctx.eta) == 17
+    assert ctx.field.order == 16 and ctx.traces
+    f4, _, beta = trace_root(ctx)
+    assert f4.order == 256 and f4.element_order(beta) == 17
     assert ctx.lam == 1
     # 24 = q^2-1 for q = 5 stays in GF(25)
     ctx = constacyclic_context(5, 24, 1)
@@ -31,7 +30,9 @@ def test_context_picks_evaluation_field():
     ctx = constacyclic_context(11, 40, 3)
     assert ctx.field.element_order(ctx.lam) == 3
     with pytest.raises(ValueError):
-        constacyclic_context(4, 7, 1)   # 7 divides neither 15 nor 255
+        constacyclic_context(4, 7, 1)   # 7 divides neither 15 nor 17
+    with pytest.raises(ValueError):
+        constacyclic_context(4, 17, 3)  # n | q^2+1 needs r = 1
     with pytest.raises(ValueError):
         constacyclic_context(4, 8, 1)   # gcd(n, q) != 1
 
@@ -56,6 +57,10 @@ def test_empty_defining_set_gives_full_space():
     code = constacyclic_code(ctx, DefiningSet(24, 1, frozenset()))
     assert (code.n, code.k, code.d_design) == (24, 24, 1)
     assert generator_matrix(code) == Matrix.identity(ctx.field, 24)
+    # the same through the trace rows of family i
+    ctx = constacyclic_context(4, 17, 1)
+    code = constacyclic_code(ctx, DefiningSet(17, 1, frozenset()))
+    assert (code.n, code.k, code.H.shape) == (17, 17, (0, 17))
 
 
 def test_codewords_vanish_at_defining_set_roots():
@@ -65,7 +70,7 @@ def test_codewords_vanish_at_defining_set_roots():
     G = generator_matrix(code)
     f = ctx.field
     for z in Z.sorted():
-        root = f.pow(ctx.eta, z)
+        root = f.pow(int(ctx.table[1]), z)   # eta^z
         for row in G.data:
             acc, x = 0, 1
             for cj in row:
@@ -92,11 +97,19 @@ def test_constacyclic_shift_invariance(q, n, r, family, kwargs):
     assert mat_mul(code.H, Matrix(f, shifted.T)).is_zero()
 
 
+def _rs_code(qm, r):
+    """Reed-Solomon code of length qm-1 over GF(qm), qm = q^2: roots
+    eta^1, ..., eta^{r-1}; parameters [qm-1, qm-r, r]."""
+    q = round(qm ** 0.5)
+    Z = DefiningSet(qm - 1, 1, frozenset(range(1, r)))
+    return constacyclic_code(constacyclic_context(q, qm - 1, 1), Z)
+
+
 def test_rs_parity_check():
-    triv = rs_parity_check(16, 1)
+    triv = _rs_code(16, 1)
     assert (triv.n, triv.k, triv.d_design) == (15, 15, 1)
     assert triv.H.nrows == 0
-    code = rs_parity_check(16, 3)
+    code = _rs_code(16, 3)
     assert (code.n, code.k, code.d_design) == (15, 13, 3)
     assert code.H.shape == (2, 15)
     # rows are alpha^{i j}
@@ -104,13 +117,11 @@ def test_rs_parity_check():
     for i in range(1, 3):
         for j in range(15):
             assert code.H.data[i - 1, j] == f.pow(f.generator, i * j)
-    with pytest.raises(ValueError):
-        rs_parity_check(16, 14)
 
 
 def test_rs_8_5_4_is_mds():
     from eaqmds.verify import mds_minor_oracle
-    code = rs_parity_check(9, 4)
+    code = _rs_code(9, 4)
     assert (code.n, code.k, code.d_design) == (8, 5, 4)
     assert mds_minor_oracle(generator_matrix(code))
 
@@ -118,7 +129,7 @@ def test_rs_8_5_4_is_mds():
 @pytest.mark.parametrize("qm", [4, 9, 16, 25])
 def test_rs_parameter_sweep(qm):
     for r in range(1, qm - 2):
-        code = rs_parity_check(qm, r)
+        code = _rs_code(qm, r)
         assert (code.n, code.k, code.d_design) == (qm - 1, qm - r, r)
         assert code.k == code.n - matrix_rank(code.H)
 
@@ -143,6 +154,10 @@ def test_extended_rs_structure():
     assert code.H.data[1, 0] == 0 and code.H.data[2, 0] == 0
     # remaining points enumerate the nonzero field elements once
     assert sorted(code.H.data[1, 1:].tolist()) == sorted(range(1, 9))
+    # H[i, j] = point_j^i for the points 0, g^0, g^1, ...
+    points = [0] + [f.pow(f.generator, j) for j in range(8)]
+    for i in range(3):
+        assert code.H.data[i].tolist() == [f.pow(x, i) for x in points]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -161,21 +176,55 @@ def test_generator_matrix_nullspace():
 
 
 def test_subfield_subcode_structure():
-    """[17,12,6] over GF(256): g(x) has GF(16) coefficients and its
-    shifts span the 12-dimensional subfield subcode inside GF(256)."""
+    """[17,12,6] over GF(16) is the GF(16)-subfield subcode of the code
+    with roots beta^z in GF(256): g(x) = prod (x - beta^z) has GF(16)
+    coefficients and every codeword vanishes at the roots."""
     ctx = constacyclic_context(4, 17, 1)
     code = constacyclic_code(ctx, defining_set("i", 4, delta=2))
-    g = generator_polynomial(code)
-    f = code.field
+    assert code.field.order == 16
+    f4, emb, beta = trace_root(ctx)
+    zs = code.defining_set.sorted()
+    g = poly_from_roots([f4.element(f4.pow(beta, z)) for z in zs])
     assert g.is_monic() and g.degree == 5
-    assert all(f.pow(c, 16) == c for c in g.coeffs)  # fixed by x -> x^16
-    Gsub = cyclic_shift_generator(code)
-    assert Gsub.nrows == 12
-    assert mat_mul(code.H, Matrix(f, Gsub.data.T)).is_zero()
-    assert matrix_rank(Gsub) == 12
-    sub = set(subfield_alphabet(code).tolist())
-    assert len(sub) == 16
-    assert all(int(v) in sub for v in Gsub.data.flat)
+    assert set(g.coeffs) <= set(emb.tolist())
+    G = generator_matrix(code)
+    assert G.nrows == 12 and matrix_rank(G) == 12
+    H_root = root_rows(f4, beta, zs, 17)
+    assert mat_mul(Matrix(f4, emb[G.data]), Matrix(f4, H_root.data.T)).is_zero()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_family_i_matches_root_evaluation(q):
+    """Trace rows over GF(q^2) against root rows over GF(q^4), for every
+    n | q^2+1 with n > 2 and every delta, plus the sets {n/2} (in no
+    family-i set) and Z_n: codewords vanish at the roots, the ebit counts
+    agree, and the table's beta has order exactly n."""
+    for n in range(3, q * q + 2):
+        if (q * q + 1) % n:
+            continue
+        ctx = constacyclic_context(q, n, 1)
+        f4, emb, beta = trace_root(ctx)
+        assert f4.element_order(beta) == n
+        assert emb[ctx.table].tolist() == [
+            f4.add(f4.pow(beta, m), f4.pow(beta, -m)) for m in range(n)]
+        sets = [defining_set("i", q, delta=delta, n=n)
+                for delta in range(n // (q + 1) + 1)]
+        sets.append(DefiningSet(n, 1, frozenset(range(n))))
+        if n % 2 == 0:
+            sets.append(DefiningSet(n, 1, frozenset({n // 2})))
+        for Z in sets:
+            code = constacyclic_code(ctx, Z)
+            H_root = root_rows(f4, beta, Z.sorted(), n)
+            G = Matrix(f4, emb[generator_matrix(code).data])
+            assert mat_mul(G, Matrix(f4, H_root.data.T)).is_zero()
+            gram = mat_mul(H_root, hermitian_adjoint(H_root, q))
+            assert ebit_count(code.H, q) == matrix_rank(gram)
+
+
+def test_trace_rows_need_a_symmetric_defining_set():
+    ctx = constacyclic_context(4, 17, 1)
+    with pytest.raises(ValueError, match="not closed"):
+        constacyclic_code(ctx, DefiningSet(17, 1, frozenset({1})))
 
 
 def test_defining_set_context_mismatch():
@@ -201,3 +250,4 @@ def test_code_record():
     ctx = constacyclic_context(4, 17, 1)
     cyc = constacyclic_code(ctx, defining_set("i", 4, delta=1))
     assert cyc.record()["defining_set"] == [0, 1, 16]
+    assert cyc.record()["field"] == extended_rs_code(4, 5).field.descriptor()

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from eaqmds.algebra import Matrix, hermitian_adjoint
+from eaqmds.codes import constacyclic_context
 from eaqmds.galois import (
     build_field,
-    conjugate,
     element_order,
     factor_prime_power,
-    field_arith,
     is_prime,
     prime_factors,
     smallest_irreducible,
-    splitting_field_degree,
 )
 
 
@@ -21,11 +20,12 @@ def test_build_field_orders(gf16, gf9, gf256):
 
 
 def test_splitting_field_for_17th_roots():
-    # ord_17(16) = 2, so the 17th roots of unity over GF(16) live in GF(256)
+    # ord_17(16) = 2, so the 17th roots of unity over GF(16) live in GF(256),
+    # and family i at q = 4 keeps only their traces, in GF(16)
     assert pow(16, 1, 17) != 1 and pow(16, 2, 17) == 1
-    assert splitting_field_degree(17, 16) == 2
-    f = build_field(2, 8)
-    assert (f.order - 1) % 17 == 0
+    assert (build_field(2, 8).order - 1) % 17 == 0
+    ctx = constacyclic_context(4, 17, 1)
+    assert ctx.traces and ctx.field.order == 16 and len(ctx.table) == 17
 
 
 def test_build_field_errors():
@@ -54,17 +54,20 @@ def test_field_arith_examples(gf9):
     one = gf9.element(1)
     zero = gf9.element(0)
     for a in map(gf9.element, gf9.elements()):
-        assert field_arith(a, one, "mul") == a
-        assert field_arith(a, -a, "add") == zero
+        assert a * one == a
+        assert a + (-a) == zero
+        assert a - a == zero
+        if a:
+            assert (a / a) == one
     # g * g^7 = 1 since g^8 = 1 by Lagrange
     assert g * g**7 == one
-    with pytest.raises(ValueError):
-        field_arith(g, one, "xor")
 
 
 def test_cross_context_is_error(gf9, gf16):
     with pytest.raises(ValueError):
-        field_arith(gf9.element(1), gf16.element(1), "add")
+        gf9.element(1) + gf16.element(1)
+    with pytest.raises(TypeError):
+        gf9.element(1) * 1
 
 
 def test_division(gf16):
@@ -77,20 +80,16 @@ def test_division(gf16):
 
 
 def test_conjugate_examples(gf9, gf16):
-    # zero fixed; involution on GF(q^2)
-    assert conjugate(gf9.element(0), 3).code == 0
+    # the entrywise a -> a^q of the Hermitian adjoint fixes zero and is an
+    # involution on GF(q^2): applying the adjoint twice gives back M
     for ctx, q in [(gf9, 3), (gf16, 4)]:
-        for a in map(ctx.element, ctx.elements()):
-            assert conjugate(conjugate(a, q), q) == a
-    # on GF(q^4) the q-conjugation has order 4, not 2
-    f81 = build_field(3, 4)
-    a = f81.element(f81.generator)
-    twice = conjugate(conjugate(a, 3), 3)
-    assert twice != a
-    four = conjugate(conjugate(twice, 3), 3)
-    assert four == a
+        M = Matrix(ctx, [list(ctx.elements())])
+        once = hermitian_adjoint(M, q)
+        assert once.data[0, 0] == 0
+        assert once.data[:, 0].tolist() == [ctx.pow(a, q) for a in ctx.elements()]
+        assert hermitian_adjoint(once, q) == M
     with pytest.raises(ValueError):
-        conjugate(gf9.element(1), 2)  # wrong characteristic
+        hermitian_adjoint(Matrix(gf9, [[1]]), 2)  # wrong characteristic
 
 
 def test_element_order(gf9, gf25):

@@ -1,14 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from eaqmds import verify
+
 from eaqmds.algebra import Matrix
+from eaqmds.algebra import nullspace_basis
 from eaqmds.codes import (
+    ClassicalCode,
     constacyclic_code,
     constacyclic_context,
+    extended_rs_code,
     generator_matrix,
-    rs_parity_check,
 )
 from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
 from eaqmds.eaqecc import build_classical
@@ -25,13 +30,19 @@ from eaqmds.verify import (
 )
 
 
+def rs_8_5_4():
+    """Reed-Solomon [8,5,4] over GF(9): roots eta, eta^2, eta^3."""
+    return constacyclic_code(constacyclic_context(3, 8, 1),
+                             DefiningSet(8, 1, frozenset({1, 2, 3})))
+
+
 def test_exhaustive_min_distance_repetition_style(gf9):
     G = Matrix(gf9, np.ones((1, 4), dtype=np.int64))
     assert exhaustive_min_distance(G) == 4
 
 
 def test_exhaustive_min_distance_rs_8_5_4():
-    code = rs_parity_check(9, 4)
+    code = rs_8_5_4()
     G = generator_matrix(code)
     assert exhaustive_min_distance(G) == 4   # 9^5 = 59049 messages
 
@@ -59,7 +70,7 @@ def test_minor_oracle_cases(gf9):
 
 
 def test_oracles_agree_where_both_apply():
-    for code in [rs_parity_check(9, 4), build_classical("ii", 3, 4),
+    for code in [rs_8_5_4(), build_classical("ii", 3, 4),
                  build_classical("iii", 3, 3)]:
         G = generator_matrix(code)
         d = exhaustive_min_distance(G)
@@ -87,15 +98,43 @@ def test_certify_distance_routing():
 
 
 def test_certify_distance_subfield_enumeration():
-    # roots in GF(16), subcode enumerated over the GF(4) alphabet
-    res = certify_distance(build_classical("i", 2, 4))
+    # roots in GF(16), the code itself enumerated over GF(4)
+    code = build_classical("i", 2, 4)
+    assert code.field.order == 4
+    res = certify_distance(code)
     assert res == {"method": "enumeration", "is_mds": True, "d": 4}
 
 
 def test_certify_distance_plain_rs_code():
-    # Reed-Solomon codes live over their own field (order q, not q^2)
-    res = certify_distance(rs_parity_check(9, 4))
+    res = certify_distance(rs_8_5_4())
     assert res == {"method": "enumeration", "is_mds": True, "d": 4}
+
+
+def _with_repeated_column(code):
+    """The code whose parity check repeats column 1 of code.H in place of
+    the last column: it has a weight-2 word, so it is not MDS."""
+    data = code.H.data.copy()
+    data[:, -1] = data[:, 1]
+    H = Matrix(code.field, data)
+    return ClassicalCode(n=code.n, k=code.k, d_design=2, H=H, q=code.q)
+
+
+@pytest.mark.parametrize("r", [3, 6])
+def test_minor_oracle_on_h_agrees_with_g(r):
+    """Every k columns of G independent iff every n-k columns of H are:
+    both routes agree on an MDS code and on one with a repeated column,
+    for n-k < k (r = 3) and n-k > k (r = 6), and certify_distance answers
+    the same through whichever matrix it picks."""
+    mds = extended_rs_code(3, r)            # [9, 9-r, r+1]
+    for code, is_mds in ((mds, True), (_with_repeated_column(mds), False)):
+        G = nullspace_basis(code.H)
+        assert G.nrows == code.k == 9 - r
+        assert mds_minor_oracle(G) == mds_minor_oracle(code.H) == is_mds
+        with mock.patch.object(verify, "mds_minor_oracle",
+                               wraps=mds_minor_oracle) as oracle:
+            res = certify_distance(code, OracleBudget(max_codewords=1))
+        assert oracle.call_args.args[0].nrows == min(r, 9 - r)
+        assert res["method"] == "minors" and res["is_mds"] == is_mds
 
 
 def test_run_lemma_sweep_small():
