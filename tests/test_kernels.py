@@ -84,6 +84,87 @@ def test_eliminate_matches_reference(pm):
         assert np.array_equal(R, R_ref)
 
 
+# (p, m, modulus): odd p with m >= 3, a large p, prime fields, p = 2 up to
+# GF(2^10), and two non-default moduli (x^2 + x + 2 and x^4 + x^3 + 1)
+PROPERTY_FIELDS = [(3, 3, None), (3, 4, None), (5, 3, None), (31, 2, None),
+                   (2, 1, None), (7, 1, None), (31, 1, None), (2, 2, None),
+                   (2, 5, None), (2, 10, None), (3, 2, (2, 1, 1)),
+                   (2, 4, (1, 0, 0, 1, 1))]
+
+
+def _random_codes(rng, shape, order, fill):
+    """Element codes: uniform, mostly zero, or all Q-1 (every digit p-1,
+    the largest digit-plane sums)."""
+    if fill == "max":
+        return np.full(shape, order - 1, dtype=np.int64)
+    M = rng.integers(0, order, shape).astype(np.int64)
+    if fill == "sparse":
+        M[rng.random(shape) < 0.8] = 0
+    return M
+
+
+@st.composite
+def product_cases(draw):
+    pm = draw(st.sampled_from(PROPERTY_FIELDS))
+    ctx = build_field(*pm)
+    inner = draw(st.one_of(st.integers(1, 12), st.integers(1000, 3000)))
+    rows = draw(st.integers(1, 6 if inner <= 12 else 2))
+    cols = draw(st.integers(1, 6 if inner <= 12 else 2))
+    fill = draw(st.sampled_from(["uniform", "sparse", "max"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (ctx, _random_codes(rng, (rows, inner), ctx.order, fill),
+            _random_codes(rng, (inner, cols), ctx.order, fill))
+
+
+def _product_case(p, m, shape, fill, modulus=None):
+    ctx = build_field(p, m, modulus)
+    rng = np.random.default_rng(1)
+    rows, inner, cols = shape
+    return (ctx, _random_codes(rng, (rows, inner), ctx.order, fill),
+            _random_codes(rng, (inner, cols), ctx.order, fill))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_cases())
+@example(case=_product_case(3, 4, (3, 1, 4), "uniform"))
+@example(case=_product_case(31, 2, (2, 2500, 2), "max"))
+@example(case=_product_case(2, 10, (2, 2500, 3), "uniform"))
+@example(case=_product_case(5, 3, (1, 1, 1), "max"))
+@example(case=_product_case(3, 2, (4, 7, 2), "uniform", modulus=(2, 1, 1)))
+def test_matmul_property(case):
+    ctx, A, B = case
+    assert np.array_equal(kernels.matmul(A, B, ctx), ref_matmul(A, B, ctx))
+
+
+@st.composite
+def elimination_cases(draw):
+    """A random matrix with forced dependent rows (copies and multiples
+    of earlier ones) and optional zero columns."""
+    ctx = build_field(*draw(st.sampled_from(PROPERTY_FIELDS)))
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.one_of(st.integers(1, 10), st.integers(1000, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = _random_codes(rng, (rows, cols), ctx.order,
+                      draw(st.sampled_from(["uniform", "sparse"])))
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        scale = draw(st.integers(0, ctx.order - 1))
+        M[dst] = [ctx.mul(scale, int(v)) for v in M[src]]
+    if draw(st.booleans()):
+        M[:, draw(st.integers(0, cols - 1))] = 0
+    return ctx, M
+
+
+@settings(max_examples=80, deadline=None)
+@given(elimination_cases())
+def test_eliminate_property(case):
+    ctx, M = case
+    R, r = kernels.eliminate(M, ctx)
+    R_ref, r_ref = ref_rref(M, ctx)
+    assert r == r_ref
+    assert np.array_equal(R, R_ref)
+
+
 def test_rank_known_cases():
     ctx = build_field(3, 2)
     assert kernels.rank(np.zeros((3, 3), dtype=np.int64), ctx) == 0
