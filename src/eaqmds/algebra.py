@@ -7,8 +7,6 @@ the kernels module.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from . import kernels
@@ -37,15 +35,6 @@ class Matrix:
     def identity(cls, ctx: FieldContext, n: int) -> "Matrix":
         return cls(ctx, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def from_elements(cls, rows: Sequence[Sequence[FieldElement]]) -> "Matrix":
-        ctx = rows[0][0].ctx
-        for row in rows:
-            for e in row:
-                if e.ctx is not ctx:
-                    raise ValueError("elements from different field contexts")
-        return cls(ctx, [[e.code for e in row] for row in rows])
-
     @property
     def nrows(self) -> int:
         return self.data.shape[0]
@@ -61,14 +50,8 @@ class Matrix:
     def element(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.ctx, int(self.data[i, j]))
 
-    def row(self, i: int) -> "Matrix":
-        return Matrix(self.ctx, self.data[i: i + 1])
-
     def is_zero(self) -> bool:
         return not self.data.any()
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return mat_mul(self, other)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and other.ctx is self.ctx

@@ -98,7 +98,6 @@ class ClassicalCode:
     defining_set: DefiningSet | None = None
     rs_r: int | None = None
     family: str | None = None
-    d_verified: int | None = field(default=None, compare=False)
     _gen: Matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -108,9 +107,6 @@ class ClassicalCode:
     @property
     def field(self) -> FieldContext:
         return self.H.ctx
-
-    def is_mds_design(self) -> bool:
-        return self.d_design == self.n - self.k + 1
 
     def record(self) -> dict:
         rec = {"n": self.n, "k": self.k, "d_design": self.d_design}
@@ -143,6 +139,17 @@ def _trace_rows(ctx: ConstacyclicContext, Z: DefiningSet) -> np.ndarray:
     return np.concatenate(rows)
 
 
+def _independent_rows(H: Matrix) -> bool:
+    """rank(H) = rows(H).  A nonsingular leading square block proves it.
+    For the rows built here it always is: power rows give a Vandermonde
+    matrix in the distinct points eta^z, and trace rows are T times one in
+    the points beta^z.  Only a singular block falls back to the full width."""
+    rows = H.nrows
+    if matrix_rank(Matrix(H.ctx, H.data[:, :rows])) == rows:
+        return True
+    return matrix_rank(H) == rows
+
+
 def constacyclic_code(ctx: ConstacyclicContext, Z: DefiningSet,
                       family: str | None = None) -> ClassicalCode:
     """Code with roots {eta^z : z in Z}; k = n - |Z|, d from the BCH bound."""
@@ -156,7 +163,7 @@ def constacyclic_code(ctx: ConstacyclicContext, Z: DefiningSet,
         z = np.array(zs, dtype=np.int64)[:, None]
         H = ctx.table[z * np.arange(n) % Z.modulus]
     Hm = Matrix(ctx.field, H)
-    if len(zs) and matrix_rank(Hm) != len(zs):
+    if len(zs) and not _independent_rows(Hm):
         raise ValueError("parity-check rows are not independent")
     d = bch_design_distance(Z) if zs else 1
     return ClassicalCode(n=n, k=n - len(zs), d_design=d, H=Hm, q=ctx.q,

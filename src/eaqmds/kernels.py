@@ -2,40 +2,49 @@
 
 Matrices are 2-D int64 arrays of element codes; a field is described by
 (p, m, exp, log) where exp/log are the context's discrete-log tables.
+The base-p digits of a code are the coefficients, ascending, of the
+element as a polynomial over GF(p) modulo the field's modulus f, so
+addition is digit-wise mod p.
 
-Addition in GF(p^m) is digit-wise mod p on the base-p encoding, so an
-array sum along an axis is a digit-wise modular sum.  The two distance
-oracles avoid per-item Python loops: the minor oracle eliminates a
-batch of k x k column minors as one (B, k, k) tensor, and minimum-weight
-search enumerates messages projectively (highest nonzero digit 1).
+Products.  For odd p, A @ B is computed on digit planes: A and B split
+into their m digit planes A_i, B_j (float64, entries in [0, p)), one
+BLAS call forms every plane product A_i @ B_j, and the coefficient
+planes C_k = sum_{i+j=k} A_i @ B_j (k < 2m - 1) are reduced mod p once.
+The degrees k >= m are then folded back with the digits of x^k mod f,
+and the m digit planes are packed into codes.  Every entry of C_k is an
+integer of at most inner * m * (p-1)^2, so the float64 product is exact
+while that stays below 2^53; this holds for any inner dimension below
+2^13 in every field the package builds (order <= 2^20), and matmul
+raises ValueError beyond it.  For p = 2 the entry products are read off
+the log tables and XOR-summed, over chunks of the inner axis so that
+the product tensor is never held whole.
+
+Elimination negates by shifting logs by log(-1) = (Q-1)/2 (0 for p = 2)
+and adds digit-wise.  The two distance oracles avoid per-item Python
+loops: the minor oracle eliminates a batch of k x k column minors as one
+(B, k, k) tensor, and minimum-weight search enumerates messages
+projectively (highest nonzero digit 1).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
 
 
 def _add_arrays(a, b, p, m):
+    """Digit-wise sum mod p: digit i of the sum is (a // p^i + b // p^i)
+    mod p."""
     if p == 2:
         return a ^ b
-    out = np.zeros_like(a + b)
+    out = (a + b) % p
     pw = 1
-    for _ in range(m):
-        out += ((a // pw + b // pw) % p) * pw
+    for _ in range(m - 1):
+        a, b = a // p, b // p
         pw *= p
-    return out
-
-
-def _neg_array(a, p, m):
-    if p == 2:
-        return a.copy()
-    out = np.zeros_like(a)
-    pw = 1
-    for _ in range(m):
-        out += ((-(a // pw)) % p) * pw
-        pw *= p
+        out += (a + b) % p * pw
     return out
 
 
@@ -61,19 +70,74 @@ def _scale_row(row, factor, exp, log):
     return out
 
 
-def _matmul(A, B, exp, log, p, m):
+# float64 integers are exact below 2^53
+_EXACT = 1 << 53
+# product-tensor entries per inner-axis chunk of the p = 2 product
+_XOR_CHUNK = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def _fold(ctx):
+    """(m, 2m - 1) float64: column k holds the base-p digits of x^k mod
+    the field modulus, k < 2m - 1 (x is the element code p when m > 1)."""
+    p, m = ctx.p, ctx.m
+    codes = [p**k for k in range(m)] + [ctx.pow(p, k) for k in range(m, 2 * m - 1)]
+    digits = np.array(codes)[None, :] // p ** np.arange(m)[:, None] % p
+    return digits.astype(np.float64)
+
+
+def _digit_planes(A, p, m):
+    """(m, *A.shape) float64 array of the base-p digits of A's codes."""
+    planes = np.empty((m,) + A.shape)
+    for i in range(m - 1):
+        planes[i] = A % p
+        A = A // p
+    planes[m - 1] = A
+    return planes
+
+
+def _mod(x, p):
+    """x mod p, exactly, for float64 integers 0 <= x < 2^53: x / p =
+    k + r/p with r < p is correctly rounded, and its rounding error, below
+    1/p, cannot reach k + 1, so floor(x / p) = k."""
+    return x - p * np.floor(x / p)
+
+
+def _plane_product(A, B, p, m, fold):
     rows, inner = A.shape
     cols = B.shape[1]
-    la = np.where(A != 0, log[A], -1)
-    lb = np.where(B != 0, log[B], -1)
-    prod_log = la[:, :, None] + lb[None, :, :]
-    prod = np.where((la[:, :, None] >= 0) & (lb[None, :, :] >= 0),
-                    exp[np.maximum(prod_log, 0)], 0)
-    return _sum_field(prod.reshape(rows, inner, cols), 1, p, m)
+    if inner * m * (p - 1) ** 2 >= _EXACT:
+        raise ValueError(
+            f"inner dimension {inner} is too large for an exact float64 "
+            f"product over GF({p}^{m})")
+    a = _digit_planes(A, p, m).reshape(m * rows, inner)
+    b = _digit_planes(B, p, m).transpose(1, 0, 2).reshape(inner, m * cols)
+    prods = (a @ b).reshape(m, rows, m, cols)  # [i, :, j, :] = A_i @ B_j
+    coeffs = np.zeros((2 * m - 1, rows, cols))
+    for i in range(m):
+        coeffs[i:i + m] += prods[i].transpose(1, 0, 2)
+    coeffs = _mod(coeffs.reshape(2 * m - 1, rows * cols), p)
+    digits = _mod(fold @ coeffs, p)
+    codes = p ** np.arange(m, dtype=np.float64) @ digits
+    return codes.astype(np.int64).reshape(rows, cols)
+
+
+def _xor_product(A, B, exp, log):
+    rows, inner = A.shape
+    cols = B.shape[1]
+    la, lb = log[A], log[B]  # log 0 = -1
+    out = np.zeros((rows, cols), dtype=np.int64)
+    step = max(1, _XOR_CHUNK // max(1, rows * cols))
+    for lo in range(0, inner, step):
+        x, y = la[:, lo:lo + step, None], lb[None, lo:lo + step]
+        prod = np.where((x >= 0) & (y >= 0), exp[np.maximum(x + y, 0)], 0)
+        out ^= np.bitwise_xor.reduce(prod, axis=1)
+    return out
 
 
 def _eliminate(M, exp, log, p, m, Q):
     rows, cols = M.shape
+    neg_one = 0 if p == 2 else (Q - 1) // 2  # log(-1)
     r = 0
     for c in range(cols):
         nz = np.nonzero(M[r:, c])[0]
@@ -88,15 +152,42 @@ def _eliminate(M, exp, log, p, m, Q):
         col[r] = 0
         rows_nz = np.nonzero(col)[0]
         if rows_nz.size:
-            factors = _neg_array(col[rows_nz], p, m)
+            lneg = (log[col[rows_nz]] + neg_one) % (Q - 1)  # log(-factor)
             upd = np.zeros((rows_nz.size, cols), dtype=np.int64)
             frow = M[r]
             fnz = frow != 0
-            upd[:, fnz] = exp[log[factors][:, None] + log[frow[fnz]][None, :]]
+            upd[:, fnz] = exp[lneg[:, None] + log[frow[fnz]][None, :]]
             M[rows_nz] = _add_arrays(M[rows_nz], upd, p, m)
         r += 1
         if r == rows:
             break
+    return r
+
+
+def _rank(M, exp, log, p, m, Q):
+    """Rank by forward elimination (M is overwritten): each pivot clears
+    only the rows below it, and only right of its column, because the
+    pivot row is zero left of it."""
+    rows, cols = M.shape
+    neg_one = 0 if p == 2 else (Q - 1) // 2  # log(-1)
+    r = 0
+    for c in range(cols):
+        nz = M[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            M[[r, r + nz[0]]] = M[[r + nz[0], r]]
+        # the old row r moved to the pivot's slot is zero in column c
+        below = nz[1:] + r
+        r += 1
+        if r == rows:
+            break
+        if below.size:
+            lrow = log[M[r - 1, c + 1:]]
+            # log of -(entry / pivot), the factor that clears each row
+            lf = (log[M[below, c]] + neg_one - log[M[r - 1, c]]) % (Q - 1)
+            upd = np.where(lrow >= 0, exp[lf[:, None] + np.maximum(lrow, 0)], 0)
+            M[below, c + 1:] = _add_arrays(M[below, c + 1:], upd, p, m)
     return r
 
 
@@ -197,8 +288,11 @@ def _field_args(ctx):
 
 
 def matmul(A: np.ndarray, B: np.ndarray, ctx) -> np.ndarray:
-    exp, log, p, m, _ = _field_args(ctx)
-    return _matmul(A, B, exp, log, p, m)
+    """A @ B over the field: digit planes through BLAS for odd p, chunked
+    XOR sums of log-table products for p = 2."""
+    if ctx.p == 2:
+        return _xor_product(A, B, ctx.exp, ctx.log)
+    return _plane_product(A, B, ctx.p, ctx.m, _fold(ctx))
 
 
 def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, int]:
@@ -209,7 +303,8 @@ def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, int]:
 
 
 def rank(M: np.ndarray, ctx) -> int:
-    return eliminate(M, ctx)[1]
+    exp, log, p, m, Q = _field_args(ctx)
+    return _rank(M.copy(), exp, log, p, m, Q)
 
 
 def min_weight(G: np.ndarray, ctx) -> int:

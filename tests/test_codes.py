@@ -1,6 +1,10 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from eaqmds import codes
 from eaqmds.algebra import Matrix, hermitian_adjoint, mat_mul, matrix_rank
 from eaqmds.codes import (
     constacyclic_code,
@@ -251,3 +255,41 @@ def test_code_record():
     cyc = constacyclic_code(ctx, defining_set("i", 4, delta=1))
     assert cyc.record()["defining_set"] == [0, 1, 16]
     assert cyc.record()["field"] == extended_rs_code(4, 5).field.descriptor()
+
+
+def _rank_calls(ctx, Z):
+    """Build the code (or catch its ValueError) and record the shape of
+    every rank check on H."""
+    with mock.patch.object(codes, "matrix_rank", wraps=matrix_rank) as spy:
+        try:
+            return constacyclic_code(ctx, Z), [c.args[0].shape for c in spy.call_args_list]
+        except ValueError as err:
+            return err, [c.args[0].shape for c in spy.call_args_list]
+
+
+def test_rank_window_is_enough_for_power_rows():
+    ctx = constacyclic_context(5, 24, 1)
+    code, shapes = _rank_calls(ctx, defining_set("iii", 5, delta=2))
+    assert code.k == 24 - code.H.nrows
+    assert shapes == [(code.H.nrows, code.H.nrows)]
+
+
+def test_singular_rank_window_falls_back_to_full_width():
+    # with eta^2 replaced by eta, rows z = 1, 2 agree in columns 0 and 1
+    # (eta^0, eta^1) but not in column 2 (eta^1 against eta^4)
+    ctx = constacyclic_context(5, 24, 1)
+    table = ctx.table.copy()
+    table[2] = table[1]
+    bent = dataclasses.replace(ctx, table=table)
+    code, shapes = _rank_calls(bent, DefiningSet(24, 1, frozenset({1, 2})))
+    assert code.k == 22
+    assert shapes == [(2, 2), (2, 24)]
+
+
+def test_rank_deficient_parity_check_still_raises():
+    ctx = constacyclic_context(5, 24, 1)
+    flat = dataclasses.replace(ctx, table=np.ones_like(ctx.table))
+    err, shapes = _rank_calls(flat, DefiningSet(24, 1, frozenset({1, 2})))
+    assert isinstance(err, ValueError)
+    assert str(err) == "parity-check rows are not independent"
+    assert shapes == [(2, 2), (2, 24)]

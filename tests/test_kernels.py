@@ -136,6 +136,19 @@ def test_matmul_property(case):
     assert np.array_equal(kernels.matmul(A, B, ctx), ref_matmul(A, B, ctx))
 
 
+def test_matmul_exactness_bound():
+    # GF(2^17 - 1): the largest inner dimension whose sums of (p-1)^2
+    # stay below 2^53 is exact; one more raises
+    ctx = build_field(131071, 1)
+    p = ctx.p
+    inner = ((1 << 53) - 1) // (p - 1) ** 2
+    A = np.full((1, inner), p - 1, dtype=np.int64)
+    assert kernels.matmul(A, A.T, ctx)[0, 0] == inner % p  # (p-1)^2 = 1
+    A = np.zeros((1, inner + 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="too large for an exact"):
+        kernels.matmul(A, A.T, ctx)
+
+
 @st.composite
 def elimination_cases(draw):
     """A random matrix with forced dependent rows (copies and multiples
@@ -161,7 +174,7 @@ def test_eliminate_property(case):
     ctx, M = case
     R, r = kernels.eliminate(M, ctx)
     R_ref, r_ref = ref_rref(M, ctx)
-    assert r == r_ref
+    assert r == r_ref == kernels.rank(M, ctx)
     assert np.array_equal(R, R_ref)
 
 
