@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .galois import FieldContext, FieldElement, _check_conj_compat
+from .galois import FieldContext, _check_conj_compat
 
 
 class Matrix:
@@ -28,10 +28,6 @@ class Matrix:
         self.data = arr
 
     @classmethod
-    def zeros(cls, ctx: FieldContext, rows: int, cols: int) -> "Matrix":
-        return cls(ctx, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
     def identity(cls, ctx: FieldContext, n: int) -> "Matrix":
         return cls(ctx, np.eye(n, dtype=np.int64))
 
@@ -47,9 +43,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def element(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.ctx, int(self.data[i, j]))
-
     def is_zero(self) -> bool:
         return not self.data.any()
 
@@ -62,17 +55,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over GF({self.ctx.order}))"
-
-    def dump(self) -> str:
-        """Debug grid of log indices, '-' for zero."""
-        lines = []
-        for i in range(self.nrows):
-            cells = []
-            for j in range(self.ncols):
-                v = int(self.data[i, j])
-                cells.append("-" if v == 0 else str(int(self.ctx.log[v])))
-            lines.append(" ".join(cells))
-        return "\n".join(lines)
 
 
 def _same_ctx(A: Matrix, B: Matrix) -> FieldContext:

@@ -16,13 +16,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
 
-from .eaqecc import FAMILIES, EaqeccParams, enumerate_family
+from .eaqecc import FAMILIES, EaqeccParams, build_classical, enumerate_family
 from .galois import factor_prime_power
 from .verify import (
     ALL_LEMMAS,
@@ -35,24 +33,6 @@ from .verify import (
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 INTERNAL_ERROR = 3
-
-
-@dataclass
-class CliConfig:
-    command: str
-    family: str = "all"
-    q_values: list[int] = field(default_factory=list)
-    t: int | None = None
-    n: int | None = None
-    d: int | None = None
-    delta: int | None = None
-    delta1: int | None = None
-    delta2: int | None = None
-    lemma: str = "all"
-    fmt: str = "json"
-    output: str | None = None
-    max_codewords: int = 10**7
-    max_minors: int = 10**6
 
 
 def _is_prime_power(q: int) -> bool:
@@ -142,14 +122,14 @@ def _applicable_families(q: int, t: int | None) -> list[str]:
     return fams
 
 
-def cmd_enumerate(cfg: CliConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     tasks = []
-    for q in cfg.q_values:
-        fams = (_applicable_families(q, cfg.t) if cfg.family == "all"
-                else [cfg.family])
+    for q in args.q_values:
+        fams = (_applicable_families(q, args.t) if args.family == "all"
+                else [args.family])
         for fam in fams:
             spec = FAMILIES[fam]
-            t = cfg.t if spec.needs_t else None
+            t = args.t if spec.needs_t else None
             if not spec.admissible_q(q, t):
                 print(f"error: q={q} (t={t}) not admissible for family {fam}",
                       file=sys.stderr)
@@ -159,80 +139,56 @@ def cmd_enumerate(cfg: CliConfig) -> int:
     t0 = time.perf_counter()
     params: list[EaqeccParams] = []
     for fam, q, t in tasks:
-        n = cfg.n if fam in ("i", "iii") else None
+        n = args.n if fam in ("i", "iii") else None
         params.extend(enumerate_family(fam, q, t, n=n))
-    if cfg.d is not None:
-        params = [p for p in params if p.d == cfg.d]
+    if args.d is not None:
+        params = [p for p in params if p.d == args.d]
         if not params:
-            print(f"error: d={cfg.d} not admissible here", file=sys.stderr)
+            print(f"error: d={args.d} not admissible here", file=sys.stderr)
             return USAGE_ERROR
     order = {name: i for i, name in enumerate(FAMILIES)}
     params.sort(key=lambda p: (order[p.family], p.q, p.t or 0, p.d))
     records = [p.to_record() for p in params]
-    _emit(_FORMATTERS[cfg.fmt](records), cfg.output)
+    _emit(_FORMATTERS[args.fmt](records), args.output)
     print(f"enumerated {len(records)} records in "
           f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    lemmas = list(ALL_LEMMAS) if cfg.lemma == "all" else [cfg.lemma]
+def cmd_verify(args: argparse.Namespace) -> int:
+    lemmas = list(ALL_LEMMAS) if args.lemma == "all" else [args.lemma]
     reports = []
     for lemma in lemmas:
-        qs = cfg.q_values or list(DEFAULT_SWEEPS[lemma][0])
-        ts = [cfg.t] if cfg.t is not None else (
+        qs = args.q_values or list(DEFAULT_SWEEPS[lemma][0])
+        ts = [args.t] if args.t is not None else (
             list(DEFAULT_SWEEPS[lemma][1]) if DEFAULT_SWEEPS[lemma][1] else None)
         reports.append(run_lemma_sweep(lemma, qs, ts))
     doc = {"reports": [json.loads(r.to_json()) for r in reports]}
-    _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+    _emit(json.dumps(doc, indent=2) + "\n", args.output)
     for r in reports:
         print(r.to_text(), file=sys.stderr)
     return 0 if all(r.ok for r in reports) else VERIFY_ERROR
 
 
-def _build_override_instance(cfg: CliConfig, q: int):
-    """Classical code from explicit delta parameters instead of the
-    canonical per-distance choice."""
-    from .codes import constacyclic_code, constacyclic_context
-    from .cosets import defining_set
-
-    kwargs = {}
-    if cfg.delta is not None:
-        kwargs["delta"] = cfg.delta
-    if cfg.delta1 is not None:
-        kwargs["delta1"] = cfg.delta1
-    if cfg.delta2 is not None:
-        kwargs["delta2"] = cfg.delta2
-    Z = defining_set(cfg.family, q, n=cfg.n, t=cfg.t, **kwargs)
-    r = {"i": 1, "iii": 1, "iv": 2}.get(cfg.family, cfg.t)
-    ctx = constacyclic_context(q, Z.n, r)
-    return constacyclic_code(ctx, Z, family=cfg.family)
-
-
-def cmd_distance(cfg: CliConfig) -> int:
-    from .eaqecc import build_classical
-
-    has_deltas = (cfg.delta, cfg.delta1, cfg.delta2) != (None, None, None)
-    if len(cfg.q_values) != 1 or cfg.family == "all" or \
-            (cfg.d is None and not has_deltas):
+def cmd_distance(args: argparse.Namespace) -> int:
+    deltas = {name: getattr(args, name) for name in ("delta", "delta1", "delta2")
+              if getattr(args, name) is not None}
+    if len(args.q_values) != 1 or (args.d is None and not deltas):
         print("error: distance needs --family, a single --q and --d "
               "(or explicit --delta/--delta1/--delta2)", file=sys.stderr)
         return USAGE_ERROR
-    q = cfg.q_values[0]
-    budget = OracleBudget(cfg.max_codewords, cfg.max_minors)
-    if has_deltas:
-        code = _build_override_instance(cfg, q)
-    else:
-        code = build_classical(cfg.family, q, cfg.d, cfg.t, cfg.n)
+    q = args.q_values[0]
+    budget = OracleBudget(args.max_codewords, args.max_minors)
+    code = build_classical(args.family, q, args.d, args.t, args.n, **deltas)
     result = certify_distance(code, budget)
     rec = {
-        "family": cfg.family, "q": q, "t": cfg.t,
+        "family": args.family, "q": q, "t": args.t,
         "classical": {"n": code.n, "k": code.k, "d_design": code.d_design},
         "method": result["method"],
         "oracle_distance": result["d"],
         "is_mds": result["is_mds"],
     }
-    _emit(json.dumps(rec, indent=2) + "\n", cfg.output)
+    _emit(json.dumps(rec, indent=2) + "\n", args.output)
     if result["method"] == "design-only":
         print("budget exceeded: design-distance only", file=sys.stderr)
         return 0
@@ -295,14 +251,14 @@ def _table_md(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(cfg: CliConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     rows = []
-    for q in cfg.q_values:
-        rows.extend(table_rows(q, cfg.t))
-    if cfg.fmt == "md":
-        _emit(_table_md(rows), cfg.output)
+    for q in args.q_values:
+        rows.extend(table_rows(q, args.t))
+    if args.fmt == "md":
+        _emit(_table_md(rows), args.output)
     else:
-        _emit(json.dumps({"rows": rows}, indent=2) + "\n", cfg.output)
+        _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.output)
     return 0
 
 
@@ -347,12 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="explicit defining-set parameter (families i, iii)")
     p_dist.add_argument("--delta1", type=int, default=None)
     p_dist.add_argument("--delta2", type=int, default=None)
-    p_dist.add_argument(
-        "--max-codewords", type=int,
-        default=int(os.environ.get("EAQMDS_MAX_CODEWORDS", 10**7)))
-    p_dist.add_argument(
-        "--max-minors", type=int,
-        default=int(os.environ.get("EAQMDS_MAX_MINORS", 10**6)))
+    p_dist.add_argument("--max-codewords", type=int,
+                        default=OracleBudget.max_codewords)
+    p_dist.add_argument("--max-minors", type=int,
+                        default=OracleBudget.max_minors)
     common(p_dist, fmt_choices=("json",))
 
     p_tab = sub.add_parser("table", help="EAQMDS vs QMDS comparison table")
@@ -363,26 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        args = ap.parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
-    cfg = CliConfig(command=ns.command)
-    for name in ("t", "n", "d", "delta", "delta1", "delta2", "lemma", "fmt",
-                 "output", "family", "max_codewords", "max_minors"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
     try:
-        if ns.q is not None:
-            cfg.q_values = parse_q(ns.q)
-        elif ns.command != "verify":
-            print("error: --q is required", file=sys.stderr)
-            return USAGE_ERROR
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        args.q_values = parse_q(args.q) if args.q is not None else []
         return {"enumerate": cmd_enumerate, "verify": cmd_verify,
-                "distance": cmd_distance, "table": cmd_table}[ns.command](cfg)
+                "distance": cmd_distance, "table": cmd_table}[args.command](args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

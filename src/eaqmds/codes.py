@@ -96,7 +96,6 @@ class ClassicalCode:
     H: Matrix
     q: int
     defining_set: DefiningSet | None = None
-    rs_r: int | None = None
     family: str | None = None
     _gen: Matrix | None = field(default=None, compare=False, repr=False)
 
@@ -107,15 +106,6 @@ class ClassicalCode:
     @property
     def field(self) -> FieldContext:
         return self.H.ctx
-
-    def record(self) -> dict:
-        rec = {"n": self.n, "k": self.k, "d_design": self.d_design}
-        if self.defining_set is not None:
-            rec["defining_set"] = self.defining_set.sorted()
-        if self.rs_r is not None:
-            rec["r"] = self.rs_r
-        rec["field"] = self.field.descriptor()
-        return rec
 
     def __repr__(self) -> str:
         return (f"ClassicalCode([{self.n},{self.k},{self.d_design}] "
@@ -185,8 +175,7 @@ def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> Class
     H = np.zeros((r, n), dtype=np.int64)
     H[:, 1:] = f.exp[np.arange(r)[:, None] * np.arange(n - 1) % (n - 1)]
     H[0, 0] = 1
-    return ClassicalCode(n=n, k=n - r, d_design=r + 1, H=Matrix(f, H), q=q,
-                         rs_r=r)
+    return ClassicalCode(n=n, k=n - r, d_design=r + 1, H=Matrix(f, H), q=q)
 
 
 def generator_matrix(code: ClassicalCode) -> Matrix:

@@ -3,26 +3,18 @@
 A defining set Z lives modulo rn and is restricted to
 Omega = {1 + ri : 0 <= i < n} (all residues when r = 1).  Negative
 index notation from the construction recipes is normalized to
-canonical residues at build time.
+canonical residues at build time.  parameter_ranges owns each family's
+length and the admissible range of its defining-set parameters; the
+family table, the lemma sweeps and defining_set itself all read them
+from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    representative: int
-    modulus: int
-    multiplier: int
-    elements: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def cyclotomic_coset(i: int, modulus: int, qsq: int) -> CyclotomicCoset:
+def cyclotomic_coset(i: int, modulus: int, qsq: int) -> frozenset[int]:
     """Orbit of i under multiplication by q^2 modulo `modulus`."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -32,7 +24,7 @@ def cyclotomic_coset(i: int, modulus: int, qsq: int) -> CyclotomicCoset:
     while x != i:
         orbit.add(x)
         x = (x * qsq) % modulus
-    return CyclotomicCoset(min(orbit), modulus, qsq, frozenset(orbit))
+    return frozenset(orbit)
 
 
 @dataclass(frozen=True)
@@ -42,8 +34,6 @@ class DefiningSet:
     modulus: int                  # rn
     r: int                        # constacyclic order (1 cyclic, 2 negacyclic)
     elements: frozenset[int]
-    family: str | None = None
-    params: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.modulus % self.r:
@@ -67,111 +57,96 @@ class DefiningSet:
             return self.elements
         return frozenset(((z - 1) // self.r) % self.n for z in self.elements)
 
-    def minus_q(self, q: int) -> frozenset[int]:
-        return frozenset((-q * z) % self.modulus for z in self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    def is_coset_union(self, qsq: int) -> bool:
-        return all((z * qsq) % self.modulus in self.elements
-                   for z in self.elements)
 
 
 def _coset_union(indices, modulus: int, qsq: int) -> frozenset[int]:
     out: set[int] = set()
     for i in indices:
-        out |= cyclotomic_coset(i, modulus, qsq).elements
+        out |= cyclotomic_coset(i, modulus, qsq)
     return frozenset(out)
 
 
-def defining_set(family: str, q: int, *, delta: int | None = None,
-                 delta1: int | None = None, delta2: int | None = None,
-                 n: int | None = None, t: int | None = None,
-                 odd: bool = False) -> DefiningSet:
-    """Defining set of one family instance.
+def parameter_ranges(family: str, q: int, n: int | None = None,
+                     t: int | None = None, odd: bool = False
+                     ) -> tuple[int, dict[str, range]]:
+    """Length n of one family instance and the admissible range of each of
+    its defining-set parameters; ValueError when (q, n, t) admits none.
 
-    family "i"  : cyclic, n | q^2+1, Z = C_0 u ... u C_delta
-    family "iii": cyclic, n | q^2-1; Z = C_{-delta} u ... u C_delta, or the
-                  asymmetric C_{-delta} u ... u C_{delta-1} when odd=True
-    family "iv" : negacyclic, n = (q^2-1)/2, Z = C_{-2*delta1-1..2*delta2-1}
-                  over odd residues
-    family "v"  : constacyclic order t, n = (q^2-1)/t, consecutive singleton
-                  cosets around the anchor exponent (t-1)(q-1)/2
+    family "i"  : n | q^2+1 (default q^2+1), 0 <= delta <= n // (q+1)
+    family "iii": n | q^2-1 (default q^2-1), odd <= delta <= n // (q+1) - 1
+    family "iv" : odd q, n = (q^2-1)/2, 0 <= delta1 <= (q-1)/2 - 1 and
+                  (q+1)/2 <= delta2 <= q-1
+    family "v"  : odd q, odd t >= 3 with t | q+1, n = (q^2-1)/t, and both
+                  deltas in [(t-1)(q+1)/(2t), (t+1)(q+1)/(2t) - 2]
     """
     qsq = q * q
     if family == "i":
-        if delta is None:
-            raise ValueError("family i needs delta")
         n = qsq + 1 if n is None else n
         if n < 2 or (qsq + 1) % n:
             raise ValueError(f"family i needs n | q^2+1 with n >= 2, got n={n}")
-        dmax = n // (q + 1)
-        if not 0 <= delta <= dmax:
-            raise ValueError(f"delta={delta} outside [0, {dmax}]")
-        elems = _coset_union(range(delta + 1), n, qsq)
-        return DefiningSet(n, 1, elems, "i", (q, delta))
+        return n, {"delta": range(n // (q + 1) + 1)}
     if family == "iii":
-        if delta is None:
-            raise ValueError("family iii needs delta")
         n = qsq - 1 if n is None else n
         if n < 2 or (qsq - 1) % n:
             raise ValueError(f"family iii needs n | q^2-1 with n >= 2, got n={n}")
-        dmax = n // (q + 1) - 1
-        lo = 1 if odd else 0
-        if not lo <= delta <= dmax:
-            raise ValueError(f"delta={delta} outside [{lo}, {dmax}]")
-        hi = delta - 1 if odd else delta
-        elems = _coset_union(range(-delta, hi + 1), n, qsq)
-        return DefiningSet(n, 1, elems, "iii", (q, delta, odd))
+        return n, {"delta": range(1 if odd else 0, n // (q + 1))}
     if family == "iv":
-        if delta1 is None or delta2 is None:
-            raise ValueError("family iv needs delta1 and delta2")
         if q % 2 == 0:
             raise ValueError("family iv needs odd q")
-        n = (qsq - 1) // 2
-        if not 0 <= delta1 <= (q - 1) // 2 - 1:
-            raise ValueError(f"delta1={delta1} outside [0, {(q - 1) // 2 - 1}]")
-        if not (q + 1) // 2 <= delta2 <= q - 1:
-            raise ValueError(
-                f"delta2={delta2} outside [{(q + 1) // 2}, {q - 1}]")
-        elems = _coset_union((2 * j - 1 for j in range(-delta1, delta2 + 1)),
-                             2 * n, qsq)
-        return DefiningSet(2 * n, 2, elems, "iv", (q, delta1, delta2))
+        return (qsq - 1) // 2, {"delta1": range((q - 1) // 2),
+                                "delta2": range((q + 1) // 2, q)}
     if family == "v":
-        if delta1 is None or delta2 is None or t is None:
-            raise ValueError("family v needs t, delta1 and delta2")
-        if q % 2 == 0 or t < 3 or t % 2 == 0 or (q + 1) % t:
-            raise ValueError(f"family v needs odd q, odd t >= 3, t | q+1")
-        n = (qsq - 1) // t
-        anchor_num = (t - 1) * (q - 1) - 2
-        if anchor_num % (2 * t):
-            raise ValueError("anchor exponent is not an integer")  # unreachable
-        e0 = anchor_num // (2 * t)
-        lo = (t - 1) * (q + 1) // (2 * t)
-        hi = (t + 1) * (q + 1) // (2 * t) - 2
-        if not lo <= delta1 <= hi or not lo <= delta2 <= hi:
-            raise ValueError(
-                f"deltas ({delta1},{delta2}) outside [{lo}, {hi}] for t={t}")
-        elems = _coset_union((1 + t * (e0 + i)
-                              for i in range(-delta1, delta2 + 1)),
-                             t * n, qsq)
-        return DefiningSet(t * n, t, elems, "v", (q, t, delta1, delta2))
+        if t is None or q % 2 == 0 or t < 3 or t % 2 == 0 or (q + 1) % t:
+            raise ValueError("family v needs odd q, odd t >= 3, t | q+1")
+        span = range((t - 1) * (q + 1) // (2 * t),
+                     (t + 1) * (q + 1) // (2 * t) - 1)
+        return (qsq - 1) // t, {"delta1": span, "delta2": span}
     if family == "ii":
         raise ValueError("family ii (extended RS) is not constacyclic and "
                          "has no defining set")
     raise ValueError(f"unknown family {family!r}")
 
 
-def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
-    """Coset criterion: the code is Hermitian dual-containing iff
-    Z and -qZ (mod rn) are disjoint.
+def defining_set(family: str, q: int, *, delta: int | None = None,
+                 delta1: int | None = None, delta2: int | None = None,
+                 n: int | None = None, t: int | None = None,
+                 odd: bool = False) -> DefiningSet:
+    """Defining set of one family instance, with parameters inside
+    parameter_ranges.
 
-    Equivalent to the matrix test H H^dagger = 0 whenever r | q+1
-    (true for every family here); for other r the Hermitian dual
-    leaves the lambda-constacyclic class and this shortcut does not
-    apply."""
-    return not (Z.elements & Z.minus_q(q))
+    family "i"  : cyclic, Z = C_0 u ... u C_delta
+    family "iii": cyclic, Z = C_{-delta} u ... u C_delta, or the
+                  asymmetric C_{-delta} u ... u C_{delta-1} when odd=True
+    family "iv" : negacyclic, Z = C_{-2*delta1-1..2*delta2-1} over odd
+                  residues
+    family "v"  : constacyclic order t, consecutive singleton cosets around
+                  the anchor exponent (t-1)(q-1)/2
+    """
+    n, ranges = parameter_ranges(family, q, n, t, odd)
+    given = {"delta": delta, "delta1": delta1, "delta2": delta2}
+    for name, span in ranges.items():
+        if given[name] is None:
+            raise ValueError(f"family {family} needs {' and '.join(ranges)}")
+        if given[name] not in span:
+            raise ValueError(f"{name}={given[name]} outside "
+                             f"[{span.start}, {span.stop - 1}]")
+    qsq = q * q
+    if family == "i":
+        return DefiningSet(n, 1, _coset_union(range(delta + 1), n, qsq))
+    if family == "iii":
+        hi = delta - 1 if odd else delta
+        return DefiningSet(n, 1, _coset_union(range(-delta, hi + 1), n, qsq))
+    if family == "iv":
+        elems = _coset_union((2 * j - 1 for j in range(-delta1, delta2 + 1)),
+                             2 * n, qsq)
+        return DefiningSet(2 * n, 2, elems)
+    # anchor 1 + t*e0 = (t-1)(q-1)/2; t | q+1 makes e0 an integer
+    e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
+    elems = _coset_union((1 + t * (e0 + i) for i in range(-delta1, delta2 + 1)),
+                         t * n, qsq)
+    return DefiningSet(t * n, t, elems)
 
 
 def bch_design_distance(Z: DefiningSet) -> int:
@@ -193,31 +168,3 @@ def bch_design_distance(Z: DefiningSet) -> int:
             j = (j + 1) % n
         best = max(best, run)
     return best + 1
-
-
-def coset_partition_check(modulus: int, qsq: int) -> bool:
-    """Cosets partition {0..modulus-1}; when modulus | q^2+1 they must be
-    C_0, paired C_i = {i, n-i}, and a singleton midpoint for even modulus."""
-    seen: set[int] = set()
-    cosets = []
-    for i in range(modulus):
-        if i in seen:
-            continue
-        c = cyclotomic_coset(i, modulus, qsq)
-        if c.elements & seen:
-            return False
-        seen |= c.elements
-        cosets.append(c)
-    if seen != set(range(modulus)):
-        return False
-    if (qsq + 1) % modulus == 0 and modulus > 1:
-        s = modulus // 2
-        for c in cosets:
-            i = c.representative
-            if i == 0 or (modulus % 2 == 0 and i == s):
-                expected = {i}
-            else:
-                expected = {i, modulus - i}
-            if c.elements != frozenset(expected):
-                return False
-    return True

@@ -4,12 +4,15 @@ A classical [n, k_cl, d]_{q^2} code with parity check H yields an
 [[n, 2 k_cl - n + c, d; c]]_q EAQECC where c = rank(H H^dagger); the
 EA-Singleton bound n + c - k >= 2(d - 1) must hold with equality for
 the MDS families.  Family enumerators construct every code and verify
-the closed-form parameters instead of printing them.
+the closed-form parameters instead of printing them.  A family's length,
+admissible q and distances follow from cosets.parameter_ranges, and
+build_classical is the one place that turns a family instance, given by
+its distance or by explicit defining-set parameters, into a code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import Matrix, hermitian_adjoint, mat_mul, matrix_rank
 from .codes import (
@@ -18,7 +21,7 @@ from .codes import (
     constacyclic_context,
     extended_rs_code,
 )
-from .cosets import defining_set
+from .cosets import defining_set, parameter_ranges
 from .galois import FieldContext, factor_prime_power
 
 
@@ -34,7 +37,6 @@ class EaqeccParams:
     saturates_ea_singleton: bool
     family: str | None = None
     t: int | None = None
-    deltas: tuple[int, ...] = ()
     classical: tuple[int, int, int] | None = None   # (n, k_cl, d_design)
     defining_set: tuple[int, ...] | None = None
     field: dict | None = None
@@ -70,24 +72,6 @@ def ebit_count(H: Matrix, q: int) -> int:
     return matrix_rank(mat_mul(H, hermitian_adjoint(H, q)))
 
 
-def ebit_count_symplectic(HX: Matrix, HZ: Matrix, q: int) -> int:
-    """c = rank(HX HZ^T - HZ HX^T) / 2 over GF(q)."""
-    if HX.ctx is not HZ.ctx or HX.shape != HZ.shape:
-        raise ValueError("HX and HZ must be same-shape matrices over GF(q)")
-    if HX.ctx.order != q:
-        raise ValueError(f"matrices must live over GF({q})")
-    ctx = HX.ctx
-    prod = mat_mul(HX, Matrix(ctx, HZ.data.T))
-    prod2 = mat_mul(HZ, Matrix(ctx, HX.data.T))
-    anti = Matrix(ctx, [[ctx.sub(int(prod.data[i, j]), int(prod2.data[i, j]))
-                         for j in range(prod.ncols)]
-                        for i in range(prod.nrows)])
-    r = matrix_rank(anti)
-    if r % 2:
-        raise ValueError(f"antisymmetrized product has odd rank {r}")
-    return r // 2
-
-
 def ea_singleton_check(params: EaqeccParams) -> bool:
     """True iff n + c - k = 2(d - 1); a strict violation of the bound
     means the construction is broken and raises."""
@@ -114,63 +98,44 @@ def derive_eaqecc(code: ClassicalCode, q: int) -> EaqeccParams:
         if code.defining_set is not None else None,
         field=code.field.descriptor(),
     )
-    saturated = ea_singleton_check(params)
-    return EaqeccParams(**{**params.__dict__,
-                           "saturates_ea_singleton": saturated})
+    return replace(params, saturates_ea_singleton=ea_singleton_check(params))
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Admissible parameter ranges of one EAQMDS family."""
+    """Admissible parameters and closed forms of one EAQMDS family."""
 
     family: str
-    c_formula: str
     needs_t: bool = False
 
     def admissible_q(self, q: int, t: int | None = None) -> bool:
         try:
             factor_prime_power(q)
+            if self.family != "ii":
+                parameter_ranges(self.family, q, t=t)
         except ValueError:
             return False
-        if self.family in ("iv", "v") and q % 2 == 0:
-            return False
-        if self.family == "v":
-            if t is None or t < 3 or t % 2 == 0 or (q + 1) % t:
-                return False
-            if q + 1 < 2 * t:   # empty delta range otherwise
-                return False
         return True
 
     def length(self, q: int, t: int | None = None, n: int | None = None) -> int:
-        if self.family == "i":
-            return q * q + 1 if n is None else n
         if self.family == "ii":
             return q * q
-        if self.family == "iii":
-            return q * q - 1 if n is None else n
-        if self.family == "iv":
-            return (q * q - 1) // 2
-        return (q * q - 1) // t
+        return parameter_ranges(self.family, q, n, t)[0]
 
     def d_values(self, q: int, t: int | None = None,
                  n: int | None = None) -> list[int]:
-        """Admissible minimum distances, ascending."""
-        if self.family == "i":
-            n = self.length(q, n=n)
-            return list(range(2, 2 * (n // (q + 1)) + 3, 2))
+        """Admissible minimum distances, ascending: d = |Z| + 1."""
         if self.family == "ii":
             return list(range(q + 1, 2 * q))
+        ranges = parameter_ranges(self.family, q, n, t)[1]
+        if self.family == "i":
+            return [2 * delta + 2 for delta in ranges["delta"]]
         if self.family == "iii":
-            n = self.length(q, n=n)
-            dmax = n // (q + 1) - 1
-            if dmax < 0:
-                return []
-            return list(range(2, 2 * dmax + 3))
-        if self.family == "iv":
-            return list(range((q + 1) // 2 + 2, (3 * q - 1) // 2 + 1))
-        lo = (t - 1) * (q + 1) // t + 2
-        hi = (t + 1) * (q + 1) // t - 2
-        return list(range(lo, hi + 1))
+            # even d = 2 delta + 2, odd d = 2 delta + 1 (odd=True, delta >= 1)
+            return list(range(2, 2 * ranges["delta"].stop + 1))
+        lo1, lo2 = ranges["delta1"].start, ranges["delta2"].start
+        hi1, hi2 = ranges["delta1"].stop - 1, ranges["delta2"].stop - 1
+        return list(range(lo1 + lo2 + 2, hi1 + hi2 + 3))
 
     def expected_c(self, t: int | None = None) -> int:
         return {"i": 1, "ii": 1, "iii": 1, "iv": 2}.get(self.family, t)
@@ -178,27 +143,27 @@ class FamilySpec:
     def closed_form_k(self, q: int, d: int, t: int | None = None,
                       n: int | None = None) -> int:
         n = self.length(q, t, n)
-        if self.family in ("i", "iii"):
-            return n - 2 * d + 3
-        if self.family == "ii":
-            return n - 2 * d + 3
         if self.family == "iv":
             return n - 2 * d + 4
-        return n - 2 * d + t + 2
+        if self.family == "v":
+            return n - 2 * d + t + 2
+        return n - 2 * d + 3
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "i": FamilySpec("i", "1"),
-    "ii": FamilySpec("ii", "1"),
-    "iii": FamilySpec("iii", "1"),
-    "iv": FamilySpec("iv", "2"),
-    "v": FamilySpec("v", "t", needs_t=True),
+    "i": FamilySpec("i"),
+    "ii": FamilySpec("ii"),
+    "iii": FamilySpec("iii"),
+    "iv": FamilySpec("iv"),
+    "v": FamilySpec("v", needs_t=True),
 }
 
 
 def canonical_deltas(family: str, q: int, d: int, t: int | None = None,
                      n: int | None = None) -> dict:
-    """Defining-set parameters realizing minimum distance d."""
+    """Defining-set parameters realizing minimum distance d: for families
+    iv and v, delta1 + delta2 = d - 2 with delta2 as large as its range
+    allows."""
     if family == "i":
         if d % 2:
             raise ValueError("family i constructs even d only")
@@ -207,34 +172,31 @@ def canonical_deltas(family: str, q: int, d: int, t: int | None = None,
         if d % 2:
             return {"delta": (d - 1) // 2, "odd": True}
         return {"delta": (d - 2) // 2}
-    if family == "iv":
-        delta2 = min(q - 1, d - 2)
-        return {"delta1": d - 2 - delta2, "delta2": delta2}
-    if family == "v":
-        lo = (t - 1) * (q + 1) // (2 * t)
-        hi = (t + 1) * (q + 1) // (2 * t) - 2
-        delta2 = min(hi, d - 2 - lo)
-        return {"delta1": d - 2 - delta2, "delta2": delta2}
-    raise ValueError(f"no defining-set parameters for family {family!r}")
+    ranges = parameter_ranges(family, q, n, t)[1]
+    delta2 = min(ranges["delta2"].stop - 1, d - 2 - ranges["delta1"].start)
+    return {"delta1": d - 2 - delta2, "delta2": delta2}
 
 
-def build_classical(family: str, q: int, d: int, t: int | None = None,
-                    n: int | None = None,
-                    field: FieldContext | None = None) -> ClassicalCode:
-    """Classical code behind one family instance at distance d."""
-    spec = FAMILIES[family]
-    if not spec.admissible_q(q, t):
-        raise ValueError(f"q={q} (t={t}) not admissible for family {family}")
-    if d not in spec.d_values(q, t, n):
-        raise ValueError(f"d={d} not admissible for family {family}, q={q}")
-    if family == "ii":
-        code = extended_rs_code(q, d - 1, field=field)
-        code.family = "ii"
-        return code
-    params = canonical_deltas(family, q, d, t, n)
-    Z = defining_set(family, q, n=n, t=t, **params)
-    r = {"i": 1, "iii": 1, "iv": 2}.get(family, t)
-    ctx = constacyclic_context(q, Z.n, r, field=field)
+def build_classical(family: str, q: int, d: int | None, t: int | None = None,
+                    n: int | None = None, field: FieldContext | None = None,
+                    **deltas: int) -> ClassicalCode:
+    """Classical code behind one family instance: at distance d, or from
+    explicit defining-set parameters (delta, or delta1 and delta2) when
+    any are given."""
+    if not deltas:
+        spec = FAMILIES[family]
+        if not spec.admissible_q(q, t):
+            raise ValueError(
+                f"q={q} (t={t}) not admissible for family {family}")
+        if d not in spec.d_values(q, t, n):
+            raise ValueError(f"d={d} not admissible for family {family}, q={q}")
+        if family == "ii":
+            code = extended_rs_code(q, d - 1, field=field)
+            code.family = "ii"
+            return code
+        deltas = canonical_deltas(family, q, d, t, n)
+    Z = defining_set(family, q, n=n, t=t, **deltas)
+    ctx = constacyclic_context(q, Z.n, Z.r, field=field)
     return constacyclic_code(ctx, Z, family=family)
 
 
@@ -261,16 +223,5 @@ def enumerate_family(family: str, q: int, t: int | None = None,
             raise AssertionError(
                 f"family {family} {params.label()} does not saturate "
                 "the EA-Singleton bound")
-        out.append(EaqeccParams(**{**params.__dict__, "t": t,
-                                   "deltas": _delta_tuple(family, q, d, t, n)}))
+        out.append(replace(params, t=t))
     return out
-
-
-def _delta_tuple(family: str, q: int, d: int, t: int | None,
-                 n: int | None) -> tuple[int, ...]:
-    if family == "ii":
-        return (d - 1,)
-    params = canonical_deltas(family, q, d, t, n)
-    if "delta" in params:
-        return (params["delta"],)
-    return (params["delta1"], params["delta2"])

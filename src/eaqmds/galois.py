@@ -15,7 +15,7 @@ Hermitian inner product on GF(q^2)^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,12 +149,14 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p).
 
     Candidates are ordered by the high-to-low coefficient tuple
     (c_{m-1}, ..., c_0), i.e. by ascending value of the base-p encoding
-    of the non-leading coefficients.
+    of the non-leading coefficients.  Cached, because build_field needs
+    it to find the key of its own field cache.
     """
     if m == 1:
         return (0, 1)  # x, giving GF(p) itself
@@ -277,11 +279,6 @@ class FieldContext:
 
     # -- public arithmetic on element codes -----------------------------------
 
-    def check_code(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ValueError(f"element code {a} outside GF({self.order})")
-        return a
-
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
@@ -325,23 +322,6 @@ class FieldContext:
                 raise ZeroDivisionError("zero has no inverse")
             return 0 if e else 1
         return int(self.exp[(int(self.log[a]) * e) % (self.order - 1)])
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        e = self.order - 1
-        for ell in prime_factors(e):
-            while e % ell == 0 and self.pow(a, e // ell) == 1:
-                e //= ell
-        return e
-
-    # -- misc -----------------------------------------------------------------
-
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, self.check_code(code))
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def descriptor(self) -> dict:
         """Small serializable record pinning the field representation."""
@@ -390,55 +370,9 @@ def build_field(p: int, m: int, modulus: list[int] | tuple[int, ...] | None = No
     return ctx
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a specific FieldContext; equality is code equality."""
-
-    ctx: FieldContext
-    code: int
-
-    def _same(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other)}")
-        if other.ctx is not self.ctx:
-            raise ValueError("elements from different field contexts")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.ctx, self.ctx.add(self.code, other.code))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.ctx, self.ctx.sub(self.code, other.code))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.ctx, self.ctx.mul(self.code, other.code))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.ctx, self.ctx.div(self.code, other.code))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.neg(self.code))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.pow(self.code, e))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __repr__(self) -> str:
-        return f"{self.code}@GF({self.ctx.order})"
-
-
 def _check_conj_compat(ctx: FieldContext, q: int) -> None:
     qp, qe = factor_prime_power(q)
     if qp != ctx.p or ctx.m % qe != 0:
         raise ValueError(
             f"conjugation exponent q={q} incompatible with GF({ctx.order})")
 
-
-def element_order(a: FieldElement) -> int:
-    """Smallest e >= 1 with a^e = 1; divides p^m - 1."""
-    return a.ctx.element_order(a.code)

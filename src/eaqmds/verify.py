@@ -4,13 +4,16 @@ The distance oracles are deliberately separate routes from the BCH
 design distance: full message enumeration when the message space fits
 the budget, otherwise the minor criterion (a code is MDS iff every
 k x k minor of a generator matrix, equivalently every (n-k)-square minor
-of a full-rank parity check, is nonsingular).  The sweep harness
-rebuilds every admissible family instance and compares rank(H H^dagger)
-against the predicted ebit count.
+of a full-rank parity check, is nonsingular).  Hermitian dual containment
+has two routes here, the coset test Z & -qZ = 0 and the matrix test
+H H^dagger = 0.  The sweep harness rebuilds every family instance that
+cosets.parameter_ranges admits and compares rank(H H^dagger) against the
+predicted ebit count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -25,7 +28,7 @@ from .codes import (
     extended_rs_code,
     generator_matrix,
 )
-from .cosets import DefiningSet, defining_set
+from .cosets import DefiningSet, defining_set, parameter_ranges
 from .eaqecc import ebit_count
 
 
@@ -66,6 +69,17 @@ def mds_minor_oracle(G: Matrix, budget: OracleBudget = OracleBudget(),
         raise BudgetExceeded(
             f"C({n},{k}) minors exceed the budget {budget.max_minors}")
     return kernels.first_singular_minor(G.data, G.ctx, start) == -1
+
+
+def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
+    """Coset criterion: the code is Hermitian dual-containing iff
+    Z and -qZ (mod rn) are disjoint.
+
+    Equivalent to the matrix test H H^dagger = 0 whenever r | q+1
+    (true for every family here); for other r the Hermitian dual
+    leaves the lambda-constacyclic class and this shortcut does not
+    apply."""
+    return not Z.elements & {(-q * z) % Z.modulus for z in Z.elements}
 
 
 def dual_containment_matrix_oracle(H: Matrix, q: int) -> bool:
@@ -118,11 +132,9 @@ class SweepReport:
         if not entry["ok"]:
             self.failures.append(entry)
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         doc = {"lemma": self.lemma, "instances": len(self.entries),
                "failures": len(self.failures), "entries": self.entries}
-        if include_timing:
-            doc["elapsed_s"] = self.elapsed
         return json.dumps(doc, indent=2) + "\n"
 
     def to_text(self) -> str:
@@ -165,33 +177,12 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
     if lemma == "rank1":
         for q in q_list:
             for n in divisors(q * q + 1):
-                if n < 2:
-                    continue
-                ctx = constacyclic_context(q, n, 1)
-                for delta in range(n // (q + 1) + 1):
-                    Z = defining_set("i", q, delta=delta, n=n)
-                    H = constacyclic_code(ctx, Z).H
-                    report.add(_rank_entry("rank1", q, n, 1,
-                                           {"delta": delta}, Z, H, 1))
+                _sweep_family(report, "i", q, 1, n=n)
     elif lemma == "rank1-minus":
         for q in q_list:
             for n in divisors(q * q - 1):
-                if n < 2 or n // (q + 1) - 1 < 0:
-                    continue
-                ctx = constacyclic_context(q, n, 1)
-                dmax = n // (q + 1) - 1
-                for delta in range(dmax + 1):
-                    Z = defining_set("iii", q, delta=delta, n=n)
-                    H = constacyclic_code(ctx, Z).H
-                    report.add(_rank_entry("rank1-minus", q, n, 1,
-                                           {"delta": delta, "odd": False},
-                                           Z, H, 1))
-                for delta in range(1, dmax + 1):
-                    Z = defining_set("iii", q, delta=delta, n=n, odd=True)
-                    H = constacyclic_code(ctx, Z).H
-                    report.add(_rank_entry("rank1-minus", q, n, 1,
-                                           {"delta": delta, "odd": True},
-                                           Z, H, 1))
+                for odd in (False, True):
+                    _sweep_family(report, "iii", q, 1, n=n, odd=odd)
     elif lemma == "rank-ers":
         for q in q_list:
             for r in range(q, 2 * q - 1):
@@ -200,41 +191,46 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
                                        {"r": r}, None, H, 1))
     elif lemma == "nega":
         for q in q_list:
-            if q % 2 == 0:
-                continue
-            n = (q * q - 1) // 2
-            ctx = constacyclic_context(q, n, 2)
-            for d1 in range((q - 1) // 2):
-                for d2 in range((q + 1) // 2, q):
-                    Z = defining_set("iv", q, delta1=d1, delta2=d2)
-                    H = constacyclic_code(ctx, Z).H
-                    report.add(_rank_entry("nega", q, n, 2,
-                                           {"delta1": d1, "delta2": d2},
-                                           Z, H, 2))
+            _sweep_family(report, "iv", q, 2)
     elif lemma == "consta":
         if not t_list:
             raise ValueError("consta sweep needs t values")
         for q in q_list:
             for t in t_list:
-                if q % 2 == 0 or t < 3 or t % 2 == 0 or (q + 1) % t:
-                    continue
-                n = (q * q - 1) // t
-                ctx = constacyclic_context(q, n, t)
-                lo = (t - 1) * (q + 1) // (2 * t)
-                hi = (t + 1) * (q + 1) // (2 * t) - 2
-                for d1 in range(lo, hi + 1):
-                    for d2 in range(lo, hi + 1):
-                        Z = defining_set("v", q, t=t, delta1=d1, delta2=d2)
-                        H = constacyclic_code(ctx, Z).H
-                        extra = _consta_intersection(q, t, d1, d2, Z, ctx)
-                        report.add(_rank_entry(
-                            "consta", q, n, t,
-                            {"t": t, "delta1": d1, "delta2": d2},
-                            Z, H, t, **extra))
+                _sweep_family(report, "v", q, t, t=t)
     else:
         raise ValueError(f"unknown lemma {lemma!r}")
     report.elapsed = time.perf_counter() - start
     return report
+
+
+def _sweep_family(report: SweepReport, family: str, q: int, expected: int,
+                  n: int | None = None, t: int | None = None,
+                  odd: bool | None = None) -> None:
+    """One entry per admissible choice of the defining-set parameters of
+    one family instance; none when parameter_ranges rejects (q, n, t).
+    Entry params list t first when given, then the deltas, then odd
+    unless it is None."""
+    try:
+        n, ranges = parameter_ranges(family, q, n, t, bool(odd))
+    except ValueError:
+        return
+    ctx = None
+    for values in itertools.product(*ranges.values()):
+        deltas = dict(zip(ranges, values))
+        Z = defining_set(family, q, n=n, t=t, odd=bool(odd), **deltas)
+        if ctx is None:
+            ctx = constacyclic_context(q, n, Z.r)
+        H = constacyclic_code(ctx, Z).H
+        params = dict(deltas) if t is None else {"t": t, **deltas}
+        if odd is not None:
+            params["odd"] = odd
+        extra = {}
+        if family == "v":
+            extra = _consta_intersection(q, t, deltas["delta1"],
+                                         deltas["delta2"], Z, ctx)
+        report.add(_rank_entry(report.lemma, q, n, Z.r, params, Z, H,
+                               expected, **extra))
 
 
 def _consta_intersection(q, t, d1, d2, Z: DefiningSet, ctx) -> dict:

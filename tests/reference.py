@@ -5,7 +5,7 @@ GF(q^4) root-evaluation route to family i that checks its trace rows."""
 import numpy as np
 
 from eaqmds.algebra import Matrix
-from eaqmds.galois import FieldElement, build_field
+from eaqmds.galois import build_field
 
 
 def ref_matmul(A, B, ctx):
@@ -41,11 +41,21 @@ def ref_rref(M, ctx):
     return np.array(R, dtype=np.int64).reshape(rows, cols), r
 
 
+def ref_order(ctx, a):
+    """Multiplicative order of a nonzero element code, by repeated products."""
+    if a == 0:
+        raise ValueError("zero has no multiplicative order")
+    x, e = a, 1
+    while x != 1:
+        x, e = ctx.mul(x, a), e + 1
+    return e
+
+
 class Polynomial:
     """Polynomial over one field context; coefficients ascending."""
 
     def __init__(self, ctx, coeffs):
-        cs = [ctx.check_code(int(c)) for c in coeffs]
+        cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.ctx = ctx
@@ -59,11 +69,10 @@ class Polynomial:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __call__(self, x):
-        code = x.code if isinstance(x, FieldElement) else self.ctx.check_code(x)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = self.ctx.add(self.ctx.mul(acc, code), c)
-        return FieldElement(self.ctx, acc)
+            acc = self.ctx.add(self.ctx.mul(acc, x), c)
+        return acc
 
     def __mul__(self, other):
         if other.ctx is not self.ctx:
@@ -77,17 +86,11 @@ class Polynomial:
         return Polynomial(self.ctx, out)
 
 
-def poly_from_roots(roots, ctx=None):
-    """Monic polynomial prod (x - r); the empty product is 1 (needs ctx)."""
-    if roots:
-        ctx = roots[0].ctx
-        if any(r.ctx is not ctx for r in roots):
-            raise ValueError("roots from different field contexts")
-    elif ctx is None:
-        raise ValueError("empty root list needs an explicit field context")
+def poly_from_roots(ctx, roots):
+    """Monic polynomial prod (x - r) over ctx; the empty product is 1."""
     poly = Polynomial(ctx, [1])
     for r in roots:
-        poly = poly * Polynomial(ctx, [ctx.neg(r.code), 1])
+        poly = poly * Polynomial(ctx, [ctx.neg(r), 1])
     return poly
 
 
@@ -100,7 +103,7 @@ def quadratic_extension(f):
     code of f under x -> w for w a root of f's modulus, found by search."""
     f4 = build_field(f.p, 2 * f.m)
     modulus = Polynomial(f4, f.modulus)  # GF(p) digits are element codes
-    w = next(x for x in range(f4.order) if modulus(x).code == 0)
+    w = next(x for x in range(f4.order) if modulus(x) == 0)
     powers = [f4.pow(w, i) for i in range(f.m)]
     emb = []
     for a in range(f.order):

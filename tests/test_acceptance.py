@@ -13,18 +13,14 @@ import pytest
 
 from eaqmds.cli import table_rows
 from eaqmds.codes import constacyclic_code, constacyclic_context
-from eaqmds.cosets import (
-    DefiningSet,
-    cyclotomic_coset,
-    defining_set,
-    is_hermitian_dual_containing,
-)
+from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
 from eaqmds.eaqecc import FAMILIES, build_classical, enumerate_family
 from eaqmds.galois import build_field
 from eaqmds.verify import (
     DEFAULT_SWEEPS,
     certify_distance,
     dual_containment_matrix_oracle,
+    is_hermitian_dual_containing,
     run_lemma_sweep,
 )
 
@@ -98,7 +94,7 @@ def _family_subset_cases():
         qsq = q * q
         for delta in range(1, n // (q + 1) + 1):
             z1 = frozenset().union(
-                *[cyclotomic_coset(i, n, qsq).elements
+                *[cyclotomic_coset(i, n, qsq)
                   for i in range(1, delta + 1)])
             cases.append((q, DefiningSet(n, 1, z1)))
             cases.append((q, defining_set("i", q, delta=delta)))
@@ -154,7 +150,7 @@ def _random_coset_union_cases(count):
         omega = [1 + r * i for i in range(n)] if r > 1 else list(range(n))
         picks = rng.sample(omega, rng.randint(1, max(1, n // 2)))
         elems = frozenset().union(
-            *[cyclotomic_coset(z, r * n, qsq).elements for z in picks])
+            *[cyclotomic_coset(z, r * n, qsq) for z in picks])
         cases.append((q, DefiningSet(r * n, r, elems)))
     return cases
 

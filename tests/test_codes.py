@@ -14,7 +14,7 @@ from eaqmds.codes import (
 )
 from eaqmds.cosets import DefiningSet, defining_set
 from eaqmds.eaqecc import ebit_count
-from reference import poly_from_roots, root_rows, trace_root
+from reference import poly_from_roots, ref_order, root_rows, trace_root
 
 
 def test_context_picks_evaluation_field():
@@ -22,7 +22,7 @@ def test_context_picks_evaluation_field():
     ctx = constacyclic_context(4, 17, 1)
     assert ctx.field.order == 16 and ctx.traces
     f4, _, beta = trace_root(ctx)
-    assert f4.order == 256 and f4.element_order(beta) == 17
+    assert f4.order == 256 and ref_order(f4, beta) == 17
     assert ctx.lam == 1
     # 24 = q^2-1 for q = 5 stays in GF(25)
     ctx = constacyclic_context(5, 24, 1)
@@ -32,7 +32,7 @@ def test_context_picks_evaluation_field():
     assert ctx.lam == ctx.field.neg(1)
     # constacyclic order t: lambda is a primitive t-th root of unity
     ctx = constacyclic_context(11, 40, 3)
-    assert ctx.field.element_order(ctx.lam) == 3
+    assert ref_order(ctx.field, ctx.lam) == 3
     with pytest.raises(ValueError):
         constacyclic_context(4, 7, 1)   # 7 divides neither 15 nor 17
     with pytest.raises(ValueError):
@@ -188,7 +188,7 @@ def test_subfield_subcode_structure():
     assert code.field.order == 16
     f4, emb, beta = trace_root(ctx)
     zs = code.defining_set.sorted()
-    g = poly_from_roots([f4.element(f4.pow(beta, z)) for z in zs])
+    g = poly_from_roots(f4, [f4.pow(beta, z) for z in zs])
     assert g.is_monic() and g.degree == 5
     assert set(g.coeffs) <= set(emb.tolist())
     G = generator_matrix(code)
@@ -208,7 +208,7 @@ def test_family_i_matches_root_evaluation(q):
             continue
         ctx = constacyclic_context(q, n, 1)
         f4, emb, beta = trace_root(ctx)
-        assert f4.element_order(beta) == n
+        assert ref_order(f4, beta) == n
         assert emb[ctx.table].tolist() == [
             f4.add(f4.pow(beta, m), f4.pow(beta, -m)) for m in range(n)]
         sets = [defining_set("i", q, delta=delta, n=n)
@@ -248,13 +248,12 @@ def test_singleton_bound_enforced():
 
 def test_code_record():
     code = extended_rs_code(3, 3)
-    rec = code.record()
-    assert rec["n"] == 9 and rec["r"] == 3
-    assert rec["field"]["order"] == 9
+    assert (code.n, code.k, code.d_design) == (9, 6, 4)
+    assert code.field.order == 9
     ctx = constacyclic_context(4, 17, 1)
     cyc = constacyclic_code(ctx, defining_set("i", 4, delta=1))
-    assert cyc.record()["defining_set"] == [0, 1, 16]
-    assert cyc.record()["field"] == extended_rs_code(4, 5).field.descriptor()
+    assert cyc.defining_set.sorted() == [0, 1, 16]
+    assert cyc.field is extended_rs_code(4, 5).field
 
 
 def _rank_shapes(spy):

@@ -1,24 +1,47 @@
 import pytest
 
 from eaqmds.cosets import (
-    CyclotomicCoset,
     DefiningSet,
     bch_design_distance,
-    coset_partition_check,
     cyclotomic_coset,
     defining_set,
-    is_hermitian_dual_containing,
 )
+from eaqmds.verify import is_hermitian_dual_containing
+
+
+def coset_partition_check(modulus, qsq):
+    """Cosets partition {0..modulus-1}; when modulus | q^2+1 they must be
+    C_0, paired C_i = {i, n-i}, and a singleton midpoint for even modulus."""
+    seen = set()
+    cosets = []
+    for i in range(modulus):
+        if i in seen:
+            continue
+        c = cyclotomic_coset(i, modulus, qsq)
+        if c & seen:
+            return False
+        seen |= c
+        cosets.append(c)
+    if seen != set(range(modulus)):
+        return False
+    if (qsq + 1) % modulus == 0 and modulus > 1:
+        for c in cosets:
+            i = min(c)
+            if i == 0 or 2 * i == modulus:
+                expected = {i}
+            else:
+                expected = {i, modulus - i}
+            if c != frozenset(expected):
+                return False
+    return True
 
 
 def test_cyclotomic_coset_examples():
-    assert cyclotomic_coset(0, 17, 16).elements == frozenset({0})
-    c = cyclotomic_coset(1, 17, 16)
-    assert c.elements == frozenset({1, 16})   # {i, n-i}
-    assert c.representative == 1
+    assert cyclotomic_coset(0, 17, 16) == frozenset({0})
+    assert cyclotomic_coset(1, 17, 16) == frozenset({1, 16})   # {i, n-i}
     # modulo 2n with n = (q^2-1)/2, odd cosets are singletons (q = 5)
     for j in range(1, 13):
-        assert cyclotomic_coset(2 * j - 1, 24, 25).elements == \
+        assert cyclotomic_coset(2 * j - 1, 24, 25) == \
             frozenset({(2 * j - 1) % 24})
 
 
@@ -26,7 +49,7 @@ def test_defining_set_family_i():
     Z = defining_set("i", 4, delta=2)
     assert Z.modulus == 17 and Z.r == 1
     assert Z.sorted() == [0, 1, 2, 15, 16]
-    assert Z.is_coset_union(16)
+    assert all((z * 16) % 17 in Z.elements for z in Z.elements)  # coset union
 
 
 def test_defining_set_family_iii():
@@ -81,8 +104,7 @@ def test_omega_membership_enforced():
 def test_hermitian_dual_containing():
     empty = DefiningSet(17, 1, frozenset())
     assert is_hermitian_dual_containing(empty, 4)
-    from eaqmds.cosets import cyclotomic_coset as cc
-    z1 = cc(1, 17, 16).elements | cc(2, 17, 16).elements
+    z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     assert is_hermitian_dual_containing(DefiningSet(17, 1, z1), 4)
     # adding C_0 breaks it: -q*0 = 0 stays in Z
     assert not is_hermitian_dual_containing(
@@ -125,7 +147,7 @@ def test_coset_partition_check():
     assert coset_partition_check(17, 16)
     reps = set()
     for i in range(17):
-        reps.add(cyclotomic_coset(i, 17, 16).representative)
+        reps.add(min(cyclotomic_coset(i, 17, 16)))
     assert len(reps) == 9  # C_0 plus eight pairs
     # 24 | 25-1, all singletons
     assert coset_partition_check(24, 25)
@@ -137,8 +159,8 @@ def test_coset_partition_check():
 def test_coset_shape_for_even_modulus():
     # n = 10 | q^2+1 for q = 3: C_0, singleton midpoint C_5, pairs
     assert coset_partition_check(10, 9)
-    assert cyclotomic_coset(5, 10, 9).elements == frozenset({5})
-    assert cyclotomic_coset(3, 10, 9).elements == frozenset({3, 7})
+    assert cyclotomic_coset(5, 10, 9) == frozenset({5})
+    assert cyclotomic_coset(3, 10, 9) == frozenset({3, 7})
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -151,13 +173,8 @@ def test_coset_lemma_across_sweep(q):
         assert coset_partition_check(n, qsq)
         s = n // 2
         for i in range(1, (n - 1) // 2 + 1):
-            assert cyclotomic_coset(i, n, qsq).elements == \
+            assert cyclotomic_coset(i, n, qsq) == \
                 frozenset({i, n - i})
         if n % 2 == 0:
-            assert cyclotomic_coset(s, n, qsq).elements == frozenset({s})
+            assert cyclotomic_coset(s, n, qsq) == frozenset({s})
 
-
-def test_coset_dataclass():
-    c = cyclotomic_coset(3, 10, 9)
-    assert isinstance(c, CyclotomicCoset) and len(c) == 2
-    assert c.multiplier == 9 and c.modulus == 10

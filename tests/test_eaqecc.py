@@ -1,8 +1,12 @@
 import pytest
 
-from eaqmds.algebra import Matrix
 from eaqmds.codes import constacyclic_code, constacyclic_context
-from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
+from eaqmds.cosets import (
+    DefiningSet,
+    cyclotomic_coset,
+    defining_set,
+    parameter_ranges,
+)
 from eaqmds.eaqecc import (
     FAMILIES,
     EaqeccParams,
@@ -11,16 +15,14 @@ from eaqmds.eaqecc import (
     derive_eaqecc,
     ea_singleton_check,
     ebit_count,
-    ebit_count_symplectic,
     enumerate_family,
 )
-from eaqmds.galois import build_field
 
 
 def test_ebit_count_dual_containing_is_zero():
     ctx = constacyclic_context(4, 17, 1)
-    z1 = (cyclotomic_coset(1, 17, 16).elements
-          | cyclotomic_coset(2, 17, 16).elements)
+    z1 = (cyclotomic_coset(1, 17, 16)
+          | cyclotomic_coset(2, 17, 16))
     H = constacyclic_code(ctx, DefiningSet(17, 1, z1)).H
     assert ebit_count(H, 4) == 0
 
@@ -36,33 +38,6 @@ def test_ebit_count_t_for_constacyclic():
     Z = defining_set("v", 11, t=3, delta1=4, delta2=4)
     H = constacyclic_code(ctx, Z).H
     assert ebit_count(H, 11) == 3
-
-
-def test_symplectic_equal_matrices_give_zero():
-    for q in (2, 3):
-        ctx = build_field(q, 1)
-        H = Matrix(ctx, [[1, 0, 1], [0, 1, 1]])
-        assert ebit_count_symplectic(H, H, q) == 0
-
-
-def test_symplectic_hand_example():
-    # HX = (1 0; 0 0), HZ = (0 0; 1 0) over GF(2):
-    # HX HZ^T + HZ HX^T = (0 1; 1 0), rank 2, c = 1
-    gf2 = build_field(2, 1)
-    HX = Matrix(gf2, [[1, 0], [0, 0]])
-    HZ = Matrix(gf2, [[0, 0], [1, 0]])
-    assert ebit_count_symplectic(HX, HZ, 2) == 1
-
-
-def test_symplectic_css_pair_needs_no_entanglement():
-    gf3 = build_field(3, 1)
-    HX = Matrix(gf3, [[1, 2, 0, 0]])
-    HZ = Matrix(gf3, [[0, 0, 1, 1]])
-    assert ebit_count_symplectic(HX, HZ, 3) == 0
-    with pytest.raises(ValueError):
-        ebit_count_symplectic(HX, Matrix(gf3, [[1, 0]]), 3)
-    with pytest.raises(ValueError):
-        ebit_count_symplectic(HX, HZ, 9)
 
 
 def test_derive_17_8_6():
@@ -81,8 +56,8 @@ def test_derive_24_17_5():
 
 def test_derive_dual_containing_reduces_to_stabilizer():
     ctx = constacyclic_context(4, 17, 1)
-    z1 = (cyclotomic_coset(1, 17, 16).elements
-          | cyclotomic_coset(2, 17, 16).elements)
+    z1 = (cyclotomic_coset(1, 17, 16)
+          | cyclotomic_coset(2, 17, 16))
     code = constacyclic_code(ctx, DefiningSet(17, 1, z1))
     params = derive_eaqecc(code, 4)
     assert params.c == 0
@@ -173,19 +148,44 @@ def test_family_invariants(family, q, t):
             assert p.d == len(p.defining_set) + 1
 
 
+def _range_instances():
+    """(family, q, n, t, odd) over q <= 16 and q = 19: every n | q^2+1 and
+    n | q^2-1 with both parities for family iii, family iv, and family v
+    for t in {3, 5, 7}."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 19):
+        for n in range(2, q * q + 2):
+            if (q * q + 1) % n == 0:
+                yield "i", q, n, None, False
+            if (q * q - 1) % n == 0:
+                yield "iii", q, n, None, False
+                yield "iii", q, n, None, True
+        if q % 2:
+            yield "iv", q, None, None, False
+            for t in (3, 5, 7):
+                if (q + 1) % t == 0:
+                    yield "v", q, None, t, False
+
+
 def test_canonical_deltas_cover_ranges():
-    for q in (5, 7, 9, 11, 13):
-        for d in FAMILIES["iv"].d_values(q):
-            kw = canonical_deltas("iv", q, d)
-            assert 0 <= kw["delta1"] <= (q - 1) // 2 - 1
-            assert (q + 1) // 2 <= kw["delta2"] <= q - 1
-            assert kw["delta1"] + kw["delta2"] == d - 2
-    for q, t in ((5, 3), (11, 3), (19, 5)):
-        lo = (t - 1) * (q + 1) // (2 * t)
-        hi = (t + 1) * (q + 1) // (2 * t) - 2
-        for d in FAMILIES["v"].d_values(q, t):
-            kw = canonical_deltas("v", q, d, t)
-            assert lo <= kw["delta1"] <= hi and lo <= kw["delta2"] <= hi
+    """Each admissible distance maps to parameters inside parameter_ranges
+    that realize it, and defining_set rejects the value one below and one
+    above each range."""
+    for family, q, n, t, odd in _range_instances():
+        ranges = parameter_ranges(family, q, n, t, odd)[1]
+        for d in FAMILIES[family].d_values(q, t, n):
+            kw = canonical_deltas(family, q, d, t, n)
+            if kw.pop("odd", False) != odd:
+                continue
+            assert kw.keys() == ranges.keys()
+            assert all(kw[name] in span for name, span in ranges.items())
+            Z = defining_set(family, q, n=n, t=t, odd=odd, **kw)
+            assert len(Z) + 1 == d
+        inside = {name: span.start for name, span in ranges.items()}
+        for name, span in ranges.items():
+            for bad in (span.start - 1, span.stop):
+                with pytest.raises(ValueError, match="outside"):
+                    defining_set(family, q, n=n, t=t, odd=odd,
+                                 **{**inside, name: bad})
 
 
 def test_derive_k_negative_is_error():

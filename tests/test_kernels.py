@@ -49,7 +49,7 @@ def ref_min_weight(G, ctx):
     from itertools import product
     k, n = G.shape
     best = n + 1
-    for msg in product(ctx.elements(), repeat=k):
+    for msg in product(range(ctx.order), repeat=k):
         if not any(msg):
             continue
         cw = [0] * n
