@@ -119,8 +119,7 @@ def test_dual_containing_gram_vanishes():
     # Z1 = C_1 u C_2 for q = 4, n = 17 is Hermitian dual-containing
     from eaqmds.cosets import cyclotomic_coset
     ctx = constacyclic_context(4, 17, 1)
-    elems = (cyclotomic_coset(1, 17, 16)
-             | cyclotomic_coset(2, 17, 16))
+    elems = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     from eaqmds.cosets import DefiningSet
     Z1 = DefiningSet(17, 1, elems)
     H1 = constacyclic_code(ctx, Z1).H

@@ -21,8 +21,7 @@ from eaqmds.eaqecc import (
 
 def test_ebit_count_dual_containing_is_zero():
     ctx = constacyclic_context(4, 17, 1)
-    z1 = (cyclotomic_coset(1, 17, 16)
-          | cyclotomic_coset(2, 17, 16))
+    z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     H = constacyclic_code(ctx, DefiningSet(17, 1, z1)).H
     assert ebit_count(H, 4) == 0
 
@@ -56,8 +55,7 @@ def test_derive_24_17_5():
 
 def test_derive_dual_containing_reduces_to_stabilizer():
     ctx = constacyclic_context(4, 17, 1)
-    z1 = (cyclotomic_coset(1, 17, 16)
-          | cyclotomic_coset(2, 17, 16))
+    z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     code = constacyclic_code(ctx, DefiningSet(17, 1, z1))
     params = derive_eaqecc(code, 4)
     assert params.c == 0

@@ -80,8 +80,7 @@ def test_oracles_agree_where_both_apply():
 def test_dual_containment_matrix_oracle(gf9):
     assert dual_containment_matrix_oracle(Matrix(gf9, np.zeros((0, 4))), 3)
     ctx = constacyclic_context(4, 17, 1)
-    z1 = (cyclotomic_coset(1, 17, 16)
-          | cyclotomic_coset(2, 17, 16))
+    z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     H1 = constacyclic_code(ctx, DefiningSet(17, 1, z1)).H
     assert dual_containment_matrix_oracle(H1, 4)
     Hfull = constacyclic_code(ctx, DefiningSet(17, 1, z1 | {0})).H
