@@ -50,9 +50,6 @@ class Matrix:
         return (isinstance(other, Matrix) and other.ctx is self.ctx
                 and np.array_equal(self.data, other.data))
 
-    def __hash__(self):
-        return hash((id(self.ctx), self.data.tobytes()))
-
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over GF({self.ctx.order}))"
 

@@ -211,7 +211,7 @@ def table_rows(q: int, t: int | None) -> list[dict]:
         params = enumerate_family(fam, q, tt)
         n = spec.length(q, tt)
         c = spec.expected_c(tt)
-        ds = [p.d for p in params]
+        ds = list(spec.d_values(q, tt))  # the full range, k = 0 included
         rows.append({
             "length": n,
             "family": fam,

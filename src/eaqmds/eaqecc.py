@@ -204,12 +204,16 @@ def enumerate_family(family: str, q: int, t: int | None = None,
                      n: int | None = None,
                      field: FieldContext | None = None) -> list[EaqeccParams]:
     """All EAQMDS codes of one family for a given q (and t), each built
-    from its classical code and checked against the closed form."""
+    from its classical code and checked against the closed form.  A
+    distance whose closed form gives k = 0 encodes no qudit and is left
+    out."""
     spec = FAMILIES[family]
     if not spec.admissible_q(q, t):
         raise ValueError(f"q={q} (t={t}) not admissible for family {family}")
     out = []
     for d in spec.d_values(q, t, n):
+        if spec.closed_form_k(q, d, t, n) < 1:
+            continue
         code = build_classical(family, q, d, t, n, field=field)
         params = derive_eaqecc(code, q)
         expected = (spec.length(q, t, n), spec.closed_form_k(q, d, t, n),

@@ -313,9 +313,6 @@ class FieldContext:
             raise ZeroDivisionError("zero has no inverse")
         return int(self.exp[(self.order - 1) - self.log[a]])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:

@@ -28,7 +28,12 @@ the fields most codes live in.
 The two distance oracles avoid per-item Python loops: the minor oracle
 eliminates a batch of k x k column minors as one (B, k, k) tensor, and
 minimum-weight search enumerates messages projectively (highest nonzero
-digit 1).
+digit 1) from span tables.  One table holds every combination of the
+first rows of G, built by field additions, and a second one the
+combinations of the rows above them.  A codeword h - s, with s from the
+first table, has weight n minus the number of coordinates where s and h
+agree, so each codeword costs one integer comparison per coordinate and
+no field product.
 """
 
 from __future__ import annotations
@@ -50,18 +55,6 @@ def _add_arrays(a, b, p, m):
         a, b = a // p, b // p
         pw *= p
         out += (a + b) % p * pw
-    return out
-
-
-def _sum_field(x, axis, p, m):
-    """Field sum along an axis: digit-wise modular sum of codes."""
-    if p == 2:
-        return np.bitwise_xor.reduce(x, axis=axis)
-    out = np.zeros(x.shape[:axis] + x.shape[axis + 1:], dtype=np.int64)
-    pw = 1
-    for _ in range(m):
-        out += (np.sum((x // pw) % p, axis=axis) % p) * pw
-        pw *= p
     return out
 
 
@@ -196,37 +189,79 @@ def _rank(M, exp, log, p, m, Q):
     return r
 
 
-def _min_weight(G, exp, log, p, m, Q, chunk=1 << 14):
+# Rows of the low span table, and codewords per comparison: 2^14
+_SPAN_ROWS = 1 << 14
+
+
+def _span(rows, exp, log, p, m, Q):
+    """All Q**len(rows) combinations of `rows`, by field additions:
+    S_0 = {0} and S_{i+1} = S_i + a * rows[i] for a in code order, so
+    row id r of the table is the combination whose coefficients are the
+    base-Q digits of r, and S[:Q**j] spans the first j rows."""
+    n = rows.shape[1]
+    S = np.zeros((1, n), dtype=np.int64)
+    la = log[1:Q, None]
+    for g in rows:
+        multiples = np.zeros((Q, n), dtype=np.int64)  # a * g, a in code order
+        nz = g != 0
+        multiples[1:, nz] = exp[la + log[g[nz]]]
+        S = _add_arrays(multiples[:, None], S[None], p, m).reshape(-1, n)
+    return S
+
+
+def _narrow(top):
+    """The smallest unsigned dtype that holds 0..top."""
+    return np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16 else np.uint32
+
+
+def _zero_counts(low, heads, n):
+    """(len(heads), low.shape[1]) counts of the coordinates c where
+    h_c - s_c = 0, for s a column of `low` (n x R) and h a row of
+    `heads` (B x n): one comparison per coordinate, no field addition."""
+    zeros = np.zeros((heads.shape[0], low.shape[1]), dtype=_narrow(n))
+    for c in range(n):
+        zeros += low[c] == heads[:, c, None]
+    return zeros
+
+
+def _min_weight(G, exp, log, p, m, Q):
     """Projective enumeration: scaling a message by a nonzero field
     element keeps the codeword's weight, so only messages whose highest
-    nonzero digit is 1 are visited.  For each leading position j, digits
-    below j range over the field (chunked through one tensor product)
-    and digits above j are zero."""
+    nonzero digit is 1 are visited.  Messages split at L, the largest
+    L <= k with Q**L <= _SPAN_ROWS: the low table spans rows 0..L-1, and
+    for leading position j each high part h = G_j + sum_{L<=i<j} m_i G_i
+    meets the low span S = low[:Q**min(j, L)].  S is closed under
+    negation, so the codewords s + h are the h - s, and the weight of
+    h - s is n minus the count of s_c = h_c: one integer comparison per
+    coordinate.  The h come from one span table of G_L..G_{k-2}
+    (Q**(k-1-L) < Q**k / _SPAN_ROWS rows), prefix-sliced per j like the
+    low table.  Codewords with n zeros (G rank-deficient) are skipped;
+    n + 1 means every codeword is zero."""
     k, n = G.shape
-    best = n + 1
-    lG = np.where(G != 0, log[G], -1)
+    levels = 0
+    while levels < k and Q ** (levels + 1) <= _SPAN_ROWS:
+        levels += 1
+    dtype = _narrow(Q - 1)
+    low = np.ascontiguousarray(_span(G[:levels], exp, log, p, m, Q).T,
+                               dtype=dtype)
+    high = _span(G[levels:k - 1], exp, log, p, m, Q)
+    most = -1  # most zero coordinates of a nonzero codeword
     for j in range(k):
-        total = Q**j
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            ids = np.arange(lo, hi, dtype=np.int64)
-            lm = np.zeros((hi - lo, j + 1), dtype=np.int64)  # log 1 = 0
-            for i in range(j):
-                lm[:, i] = log[ids % Q]   # log 0 = -1 marks a zero digit
-                ids //= Q
-            prod_log = lm[:, :, None] + lG[None, :j + 1, :]
-            prod = np.where((lm[:, :, None] >= 0) & (lG[None, :j + 1, :] >= 0),
-                            exp[np.maximum(prod_log, 0)], 0)
-            cw = _sum_field(prod, 1, p, m)
-            w = np.count_nonzero(cw, axis=1)
-            w = w[w > 0]
-            if w.size:
-                best = min(best, int(w.min()))
-    return best
+        table = low[:, :Q ** min(j, levels)]
+        heads = _add_arrays(high[:Q ** max(0, j - levels)], G[j], p, m)
+        heads = heads.astype(dtype)
+        step = max(1, _SPAN_ROWS // table.shape[1])
+        for lo in range(0, len(heads), step):
+            zeros = _zero_counts(table, heads[lo:lo + step], n)
+            zeros = zeros[zeros < n]
+            if zeros.size:
+                most = max(most, int(zeros.max()))
+    return n - most
 
 
 # Minors per vectorized elimination.  A batch holds _MINOR_BATCH * k * k
-# entries, below the (1 << 14) * k * n of one _min_weight chunk.
+# int64 entries (3.3 MB at k = 10), and each elimination step makes a few
+# temporaries of that size.
 _MINOR_BATCH = 1 << 12
 
 

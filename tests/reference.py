@@ -2,6 +2,8 @@
 for the vectorized kernels and the matrix layer built on them, and the
 GF(q^4) root-evaluation route to family i that checks its trace rows."""
 
+from itertools import product
+
 import numpy as np
 
 from eaqmds.algebra import Matrix
@@ -39,6 +41,22 @@ def ref_rref(M, ctx):
         if r == rows:
             break
     return np.array(R, dtype=np.int64).reshape(rows, cols), r
+
+
+def ref_min_weight(G, ctx):
+    """Minimum weight of a nonzero codeword m G over every message m;
+    n + 1 when every codeword is zero."""
+    k, n = G.shape
+    best = n + 1
+    for msg in product(range(ctx.order), repeat=k):
+        cw = [0] * n
+        for mi, row in zip(msg, G):
+            for c in range(n):
+                cw[c] = ctx.add(cw[c], ctx.mul(int(mi), int(row[c])))
+        w = sum(1 for v in cw if v)
+        if w:
+            best = min(best, w)
+    return best
 
 
 def ref_order(ctx, a):

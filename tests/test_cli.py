@@ -36,6 +36,20 @@ def test_enumerate_family_i_json(capsys):
     assert all(r["saturated"] for r in records)
 
 
+def test_enumerate_emits_no_k0_records(capsys):
+    # a k = 0 code encodes no qudit; the d range of `table` still lists
+    # the distance
+    code, out, _ = run_cli(capsys, "enumerate", "--q", "2..16", "--t", "3")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert records and all(r["k"] >= 1 for r in records)
+    labels = {(r["family"], r["q"], r["n"], r["d"]) for r in records}
+    assert ("i", 2, 5, 2) in labels and ("i", 2, 5, 4) not in labels
+    assert not any(r["family"] == "iv" and r["q"] == 3 for r in records)
+    assert [r["eaqmds"]["d_max"] for r in table_rows(2, None)
+            if r["family"] == "i"] == [4]
+
+
 def test_enumerate_family_v_golden(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--family", "v", "--q", "11",
                            "--t", "3")

@@ -133,7 +133,9 @@ def test_family_invariants(family, q, t):
     """Closed form, saturation and defining-set consumption across a grid."""
     spec = FAMILIES[family]
     params = enumerate_family(family, q, t)
-    assert [p.d for p in params] == spec.d_values(q, t)
+    # every admissible distance except those whose closed form gives k = 0
+    assert [p.d for p in params] == [
+        d for d in spec.d_values(q, t) if spec.closed_form_k(q, d, t) >= 1]
     for p in params:
         assert ea_singleton_check(p)
         assert p.n + p.c - p.k == 2 * (p.d - 1)

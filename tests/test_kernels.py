@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from eaqmds import kernels
 from eaqmds.galois import build_field
-from reference import ref_matmul, ref_rref
+from reference import ref_matmul, ref_min_weight, ref_rref
 
 FIELDS = [(2, 2), (3, 2), (5, 2), (2, 8)]
 
@@ -43,22 +43,6 @@ def ref_first_singular_minor(G, ctx, start):
         if index >= start and ref_is_singular(G[:, cols], ctx):
             return index
     return -1
-
-
-def ref_min_weight(G, ctx):
-    from itertools import product
-    k, n = G.shape
-    best = n + 1
-    for msg in product(range(ctx.order), repeat=k):
-        if not any(msg):
-            continue
-        cw = [0] * n
-        for mi, row in zip(msg, G):
-            for c in range(n):
-                cw[c] = ctx.add(cw[c], ctx.mul(int(mi), int(row[c])))
-        w = sum(1 for v in cw if v)
-        best = min(best, w)
-    return best
 
 
 @pytest.mark.parametrize("pm", FIELDS)
@@ -273,6 +257,66 @@ def test_projective_min_weight_matches_reference(case):
     expected = ref_min_weight(G, ctx)
     assume(expected > 0)  # the kernel skips zero codewords
     assert kernels.min_weight(G, ctx) == expected
+
+
+@st.composite
+def split_cases(draw):
+    """A random k x n generator matrix, k <= 5 and Q**k <= 4000, with
+    forced repeated (scaled) rows and zero rows, so rank-deficient G and
+    zero codewords are common."""
+    p, m = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                 (3, 2), (5, 1), (5, 2)]))
+    ctx = build_field(p, m)
+    k_max = max(k for k in range(1, 6) if ctx.order ** k <= 4000)
+    k = draw(st.integers(1, k_max))
+    n = draw(st.integers(1, 7))
+    cells = st.integers(0, ctx.order - 1)
+    G = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                               min_size=k, max_size=k)), dtype=np.int64)
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        scale = draw(cells)
+        G[dst] = [ctx.mul(scale, int(v)) for v in G[src]]
+    if draw(st.booleans()):
+        G[draw(st.integers(0, k - 1))] = 0
+    return ctx, G
+
+
+# over GF(3) the one minimum-weight codeword (up to scaling) is
+# G_0 + G_1 + G_2 = G_2 - s for s = 2 G_0 + 2 G_1, the last row of the
+# low table's first Q**2 rows
+SHORT_SLICE = np.array([[0, 1, 2, 1, 2], [1, 0, 1, 1, 2], [2, 2, 0, 0, 2]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_cases(), st.integers(1, 4000))
+@example(case=(build_field(3, 1), SHORT_SLICE), rows=9)
+def test_span_split_matches_reference(case, rows):
+    ctx, G = case
+    expected = ref_min_weight(G, ctx)
+    # a split at every level: no low rows (1), one (Q), a random table
+    # size and the default
+    for limit in {1, ctx.order, rows, kernels._SPAN_ROWS}:
+        with mock.patch.object(kernels, "_SPAN_ROWS", limit):
+            assert kernels.min_weight(G, ctx) == expected
+
+
+@pytest.mark.parametrize("limit", [1, 3, 9, 27, 1 << 14])
+def test_min_weight_visits_each_projective_message_once(limit):
+    # a low table longer than Q**j would visit messages twice and still
+    # find the same minimum, so count the codewords compared
+    ctx = build_field(3, 1)
+    counted = []
+
+    def spy(low, heads, n):
+        counted.append(low.shape[1] * heads.shape[0])
+        return zero_counts(low, heads, n)
+
+    zero_counts = kernels._zero_counts
+    with mock.patch.object(kernels, "_SPAN_ROWS", limit), \
+            mock.patch.object(kernels, "_zero_counts", spy):
+        assert kernels.min_weight(SHORT_SLICE, ctx) == 1
+    assert sum(counted) == (3**3 - 1) // 2
 
 
 def test_pow_entries(gf16):

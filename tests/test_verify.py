@@ -109,6 +109,21 @@ def test_certify_distance_plain_rs_code():
     assert res == {"method": "enumeration", "is_mds": True, "d": 4}
 
 
+@pytest.mark.parametrize("family,q,d", [
+    ("ii", 3, 4), ("i", 3, 6), ("iii", 3, 4), ("i", 2, 4)])
+def test_certify_enumeration_instances(family, q, d):
+    # the enumeration instances of the certify workload and two more:
+    # routed to message enumeration, with the exact distance
+    assert certify_distance(build_classical(family, q, d)) == \
+        {"method": "enumeration", "is_mds": True, "d": d}
+
+
+def test_certify_enumeration_reports_distance_below_design():
+    code = _with_repeated_column(build_classical("ii", 3, 4))
+    assert certify_distance(code) == \
+        {"method": "enumeration", "is_mds": False, "d": 2}
+
+
 def _with_repeated_column(code):
     """The code whose parity check repeats column 1 of code.H in place of
     the last column: it has a weight-2 word, so it is not MDS."""
