@@ -27,10 +27,6 @@ class Matrix:
         self.ctx = ctx
         self.data = arr
 
-    @classmethod
-    def identity(cls, ctx: FieldContext, n: int) -> "Matrix":
-        return cls(ctx, np.eye(n, dtype=np.int64))
-
     @property
     def nrows(self) -> int:
         return self.data.shape[0]
@@ -75,31 +71,21 @@ def hermitian_adjoint(M: Matrix, q: int) -> Matrix:
 
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    R, r = kernels.eliminate(M.data, M.ctx)
-    pivots = []
-    for i in range(r):
-        nz = np.nonzero(R[i])[0]
-        pivots.append(int(nz[0]))
+    R, pivots = kernels.eliminate(M.data, M.ctx)
     return Matrix(M.ctx, R), tuple(pivots)
 
 
 def matrix_rank(M: Matrix) -> int:
-    if M.nrows == 0 or M.ncols == 0:
-        return 0
     return kernels.rank(M.data, M.ctx)
 
 
 def nullspace_basis(H: Matrix) -> Matrix:
     """Rows form a basis of {v : H v^T = 0}; cols(H) - rank(H) rows."""
     n = H.ncols
-    if H.nrows == 0:
-        return Matrix.identity(H.ctx, n)
     R, pivots = rref(H)
-    ctx = H.ctx
-    free = [j for j in range(n) if j not in set(pivots)]
+    free = np.delete(np.arange(n), pivots)
+    # basis row b is 1 at free[b] and -R[i, free[b]] at pivot column i
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for i, pc in enumerate(pivots):
-            basis[bi, pc] = ctx.neg(int(R.data[i, f]))
-    return Matrix(ctx, basis)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = H.ctx.neg(R.data[:len(pivots), free].T)
+    return Matrix(H.ctx, basis)

@@ -6,8 +6,9 @@ table between entanglement-assisted and standard quantum MDS codes).
 
 Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 internal error (any exception
-other than ValueError, with its traceback on stderr).
+1 verification failure (a VerificationError included), 2 usage error
+(any other ValueError), 3 internal error (any other exception, with its
+traceback on stderr).
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ import sys
 import time
 import traceback
 
-from .eaqecc import FAMILIES, EaqeccParams, build_classical, enumerate_family
+from .eaqecc import (
+    FAMILIES,
+    EaqeccParams,
+    VerificationError,
+    build_classical,
+    enumerate_family,
+)
 from .galois import factor_prime_power
 from .verify import (
     ALL_LEMMAS,
@@ -163,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ts = [args.t] if args.t is not None else (
             list(DEFAULT_SWEEPS[lemma][1]) if DEFAULT_SWEEPS[lemma][1] else None)
         reports.append(run_lemma_sweep(lemma, qs, ts))
-    doc = {"reports": [json.loads(r.to_json()) for r in reports]}
+    doc = {"reports": [r.to_dict() for r in reports]}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     for r in reports:
         print(r.to_text(), file=sys.stderr)
@@ -210,7 +217,6 @@ def table_rows(q: int, t: int | None) -> list[dict]:
         tt = t if spec.needs_t else None
         params = enumerate_family(fam, q, tt)
         n = spec.length(q, tt)
-        c = spec.expected_c(tt)
         ds = list(spec.d_values(q, tt))  # the full range, k = 0 included
         rows.append({
             "length": n,
@@ -218,8 +224,9 @@ def table_rows(q: int, t: int | None) -> list[dict]:
             "q": q,
             "t": tt,
             "eaqmds": {
-                "k_formula": f"{n + c + 2}-2d",
-                "c": c,
+                # the closed form's constant term is its k at d = 0
+                "k_formula": f"{spec.closed_form_k(q, 0, tt)}-2d",
+                "c": spec.expected_c(tt),
                 "d_min": min(ds),
                 "d_max": max(ds),
                 "d_parity": "even" if fam == "i" else "any",
@@ -326,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
                 "distance": cmd_distance, "table": cmd_table}[args.command](args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+        return VERIFY_ERROR if isinstance(e, VerificationError) else USAGE_ERROR
     except Exception:
         traceback.print_exc()
         return INTERNAL_ERROR

@@ -55,7 +55,7 @@ def _trace_table(f: FieldContext, n: int) -> np.ndarray:
     for t in range(f.order):
         tr = [two, t]
         while tr[-1] != two and len(tr) <= n:
-            tr.append(f.sub(f.mul(t, tr[-1]), tr[-2]))
+            tr.append(f.add(f.mul(t, tr[-1]), f.neg(tr[-2])))
         if tr[-1] == two and len(tr) == n + 1:
             table = np.array(tr[:n], dtype=np.int64)
             table.setflags(write=False)

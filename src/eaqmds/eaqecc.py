@@ -25,6 +25,11 @@ from .cosets import defining_set, parameter_ranges
 from .galois import FieldContext, factor_prime_power
 
 
+class VerificationError(ValueError):
+    """A constructed code contradicts the EA-Singleton bound or its
+    family's closed form."""
+
+
 @dataclass(frozen=True)
 class EaqeccParams:
     """[[n, k, d; c]]_q plus EA-Singleton saturation status."""
@@ -67,8 +72,6 @@ class EaqeccParams:
 
 def ebit_count(H: Matrix, q: int) -> int:
     """c = rank(H H^dagger), the number of maximally entangled states."""
-    if H.nrows == 0:
-        return 0
     return matrix_rank(mat_mul(H, hermitian_adjoint(H, q)))
 
 
@@ -77,9 +80,10 @@ def ea_singleton_check(params: EaqeccParams) -> bool:
     means the construction is broken and raises."""
     slack = params.n + params.c - params.k - 2 * (params.d - 1)
     if slack < 0:
-        raise ValueError(f"EA-Singleton bound violated by {params.label()}")
+        raise VerificationError(
+            f"EA-Singleton bound violated by {params.label()}")
     if not 0 <= params.c <= params.n - 1:
-        raise ValueError(f"ebit count c={params.c} outside [0, n-1]")
+        raise VerificationError(f"ebit count c={params.c} outside [0, n-1]")
     return slack == 0
 
 
@@ -142,12 +146,9 @@ class FamilySpec:
 
     def closed_form_k(self, q: int, d: int, t: int | None = None,
                       n: int | None = None) -> int:
-        n = self.length(q, t, n)
-        if self.family == "iv":
-            return n - 2 * d + 4
-        if self.family == "v":
-            return n - 2 * d + t + 2
-        return n - 2 * d + 3
+        """k = n + c + 2 - 2d, the EA-Singleton bound n + c - k = 2(d - 1)
+        met with equality."""
+        return self.length(q, t, n) + self.expected_c(t) + 2 - 2 * d
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -220,11 +221,11 @@ def enumerate_family(family: str, q: int, t: int | None = None,
                     d, spec.expected_c(t))
         got = (params.n, params.k, params.d, params.c)
         if got != expected:
-            raise AssertionError(
+            raise VerificationError(
                 f"family {family} q={q} d={d}: constructed {got} != "
                 f"closed form {expected}")
         if not params.saturates_ea_singleton:
-            raise AssertionError(
+            raise VerificationError(
                 f"family {family} {params.label()} does not saturate "
                 "the EA-Singleton bound")
         out.append(replace(params, t=t))

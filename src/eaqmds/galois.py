@@ -4,10 +4,13 @@ Elements are stored as integers in [0, p^m): the base-p digits of the
 integer are the coefficients (ascending degree) of the element's
 polynomial representation over GF(p).  Every field carries exp/log
 tables of a primitive element, so multiplication, inversion and powers
-reduce to index arithmetic; addition is digit-wise mod p.  Arithmetic
-on polynomials modulo the field's irreducible modulus finds the primitive
-element and the multiplication matrix the tables are built from, and
-the test suite checks the tables against it.
+reduce to index arithmetic.  FieldContext owns element arithmetic for
+scalar callers and the vectorized kernels alike: `add` is the one
+digit-wise addition mod p (XOR for p = 2) and takes ints or int arrays,
+and `log_neg_one`, log(-1), is the one shift behind negation.
+Arithmetic on polynomials modulo the field's irreducible modulus finds
+the primitive element and the multiplication matrix the tables are
+built from, and the test suite checks the tables against it.
 
 The conjugation map a -> a^q (see algebra.hermitian_adjoint) backs the
 Hermitian inner product on GF(q^2)^n.
@@ -198,6 +201,8 @@ class FieldContext:
         self._mod_list = list(modulus)
         self.generator = self._find_generator()
         self.exp, self.log = self._build_tables()
+        # g^((Q-1)/2) = -1 for odd p; -1 = 1 = g^0 for p = 2
+        self.log_neg_one = 0 if p == 2 else (self.order - 1) // 2
 
     # -- construction helpers ------------------------------------------------
 
@@ -279,29 +284,27 @@ class FieldContext:
 
     # -- public arithmetic on element codes -----------------------------------
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
+        """Digit-wise sum mod p of element codes, for ints or int arrays:
+        digit i of the sum is (a // p^i + b // p^i) mod p."""
         if self.p == 2:
             return a ^ b
-        p, s, pw = self.p, 0, 1
-        for _ in range(self.m):
-            s += ((a + b) % p) * pw
-            a //= p
-            b //= p
+        p = self.p
+        out = (a + b) % p
+        pw = 1
+        for _ in range(self.m - 1):
+            a, b = a // p, b // p
             pw *= p
-        return s
+            out += (a + b) % p * pw
+        return out
 
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p, s, pw = self.p, 0, 1
-        for _ in range(self.m):
-            s += ((-a) % p) * pw
-            a //= p
-            pw *= p
-        return s
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def neg(self, a):
+        """-a by the log shift exp[log a + log(-1)], for ints or int
+        arrays."""
+        la = self.log[a]
+        if isinstance(a, np.ndarray):
+            return np.where(la >= 0, self.exp[la + self.log_neg_one], 0)
+        return int(self.exp[la + self.log_neg_one]) if a else 0
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

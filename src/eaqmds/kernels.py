@@ -1,10 +1,10 @@
 """Hot numeric kernels over table-backed finite fields, in numpy.
 
-Matrices are 2-D int64 arrays of element codes; a field is described by
-(p, m, exp, log) where exp/log are the context's discrete-log tables.
-The base-p digits of a code are the coefficients, ascending, of the
-element as a polynomial over GF(p) modulo the field's modulus f, so
-addition is digit-wise mod p.
+Matrices are 2-D int64 arrays of element codes, and every kernel takes
+the field's FieldContext: its exp/log tables, its digit-wise `add` and
+its log(-1) shift.  The base-p digits of a code are the coefficients,
+ascending, of the element as a polynomial over GF(p) modulo the field's
+modulus f, so addition is digit-wise mod p.
 
 Products.  For odd p, A @ B is computed on digit planes: A and B split
 into their m digit planes A_i, B_j (float64, entries in [0, p)), one
@@ -19,11 +19,11 @@ raises ValueError beyond it.  For p = 2 the entry products are read off
 the log tables and XOR-summed, over chunks of the inner axis so that
 the product tensor is never held whole.
 
-Elimination negates by shifting logs by log(-1) = (Q-1)/2 (0 for p = 2)
-and adds digit-wise.  rank needs only forward elimination; eliminate's
-reduced row echelon form also clears above each pivot.  Digit-wise
-addition measured faster than Zech-log addition on GF(q^2) for prime q,
-the fields most codes live in.
+Elimination negates by shifting logs by log(-1) and adds digit-wise.
+rank and eliminate share one forward pass, which clears below each
+pivot; eliminate's back pass then scales the pivots to 1 and clears
+above them.  Digit-wise addition measured faster than Zech-log addition
+on GF(q^2) for prime q, the fields most codes live in.
 
 The two distance oracles avoid per-item Python loops: the minor oracle
 eliminates a batch of k x k column minors as one (B, k, k) tensor, and
@@ -35,37 +35,12 @@ first table, has weight n minus the number of coordinates where s and h
 agree, so each codeword costs one integer comparison per coordinate and
 no field product.
 """
-
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
-
-
-def _add_arrays(a, b, p, m):
-    """Digit-wise sum mod p: digit i of the sum is (a // p^i + b // p^i)
-    mod p."""
-    if p == 2:
-        return a ^ b
-    out = (a + b) % p
-    pw = 1
-    for _ in range(m - 1):
-        a, b = a // p, b // p
-        pw *= p
-        out += (a + b) % p * pw
-    return out
-
-
-def _scale_row(row, factor, exp, log):
-    """factor * row, vectorized through the log table."""
-    if factor == 0:
-        return np.zeros_like(row)
-    out = np.zeros_like(row)
-    nz = row != 0
-    out[nz] = exp[log[row[nz]] + log[factor]]
-    return out
 
 
 # float64 integers are exact below 2^53
@@ -101,7 +76,8 @@ def _mod(x, p):
     return x - p * np.floor(x / p)
 
 
-def _plane_product(A, B, p, m, fold):
+def _plane_product(A, B, ctx):
+    p, m = ctx.p, ctx.m
     rows, inner = A.shape
     cols = B.shape[1]
     if inner * m * (p - 1) ** 2 >= _EXACT:
@@ -115,12 +91,13 @@ def _plane_product(A, B, p, m, fold):
     for i in range(m):
         coeffs[i:i + m] += prods[i].transpose(1, 0, 2)
     coeffs = _mod(coeffs.reshape(2 * m - 1, rows * cols), p)
-    digits = _mod(fold @ coeffs, p)
+    digits = _mod(_fold(ctx) @ coeffs, p)
     codes = p ** np.arange(m, dtype=np.float64) @ digits
     return codes.astype(np.int64).reshape(rows, cols)
 
 
-def _xor_product(A, B, exp, log):
+def _xor_product(A, B, ctx):
+    exp, log = ctx.exp, ctx.log
     rows, inner = A.shape
     cols = B.shape[1]
     la, lb = log[A], log[B]  # log 0 = -1
@@ -133,41 +110,23 @@ def _xor_product(A, B, exp, log):
     return out
 
 
-def _eliminate(M, exp, log, p, m, Q):
-    rows, cols = M.shape
-    neg_one = 0 if p == 2 else (Q - 1) // 2  # log(-1)
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            M[[r, pivot]] = M[[pivot, r]]
-        inv = exp[(Q - 1) - log[M[r, c]]]
-        M[r] = _scale_row(M[r], int(inv), exp, log)
-        col = M[:, c].copy()
-        col[r] = 0
-        rows_nz = np.nonzero(col)[0]
-        if rows_nz.size:
-            lneg = (log[col[rows_nz]] + neg_one) % (Q - 1)  # log(-factor)
-            upd = np.zeros((rows_nz.size, cols), dtype=np.int64)
-            frow = M[r]
-            fnz = frow != 0
-            upd[:, fnz] = exp[lneg[:, None] + log[frow[fnz]][None, :]]
-            M[rows_nz] = _add_arrays(M[rows_nz], upd, p, m)
-        r += 1
-        if r == rows:
-            break
-    return r
+def matmul(A: np.ndarray, B: np.ndarray, ctx) -> np.ndarray:
+    """A @ B over the field: digit planes through BLAS for odd p, chunked
+    XOR sums of log-table products for p = 2."""
+    if ctx.p == 2:
+        return _xor_product(A, B, ctx)
+    return _plane_product(A, B, ctx)
 
 
-def _rank(M, exp, log, p, m, Q):
-    """Rank by forward elimination (M is overwritten): each pivot clears
-    only the rows below it, and only right of its column, because the
-    pivot row is zero left of it."""
+def _forward(M, ctx) -> list[int]:
+    """Forward elimination of M in place; returns the pivot columns.
+    Each pivot clears only the rows below it, and only right of its
+    column, because the pivot row is zero left of it.  So the entries
+    left of each pivot and the rows past the last one are left
+    unreduced."""
+    exp, log, top = ctx.exp, ctx.log, ctx.order - 1
     rows, cols = M.shape
-    neg_one = 0 if p == 2 else (Q - 1) // 2  # log(-1)
+    pivots = []
     r = 0
     for c in range(cols):
         nz = M[r:, c].nonzero()[0]
@@ -177,27 +136,59 @@ def _rank(M, exp, log, p, m, Q):
             M[[r, r + nz[0]]] = M[[r + nz[0], r]]
         # the old row r moved to the pivot's slot is zero in column c
         below = nz[1:] + r
+        pivots.append(c)
         r += 1
         if r == rows:
             break
         if below.size:
             lrow = log[M[r - 1, c + 1:]]
             # log of -(entry / pivot), the factor that clears each row
-            lf = (log[M[below, c]] + neg_one - log[M[r - 1, c]]) % (Q - 1)
+            lf = (log[M[below, c]] + ctx.log_neg_one - log[M[r - 1, c]]) % top
             upd = np.where(lrow >= 0, exp[lf[:, None] + np.maximum(lrow, 0)], 0)
-            M[below, c + 1:] = _add_arrays(M[below, c + 1:], upd, p, m)
-    return r
+            M[below, c + 1:] = ctx.add(M[below, c + 1:], upd)
+    return pivots
+
+
+def rank(M: np.ndarray, ctx) -> int:
+    return len(_forward(M.copy(), ctx))
+
+
+def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form (copy) and its pivot columns: the forward
+    pass, then a back pass that zeroes what it left unreduced, scales each
+    pivot row to 1 and clears each pivot column bottom-up."""
+    exp, log, top = ctx.exp, ctx.log, ctx.order - 1
+    R = M.copy()
+    pivots = _forward(R, ctx)
+    r = len(pivots)
+    R[r:] = 0
+    for i, c in enumerate(pivots):
+        R[i, :c] = 0
+    lr = log[R[:r]]
+    lp = lr[np.arange(r), pivots]
+    R[:r] = np.where(lr >= 0, exp[(lr - lp[:, None]) % top], 0)
+    for i in range(r - 1, 0, -1):
+        c = pivots[i]
+        above = R[:i, c].nonzero()[0]
+        if above.size:
+            # row i is 1 at c and zero left of it: add -(entry) * row i
+            lrow = log[R[i, c:]]
+            lf = (log[R[above, c]] + ctx.log_neg_one) % top
+            upd = np.where(lrow >= 0, exp[lf[:, None] + np.maximum(lrow, 0)], 0)
+            R[above, c:] = ctx.add(R[above, c:], upd)
+    return R, pivots
 
 
 # Rows of the low span table, and codewords per comparison: 2^14
 _SPAN_ROWS = 1 << 14
 
 
-def _span(rows, exp, log, p, m, Q):
+def _span(rows, ctx):
     """All Q**len(rows) combinations of `rows`, by field additions:
     S_0 = {0} and S_{i+1} = S_i + a * rows[i] for a in code order, so
     row id r of the table is the combination whose coefficients are the
     base-Q digits of r, and S[:Q**j] spans the first j rows."""
+    exp, log, Q = ctx.exp, ctx.log, ctx.order
     n = rows.shape[1]
     S = np.zeros((1, n), dtype=np.int64)
     la = log[1:Q, None]
@@ -205,7 +196,7 @@ def _span(rows, exp, log, p, m, Q):
         multiples = np.zeros((Q, n), dtype=np.int64)  # a * g, a in code order
         nz = g != 0
         multiples[1:, nz] = exp[la + log[g[nz]]]
-        S = _add_arrays(multiples[:, None], S[None], p, m).reshape(-1, n)
+        S = ctx.add(multiples[:, None], S[None]).reshape(-1, n)
     return S
 
 
@@ -224,12 +215,14 @@ def _zero_counts(low, heads, n):
     return zeros
 
 
-def _min_weight(G, exp, log, p, m, Q):
-    """Projective enumeration: scaling a message by a nonzero field
-    element keeps the codeword's weight, so only messages whose highest
-    nonzero digit is 1 are visited.  Messages split at L, the largest
-    L <= k with Q**L <= _SPAN_ROWS: the low table spans rows 0..L-1, and
-    for leading position j each high part h = G_j + sum_{L<=i<j} m_i G_i
+def min_weight(G: np.ndarray, ctx) -> int:
+    """Exact minimum Hamming weight of the span of G's rows.
+
+    Projective enumeration: scaling a message by a nonzero field element
+    keeps the codeword's weight, so only messages whose highest nonzero
+    digit is 1 are visited.  Messages split at L, the largest L <= k
+    with Q**L <= _SPAN_ROWS: the low table spans rows 0..L-1, and for
+    leading position j each high part h = G_j + sum_{L<=i<j} m_i G_i
     meets the low span S = low[:Q**min(j, L)].  S is closed under
     negation, so the codewords s + h are the h - s, and the weight of
     h - s is n minus the count of s_c = h_c: one integer comparison per
@@ -238,18 +231,17 @@ def _min_weight(G, exp, log, p, m, Q):
     low table.  Codewords with n zeros (G rank-deficient) are skipped;
     n + 1 means every codeword is zero."""
     k, n = G.shape
+    Q = ctx.order
     levels = 0
     while levels < k and Q ** (levels + 1) <= _SPAN_ROWS:
         levels += 1
     dtype = _narrow(Q - 1)
-    low = np.ascontiguousarray(_span(G[:levels], exp, log, p, m, Q).T,
-                               dtype=dtype)
-    high = _span(G[levels:k - 1], exp, log, p, m, Q)
+    low = np.ascontiguousarray(_span(G[:levels], ctx).T, dtype=dtype)
+    high = _span(G[levels:k - 1], ctx)
     most = -1  # most zero coordinates of a nonzero codeword
     for j in range(k):
         table = low[:, :Q ** min(j, levels)]
-        heads = _add_arrays(high[:Q ** max(0, j - levels)], G[j], p, m)
-        heads = heads.astype(dtype)
+        heads = ctx.add(high[:Q ** max(0, j - levels)], G[j]).astype(dtype)
         step = max(1, _SPAN_ROWS // table.shape[1])
         for lo in range(0, len(heads), step):
             zeros = _zero_counts(table, heads[lo:lo + step], n)
@@ -265,15 +257,15 @@ def _min_weight(G, exp, log, p, m, Q):
 _MINOR_BATCH = 1 << 12
 
 
-def _first_singular(M, exp, log, p, m, Q):
+def _first_singular(M, ctx):
     """Offset of the first singular matrix in a (B, k, k) batch, -1 if
     none.  Forward elimination runs on every matrix at once: column c
     takes a per-matrix pivot row from rows c.. (row c moves into its
     slot), scaled so that adding (row * factor) clears the rows below.
     A matrix with no pivot in some column is singular; only the matrices
     before it can still change the answer, so the batch is cut there."""
+    exp, log, top = ctx.exp, ctx.log, ctx.order - 1
     k = M.shape[1]
-    neg_one = 0 if p == 2 else (Q - 1) // 2  # log(-1)
     first = -1
     for c in range(k):
         nz = M[:, c:, c] != 0
@@ -290,18 +282,20 @@ def _first_singular(M, exp, log, p, m, Q):
         # log of -(pivot row)/pivot, so that M[i] + M[i, c] * scaled row
         # clears column c
         lp = log[prow]
-        shift = (neg_one - lp[:, :1]) % (Q - 1)
-        lr = np.where(lp[:, 1:] >= 0, (lp[:, 1:] + shift) % (Q - 1), -1)
+        shift = (ctx.log_neg_one - lp[:, :1]) % top
+        lr = np.where(lp[:, 1:] >= 0, (lp[:, 1:] + shift) % top, -1)
         lf = log[M[:, c + 1:, c]]
         upd = np.where((lf[:, :, None] >= 0) & (lr[:, None, :] >= 0),
                        exp[np.maximum(lf[:, :, None] + lr[:, None, :], 0)], 0)
-        M[:, c + 1:, c + 1:] = _add_arrays(M[:, c + 1:, c + 1:], upd, p, m)
+        M[:, c + 1:, c + 1:] = ctx.add(M[:, c + 1:, c + 1:], upd)
     return first
 
 
-def _first_singular_minor(G, exp, log, p, m, Q, start_index):
-    """Walk the column subsets from `start_index` in batches of
-    _MINOR_BATCH and eliminate each batch as one (B, k, k) tensor."""
+def first_singular_minor(G: np.ndarray, ctx, start_index: int = 0) -> int:
+    """Lexicographic index of the first singular k x k minor, -1 if none.
+    `start_index` allows resuming a long enumeration.  The column subsets
+    from `start_index` are walked in batches of _MINOR_BATCH, each
+    eliminated as one (B, k, k) tensor."""
     k, n = G.shape
     if k == 0:
         return -1
@@ -313,57 +307,15 @@ def _first_singular_minor(G, exp, log, p, m, Q, start_index):
         if cols.shape[0] == 0:
             return -1
         batch = np.ascontiguousarray(G[:, cols].transpose(1, 0, 2))
-        offset = _first_singular(batch, exp, log, p, m, Q)
+        offset = _first_singular(batch, ctx)
         if offset >= 0:
             return start + offset
         start += cols.shape[0]
 
 
-# ---------------------------------------------------------------------------
-# public entry points
-# ---------------------------------------------------------------------------
-
-def _field_args(ctx):
-    return ctx.exp, ctx.log, ctx.p, ctx.m, ctx.order
-
-
-def matmul(A: np.ndarray, B: np.ndarray, ctx) -> np.ndarray:
-    """A @ B over the field: digit planes through BLAS for odd p, chunked
-    XOR sums of log-table products for p = 2."""
-    if ctx.p == 2:
-        return _xor_product(A, B, ctx.exp, ctx.log)
-    return _plane_product(A, B, ctx.p, ctx.m, _fold(ctx))
-
-
-def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, int]:
-    """Reduced row echelon form (copy) and rank."""
-    exp, log, p, m, Q = _field_args(ctx)
-    work = M.copy()
-    return work, _eliminate(work, exp, log, p, m, Q)
-
-
-def rank(M: np.ndarray, ctx) -> int:
-    exp, log, p, m, Q = _field_args(ctx)
-    return _rank(M.copy(), exp, log, p, m, Q)
-
-
-def min_weight(G: np.ndarray, ctx) -> int:
-    """Exact minimum Hamming weight of the span of G's rows."""
-    exp, log, p, m, Q = _field_args(ctx)
-    return _min_weight(G, exp, log, p, m, Q)
-
-
-def first_singular_minor(G: np.ndarray, ctx, start_index: int = 0) -> int:
-    """Lexicographic index of the first singular k x k minor, -1 if none.
-    `start_index` allows resuming a long enumeration."""
-    exp, log, p, m, Q = _field_args(ctx)
-    return _first_singular_minor(G, exp, log, p, m, Q, start_index)
-
-
 def pow_entries(M: np.ndarray, e: int, ctx) -> np.ndarray:
     """Entrywise M^e (used for the conjugation a -> a^q)."""
-    exp, log, *_ = _field_args(ctx)
     out = np.zeros_like(M)
     nz = M != 0
-    out[nz] = exp[(log[M[nz]] * e) % (ctx.order - 1)]
+    out[nz] = ctx.exp[(ctx.log[M[nz]] * e) % (ctx.order - 1)]
     return out

@@ -84,8 +84,6 @@ def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
 
 def dual_containment_matrix_oracle(H: Matrix, q: int) -> bool:
     """True iff H H^dagger = 0 (matrix route to Hermitian dual containment)."""
-    if H.nrows == 0:
-        return True
     return mat_mul(H, hermitian_adjoint(H, q)).is_zero()
 
 
@@ -132,10 +130,12 @@ class SweepReport:
         if not entry["ok"]:
             self.failures.append(entry)
 
+    def to_dict(self) -> dict:
+        return {"lemma": self.lemma, "instances": len(self.entries),
+                "failures": len(self.failures), "entries": self.entries}
+
     def to_json(self) -> str:
-        doc = {"lemma": self.lemma, "instances": len(self.entries),
-               "failures": len(self.failures), "entries": self.entries}
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [f"lemma {self.lemma}: {len(self.entries)} instances, "

@@ -22,11 +22,13 @@ def ref_matmul(A, B, ctx):
 
 
 def ref_rref(M, ctx):
-    """Reduced row echelon form and rank by Gauss-Jordan elimination."""
+    """Reduced row echelon form and pivot columns by Gauss-Jordan
+    elimination."""
     R = [[int(v) for v in row] for row in M]
     rows, cols = M.shape
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         piv = next((i for i in range(r, rows) if R[i][c]), None)
         if piv is None:
             continue
@@ -37,10 +39,10 @@ def ref_rref(M, ctx):
             if i != r and R[i][c]:
                 f = ctx.neg(R[i][c])
                 R[i] = [ctx.add(a, ctx.mul(f, b)) for a, b in zip(R[i], R[r])]
-        r += 1
-        if r == rows:
+        pivots.append(c)
+        if len(pivots) == rows:
             break
-    return np.array(R, dtype=np.int64).reshape(rows, cols), r
+    return np.array(R, dtype=np.int64).reshape(rows, cols), pivots
 
 
 def ref_min_weight(G, ctx):

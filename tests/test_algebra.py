@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqmds.algebra import (
     Matrix,
@@ -57,7 +59,7 @@ def test_polynomial_eval_and_mul(gf16):
 
 
 def test_adjoint_identity_and_involution(gf9):
-    I = Matrix.identity(gf9, 4)
+    I = Matrix(gf9, np.eye(4))
     assert hermitian_adjoint(I, 3) == I
     rng = np.random.default_rng(2)
     M = Matrix(gf9, rng.integers(0, 9, (3, 5)))
@@ -72,7 +74,9 @@ def test_adjoint_of_all_ones_row(gf16):
 
 def test_rank_examples(gf9):
     assert matrix_rank(Matrix(gf9, np.zeros((3, 4), dtype=np.int64))) == 0
-    assert matrix_rank(Matrix.identity(gf9, 5)) == 5
+    assert matrix_rank(Matrix(gf9, np.eye(5))) == 5
+    for shape in [(0, 4), (3, 0)]:
+        assert matrix_rank(Matrix(gf9, np.zeros(shape, dtype=np.int64))) == 0
 
 
 def test_gram_rank_of_small_cyclic_code():
@@ -101,11 +105,11 @@ def test_gram_rank_of_small_cyclic_code():
 def test_mat_mul_identity_and_errors(gf9):
     rng = np.random.default_rng(0)
     A = Matrix(gf9, rng.integers(0, 9, (3, 4)))
-    assert mat_mul(A, Matrix.identity(gf9, 4)) == A
+    assert mat_mul(A, Matrix(gf9, np.eye(4))) == A
     with pytest.raises(ValueError):
-        mat_mul(A, Matrix.identity(gf9, 3))
+        mat_mul(A, Matrix(gf9, np.eye(3)))
     with pytest.raises(ValueError):
-        mat_mul(A, Matrix.identity(build_field(2, 2), 4))
+        mat_mul(A, Matrix(build_field(2, 2), np.eye(4)))
 
 
 def test_all_ones_gram_is_n_mod_p(gf9):
@@ -127,7 +131,9 @@ def test_dual_containing_gram_vanishes():
 
 
 def test_nullspace_identity_and_all_ones(gf9):
-    assert nullspace_basis(Matrix.identity(gf9, 4)).nrows == 0
+    assert nullspace_basis(Matrix(gf9, np.eye(4))).nrows == 0
+    empty = Matrix(gf9, np.zeros((0, 4), dtype=np.int64))
+    assert nullspace_basis(empty) == Matrix(gf9, np.eye(4))
     h0 = Matrix(gf9, np.ones((1, 4), dtype=np.int64))
     G = nullspace_basis(h0)
     assert G.nrows == 3
@@ -156,6 +162,33 @@ def test_rank_invariants(pm):
         assert matrix_rank(G) == G.nrows
 
 
+@st.composite
+def deficient_matrices(draw):
+    """A random matrix whose last row is a multiple (maybe zero) of its
+    first, with up to two zero columns."""
+    ctx = build_field(*draw(st.sampled_from(
+        [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2)])))
+    rows, cols = draw(st.integers(2, 6)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.integers(0, ctx.order, (rows, cols)).astype(np.int64)
+    scale = draw(st.integers(0, ctx.order - 1))
+    M[-1] = [ctx.mul(scale, int(v)) for v in M[0]]
+    for c in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        M[:, c] = 0
+    return ctx, M
+
+
+@settings(max_examples=80, deadline=None)
+@given(deficient_matrices())
+def test_nullspace_basis_property(case):
+    ctx, M = case
+    G = nullspace_basis(Matrix(ctx, M)).data
+    rank = len(ref_rref(M, ctx)[1])
+    assert G.shape == (M.shape[1] - rank, M.shape[1])
+    assert not ref_matmul(M, G.T, ctx).any()
+    assert len(ref_rref(G, ctx)[1]) == G.shape[0]
+
+
 @pytest.mark.parametrize("pm", [(2, 2), (3, 2)])
 def test_matmul_associativity(pm):
     ctx = build_field(*pm)
@@ -181,12 +214,13 @@ def test_matrix_ops_match_python_reference():
         data = rng.integers(0, ctx.order, (4, 7))
         data[3] = data[0]
         M = Matrix(ctx, data)
-        R_ref, r_ref = ref_rref(M.data, ctx)
+        R_ref, pivots_ref = ref_rref(M.data, ctx)
         R, pivots = rref(M)
-        assert matrix_rank(M) == r_ref == len(pivots) == 3
+        assert matrix_rank(M) == len(pivots) == 3
+        assert pivots == tuple(pivots_ref)
         assert np.array_equal(R.data, R_ref)
         G = nullspace_basis(M)
-        assert G.nrows == 7 - r_ref
+        assert G.nrows == 7 - len(pivots)
         assert not ref_matmul(M.data, G.data.T, ctx).any()
         other = rng.integers(0, ctx.order, (7, 3))
         assert np.array_equal(mat_mul(M, Matrix(ctx, other)).data,

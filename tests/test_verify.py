@@ -58,7 +58,7 @@ def test_exhaustive_budget_routing():
 
 
 def test_minor_oracle_cases(gf9):
-    assert mds_minor_oracle(Matrix.identity(gf9, 3))
+    assert mds_minor_oracle(Matrix(gf9, np.eye(3)))
     bad = Matrix(gf9, [[1, 2, 1], [2, 1, 2]])  # repeated column
     assert not mds_minor_oracle(bad)
     code = build_classical("i", 4, 6)
