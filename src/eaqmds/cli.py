@@ -120,34 +120,19 @@ _FORMATTERS = {"json": records_to_json, "csv": records_to_csv,
 
 
 def _applicable_families(q: int, t: int | None) -> list[str]:
-    fams = []
-    for name, spec in FAMILIES.items():
-        if spec.needs_t and t is None:
-            continue
-        if spec.admissible_q(q, t):
-            fams.append(name)
-    return fams
+    return [name for name, spec in FAMILIES.items() if spec.admissible_q(q, t)]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    tasks = []
+    t0 = time.perf_counter()
+    params: list[EaqeccParams] = []
     for q in args.q_values:
         fams = (_applicable_families(q, args.t) if args.family == "all"
                 else [args.family])
         for fam in fams:
-            spec = FAMILIES[fam]
-            t = args.t if spec.needs_t else None
-            if not spec.admissible_q(q, t):
-                print(f"error: q={q} (t={t}) not admissible for family {fam}",
-                      file=sys.stderr)
-                return USAGE_ERROR
-            tasks.append((fam, q, t))
-
-    t0 = time.perf_counter()
-    params: list[EaqeccParams] = []
-    for fam, q, t in tasks:
-        n = args.n if fam in ("i", "iii") else None
-        params.extend(enumerate_family(fam, q, t, n=n))
+            t = args.t if FAMILIES[fam].needs_t else None
+            n = args.n if fam in ("i", "iii") else None
+            params.extend(enumerate_family(fam, q, t, n=n))
     if args.d is not None:
         params = [p for p in params if p.d == args.d]
         if not params:
@@ -217,7 +202,7 @@ def table_rows(q: int, t: int | None) -> list[dict]:
         tt = t if spec.needs_t else None
         params = enumerate_family(fam, q, tt)
         n = spec.length(q, tt)
-        ds = list(spec.d_values(q, tt))  # the full range, k = 0 included
+        ds = list(spec.instances(q, tt))  # the full range, k = 0 included
         rows.append({
             "length": n,
             "family": fam,

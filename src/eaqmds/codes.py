@@ -140,8 +140,7 @@ def _independent_rows(H: Matrix) -> bool:
     return matrix_rank(H) == rows
 
 
-def constacyclic_code(ctx: ConstacyclicContext, Z: DefiningSet,
-                      family: str | None = None) -> ClassicalCode:
+def constacyclic_code(ctx: ConstacyclicContext, Z: DefiningSet) -> ClassicalCode:
     """Code with roots {eta^z : z in Z}; k = n - |Z|, d from the BCH bound."""
     if Z.modulus != ctx.r * ctx.n or Z.r != ctx.r:
         raise ValueError("defining set does not match the constacyclic context")
@@ -157,7 +156,7 @@ def constacyclic_code(ctx: ConstacyclicContext, Z: DefiningSet,
         raise ValueError("parity-check rows are not independent")
     d = bch_design_distance(Z) if zs else 1
     return ClassicalCode(n=n, k=n - len(zs), d_design=d, H=Hm, q=ctx.q,
-                         defining_set=Z, family=family)
+                         defining_set=Z)
 
 
 def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> ClassicalCode:

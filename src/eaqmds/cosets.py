@@ -4,8 +4,10 @@ A defining set Z lives modulo rn and is restricted to
 Omega = {1 + ri : 0 <= i < n} (all residues when r = 1).  Negative
 index notation from the construction recipes is normalized to
 canonical residues at build time.  parameter_ranges owns each family's
-length and the admissible range of its defining-set parameters; the
-family table, the lemma sweeps and defining_set itself all read them
+length and the admissible range of its construction parameters: the
+defining-set parameters of the constacyclic families i and iii-v, and
+the number r of parity rows of family ii's extended Reed-Solomon code.
+The family table, the lemma sweeps and defining_set itself all read them
 from there.
 """
 
@@ -72,9 +74,10 @@ def parameter_ranges(family: str, q: int, n: int | None = None,
                      t: int | None = None, odd: bool = False
                      ) -> tuple[int, dict[str, range]]:
     """Length n of one family instance and the admissible range of each of
-    its defining-set parameters; ValueError when (q, n, t) admits none.
+    its construction parameters; ValueError when (q, n, t) admits none.
 
     family "i"  : n | q^2+1 (default q^2+1), 0 <= delta <= n // (q+1)
+    family "ii" : n = q^2, q <= r <= 2q-2 parity rows (d = r + 1)
     family "iii": n | q^2-1 (default q^2-1), odd <= delta <= n // (q+1) - 1
     family "iv" : odd q, n = (q^2-1)/2, 0 <= delta1 <= (q-1)/2 - 1 and
                   (q+1)/2 <= delta2 <= q-1
@@ -104,8 +107,7 @@ def parameter_ranges(family: str, q: int, n: int | None = None,
                      (t + 1) * (q + 1) // (2 * t) - 1)
         return (qsq - 1) // t, {"delta1": span, "delta2": span}
     if family == "ii":
-        raise ValueError("family ii (extended RS) is not constacyclic and "
-                         "has no defining set")
+        return qsq, {"r": range(q, 2 * q - 1)}
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -124,6 +126,9 @@ def defining_set(family: str, q: int, *, delta: int | None = None,
     family "v"  : constacyclic order t, consecutive singleton cosets around
                   the anchor exponent (t-1)(q-1)/2
     """
+    if family == "ii":
+        raise ValueError("family ii (extended RS) is not constacyclic and "
+                         "has no defining set")
     n, ranges = parameter_ranges(family, q, n, t, odd)
     given = {"delta": delta, "delta1": delta1, "delta2": delta2}
     for name, span in ranges.items():

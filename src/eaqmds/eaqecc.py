@@ -4,10 +4,11 @@ A classical [n, k_cl, d]_{q^2} code with parity check H yields an
 [[n, 2 k_cl - n + c, d; c]]_q EAQECC where c = rank(H H^dagger); the
 EA-Singleton bound n + c - k >= 2(d - 1) must hold with equality for
 the MDS families.  Family enumerators construct every code and verify
-the closed-form parameters instead of printing them.  A family's length,
-admissible q and distances follow from cosets.parameter_ranges, and
-build_classical is the one place that turns a family instance, given by
-its distance or by explicit defining-set parameters, into a code.
+the closed-form parameters instead of printing them.  A family's length
+and admissible q follow from cosets.parameter_ranges.  FamilySpec.instances
+is the one map from an admissible distance to the parameters that build
+it, and build_classical is the one constructor that turns a family
+instance, given by its distance or by explicit parameters, into a code.
 """
 
 from __future__ import annotations
@@ -115,31 +116,37 @@ class FamilySpec:
     def admissible_q(self, q: int, t: int | None = None) -> bool:
         try:
             factor_prime_power(q)
-            if self.family != "ii":
-                parameter_ranges(self.family, q, t=t)
+            parameter_ranges(self.family, q, t=t)
         except ValueError:
             return False
         return True
 
     def length(self, q: int, t: int | None = None, n: int | None = None) -> int:
-        if self.family == "ii":
-            return q * q
         return parameter_ranges(self.family, q, n, t)[0]
 
-    def d_values(self, q: int, t: int | None = None,
-                 n: int | None = None) -> list[int]:
-        """Admissible minimum distances, ascending: d = |Z| + 1."""
-        if self.family == "ii":
-            return list(range(q + 1, 2 * q))
+    def instances(self, q: int, t: int | None = None,
+                  n: int | None = None) -> dict[int, dict]:
+        """Each admissible minimum distance, ascending, mapped to the
+        parameters that build it: r = d - 1 parity rows (family ii),
+        d = 2 delta + 2 (family i, and family iii at even d),
+        d = 2 delta + 1 with odd=True (family iii at odd d), and
+        d = delta1 + delta2 + 2 with delta2 as large as its range allows
+        (families iv and v)."""
         ranges = parameter_ranges(self.family, q, n, t)[1]
-        if self.family == "i":
-            return [2 * delta + 2 for delta in ranges["delta"]]
-        if self.family == "iii":
-            # even d = 2 delta + 2, odd d = 2 delta + 1 (odd=True, delta >= 1)
-            return list(range(2, 2 * ranges["delta"].stop + 1))
-        lo1, lo2 = ranges["delta1"].start, ranges["delta2"].start
-        hi1, hi2 = ranges["delta1"].stop - 1, ranges["delta2"].stop - 1
-        return list(range(lo1 + lo2 + 2, hi1 + hi2 + 3))
+        if self.family == "ii":
+            out = {r + 1: {"r": r} for r in ranges["r"]}
+        elif self.family in ("i", "iii"):
+            out = {2 * delta + 2: {"delta": delta} for delta in ranges["delta"]}
+            if self.family == "iii":
+                odd = parameter_ranges("iii", q, n, t, odd=True)[1]
+                out.update({2 * delta + 1: {"delta": delta, "odd": True}
+                            for delta in odd["delta"]})
+        else:
+            # delta2 ascends in the outer loop, so the last pair written
+            # for a distance has the largest delta2
+            out = {d1 + d2 + 2: {"delta1": d1, "delta2": d2}
+                   for d2 in ranges["delta2"] for d1 in ranges["delta1"]}
+        return dict(sorted(out.items()))
 
     def expected_c(self, t: int | None = None) -> int:
         return {"i": 1, "ii": 1, "iii": 1, "iv": 2}.get(self.family, t)
@@ -160,45 +167,29 @@ FAMILIES: dict[str, FamilySpec] = {
 }
 
 
-def canonical_deltas(family: str, q: int, d: int, t: int | None = None,
-                     n: int | None = None) -> dict:
-    """Defining-set parameters realizing minimum distance d: for families
-    iv and v, delta1 + delta2 = d - 2 with delta2 as large as its range
-    allows."""
-    if family == "i":
-        if d % 2:
-            raise ValueError("family i constructs even d only")
-        return {"delta": (d - 2) // 2}
-    if family == "iii":
-        if d % 2:
-            return {"delta": (d - 1) // 2, "odd": True}
-        return {"delta": (d - 2) // 2}
-    ranges = parameter_ranges(family, q, n, t)[1]
-    delta2 = min(ranges["delta2"].stop - 1, d - 2 - ranges["delta1"].start)
-    return {"delta1": d - 2 - delta2, "delta2": delta2}
-
-
 def build_classical(family: str, q: int, d: int | None, t: int | None = None,
                     n: int | None = None, field: FieldContext | None = None,
-                    **deltas: int) -> ClassicalCode:
+                    **params) -> ClassicalCode:
     """Classical code behind one family instance: at distance d, or from
-    explicit defining-set parameters (delta, or delta1 and delta2) when
-    any are given."""
-    if not deltas:
+    explicit parameters (r for family ii; delta, or delta1 and delta2, and
+    odd for the constacyclic families) when any are given."""
+    if not params:
         spec = FAMILIES[family]
         if not spec.admissible_q(q, t):
             raise ValueError(
                 f"q={q} (t={t}) not admissible for family {family}")
-        if d not in spec.d_values(q, t, n):
+        params = spec.instances(q, t, n).get(d)
+        if params is None:
             raise ValueError(f"d={d} not admissible for family {family}, q={q}")
-        if family == "ii":
-            code = extended_rs_code(q, d - 1, field=field)
-            code.family = "ii"
-            return code
-        deltas = canonical_deltas(family, q, d, t, n)
-    Z = defining_set(family, q, n=n, t=t, **deltas)
-    ctx = constacyclic_context(q, Z.n, Z.r, field=field)
-    return constacyclic_code(ctx, Z, family=family)
+    if family == "ii" and "r" in params:
+        code = extended_rs_code(q, params["r"], field=field)
+    else:
+        # family ii without r has no defining set, and defining_set says so
+        Z = defining_set(family, q, n=n, t=t, **params)
+        ctx = constacyclic_context(q, Z.n, Z.r, field=field)
+        code = constacyclic_code(ctx, Z)
+    code.family = family
+    return code
 
 
 def enumerate_family(family: str, q: int, t: int | None = None,
@@ -212,10 +203,10 @@ def enumerate_family(family: str, q: int, t: int | None = None,
     if not spec.admissible_q(q, t):
         raise ValueError(f"q={q} (t={t}) not admissible for family {family}")
     out = []
-    for d in spec.d_values(q, t, n):
+    for d, kw in spec.instances(q, t, n).items():
         if spec.closed_form_k(q, d, t, n) < 1:
             continue
-        code = build_classical(family, q, d, t, n, field=field)
+        code = build_classical(family, q, None, t, n, field=field, **kw)
         params = derive_eaqecc(code, q)
         expected = (spec.length(q, t, n), spec.closed_form_k(q, d, t, n),
                     d, spec.expected_c(t))

@@ -7,14 +7,13 @@ k x k minor of a generator matrix, equivalently every (n-k)-square minor
 of a full-rank parity check, is nonsingular).  Hermitian dual containment
 has two routes here, the coset test Z & -qZ = 0 and the matrix test
 H H^dagger = 0.  The sweep harness rebuilds every family instance that
-cosets.parameter_ranges admits and compares rank(H H^dagger) against the
-predicted ebit count.
+cosets.parameter_ranges admits, each through eaqecc.build_classical, and
+compares rank(H H^dagger) against the predicted ebit count.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,11 +24,10 @@ from .codes import (
     ClassicalCode,
     constacyclic_code,
     constacyclic_context,
-    extended_rs_code,
     generator_matrix,
 )
-from .cosets import DefiningSet, defining_set, parameter_ranges
-from .eaqecc import ebit_count
+from .cosets import DefiningSet, parameter_ranges
+from .eaqecc import build_classical, ebit_count
 
 
 @dataclass(frozen=True)
@@ -134,9 +132,6 @@ class SweepReport:
         return {"lemma": self.lemma, "instances": len(self.entries),
                 "failures": len(self.failures), "entries": self.entries}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
     def to_text(self) -> str:
         lines = [f"lemma {self.lemma}: {len(self.entries)} instances, "
                  f"{len(self.failures)} failures ({self.elapsed:.2f}s)"]
@@ -185,10 +180,7 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
                     _sweep_family(report, "iii", q, 1, n=n, odd=odd)
     elif lemma == "rank-ers":
         for q in q_list:
-            for r in range(q, 2 * q - 1):
-                H = extended_rs_code(q, r).H
-                report.add(_rank_entry("rank-ers", q, q * q, None,
-                                       {"r": r}, None, H, 1))
+            _sweep_family(report, "ii", q, 1)
     elif lemma == "nega":
         for q in q_list:
             _sweep_family(report, "iv", q, 2)
@@ -207,35 +199,33 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
 def _sweep_family(report: SweepReport, family: str, q: int, expected: int,
                   n: int | None = None, t: int | None = None,
                   odd: bool | None = None) -> None:
-    """One entry per admissible choice of the defining-set parameters of
-    one family instance; none when parameter_ranges rejects (q, n, t).
-    Entry params list t first when given, then the deltas, then odd
-    unless it is None."""
+    """One entry per admissible choice of the construction parameters of
+    one family instance, each built by build_classical; none when
+    parameter_ranges rejects (q, n, t).  Entry params list t first when
+    given, then the family's parameters, then odd unless it is None."""
     try:
         n, ranges = parameter_ranges(family, q, n, t, bool(odd))
     except ValueError:
         return
-    ctx = None
     for values in itertools.product(*ranges.values()):
-        deltas = dict(zip(ranges, values))
-        Z = defining_set(family, q, n=n, t=t, odd=bool(odd), **deltas)
-        if ctx is None:
-            ctx = constacyclic_context(q, n, Z.r)
-        H = constacyclic_code(ctx, Z).H
-        params = dict(deltas) if t is None else {"t": t, **deltas}
+        kw = dict(zip(ranges, values))
+        code = build_classical(family, q, None, t, n, odd=bool(odd), **kw)
+        Z = code.defining_set
+        params = dict(kw) if t is None else {"t": t, **kw}
         if odd is not None:
             params["odd"] = odd
         extra = {}
         if family == "v":
-            extra = _consta_intersection(q, t, deltas["delta1"],
-                                         deltas["delta2"], Z, ctx)
-        report.add(_rank_entry(report.lemma, q, n, Z.r, params, Z, H,
-                               expected, **extra))
+            extra = _consta_intersection(q, t, kw["delta1"], kw["delta2"], Z)
+        report.add(_rank_entry(report.lemma, q, n,
+                               Z.r if Z is not None else None, params, Z,
+                               code.H, expected, **extra))
 
 
-def _consta_intersection(q, t, d1, d2, Z: DefiningSet, ctx) -> dict:
+def _consta_intersection(q, t, d1, d2, Z: DefiningSet) -> dict:
     """Check that the split of Z around its anchor exponent rebuilds Z,
     |Z1 & Z2^{-q}| = (t-1)/2 and rank(H1 H2^dagger) = (t-1)/2."""
+    ctx = constacyclic_context(q, Z.n, t)
     s = (t - 1) // 2
     anchor = s * (q - 1)
     modulus = Z.modulus

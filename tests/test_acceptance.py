@@ -187,7 +187,7 @@ def test_criterion_4_distance_certification():
     checked = skipped = 0
     for family, q, t in grid:
         spec = FAMILIES[family]
-        for d in spec.d_values(q, t):
+        for d in spec.instances(q, t):
             code = build_classical(family, q, d, t)
             if code.k == 0:
                 continue

@@ -166,6 +166,17 @@ def test_distance_delta_overrides(capsys):
     assert code == 2 and "--d" in err
 
 
+def test_distance_family_ii_rejects_defining_set_parameters(capsys):
+    # extended RS codes have no defining set: a usage error, not a bug
+    code, out, err = run_cli(capsys, "distance", "--family", "ii", "--q", "3",
+                             "--delta", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: family ii (extended RS) is not constacyclic and "
+                   "has no defining set\n")
+    with pytest.raises(ValueError, match="no defining set"):
+        eaqecc.build_classical("ii", 3, None, delta=1)
+
+
 def test_distance_budget_override(capsys):
     code, out, _ = run_cli(capsys, "distance", "--family", "ii", "--q", "3",
                            "--d", "4", "--max-codewords", "10")

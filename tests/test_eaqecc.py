@@ -13,7 +13,6 @@ from eaqmds.eaqecc import (
     FAMILIES,
     EaqeccParams,
     build_classical,
-    canonical_deltas,
     derive_eaqecc,
     ea_singleton_check,
     ebit_count,
@@ -138,7 +137,7 @@ def test_family_invariants(family, q, t):
     params = enumerate_family(family, q, t)
     # every admissible distance except those whose closed form gives k = 0
     assert [p.d for p in params] == [
-        d for d in spec.d_values(q, t) if spec.closed_form_k(q, d, t) >= 1]
+        d for d in spec.instances(q, t) if spec.closed_form_k(q, d, t) >= 1]
     for p in params:
         assert ea_singleton_check(p)
         assert p.n + p.c - p.k == 2 * (p.d - 1)
@@ -170,25 +169,42 @@ def _range_instances():
 
 
 def test_canonical_deltas_cover_ranges():
-    """Each admissible distance maps to parameters inside parameter_ranges
-    that realize it, and defining_set rejects the value one below and one
-    above each range."""
+    """Each admissible distance, in ascending order, maps to parameters
+    inside parameter_ranges that realize it, with the largest admissible
+    delta2 for families iv and v and r = d - 1 parity rows for family ii;
+    defining_set rejects the value one below and one above each range."""
     for family, q, n, t, odd in _range_instances():
         ranges = parameter_ranges(family, q, n, t, odd)[1]
-        for d in FAMILIES[family].d_values(q, t, n):
-            kw = canonical_deltas(family, q, d, t, n)
+        instances = FAMILIES[family].instances(q, t, n)
+        assert list(instances) == sorted(instances)
+        for d, kw in instances.items():
+            kw = dict(kw)
             if kw.pop("odd", False) != odd:
                 continue
             assert kw.keys() == ranges.keys()
             assert all(kw[name] in span for name, span in ranges.items())
             Z = defining_set(family, q, n=n, t=t, odd=odd, **kw)
             assert len(Z) + 1 == d
+            if family in ("iv", "v"):
+                assert kw["delta2"] == max(
+                    d2 for d1 in ranges["delta1"] for d2 in ranges["delta2"]
+                    if d1 + d2 + 2 == d)
         inside = {name: span.start for name, span in ranges.items()}
         for name, span in ranges.items():
             for bad in (span.start - 1, span.stop):
                 with pytest.raises(ValueError, match="outside"):
                     defining_set(family, q, n=n, t=t, odd=odd,
                                  **{**inside, name: bad})
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        instances = FAMILIES["ii"].instances(q)
+        assert list(instances) == sorted(instances)
+        assert [kw["r"] for kw in instances.values()] == list(
+            parameter_ranges("ii", q)[1]["r"])
+        for d, kw in instances.items():
+            assert kw == {"r": d - 1}
+            code = build_classical("ii", q, d)
+            assert (code.n, code.k) == (q * q, q * q - kw["r"])
+            assert code.family == "ii"
 
 
 def test_derive_k_negative_is_error():

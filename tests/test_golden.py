@@ -1,0 +1,38 @@
+"""Golden stdout digests: the records, sweeps, tables and certifications
+that the CLI prints are pinned byte for byte.
+
+A change that means to alter output must record the new digests here
+(the sha256 of stdout, printed by the failing assertion) and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from eaqmds.cli import main
+
+GOLDEN = [
+    ("enumerate --q 2..9 --t 3",
+     "54fa60cc87a2326d012fe73317b1353f0f32b0e94aacdabf127b627c28a3981d"),
+    ("enumerate --q 2..9 --t 3 --format csv",
+     "74aa36e508da87aa08f8594089e936ba3d6a38be0d1b9f7b3590d1fee827698d"),
+    ("verify --q 3,5 --t 3",
+     "be3bb463f854bee8d13141090ad3377e71e0585726d723f72146f233fc4f070f"),
+    ("verify --lemma rank-ers --q 2..5",
+     "c17201ff7ab3f2099a78ba76b9c29c06cb6af4fc66cf4ac816b742d86b9ffc7e"),
+    ("table --q 2..9 --format json",
+     "f55ec188f3f8c96bfe8e4d873f70317605b7d23c5a522e91a90246b3ff9ff0f6"),
+    ("distance --family ii --q 3 --d 4",
+     "202e1e5650a3842e4bc25a5f5b5f0e63c12e358821b9000cdd4709c6fb0c7ada"),
+    ("distance --family iii --q 5 --d 5",
+     "7744652cccccd09410b396b8a7f28340b2e1d81399a25e73b347a59cdaf3655f"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN,
+                         ids=[command for command, _ in GOLDEN])
+def test_stdout_digest(capsys, command, digest):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

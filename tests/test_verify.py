@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -168,12 +169,12 @@ def test_consta_split_mismatch_is_reported():
     ctx = constacyclic_context(5, 8, 3)
     Z = defining_set("v", 5, t=3, delta1=2, delta2=2)
     H = constacyclic_code(ctx, Z).H
-    good = _consta_intersection(5, 3, 2, 2, Z, ctx)
+    good = _consta_intersection(5, 3, 2, 2, Z)
     assert good["split_ok"]
     assert _rank_entry("consta", 5, 8, 3, {}, Z, H, 3, **good)["ok"]
     # a defining set missing one element is not rebuilt by the split
     short = DefiningSet(Z.modulus, Z.r, Z.elements - {max(Z.elements)})
-    extra = _consta_intersection(5, 3, 2, 2, short, ctx)
+    extra = _consta_intersection(5, 3, 2, 2, short)
     assert extra["split_ok"] is False
     entry = _rank_entry("consta", 5, 8, 3, {}, short, H, 3, **extra)
     assert entry["ok"] is False and entry["split_ok"] is False
@@ -189,8 +190,29 @@ def test_run_lemma_sweep_errors():
 def test_sweep_report_serialization_is_deterministic():
     a = run_lemma_sweep("rank-ers", [3, 4])
     b = run_lemma_sweep("rank-ers", [3, 4])
-    assert a.to_json() == b.to_json()
+    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
     assert "rank-ers" in a.to_text()
+
+
+@pytest.mark.parametrize("lemma, q, t, pick, expected", [
+    ("rank-ers", 3, None, 0,
+     {"lemma": "rank-ers", "q": 3, "n": 9, "r": None, "params": {"r": 3},
+      "size_Z": None, "expected": 1, "computed": 1, "ok": True}),
+    ("rank1-minus", 3, None, -1,
+     {"lemma": "rank1-minus", "q": 3, "n": 8, "r": 1,
+      "params": {"delta": 1, "odd": True}, "size_Z": 2, "expected": 1,
+      "computed": 1, "ok": True}),
+    ("consta", 5, 3, 0,
+     {"lemma": "consta", "q": 5, "n": 8, "r": 3,
+      "params": {"t": 3, "delta1": 2, "delta2": 2}, "size_Z": 5,
+      "expected": 3, "computed": 3, "ok": True, "split_ok": True,
+      "intersection": 1, "intersection_ok": True, "cross_rank": 1,
+      "cross_rank_ok": True}),
+])
+def test_sweep_entry_schema(lemma, q, t, pick, expected):
+    """Exact entries, key order included, since `verify` prints them."""
+    entry = run_lemma_sweep(lemma, [q], [t] if t else None).entries[pick]
+    assert list(entry.items()) == list(expected.items())
 
 
 def test_minor_oracle_resume_matches_full_run():
