@@ -8,7 +8,8 @@ Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  Exit codes: 0 success,
 1 verification failure (a VerificationError included), 2 usage error
 (any other ValueError), 3 internal error (any other exception, with its
-traceback on stderr).
+traceback on stderr), 4 not certified within budget (distance reports
+the design distance only).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .verify import (
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 INTERNAL_ERROR = 3
+NOT_CERTIFIED = 4
 
 
 def _is_prime_power(q: int) -> bool:
@@ -131,7 +133,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 else [args.family])
         for fam in fams:
             t = args.t if FAMILIES[fam].needs_t else None
-            n = args.n if fam in ("i", "iii") else None
+            # --family all passes n only to the families that take it
+            n = args.n if args.family != "all" or fam in ("i", "iii") else None
             params.extend(enumerate_family(fam, q, t, n=n))
     if args.d is not None:
         params = [p for p in params if p.d == args.d]
@@ -183,7 +186,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     _emit(json.dumps(rec, indent=2) + "\n", args.output)
     if result["method"] == "design-only":
         print("budget exceeded: design-distance only", file=sys.stderr)
-        return 0
+        return NOT_CERTIFIED
     return 0 if result["is_mds"] else VERIFY_ERROR
 
 
@@ -290,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("distance", help="oracle-certify one instance")
     p_dist.add_argument("--family", required=True, choices=list(FAMILIES))
     p_dist.add_argument("--d", type=int, default=None)
-    p_dist.add_argument("--n", type=int, default=None)
+    p_dist.add_argument("--n", type=int, default=None,
+                        help="length override for families i and iii")
     p_dist.add_argument("--delta", type=int, default=None,
                         help="explicit defining-set parameter (families i, iii)")
     p_dist.add_argument("--delta1", type=int, default=None)

@@ -95,6 +95,9 @@ def parameter_ranges(family: str, q: int, n: int | None = None,
         if n < 2 or (qsq - 1) % n:
             raise ValueError(f"family iii needs n | q^2-1 with n >= 2, got n={n}")
         return n, {"delta": range(1 if odd else 0, n // (q + 1))}
+    if n is not None and family in ("ii", "iv", "v"):
+        raise ValueError(f"family {family} has a fixed length; n applies "
+                         "to families i and iii only")
     if family == "iv":
         if q % 2 == 0:
             raise ValueError("family iv needs odd q")
@@ -109,6 +112,21 @@ def parameter_ranges(family: str, q: int, n: int | None = None,
     if family == "ii":
         return qsq, {"r": range(q, 2 * q - 1)}
     raise ValueError(f"unknown family {family!r}")
+
+
+def check_parameters(family: str, q: int, n: int | None = None,
+                     t: int | None = None, odd: bool = False,
+                     **given: int | None) -> int:
+    """Length n of one family instance, once each of its construction
+    parameters is given and inside parameter_ranges; ValueError if not."""
+    n, ranges = parameter_ranges(family, q, n, t, odd)
+    for name, span in ranges.items():
+        if given.get(name) is None:
+            raise ValueError(f"family {family} needs {' and '.join(ranges)}")
+        if given[name] not in span:
+            raise ValueError(f"{name}={given[name]} outside "
+                             f"[{span.start}, {span.stop - 1}]")
+    return n
 
 
 def defining_set(family: str, q: int, *, delta: int | None = None,
@@ -129,14 +147,8 @@ def defining_set(family: str, q: int, *, delta: int | None = None,
     if family == "ii":
         raise ValueError("family ii (extended RS) is not constacyclic and "
                          "has no defining set")
-    n, ranges = parameter_ranges(family, q, n, t, odd)
-    given = {"delta": delta, "delta1": delta1, "delta2": delta2}
-    for name, span in ranges.items():
-        if given[name] is None:
-            raise ValueError(f"family {family} needs {' and '.join(ranges)}")
-        if given[name] not in span:
-            raise ValueError(f"{name}={given[name]} outside "
-                             f"[{span.start}, {span.stop - 1}]")
+    n = check_parameters(family, q, n, t, odd, delta=delta, delta1=delta1,
+                         delta2=delta2)
     qsq = q * q
     if family == "i":
         return DefiningSet(n, 1, _coset_union(range(delta + 1), n, qsq))

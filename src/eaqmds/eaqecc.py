@@ -22,7 +22,7 @@ from .codes import (
     constacyclic_context,
     extended_rs_code,
 )
-from .cosets import defining_set, parameter_ranges
+from .cosets import check_parameters, defining_set, parameter_ranges
 from .galois import FieldContext, factor_prime_power
 
 
@@ -182,6 +182,7 @@ def build_classical(family: str, q: int, d: int | None, t: int | None = None,
         if params is None:
             raise ValueError(f"d={d} not admissible for family {family}, q={q}")
     if family == "ii" and "r" in params:
+        check_parameters("ii", q, n, t, r=params["r"])
         code = extended_rs_code(q, params["r"], field=field)
     else:
         # family ii without r has no defining set, and defining_set says so

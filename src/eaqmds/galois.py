@@ -2,15 +2,19 @@
 
 Elements are stored as integers in [0, p^m): the base-p digits of the
 integer are the coefficients (ascending degree) of the element's
-polynomial representation over GF(p).  Every field carries exp/log
-tables of a primitive element, so multiplication, inversion and powers
-reduce to index arithmetic.  FieldContext owns element arithmetic for
-scalar callers and the vectorized kernels alike: `add` is the one
-digit-wise addition mod p (XOR for p = 2) and takes ints or int arrays,
-and `log_neg_one`, log(-1), is the one shift behind negation.
-Arithmetic on polynomials modulo the field's irreducible modulus finds
-the primitive element and the multiplication matrix the tables are
-built from, and the test suite checks the tables against it.
+polynomial over GF(p), taken modulo the field's irreducible modulus f.
+
+Setup works on GF(p)-linear maps of digit row vectors, as matrices mod
+p.  The companion matrix C of f is multiplication by x, and a code a
+multiplies as a(C) = sum_i a_i C^i.  Rabin's test that picks f, the
+search for a primitive element g and the exp/log tables of g, built
+from g(C), need only matrix products and powers mod p.
+
+At run time products, inverses and powers are index arithmetic in
+those tables.  FieldContext owns element arithmetic for scalar callers
+and the vectorized kernels alike: `add` is the one digit-wise addition
+mod p (XOR for p = 2) and takes ints or int arrays, and `log_neg_one`,
+log(-1), is the one shift behind negation.
 
 The conjugation map a -> a^q (see algebra.hermitian_adjoint) backs the
 Hermitian inner product on GF(q^2)^n.
@@ -24,21 +28,6 @@ import numpy as np
 
 SIZE_LIMIT = 1 << 20  # hard ceiling on field order: 24 MB of tables
 _TABLE_CHUNK = 1 << 10  # powers per block of the table build (its scratch)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def prime_factors(n: int) -> list[int]:
@@ -56,133 +45,118 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == [n]
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q = p^e with p prime; raises if q is not a prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
     fs = prime_factors(q)
     if len(fs) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = fs[0]
-    e = 0
+    p, e = fs[0], 0
     while q % p == 0:
         q //= p
         e += 1
-    if q != 1:
-        raise ValueError(f"{q * p**e} is not a prime power")
     return p, e
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p); coefficient lists ascending, not normalized
+# setup arithmetic: GF(p)-linear maps of digit row vectors
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _digits(codes, p: int, m: int) -> np.ndarray:
+    """Base-p digits, ascending, of an int or an int array of codes, on
+    a new last axis of length m."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // p ** np.arange(
+        m, dtype=np.int64) % p
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+def _first(test, lo: int, hi: int) -> int:
+    """Smallest code c in [lo, hi) that passes `test`, a mask over an
+    array of codes.  Blocks of codes double in size from 4, so a hit at
+    c costs O(log c) batched tests."""
+    size = 4
+    while lo < hi:
+        codes = np.arange(lo, min(lo + size, hi))
+        hit = np.flatnonzero(test(codes))
+        if hit.size:
+            return int(codes[hit[0]])
+        lo, size = lo + size, 2 * size
+    raise RuntimeError("no candidate passes")  # unreachable
 
 
-def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    # mod is monic
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for i in range(dm):
-                a[shift + i] = (a[shift + i] - c * mod[i]) % p
-        a.pop()
-    return _poly_trim(a)
+def _companion(f, p: int) -> np.ndarray:
+    """Multiplication by x modulo monic f on digit row vectors, for one f
+    or a stack (..., m + 1): row j holds the digits of x^(j+1), so
+    digits(a) @ C = digits(x a).  Products of digit vectors stay below
+    m * p^2 <= 2^40 for orders up to SIZE_LIMIT, so int64 is exact."""
+    f = np.asarray(f, dtype=np.int64)
+    m = f.shape[-1] - 1
+    C = np.broadcast_to(np.eye(m, k=1, dtype=np.int64),
+                        f.shape[:-1] + (m, m)).copy()
+    C[..., -1, :] = -f[..., :-1] % p
+    return C
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        # reduce a mod b (b made monic on the fly)
-        inv_lead = pow(b[-1], -1, p)
-        bm = [(c * inv_lead) % p for c in b]
-        a, b = b, _poly_mod(a, bm, p)
-    return a
+def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e mod p for e >= 1 by left-to-right square-and-multiply; M may
+    be a stack of matrices."""
+    out = M
+    for bit in bin(e)[3:]:
+        out = out @ out % p
+        if bit == "1":
+            out = out @ M % p
+    return out
 
 
-def _poly_powmod_x(e: int, mod: list[int], p: int) -> list[int]:
-    """x^e mod `mod` by square-and-multiply."""
-    result = [1]
-    base = _poly_mod([0, 1], mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
+def _times(codes, C: np.ndarray, p: int) -> np.ndarray:
+    """a(C) = sum_i a_i C^i, multiplication by the element code a, for
+    each of `codes`: row j holds the digits of a x^j, i.e. digits(a) @
+    C^j, so that digits(a b) = digits(b) @ a(C)."""
+    rows = [_digits(codes, p, len(C))]
+    for _ in range(len(C) - 1):
+        rows.append(rows[-1] @ C % p)
+    return np.stack(rows, axis=-2)
+
+
+def _irreducible(f, p: int) -> np.ndarray:
+    """Rabin's test for monic f of degree m over GF(p), one or a stack,
+    on the companion matrix C: f is irreducible iff C^(p^m) = C and, for
+    each prime l | m, N = C^(p^(m/l)) - C is a unit.  Once C^(p^m) = C,
+    GF(p)[x]/f is a product of fields GF(p^d) with d | m, so N is a unit
+    iff N^(p^m - 1) = I."""
+    C = _companion(f, p)
+    m = C.shape[-1]
+    frob = [C]  # frob[j] = C^(p^j)
+    for _ in range(m):
+        frob.append(_mat_pow(frob[-1], p, p))
+    ok = (frob[m] == C).all(axis=(-2, -1))
+    for ell in prime_factors(m):
+        N = (frob[m // ell] - C) % p
+        ok &= (_mat_pow(N, p**m - 1, p) == np.eye(m)).all(axis=(-2, -1))
+    return ok
 
 
 def is_irreducible(coeffs: list[int], p: int) -> bool:
     """Rabin's test for a monic polynomial over GF(p)."""
-    m = len(coeffs) - 1
-    if m < 1 or coeffs[-1] != 1:
+    if len(coeffs) < 2 or coeffs[-1] != 1:
         return False
-    if m == 1:
-        return True
-    # x^(p^m) == x (mod f)
-    if _poly_powmod_x(p**m, coeffs, p) != [0, 1]:
-        return False
-    for ell in prime_factors(m):
-        xk = _poly_powmod_x(p ** (m // ell), coeffs, p)
-        diff = list(xk)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(coeffs, _poly_trim(diff), p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    return bool(_irreducible(coeffs, p))
 
 
 @lru_cache(maxsize=None)
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p).
 
-    Candidates are ordered by the high-to-low coefficient tuple
-    (c_{m-1}, ..., c_0), i.e. by ascending value of the base-p encoding
-    of the non-leading coefficients.  Cached, because build_field needs
-    it to find the key of its own field cache.
+    Candidates f are ordered by the high-to-low coefficient tuple
+    (c_{m-1}, ..., c_0), i.e. by the code p^m + c whose digits they are;
+    for m = 1 that is x, giving GF(p) itself.  Cached, because
+    build_field needs it to find the key of its own field cache.
     """
-    if m == 1:
-        return (0, 1)  # x, giving GF(p) itself
-    for lower in range(p**m):
-        coeffs = _int_to_digits(lower, p, m) + [1]
-        if is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-def _int_to_digits(code: int, p: int, m: int) -> list[int]:
-    out = []
-    for _ in range(m):
-        out.append(code % p)
-        code //= p
-    return out
-
-
-def _digits_to_int(digits: list[int], p: int) -> int:
-    out = 0
-    for d in reversed(digits):
-        out = out * p + d
-    return out
+    code = _first(lambda codes: _irreducible(_digits(codes, p, m + 1), p),
+                  p**m, 2 * p**m)
+    return tuple(_digits(code, p, m + 1).tolist())
 
 
 class FieldContext:
@@ -198,41 +172,40 @@ class FieldContext:
         self.m = m
         self.order = p**m
         self.modulus = modulus
-        self._mod_list = list(modulus)
-        self.generator = self._find_generator()
-        self.exp, self.log = self._build_tables()
+        C = _companion(modulus, p)
+        self.generator = self._find_generator(C)
+        self.exp, self.log = self._build_tables(_times(self.generator, C, p))
         # g^((Q-1)/2) = -1 for odd p; -1 = 1 = g^0 for p = 2
         self.log_neg_one = 0 if p == 2 else (self.order - 1) // 2
 
     # -- construction helpers ------------------------------------------------
 
-    def _find_generator(self) -> int:
-        """Smallest element code of full multiplicative order."""
-        target = self.order - 1
-        if target == 1:
-            return 1
-        primes = prime_factors(target)
-        for cand in range(2, self.order):
-            if all(self._pow_poly(cand, target // ell) != 1 for ell in primes):
-                return cand
-        raise RuntimeError("no primitive element found")  # unreachable
+    def _find_generator(self, C: np.ndarray) -> int:
+        """Smallest element code a of full multiplicative order:
+        a(C)^((Q-1)/l) != I for every prime l | Q-1."""
+        p, target = self.p, self.order - 1
+        eye = np.eye(self.m, dtype=np.int64)
 
-    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        def full_order(codes):
+            A = _times(codes, C, p)
+            ok = np.ones(len(codes), dtype=bool)
+            for ell in prime_factors(target):
+                ok &= ~(_mat_pow(A, target // ell, p) == eye).all(axis=(-2, -1))
+            return ok
+
+        return _first(full_order, 1, self.order)
+
+    def _build_tables(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """exp[i] = g^i for 0 <= i < 2(Q-1), and log[g^i] = i, log[0] = -1.
 
-        Multiplication by g is GF(p)-linear on digit vectors: digits(g*a)
-        = digits(a) @ T, with row j of T the digits of g*x^j.  So g^(s+i)
-        has the digits of g^i times T^s.  The first block of powers comes
-        from doubling (g^(L+i) = g^i g^L for i < L); every later block is
-        the first one times T^s.  Only one block of digit vectors is held
-        at a time, never a digit matrix of the whole field.  Products of
-        digit vectors stay below m * p^2 <= 2^40 for orders up to
-        SIZE_LIMIT, so int64 is exact.
+        T = g(C) is multiplication by g on digit vectors: digits(g*a) =
+        digits(a) @ T.  So g^(s+i) has the digits of g^i times T^s.  The
+        first block of powers comes from doubling (g^(L+i) = g^i g^L for
+        i < L); every later block is the first one times T^s.  Only one
+        block of digit vectors is held at a time, never a digit matrix of
+        the whole field.
         """
         p, m, n = self.p, self.m, self.order - 1
-        g = self.generator
-        T = np.array([_int_to_digits(self._mul_poly(g, p**j), p, m)
-                      for j in range(m)], dtype=np.int64)
         size = min(_TABLE_CHUNK, n)
         block = np.zeros((size, m), dtype=np.int64)
         block[0, 0] = 1
@@ -260,27 +233,6 @@ class FieldContext:
         exp.setflags(write=False)
         log.setflags(write=False)
         return exp, log
-
-    # -- polynomial arithmetic: generator search and table build --------------
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        prod = _poly_mul(_int_to_digits(a, self.p, self.m),
-                         _int_to_digits(b, self.p, self.m), self.p)
-        return _digits_to_int(_poly_mod(prod, self._mod_list, self.p), self.p)
-
-    def _pow_poly(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        e %= self.order - 1
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
 
     # -- public arithmetic on element codes -----------------------------------
 

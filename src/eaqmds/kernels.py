@@ -291,16 +291,15 @@ def _first_singular(M, ctx):
     return first
 
 
-def first_singular_minor(G: np.ndarray, ctx, start_index: int = 0) -> int:
+def first_singular_minor(G: np.ndarray, ctx) -> int:
     """Lexicographic index of the first singular k x k minor, -1 if none.
-    `start_index` allows resuming a long enumeration.  The column subsets
-    from `start_index` are walked in batches of _MINOR_BATCH, each
+    The column subsets are walked in batches of _MINOR_BATCH, each
     eliminated as one (B, k, k) tensor."""
     k, n = G.shape
     if k == 0:
         return -1
-    subsets = islice(combinations(range(n), k), start_index, None)
-    start = start_index
+    subsets = combinations(range(n), k)
+    start = 0
     while True:
         cols = np.fromiter(chain.from_iterable(islice(subsets, _MINOR_BATCH)),
                            dtype=np.int64).reshape(-1, k)

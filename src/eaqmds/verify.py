@@ -56,17 +56,16 @@ def exhaustive_min_distance(G: Matrix, budget: OracleBudget = OracleBudget()) ->
     return kernels.min_weight(G.data, G.ctx)
 
 
-def mds_minor_oracle(G: Matrix, budget: OracleBudget = OracleBudget(),
-                     start: int = 0) -> bool:
+def mds_minor_oracle(G: Matrix, budget: OracleBudget = OracleBudget()) -> bool:
     """True iff every k x k minor of the k x n matrix G is nonsingular.
     For a generator matrix that means d = n-k+1; so does it for a full-rank
     parity check, whose every n-k columns are then independent.  Subsets
-    are visited in lexicographic order; `start` resumes."""
+    are visited in lexicographic order."""
     k, n = G.shape
     if math.comb(n, k) > budget.max_minors:
         raise BudgetExceeded(
             f"C({n},{k}) minors exceed the budget {budget.max_minors}")
-    return kernels.first_singular_minor(G.data, G.ctx, start) == -1
+    return kernels.first_singular_minor(G.data, G.ctx) == -1
 
 
 def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
@@ -204,7 +203,7 @@ def _sweep_family(report: SweepReport, family: str, q: int, expected: int,
     parameter_ranges rejects (q, n, t).  Entry params list t first when
     given, then the family's parameters, then odd unless it is None."""
     try:
-        n, ranges = parameter_ranges(family, q, n, t, bool(odd))
+        length, ranges = parameter_ranges(family, q, n, t, bool(odd))
     except ValueError:
         return
     for values in itertools.product(*ranges.values()):
@@ -217,7 +216,7 @@ def _sweep_family(report: SweepReport, family: str, q: int, expected: int,
         extra = {}
         if family == "v":
             extra = _consta_intersection(q, t, kw["delta1"], kw["delta2"], Z)
-        report.add(_rank_entry(report.lemma, q, n,
+        report.add(_rank_entry(report.lemma, q, length,
                                Z.r if Z is not None else None, params, Z,
                                code.H, expected, **extra))
 

@@ -1,6 +1,7 @@
 """Pure-Python references in context arithmetic, one element at a time,
-for the vectorized kernels and the matrix layer built on them, and the
-GF(q^4) root-evaluation route to family i that checks its trace rows."""
+for the vectorized kernels and the matrix layer built on them; schoolbook
+polynomial arithmetic modulo the field's modulus, for its log tables; and
+the GF(q^4) root-evaluation route to family i that checks its trace rows."""
 
 from itertools import product
 
@@ -59,6 +60,31 @@ def ref_min_weight(G, ctx):
         if w:
             best = min(best, w)
     return best
+
+
+def ref_poly_mul(a, b, ctx):
+    """a * b by schoolbook multiplication of the digit polynomials over
+    GF(p), reduced modulo the field's monic modulus f."""
+    p, m, f = ctx.p, ctx.m, ctx.modulus
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(digits(a, p, m)):
+        for j, y in enumerate(digits(b, p, m)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * m - 2, m - 1, -1):  # c x^k = -c x^(k-m) (f - x^m)
+        for i in range(m):
+            prod[k - m + i] = (prod[k - m + i] - prod[k] * f[i]) % p
+    return sum(c * p**i for i, c in enumerate(prod[:m]))
+
+
+def ref_poly_pow(a, e, ctx):
+    """a^e for e >= 0 by square-and-multiply on ref_poly_mul."""
+    out = 1
+    while e:
+        if e & 1:
+            out = ref_poly_mul(out, a, ctx)
+        a = ref_poly_mul(a, a, ctx)
+        e >>= 1
+    return out
 
 
 def ref_order(ctx, a):

@@ -149,7 +149,7 @@ def test_distance_cli(capsys):
 def test_distance_design_only(capsys):
     code, out, err = run_cli(capsys, "distance", "--family", "v", "--q", "27",
                              "--t", "7", "--d", "26")
-    assert code == 0
+    assert code == 4  # not certified within budget
     rec = json.loads(out)
     assert rec["method"] == "design-only" and rec["is_mds"] is None
     assert "design-distance only" in err
@@ -175,6 +175,30 @@ def test_distance_family_ii_rejects_defining_set_parameters(capsys):
                    "has no defining set\n")
     with pytest.raises(ValueError, match="no defining set"):
         eaqecc.build_classical("ii", 3, None, delta=1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "--family", "ii", "--q", "3", "--d", "4", "--n", "5"),
+    ("distance", "--family", "iv", "--q", "5", "--d", "6", "--n", "3"),
+    ("distance", "--family", "iv", "--q", "5", "--delta1", "1",
+     "--delta2", "3", "--n", "12"),
+    ("distance", "--family", "v", "--q", "5", "--t", "3", "--d", "6",
+     "--n", "8"),
+    ("enumerate", "--family", "ii", "--q", "3", "--n", "5"),
+])
+def test_n_is_a_usage_error_for_fixed_length_families(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: family ")
+    assert "fixed length" in err
+
+
+def test_enumerate_all_passes_n_to_families_i_and_iii(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--q", "7", "--n", "2")
+    assert code == 0
+    lengths = {(r["family"], r["n"]) for r in json.loads(out)["records"]}
+    assert ("i", 2) in lengths and ("ii", 49) in lengths
+    assert {n for fam, n in lengths if fam == "iv"} == {24}
 
 
 def test_distance_budget_override(capsys):

@@ -172,7 +172,8 @@ def test_canonical_deltas_cover_ranges():
     """Each admissible distance, in ascending order, maps to parameters
     inside parameter_ranges that realize it, with the largest admissible
     delta2 for families iv and v and r = d - 1 parity rows for family ii;
-    defining_set rejects the value one below and one above each range."""
+    defining_set, and build_classical for r, reject the value one below
+    and one above each range."""
     for family, q, n, t, odd in _range_instances():
         ranges = parameter_ranges(family, q, n, t, odd)[1]
         instances = FAMILIES[family].instances(q, t, n)
@@ -197,14 +198,19 @@ def test_canonical_deltas_cover_ranges():
                                  **{**inside, name: bad})
     for q in (2, 3, 4, 5, 7, 8, 9):
         instances = FAMILIES["ii"].instances(q)
+        span = parameter_ranges("ii", q)[1]["r"]
         assert list(instances) == sorted(instances)
-        assert [kw["r"] for kw in instances.values()] == list(
-            parameter_ranges("ii", q)[1]["r"])
+        assert [kw["r"] for kw in instances.values()] == list(span)
         for d, kw in instances.items():
             assert kw == {"r": d - 1}
             code = build_classical("ii", q, d)
             assert (code.n, code.k) == (q * q, q * q - kw["r"])
             assert code.family == "ii"
+        # an explicit r is checked like the defining-set parameters
+        for bad in (1, span.start - 1, span.stop):
+            with pytest.raises(ValueError, match=(
+                    rf"r={bad} outside \[{span.start}, {span.stop - 1}\]")):
+                build_classical("ii", q, None, r=bad)
 
 
 def test_derive_k_negative_is_error():

@@ -9,15 +9,14 @@ from eaqmds import galois
 from eaqmds.algebra import Matrix, hermitian_adjoint, mat_mul
 from eaqmds.codes import constacyclic_context
 from eaqmds.galois import (
-    _digits_to_int,
-    _int_to_digits,
     build_field,
     factor_prime_power,
+    is_irreducible,
     is_prime,
     prime_factors,
     smallest_irreducible,
 )
-from reference import ref_order
+from reference import digits, ref_order, ref_poly_mul, ref_poly_pow
 
 
 def test_build_field_orders(gf16, gf9, gf256):
@@ -72,12 +71,12 @@ ADD_FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 2), (3, 3), (17, 4)]
 
 
 def digit_sum(a, b, p, m):
-    return _digits_to_int([(x + y) % p for x, y in zip(
-        _int_to_digits(a, p, m), _int_to_digits(b, p, m))], p)
+    return sum((x + y) % p * p**i for i, (x, y) in enumerate(zip(
+        digits(a, p, m), digits(b, p, m))))
 
 
 def digit_neg(a, p, m):
-    return _digits_to_int([-x % p for x in _int_to_digits(a, p, m)], p)
+    return sum(-x % p * p**i for i, x in enumerate(digits(a, p, m)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,8 +165,9 @@ def test_unit_group_order(p, m):
 
 @pytest.mark.parametrize("p,m", [(3, 2), (2, 4), (5, 2), (3, 4), (17, 4)])
 def test_table_and_polynomial_backends_agree(p, m):
-    """Table arithmetic against polynomial arithmetic modulo the field's
-    modulus: every pair in small fields, sampled pairs in GF(17^4)."""
+    """Table arithmetic against schoolbook polynomial arithmetic modulo
+    the field's modulus: every pair in small fields, sampled pairs in
+    GF(17^4)."""
     ctx = build_field(p, m)
     Q = ctx.order
     if Q <= 81:
@@ -176,12 +176,13 @@ def test_table_and_polynomial_backends_agree(p, m):
         rng = np.random.default_rng(17)
         pairs = rng.integers(0, Q, (3000, 2)).tolist()
     for a, b in pairs:
-        assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+        assert ctx.mul(a, b) == ref_poly_mul(a, b, ctx)
         if a:
             assert ctx.mul(ctx.inv(a), a) == 1
-            assert ctx.inv(a) == ctx._pow_poly(a, Q - 2)
-            assert ctx.pow(a, 7) == ctx._pow_poly(a, 7)
-            assert ctx.pow(a, -3) == ctx._pow_poly(ctx._pow_poly(a, Q - 2), 3)
+            assert ctx.inv(a) == ref_poly_pow(a, Q - 2, ctx)
+            assert ctx.pow(a, 7) == ref_poly_pow(a, 7, ctx)
+            assert ctx.pow(a, -3) == ref_poly_pow(ref_poly_pow(a, Q - 2, ctx),
+                                                  3, ctx)
 
 
 def test_log_table_covers_largest_field():
@@ -192,7 +193,7 @@ def test_log_table_covers_largest_field():
     assert np.array_equal(ctx.exp[ctx.log[1:]], np.arange(1, ctx.order))
     assert np.array_equal(ctx.exp[n:], ctx.exp[:n])
     g = ctx.generator
-    assert ctx.exp[1] == g and ctx.exp[12345] == ctx._pow_poly(g, 12345)
+    assert ctx.exp[1] == g and ctx.exp[12345] == ref_poly_pow(g, 12345, ctx)
 
 
 def test_smallest_irreducible_known_values():
@@ -200,6 +201,63 @@ def test_smallest_irreducible_known_values():
     assert smallest_irreducible(3, 2) == (1, 0, 1)         # x^2+1
     mod = smallest_irreducible(5, 2)
     assert mod[-1] == 1 and len(mod) == 3
+
+
+# modulus and generator of GF(q^2) for every prime power q <= 32, and of
+# GF(2^20) and GF(3^12): the lexicographically smallest monic irreducible
+# and the smallest element code of full order, which every record's
+# `field` pins
+PINNED_FIELDS = {
+    (2, 2): ((1, 1, 1), 2),
+    (3, 2): ((1, 0, 1), 4),
+    (2, 4): ((1, 1, 0, 0, 1), 2),
+    (5, 2): ((2, 0, 1), 6),
+    (7, 2): ((1, 0, 1), 9),
+    (2, 6): ((1, 1, 0, 0, 0, 0, 1), 2),
+    (3, 4): ((2, 1, 0, 0, 1), 3),
+    (11, 2): ((1, 0, 1), 15),
+    (13, 2): ((2, 0, 1), 15),
+    (2, 8): ((1, 1, 0, 1, 1, 0, 0, 0, 1), 3),
+    (17, 2): ((3, 0, 1), 19),
+    (19, 2): ((1, 0, 1), 22),
+    (23, 2): ((1, 0, 1), 25),
+    (5, 4): ((2, 0, 0, 0, 1), 6),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), 3),
+    (29, 2): ((2, 0, 1), 30),
+    (31, 2): ((1, 0, 1), 35),
+    (2, 10): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2),
+    (2, 20): ((1, 0, 0, 1) + (0,) * 16 + (1,), 2),
+    (3, 12): ((2, 0, 1) + (0,) * 9 + (1,), 14),
+}
+
+
+@pytest.mark.parametrize("pm", PINNED_FIELDS, ids="{0[0]}-{0[1]}".format)
+def test_pinned_descriptors(pm):
+    (p, m), (modulus, generator) = pm, PINNED_FIELDS[pm]
+    assert build_field(p, m).descriptor() == {
+        "p": p, "m": m, "order": p**m, "modulus": list(modulus),
+        "generator": generator}
+
+
+def _mobius(n):
+    out = 1
+    for ell in prime_factors(n):
+        if n % (ell * ell) == 0:
+            return 0
+        out = -out
+    return out
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 3), (7, 2)])
+def test_irreducible_count_is_gauss_formula(p, top):
+    """Every monic f of degree m <= top, reducible ones included: the
+    number that pass is (1/m) sum_{d | m} mu(d) p^(m/d)."""
+    for m in range(1, top + 1):
+        count = sum(is_irreducible(digits(c, p, m) + [1], p)
+                    for c in range(p**m))
+        gauss = sum(_mobius(d) * p ** (m // d)
+                    for d in range(1, m + 1) if m % d == 0) // m
+        assert count == gauss, (p, m)
 
 
 def test_descriptor(gf9):

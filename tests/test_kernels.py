@@ -5,7 +5,6 @@ The property tests pin the vectorized oracles (batched minors,
 projective enumeration) to per-item references.
 """
 
-import math
 from itertools import combinations
 from unittest import mock
 
@@ -37,10 +36,10 @@ def ref_is_singular(S, ctx):
     return False
 
 
-def ref_first_singular_minor(G, ctx, start):
+def ref_first_singular_minor(G, ctx):
     k, n = G.shape
     for index, cols in enumerate(combinations(range(n), k)):
-        if index >= start and ref_is_singular(G[:, cols], ctx):
+        if ref_is_singular(G[:, cols], ctx):
             return index
     return -1
 
@@ -194,7 +193,6 @@ def test_first_singular_minor():
     # its lexicographic index is 5
     Gbad = np.array([[1, 1, 1, 1], [0, 1, 3, 3]], dtype=np.int64)
     assert kernels.first_singular_minor(Gbad, ctx) == 5
-    assert kernels.first_singular_minor(Gbad, ctx, start_index=5) == 5
 
 
 @st.composite
@@ -213,28 +211,27 @@ def minor_cases(draw):
         src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         scale = draw(cells)
         G[:, dst] = [ctx.mul(scale, int(v)) for v in G[:, src]]
-    start = draw(st.integers(0, math.comb(n, k) + 1))
-    return ctx, G, start
+    return ctx, G
 
 
 @settings(max_examples=150, deadline=None)
 @given(minor_cases(), st.integers(1, 6))
-# column 1 is zero and start skips (0, 1): the first singular minor,
-# (1, 2), lacks a pivot in column 0; the later (1, 3) lacks one in both
-# columns, so a batch not cut at (1, 2) reports (1, 3)
-@example(case=(build_field(2, 2), np.array([[3, 0, 2, 3, 2],
-                                            [2, 0, 3, 0, 3]]), 1), batch=6)
+# column 0 is zero: the first singular minor, (0, 1), lacks a pivot in
+# column 0; the later (0, 2) lacks one in both columns, so a batch not
+# cut at (0, 1) reports (0, 2)
+@example(case=(build_field(2, 2), np.array([[0, 2, 3, 2],
+                                            [0, 3, 0, 3]])), batch=6)
 def test_batched_minor_oracle_matches_reference(case, batch):
-    ctx, G, start = case
-    expected = ref_first_singular_minor(G, ctx, start)
+    ctx, G = case
+    expected = ref_first_singular_minor(G, ctx)
     # the default batch, a random one, and batches that put the first
     # singular minor last in one batch and first in the next
     sizes = {kernels._MINOR_BATCH, batch}
-    if expected > start:
-        sizes |= {expected - start, expected - start + 1}
+    if expected > 0:
+        sizes |= {expected, expected + 1}
     for size in sizes:
         with mock.patch.object(kernels, "_MINOR_BATCH", size):
-            assert kernels.first_singular_minor(G, ctx, start) == expected
+            assert kernels.first_singular_minor(G, ctx) == expected
 
 
 @st.composite

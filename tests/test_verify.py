@@ -215,13 +215,6 @@ def test_sweep_entry_schema(lemma, q, t, pick, expected):
     assert list(entry.items()) == list(expected.items())
 
 
-def test_minor_oracle_resume_matches_full_run():
-    code = build_classical("iii", 3, 4)
-    G = generator_matrix(code)
-    assert mds_minor_oracle(G)
-    assert mds_minor_oracle(G, start=math.comb(G.ncols, G.nrows) // 2)
-
-
 def test_budget_validation():
     with pytest.raises(ValueError):
         OracleBudget(max_codewords=0)
