@@ -121,16 +121,23 @@ _FORMATTERS = {"json": records_to_json, "csv": records_to_csv,
                "md": records_to_md}
 
 
-def _applicable_families(q: int, t: int | None) -> list[str]:
-    return [name for name, spec in FAMILIES.items() if spec.admissible_q(q, t)]
+def _applicable_families(q: int, t: int | None,
+                         n: int | None = None) -> list[str]:
+    """The families that admit q and t; with n, of families i and iii
+    (the only ones of variable length) just those that admit n."""
+    return [name for name, spec in FAMILIES.items() if spec.admissible_q(
+        q, t, n if name in ("i", "iii") else None)]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params: list[EaqeccParams] = []
     for q in args.q_values:
-        fams = (_applicable_families(q, args.t) if args.family == "all"
-                else [args.family])
+        fams = (_applicable_families(q, args.t, args.n)
+                if args.family == "all" else [args.family])
+        if args.n is not None and not {"i", "iii", args.family} & set(fams):
+            raise ValueError(f"neither family i nor iii admits n={args.n} "
+                             f"at q={q}")
         for fam in fams:
             t = args.t if FAMILIES[fam].needs_t else None
             # --family all passes n only to the families that take it

@@ -113,10 +113,11 @@ class FamilySpec:
     family: str
     needs_t: bool = False
 
-    def admissible_q(self, q: int, t: int | None = None) -> bool:
+    def admissible_q(self, q: int, t: int | None = None,
+                     n: int | None = None) -> bool:
         try:
             factor_prime_power(q)
-            parameter_ranges(self.family, q, t=t)
+            parameter_ranges(self.family, q, n, t)
         except ValueError:
             return False
         return True

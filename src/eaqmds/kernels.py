@@ -22,23 +22,33 @@ the product tensor is never held whole.
 Elimination negates by shifting logs by log(-1) and adds digit-wise.
 rank and eliminate share one forward pass, which clears below each
 pivot; eliminate's back pass then scales the pivots to 1 and clears
-above them.  Digit-wise addition measured faster than Zech-log addition
-on GF(q^2) for prime q, the fields most codes live in.
+above them.  Digit-wise addition measured faster there than Zech-log
+addition on GF(q^2) for prime q, the fields most codes live in.
 
-The two distance oracles avoid per-item Python loops: the minor oracle
-eliminates a batch of k x k column minors as one (B, k, k) tensor, and
-minimum-weight search enumerates messages projectively (highest nonzero
+Minimum-weight search enumerates messages projectively (highest nonzero
 digit 1) from span tables.  One table holds every combination of the
 first rows of G, built by field additions, and a second one the
 combinations of the rows above them.  A codeword h - s, with s from the
 first table, has weight n minus the number of coordinates where s and h
 agree, so each codeword costs one integer comparison per coordinate and
 no field product.
+
+The minor oracle uses the systematic form: a full-rank k x n matrix with
+echelon form [I | A], up to column order, has every k x k minor
+nonsingular iff every square submatrix of A is (MacWilliams-Sloane,
+ch. 11, thm 8).  The walk visits the pairs (R, C) of sorted row and
+column subsets of A.  Node (R, C) holds the Schur complement of A[R, C]
+on the rows after max R and the columns after max C, whose entry (r, c)
+is det A[R+r, C+c] / det A[R, C]: one nonzero test per minor.  A child
+is a rank-one update of its parent in logs, one Zech lookup per entry,
+and the nodes of one complement shape are one batch.  An a x b
+complement has C(a+b, a) nodes below it; roots are packed into walks of
+at most _WALK_NODES nodes, and a larger root is split into its children.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -251,65 +261,70 @@ def min_weight(G: np.ndarray, ctx) -> int:
     return n - most
 
 
-# Minors per vectorized elimination.  A batch holds _MINOR_BATCH * k * k
-# int64 entries (3.3 MB at k = 10), and each elimination step makes a few
-# temporaries of that size.
-_MINOR_BATCH = 1 << 12
+# Nodes per Schur walk.  Each is one int32 entry of its parent's complement,
+# held about twice over by the updates: some 40 MB at 2^22.
+_WALK_NODES = 1 << 22
 
 
-def _first_singular(M, ctx):
-    """Offset of the first singular matrix in a (B, k, k) batch, -1 if
-    none.  Forward elimination runs on every matrix at once: column c
-    takes a per-matrix pivot row from rows c.. (row c moves into its
-    slot), scaled so that adding (row * factor) clears the rows below.
-    A matrix with no pivot in some column is singular; only the matrices
-    before it can still change the answer, so the batch is cut there."""
-    exp, log, top = ctx.exp, ctx.log, ctx.order - 1
-    k = M.shape[1]
-    first = -1
-    for c in range(k):
-        nz = M[:, c:, c] != 0
-        has = nz.any(axis=1)
-        if not has.all():
-            first = int(np.argmin(has))
-            M, nz = M[:first], nz[:first]
-        if c == k - 1 or first == 0:
-            break
-        b = np.arange(M.shape[0])
-        piv = c + nz.argmax(axis=1)
-        prow = M[b, piv, c:]
-        M[b, piv, c:] = M[:, c, c:]
-        # log of -(pivot row)/pivot, so that M[i] + M[i, c] * scaled row
-        # clears column c
-        lp = log[prow]
-        shift = (ctx.log_neg_one - lp[:, :1]) % top
-        lr = np.where(lp[:, 1:] >= 0, (lp[:, 1:] + shift) % top, -1)
-        lf = log[M[:, c + 1:, c]]
-        upd = np.where((lf[:, :, None] >= 0) & (lr[:, None, :] >= 0),
-                       exp[np.maximum(lf[:, :, None] + lr[:, None, :], 0)], 0)
-        M[:, c + 1:, c + 1:] = ctx.add(M[:, c + 1:, c + 1:], upd)
-    return first
+@lru_cache(maxsize=None)
+def _zech(ctx):
+    """int32: entry e < 3(Q-1) is log(1 + g^(e-Q+1)), or -2Q if that is 0."""
+    ones = ctx.add(1, ctx.exp[:ctx.order - 1])
+    return np.tile(np.where(ones, ctx.log[ones], -2 * ctx.order), 3).astype(np.int32)
 
 
-def first_singular_minor(G: np.ndarray, ctx) -> int:
-    """Lexicographic index of the first singular k x k minor, -1 if none.
-    The column subsets are walked in batches of _MINOR_BATCH, each
-    eliminated as one (B, k, k) tensor."""
-    k, n = G.shape
-    if k == 0:
-        return -1
-    subsets = combinations(range(n), k)
-    start = 0
-    while True:
-        cols = np.fromiter(chain.from_iterable(islice(subsets, _MINOR_BATCH)),
-                           dtype=np.int64).reshape(-1, k)
-        if cols.shape[0] == 0:
-            return -1
-        batch = np.ascontiguousarray(G[:, cols].transpose(1, 0, 2))
-        offset = _first_singular(batch, ctx)
-        if offset >= 0:
-            return start + offset
-        start += cols.shape[0]
+def _children(L, ctx):
+    """Children of a (B, a, b) batch of complements, all in logs; None if
+    an entry is zero (a negative log).  Pivot row r is one update over all
+    pivot columns c and columns j, and child (r, c) is its part j > c: on
+    small walks one numpy call per row measured faster than one per pivot
+    that skips the unused half."""
+    if (L < 0).any():
+        return None
+    top, out = ctx.order - 1, []
+    L = L % top
+    for r in range(L.shape[1] - 1):
+        # Q-1 + log of -S[i, c] / S[r, c], for the rows i below r
+        lf = (L[:, r + 1:] + (ctx.log_neg_one - L[:, r, None])) % top + top
+        x = L[:, r + 1:, None]  # [B, i, c, j]
+        U = x + _zech(ctx)[lf[..., None] + L[:, r, None, None] - x]
+        out += [U[:, :, c, c + 1:] for c in range(L.shape[2] - 1)]
+    return out
+
+
+def _nodes(L):
+    """Nodes below a (1, a, b) complement: C(a + b, a)."""
+    return comb(L.shape[1] + L.shape[2], L.shape[1])
+
+
+def minors_nonsingular(M: np.ndarray, ctx) -> bool:
+    """True iff every k x k minor of the k x n matrix M, k <= n, is
+    nonsingular: the Schur walk over the square minors of A, for [I | A]
+    the echelon form of M up to column order."""
+    R, pivots = eliminate(M, ctx)
+    if len(pivots) < M.shape[0]:
+        return False
+    A = np.delete(R, pivots, axis=1)
+    A = A if A.shape[0] <= A.shape[1] else A.T  # fewer rows, fewer updates
+    todo = [ctx.log[A][None].astype(np.int32)]
+    while todo:
+        pending, size = {}, 0
+        while todo and size + _nodes(todo[-1]) <= _WALK_NODES:
+            size += _nodes(todo[-1])
+            pending.setdefault(todo[-1].shape[1:], []).append(todo.pop())
+        if not pending:  # a root over the budget: test it, queue its children
+            children = _children(todo.pop(), ctx)
+            if children is None:
+                return False
+            todo += children
+        # one walk; shapes in decreasing order, a child being smaller both ways
+        while pending:
+            children = _children(np.concatenate(pending.pop(max(pending))), ctx)
+            if children is None:
+                return False
+            for L in children:
+                pending.setdefault(L.shape[1:], []).append(L)
+    return True
 
 
 def pow_entries(M: np.ndarray, e: int, ctx) -> np.ndarray:

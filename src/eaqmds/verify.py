@@ -2,9 +2,11 @@
 
 The distance oracles are deliberately separate routes from the BCH
 design distance: full message enumeration when the message space fits
-the budget, otherwise the minor criterion (a code is MDS iff every
+the budget, otherwise the minor criterion.  A code is MDS iff every
 k x k minor of a generator matrix, equivalently every (n-k)-square minor
-of a full-rank parity check, is nonsingular).  Hermitian dual containment
+of a full-rank parity check, is nonsingular; kernels.minors_nonsingular
+decides that on the systematic form [I | A], by a Schur-complement walk
+over the square submatrices of A.  Hermitian dual containment
 has two routes here, the coset test Z & -qZ = 0 and the matrix test
 H H^dagger = 0.  The sweep harness rebuilds every family instance that
 cosets.parameter_ranges admits, each through eaqecc.build_classical, and
@@ -33,7 +35,7 @@ from .eaqecc import build_classical, ebit_count
 @dataclass(frozen=True)
 class OracleBudget:
     max_codewords: int = 10**7
-    max_minors: int = 10**6
+    max_minors: int = 10**7
 
     def __post_init__(self):
         if self.max_codewords < 1 or self.max_minors < 1:
@@ -59,13 +61,13 @@ def exhaustive_min_distance(G: Matrix, budget: OracleBudget = OracleBudget()) ->
 def mds_minor_oracle(G: Matrix, budget: OracleBudget = OracleBudget()) -> bool:
     """True iff every k x k minor of the k x n matrix G is nonsingular.
     For a generator matrix that means d = n-k+1; so does it for a full-rank
-    parity check, whose every n-k columns are then independent.  Subsets
-    are visited in lexicographic order."""
+    parity check, whose every n-k columns are then independent.  The
+    budget counts the C(n, k) minors, one field update each."""
     k, n = G.shape
     if math.comb(n, k) > budget.max_minors:
         raise BudgetExceeded(
             f"C({n},{k}) minors exceed the budget {budget.max_minors}")
-    return kernels.first_singular_minor(G.data, G.ctx) == -1
+    return kernels.minors_nonsingular(G.data, G.ctx)
 
 
 def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
@@ -140,8 +142,7 @@ class SweepReport:
 
 
 def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _rank_entry(lemma, q, n, r, params, Z, H, expected, **extra) -> dict:

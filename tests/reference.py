@@ -3,7 +3,7 @@ for the vectorized kernels and the matrix layer built on them; schoolbook
 polynomial arithmetic modulo the field's modulus, for its log tables; and
 the GF(q^4) root-evaluation route to family i that checks its trace rows."""
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -44,6 +44,32 @@ def ref_rref(M, ctx):
         if len(pivots) == rows:
             break
     return np.array(R, dtype=np.int64).reshape(rows, cols), pivots
+
+
+def ref_is_singular(S, ctx):
+    """Per-minor Gaussian elimination in context arithmetic."""
+    S = [[int(v) for v in row] for row in S]
+    k = len(S)
+    for c in range(k):
+        piv = next((r for r in range(c, k) if S[r][c]), None)
+        if piv is None:
+            return True
+        S[c], S[piv] = S[piv], S[c]
+        inv = ctx.inv(S[c][c])
+        for r in range(c + 1, k):
+            f = ctx.neg(ctx.mul(S[r][c], inv))
+            S[r] = [ctx.add(a, ctx.mul(f, b)) for a, b in zip(S[r], S[c])]
+    return False
+
+
+def ref_first_singular_minor(G, ctx):
+    """Lexicographic index of the first singular k x k column minor of G,
+    -1 if there is none."""
+    k, n = G.shape
+    for index, cols in enumerate(combinations(range(n), k)):
+        if ref_is_singular(G[:, cols], ctx):
+            return index
+    return -1
 
 
 def ref_min_weight(G, ctx):

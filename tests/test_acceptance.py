@@ -18,6 +18,7 @@ from eaqmds.eaqecc import FAMILIES, build_classical, enumerate_family
 from eaqmds.galois import build_field
 from eaqmds.verify import (
     DEFAULT_SWEEPS,
+    OracleBudget,
     certify_distance,
     dual_containment_matrix_oracle,
     is_hermitian_dual_containing,
@@ -192,7 +193,8 @@ def test_criterion_4_distance_certification():
             if code.k == 0:
                 continue
             in_budget = (q ** (2 * code.k) <= 10**7
-                         or math.comb(code.n, code.k) <= 10**6)
+                         or math.comb(code.n, code.k)
+                         <= OracleBudget().max_minors)
             result = certify_distance(code)
             if not in_budget:
                 skipped += 1

@@ -201,6 +201,22 @@ def test_enumerate_all_passes_n_to_families_i_and_iii(capsys):
     assert {n for fam, n in lengths if fam == "iv"} == {24}
 
 
+@pytest.mark.parametrize("q, n", [("3", 5), ("4", 17)])
+def test_enumerate_all_passes_n_to_the_family_that_admits_it(capsys, q, n):
+    # n | q^2+1 but not q^2-1: family i takes n, family iii is skipped
+    code, out, _ = run_cli(capsys, "enumerate", "--q", q, "--n", str(n))
+    assert code == 0
+    lengths = {(r["family"], r["n"]) for r in json.loads(out)["records"]}
+    assert "iii" not in {fam for fam, _ in lengths}
+    assert {m for fam, m in lengths if fam == "i"} == {n}
+
+
+def test_enumerate_all_n_admitted_by_neither_family(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--q", "3", "--n", "7")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_distance_budget_override(capsys):
     code, out, _ = run_cli(capsys, "distance", "--family", "ii", "--q", "3",
                            "--d", "4", "--max-codewords", "10")

@@ -1,11 +1,10 @@
 """Kernels against direct context-arithmetic references, written here
 and in reference.py.
 
-The property tests pin the vectorized oracles (batched minors,
-projective enumeration) to per-item references.
+The property tests pin the vectorized oracles (the Schur-complement
+minor walk, projective enumeration) to per-item references.
 """
 
-from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -14,34 +13,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eaqmds import kernels
+from eaqmds.eaqecc import build_classical
 from eaqmds.galois import build_field
-from reference import ref_matmul, ref_min_weight, ref_rref
+from reference import (
+    ref_first_singular_minor,
+    ref_matmul,
+    ref_min_weight,
+    ref_rref,
+)
 
 FIELDS = [(2, 2), (3, 2), (5, 2), (2, 8)]
-
-
-def ref_is_singular(S, ctx):
-    """Per-minor Gaussian elimination in context arithmetic."""
-    S = [[int(v) for v in row] for row in S]
-    k = len(S)
-    for c in range(k):
-        piv = next((r for r in range(c, k) if S[r][c]), None)
-        if piv is None:
-            return True
-        S[c], S[piv] = S[piv], S[c]
-        inv = ctx.inv(S[c][c])
-        for r in range(c + 1, k):
-            f = ctx.neg(ctx.mul(S[r][c], inv))
-            S[r] = [ctx.add(a, ctx.mul(f, b)) for a, b in zip(S[r], S[c])]
-    return False
-
-
-def ref_first_singular_minor(G, ctx):
-    k, n = G.shape
-    for index, cols in enumerate(combinations(range(n), k)):
-        if ref_is_singular(G[:, cols], ctx):
-            return index
-    return -1
 
 
 @pytest.mark.parametrize("pm", FIELDS)
@@ -183,16 +164,16 @@ def test_min_weight_matches_bruteforce():
         assert kernels.min_weight(G, ctx) == expected
 
 
-def test_first_singular_minor():
+def test_minors_nonsingular():
     ctx = build_field(2, 2)
     # evaluations of {1, x} at the four distinct points of GF(4):
     # every 2x2 minor is a Vandermonde determinant, hence nonsingular
     G = np.array([[1, 1, 1, 1], [0, 1, 2, 3]], dtype=np.int64)
-    assert kernels.first_singular_minor(G, ctx) == -1
-    # duplicate an evaluation point: the (2,3) minor degenerates and
-    # its lexicographic index is 5
+    assert kernels.minors_nonsingular(G, ctx)
+    # duplicate an evaluation point: the minor on columns 2 and 3
+    # degenerates
     Gbad = np.array([[1, 1, 1, 1], [0, 1, 3, 3]], dtype=np.int64)
-    assert kernels.first_singular_minor(Gbad, ctx) == 5
+    assert not kernels.minors_nonsingular(Gbad, ctx)
 
 
 @st.composite
@@ -214,24 +195,48 @@ def minor_cases(draw):
     return ctx, G
 
 
+def _vandermonde(k, n, p):
+    """Rows x^i over the points 0..n-1 of GF(p), i < k: an MDS [n, k]
+    generator matrix (Reed-Solomon) when n <= p."""
+    return np.array([[pow(x, i, p) for x in range(n)] for i in range(k)])
+
+
 @settings(max_examples=150, deadline=None)
-@given(minor_cases(), st.integers(1, 6))
-# column 0 is zero: the first singular minor, (0, 1), lacks a pivot in
-# column 0; the later (0, 2) lacks one in both columns, so a batch not
-# cut at (0, 1) reports (0, 2)
+@given(minor_cases(), st.integers(0, 80))
+# rank-deficient (the second row is twice the first)
+@example(case=(build_field(3, 1), np.array([[1, 2, 0, 1], [2, 1, 0, 2]])),
+         nodes=3)
+# square: A is empty, and M is nonsingular
+@example(case=(build_field(2, 2), np.array([[1, 2, 3], [0, 1, 1],
+                                            [0, 0, 2]])), nodes=0)
+# 1 x n, zero in the pivot-free first column
+@example(case=(build_field(5, 1), np.array([[0, 3, 1, 4, 2]])), nodes=1)
+# MDS with k < n - k and k > n - k: every subtree is walked to its leaves
+@example(case=(build_field(7, 1), _vandermonde(2, 7, 7)), nodes=5)
+@example(case=(build_field(7, 1), _vandermonde(5, 7, 7)), nodes=5)
+# column 0 is zero: no k x k minor that uses it is nonsingular
 @example(case=(build_field(2, 2), np.array([[0, 2, 3, 2],
-                                            [0, 3, 0, 3]])), batch=6)
-def test_batched_minor_oracle_matches_reference(case, batch):
+                                            [0, 3, 0, 3]])), nodes=6)
+def test_minor_oracle_matches_reference(case, nodes):
     ctx, G = case
-    expected = ref_first_singular_minor(G, ctx)
-    # the default batch, a random one, and batches that put the first
-    # singular minor last in one batch and first in the next
-    sizes = {kernels._MINOR_BATCH, batch}
-    if expected > 0:
-        sizes |= {expected, expected + 1}
-    for size in sizes:
-        with mock.patch.object(kernels, "_MINOR_BATCH", size):
-            assert kernels.first_singular_minor(G, ctx) == expected
+    expected = ref_first_singular_minor(G, ctx) == -1
+    # the default walk budget, a random one, and 0 and 1, which split
+    # every subtree down to single nodes
+    for limit in {kernels._WALK_NODES, nodes, 0, 1}:
+        with mock.patch.object(kernels, "_WALK_NODES", limit):
+            assert kernels.minors_nonsingular(G, ctx) == expected
+
+
+@pytest.mark.parametrize("limit", [0, 1, 35, 1000, 19447, 19448, 1 << 22])
+def test_minor_oracle_on_family_i(limit):
+    # family i at q = 4, d = 8: H is 7 x 17, so the walk covers
+    # C(17, 7) = 19448 nodes; a limit below that splits it into walks
+    code = build_classical("i", 4, 8)
+    H = code.H.data.copy()
+    with mock.patch.object(kernels, "_WALK_NODES", limit):
+        assert kernels.minors_nonsingular(H, code.H.ctx)
+        H[:, 12] = H[:, 9]
+        assert not kernels.minors_nonsingular(H, code.H.ctx)
 
 
 @st.composite

@@ -26,6 +26,8 @@ def run_child(argv, trace):
     (["distance", "--family", "i", "--q", "3", "--d", "6"],
      "kernels.min_weight"),
     (["verify", "--lemma", "rank-ers", "--q", "3"], "algebra.matrix_rank"),
+    (["distance", "--family", "i", "--q", "4", "--d", "8"],
+     "verify.certify_distance"),
 ])
 def test_traced_pass_matches_plain_pass(argv, span):
     plain, traced = run_child(argv, False), run_child(argv, True)
