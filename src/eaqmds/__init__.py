@@ -1,6 +1,5 @@
 """Entanglement-assisted quantum MDS code construction and verification."""
 
-from .algebra import Matrix, hermitian_adjoint, mat_mul, matrix_rank, nullspace_basis
 from .codes import ClassicalCode, constacyclic_code, constacyclic_context, extended_rs_code
 from .cosets import DefiningSet, bch_design_distance, cyclotomic_coset, defining_set
 from .eaqecc import EaqeccParams, derive_eaqecc, ebit_count, enumerate_family
@@ -10,9 +9,8 @@ from .verify import OracleBudget, certify_distance, exhaustive_min_distance, mds
 __version__ = "0.1.0"
 
 __all__ = [
-    "Matrix", "hermitian_adjoint", "mat_mul", "matrix_rank",
-    "nullspace_basis", "ClassicalCode", "constacyclic_code",
-    "constacyclic_context", "extended_rs_code",
+    "ClassicalCode", "constacyclic_code", "constacyclic_context",
+    "extended_rs_code",
     "DefiningSet", "bch_design_distance", "cyclotomic_coset", "defining_set",
     "EaqeccParams", "derive_eaqecc", "ebit_count", "enumerate_family",
     "FieldContext", "build_field",

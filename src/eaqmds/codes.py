@@ -1,7 +1,10 @@
 """Concrete classical codes over GF(q^2) as parity-check matrices.
 
-Every code lives over GF(q^2).  A lambda-constacyclic code with
-defining set Z is built from one table of its context:
+Every code lives over GF(q^2): a ClassicalCode holds its parity check H
+as a read-only int64 array next to its field, and its generator matrix
+is the nullspace of H, read off the RREF from kernels.eliminate.  A
+lambda-constacyclic code with defining set Z is built from one table of
+its context:
 
 * rn | q^2-1: the roots eta^z lie in GF(q^2) and row z is
   (eta^{zj})_j, read off the power table E[m] = eta^m.
@@ -18,12 +21,12 @@ defining set Z is built from one table of its context:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Matrix, matrix_rank, nullspace_basis
+from . import kernels
 from .cosets import DefiningSet, bch_design_distance
 from .galois import FieldContext, build_field, factor_prime_power
 
@@ -86,26 +89,24 @@ def constacyclic_context(q: int, n: int, r: int = 1,
     return ConstacyclicContext(q, n, r, field, int(table[n % rn]), table)
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassicalCode:
-    """[n, k, d_design] code over GF(q^2) via its parity check."""
+    """[n, k, d_design] code over GF(q^2) via its parity check H, a
+    read-only int64 array of element codes of `field`."""
 
     n: int
     k: int
     d_design: int
-    H: Matrix
+    H: np.ndarray
     q: int
+    field: FieldContext
     defining_set: DefiningSet | None = None
     family: str | None = None
-    _gen: Matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.d_design > self.n - self.k + 1:
             raise ValueError("design distance violates the Singleton bound")
-
-    @property
-    def field(self) -> FieldContext:
-        return self.H.ctx
+        self.H.setflags(write=False)
 
     def __repr__(self) -> str:
         return (f"ClassicalCode([{self.n},{self.k},{self.d_design}] "
@@ -129,15 +130,15 @@ def _trace_rows(ctx: ConstacyclicContext, Z: DefiningSet) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _independent_rows(H: Matrix) -> bool:
+def _independent_rows(H: np.ndarray, f: FieldContext) -> bool:
     """rank(H) = rows(H).  A nonsingular leading square block proves it.
     For the rows built here it always is: power rows give a Vandermonde
     matrix in the distinct points eta^z, and trace rows are T times one in
     the points beta^z.  Only a singular block falls back to the full width."""
-    rows = H.nrows
-    if matrix_rank(Matrix(H.ctx, H.data[:, :rows])) == rows:
+    rows = H.shape[0]
+    if kernels.rank(H[:, :rows], f) == rows:
         return True
-    return matrix_rank(H) == rows
+    return kernels.rank(H, f) == rows
 
 
 def constacyclic_code(ctx: ConstacyclicContext, Z: DefiningSet) -> ClassicalCode:
@@ -151,12 +152,11 @@ def constacyclic_code(ctx: ConstacyclicContext, Z: DefiningSet) -> ClassicalCode
     else:
         z = np.array(zs, dtype=np.int64)[:, None]
         H = ctx.table[z * np.arange(n) % Z.modulus]
-    Hm = Matrix(ctx.field, H)
-    if len(zs) and not _independent_rows(Hm):
+    if len(zs) and not _independent_rows(H, ctx.field):
         raise ValueError("parity-check rows are not independent")
     d = bch_design_distance(Z) if zs else 1
-    return ClassicalCode(n=n, k=n - len(zs), d_design=d, H=Hm, q=ctx.q,
-                         defining_set=Z)
+    return ClassicalCode(n=n, k=n - len(zs), d_design=d, H=H, q=ctx.q,
+                         field=ctx.field, defining_set=Z)
 
 
 def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> ClassicalCode:
@@ -174,14 +174,18 @@ def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> Class
     H = np.zeros((r, n), dtype=np.int64)
     H[:, 1:] = f.exp[np.arange(r)[:, None] * np.arange(n - 1) % (n - 1)]
     H[0, 0] = 1
-    return ClassicalCode(n=n, k=n - r, d_design=r + 1, H=Matrix(f, H), q=q)
+    return ClassicalCode(n=n, k=n - r, d_design=r + 1, H=H, q=q, field=f)
 
 
-def generator_matrix(code: ClassicalCode) -> Matrix:
-    """Nullspace basis of H (cached); k rows over GF(q^2)."""
-    if code._gen is None:
-        G = nullspace_basis(code.H)
-        if G.nrows != code.k:
-            raise RuntimeError("nullspace dimension does not match k")
-        code._gen = G
-    return code._gen
+def generator_matrix(code: ClassicalCode) -> np.ndarray:
+    """k x n basis of the nullspace {v : H v^T = 0}: from the RREF of H,
+    row b is 1 at the free column free[b] and -R[i, free[b]] at pivot
+    column i."""
+    R, pivots = kernels.eliminate(code.H, code.field)
+    free = np.delete(np.arange(code.n), pivots)
+    if len(free) != code.k:
+        raise RuntimeError("nullspace dimension does not match k")
+    G = np.zeros((len(free), code.n), dtype=np.int64)
+    G[np.arange(len(free)), free] = 1
+    G[:, pivots] = code.field.neg(R[:len(pivots), free].T)
+    return G

@@ -3,7 +3,8 @@
 A classical [n, k_cl, d]_{q^2} code with parity check H yields an
 [[n, 2 k_cl - n + c, d; c]]_q EAQECC where c = rank(H H^dagger); the
 EA-Singleton bound n + c - k >= 2(d - 1) must hold with equality for
-the MDS families.  Family enumerators construct every code and verify
+the MDS families.  c is kernels.rank of the Gram product, formed by
+kernels.matmul and kernels.adjoint on H and the code's field.  Family enumerators construct every code and verify
 the closed-form parameters instead of printing them.  A family's length
 and admissible q follow from cosets.parameter_ranges.  FamilySpec.instances
 is the one map from an admissible distance to the parameters that build
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .algebra import Matrix, hermitian_adjoint, mat_mul, matrix_rank
+import numpy as np
+
+from . import kernels
 from .codes import (
     ClassicalCode,
     constacyclic_code,
@@ -71,9 +74,9 @@ class EaqeccParams:
         return rec
 
 
-def ebit_count(H: Matrix, q: int) -> int:
+def ebit_count(H: np.ndarray, q: int, ctx: FieldContext) -> int:
     """c = rank(H H^dagger), the number of maximally entangled states."""
-    return matrix_rank(mat_mul(H, hermitian_adjoint(H, q)))
+    return kernels.rank(kernels.matmul(H, kernels.adjoint(H, q, ctx), ctx), ctx)
 
 
 def ea_singleton_check(params: EaqeccParams) -> bool:
@@ -90,7 +93,7 @@ def ea_singleton_check(params: EaqeccParams) -> bool:
 
 def derive_eaqecc(code: ClassicalCode, q: int) -> EaqeccParams:
     """[[n, 2k - n + c, d; c]]_q from a classical code over GF(q^2)."""
-    c = ebit_count(code.H, q)
+    c = ebit_count(code.H, q, code.field)
     k = 2 * code.k - code.n + c
     if k < 0:
         raise ValueError(

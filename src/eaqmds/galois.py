@@ -16,7 +16,7 @@ and the vectorized kernels alike: `add` is the one digit-wise addition
 mod p (XOR for p = 2) and takes ints or int arrays, and `log_neg_one`,
 log(-1), is the one shift behind negation.
 
-The conjugation map a -> a^q (see algebra.hermitian_adjoint) backs the
+The conjugation map a -> a^q (see kernels.adjoint) backs the
 Hermitian inner product on GF(q^2)^n.
 """
 

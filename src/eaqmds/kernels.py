@@ -1,10 +1,12 @@
 """Hot numeric kernels over table-backed finite fields, in numpy.
 
 Matrices are 2-D int64 arrays of element codes, and every kernel takes
-the field's FieldContext: its exp/log tables, its digit-wise `add` and
-its log(-1) shift.  The base-p digits of a code are the coefficients,
-ascending, of the element as a polynomial over GF(p) modulo the field's
-modulus f, so addition is digit-wise mod p.
+the field's FieldContext, last: its exp/log tables, its digit-wise `add`
+and its log(-1) shift.  Codes, ebit counts and oracles call these
+kernels on their arrays directly; adjoint is the conjugate transpose
+under a -> a^q behind every Hermitian product.  The base-p digits of a
+code are the coefficients, ascending, of the element as a polynomial
+over GF(p) modulo the field's modulus f, so addition is digit-wise mod p.
 
 Products.  For odd p, A @ B is computed on digit planes: A and B split
 into their m digit planes A_i, B_j (float64, entries in [0, p)), one
@@ -15,9 +17,10 @@ and the m digit planes are packed into codes.  Every entry of C_k is an
 integer of at most inner * m * (p-1)^2, so the float64 product is exact
 while that stays below 2^53; this holds for any inner dimension below
 2^13 in every field the package builds (order <= 2^20), and matmul
-raises ValueError beyond it.  For p = 2 the entry products are read off
-the log tables and XOR-summed, over chunks of the inner axis so that
-the product tensor is never held whole.
+raises ValueError beyond it, as on a mismatched inner dimension.  For
+p = 2 the entry products are read off the log tables and XOR-summed,
+over chunks of the inner axis so that the product tensor is never held
+whole.
 
 Elimination negates by shifting logs by log(-1) and adds digit-wise.
 rank and eliminate share one forward pass, which clears below each
@@ -52,6 +55,7 @@ from math import comb
 
 import numpy as np
 
+from .galois import _check_conj_compat
 
 # float64 integers are exact below 2^53
 _EXACT = 1 << 53
@@ -123,6 +127,8 @@ def _xor_product(A, B, ctx):
 def matmul(A: np.ndarray, B: np.ndarray, ctx) -> np.ndarray:
     """A @ B over the field: digit planes through BLAS for odd p, chunked
     XOR sums of log-table products for p = 2."""
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"dimension mismatch: {A.shape} @ {B.shape}")
     if ctx.p == 2:
         return _xor_product(A, B, ctx)
     return _plane_product(A, B, ctx)
@@ -327,9 +333,7 @@ def minors_nonsingular(M: np.ndarray, ctx) -> bool:
     return True
 
 
-def pow_entries(M: np.ndarray, e: int, ctx) -> np.ndarray:
-    """Entrywise M^e (used for the conjugation a -> a^q)."""
-    out = np.zeros_like(M)
-    nz = M != 0
-    out[nz] = ctx.exp[(ctx.log[M[nz]] * e) % (ctx.order - 1)]
-    return out
+def adjoint(M: np.ndarray, q: int, ctx) -> np.ndarray:
+    """Conjugate transpose of M under a -> a^q (log 0 = -1 is masked)."""
+    _check_conj_compat(ctx, q)
+    return np.where(M != 0, ctx.exp[ctx.log[M] * q % (ctx.order - 1)], 0).T

@@ -1,16 +1,19 @@
 """Independent oracles and lemma-sweep regression harness.
 
-The distance oracles are deliberately separate routes from the BCH
-design distance: full message enumeration when the message space fits
-the budget, otherwise the minor criterion.  A code is MDS iff every
-k x k minor of a generator matrix, equivalently every (n-k)-square minor
-of a full-rank parity check, is nonsingular; kernels.minors_nonsingular
-decides that on the systematic form [I | A], by a Schur-complement walk
-over the square submatrices of A.  Hermitian dual containment
-has two routes here, the coset test Z & -qZ = 0 and the matrix test
-H H^dagger = 0.  The sweep harness rebuilds every family instance that
-cosets.parameter_ranges admits, each through eaqecc.build_classical, and
-compares rank(H H^dagger) against the predicted ebit count.
+The oracles take a plain int64 matrix and its field context and call the
+kernels directly.  The distance oracles are deliberately separate routes
+from the BCH design distance: full message enumeration when the message
+space fits the budget, otherwise the minor criterion.  A code is MDS iff
+every k x k minor of a generator matrix, equivalently every (n-k)-square
+minor of a full-rank parity check, is nonsingular;
+kernels.minors_nonsingular decides that on the systematic form [I | A],
+by a Schur-complement walk over the square submatrices of A.  Hermitian
+dual containment has two routes here, the coset test Z & -qZ = 0 and the
+matrix test H H^dagger = 0.  The sweep harness rebuilds every family
+instance that cosets.parameter_ranges admits, each through
+eaqecc.build_classical, and compares rank(H H^dagger) against the
+predicted ebit count; the family-v cross rank rank(H1 H2^dagger) takes
+H1 and H2 as rows of the entry's own H.
 """
 
 from __future__ import annotations
@@ -20,16 +23,13 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import kernels
-from .algebra import Matrix, hermitian_adjoint, mat_mul, matrix_rank
-from .codes import (
-    ClassicalCode,
-    constacyclic_code,
-    constacyclic_context,
-    generator_matrix,
-)
+from .codes import ClassicalCode, generator_matrix
 from .cosets import DefiningSet, parameter_ranges
 from .eaqecc import build_classical, ebit_count
+from .galois import FieldContext
 
 
 @dataclass(frozen=True)
@@ -46,19 +46,21 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def exhaustive_min_distance(G: Matrix, budget: OracleBudget = OracleBudget()) -> int:
+def exhaustive_min_distance(G: np.ndarray, ctx: FieldContext,
+                            budget: OracleBudget = OracleBudget()) -> int:
     """Minimum Hamming weight over all nonzero codewords m G."""
-    k = G.nrows
-    size = G.ctx.order
+    k = G.shape[0]
+    size = ctx.order
     if size**k > budget.max_codewords:
         raise BudgetExceeded(
             f"{size}^{k} codewords exceed the budget {budget.max_codewords}")
     if k == 0:
         raise ValueError("empty generator matrix has no nonzero codewords")
-    return kernels.min_weight(G.data, G.ctx)
+    return kernels.min_weight(G, ctx)
 
 
-def mds_minor_oracle(G: Matrix, budget: OracleBudget = OracleBudget()) -> bool:
+def mds_minor_oracle(G: np.ndarray, ctx: FieldContext,
+                     budget: OracleBudget = OracleBudget()) -> bool:
     """True iff every k x k minor of the k x n matrix G is nonsingular.
     For a generator matrix that means d = n-k+1; so does it for a full-rank
     parity check, whose every n-k columns are then independent.  The
@@ -67,7 +69,7 @@ def mds_minor_oracle(G: Matrix, budget: OracleBudget = OracleBudget()) -> bool:
     if math.comb(n, k) > budget.max_minors:
         raise BudgetExceeded(
             f"C({n},{k}) minors exceed the budget {budget.max_minors}")
-    return kernels.minors_nonsingular(G.data, G.ctx)
+    return kernels.minors_nonsingular(G, ctx)
 
 
 def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
@@ -81,9 +83,10 @@ def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
     return not Z.elements & {(-q * z) % Z.modulus for z in Z.elements}
 
 
-def dual_containment_matrix_oracle(H: Matrix, q: int) -> bool:
+def dual_containment_matrix_oracle(H: np.ndarray, q: int,
+                                   ctx: FieldContext) -> bool:
     """True iff H H^dagger = 0 (matrix route to Hermitian dual containment)."""
-    return mat_mul(H, hermitian_adjoint(H, q)).is_zero()
+    return not kernels.matmul(H, kernels.adjoint(H, q, ctx), ctx).any()
 
 
 def certify_distance(code: ClassicalCode,
@@ -98,13 +101,13 @@ def certify_distance(code: ClassicalCode,
     if k == 0:
         return {"method": "design-only", "is_mds": None, "d": None}
     if code.field.order**k <= budget.max_codewords:
-        d = exhaustive_min_distance(generator_matrix(code), budget)
+        d = exhaustive_min_distance(generator_matrix(code), code.field, budget)
         return {"method": "enumeration", "is_mds": d == n - k + 1, "d": d}
     if math.comb(n, k) <= budget.max_minors:
         # C(n, k) = C(n, n-k) minors either way: test the smaller matrix
         H = code.H
-        M = H if H.nrows == n - k < k else generator_matrix(code)
-        ok = mds_minor_oracle(M, budget)
+        M = H if H.shape[0] == n - k < k else generator_matrix(code)
+        ok = mds_minor_oracle(M, code.field, budget)
         return {"method": "minors", "is_mds": ok, "d": n - k + 1 if ok else None}
     return {"method": "design-only", "is_mds": None, "d": None}
 
@@ -145,8 +148,8 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _rank_entry(lemma, q, n, r, params, Z, H, expected, **extra) -> dict:
-    computed = ebit_count(H, q)
+def _rank_entry(lemma, q, n, r, params, Z, H, ctx, expected, **extra) -> dict:
+    computed = ebit_count(H, q, ctx)
     ok = computed == expected and all(
         v for k, v in extra.items() if k.endswith("_ok"))
     entry = {"lemma": lemma, "q": q, "n": n, "r": r, "params": params,
@@ -216,16 +219,19 @@ def _sweep_family(report: SweepReport, family: str, q: int, expected: int,
             params["odd"] = odd
         extra = {}
         if family == "v":
-            extra = _consta_intersection(q, t, kw["delta1"], kw["delta2"], Z)
+            extra = _consta_intersection(q, t, kw["delta1"], kw["delta2"], code)
         report.add(_rank_entry(report.lemma, q, length,
                                Z.r if Z is not None else None, params, Z,
-                               code.H, expected, **extra))
+                               code.H, code.field, expected, **extra))
 
 
-def _consta_intersection(q, t, d1, d2, Z: DefiningSet) -> dict:
-    """Check that the split of Z around its anchor exponent rebuilds Z,
-    |Z1 & Z2^{-q}| = (t-1)/2 and rank(H1 H2^dagger) = (t-1)/2."""
-    ctx = constacyclic_context(q, Z.n, t)
+def _consta_intersection(q, t, d1, d2, code: ClassicalCode) -> dict:
+    """Check that the split of the code's defining set Z around its anchor
+    exponent rebuilds Z, |Z1 & Z2^{-q}| = (t-1)/2 and rank(H1 H2^dagger)
+    = (t-1)/2.  Row z of the code's H depends only on z, so H1 and H2 are
+    its rows at the positions of Z1 and Z2 in Z.sorted().  When the split
+    does not rebuild Z, there is no cross rank to take."""
+    Z, H, ctx = code.defining_set, code.H, code.field
     s = (t - 1) // 2
     anchor = s * (q - 1)
     modulus = Z.modulus
@@ -234,11 +240,13 @@ def _consta_intersection(q, t, d1, d2, Z: DefiningSet) -> dict:
     z2 = frozenset((1 + t * (e0 + j)) % modulus for j in range(1, d2 + 1))
     split_ok = z1 | z2 | {anchor} == Z.elements
     inter = z1 & frozenset((-q * z) % modulus for z in z2)
-    Z1 = DefiningSet(modulus, t, z1)
-    Z2 = DefiningSet(modulus, t, z2)
-    H1 = constacyclic_code(ctx, Z1).H
-    H2 = constacyclic_code(ctx, Z2).H
-    cross_rank = matrix_rank(mat_mul(H1, hermitian_adjoint(H2, q)))
+    cross_rank = None
+    if split_ok:
+        row = {z: i for i, z in enumerate(Z.sorted())}
+        H1 = H[[row[z] for z in sorted(z1)]]
+        H2 = H[[row[z] for z in sorted(z2)]]
+        gram = kernels.matmul(H1, kernels.adjoint(H2, q, ctx), ctx)
+        cross_rank = kernels.rank(gram, ctx)
     return {
         "split_ok": split_ok,
         "intersection": len(inter),

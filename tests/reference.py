@@ -1,13 +1,16 @@
 """Pure-Python references in context arithmetic, one element at a time,
-for the vectorized kernels and the matrix layer built on them; schoolbook
-polynomial arithmetic modulo the field's modulus, for its log tables; and
-the GF(q^4) root-evaluation route to family i that checks its trace rows."""
+for the vectorized kernels; schoolbook polynomial arithmetic modulo the
+field's modulus, for its log tables; the GF(q^4) root-evaluation route to
+family i that checks its trace rows; and the family-v cross rank from
+separately built codes."""
 
 from itertools import combinations, product
 
 import numpy as np
 
-from eaqmds.algebra import Matrix
+from eaqmds import kernels
+from eaqmds.codes import constacyclic_code, constacyclic_context
+from eaqmds.cosets import DefiningSet
 from eaqmds.galois import build_field
 
 
@@ -201,4 +204,24 @@ def trace_root(ctx):
 
 def root_rows(f4, beta, zs, n):
     """Rows (beta^{zj})_j, j < n, one per z in zs."""
-    return Matrix(f4, [[f4.pow(beta, z * j) for j in range(n)] for z in zs])
+    return np.array([[f4.pow(beta, z * j) for j in range(n)] for z in zs],
+                    dtype=np.int64).reshape(len(zs), n)
+
+
+# ---------------------------------------------------------------------------
+# family v: the cross rank with H1 and H2 built as codes of their own
+# ---------------------------------------------------------------------------
+
+def ref_cross_rank(q, t, d1, d2, n):
+    """rank(H1 H2^dagger) for the halves Z1, Z2 of the family-v defining
+    set with parameters (d1, d2), each built by constacyclic_code in a
+    fresh context of length n and shift order t."""
+    ctx = constacyclic_context(q, n, t)
+    modulus = t * n
+    e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
+    z1 = frozenset((1 + t * (e0 - j)) % modulus for j in range(1, d1 + 1))
+    z2 = frozenset((1 + t * (e0 + j)) % modulus for j in range(1, d2 + 1))
+    H1 = constacyclic_code(ctx, DefiningSet(modulus, t, z1)).H
+    H2 = constacyclic_code(ctx, DefiningSet(modulus, t, z2)).H
+    f = ctx.field
+    return kernels.rank(kernels.matmul(H1, kernels.adjoint(H2, q, f), f), f)

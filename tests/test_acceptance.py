@@ -170,7 +170,8 @@ def test_criterion_3_dual_containment_oracle_equivalence():
             contexts[key] = constacyclic_context(q, Z.n, Z.r)
         H = constacyclic_code(contexts[key], Z).H
         coset_route = is_hermitian_dual_containing(Z, q)
-        matrix_route = dual_containment_matrix_oracle(H, q)
+        matrix_route = dual_containment_matrix_oracle(
+            H, q, contexts[key].field)
         containing += coset_route
         disagreements += coset_route != matrix_route
     assert disagreements == 0

@@ -283,7 +283,7 @@ def test_failed_construction_exits_1(monkeypatch, capsys, c, message):
     # family i at q = 4 has n = 17 and c = 1: c = 17 leaves [0, n-1]
     # (ea_singleton_check), c = 2 meets the bound but not the closed
     # form (enumerate_family)
-    monkeypatch.setattr(eaqecc, "ebit_count", lambda H, q: c)
+    monkeypatch.setattr(eaqecc, "ebit_count", lambda H, q, ctx: c)
     code, out, err = run_cli(capsys, "enumerate", "--family", "i", "--q", "4")
     assert code == cli.VERIFY_ERROR == 1
     assert err.startswith("error: ") and message in err

@@ -4,8 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from eaqmds import codes
-from eaqmds.algebra import Matrix, hermitian_adjoint, mat_mul, matrix_rank
+from eaqmds import kernels
 from eaqmds.codes import (
     constacyclic_code,
     constacyclic_context,
@@ -46,7 +45,7 @@ def test_constacyclic_code_17_12_6():
     code = constacyclic_code(ctx, defining_set("i", 4, delta=2))
     assert (code.n, code.k, code.d_design) == (17, 12, 6)
     assert code.H.shape == (5, 17)
-    assert matrix_rank(code.H) == 5
+    assert kernels.rank(code.H, code.field) == 5
 
 
 def test_constacyclic_code_family_iv():
@@ -60,7 +59,7 @@ def test_empty_defining_set_gives_full_space():
     ctx = constacyclic_context(5, 24, 1)
     code = constacyclic_code(ctx, DefiningSet(24, 1, frozenset()))
     assert (code.n, code.k, code.d_design) == (24, 24, 1)
-    assert generator_matrix(code) == Matrix(ctx.field, np.eye(24))
+    assert np.array_equal(generator_matrix(code), np.eye(24))
     # the same through the trace rows of family i
     ctx = constacyclic_context(4, 17, 1)
     code = constacyclic_code(ctx, DefiningSet(17, 1, frozenset()))
@@ -75,7 +74,7 @@ def test_codewords_vanish_at_defining_set_roots():
     f = ctx.field
     for z in Z.sorted():
         root = f.pow(int(ctx.table[1]), z)   # eta^z
-        for row in G.data:
+        for row in G:
             acc, x = 0, 1
             for cj in row:
                 acc = f.add(acc, f.mul(int(cj), x))
@@ -94,11 +93,11 @@ def test_constacyclic_shift_invariance(q, n, r, family, kwargs):
     code = constacyclic_code(ctx, defining_set(family, q, **kwargs))
     G = generator_matrix(code)
     f = ctx.field
-    shifted = np.zeros_like(G.data)
-    shifted[:, 1:] = G.data[:, :-1]
-    for i in range(G.nrows):
-        shifted[i, 0] = f.mul(ctx.lam, int(G.data[i, -1]))
-    assert mat_mul(code.H, Matrix(f, shifted.T)).is_zero()
+    shifted = np.zeros_like(G)
+    shifted[:, 1:] = G[:, :-1]
+    for i in range(G.shape[0]):
+        shifted[i, 0] = f.mul(ctx.lam, int(G[i, -1]))
+    assert not kernels.matmul(code.H, shifted.T, f).any()
 
 
 def _rs_code(qm, r):
@@ -112,7 +111,7 @@ def _rs_code(qm, r):
 def test_rs_parity_check():
     triv = _rs_code(16, 1)
     assert (triv.n, triv.k, triv.d_design) == (15, 15, 1)
-    assert triv.H.nrows == 0
+    assert triv.H.shape[0] == 0
     code = _rs_code(16, 3)
     assert (code.n, code.k, code.d_design) == (15, 13, 3)
     assert code.H.shape == (2, 15)
@@ -120,14 +119,14 @@ def test_rs_parity_check():
     f = code.field
     for i in range(1, 3):
         for j in range(15):
-            assert code.H.data[i - 1, j] == f.pow(f.generator, i * j)
+            assert code.H[i - 1, j] == f.pow(f.generator, i * j)
 
 
 def test_rs_8_5_4_is_mds():
     from eaqmds.verify import mds_minor_oracle
     code = _rs_code(9, 4)
     assert (code.n, code.k, code.d_design) == (8, 5, 4)
-    assert mds_minor_oracle(generator_matrix(code))
+    assert mds_minor_oracle(generator_matrix(code), code.field)
 
 
 @pytest.mark.parametrize("qm", [4, 9, 16, 25])
@@ -135,7 +134,7 @@ def test_rs_parameter_sweep(qm):
     for r in range(1, qm - 2):
         code = _rs_code(qm, r)
         assert (code.n, code.k, code.d_design) == (qm - 1, qm - r, r)
-        assert code.k == code.n - matrix_rank(code.H)
+        assert code.k == code.n - kernels.rank(code.H, code.field)
 
 
 def test_extended_rs_examples():
@@ -145,7 +144,7 @@ def test_extended_rs_examples():
     assert (code.n, code.k, code.d_design) == (25, 20, 6)
     parity = extended_rs_code(3, 1)
     assert (parity.n, parity.k, parity.d_design) == (9, 8, 2)
-    assert np.all(parity.H.data == 1)
+    assert np.all(parity.H == 1)
     with pytest.raises(ValueError):
         extended_rs_code(3, 8)
 
@@ -154,14 +153,14 @@ def test_extended_rs_structure():
     code = extended_rs_code(3, 3)
     f = code.field
     # first evaluation point is 0 with 0^0 = 1 in the all-ones row
-    assert np.all(code.H.data[0] == 1)
-    assert code.H.data[1, 0] == 0 and code.H.data[2, 0] == 0
+    assert np.all(code.H[0] == 1)
+    assert code.H[1, 0] == 0 and code.H[2, 0] == 0
     # remaining points enumerate the nonzero field elements once
-    assert sorted(code.H.data[1, 1:].tolist()) == sorted(range(1, 9))
+    assert sorted(code.H[1, 1:].tolist()) == sorted(range(1, 9))
     # H[i, j] = point_j^i for the points 0, g^0, g^1, ...
     points = [0] + [f.pow(f.generator, j) for j in range(8)]
     for i in range(3):
-        assert code.H.data[i].tolist() == [f.pow(x, i) for x in points]
+        assert code.H[i].tolist() == [f.pow(x, i) for x in points]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -169,14 +168,14 @@ def test_extended_rs_parameter_sweep(q):
     for r in range(1, q * q - 2):
         code = extended_rs_code(q, r)
         assert (code.n, code.k, code.d_design) == (q * q, q * q - r, r + 1)
-        assert matrix_rank(code.H) == r
+        assert kernels.rank(code.H, code.field) == r
 
 
 def test_generator_matrix_nullspace():
     code = extended_rs_code(3, 3)
     G = generator_matrix(code)
-    assert G.nrows == 6
-    assert mat_mul(code.H, Matrix(code.field, G.data.T)).is_zero()
+    assert G.shape[0] == 6
+    assert not kernels.matmul(code.H, G.T, code.field).any()
 
 
 def test_subfield_subcode_structure():
@@ -192,9 +191,9 @@ def test_subfield_subcode_structure():
     assert g.is_monic() and g.degree == 5
     assert set(g.coeffs) <= set(emb.tolist())
     G = generator_matrix(code)
-    assert G.nrows == 12 and matrix_rank(G) == 12
+    assert G.shape[0] == 12 and kernels.rank(G, code.field) == 12
     H_root = root_rows(f4, beta, zs, 17)
-    assert mat_mul(Matrix(f4, emb[G.data]), Matrix(f4, H_root.data.T)).is_zero()
+    assert not kernels.matmul(emb[G], H_root.T, f4).any()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
@@ -219,10 +218,10 @@ def test_family_i_matches_root_evaluation(q):
         for Z in sets:
             code = constacyclic_code(ctx, Z)
             H_root = root_rows(f4, beta, Z.sorted(), n)
-            G = Matrix(f4, emb[generator_matrix(code).data])
-            assert mat_mul(G, Matrix(f4, H_root.data.T)).is_zero()
-            gram = mat_mul(H_root, hermitian_adjoint(H_root, q))
-            assert ebit_count(code.H, q) == matrix_rank(gram)
+            G = emb[generator_matrix(code)]
+            assert not kernels.matmul(G, H_root.T, f4).any()
+            gram = kernels.matmul(H_root, kernels.adjoint(H_root, q, f4), f4)
+            assert ebit_count(code.H, q, code.field) == kernels.rank(gram, f4)
 
 
 def test_trace_rows_need_a_symmetric_defining_set():
@@ -243,7 +242,7 @@ def test_singleton_bound_enforced():
     code = constacyclic_code(ctx, defining_set("iii", 5, delta=1))
     with pytest.raises(ValueError):
         ClassicalCode(n=code.n, k=code.k, d_design=code.n - code.k + 2,
-                      H=code.H, q=5)
+                      H=code.H, q=5, field=code.field)
 
 
 def test_code_record():
@@ -261,14 +260,14 @@ def _rank_shapes(spy):
 
 
 def _spy_rank():
-    return mock.patch.object(codes, "matrix_rank", wraps=matrix_rank)
+    return mock.patch.object(kernels, "rank", wraps=kernels.rank)
 
 
 def test_rank_window_is_enough_for_power_rows():
     ctx = constacyclic_context(5, 24, 1)
     with _spy_rank() as spy:
         code = constacyclic_code(ctx, defining_set("iii", 5, delta=2))
-    rows = code.H.nrows
+    rows = code.H.shape[0]
     assert code.k == 24 - rows
     assert _rank_shapes(spy) == [(rows, rows)]
 

@@ -232,11 +232,11 @@ def test_minor_oracle_on_family_i(limit):
     # family i at q = 4, d = 8: H is 7 x 17, so the walk covers
     # C(17, 7) = 19448 nodes; a limit below that splits it into walks
     code = build_classical("i", 4, 8)
-    H = code.H.data.copy()
+    H = code.H.copy()
     with mock.patch.object(kernels, "_WALK_NODES", limit):
-        assert kernels.minors_nonsingular(H, code.H.ctx)
+        assert kernels.minors_nonsingular(H, code.field)
         H[:, 12] = H[:, 9]
-        assert not kernels.minors_nonsingular(H, code.H.ctx)
+        assert not kernels.minors_nonsingular(H, code.field)
 
 
 @st.composite
@@ -324,9 +324,25 @@ def test_min_weight_visits_each_projective_message_once(limit):
 
 
 def test_pow_entries(gf16):
+    # the adjoint is the entrywise a -> a^q, transposed
     rng = np.random.default_rng(5)
-    M = rng.integers(0, 16, (4, 4)).astype(np.int64)
-    P = kernels.pow_entries(M, 4, gf16)
+    M = rng.integers(0, 16, (4, 3)).astype(np.int64)
+    P = kernels.adjoint(M, 4, gf16)
+    assert P.shape == (3, 4)
     for i in range(4):
-        for j in range(4):
-            assert P[i, j] == gf16.pow(int(M[i, j]), 4)
+        for j in range(3):
+            assert P[j, i] == gf16.pow(int(M[i, j]), 4)
+    with pytest.raises(ValueError, match="incompatible"):
+        kernels.adjoint(M, 3, gf16)
+
+
+@pytest.mark.parametrize("pm", [(2, 2), (3, 2)])
+def test_matmul_rejects_inner_dimension_mismatch(pm):
+    # XOR sums for p = 2 and digit planes for odd p: a 1 x 3 by 1 x 2
+    # product is an error, not a 1 x 2 result
+    ctx = build_field(*pm)
+    A, B = np.ones((1, 3), dtype=np.int64), np.ones((1, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kernels.matmul(A, B, ctx)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kernels.matmul(B.T, A.T, ctx)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PARITY_CHECK_SPANS = ("codes.constacyclic_code", "codes.extended_rs_code")
 
 
 def run_child(argv, trace):
@@ -25,7 +26,7 @@ def run_child(argv, trace):
 @pytest.mark.parametrize("argv, span", [
     (["distance", "--family", "i", "--q", "3", "--d", "6"],
      "kernels.min_weight"),
-    (["verify", "--lemma", "rank-ers", "--q", "3"], "algebra.matrix_rank"),
+    (["verify", "--lemma", "rank-ers", "--q", "3"], "kernels.matmul"),
     (["distance", "--family", "i", "--q", "4", "--d", "8"],
      "verify.certify_distance"),
 ])
@@ -36,3 +37,7 @@ def test_traced_pass_matches_plain_pass(argv, span):
     assert plain["spans"] is None
     probed = [s[-1] for s in traced["spans"] if s[2] == span]
     assert probed and all(isinstance(attrs, dict) for attrs in probed)
+    # the parity-check probes read code.H.data.shape, which on an ndarray
+    # H is the shape of its memoryview
+    built = [s[-1] for s in traced["spans"] if s[2] in PARITY_CHECK_SPANS]
+    assert built and all(isinstance(attrs, dict) for attrs in built)

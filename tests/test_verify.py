@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from eaqmds import verify
-
-from eaqmds.algebra import Matrix
-from eaqmds.algebra import nullspace_basis
 from eaqmds.codes import (
     ClassicalCode,
     constacyclic_code,
@@ -29,6 +26,7 @@ from eaqmds.verify import (
     mds_minor_oracle,
     run_lemma_sweep,
 )
+from reference import ref_cross_rank
 
 
 def rs_8_5_4():
@@ -38,14 +36,14 @@ def rs_8_5_4():
 
 
 def test_exhaustive_min_distance_repetition_style(gf9):
-    G = Matrix(gf9, np.ones((1, 4), dtype=np.int64))
-    assert exhaustive_min_distance(G) == 4
+    G = np.ones((1, 4), dtype=np.int64)
+    assert exhaustive_min_distance(G, gf9) == 4
 
 
 def test_exhaustive_min_distance_rs_8_5_4():
     code = rs_8_5_4()
     G = generator_matrix(code)
-    assert exhaustive_min_distance(G) == 4   # 9^5 = 59049 messages
+    assert exhaustive_min_distance(G, code.field) == 4   # 9^5 = 59049 messages
 
 
 def test_exhaustive_budget_routing():
@@ -53,39 +51,40 @@ def test_exhaustive_budget_routing():
     code = build_classical("iv", 5, 6)
     assert code.k == 7
     with pytest.raises(BudgetExceeded):
-        exhaustive_min_distance(generator_matrix(code))
+        exhaustive_min_distance(generator_matrix(code), code.field)
     # ... but the minor oracle fits: C(12,7) = 792
-    assert mds_minor_oracle(generator_matrix(code))
+    assert mds_minor_oracle(generator_matrix(code), code.field)
 
 
 def test_minor_oracle_cases(gf9):
-    assert mds_minor_oracle(Matrix(gf9, np.eye(3)))
-    bad = Matrix(gf9, [[1, 2, 1], [2, 1, 2]])  # repeated column
-    assert not mds_minor_oracle(bad)
+    assert mds_minor_oracle(np.eye(3, dtype=np.int64), gf9)
+    bad = np.array([[1, 2, 1], [2, 1, 2]])  # repeated column
+    assert not mds_minor_oracle(bad, gf9)
     code = build_classical("i", 4, 6)
     G = generator_matrix(code)
     assert math.comb(17, 12) == 6188
-    assert mds_minor_oracle(G)
+    assert mds_minor_oracle(G, code.field)
     with pytest.raises(BudgetExceeded):
-        mds_minor_oracle(G, OracleBudget(max_minors=100))
+        mds_minor_oracle(G, code.field, OracleBudget(max_minors=100))
 
 
 def test_oracles_agree_where_both_apply():
     for code in [rs_8_5_4(), build_classical("ii", 3, 4),
                  build_classical("iii", 3, 3)]:
         G = generator_matrix(code)
-        d = exhaustive_min_distance(G)
-        assert (d == code.n - code.k + 1) == mds_minor_oracle(G)
+        d = exhaustive_min_distance(G, code.field)
+        assert (d == code.n - code.k + 1) == mds_minor_oracle(G, code.field)
 
 
 def test_dual_containment_matrix_oracle(gf9):
-    assert dual_containment_matrix_oracle(Matrix(gf9, np.zeros((0, 4))), 3)
+    assert dual_containment_matrix_oracle(
+        np.zeros((0, 4), dtype=np.int64), 3, gf9)
     ctx = constacyclic_context(4, 17, 1)
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     H1 = constacyclic_code(ctx, DefiningSet(17, 1, z1)).H
-    assert dual_containment_matrix_oracle(H1, 4)
+    assert dual_containment_matrix_oracle(H1, 4, ctx.field)
     Hfull = constacyclic_code(ctx, DefiningSet(17, 1, z1 | {0})).H
-    assert not dual_containment_matrix_oracle(Hfull, 4)
+    assert not dual_containment_matrix_oracle(Hfull, 4, ctx.field)
 
 
 def test_certify_distance_routing():
@@ -128,10 +127,10 @@ def test_certify_enumeration_reports_distance_below_design():
 def _with_repeated_column(code):
     """The code whose parity check repeats column 1 of code.H in place of
     the last column: it has a weight-2 word, so it is not MDS."""
-    data = code.H.data.copy()
-    data[:, -1] = data[:, 1]
-    H = Matrix(code.field, data)
-    return ClassicalCode(n=code.n, k=code.k, d_design=2, H=H, q=code.q)
+    H = code.H.copy()
+    H[:, -1] = H[:, 1]
+    return ClassicalCode(n=code.n, k=code.k, d_design=2, H=H, q=code.q,
+                         field=code.field)
 
 
 @pytest.mark.parametrize("r", [3, 6])
@@ -142,13 +141,14 @@ def test_minor_oracle_on_h_agrees_with_g(r):
     the same through whichever matrix it picks."""
     mds = extended_rs_code(3, r)            # [9, 9-r, r+1]
     for code, is_mds in ((mds, True), (_with_repeated_column(mds), False)):
-        G = nullspace_basis(code.H)
-        assert G.nrows == code.k == 9 - r
-        assert mds_minor_oracle(G) == mds_minor_oracle(code.H) == is_mds
+        G = generator_matrix(code)
+        f = code.field
+        assert G.shape[0] == code.k == 9 - r
+        assert mds_minor_oracle(G, f) == mds_minor_oracle(code.H, f) == is_mds
         with mock.patch.object(verify, "mds_minor_oracle",
                                wraps=mds_minor_oracle) as oracle:
             res = certify_distance(code, OracleBudget(max_codewords=1))
-        assert oracle.call_args.args[0].nrows == min(r, 9 - r)
+        assert oracle.call_args.args[0].shape[0] == min(r, 9 - r)
         assert res["method"] == "minors" and res["is_mds"] == is_mds
 
 
@@ -168,16 +168,33 @@ def test_consta_split_mismatch_is_reported():
     # q = 5, t = 3 admits only delta1 = delta2 = 2; Z then has 5 elements
     ctx = constacyclic_context(5, 8, 3)
     Z = defining_set("v", 5, t=3, delta1=2, delta2=2)
-    H = constacyclic_code(ctx, Z).H
-    good = _consta_intersection(5, 3, 2, 2, Z)
-    assert good["split_ok"]
-    assert _rank_entry("consta", 5, 8, 3, {}, Z, H, 3, **good)["ok"]
-    # a defining set missing one element is not rebuilt by the split
+    code, f = constacyclic_code(ctx, Z), ctx.field
+    good = _consta_intersection(5, 3, 2, 2, code)
+    assert good["split_ok"] and good["cross_rank"] == 1
+    assert _rank_entry("consta", 5, 8, 3, {}, Z, code.H, f, 3, **good)["ok"]
+    # a defining set missing one element is not rebuilt by the split,
+    # and its rows no longer hold H1 and H2: no cross rank is taken
     short = DefiningSet(Z.modulus, Z.r, Z.elements - {max(Z.elements)})
-    extra = _consta_intersection(5, 3, 2, 2, short)
+    short_code = constacyclic_code(ctx, short)
+    extra = _consta_intersection(5, 3, 2, 2, short_code)
     assert extra["split_ok"] is False
-    entry = _rank_entry("consta", 5, 8, 3, {}, short, H, 3, **extra)
+    assert extra["cross_rank"] is None and extra["cross_rank_ok"] is False
+    entry = _rank_entry("consta", 5, 8, 3, {}, short, short_code.H, f, 3,
+                        **extra)
     assert entry["ok"] is False and entry["split_ok"] is False
+
+
+@pytest.mark.parametrize("q, t", [(5, 3), (9, 5), (11, 3), (13, 7),
+                                  (19, 5), (27, 7)])
+def test_consta_cross_rank_matches_separate_codes(q, t):
+    # the criterion-7 grid: rows of the entry's H against H1 and H2
+    # built as codes of their own
+    entries = run_lemma_sweep("consta", [q], [t]).entries
+    assert entries
+    for e in entries:
+        p = e["params"]
+        assert e["cross_rank"] == ref_cross_rank(q, t, p["delta1"],
+                                                 p["delta2"], e["n"])
 
 
 def test_run_lemma_sweep_errors():
@@ -222,4 +239,4 @@ def test_budget_validation():
 
 def test_empty_generator_is_error(gf9):
     with pytest.raises(ValueError):
-        exhaustive_min_distance(Matrix(gf9, np.zeros((0, 4))))
+        exhaustive_min_distance(np.zeros((0, 4), dtype=np.int64), gf9)
