@@ -24,6 +24,7 @@ from eaqmds.verify import (
     is_hermitian_dual_containing,
     run_lemma_sweep,
 )
+from reference import ref_cross_rank
 
 
 def _labels(family, q, t=None):
@@ -269,7 +270,9 @@ def test_criterion_6_table_regeneration(q, t, lengths):
 
 
 def test_criterion_7_constacyclic_intersection():
-    """|Z1 & Z2^{-q}| = (t-1)/2 on every family-v sweep instance."""
+    """|Z1 & Z2^{-q}| = (t-1)/2 on every family-v sweep instance, and the
+    cross rank from rows of the entry's H equals the one from H1 and H2
+    built as codes of their own."""
     total = 0
     for q, t in ((5, 3), (9, 5), (11, 3), (13, 7), (19, 5), (27, 7)):
         rep = run_lemma_sweep("consta", [q], [t])
@@ -277,6 +280,9 @@ def test_criterion_7_constacyclic_intersection():
         for e in rep.entries:
             assert e["intersection"] == (t - 1) // 2
             assert e["cross_rank"] == (t - 1) // 2
+            p = e["params"]
+            assert e["cross_rank"] == ref_cross_rank(
+                q, t, p["delta1"], p["delta2"], e["n"])
             total += 1
     print(f"ACCEPTANCE 7 PASS intersection count (t-1)/2 on {total} "
           "family-v instances")

@@ -253,6 +253,9 @@ def test_code_record():
     cyc = constacyclic_code(ctx, defining_set("i", 4, delta=1))
     assert cyc.defining_set.sorted() == [0, 1, 16]
     assert cyc.field is extended_rs_code(4, 5).field
+    # H is a read-only int64 array of element codes
+    for c in (code, cyc):
+        assert c.H.dtype == np.int64 and not c.H.flags.writeable
 
 
 def _rank_shapes(spy):
