@@ -1,6 +1,6 @@
 """Entanglement-assisted quantum MDS code construction and verification."""
 
-from .codes import ClassicalCode, constacyclic_code, constacyclic_context, extended_rs_code
+from .codes import ClassicalCode, constacyclic_code, extended_rs_code
 from .cosets import DefiningSet, bch_design_distance, cyclotomic_coset, defining_set
 from .eaqecc import EaqeccParams, derive_eaqecc, ebit_count, enumerate_family
 from .galois import FieldContext, build_field
@@ -9,8 +9,7 @@ from .verify import OracleBudget, certify_distance, exhaustive_min_distance, mds
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassicalCode", "constacyclic_code", "constacyclic_context",
-    "extended_rs_code",
+    "ClassicalCode", "constacyclic_code", "extended_rs_code",
     "DefiningSet", "bch_design_distance", "cyclotomic_coset", "defining_set",
     "EaqeccParams", "derive_eaqecc", "ebit_count", "enumerate_family",
     "FieldContext", "build_field",

@@ -3,6 +3,8 @@
 Subcommands: enumerate (family records), verify (rank-lemma sweeps),
 distance (oracle certification of one instance), table (the comparison
 table between entanglement-assisted and standard quantum MDS codes).
+--format picks JSON, CSV or Markdown for enumerate and Markdown or JSON
+for table; verify and distance write JSON only.
 
 Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  Exit codes: 0 success,
@@ -22,12 +24,18 @@ import sys
 import time
 import traceback
 
+from .cosets import parameter_ranges
 from .eaqecc import (
     FAMILIES,
     EaqeccParams,
     VerificationError,
+    admissible,
     build_classical,
+    closed_form_k,
     enumerate_family,
+    expected_c,
+    family_t,
+    instances,
 )
 from .galois import factor_prime_power
 from .verify import (
@@ -125,8 +133,8 @@ def _applicable_families(q: int, t: int | None,
                          n: int | None = None) -> list[str]:
     """The families that admit q and t; with n, of families i and iii
     (the only ones of variable length) just those that admit n."""
-    return [name for name, spec in FAMILIES.items() if spec.admissible_q(
-        q, t, n if name in ("i", "iii") else None)]
+    return [name for name in FAMILIES
+            if admissible(name, q, t, n if name in ("i", "iii") else None)]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -139,17 +147,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise ValueError(f"neither family i nor iii admits n={args.n} "
                              f"at q={q}")
         for fam in fams:
-            t = args.t if FAMILIES[fam].needs_t else None
             # --family all passes n only to the families that take it
             n = args.n if args.family != "all" or fam in ("i", "iii") else None
-            params.extend(enumerate_family(fam, q, t, n=n))
+            params.extend(enumerate_family(fam, q, family_t(fam, args.t), n=n))
     if args.d is not None:
         params = [p for p in params if p.d == args.d]
         if not params:
             print(f"error: d={args.d} not admissible here", file=sys.stderr)
             return USAGE_ERROR
-    order = {name: i for i, name in enumerate(FAMILIES)}
-    params.sort(key=lambda p: (order[p.family], p.q, p.t or 0, p.d))
+    params.sort(key=lambda p: (FAMILIES.index(p.family), p.q, p.t or 0, p.d))
     records = [p.to_record() for p in params]
     _emit(_FORMATTERS[args.fmt](records), args.output)
     print(f"enumerated {len(records)} records in "
@@ -180,11 +186,12 @@ def cmd_distance(args: argparse.Namespace) -> int:
               "(or explicit --delta/--delta1/--delta2)", file=sys.stderr)
         return USAGE_ERROR
     q = args.q_values[0]
+    t = family_t(args.family, args.t)
     budget = OracleBudget(args.max_codewords, args.max_minors)
-    code = build_classical(args.family, q, args.d, args.t, args.n, **deltas)
+    code = build_classical(args.family, q, args.d, t, args.n, **deltas)
     result = certify_distance(code, budget)
     rec = {
-        "family": args.family, "q": q, "t": args.t,
+        "family": args.family, "q": q, "t": t,
         "classical": {"n": code.n, "k": code.k, "d_design": code.d_design},
         "method": result["method"],
         "oracle_distance": result["d"],
@@ -208,11 +215,10 @@ def _qmds_column(family: str, q: int, t: int | None, n: int) -> dict:
 def table_rows(q: int, t: int | None) -> list[dict]:
     rows = []
     for fam in _applicable_families(q, t):
-        spec = FAMILIES[fam]
-        tt = t if spec.needs_t else None
+        tt = family_t(fam, t)
         params = enumerate_family(fam, q, tt)
-        n = spec.length(q, tt)
-        ds = list(spec.instances(q, tt))  # the full range, k = 0 included
+        n = parameter_ranges(fam, q, None, tt)[0]
+        ds = list(instances(fam, q, tt))  # the full range, k = 0 included
         rows.append({
             "length": n,
             "family": fam,
@@ -220,8 +226,8 @@ def table_rows(q: int, t: int | None) -> list[dict]:
             "t": tt,
             "eaqmds": {
                 # the closed form's constant term is its k at d = 0
-                "k_formula": f"{spec.closed_form_k(q, 0, tt)}-2d",
-                "c": spec.expected_c(tt),
+                "k_formula": f"{closed_form_k(fam, q, 0, tt)}-2d",
+                "c": expected_c(fam, tt),
                 "d_min": min(ds),
                 "d_max": max(ds),
                 "d_parity": "even" if fam == "i" else "any",
@@ -271,14 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "MDS codes.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_choices=("json", "csv", "md")):
+    def common(p, fmt_choices=()):
         p.add_argument("--q", required=True,
                        help="prime power, comma list, or range a..b")
         p.add_argument("--t", type=int, default=None,
                        help="constacyclic order for family v")
         p.add_argument("--output", default=None)
-        p.add_argument("--format", dest="fmt", choices=fmt_choices,
-                       default=fmt_choices[0])
+        if fmt_choices:
+            p.add_argument("--format", dest="fmt", choices=fmt_choices,
+                           default=fmt_choices[0])
 
     p_enum = sub.add_parser("enumerate", help="emit family code records")
     p_enum.add_argument("--family", default="all",
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="length override for families i and iii")
     p_enum.add_argument("--d", type=int, default=None,
                         help="restrict to one minimum distance")
-    common(p_enum)
+    common(p_enum, fmt_choices=("json", "csv", "md"))
 
     p_ver = sub.add_parser("verify", help="run rank-lemma sweeps")
     p_ver.add_argument("--lemma", default="all",
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=OracleBudget.max_codewords)
     p_dist.add_argument("--max-minors", type=int,
                         default=OracleBudget.max_minors)
-    common(p_dist, fmt_choices=("json",))
+    common(p_dist)
 
     p_tab = sub.add_parser("table", help="EAQMDS vs QMDS comparison table")
     common(p_tab, fmt_choices=("md", "json"))

@@ -3,8 +3,9 @@
 Every code lives over GF(q^2): a ClassicalCode holds its parity check H
 as a read-only int64 array next to its field, and its generator matrix
 is the nullspace of H, read off the RREF from kernels.eliminate.  A
-lambda-constacyclic code with defining set Z is built from one table of
-its context:
+lambda-constacyclic code of length n and shift order r, with defining
+set Z modulo rn, is built by constacyclic_code from one cached root table
+of GF(q^2):
 
 * rn | q^2-1: the roots eta^z lie in GF(q^2) and row z is
   (eta^{zj})_j, read off the power table E[m] = eta^m.
@@ -16,6 +17,9 @@ its context:
   invertible when 2z != 0 (mod n).  z = 0 gives the all-ones row and
   z = n/2 the row ((-1)^j).  So the root matrix is T H with T invertible
   over the extension: the same code and the same rank(H H^dagger).
+
+lambda = eta^n is a primitive r-th root of unity (1 for the cyclic
+families, -1 for the negacyclic family iv).
 """
 
 from __future__ import annotations
@@ -31,21 +35,13 @@ from .cosets import DefiningSet, bch_design_distance
 from .galois import FieldContext, build_field, factor_prime_power
 
 
-@dataclass(frozen=True, eq=False)
-class ConstacyclicContext:
-    """Root-of-unity table for lambda-constacyclic codes of length n."""
-
-    q: int
-    n: int
-    r: int
-    field: FieldContext
-    lam: int            # shift constant, a primitive r-th root of unity
-    table: np.ndarray   # E[m] = eta^m (m < rn), or tr[m] (m < n) when traces
-
-    @property
-    def traces(self) -> bool:
-        """True when the n-th roots of unity lie outside GF(q^2)."""
-        return (self.q * self.q - 1) % (self.r * self.n) != 0
+@lru_cache(maxsize=None)
+def _power_table(f: FieldContext, rn: int) -> np.ndarray:
+    """E[m] = eta^m (m < rn) for eta = g^((Q-1)/rn), a primitive rn-th
+    root of unity of f."""
+    table = f.exp[np.arange(rn) * ((f.order - 1) // rn)]
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -64,29 +60,6 @@ def _trace_table(f: FieldContext, n: int) -> np.ndarray:
             table.setflags(write=False)
             return table
     raise RuntimeError(f"no element of order {n} over GF({f.order})")
-
-
-def constacyclic_context(q: int, n: int, r: int = 1,
-                         field: FieldContext | None = None) -> ConstacyclicContext:
-    """Fix the GF(q^2) table for length n and shift order r: powers of eta
-    when rn | q^2-1, traces of beta when r = 1 and n | q^2+1."""
-    p, e = factor_prime_power(q)
-    if math.gcd(n, q) != 1:
-        raise ValueError(f"gcd(n={n}, q={q}) != 1")
-    qsq, rn = q * q, r * n
-    traces = (qsq - 1) % rn != 0
-    if traces and (r != 1 or (qsq + 1) % n):
-        raise ValueError(
-            f"rn={rn} divides neither q^2-1 nor (r=1 case) q^2+1 for q={q}")
-    if field is None:
-        field = build_field(p, 2 * e)
-    elif field.p != p or field.m != 2 * e:
-        raise ValueError(
-            f"provided field GF({field.order}) is not GF({p}^{2 * e})")
-    if traces:
-        return ConstacyclicContext(q, n, r, field, 1, _trace_table(field, n))
-    table = field.exp[np.arange(rn) * ((field.order - 1) // rn)]
-    return ConstacyclicContext(q, n, r, field, int(table[n % rn]), table)
 
 
 @dataclass(eq=False)
@@ -113,20 +86,21 @@ class ClassicalCode:
                 f"over GF({self.field.order}))")
 
 
-def _trace_rows(ctx: ConstacyclicContext, Z: DefiningSet) -> np.ndarray:
-    """GF(q^2) rows spanning the root rows (beta^{zj})_j, z in Z = -Z."""
-    n, zs = ctx.n, Z.elements
+def _trace_rows(tr: np.ndarray, Z: DefiningSet, f: FieldContext) -> np.ndarray:
+    """GF(q^2) rows spanning the root rows (beta^{zj})_j, z in Z = -Z,
+    from the trace table tr of beta."""
+    n, zs = Z.n, Z.elements
     if any((n - z) % n not in zs for z in zs):
         raise ValueError("defining set is not closed under z -> -z, so the "
                          "code is not defined over GF(q^2)")
     j = np.arange(n, dtype=np.int64)
     pairs = np.array(sorted(z for z in zs if 0 < 2 * z < n), dtype=np.int64)
     shifts = np.stack([j, j + 1])                         # (2, n)
-    rows = [ctx.table[(pairs[:, None, None] * shifts) % n].reshape(-1, n)]
+    rows = [tr[(pairs[:, None, None] * shifts) % n].reshape(-1, n)]
     if 0 in zs:
         rows.insert(0, np.ones((1, n), dtype=np.int64))
     if n % 2 == 0 and n // 2 in zs:
-        rows.append(np.where(j % 2, ctx.field.neg(1), 1)[None, :])
+        rows.append(np.where(j % 2, f.neg(1), 1)[None, :])
     return np.concatenate(rows)
 
 
@@ -141,22 +115,36 @@ def _independent_rows(H: np.ndarray, f: FieldContext) -> bool:
     return kernels.rank(H, f) == rows
 
 
-def constacyclic_code(ctx: ConstacyclicContext, Z: DefiningSet) -> ClassicalCode:
-    """Code with roots {eta^z : z in Z}; k = n - |Z|, d from the BCH bound."""
-    if Z.modulus != ctx.r * ctx.n or Z.r != ctx.r:
-        raise ValueError("defining set does not match the constacyclic context")
-    n = ctx.n
+def constacyclic_code(q: int, Z: DefiningSet,
+                      field: FieldContext | None = None) -> ClassicalCode:
+    """Code of length n = Z.n over GF(q^2) (`field`, or the cached default)
+    with roots {eta^z : z in Z}; k = n - |Z|, d from the BCH bound.  The
+    roots need gcd(n, q) = 1 and rn | q^2-1, or r = 1 and n | q^2+1."""
+    p, e = factor_prime_power(q)
+    n, rn = Z.n, Z.modulus
+    if math.gcd(n, q) != 1:
+        raise ValueError(f"gcd(n={n}, q={q}) != 1")
+    qsq = q * q
+    traces = (qsq - 1) % rn != 0
+    if traces and (Z.r != 1 or (qsq + 1) % n):
+        raise ValueError(
+            f"rn={rn} divides neither q^2-1 nor (r=1 case) q^2+1 for q={q}")
+    if field is None:
+        field = build_field(p, 2 * e)
+    elif field.p != p or field.m != 2 * e:
+        raise ValueError(
+            f"provided field GF({field.order}) is not GF({p}^{2 * e})")
     zs = Z.sorted()
-    if ctx.traces:
-        H = _trace_rows(ctx, Z)
+    if traces:
+        H = _trace_rows(_trace_table(field, n), Z, field)
     else:
         z = np.array(zs, dtype=np.int64)[:, None]
-        H = ctx.table[z * np.arange(n) % Z.modulus]
-    if len(zs) and not _independent_rows(H, ctx.field):
+        H = _power_table(field, rn)[z * np.arange(n) % rn]
+    if zs and not _independent_rows(H, field):
         raise ValueError("parity-check rows are not independent")
     d = bch_design_distance(Z) if zs else 1
-    return ClassicalCode(n=n, k=n - len(zs), d_design=d, H=H, q=ctx.q,
-                         field=ctx.field, defining_set=Z)
+    return ClassicalCode(n=n, k=n - len(zs), d_design=d, H=H, q=q,
+                         field=field, defining_set=Z)
 
 
 def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> ClassicalCode:

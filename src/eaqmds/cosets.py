@@ -7,8 +7,9 @@ canonical residues at build time.  parameter_ranges owns each family's
 length and the admissible range of its construction parameters: the
 defining-set parameters of the constacyclic families i and iii-v, and
 the number r of parity rows of family ii's extended Reed-Solomon code.
-The family table, the lemma sweeps and defining_set itself all read them
-from there.
+The family metadata of eaqecc, the lemma sweeps and defining_set itself
+all read them from there, and check_parameters rejects a parameter
+missing from them, outside its range or not taken by the family.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def check_parameters(family: str, q: int, n: int | None = None,
                      t: int | None = None, odd: bool = False,
                      **given: int | None) -> int:
     """Length n of one family instance, once each of its construction
-    parameters is given and inside parameter_ranges; ValueError if not."""
+    parameters is given and inside parameter_ranges, and no parameter of
+    another family is; ValueError if not."""
     n, ranges = parameter_ranges(family, q, n, t, odd)
     for name, span in ranges.items():
         if given.get(name) is None:
@@ -126,6 +128,10 @@ def check_parameters(family: str, q: int, n: int | None = None,
         if given[name] not in span:
             raise ValueError(f"{name}={given[name]} outside "
                              f"[{span.start}, {span.stop - 1}]")
+    for name, value in given.items():
+        if value is not None and name not in ranges:
+            raise ValueError(f"family {family} takes {' and '.join(ranges)}"
+                             f", not {name}")
     return n
 
 

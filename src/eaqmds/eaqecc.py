@@ -4,12 +4,14 @@ A classical [n, k_cl, d]_{q^2} code with parity check H yields an
 [[n, 2 k_cl - n + c, d; c]]_q EAQECC where c = rank(H H^dagger); the
 EA-Singleton bound n + c - k >= 2(d - 1) must hold with equality for
 the MDS families.  c is kernels.rank of the Gram product, formed by
-kernels.matmul and kernels.adjoint on H and the code's field.  Family enumerators construct every code and verify
-the closed-form parameters instead of printing them.  A family's length
-and admissible q follow from cosets.parameter_ranges.  FamilySpec.instances
-is the one map from an admissible distance to the parameters that build
-it, and build_classical is the one constructor that turns a family
-instance, given by its distance or by explicit parameters, into a code.
+kernels.matmul and kernels.adjoint on H and the code's field.  Family
+enumerators construct every code and verify the closed-form parameters
+instead of printing them.  FAMILIES names the five families; their
+lengths and admissible q follow from cosets.parameter_ranges, family_t
+says which family takes t, and instances is the one map from an
+admissible distance to the parameters that build it.  build_classical is
+the one constructor that turns a family instance, given by its distance
+or by explicit parameters, into a code.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .codes import (
-    ClassicalCode,
-    constacyclic_code,
-    constacyclic_context,
-    extended_rs_code,
-)
+from .codes import ClassicalCode, constacyclic_code, extended_rs_code
 from .cosets import check_parameters, defining_set, parameter_ranges
 from .galois import FieldContext, factor_prime_power
 
@@ -109,66 +106,62 @@ def derive_eaqecc(code: ClassicalCode, q: int) -> EaqeccParams:
     return replace(params, saturates_ea_singleton=ea_singleton_check(params))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Admissible parameters and closed forms of one EAQMDS family."""
-
-    family: str
-    needs_t: bool = False
-
-    def admissible_q(self, q: int, t: int | None = None,
-                     n: int | None = None) -> bool:
-        try:
-            factor_prime_power(q)
-            parameter_ranges(self.family, q, n, t)
-        except ValueError:
-            return False
-        return True
-
-    def length(self, q: int, t: int | None = None, n: int | None = None) -> int:
-        return parameter_ranges(self.family, q, n, t)[0]
-
-    def instances(self, q: int, t: int | None = None,
-                  n: int | None = None) -> dict[int, dict]:
-        """Each admissible minimum distance, ascending, mapped to the
-        parameters that build it: r = d - 1 parity rows (family ii),
-        d = 2 delta + 2 (family i, and family iii at even d),
-        d = 2 delta + 1 with odd=True (family iii at odd d), and
-        d = delta1 + delta2 + 2 with delta2 as large as its range allows
-        (families iv and v)."""
-        ranges = parameter_ranges(self.family, q, n, t)[1]
-        if self.family == "ii":
-            out = {r + 1: {"r": r} for r in ranges["r"]}
-        elif self.family in ("i", "iii"):
-            out = {2 * delta + 2: {"delta": delta} for delta in ranges["delta"]}
-            if self.family == "iii":
-                odd = parameter_ranges("iii", q, n, t, odd=True)[1]
-                out.update({2 * delta + 1: {"delta": delta, "odd": True}
-                            for delta in odd["delta"]})
-        else:
-            # delta2 ascends in the outer loop, so the last pair written
-            # for a distance has the largest delta2
-            out = {d1 + d2 + 2: {"delta1": d1, "delta2": d2}
-                   for d2 in ranges["delta2"] for d1 in ranges["delta1"]}
-        return dict(sorted(out.items()))
-
-    def expected_c(self, t: int | None = None) -> int:
-        return {"i": 1, "ii": 1, "iii": 1, "iv": 2}.get(self.family, t)
-
-    def closed_form_k(self, q: int, d: int, t: int | None = None,
-                      n: int | None = None) -> int:
-        """k = n + c + 2 - 2d, the EA-Singleton bound n + c - k = 2(d - 1)
-        met with equality."""
-        return self.length(q, t, n) + self.expected_c(t) + 2 - 2 * d
+FAMILIES = ("i", "ii", "iii", "iv", "v")
 
 
-FAMILIES: dict[str, FamilySpec] = {
-    "i": FamilySpec("i"),
-    "ii": FamilySpec("ii"),
-    "iii": FamilySpec("iii"),
-    "iv": FamilySpec("iv"),
-    "v": FamilySpec("v", needs_t=True),
-}
+def family_t(family: str, t: int | None) -> int | None:
+    """t for family v, the only family whose construction takes it;
+    None for the others."""
+    return t if family == "v" else None
+
+
+def admissible(family: str, q: int, t: int | None = None,
+               n: int | None = None) -> bool:
+    """True iff q is a prime power and parameter_ranges admits (q, n, t)."""
+    try:
+        factor_prime_power(q)
+        parameter_ranges(family, q, n, t)
+    except ValueError:
+        return False
+    return True
+
+
+def instances(family: str, q: int, t: int | None = None,
+              n: int | None = None) -> dict[int, dict]:
+    """Each admissible minimum distance, ascending, mapped to the
+    parameters that build it: r = d - 1 parity rows (family ii),
+    d = 2 delta + 2 (family i, and family iii at even d),
+    d = 2 delta + 1 with odd=True (family iii at odd d), and
+    d = delta1 + delta2 + 2 with delta2 as large as its range allows
+    (families iv and v)."""
+    ranges = parameter_ranges(family, q, n, t)[1]
+    if family == "ii":
+        out = {r + 1: {"r": r} for r in ranges["r"]}
+    elif family in ("i", "iii"):
+        out = {2 * delta + 2: {"delta": delta} for delta in ranges["delta"]}
+        if family == "iii":
+            odd = parameter_ranges("iii", q, n, t, odd=True)[1]
+            out.update({2 * delta + 1: {"delta": delta, "odd": True}
+                        for delta in odd["delta"]})
+    else:
+        # delta2 ascends in the outer loop, so the last pair written
+        # for a distance has the largest delta2
+        out = {d1 + d2 + 2: {"delta1": d1, "delta2": d2}
+               for d2 in ranges["delta2"] for d1 in ranges["delta1"]}
+    return dict(sorted(out.items()))
+
+
+def expected_c(family: str, t: int | None = None) -> int:
+    """The ebit count rank(H H^dagger) of every code of the family."""
+    return {"i": 1, "ii": 1, "iii": 1, "iv": 2}.get(family, t)
+
+
+def closed_form_k(family: str, q: int, d: int, t: int | None = None,
+                  n: int | None = None) -> int:
+    """k = n + c + 2 - 2d, the EA-Singleton bound n + c - k = 2(d - 1)
+    met with equality."""
+    length = parameter_ranges(family, q, n, t)[0]
+    return length + expected_c(family, t) + 2 - 2 * d
 
 
 def build_classical(family: str, q: int, d: int | None, t: int | None = None,
@@ -176,13 +169,15 @@ def build_classical(family: str, q: int, d: int | None, t: int | None = None,
                     **params) -> ClassicalCode:
     """Classical code behind one family instance: at distance d, or from
     explicit parameters (r for family ii; delta, or delta1 and delta2, and
-    odd for the constacyclic families) when any are given."""
+    odd for the constacyclic families) when d is None."""
+    if params and d is not None:
+        raise ValueError(f"d={d} and explicit parameters "
+                         f"{', '.join(params)} exclude each other")
     if not params:
-        spec = FAMILIES[family]
-        if not spec.admissible_q(q, t):
+        if not admissible(family, q, t):
             raise ValueError(
                 f"q={q} (t={t}) not admissible for family {family}")
-        params = spec.instances(q, t, n).get(d)
+        params = instances(family, q, t, n).get(d)
         if params is None:
             raise ValueError(f"d={d} not admissible for family {family}, q={q}")
     if family == "ii" and "r" in params:
@@ -190,9 +185,8 @@ def build_classical(family: str, q: int, d: int | None, t: int | None = None,
         code = extended_rs_code(q, params["r"], field=field)
     else:
         # family ii without r has no defining set, and defining_set says so
-        Z = defining_set(family, q, n=n, t=t, **params)
-        ctx = constacyclic_context(q, Z.n, Z.r, field=field)
-        code = constacyclic_code(ctx, Z)
+        code = constacyclic_code(
+            q, defining_set(family, q, n=n, t=t, **params), field)
     code.family = family
     return code
 
@@ -204,17 +198,18 @@ def enumerate_family(family: str, q: int, t: int | None = None,
     from its classical code and checked against the closed form.  A
     distance whose closed form gives k = 0 encodes no qudit and is left
     out."""
-    spec = FAMILIES[family]
-    if not spec.admissible_q(q, t):
+    if not admissible(family, q, t):
         raise ValueError(f"q={q} (t={t}) not admissible for family {family}")
+    length = parameter_ranges(family, q, n, t)[0]
+    c = expected_c(family, t)
     out = []
-    for d, kw in spec.instances(q, t, n).items():
-        if spec.closed_form_k(q, d, t, n) < 1:
+    for d, kw in instances(family, q, t, n).items():
+        k = closed_form_k(family, q, d, t, n)
+        if k < 1:
             continue
         code = build_classical(family, q, None, t, n, field=field, **kw)
         params = derive_eaqecc(code, q)
-        expected = (spec.length(q, t, n), spec.closed_form_k(q, d, t, n),
-                    d, spec.expected_c(t))
+        expected = (length, k, d, c)
         got = (params.n, params.k, params.d, params.c)
         if got != expected:
             raise VerificationError(

@@ -263,11 +263,6 @@ class FieldContext:
             return 0
         return int(self.exp[self.log[a] + self.log[b]])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return int(self.exp[(self.order - 1) - self.log[a]])
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .codes import ClassicalCode, generator_matrix
 from .cosets import DefiningSet, parameter_ranges
-from .eaqecc import build_classical, ebit_count
+from .eaqecc import build_classical, ebit_count, expected_c
 from .galois import FieldContext
 
 
@@ -175,41 +175,43 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
     if lemma == "rank1":
         for q in q_list:
             for n in divisors(q * q + 1):
-                _sweep_family(report, "i", q, 1, n=n)
+                _sweep_family(report, "i", q, n=n)
     elif lemma == "rank1-minus":
         for q in q_list:
             for n in divisors(q * q - 1):
                 for odd in (False, True):
-                    _sweep_family(report, "iii", q, 1, n=n, odd=odd)
+                    _sweep_family(report, "iii", q, n=n, odd=odd)
     elif lemma == "rank-ers":
         for q in q_list:
-            _sweep_family(report, "ii", q, 1)
+            _sweep_family(report, "ii", q)
     elif lemma == "nega":
         for q in q_list:
-            _sweep_family(report, "iv", q, 2)
+            _sweep_family(report, "iv", q)
     elif lemma == "consta":
         if not t_list:
             raise ValueError("consta sweep needs t values")
         for q in q_list:
             for t in t_list:
-                _sweep_family(report, "v", q, t, t=t)
+                _sweep_family(report, "v", q, t=t)
     else:
         raise ValueError(f"unknown lemma {lemma!r}")
     report.elapsed = time.perf_counter() - start
     return report
 
 
-def _sweep_family(report: SweepReport, family: str, q: int, expected: int,
+def _sweep_family(report: SweepReport, family: str, q: int,
                   n: int | None = None, t: int | None = None,
                   odd: bool | None = None) -> None:
     """One entry per admissible choice of the construction parameters of
-    one family instance, each built by build_classical; none when
-    parameter_ranges rejects (q, n, t).  Entry params list t first when
-    given, then the family's parameters, then odd unless it is None."""
+    one family instance, each built by build_classical and checked
+    against the family's expected_c; none when parameter_ranges rejects
+    (q, n, t).  Entry params list t first when given, then the family's
+    parameters, then odd unless it is None."""
     try:
         length, ranges = parameter_ranges(family, q, n, t, bool(odd))
     except ValueError:
         return
+    expected = expected_c(family, t)
     for values in itertools.product(*ranges.values()):
         kw = dict(zip(ranges, values))
         code = build_classical(family, q, None, t, n, odd=bool(odd), **kw)

@@ -9,7 +9,7 @@ from itertools import combinations, product
 import numpy as np
 
 from eaqmds import kernels
-from eaqmds.codes import constacyclic_code, constacyclic_context
+from eaqmds.codes import _trace_table, constacyclic_code
 from eaqmds.cosets import DefiningSet
 from eaqmds.galois import build_field
 
@@ -37,7 +37,7 @@ def ref_rref(M, ctx):
         if piv is None:
             continue
         R[r], R[piv] = R[piv], R[r]
-        inv = ctx.inv(R[r][c])
+        inv = ctx.pow(R[r][c], -1)
         R[r] = [ctx.mul(inv, v) for v in R[r]]
         for i in range(rows):
             if i != r and R[i][c]:
@@ -58,7 +58,7 @@ def ref_is_singular(S, ctx):
         if piv is None:
             return True
         S[c], S[piv] = S[piv], S[c]
-        inv = ctx.inv(S[c][c])
+        inv = ctx.pow(S[c][c], -1)
         for r in range(c + 1, k):
             f = ctx.neg(ctx.mul(S[r][c], inv))
             S[r] = [ctx.add(a, ctx.mul(f, b)) for a, b in zip(S[r], S[c])]
@@ -193,12 +193,13 @@ def digits(a, p, m):
     return [(a // p**i) % p for i in range(m)]
 
 
-def trace_root(ctx):
-    """(GF(q^4), emb, beta) with beta + 1/beta = emb(ctx.table[1])."""
-    f4, emb = quadratic_extension(ctx.field)
-    t = int(emb[ctx.table[1]])
+def trace_root(field, n):
+    """(GF(q^4), emb, beta) with beta + 1/beta = emb(tr[1]) for the trace
+    table tr of length n over field = GF(q^2) behind family i's rows."""
+    f4, emb = quadratic_extension(field)
+    t = int(emb[_trace_table(field, n)[1]])
     beta = next(b for b in range(1, f4.order)
-                if f4.add(b, f4.inv(b)) == t)
+                if f4.add(b, f4.pow(b, -1)) == t)
     return f4, emb, beta
 
 
@@ -214,14 +215,13 @@ def root_rows(f4, beta, zs, n):
 
 def ref_cross_rank(q, t, d1, d2, n):
     """rank(H1 H2^dagger) for the halves Z1, Z2 of the family-v defining
-    set with parameters (d1, d2), each built by constacyclic_code in a
-    fresh context of length n and shift order t."""
-    ctx = constacyclic_context(q, n, t)
+    set with parameters (d1, d2), each built by constacyclic_code as a
+    code of length n and shift order t of its own."""
     modulus = t * n
     e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
     z1 = frozenset((1 + t * (e0 - j)) % modulus for j in range(1, d1 + 1))
     z2 = frozenset((1 + t * (e0 + j)) % modulus for j in range(1, d2 + 1))
-    H1 = constacyclic_code(ctx, DefiningSet(modulus, t, z1)).H
-    H2 = constacyclic_code(ctx, DefiningSet(modulus, t, z2)).H
-    f = ctx.field
+    code1 = constacyclic_code(q, DefiningSet(modulus, t, z1))
+    H1, f = code1.H, code1.field
+    H2 = constacyclic_code(q, DefiningSet(modulus, t, z2)).H
     return kernels.rank(kernels.matmul(H1, kernels.adjoint(H2, q, f), f), f)

@@ -12,9 +12,14 @@ import time
 import pytest
 
 from eaqmds.cli import table_rows
-from eaqmds.codes import constacyclic_code, constacyclic_context
+from eaqmds.codes import constacyclic_code
 from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
-from eaqmds.eaqecc import FAMILIES, build_classical, enumerate_family
+from eaqmds.eaqecc import (
+    FAMILIES,
+    build_classical,
+    enumerate_family,
+    instances,
+)
 from eaqmds.galois import build_field
 from eaqmds.verify import (
     DEFAULT_SWEEPS,
@@ -162,17 +167,12 @@ def test_criterion_3_dual_containment_oracle_equivalence():
     defining sets with zero disagreements."""
     cases = _family_subset_cases() + _random_coset_union_cases(130)
     assert len(cases) >= 200
-    contexts = {}
     disagreements = 0
     containing = 0
     for q, Z in cases:
-        key = (q, Z.n, Z.r)
-        if key not in contexts:
-            contexts[key] = constacyclic_context(q, Z.n, Z.r)
-        H = constacyclic_code(contexts[key], Z).H
+        code = constacyclic_code(q, Z)
         coset_route = is_hermitian_dual_containing(Z, q)
-        matrix_route = dual_containment_matrix_oracle(
-            H, q, contexts[key].field)
+        matrix_route = dual_containment_matrix_oracle(code.H, q, code.field)
         containing += coset_route
         disagreements += coset_route != matrix_route
     assert disagreements == 0
@@ -189,8 +189,7 @@ def test_criterion_4_distance_certification():
     grid += [("iv", 3, None), ("iv", 5, None)]
     checked = skipped = 0
     for family, q, t in grid:
-        spec = FAMILIES[family]
-        for d in spec.instances(q, t):
+        for d in instances(family, q, t):
             code = build_classical(family, q, d, t)
             if code.k == 0:
                 continue

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqmds.codes import (
-    ClassicalCode,
-    constacyclic_code,
-    constacyclic_context,
-    generator_matrix,
-)
+from eaqmds.codes import ClassicalCode, constacyclic_code, generator_matrix
 from eaqmds.cosets import defining_set
 from eaqmds.eaqecc import ebit_count
 from eaqmds.galois import build_field
@@ -94,10 +89,10 @@ def test_gram_rank_of_small_cyclic_code():
     # the root rows is sum_j beta^{(z1 + 2 z2) j} = n [z1 + 2 z2 = 0 mod 5]
     # computed by geometric-sum expansion, so only the (0, 0) entry
     # survives; the trace rows over GF(4) have the same Gram rank.
-    ctx = constacyclic_context(2, 5, 1)
     Z = defining_set("i", 2, delta=1, n=5)
     assert Z.sorted() == [0, 1, 4]
-    f4, _, beta = trace_root(ctx)
+    code = constacyclic_code(2, Z)
+    f4, _, beta = trace_root(code.field, 5)
     H_root = root_rows(f4, beta, Z.sorted(), 5)
     gram = matmul(H_root, adjoint(H_root, 2, f4), f4)
     hand = [[0] * 3 for _ in range(3)]
@@ -109,7 +104,7 @@ def test_gram_rank_of_small_cyclic_code():
             hand[i][j] = s
     assert np.array_equal(gram, hand)
     assert rank(gram, f4) == 1
-    assert ebit_count(constacyclic_code(ctx, Z).H, 2, ctx.field) == 1
+    assert ebit_count(code.H, 2, code.field) == 1
 
 
 def test_mat_mul_identity_and_errors(gf9):
@@ -130,12 +125,10 @@ def test_all_ones_gram_is_n_mod_p(gf9):
 def test_dual_containing_gram_vanishes():
     # Z1 = C_1 u C_2 for q = 4, n = 17 is Hermitian dual-containing
     from eaqmds.cosets import cyclotomic_coset
-    ctx = constacyclic_context(4, 17, 1)
     elems = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     from eaqmds.cosets import DefiningSet
-    Z1 = DefiningSet(17, 1, elems)
-    H1 = constacyclic_code(ctx, Z1).H
-    f = ctx.field
+    code = constacyclic_code(4, DefiningSet(17, 1, elems))
+    H1, f = code.H, code.field
     assert not matmul(H1, adjoint(H1, 4, f), f).any()
 
 
@@ -151,12 +144,10 @@ def test_nullspace_identity_and_all_ones(gf9):
 
 
 def test_nullspace_of_cyclic_code():
-    ctx = constacyclic_context(4, 17, 1)
-    Z = defining_set("i", 4, delta=2)
-    code = constacyclic_code(ctx, Z)
+    code = constacyclic_code(4, defining_set("i", 4, delta=2))
     G = generator_matrix(code)
     assert G.shape[0] == 12
-    assert not matmul(code.H, G.T, ctx.field).any()
+    assert not matmul(code.H, G.T, code.field).any()
 
 
 @pytest.mark.parametrize("pm", [(2, 2), (3, 2), (5, 2)])

@@ -177,6 +177,42 @@ def test_distance_family_ii_rejects_defining_set_parameters(capsys):
         eaqecc.build_classical("ii", 3, None, delta=1)
 
 
+@pytest.mark.parametrize("argv, message", [
+    # --d together with explicit parameters, which come in its place
+    (("distance", "--family", "i", "--q", "3", "--d", "100", "--delta", "1"),
+     "error: d=100 and explicit parameters delta exclude each other\n"),
+    (("distance", "--family", "iv", "--q", "5", "--d", "6", "--delta1", "1",
+      "--delta2", "3"),
+     "error: d=6 and explicit parameters delta1, delta2 exclude each other\n"),
+    # a parameter the family does not take
+    (("distance", "--family", "iii", "--q", "3", "--delta", "1",
+      "--delta1", "2"),
+     "error: family iii takes delta, not delta1\n"),
+    (("distance", "--family", "iv", "--q", "5", "--delta1", "1",
+      "--delta2", "3", "--delta", "7"),
+     "error: family iv takes delta1 and delta2, not delta\n"),
+], ids=["d-delta", "d-delta1-delta2", "iii-delta1", "iv-delta"])
+def test_distance_rejects_extra_parameters(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_distance_reports_t_only_for_family_v(capsys):
+    code, out, _ = run_cli(capsys, "distance", "--family", "i", "--q", "3",
+                           "--d", "4", "--t", "3")
+    assert code == 0 and json.loads(out)["t"] is None
+    code, out, _ = run_cli(capsys, "distance", "--family", "v", "--q", "5",
+                           "--t", "3", "--d", "6")
+    assert code == 0 and json.loads(out)["t"] == 3
+
+
+def test_distance_has_no_format_option(capsys):
+    code, out, err = run_cli(capsys, "distance", "--family", "ii", "--q", "3",
+                             "--d", "4", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format json" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("distance", "--family", "ii", "--q", "3", "--d", "4", "--n", "5"),
     ("distance", "--family", "iv", "--q", "5", "--d", "6", "--n", "3"),

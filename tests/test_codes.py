@@ -1,79 +1,72 @@
-import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from eaqmds import kernels
+from eaqmds import codes, kernels
 from eaqmds.codes import (
+    _power_table,
+    _trace_table,
     constacyclic_code,
-    constacyclic_context,
     extended_rs_code,
     generator_matrix,
 )
 from eaqmds.cosets import DefiningSet, defining_set
 from eaqmds.eaqecc import ebit_count
+from eaqmds.galois import build_field, factor_prime_power
 from reference import poly_from_roots, ref_order, root_rows, trace_root
 
 
-def test_context_picks_evaluation_field():
+def _empty(n, r=1):
+    return DefiningSet(r * n, r, frozenset())
+
+
+def test_constacyclic_code_picks_evaluation_field():
     # 17 | q^2+1 for q = 4: the roots lie in GF(256), their traces in GF(16)
-    ctx = constacyclic_context(4, 17, 1)
-    assert ctx.field.order == 16 and ctx.traces
-    f4, _, beta = trace_root(ctx)
+    code = constacyclic_code(4, _empty(17))
+    assert code.field.order == 16
+    f4, _, beta = trace_root(code.field, 17)
     assert f4.order == 256 and ref_order(f4, beta) == 17
-    assert ctx.lam == 1
     # 24 = q^2-1 for q = 5 stays in GF(25)
-    ctx = constacyclic_context(5, 24, 1)
-    assert ctx.field.order == 25
-    # negacyclic: lambda = -1
-    ctx = constacyclic_context(5, 12, 2)
-    assert ctx.lam == ctx.field.neg(1)
-    # constacyclic order t: lambda is a primitive t-th root of unity
-    ctx = constacyclic_context(11, 40, 3)
-    assert ref_order(ctx.field, ctx.lam) == 3
-    with pytest.raises(ValueError):
-        constacyclic_context(4, 7, 1)   # 7 divides neither 15 nor 17
-    with pytest.raises(ValueError):
-        constacyclic_context(4, 17, 3)  # n | q^2+1 needs r = 1
-    with pytest.raises(ValueError):
-        constacyclic_context(4, 8, 1)   # gcd(n, q) != 1
+    assert constacyclic_code(5, _empty(24)).field.order == 25
+    with pytest.raises(ValueError, match="divides neither"):
+        constacyclic_code(4, _empty(7))     # 7 divides neither 15 nor 17
+    with pytest.raises(ValueError, match="divides neither"):
+        constacyclic_code(4, _empty(17, 3))  # n | q^2+1 needs r = 1
+    with pytest.raises(ValueError, match="gcd"):
+        constacyclic_code(4, _empty(8))     # gcd(n, q) != 1
 
 
 def test_constacyclic_code_17_12_6():
-    ctx = constacyclic_context(4, 17, 1)
-    code = constacyclic_code(ctx, defining_set("i", 4, delta=2))
+    code = constacyclic_code(4, defining_set("i", 4, delta=2))
     assert (code.n, code.k, code.d_design) == (17, 12, 6)
     assert code.H.shape == (5, 17)
     assert kernels.rank(code.H, code.field) == 5
 
 
 def test_constacyclic_code_family_iv():
-    ctx = constacyclic_context(5, 12, 2)
-    code = constacyclic_code(ctx, defining_set("iv", 5, delta1=1, delta2=3))
+    code = constacyclic_code(5, defining_set("iv", 5, delta1=1, delta2=3))
     assert (code.n, code.k, code.d_design) == (12, 7, 6)
     assert code.field.order == 25
 
 
 def test_empty_defining_set_gives_full_space():
-    ctx = constacyclic_context(5, 24, 1)
-    code = constacyclic_code(ctx, DefiningSet(24, 1, frozenset()))
+    code = constacyclic_code(5, _empty(24))
     assert (code.n, code.k, code.d_design) == (24, 24, 1)
     assert np.array_equal(generator_matrix(code), np.eye(24))
     # the same through the trace rows of family i
-    ctx = constacyclic_context(4, 17, 1)
-    code = constacyclic_code(ctx, DefiningSet(17, 1, frozenset()))
+    code = constacyclic_code(4, _empty(17))
     assert (code.n, code.k, code.H.shape) == (17, 17, (0, 17))
 
 
 def test_codewords_vanish_at_defining_set_roots():
-    ctx = constacyclic_context(5, 24, 1)
     Z = defining_set("iii", 5, delta=2)
-    code = constacyclic_code(ctx, Z)
+    code = constacyclic_code(5, Z)
     G = generator_matrix(code)
-    f = ctx.field
+    f = code.field
+    eta = int(f.exp[(f.order - 1) // 24])
     for z in Z.sorted():
-        root = f.pow(int(ctx.table[1]), z)   # eta^z
+        root = f.pow(eta, z)
         for row in G:
             acc, x = 0, 1
             for cj in row:
@@ -88,15 +81,19 @@ def test_codewords_vanish_at_defining_set_roots():
     (11, 40, 3, "v", {"t": 3, "delta1": 4, "delta2": 5}),
 ])
 def test_constacyclic_shift_invariance(q, n, r, family, kwargs):
-    """(c_1..c_n) in C implies (lam*c_n, c_1, .., c_{n-1}) in C."""
-    ctx = constacyclic_context(q, n, r)
-    code = constacyclic_code(ctx, defining_set(family, q, **kwargs))
+    """(c_1..c_n) in C implies (lam*c_n, c_1, .., c_{n-1}) in C, for
+    lam = eta^n a primitive r-th root of unity: 1 (cyclic), -1
+    (negacyclic) and of order t = 3 (family v)."""
+    code = constacyclic_code(q, defining_set(family, q, **kwargs))
+    assert code.n == n
     G = generator_matrix(code)
-    f = ctx.field
+    f = code.field
+    lam = int(f.exp[(f.order - 1) // r])
+    assert ref_order(f, lam) == r
     shifted = np.zeros_like(G)
     shifted[:, 1:] = G[:, :-1]
     for i in range(G.shape[0]):
-        shifted[i, 0] = f.mul(ctx.lam, int(G[i, -1]))
+        shifted[i, 0] = f.mul(lam, int(G[i, -1]))
     assert not kernels.matmul(code.H, shifted.T, f).any()
 
 
@@ -105,7 +102,7 @@ def _rs_code(qm, r):
     eta^1, ..., eta^{r-1}; parameters [qm-1, qm-r, r]."""
     q = round(qm ** 0.5)
     Z = DefiningSet(qm - 1, 1, frozenset(range(1, r)))
-    return constacyclic_code(constacyclic_context(q, qm - 1, 1), Z)
+    return constacyclic_code(q, Z)
 
 
 def test_rs_parity_check():
@@ -182,10 +179,9 @@ def test_subfield_subcode_structure():
     """[17,12,6] over GF(16) is the GF(16)-subfield subcode of the code
     with roots beta^z in GF(256): g(x) = prod (x - beta^z) has GF(16)
     coefficients and every codeword vanishes at the roots."""
-    ctx = constacyclic_context(4, 17, 1)
-    code = constacyclic_code(ctx, defining_set("i", 4, delta=2))
+    code = constacyclic_code(4, defining_set("i", 4, delta=2))
     assert code.field.order == 16
-    f4, emb, beta = trace_root(ctx)
+    f4, emb, beta = trace_root(code.field, 17)
     zs = code.defining_set.sorted()
     g = poly_from_roots(f4, [f4.pow(beta, z) for z in zs])
     assert g.is_monic() and g.degree == 5
@@ -202,13 +198,14 @@ def test_family_i_matches_root_evaluation(q):
     n | q^2+1 with n > 2 and every delta, plus the sets {n/2} (in no
     family-i set) and Z_n: codewords vanish at the roots, the ebit counts
     agree, and the table's beta has order exactly n."""
+    p, e = factor_prime_power(q)
+    f = build_field(p, 2 * e)
     for n in range(3, q * q + 2):
         if (q * q + 1) % n:
             continue
-        ctx = constacyclic_context(q, n, 1)
-        f4, emb, beta = trace_root(ctx)
+        f4, emb, beta = trace_root(f, n)
         assert ref_order(f4, beta) == n
-        assert emb[ctx.table].tolist() == [
+        assert emb[_trace_table(f, n)].tolist() == [
             f4.add(f4.pow(beta, m), f4.pow(beta, -m)) for m in range(n)]
         sets = [defining_set("i", q, delta=delta, n=n)
                 for delta in range(n // (q + 1) + 1)]
@@ -216,7 +213,7 @@ def test_family_i_matches_root_evaluation(q):
         if n % 2 == 0:
             sets.append(DefiningSet(n, 1, frozenset({n // 2})))
         for Z in sets:
-            code = constacyclic_code(ctx, Z)
+            code = constacyclic_code(q, Z, f)
             H_root = root_rows(f4, beta, Z.sorted(), n)
             G = emb[generator_matrix(code)]
             assert not kernels.matmul(G, H_root.T, f4).any()
@@ -225,21 +222,23 @@ def test_family_i_matches_root_evaluation(q):
 
 
 def test_trace_rows_need_a_symmetric_defining_set():
-    ctx = constacyclic_context(4, 17, 1)
     with pytest.raises(ValueError, match="not closed"):
-        constacyclic_code(ctx, DefiningSet(17, 1, frozenset({1})))
+        constacyclic_code(4, DefiningSet(17, 1, frozenset({1})))
 
 
-def test_defining_set_context_mismatch():
-    ctx = constacyclic_context(5, 24, 1)
-    with pytest.raises(ValueError):
-        constacyclic_code(ctx, defining_set("iv", 5, delta1=0, delta2=3))
+def test_supplied_field_must_be_gf_q_squared():
+    Z = defining_set("iv", 5, delta1=0, delta2=3)
+    gf25 = build_field(5, 2, modulus=[3, 0, 1])
+    assert constacyclic_code(5, Z, gf25).field is gf25
+    for wrong in (build_field(5, 1), build_field(3, 2), build_field(5, 4)):
+        with pytest.raises(ValueError, match=r"^provided field GF\(\d+\) "
+                           r"is not GF\(5\^2\)$"):
+            constacyclic_code(5, Z, wrong)
 
 
 def test_singleton_bound_enforced():
     from eaqmds.codes import ClassicalCode
-    ctx = constacyclic_context(5, 24, 1)
-    code = constacyclic_code(ctx, defining_set("iii", 5, delta=1))
+    code = constacyclic_code(5, defining_set("iii", 5, delta=1))
     with pytest.raises(ValueError):
         ClassicalCode(n=code.n, k=code.k, d_design=code.n - code.k + 2,
                       H=code.H, q=5, field=code.field)
@@ -249,8 +248,7 @@ def test_code_record():
     code = extended_rs_code(3, 3)
     assert (code.n, code.k, code.d_design) == (9, 6, 4)
     assert code.field.order == 9
-    ctx = constacyclic_context(4, 17, 1)
-    cyc = constacyclic_code(ctx, defining_set("i", 4, delta=1))
+    cyc = constacyclic_code(4, defining_set("i", 4, delta=1))
     assert cyc.defining_set.sorted() == [0, 1, 16]
     assert cyc.field is extended_rs_code(4, 5).field
     # H is a read-only int64 array of element codes
@@ -266,10 +264,14 @@ def _spy_rank():
     return mock.patch.object(kernels, "rank", wraps=kernels.rank)
 
 
+def _patch_power_table(table):
+    """Make constacyclic_code read its roots eta^m from `table`."""
+    return mock.patch.object(codes, "_power_table", return_value=table)
+
+
 def test_rank_window_is_enough_for_power_rows():
-    ctx = constacyclic_context(5, 24, 1)
     with _spy_rank() as spy:
-        code = constacyclic_code(ctx, defining_set("iii", 5, delta=2))
+        code = constacyclic_code(5, defining_set("iii", 5, delta=2))
     rows = code.H.shape[0]
     assert code.k == 24 - rows
     assert _rank_shapes(spy) == [(rows, rows)]
@@ -278,20 +280,17 @@ def test_rank_window_is_enough_for_power_rows():
 def test_singular_rank_window_falls_back_to_full_width():
     # with eta^2 replaced by eta, rows z = 1, 2 agree in columns 0 and 1
     # (eta^0, eta^1) but not in column 2 (eta^1 against eta^4)
-    ctx = constacyclic_context(5, 24, 1)
-    table = ctx.table.copy()
+    table = _power_table(build_field(5, 2), 24).copy()
     table[2] = table[1]
-    bent = dataclasses.replace(ctx, table=table)
-    with _spy_rank() as spy:
-        code = constacyclic_code(bent, DefiningSet(24, 1, frozenset({1, 2})))
+    with _patch_power_table(table), _spy_rank() as spy:
+        code = constacyclic_code(5, DefiningSet(24, 1, frozenset({1, 2})))
     assert code.k == 22
     assert _rank_shapes(spy) == [(2, 2), (2, 24)]
 
 
 def test_rank_deficient_parity_check_still_raises():
-    ctx = constacyclic_context(5, 24, 1)
-    flat = dataclasses.replace(ctx, table=np.ones_like(ctx.table))
-    with _spy_rank() as spy, pytest.raises(
+    flat = np.ones(24, dtype=np.int64)
+    with _patch_power_table(flat), _spy_rank() as spy, pytest.raises(
             ValueError, match="^parity-check rows are not independent$"):
-        constacyclic_code(flat, DefiningSet(24, 1, frozenset({1, 2})))
+        constacyclic_code(5, DefiningSet(24, 1, frozenset({1, 2})))
     assert _rank_shapes(spy) == [(2, 2), (2, 24)]

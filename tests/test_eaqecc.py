@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eaqmds.codes import constacyclic_code, constacyclic_context
+from eaqmds.codes import constacyclic_code
 from eaqmds.cosets import (
     DefiningSet,
     cyclotomic_coset,
@@ -9,35 +9,34 @@ from eaqmds.cosets import (
     parameter_ranges,
 )
 from eaqmds.eaqecc import (
-    FAMILIES,
     EaqeccParams,
     build_classical,
+    closed_form_k,
     derive_eaqecc,
     ea_singleton_check,
     ebit_count,
     enumerate_family,
+    expected_c,
+    instances,
 )
 
 
 def test_ebit_count_dual_containing_is_zero():
-    ctx = constacyclic_context(4, 17, 1)
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
-    H = constacyclic_code(ctx, DefiningSet(17, 1, z1)).H
-    assert ebit_count(H, 4, ctx.field) == 0
-    assert ebit_count(np.zeros((0, 17), dtype=np.int64), 4, ctx.field) == 0
+    code = constacyclic_code(4, DefiningSet(17, 1, z1))
+    assert ebit_count(code.H, 4, code.field) == 0
+    assert ebit_count(np.zeros((0, 17), dtype=np.int64), 4, code.field) == 0
 
 
 def test_ebit_count_one_for_small_cyclic():
-    ctx = constacyclic_context(2, 5, 1)
-    H = constacyclic_code(ctx, defining_set("i", 2, delta=1)).H
-    assert ebit_count(H, 2, ctx.field) == 1
+    code = constacyclic_code(2, defining_set("i", 2, delta=1))
+    assert ebit_count(code.H, 2, code.field) == 1
 
 
 def test_ebit_count_t_for_constacyclic():
-    ctx = constacyclic_context(11, 40, 3)
-    Z = defining_set("v", 11, t=3, delta1=4, delta2=4)
-    H = constacyclic_code(ctx, Z).H
-    assert ebit_count(H, 11, ctx.field) == 3
+    code = constacyclic_code(11, defining_set("v", 11, t=3, delta1=4,
+                                              delta2=4))
+    assert ebit_count(code.H, 11, code.field) == 3
 
 
 def test_derive_17_8_6():
@@ -55,9 +54,8 @@ def test_derive_24_17_5():
 
 
 def test_derive_dual_containing_reduces_to_stabilizer():
-    ctx = constacyclic_context(4, 17, 1)
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
-    code = constacyclic_code(ctx, DefiningSet(17, 1, z1))
+    code = constacyclic_code(4, DefiningSet(17, 1, z1))
     params = derive_eaqecc(code, 4)
     assert params.c == 0
     assert params.k == 2 * code.k - code.n  # [[n, 2k-n, d; 0]]
@@ -132,16 +130,15 @@ def test_enumerate_general_divisor_length():
 ])
 def test_family_invariants(family, q, t):
     """Closed form, saturation and defining-set consumption across a grid."""
-    spec = FAMILIES[family]
     params = enumerate_family(family, q, t)
     # every admissible distance except those whose closed form gives k = 0
-    assert [p.d for p in params] == [
-        d for d in spec.instances(q, t) if spec.closed_form_k(q, d, t) >= 1]
+    assert [p.d for p in params] == [d for d in instances(family, q, t)
+                                     if closed_form_k(family, q, d, t) >= 1]
     for p in params:
         assert ea_singleton_check(p)
         assert p.n + p.c - p.k == 2 * (p.d - 1)
-        assert p.k == spec.closed_form_k(q, p.d, t)
-        assert p.c == spec.expected_c(t)
+        assert p.k == closed_form_k(family, q, p.d, t)
+        assert p.c == expected_c(family, t)
         n_cl, k_cl, d_cl = p.classical
         assert d_cl == p.d
         if p.defining_set is not None:
@@ -175,9 +172,9 @@ def test_canonical_deltas_cover_ranges():
     and one above each range."""
     for family, q, n, t, odd in _range_instances():
         ranges = parameter_ranges(family, q, n, t, odd)[1]
-        instances = FAMILIES[family].instances(q, t, n)
-        assert list(instances) == sorted(instances)
-        for d, kw in instances.items():
+        by_d = instances(family, q, t, n)
+        assert list(by_d) == sorted(by_d)
+        for d, kw in by_d.items():
             kw = dict(kw)
             if kw.pop("odd", False) != odd:
                 continue
@@ -196,11 +193,11 @@ def test_canonical_deltas_cover_ranges():
                     defining_set(family, q, n=n, t=t, odd=odd,
                                  **{**inside, name: bad})
     for q in (2, 3, 4, 5, 7, 8, 9):
-        instances = FAMILIES["ii"].instances(q)
+        by_d = instances("ii", q)
         span = parameter_ranges("ii", q)[1]["r"]
-        assert list(instances) == sorted(instances)
-        assert [kw["r"] for kw in instances.values()] == list(span)
-        for d, kw in instances.items():
+        assert list(by_d) == sorted(by_d)
+        assert [kw["r"] for kw in by_d.values()] == list(span)
+        for d, kw in by_d.items():
             assert kw == {"r": d - 1}
             code = build_classical("ii", q, d)
             assert (code.n, code.k) == (q * q, q * q - kw["r"])

@@ -9,7 +9,6 @@ from eaqmds import verify
 from eaqmds.codes import (
     ClassicalCode,
     constacyclic_code,
-    constacyclic_context,
     extended_rs_code,
     generator_matrix,
 )
@@ -30,8 +29,7 @@ from eaqmds.verify import (
 
 def rs_8_5_4():
     """Reed-Solomon [8,5,4] over GF(9): roots eta, eta^2, eta^3."""
-    return constacyclic_code(constacyclic_context(3, 8, 1),
-                             DefiningSet(8, 1, frozenset({1, 2, 3})))
+    return constacyclic_code(3, DefiningSet(8, 1, frozenset({1, 2, 3})))
 
 
 def test_exhaustive_min_distance_repetition_style(gf9):
@@ -78,12 +76,11 @@ def test_oracles_agree_where_both_apply():
 def test_dual_containment_matrix_oracle(gf9):
     assert dual_containment_matrix_oracle(
         np.zeros((0, 4), dtype=np.int64), 3, gf9)
-    ctx = constacyclic_context(4, 17, 1)
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
-    H1 = constacyclic_code(ctx, DefiningSet(17, 1, z1)).H
-    assert dual_containment_matrix_oracle(H1, 4, ctx.field)
-    Hfull = constacyclic_code(ctx, DefiningSet(17, 1, z1 | {0})).H
-    assert not dual_containment_matrix_oracle(Hfull, 4, ctx.field)
+    code = constacyclic_code(4, DefiningSet(17, 1, z1))
+    assert dual_containment_matrix_oracle(code.H, 4, code.field)
+    Hfull = constacyclic_code(4, DefiningSet(17, 1, z1 | {0})).H
+    assert not dual_containment_matrix_oracle(Hfull, 4, code.field)
 
 
 def test_certify_distance_routing():
@@ -165,22 +162,43 @@ def test_run_lemma_sweep_small():
 
 def test_consta_split_mismatch_is_reported():
     # q = 5, t = 3 admits only delta1 = delta2 = 2; Z then has 5 elements
-    ctx = constacyclic_context(5, 8, 3)
     Z = defining_set("v", 5, t=3, delta1=2, delta2=2)
-    code, f = constacyclic_code(ctx, Z), ctx.field
+    code = constacyclic_code(5, Z)
+    f = code.field
     good = _consta_intersection(5, 3, 2, 2, code)
     assert good["split_ok"] and good["cross_rank"] == 1
     assert _rank_entry("consta", 5, 8, 3, {}, Z, code.H, f, 3, **good)["ok"]
     # a defining set missing one element is not rebuilt by the split,
     # and its rows no longer hold H1 and H2: no cross rank is taken
     short = DefiningSet(Z.modulus, Z.r, Z.elements - {max(Z.elements)})
-    short_code = constacyclic_code(ctx, short)
+    short_code = constacyclic_code(5, short)
     extra = _consta_intersection(5, 3, 2, 2, short_code)
     assert extra["split_ok"] is False
     assert extra["cross_rank"] is None and extra["cross_rank_ok"] is False
     entry = _rank_entry("consta", 5, 8, 3, {}, short, short_code.H, f, 3,
                         **extra)
     assert entry["ok"] is False and entry["split_ok"] is False
+
+
+@pytest.mark.parametrize("lemma, q, t, family, c", [
+    ("rank1", 2, None, "i", 1), ("rank1-minus", 3, None, "iii", 1),
+    ("rank-ers", 3, None, "ii", 1), ("nega", 3, None, "iv", 2),
+    ("consta", 5, 3, "v", 3),
+])
+def test_sweep_expects_the_family_ebit_count(lemma, q, t, family, c):
+    """Each sweep compares against eaqecc.expected_c of its family: with
+    that count moved off by one, every entry fails."""
+    calls = []
+
+    def shifted(fam, tt=None):
+        calls.append((fam, tt))
+        return c + 1
+
+    with mock.patch.object(verify, "expected_c", shifted):
+        rep = run_lemma_sweep(lemma, [q], [t] if t else None)
+    assert rep.entries and len(rep.failures) == len(rep.entries)
+    assert {e["expected"] for e in rep.entries} == {c + 1}
+    assert set(calls) == {(family, t)}
 
 
 def test_run_lemma_sweep_errors():
