@@ -24,7 +24,7 @@ import sys
 import time
 import traceback
 
-from .cosets import parameter_ranges
+from .cosets import VARIABLE_LENGTH, parameter_ranges
 from .eaqecc import (
     FAMILIES,
     EaqeccParams,
@@ -131,10 +131,10 @@ _FORMATTERS = {"json": records_to_json, "csv": records_to_csv,
 
 def _applicable_families(q: int, t: int | None,
                          n: int | None = None) -> list[str]:
-    """The families that admit q and t; with n, of families i and iii
-    (the only ones of variable length) just those that admit n."""
+    """The families that admit q and t; with n, of the families of
+    variable length just those that admit n."""
     return [name for name in FAMILIES
-            if admissible(name, q, t, n if name in ("i", "iii") else None)]
+            if admissible(name, q, t, n if name in VARIABLE_LENGTH else None)]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -143,12 +143,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     for q in args.q_values:
         fams = (_applicable_families(q, args.t, args.n)
                 if args.family == "all" else [args.family])
-        if args.n is not None and not {"i", "iii", args.family} & set(fams):
-            raise ValueError(f"neither family i nor iii admits n={args.n} "
-                             f"at q={q}")
+        given_n = {*VARIABLE_LENGTH, args.family}
+        if args.n is not None and not given_n & {*fams}:
+            raise ValueError(f"neither family {' nor '.join(VARIABLE_LENGTH)}"
+                             f" admits n={args.n} at q={q}")
         for fam in fams:
             # --family all passes n only to the families that take it
-            n = args.n if args.family != "all" or fam in ("i", "iii") else None
+            n = args.n if fam in given_n else None
             params.extend(enumerate_family(fam, q, family_t(fam, args.t), n=n))
     if args.d is not None:
         params = [p for p in params if p.d == args.d]

@@ -20,6 +20,12 @@ of GF(q^2):
 
 lambda = eta^n is a primitive r-th root of unity (1 for the cyclic
 families, -1 for the negacyclic family iv).
+
+Row z of H depends only on z, so the code of a defining set Z' inside Z
+has as parity check the rows of Z' in the H of Z, and the extended RS
+code with r rows the first r rows of one with more.  parity_rows owns
+that row map and subcode reads a nested code off it; the independent
+rows of the larger H prove those of every subset.
 """
 
 from __future__ import annotations
@@ -104,6 +110,34 @@ def _trace_rows(tr: np.ndarray, Z: DefiningSet, f: FieldContext) -> np.ndarray:
     return np.concatenate(rows)
 
 
+def _traced(q: int, Z: DefiningSet) -> bool:
+    """True iff constacyclic_code(q, Z) takes trace rows: the roots of Z
+    lie outside GF(q^2), since rn does not divide q^2-1."""
+    return (q * q - 1) % Z.modulus != 0
+
+
+def parity_rows(q: int, Z: DefiningSet, sub) -> np.ndarray:
+    """Positions, ascending, of the rows of constacyclic_code(q, Z).H that
+    belong to the exponents in sub, a subset of Z.  Power rows are
+    Z.sorted().  Trace rows, as _trace_rows lays them out, are z = 0, then
+    each pair {z, n-z} with 0 < 2z < n as two rows, then z = n/2; sub must
+    then be closed under z -> -z."""
+    n, zs = Z.n, Z.elements
+    if not zs >= set(sub):
+        raise ValueError("exponents outside the defining set")
+    if not _traced(q, Z):
+        return np.array([i for i, z in enumerate(Z.sorted()) if z in sub],
+                        dtype=np.intp)
+    if any((n - z) % n not in sub for z in sub):
+        raise ValueError("trace rows need exponents closed under z -> -z")
+    pairs = sorted(z for z in zs if 0 < 2 * z < n)
+    row_z = ([0] if 0 in zs else []) + [z for z in pairs for _ in range(2)]
+    if n % 2 == 0 and n // 2 in zs:
+        row_z.append(n // 2)
+    return np.array([i for i, z in enumerate(row_z) if z in sub],
+                    dtype=np.intp)
+
+
 def _independent_rows(H: np.ndarray, f: FieldContext) -> bool:
     """rank(H) = rows(H).  A nonsingular leading square block proves it.
     For the rows built here it always is: power rows give a Vandermonde
@@ -124,9 +158,8 @@ def constacyclic_code(q: int, Z: DefiningSet,
     n, rn = Z.n, Z.modulus
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n={n}, q={q}) != 1")
-    qsq = q * q
-    traces = (qsq - 1) % rn != 0
-    if traces and (Z.r != 1 or (qsq + 1) % n):
+    traces = _traced(q, Z)
+    if traces and (Z.r != 1 or (q * q + 1) % n):
         raise ValueError(
             f"rn={rn} divides neither q^2-1 nor (r=1 case) q^2+1 for q={q}")
     if field is None:
@@ -142,9 +175,22 @@ def constacyclic_code(q: int, Z: DefiningSet,
         H = _power_table(field, rn)[z * np.arange(n) % rn]
     if zs and not _independent_rows(H, field):
         raise ValueError("parity-check rows are not independent")
-    d = bch_design_distance(Z) if zs else 1
-    return ClassicalCode(n=n, k=n - len(zs), d_design=d, H=H, q=q,
+    return _constacyclic(q, Z, H, field)
+
+
+def _constacyclic(q: int, Z: DefiningSet, H: np.ndarray,
+                  field: FieldContext) -> ClassicalCode:
+    """The code with defining set Z and parity check H: k = n - |Z|, d
+    from the BCH bound."""
+    d = bch_design_distance(Z) if Z.elements else 1
+    return ClassicalCode(n=Z.n, k=Z.n - len(Z), d_design=d, H=H, q=q,
                          field=field, defining_set=Z)
+
+
+def _extended_rs(q: int, H: np.ndarray, f: FieldContext) -> ClassicalCode:
+    """The [q^2, q^2-r, r+1] code whose parity check is the r rows H."""
+    n, r = q * q, H.shape[0]
+    return ClassicalCode(n=n, k=n - r, d_design=r + 1, H=H, q=q, field=f)
 
 
 def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> ClassicalCode:
@@ -162,7 +208,27 @@ def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> Class
     H = np.zeros((r, n), dtype=np.int64)
     H[:, 1:] = f.exp[np.arange(r)[:, None] * np.arange(n - 1) % (n - 1)]
     H[0, 0] = 1
-    return ClassicalCode(n=n, k=n - r, d_design=r + 1, H=H, q=q, field=f)
+    return _extended_rs(q, H, f)
+
+
+def subcode(top: ClassicalCode,
+            part: DefiningSet | int) -> tuple[ClassicalCode, np.ndarray]:
+    """The code nested in `top` whose parity check is a row slice of
+    top.H, and the positions of those rows: for a defining set inside
+    top.defining_set, constacyclic_code(top.q, part, top.field); for an
+    int r, extended_rs_code(top.q, r, top.field), whose H is the first r
+    rows.  No rank proof of its own: a subset of independent rows is
+    independent."""
+    Z = top.defining_set
+    if isinstance(part, int):
+        if Z is not None or not 1 <= part <= top.H.shape[0]:
+            raise ValueError(f"{top!r} holds no extended RS code with "
+                             f"r={part}")
+        return _extended_rs(top.q, top.H[:part], top.field), np.arange(part)
+    if Z is None or (part.modulus, part.r) != (Z.modulus, Z.r):
+        raise ValueError(f"{top!r} holds no code of {part}")
+    rows = parity_rows(top.q, Z, part.elements)
+    return _constacyclic(top.q, part, top.H[rows], top.field), rows
 
 
 def generator_matrix(code: ClassicalCode) -> np.ndarray:

@@ -10,6 +10,7 @@ the number r of parity rows of family ii's extended Reed-Solomon code.
 The family metadata of eaqecc, the lemma sweeps and defining_set itself
 all read them from there, and check_parameters rejects a parameter
 missing from them, outside its range or not taken by the family.
+VARIABLE_LENGTH names the families whose length n is a parameter.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ class DefiningSet:
         return len(self.elements)
 
 
+# the only families that take a length n; the others have a fixed length
+VARIABLE_LENGTH = ("i", "iii")
+
+
 def _coset_union(indices, modulus: int, qsq: int) -> frozenset[int]:
     out: set[int] = set()
     for i in indices:
@@ -96,9 +101,9 @@ def parameter_ranges(family: str, q: int, n: int | None = None,
         if n < 2 or (qsq - 1) % n:
             raise ValueError(f"family iii needs n | q^2-1 with n >= 2, got n={n}")
         return n, {"delta": range(1 if odd else 0, n // (q + 1))}
-    if n is not None and family in ("ii", "iv", "v"):
+    if n is not None:   # families i and iii, which take n, returned above
         raise ValueError(f"family {family} has a fixed length; n applies "
-                         "to families i and iii only")
+                         f"to families {' and '.join(VARIABLE_LENGTH)} only")
     if family == "iv":
         if q % 2 == 0:
             raise ValueError("family iv needs odd q")
@@ -135,12 +140,12 @@ def check_parameters(family: str, q: int, n: int | None = None,
     return n
 
 
-def defining_set(family: str, q: int, *, delta: int | None = None,
-                 delta1: int | None = None, delta2: int | None = None,
-                 n: int | None = None, t: int | None = None,
-                 odd: bool = False) -> DefiningSet:
-    """Defining set of one family instance, with parameters inside
-    parameter_ranges.
+def defining_set(family: str, q: int, *, n: int | None = None,
+                 t: int | None = None, odd: bool = False,
+                 **params: int | None) -> DefiningSet:
+    """Defining set of one family instance, with parameters (delta, or
+    delta1 and delta2) inside parameter_ranges; check_parameters rejects
+    any other name.
 
     family "i"  : cyclic, Z = C_0 u ... u C_delta
     family "iii": cyclic, Z = C_{-delta} u ... u C_delta, or the
@@ -153,8 +158,9 @@ def defining_set(family: str, q: int, *, delta: int | None = None,
     if family == "ii":
         raise ValueError("family ii (extended RS) is not constacyclic and "
                          "has no defining set")
-    n = check_parameters(family, q, n, t, odd, delta=delta, delta1=delta1,
-                         delta2=delta2)
+    n = check_parameters(family, q, n, t, odd, **params)
+    delta, delta1, delta2 = (params.get(name)
+                             for name in ("delta", "delta1", "delta2"))
     qsq = q * q
     if family == "i":
         return DefiningSet(n, 1, _coset_union(range(delta + 1), n, qsq))

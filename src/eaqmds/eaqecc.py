@@ -3,26 +3,37 @@
 A classical [n, k_cl, d]_{q^2} code with parity check H yields an
 [[n, 2 k_cl - n + c, d; c]]_q EAQECC where c = rank(H H^dagger); the
 EA-Singleton bound n + c - k >= 2(d - 1) must hold with equality for
-the MDS families.  c is kernels.rank of the Gram product, formed by
-kernels.matmul and kernels.adjoint on H and the code's field.  Family
-enumerators construct every code and verify the closed-form parameters
-instead of printing them.  FAMILIES names the five families; their
-lengths and admissible q follow from cosets.parameter_ranges, family_t
-says which family takes t, and instances is the one map from an
-admissible distance to the parameters that build it.  build_classical is
-the one constructor that turns a family instance, given by its distance
-or by explicit parameters, into a code.
+the MDS families.  c is ebit_count, the kernels.rank of the Gram matrix
+that gram_matrix forms by kernels.matmul and kernels.adjoint on H and the
+code's field.  Family enumerators construct every code and verify the
+closed-form parameters instead of printing them.  FAMILIES names the five
+families; their lengths and admissible q follow from
+cosets.parameter_ranges, family_t says which family takes t, and
+instances is the one map from an admissible distance to the parameters
+that build it.  build_classical turns one family instance, given by its
+distance or by explicit parameters, into a code.  family_codes turns all
+instances of one family group (family, q, t, n) into codes from one
+build: the union of their defining sets (or the largest r) gets one
+parity check, one rank proof and one Gram matrix, and each instance is a
+row slice of that parity check with a principal block of that Gram
+matrix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .codes import ClassicalCode, constacyclic_code, extended_rs_code
-from .cosets import check_parameters, defining_set, parameter_ranges
+from .codes import ClassicalCode, constacyclic_code, extended_rs_code, subcode
+from .cosets import (
+    DefiningSet,
+    check_parameters,
+    defining_set,
+    parameter_ranges,
+)
 from .galois import FieldContext, factor_prime_power
 
 
@@ -71,9 +82,15 @@ class EaqeccParams:
         return rec
 
 
-def ebit_count(H: np.ndarray, q: int, ctx: FieldContext) -> int:
-    """c = rank(H H^dagger), the number of maximally entangled states."""
-    return kernels.rank(kernels.matmul(H, kernels.adjoint(H, q, ctx), ctx), ctx)
+def gram_matrix(H: np.ndarray, q: int, ctx: FieldContext) -> np.ndarray:
+    """H H^dagger, exact over GF(q^2)."""
+    return kernels.matmul(H, kernels.adjoint(H, q, ctx), ctx)
+
+
+def ebit_count(gram: np.ndarray, ctx: FieldContext) -> int:
+    """c = rank(H H^dagger), the number of maximally entangled states,
+    from the Gram matrix H H^dagger of the code's parity check."""
+    return kernels.rank(gram, ctx)
 
 
 def ea_singleton_check(params: EaqeccParams) -> bool:
@@ -88,15 +105,16 @@ def ea_singleton_check(params: EaqeccParams) -> bool:
     return slack == 0
 
 
-def derive_eaqecc(code: ClassicalCode, q: int) -> EaqeccParams:
-    """[[n, 2k - n + c, d; c]]_q from a classical code over GF(q^2)."""
-    c = ebit_count(code.H, q, code.field)
+def derive_eaqecc(code: ClassicalCode, gram: np.ndarray) -> EaqeccParams:
+    """[[n, 2k - n + c, d; c]]_q from a classical code over GF(q^2) and
+    its Gram matrix H H^dagger."""
+    c = ebit_count(gram, code.field)
     k = 2 * code.k - code.n + c
     if k < 0:
         raise ValueError(
             f"derived dimension {k} < 0 for classical [{code.n},{code.k}]")
     params = EaqeccParams(
-        q=q, n=code.n, k=k, d=code.d_design, c=c,
+        q=code.q, n=code.n, k=k, d=code.d_design, c=c,
         saturates_ea_singleton=False, family=code.family,
         classical=(code.n, code.k, code.d_design),
         defining_set=tuple(code.defining_set.sorted())
@@ -181,7 +199,7 @@ def build_classical(family: str, q: int, d: int | None, t: int | None = None,
         if params is None:
             raise ValueError(f"d={d} not admissible for family {family}, q={q}")
     if family == "ii" and "r" in params:
-        check_parameters("ii", q, n, t, r=params["r"])
+        check_parameters("ii", q, n, t, **params)
         code = extended_rs_code(q, params["r"], field=field)
     else:
         # family ii without r has no defining set, and defining_set says so
@@ -191,24 +209,55 @@ def build_classical(family: str, q: int, d: int | None, t: int | None = None,
     return code
 
 
+def family_codes(family: str, q: int, params: list[dict],
+                 t: int | None = None, n: int | None = None,
+                 field: FieldContext | None = None
+                 ) -> Iterator[tuple[ClassicalCode, np.ndarray]]:
+    """Each instance of one family group (family, q, t, n), one for each
+    parameter set in `params` as build_classical takes them, as its code
+    and its Gram matrix H H^dagger; nothing for no parameter sets.  One
+    code holds them all: the extended RS code with the largest r (family
+    ii), or the constacyclic code of the union of the defining sets, whose
+    rank proof covers every subset of its rows.  Its Gram matrix is formed
+    once; each instance's H is a row slice of its H (codes.subcode) and
+    the Gram matrix the principal block on those rows.  The codes are
+    yielded one at a time, so only one slice is alive at once."""
+    if not params:
+        return
+    if family == "ii":
+        for kw in params:
+            check_parameters("ii", q, n, t, **kw)
+        parts = [kw["r"] for kw in params]
+        top = extended_rs_code(q, max(parts), field)
+    else:
+        parts = [defining_set(family, q, n=n, t=t, **kw) for kw in params]
+        union = frozenset().union(*(Z.elements for Z in parts))
+        top = constacyclic_code(
+            q, DefiningSet(parts[0].modulus, parts[0].r, union), field)
+    gram = gram_matrix(top.H, q, top.field)
+    for part in parts:
+        code, rows = subcode(top, part)
+        code.family = family
+        yield code, gram[np.ix_(rows, rows)]
+
+
 def enumerate_family(family: str, q: int, t: int | None = None,
                      n: int | None = None,
                      field: FieldContext | None = None) -> list[EaqeccParams]:
-    """All EAQMDS codes of one family for a given q (and t), each built
-    from its classical code and checked against the closed form.  A
-    distance whose closed form gives k = 0 encodes no qudit and is left
-    out."""
+    """All EAQMDS codes of one family for a given q (and t), built by
+    family_codes and each checked against the closed form.  A distance
+    whose closed form gives k = 0 encodes no qudit and is left out."""
     if not admissible(family, q, t):
         raise ValueError(f"q={q} (t={t}) not admissible for family {family}")
     length = parameter_ranges(family, q, n, t)[0]
     c = expected_c(family, t)
+    wanted = [(d, kw) for d, kw in instances(family, q, t, n).items()
+              if closed_form_k(family, q, d, t, n) >= 1]
     out = []
-    for d, kw in instances(family, q, t, n).items():
+    built = family_codes(family, q, [kw for _, kw in wanted], t, n, field)
+    for (d, _), (code, gram) in zip(wanted, built):
         k = closed_form_k(family, q, d, t, n)
-        if k < 1:
-            continue
-        code = build_classical(family, q, None, t, n, field=field, **kw)
-        params = derive_eaqecc(code, q)
+        params = derive_eaqecc(code, gram)
         expected = (length, k, d, c)
         got = (params.n, params.k, params.d, params.c)
         if got != expected:

@@ -9,11 +9,12 @@ minor of a full-rank parity check, is nonsingular;
 kernels.minors_nonsingular decides that on the systematic form [I | A],
 by a Schur-complement walk over the square submatrices of A.  Hermitian
 dual containment has two routes here, the coset test Z & -qZ = 0 and the
-matrix test H H^dagger = 0.  The sweep harness rebuilds every family
-instance that cosets.parameter_ranges admits, each through
-eaqecc.build_classical, and compares rank(H H^dagger) against the
-predicted ebit count; the family-v cross rank rank(H1 H2^dagger) takes
-H1 and H2 as rows of the entry's own H.
+matrix test H H^dagger = 0.  The sweep harness builds every family
+instance that cosets.parameter_ranges admits, each group of them (one
+family, q, n, t and odd) through one eaqecc.family_codes build, and
+compares rank(H H^dagger) against the predicted ebit count; the family-v
+cross rank rank(H1 H2^dagger) is that of the block of the entry's own
+Gram matrix on the rows of Z1 and Z2.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .codes import ClassicalCode, generator_matrix
+from .codes import ClassicalCode, generator_matrix, parity_rows
 from .cosets import DefiningSet, parameter_ranges
-from .eaqecc import build_classical, ebit_count, expected_c
+from .eaqecc import ebit_count, expected_c, family_codes, gram_matrix
 from .galois import FieldContext
 
 
@@ -86,7 +87,7 @@ def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
 def dual_containment_matrix_oracle(H: np.ndarray, q: int,
                                    ctx: FieldContext) -> bool:
     """True iff H H^dagger = 0 (matrix route to Hermitian dual containment)."""
-    return not kernels.matmul(H, kernels.adjoint(H, q, ctx), ctx).any()
+    return not gram_matrix(H, q, ctx).any()
 
 
 def certify_distance(code: ClassicalCode,
@@ -148,8 +149,9 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _rank_entry(lemma, q, n, r, params, Z, H, ctx, expected, **extra) -> dict:
-    computed = ebit_count(H, q, ctx)
+def _rank_entry(lemma, q, n, r, params, Z, gram, ctx, expected,
+                **extra) -> dict:
+    computed = ebit_count(gram, ctx)
     ok = computed == expected and all(
         v for k, v in extra.items() if k.endswith("_ok"))
     entry = {"lemma": lemma, "q": q, "n": n, "r": r, "params": params,
@@ -203,37 +205,43 @@ def _sweep_family(report: SweepReport, family: str, q: int,
                   n: int | None = None, t: int | None = None,
                   odd: bool | None = None) -> None:
     """One entry per admissible choice of the construction parameters of
-    one family instance, each built by build_classical and checked
-    against the family's expected_c; none when parameter_ranges rejects
-    (q, n, t).  Entry params list t first when given, then the family's
-    parameters, then odd unless it is None."""
+    one family instance, all built by one family_codes call and each
+    checked against the family's expected_c; none when parameter_ranges
+    rejects (q, n, t) or admits no choice.  Entry params list t first
+    when given, then the family's parameters, then odd unless it is
+    None."""
     try:
         length, ranges = parameter_ranges(family, q, n, t, bool(odd))
     except ValueError:
         return
     expected = expected_c(family, t)
-    for values in itertools.product(*ranges.values()):
-        kw = dict(zip(ranges, values))
-        code = build_classical(family, q, None, t, n, odd=bool(odd), **kw)
+    grid = [dict(zip(ranges, values))
+            for values in itertools.product(*ranges.values())]
+    built = family_codes(family, q, [dict(kw, odd=bool(odd)) for kw in grid],
+                         t, n)
+    for kw, (code, gram) in zip(grid, built):
         Z = code.defining_set
         params = dict(kw) if t is None else {"t": t, **kw}
         if odd is not None:
             params["odd"] = odd
         extra = {}
         if family == "v":
-            extra = _consta_intersection(q, t, kw["delta1"], kw["delta2"], code)
+            extra = _consta_intersection(q, t, kw["delta1"], kw["delta2"],
+                                         code, gram)
         report.add(_rank_entry(report.lemma, q, length,
                                Z.r if Z is not None else None, params, Z,
-                               code.H, code.field, expected, **extra))
+                               gram, code.field, expected, **extra))
 
 
-def _consta_intersection(q, t, d1, d2, code: ClassicalCode) -> dict:
+def _consta_intersection(q, t, d1, d2, code: ClassicalCode,
+                         gram: np.ndarray) -> dict:
     """Check that the split of the code's defining set Z around its anchor
     exponent rebuilds Z, |Z1 & Z2^{-q}| = (t-1)/2 and rank(H1 H2^dagger)
     = (t-1)/2.  Row z of the code's H depends only on z, so H1 and H2 are
-    its rows at the positions of Z1 and Z2 in Z.sorted().  When the split
-    does not rebuild Z, there is no cross rank to take."""
-    Z, H, ctx = code.defining_set, code.H, code.field
+    its rows of Z1 and Z2 (codes.parity_rows), and H1 H2^dagger is the
+    block of its Gram matrix `gram` = H H^dagger on those rows.  When the
+    split does not rebuild Z, there is no cross rank to take."""
+    Z, ctx = code.defining_set, code.field
     s = (t - 1) // 2
     anchor = s * (q - 1)
     modulus = Z.modulus
@@ -244,11 +252,8 @@ def _consta_intersection(q, t, d1, d2, code: ClassicalCode) -> dict:
     inter = z1 & frozenset((-q * z) % modulus for z in z2)
     cross_rank = None
     if split_ok:
-        row = {z: i for i, z in enumerate(Z.sorted())}
-        H1 = H[[row[z] for z in sorted(z1)]]
-        H2 = H[[row[z] for z in sorted(z2)]]
-        gram = kernels.matmul(H1, kernels.adjoint(H2, q, ctx), ctx)
-        cross_rank = kernels.rank(gram, ctx)
+        cross = gram[np.ix_(parity_rows(q, Z, z1), parity_rows(q, Z, z2))]
+        cross_rank = kernels.rank(cross, ctx)
     return {
         "split_ok": split_ok,
         "intersection": len(inter),

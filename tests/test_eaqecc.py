@@ -17,6 +17,7 @@ from eaqmds.eaqecc import (
     ebit_count,
     enumerate_family,
     expected_c,
+    gram_matrix,
     instances,
 )
 
@@ -24,24 +25,26 @@ from eaqmds.eaqecc import (
 def test_ebit_count_dual_containing_is_zero():
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     code = constacyclic_code(4, DefiningSet(17, 1, z1))
-    assert ebit_count(code.H, 4, code.field) == 0
-    assert ebit_count(np.zeros((0, 17), dtype=np.int64), 4, code.field) == 0
+    f = code.field
+    assert ebit_count(gram_matrix(code.H, 4, f), f) == 0
+    empty = np.zeros((0, 17), dtype=np.int64)
+    assert ebit_count(gram_matrix(empty, 4, f), f) == 0
 
 
 def test_ebit_count_one_for_small_cyclic():
     code = constacyclic_code(2, defining_set("i", 2, delta=1))
-    assert ebit_count(code.H, 2, code.field) == 1
+    assert ebit_count(gram_matrix(code.H, 2, code.field), code.field) == 1
 
 
 def test_ebit_count_t_for_constacyclic():
     code = constacyclic_code(11, defining_set("v", 11, t=3, delta1=4,
                                               delta2=4))
-    assert ebit_count(code.H, 11, code.field) == 3
+    assert ebit_count(gram_matrix(code.H, 11, code.field), code.field) == 3
 
 
 def test_derive_17_8_6():
     code = build_classical("i", 4, 6)
-    params = derive_eaqecc(code, 4)
+    params = derive_eaqecc(code, gram_matrix(code.H, 4, code.field))
     assert params.label() == "[[17,8,6;1]]_4"
     assert params.saturates_ea_singleton
 
@@ -49,14 +52,14 @@ def test_derive_17_8_6():
 def test_derive_24_17_5():
     code = build_classical("iii", 5, 5)
     assert (code.n, code.k) == (24, 20)   # |Z| = 4, asymmetric set
-    params = derive_eaqecc(code, 5)
+    params = derive_eaqecc(code, gram_matrix(code.H, 5, code.field))
     assert params.label() == "[[24,17,5;1]]_5"
 
 
 def test_derive_dual_containing_reduces_to_stabilizer():
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     code = constacyclic_code(4, DefiningSet(17, 1, z1))
-    params = derive_eaqecc(code, 4)
+    params = derive_eaqecc(code, gram_matrix(code.H, 4, code.field))
     assert params.c == 0
     assert params.k == 2 * code.k - code.n  # [[n, 2k-n, d; 0]]
     assert not params.saturates_ea_singleton
@@ -209,12 +212,24 @@ def test_canonical_deltas_cover_ranges():
                 build_classical("ii", q, None, r=bad)
 
 
+@pytest.mark.parametrize("family, q, params, message", [
+    ("iii", 3, {"delta": 1, "r": 2}, "family iii takes delta, not r"),
+    ("iv", 5, {"delta1": 1, "delta2": 3, "r": 4},
+     "family iv takes delta1 and delta2, not r"),
+    ("ii", 3, {"r": 4, "delta": 1}, "family ii takes r, not delta"),
+])
+def test_build_classical_rejects_parameters_the_family_does_not_take(
+        family, q, params, message):
+    with pytest.raises(ValueError, match=message):
+        build_classical(family, q, None, **params)
+
+
 def test_derive_k_negative_is_error():
     code = build_classical("ii", 3, 5)
     code2 = type(code)(n=code.n, k=1, d_design=1, H=code.H, q=3,
                        field=code.field)
     with pytest.raises(ValueError):
-        derive_eaqecc(code2, 3)
+        derive_eaqecc(code2, gram_matrix(code2.H, 3, code2.field))
 
 
 def test_record_schema():

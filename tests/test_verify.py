@@ -13,7 +13,7 @@ from eaqmds.codes import (
     generator_matrix,
 )
 from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
-from eaqmds.eaqecc import build_classical
+from eaqmds.eaqecc import build_classical, gram_matrix
 from eaqmds.verify import (
     BudgetExceeded,
     OracleBudget,
@@ -165,17 +165,19 @@ def test_consta_split_mismatch_is_reported():
     Z = defining_set("v", 5, t=3, delta1=2, delta2=2)
     code = constacyclic_code(5, Z)
     f = code.field
-    good = _consta_intersection(5, 3, 2, 2, code)
+    gram = gram_matrix(code.H, 5, f)
+    good = _consta_intersection(5, 3, 2, 2, code, gram)
     assert good["split_ok"] and good["cross_rank"] == 1
-    assert _rank_entry("consta", 5, 8, 3, {}, Z, code.H, f, 3, **good)["ok"]
+    assert _rank_entry("consta", 5, 8, 3, {}, Z, gram, f, 3, **good)["ok"]
     # a defining set missing one element is not rebuilt by the split,
     # and its rows no longer hold H1 and H2: no cross rank is taken
     short = DefiningSet(Z.modulus, Z.r, Z.elements - {max(Z.elements)})
     short_code = constacyclic_code(5, short)
-    extra = _consta_intersection(5, 3, 2, 2, short_code)
+    short_gram = gram_matrix(short_code.H, 5, f)
+    extra = _consta_intersection(5, 3, 2, 2, short_code, short_gram)
     assert extra["split_ok"] is False
     assert extra["cross_rank"] is None and extra["cross_rank_ok"] is False
-    entry = _rank_entry("consta", 5, 8, 3, {}, short, short_code.H, f, 3,
+    entry = _rank_entry("consta", 5, 8, 3, {}, short, short_gram, f, 3,
                         **extra)
     assert entry["ok"] is False and entry["split_ok"] is False
 
