@@ -11,12 +11,9 @@ families; their lengths and admissible q follow from
 cosets.parameter_ranges, family_t says which family takes t, and
 instances is the one map from an admissible distance to the parameters
 that build it.  build_classical turns one family instance, given by its
-distance or by explicit parameters, into a code.  family_codes turns all
-instances of one family group (family, q, t, n) into codes from one
-build: the union of their defining sets (or the largest r) gets one
-parity check, one rank proof and one Gram matrix, and each instance is a
-row slice of that parity check with a principal block of that Gram
-matrix.
+distance or by explicit parameters, into a code; family_codes turns all
+instances of one family group (family, q, t, n) into row slices of one
+code, each with a principal block of that code's one Gram matrix.
 """
 
 from __future__ import annotations
@@ -230,10 +227,15 @@ def family_codes(family: str, q: int, params: list[dict],
         parts = [kw["r"] for kw in params]
         top = extended_rs_code(q, max(parts), field)
     else:
-        parts = [defining_set(family, q, n=n, t=t, **kw) for kw in params]
-        union = frozenset().union(*(Z.elements for Z in parts))
+        union: set[int] = set()
+        for kw in params:
+            Z = defining_set(family, q, n=n, t=t, **kw)
+            union |= Z.elements
         top = constacyclic_code(
-            q, DefiningSet(parts[0].modulus, parts[0].r, union), field)
+            q, DefiningSet(Z.modulus, Z.r, frozenset(union)), field)
+        # built again, one at a time: all of the sets at once took more
+        # memory than the parity check (160 KB for family v at q = 29)
+        parts = (defining_set(family, q, n=n, t=t, **kw) for kw in params)
     gram = gram_matrix(top.H, q, top.field)
     for part in parts:
         code, rows = subcode(top, part)
