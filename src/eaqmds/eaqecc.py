@@ -227,15 +227,19 @@ def family_codes(family: str, q: int, params: list[dict],
         parts = [kw["r"] for kw in params]
         top = extended_rs_code(q, max(parts), field)
     else:
+        # the sets wait for the union as int64 arrays: as DefiningSets
+        # they took more memory than the parity check (160 KB against
+        # 38 KB for the 81 sets of family v at q = 29)
         union: set[int] = set()
+        members = []
         for kw in params:
             Z = defining_set(family, q, n=n, t=t, **kw)
             union |= Z.elements
+            members.append(np.fromiter(Z.elements, np.int64, len(Z)))
         top = constacyclic_code(
             q, DefiningSet(Z.modulus, Z.r, frozenset(union)), field)
-        # built again, one at a time: all of the sets at once took more
-        # memory than the parity check (160 KB for family v at q = 29)
-        parts = (defining_set(family, q, n=n, t=t, **kw) for kw in params)
+        parts = (DefiningSet(Z.modulus, Z.r, frozenset(m.tolist()))
+                 for m in members)
     gram = gram_matrix(top.H, q, top.field)
     for part in parts:
         code, rows = subcode(top, part)
