@@ -317,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--max-codewords", type=int,
                         default=OracleBudget.max_codewords)
     p_dist.add_argument("--max-minors", type=int,
-                        default=OracleBudget.max_minors)
+                        default=OracleBudget.max_minors,
+                        help="largest C(n, k) for the minor walk, the "
+                             "fallback when the Cauchy certificate gives "
+                             "no verdict")
     common(p_dist)
 
     p_tab = sub.add_parser("table", help="EAQMDS vs QMDS comparison table")

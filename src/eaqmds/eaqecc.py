@@ -19,7 +19,7 @@ code, each with a principal block of that code's one Gram matrix.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,35 +90,37 @@ def ebit_count(gram: np.ndarray, ctx: FieldContext) -> int:
     return kernels.rank(gram, ctx)
 
 
-def ea_singleton_check(params: EaqeccParams) -> bool:
-    """True iff n + c - k = 2(d - 1); a strict violation of the bound
-    means the construction is broken and raises."""
-    slack = params.n + params.c - params.k - 2 * (params.d - 1)
+def ea_singleton_check(q: int, n: int, k: int, d: int, c: int) -> bool:
+    """True iff [[n, k, d; c]]_q has n + c - k = 2(d - 1); a strict
+    violation of the bound means the construction is broken and raises."""
+    slack = n + c - k - 2 * (d - 1)
     if slack < 0:
         raise VerificationError(
-            f"EA-Singleton bound violated by {params.label()}")
-    if not 0 <= params.c <= params.n - 1:
-        raise VerificationError(f"ebit count c={params.c} outside [0, n-1]")
+            f"EA-Singleton bound violated by [[{n},{k},{d};{c}]]_{q}")
+    if not 0 <= c <= n - 1:
+        raise VerificationError(f"ebit count c={c} outside [0, n-1]")
     return slack == 0
 
 
-def derive_eaqecc(code: ClassicalCode, gram: np.ndarray) -> EaqeccParams:
+def derive_eaqecc(code: ClassicalCode, gram: np.ndarray,
+                  t: int | None = None) -> EaqeccParams:
     """[[n, 2k - n + c, d; c]]_q from a classical code over GF(q^2) and
-    its Gram matrix H H^dagger."""
+    its Gram matrix H H^dagger, with t recorded as given."""
     c = ebit_count(gram, code.field)
     k = 2 * code.k - code.n + c
     if k < 0:
         raise ValueError(
             f"derived dimension {k} < 0 for classical [{code.n},{code.k}]")
-    params = EaqeccParams(
+    return EaqeccParams(
         q=code.q, n=code.n, k=k, d=code.d_design, c=c,
-        saturates_ea_singleton=False, family=code.family,
+        saturates_ea_singleton=ea_singleton_check(
+            code.q, code.n, k, code.d_design, c),
+        family=code.family, t=t,
         classical=(code.n, code.k, code.d_design),
         defining_set=tuple(code.defining_set.sorted())
         if code.defining_set is not None else None,
         field=code.field.descriptor(),
     )
-    return replace(params, saturates_ea_singleton=ea_singleton_check(params))
 
 
 FAMILIES = ("i", "ii", "iii", "iv", "v")
@@ -263,7 +265,7 @@ def enumerate_family(family: str, q: int, t: int | None = None,
     built = family_codes(family, q, [kw for _, kw in wanted], t, n, field)
     for (d, _), (code, gram) in zip(wanted, built):
         k = closed_form_k(family, q, d, t, n)
-        params = derive_eaqecc(code, gram)
+        params = derive_eaqecc(code, gram, t)
         expected = (length, k, d, c)
         got = (params.n, params.k, params.d, params.c)
         if got != expected:
@@ -274,5 +276,5 @@ def enumerate_family(family: str, q: int, t: int | None = None,
             raise VerificationError(
                 f"family {family} {params.label()} does not saturate "
                 "the EA-Singleton bound")
-        out.append(replace(params, t=t))
+        out.append(params)
     return out

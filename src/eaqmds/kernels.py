@@ -36,10 +36,23 @@ first table, has weight n minus the number of coordinates where s and h
 agree, so each codeword costs one integer comparison per coordinate and
 no field product.
 
-The minor oracle uses the systematic form: a full-rank k x n matrix with
+The minor oracles use the systematic form: a full-rank k x n matrix with
 echelon form [I | A], up to column order, has every k x k minor
 nonsingular iff every square submatrix of A is (MacWilliams-Sloane,
-ch. 11, thm 8).  The walk visits the pairs (R, C) of sorted row and
+ch. 11, thm 8).  The certificate decides that in O(k(n-k)) when A is a
+generalized Cauchy matrix, possibly doubly extended: A[i, j] =
+1 / (u_i v_j det[P_i, Q_j]) for points P_i, Q_j of the projective line,
+which holds iff A has no zero entry and B = 1/A, entry-wise, has rank at
+most 2 (B = U V with U k x 2 and V 2 x (n-k)).  [I | A] then generates a
+generalized Reed-Solomon code (Roth-Seroussi 1985, Roth-Lempel 1989),
+and each square submatrix of A has the Cauchy determinant, a unit times
+prod (x_i - x_i') prod (y_j - y_j') / prod (x_i - y_j): nonzero iff the
+rows' points are distinct and the columns' are, that is iff no two rows
+and no two columns of A are proportional.  A zero entry or two
+proportional rows or columns is a singular 1 x 1 or 2 x 2 minor, and
+refutes; rank(B) > 2 gives no verdict.  An A of one row or one column
+has only 1 x 1 minors, and the zero test alone decides it (its columns,
+or rows, are all proportional).  The walk, the fallback, visits the pairs (R, C) of sorted row and
 column subsets of A.  Node (R, C) holds the Schur complement of A[R, C]
 on the rows after max R and the columns after max C, whose entry (r, c)
 is det A[R+r, C+c] / det A[R, C]: one nonzero test per minor.  A child
@@ -303,14 +316,50 @@ def _nodes(L):
     return comb(L.shape[1] + L.shape[2], L.shape[1])
 
 
+def _systematic(M, ctx):
+    """A of the echelon form [I | A] of M, up to column order; None when
+    M's rank is below its row count."""
+    R, pivots = eliminate(M, ctx)
+    if len(pivots) < M.shape[0]:
+        return None
+    return np.delete(R, pivots, axis=1)
+
+
+def _has_proportional_rows(L, top):
+    """True iff two rows of the log matrix L differ by a constant mod top:
+    rows shifted to start at log 0 are sorted and neighbours compared."""
+    N = (L - L[:, :1]) % top
+    N = N[np.lexsort(N.T)]
+    return bool((N[1:] == N[:-1]).all(axis=1).any())
+
+
+def cauchy_certificate(M: np.ndarray, ctx) -> bool | None:
+    """Every k x k minor of the k x n matrix M, k <= n, nonsingular (True)
+    or not (False), decided in O(k(n-k)) after the echelon form [I | A],
+    or None: no verdict, when A is not a generalized Cauchy matrix."""
+    A = _systematic(M, ctx)
+    if A is None:
+        return False
+    if not A.all():
+        return False  # a singular 1 x 1 minor
+    if min(A.shape) < 2:
+        return True
+    top = ctx.order - 1
+    L = ctx.log[A]
+    if _has_proportional_rows(L, top) or _has_proportional_rows(L.T, top):
+        return False  # a singular 2 x 2 minor
+    B = ctx.exp[-L % top]
+    B = B if B.shape[0] >= B.shape[1] else B.T  # fewer columns, fewer steps
+    return True if rank(B, ctx) <= 2 else None
+
+
 def minors_nonsingular(M: np.ndarray, ctx) -> bool:
     """True iff every k x k minor of the k x n matrix M, k <= n, is
     nonsingular: the Schur walk over the square minors of A, for [I | A]
     the echelon form of M up to column order."""
-    R, pivots = eliminate(M, ctx)
-    if len(pivots) < M.shape[0]:
+    A = _systematic(M, ctx)
+    if A is None:
         return False
-    A = np.delete(R, pivots, axis=1)
     A = A if A.shape[0] <= A.shape[1] else A.T  # fewer rows, fewer updates
     todo = [ctx.log[A][None].astype(np.int32)]
     while todo:

@@ -5,9 +5,12 @@ kernels directly.  The distance oracles are deliberately separate routes
 from the BCH design distance: full message enumeration when the message
 space fits the budget, otherwise the minor criterion.  A code is MDS iff
 every k x k minor of a generator matrix, equivalently every (n-k)-square
-minor of a full-rank parity check, is nonsingular;
-kernels.minors_nonsingular decides that on the systematic form [I | A],
-by a Schur-complement walk over the square submatrices of A.  Hermitian
+minor of a full-rank parity check, is nonsingular, that is iff every
+square submatrix of A is, for [I | A] its systematic form.
+kernels.cauchy_certificate decides that in polynomial time when A is a
+generalized Cauchy matrix, as it is for every generalized Reed-Solomon
+code; kernels.minors_nonsingular, the fallback, by a Schur-complement
+walk over the square submatrices of A, within a budget.  Hermitian
 dual containment has two routes here, the coset test Z & -qZ = 0 and the
 matrix test H H^dagger = 0.  The sweep harness builds every family
 instance that cosets.parameter_ranges admits, each group of them (one
@@ -35,6 +38,10 @@ from .galois import FieldContext
 
 @dataclass(frozen=True)
 class OracleBudget:
+    """Bounds on the two exponential oracles: Q^k messages to enumerate,
+    and C(n, k) minors for the walk, which runs only when the Cauchy
+    certificate gives no verdict."""
+
     max_codewords: int = 10**7
     max_minors: int = 10**7
 
@@ -92,11 +99,17 @@ def dual_containment_matrix_oracle(H: np.ndarray, q: int,
 
 def certify_distance(code: ClassicalCode,
                      budget: OracleBudget = OracleBudget()) -> dict:
-    """Route to an affordable oracle and report what was certified.
+    """Route to the first oracle that decides the code, and report what
+    was certified.
 
+    The routes, in order: message enumeration when Q^k fits
+    max_codewords, the one route that finds d itself; the
+    generalized-Cauchy certificate; the Schur walk when the certificate
+    gives no verdict and C(n, k) fits max_minors; else design-only.
     Returns {"method", "is_mds", "d"} where method is "enumeration",
-    "minors" or "design-only"; d is the exact distance when enumeration
-    ran, n-k+1 when the minor oracle confirmed MDS, else None.
+    "cauchy", "minors" or "design-only"; d is the exact distance when
+    enumeration ran, n-k+1 when the certificate or the walk confirmed
+    MDS, else None.
     """
     n, k = code.n, code.k
     if k == 0:
@@ -104,10 +117,14 @@ def certify_distance(code: ClassicalCode,
     if code.field.order**k <= budget.max_codewords:
         d = exhaustive_min_distance(generator_matrix(code), code.field, budget)
         return {"method": "enumeration", "is_mds": d == n - k + 1, "d": d}
+    # both routes test the smaller matrix: with n-k rows, H is MDS iff
+    # every n-k columns are independent, as G is iff every k are
+    H = code.H
+    M = H if H.shape[0] == n - k < k else generator_matrix(code)
+    ok = kernels.cauchy_certificate(M, code.field)
+    if ok is not None:
+        return {"method": "cauchy", "is_mds": ok, "d": n - k + 1 if ok else None}
     if math.comb(n, k) <= budget.max_minors:
-        # C(n, k) = C(n, n-k) minors either way: test the smaller matrix
-        H = code.H
-        M = H if H.shape[0] == n - k < k else generator_matrix(code)
         ok = mds_minor_oracle(M, code.field, budget)
         return {"method": "minors", "is_mds": ok, "d": n - k + 1 if ok else None}
     return {"method": "design-only", "is_mds": None, "d": None}

@@ -65,6 +65,16 @@ def ref_is_singular(S, ctx):
     return False
 
 
+def ref_all_minors_nonsingular(A, ctx):
+    """True iff every square submatrix of A is nonsingular, each tested
+    by its own elimination."""
+    m, k = A.shape
+    return not any(ref_is_singular(A[np.ix_(rows, cols)], ctx)
+                   for s in range(1, min(m, k) + 1)
+                   for rows in combinations(range(m), s)
+                   for cols in combinations(range(k), s))
+
+
 def ref_first_singular_minor(G, ctx):
     """Lexicographic index of the first singular k x k column minor of G,
     -1 if there is none."""

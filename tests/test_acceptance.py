@@ -5,7 +5,6 @@ lines; any assertion failure marks the criterion red.
 """
 
 import itertools
-import math
 import random
 import time
 
@@ -23,7 +22,6 @@ from eaqmds.eaqecc import (
 from eaqmds.galois import build_field
 from eaqmds.verify import (
     DEFAULT_SWEEPS,
-    OracleBudget,
     certify_distance,
     dual_containment_matrix_oracle,
     is_hermitian_dual_containing,
@@ -182,34 +180,27 @@ def test_criterion_3_dual_containment_oracle_equivalence():
 
 
 def test_criterion_4_distance_certification():
-    """Every instance within oracle budget is confirmed MDS; covers
+    """Every instance is certified MDS under the default budgets; covers
     families i-iii for q <= 4 and family iv for q in {3, 5}."""
     t0 = time.perf_counter()
     grid = [(f, q, None) for f in ("i", "ii", "iii") for q in (2, 3, 4)]
     grid += [("iv", 3, None), ("iv", 5, None)]
-    checked = skipped = 0
+    checked = 0
     for family, q, t in grid:
         for d in instances(family, q, t):
             code = build_classical(family, q, d, t)
             if code.k == 0:
                 continue
-            in_budget = (q ** (2 * code.k) <= 10**7
-                         or math.comb(code.n, code.k)
-                         <= OracleBudget().max_minors)
             result = certify_distance(code)
-            if not in_budget:
-                skipped += 1
-                continue
             assert result["method"] != "design-only", (family, q, d)
             assert result["is_mds"], (family, q, d, result)
             assert code.d_design == code.n - code.k + 1
-            if result["method"] == "enumeration":
-                assert result["d"] == code.d_design
+            assert result["d"] == code.d_design
             checked += 1
     elapsed = time.perf_counter() - t0
     assert checked >= 20 and elapsed < 600
     print(f"ACCEPTANCE 4 PASS {checked} instances MDS-certified "
-          f"({skipped} above budget) in {elapsed:.1f}s")
+          f"in {elapsed:.1f}s")
 
 
 def test_criterion_5_ea_singleton_saturation():

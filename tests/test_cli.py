@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eaqmds import cli, eaqecc
+from eaqmds import cli, eaqecc, kernels
 from eaqmds.cli import main, parse_q, table_rows
 
 
@@ -146,13 +146,31 @@ def test_distance_cli(capsys):
     assert json.loads(out)["is_mds"]
 
 
-def test_distance_design_only(capsys):
+def test_distance_design_only(capsys, monkeypatch):
+    # a code the certificate cannot decide, over the walk's budget
+    monkeypatch.setattr(kernels, "cauchy_certificate", lambda M, ctx: None)
     code, out, err = run_cli(capsys, "distance", "--family", "v", "--q", "27",
-                             "--t", "7", "--d", "26")
+                             "--t", "7", "--d", "26", "--max-minors", "1")
     assert code == 4  # not certified within budget
     rec = json.loads(out)
     assert rec["method"] == "design-only" and rec["is_mds"] is None
     assert "design-distance only" in err
+
+
+def test_distance_certifies_every_record(capsys):
+    """Every record of `enumerate --q 2..16 --t 3` is certified MDS under
+    the default budgets: d = n - k + 1, exit 0."""
+    code, out, _ = run_cli(capsys, "enumerate", "--q", "2..16", "--t", "3")
+    records = json.loads(out)["records"]
+    assert code == 0 and len(records) == 312
+    for r in records:
+        argv = ["distance", "--family", r["family"], "--q", str(r["q"]),
+                "--d", str(r["d"])] + (["--t", str(r["t"])] if r["t"] else [])
+        code, out, _ = run_cli(capsys, *argv)
+        rec = json.loads(out)
+        n, k = rec["classical"]["n"], rec["classical"]["k"]
+        assert (code, rec["is_mds"], rec["oracle_distance"]) == \
+            (0, True, n - k + 1), argv
 
 
 def test_distance_delta_overrides(capsys):
@@ -257,7 +275,9 @@ def test_distance_budget_override(capsys):
     code, out, _ = run_cli(capsys, "distance", "--family", "ii", "--q", "3",
                            "--d", "4", "--max-codewords", "10")
     assert code == 0
-    assert json.loads(out)["method"] == "minors"
+    rec = json.loads(out)
+    assert (rec["method"], rec["is_mds"], rec["oracle_distance"]) == \
+        ("cauchy", True, 4)
 
 
 def test_table_q5(capsys):

@@ -9,7 +9,6 @@ from eaqmds.cosets import (
     parameter_ranges,
 )
 from eaqmds.eaqecc import (
-    EaqeccParams,
     build_classical,
     closed_form_k,
     derive_eaqecc,
@@ -66,19 +65,12 @@ def test_derive_dual_containing_reduces_to_stabilizer():
 
 
 def test_ea_singleton_check():
-    ok = EaqeccParams(q=4, n=17, k=8, d=6, c=1, saturates_ea_singleton=True)
-    assert ea_singleton_check(ok)
-    trivial = EaqeccParams(q=3, n=5, k=5, d=1, c=0,
-                           saturates_ea_singleton=True)
-    assert ea_singleton_check(trivial)
-    ex4 = EaqeccParams(q=5, n=12, k=6, d=5, c=2, saturates_ea_singleton=True)
-    assert ea_singleton_check(ex4)
-    loose = EaqeccParams(q=4, n=17, k=9, d=3, c=0,
-                         saturates_ea_singleton=False)
-    assert not ea_singleton_check(loose)
+    assert ea_singleton_check(q=4, n=17, k=8, d=6, c=1)
+    assert ea_singleton_check(q=3, n=5, k=5, d=1, c=0)  # trivial
+    assert ea_singleton_check(q=5, n=12, k=6, d=5, c=2)
+    assert not ea_singleton_check(q=4, n=17, k=9, d=3, c=0)  # loose
     with pytest.raises(ValueError):
-        ea_singleton_check(EaqeccParams(q=2, n=5, k=6, d=2, c=0,
-                                        saturates_ea_singleton=False))
+        ea_singleton_check(q=2, n=5, k=6, d=2, c=0)
 
 
 PUBLISHED_EXAMPLES = {
@@ -138,7 +130,7 @@ def test_family_invariants(family, q, t):
     assert [p.d for p in params] == [d for d in instances(family, q, t)
                                      if closed_form_k(family, q, d, t) >= 1]
     for p in params:
-        assert ea_singleton_check(p)
+        assert ea_singleton_check(p.q, p.n, p.k, p.d, p.c)
         assert p.n + p.c - p.k == 2 * (p.d - 1)
         assert p.k == closed_form_k(family, q, p.d, t)
         assert p.c == expected_c(family, t)

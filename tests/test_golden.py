@@ -25,7 +25,9 @@ GOLDEN = [
     ("distance --family ii --q 3 --d 4",
      "202e1e5650a3842e4bc25a5f5b5f0e63c12e358821b9000cdd4709c6fb0c7ada"),
     ("distance --family iii --q 5 --d 5",
-     "7744652cccccd09410b396b8a7f28340b2e1d81399a25e73b347a59cdaf3655f"),
+     "984393f79699c9210a3f37170855c80710b77bb6c4df5de855390e91bf2e3278"),
+    ("distance --family v --q 27 --t 7 --d 26",
+     "dd36aac4388721325ced569a9e2b5e0df383af108c92c3ef26171f539be500c7"),
 ]
 
 

@@ -1,8 +1,9 @@
 """Kernels against direct context-arithmetic references, written here
 and in reference.py.
 
-The property tests pin the vectorized oracles (the Schur-complement
-minor walk, projective enumeration) to per-item references.
+The property tests pin the vectorized oracles (the generalized-Cauchy
+certificate, the Schur-complement minor walk, projective enumeration)
+to per-item references.
 """
 
 from unittest import mock
@@ -16,6 +17,7 @@ from eaqmds import kernels
 from eaqmds.eaqecc import build_classical
 from eaqmds.galois import build_field
 from reference import (
+    ref_all_minors_nonsingular,
     ref_first_singular_minor,
     ref_matmul,
     ref_min_weight,
@@ -237,6 +239,102 @@ def test_minor_oracle_on_family_i(limit):
         assert kernels.minors_nonsingular(H, code.field)
         H[:, 12] = H[:, 9]
         assert not kernels.minors_nonsingular(H, code.field)
+
+
+# GF(4), GF(9), GF(16), GF(25), GF(49)
+CAUCHY_FIELDS = [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2)]
+
+
+def _cauchy(ctx, xs, ys, us, vs):
+    """A[i, j] = u_i v_j / det[P_i, Q_j] for the points P_i = (x_i, 1),
+    Q_j = (y_j, 1) of the projective line, -1 standing for (1, 0), the
+    point at infinity: 0 where x_i and y_j coincide."""
+    def det(x, y):
+        if x == y:
+            return 0
+        if x < 0 or y < 0:
+            return 1 if x < 0 else ctx.neg(1)
+        return ctx.add(x, ctx.neg(y))
+
+    return np.array([[ctx.mul(ctx.mul(u, v), ctx.pow(det(x, y), -1))
+                      if det(x, y) else 0 for y, v in zip(ys, vs)]
+                     for x, u in zip(xs, us)], dtype=np.int64)
+
+
+def _systematic_case(ctx, A, perm=None):
+    m, k = A.shape
+    M = np.hstack([np.eye(m, dtype=np.int64), A])
+    return ctx, A, M if perm is None else M[:, list(perm)]
+
+
+@st.composite
+def systematic_cases(draw):
+    """(ctx, A, M): M is [I | A] with its columns permuted, and A a random
+    matrix or a generalized Cauchy matrix on random points of the
+    projective line, which may coincide."""
+    ctx = build_field(*draw(st.sampled_from(CAUCHY_FIELDS)))
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cells = st.integers(0, ctx.order - 1)
+        A = np.array(draw(st.lists(st.lists(cells, min_size=k, max_size=k),
+                                   min_size=m, max_size=m)), dtype=np.int64)
+    else:
+        points = st.integers(-1, ctx.order - 1)
+        scales = st.integers(1, ctx.order - 1)
+        A = _cauchy(ctx, *(draw(st.lists(s, min_size=size, max_size=size))
+                           for s, size in ((points, m), (points, k),
+                                           (scales, m), (scales, k))))
+    return _systematic_case(ctx, A, draw(st.permutations(range(m + k))))
+
+
+GF4, GF9 = build_field(2, 2), build_field(3, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systematic_cases())
+# one column: every entry nonzero is MDS
+@example(case=_systematic_case(GF9, np.array([[3], [8], [2]])))
+# the point at infinity on both sides, all points distinct
+@example(case=_systematic_case(
+    GF9, _cauchy(GF9, [-1, 0, 1], [2, 3, 4, 5], [1, 1, 1], [1, 1, 1, 1])))
+# no zero entry and nothing proportional, 1/A of rank 3, a singular minor
+@example(case=_systematic_case(GF4, np.array([[3, 3, 1], [3, 1, 2],
+                                              [3, 1, 3]])))
+def test_cauchy_certificate_matches_reference(case):
+    """The certificate never certifies a matrix with a singular square
+    submatrix and refutes only such matrices; a generalized Cauchy matrix
+    (every entry nonzero) is always decided."""
+    ctx, A, M = case
+    expected = ref_all_minors_nonsingular(A, ctx)
+    verdict = kernels.cauchy_certificate(M, ctx)
+    assert verdict is None or verdict == expected
+    if expected and (min(A.shape) < 2 or kernels.rank(np.array(
+            [[ctx.pow(int(a), -1) for a in row] for row in A]), ctx) <= 2):
+        assert verdict is True
+
+
+def test_cauchy_certificate_cases():
+    # a point twice among the x (two proportional rows), then among the y
+    # (two proportional columns); otherwise Cauchy, so 1/A has rank 2
+    assert kernels.cauchy_certificate(_systematic_case(
+        GF9, _cauchy(GF9, [1, 1, 2], [3, 4, -1], [1, 2, 3], [4, 5, 6]))[2],
+        GF9) is False
+    assert kernels.cauchy_certificate(_systematic_case(
+        GF9, _cauchy(GF9, [1, 2, -1], [3, 4, 3], [1, 2, 3], [4, 5, 6]))[2],
+        GF9) is False
+    # one parity row: the columns of a 1 x k matrix are all proportional
+    assert kernels.cauchy_certificate(np.array([[1, 1, 5, 7, 2]]), GF9)
+    assert kernels.cauchy_certificate(np.array([[1, 1, 0, 7, 2]]), GF9) \
+        is False
+    # rank-deficient, and square (A is empty)
+    assert kernels.cauchy_certificate(np.array([[1, 2, 3], [2, 4, 6]]),
+                                      build_field(7, 1)) is False
+    assert kernels.cauchy_certificate(np.array([[1, 2], [0, 1]]), GF9)
+    # MDS but not generalized Cauchy (1/A has rank 3): no verdict
+    A = np.array([[8, 2, 5, 3], [1, 7, 1, 3], [4, 4, 1, 8]])
+    assert ref_all_minors_nonsingular(A, GF9)
+    assert kernels.cauchy_certificate(_systematic_case(GF9, A)[2],
+                                      GF9) is None
 
 
 @st.composite

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from eaqmds import verify
+from eaqmds import kernels, verify
 from eaqmds.codes import (
     ClassicalCode,
     constacyclic_code,
@@ -14,6 +14,7 @@ from eaqmds.codes import (
 )
 from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
 from eaqmds.eaqecc import build_classical, gram_matrix
+from eaqmds.galois import build_field
 from eaqmds.verify import (
     BudgetExceeded,
     OracleBudget,
@@ -86,10 +87,41 @@ def test_dual_containment_matrix_oracle(gf9):
 def test_certify_distance_routing():
     assert certify_distance(build_classical("ii", 3, 4)) == \
         {"method": "enumeration", "is_mds": True, "d": 4}
+    # 16^10 messages: over the codeword budget, so the certificate decides
     big = certify_distance(build_classical("i", 4, 8))
-    assert big["method"] == "minors" and big["is_mds"]
+    assert big == {"method": "cauchy", "is_mds": True, "d": 8}
+    # C(104, 78) minors, over every minor budget: the certificate alone
     huge = certify_distance(build_classical("v", 27, 26, t=7))
-    assert huge == {"method": "design-only", "is_mds": None, "d": None}
+    assert huge == {"method": "cauchy", "is_mds": True, "d": 26}
+    refuted = certify_distance(_with_repeated_column(extended_rs_code(3, 3)),
+                               OracleBudget(max_codewords=1))
+    assert refuted == {"method": "cauchy", "is_mds": False, "d": None}
+
+
+# A of [I | A] over GF(9) with no zero entry and no two proportional rows
+# or columns, whose entry-wise inverse has rank 3: every square submatrix
+# nonsingular, and not so (a singular 2 x 2 minor on rows 0, 1)
+NOT_CAUCHY = {True: [[8, 2, 5, 3], [1, 7, 1, 3], [4, 4, 1, 8]],
+              False: [[4, 5, 7, 8], [1, 2, 7, 8], [2, 3, 7, 4]]}
+
+
+@pytest.mark.parametrize("is_mds", [True, False])
+def test_certify_distance_without_a_certificate_verdict(is_mds):
+    """A [7, 4] code whose parity check [I | A] has no generalized-Cauchy
+    A: the certificate gives no verdict, and the Schur walk decides
+    within its budget; beyond it the code is design-only."""
+    f = build_field(3, 2)
+    A = np.array(NOT_CAUCHY[is_mds], dtype=np.int64)
+    H = np.hstack([np.eye(3, dtype=np.int64), A])
+    assert kernels.cauchy_certificate(H, f) is None
+    code = ClassicalCode(n=7, k=4, d_design=4 if is_mds else 2, H=H, q=3,
+                         field=f)
+    res = certify_distance(code, OracleBudget(max_codewords=1))
+    assert res == {"method": "minors", "is_mds": is_mds,
+                   "d": 4 if is_mds else None}
+    assert certify_distance(code, OracleBudget(max_codewords=1,
+                                               max_minors=34)) == \
+        {"method": "design-only", "is_mds": None, "d": None}
 
 
 def test_certify_distance_subfield_enumeration():
@@ -132,20 +164,21 @@ def _with_repeated_column(code):
 @pytest.mark.parametrize("r", [3, 6])
 def test_minor_oracle_on_h_agrees_with_g(r):
     """Every k columns of G independent iff every n-k columns of H are:
-    both routes agree on an MDS code and on one with a repeated column,
+    both walks agree on an MDS code and on one with a repeated column,
     for n-k < k (r = 3) and n-k > k (r = 6), and certify_distance answers
-    the same through whichever matrix it picks."""
+    the same through the certificate on whichever matrix it picks."""
     mds = extended_rs_code(3, r)            # [9, 9-r, r+1]
     for code, is_mds in ((mds, True), (_with_repeated_column(mds), False)):
         G = generator_matrix(code)
         f = code.field
         assert G.shape[0] == code.k == 9 - r
         assert mds_minor_oracle(G, f) == mds_minor_oracle(code.H, f) == is_mds
-        with mock.patch.object(verify, "mds_minor_oracle",
-                               wraps=mds_minor_oracle) as oracle:
+        certificate = kernels.cauchy_certificate
+        with mock.patch.object(kernels, "cauchy_certificate",
+                               wraps=certificate) as oracle:
             res = certify_distance(code, OracleBudget(max_codewords=1))
         assert oracle.call_args.args[0].shape[0] == min(r, 9 - r)
-        assert res["method"] == "minors" and res["is_mds"] == is_mds
+        assert res["method"] == "cauchy" and res["is_mds"] == is_mds
 
 
 def test_run_lemma_sweep_small():
