@@ -6,6 +6,15 @@ table between entanglement-assisted and standard quantum MDS codes).
 --format picks JSON, CSV or Markdown for enumerate and Markdown or JSON
 for table; verify and distance write JSON only.
 
+The grammar is one table, COMMANDS: each subcommand lists its Flag
+entries (dest, type, default, choices, required, help), and parse_args
+reads argv against it.  Options are long only, as --opt value or
+--opt=value; a unique prefix stands for the full name (an exact match
+wins), a repeated flag keeps its last value, and -h/--help prints the
+usage and each flag's help.  It is not argparse: each command is one
+fresh process, and argparse's first use (with the gettext and locale
+imports it pulls in) costs more than certifying a small instance.
+
 Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  Exit codes: 0 success,
 1 verification failure (a VerificationError included), 2 usage error
@@ -16,13 +25,12 @@ the design distance only).
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import sys
 import time
-import traceback
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .cosets import VARIABLE_LENGTH, parameter_ranges
 from .eaqecc import (
@@ -98,6 +106,7 @@ _CSV_FIELDS = ["family", "q", "t", "n", "k", "d", "c", "saturated",
 
 
 def records_to_csv(records: list[dict]) -> str:
+    import csv
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=_CSV_FIELDS)
     w.writeheader()
@@ -137,7 +146,7 @@ def _applicable_families(q: int, t: int | None,
             if admissible(name, q, t, n if name in VARIABLE_LENGTH else None)]
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     t0 = time.perf_counter()
     params: list[EaqeccParams] = []
     for q in args.q_values:
@@ -164,7 +173,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     lemmas = list(ALL_LEMMAS) if args.lemma == "all" else [args.lemma]
     reports = []
     for lemma in lemmas:
@@ -172,6 +181,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ts = [args.t] if args.t is not None else (
             list(DEFAULT_SWEEPS[lemma][1]) if DEFAULT_SWEEPS[lemma][1] else None)
         reports.append(run_lemma_sweep(lemma, qs, ts))
+    if not any(r.entries for r in reports):
+        raise ValueError(f"no admissible instance of lemma {args.lemma} at "
+                         f"q={args.q or 'the default grid'}"
+                         + (f", t={args.t}" if args.t is not None else ""))
     doc = {"reports": [r.to_dict() for r in reports]}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     for r in reports:
@@ -179,7 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in reports) else VERIFY_ERROR
 
 
-def cmd_distance(args: argparse.Namespace) -> int:
+def cmd_distance(args: SimpleNamespace) -> int:
     deltas = {name: getattr(args, name) for name in ("delta", "delta1", "delta2")
               if getattr(args, name) is not None}
     if len(args.q_values) != 1 or (args.d is None and not deltas):
@@ -260,7 +273,7 @@ def _table_md(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     rows = []
     for q in args.q_values:
         rows.extend(table_rows(q, args.t))
@@ -271,69 +284,201 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="eaqmds",
-        description="Construct and verify entanglement-assisted quantum "
-                    "MDS codes.")
-    sub = ap.add_subparsers(dest="command", required=True)
+@dataclass(frozen=True)
+class Flag:
+    """One long option of a subcommand, given as --name value or
+    --name=value; its value lands in the namespace attribute dest."""
 
-    def common(p, fmt_choices=()):
-        p.add_argument("--q", required=True,
-                       help="prime power, comma list, or range a..b")
-        p.add_argument("--t", type=int, default=None,
-                       help="constacyclic order for family v")
-        p.add_argument("--output", default=None)
-        if fmt_choices:
-            p.add_argument("--format", dest="fmt", choices=fmt_choices,
-                           default=fmt_choices[0])
+    name: str
+    dest: str
+    help: str
+    type: type = str
+    default: object = None
+    choices: tuple = ()
+    required: bool = False
 
-    p_enum = sub.add_parser("enumerate", help="emit family code records")
-    p_enum.add_argument("--family", default="all",
-                        choices=["all", *FAMILIES])
-    p_enum.add_argument("--n", type=int, default=None,
-                        help="length override for families i and iii")
-    p_enum.add_argument("--d", type=int, default=None,
-                        help="restrict to one minimum distance")
-    common(p_enum, fmt_choices=("json", "csv", "md"))
 
-    p_ver = sub.add_parser("verify", help="run rank-lemma sweeps")
-    p_ver.add_argument("--lemma", default="all",
-                       choices=["all", *ALL_LEMMAS])
-    p_ver.add_argument("--q", default=None,
-                       help="override the default sweep grid")
-    p_ver.add_argument("--t", type=int, default=None)
-    p_ver.add_argument("--output", default=None)
+_Q_HELP = "prime power, comma list, or range a..b"
+_N_HELP = "length override for families i and iii"
+_OUTPUT = Flag("output", "output", "write the data output to this file")
 
-    p_dist = sub.add_parser("distance", help="oracle-certify one instance")
-    p_dist.add_argument("--family", required=True, choices=list(FAMILIES))
-    p_dist.add_argument("--d", type=int, default=None)
-    p_dist.add_argument("--n", type=int, default=None,
-                        help="length override for families i and iii")
-    p_dist.add_argument("--delta", type=int, default=None,
-                        help="explicit defining-set parameter (families i, iii)")
-    p_dist.add_argument("--delta1", type=int, default=None)
-    p_dist.add_argument("--delta2", type=int, default=None)
-    p_dist.add_argument("--max-codewords", type=int,
-                        default=OracleBudget.max_codewords)
-    p_dist.add_argument("--max-minors", type=int,
-                        default=OracleBudget.max_minors,
-                        help="largest C(n, k) for the minor walk, the "
-                             "fallback when the Cauchy certificate gives "
-                             "no verdict")
-    common(p_dist)
 
-    p_tab = sub.add_parser("table", help="EAQMDS vs QMDS comparison table")
-    common(p_tab, fmt_choices=("md", "json"))
-    return ap
+def _common(fmt_choices: tuple = ()) -> tuple[Flag, ...]:
+    return (Flag("q", "q", _Q_HELP, required=True),
+            Flag("t", "t", "constacyclic order for family v", int),
+            _OUTPUT,
+            *([Flag("format", "fmt", "output format", str, fmt_choices[0],
+                    fmt_choices)] if fmt_choices else []))
+
+
+_DESCRIPTION = ("Construct and verify entanglement-assisted quantum MDS "
+               "codes.")
+
+# subcommand -> (help, flags)
+COMMANDS: dict[str, tuple[str, tuple[Flag, ...]]] = {
+    "enumerate": ("emit family code records", (
+        Flag("family", "family", "one family, or all that admit q",
+             default="all", choices=("all", *FAMILIES)),
+        Flag("n", "n", _N_HELP, int),
+        Flag("d", "d", "restrict to one minimum distance", int),
+        *_common(("json", "csv", "md")))),
+    "verify": ("run rank-lemma sweeps", (
+        Flag("lemma", "lemma", "one lemma, or all",
+             default="all", choices=("all", *ALL_LEMMAS)),
+        Flag("q", "q", "override the default sweep grid"),
+        Flag("t", "t", "override the default constacyclic orders", int),
+        _OUTPUT)),
+    "distance": ("oracle-certify one instance", (
+        Flag("family", "family", "the family of the instance",
+             choices=FAMILIES, required=True),
+        Flag("d", "d", "design distance of the instance", int),
+        Flag("n", "n", _N_HELP, int),
+        Flag("delta", "delta",
+             "explicit defining-set parameter (families i, iii)", int),
+        Flag("delta1", "delta1",
+             "explicit defining-set parameter (families iv, v)", int),
+        Flag("delta2", "delta2",
+             "explicit defining-set parameter (families iv, v)", int),
+        Flag("max-codewords", "max_codewords",
+             "largest |field|^k for message enumeration", int,
+             OracleBudget.max_codewords),
+        Flag("max-minors", "max_minors",
+             "largest C(n, k) for the minor walk, the fallback when the "
+             "Cauchy certificate gives no verdict", int,
+             OracleBudget.max_minors),
+        *_common())),
+    "table": ("EAQMDS vs QMDS comparison table", _common(("md", "json"))),
+}
+
+
+class UsageError(Exception):
+    """Command-line input that the grammar rejects; str() is the usage
+    line and the error, as printed to stderr."""
+
+    def __init__(self, command: str | None, message: str):
+        prog = f"eaqmds {command}" if command else "eaqmds"
+        super().__init__(f"usage: {_usage(command)}\n{prog}: error: {message}")
+
+
+def _metavar(flag: Flag) -> str:
+    if flag.choices:
+        return "{" + ",".join(flag.choices) + "}"
+    return flag.dest.upper()
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "eaqmds [-h] {" + ",".join(COMMANDS) + "} ..."
+    parts = (f"--{f.name} {_metavar(f)}" if f.required
+             else f"[--{f.name} {_metavar(f)}]" for f in COMMANDS[command][1])
+    return " ".join([f"eaqmds {command} [-h]", *parts])
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        return (f"usage: {_usage(None)}\n\n{_DESCRIPTION}\n\n"
+                + "\n".join(_help(c) for c in COMMANDS))
+    summary, flags = COMMANDS[command]
+    rows = [("-h, --help", "show this help and exit")] + [
+        (f"--{f.name} {_metavar(f)}", f.help + (
+            f" (default: {f.default})" if f.default is not None else ""))
+        for f in flags]
+    width = max(len(left) for left, _ in rows) + 2
+    return (f"usage: {_usage(command)}\n\n{summary}\n\n"
+            + "".join(f"  {left.ljust(width)}{right}\n"
+                      for left, right in rows))
+
+
+def _is_help(token: str) -> bool:
+    return token == "-h" or len(token) > 2 and "--help".startswith(token)
+
+
+def _flag_named(command: str, name: str) -> Flag | None:
+    """The flag that name (without --) denotes: an exact match, else the
+    one flag whose name it is a prefix of; None when it names none."""
+    flags = {f.name: f for f in COMMANDS[command][1]}
+    if name in flags:
+        return flags[name]
+    hits = [f for f in flags if f.startswith(name)] if name else []
+    if len(hits) > 1:
+        raise UsageError(command, f"ambiguous option: --{name} could match "
+                         + ", ".join(f"--{h}" for h in hits))
+    return flags[hits[0]] if hits else None
+
+
+def _convert(command: str, flag: Flag, value: str):
+    if flag.type is int:
+        try:
+            value = int(value)
+        except ValueError:
+            raise UsageError(command, f"argument --{flag.name}: invalid int "
+                             f"value: {value!r}") from None
+    if flag.choices and value not in flag.choices:
+        raise UsageError(command, f"argument --{flag.name}: invalid choice: "
+                         f"{value!r} (choose from "
+                         + ", ".join(map(repr, flag.choices)) + ")")
+    return value
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """Parse `eaqmds <command> --flag value ...` against COMMANDS.
+
+    A flag is --name value or --name=value, and a unique prefix of a name
+    stands for it; the value is the next argument as it is, even when it
+    starts with '-'.  A repeated flag keeps its last value.  Returns the
+    namespace (command, plus every flag's dest, unset ones at their
+    default), or None after printing help for -h/--help.  Raises
+    UsageError for anything else the grammar does not accept.
+    """
+    if not argv:
+        raise UsageError(None, "the following arguments are required: "
+                         "command")
+    command, rest = argv[0], iter(argv[1:])
+    if _is_help(command):
+        sys.stdout.write(_help(None))
+        return None
+    if command not in COMMANDS:
+        raise UsageError(None, f"argument command: invalid choice: "
+                         f"{command!r} (choose from "
+                         + ", ".join(map(repr, COMMANDS)) + ")")
+    flags = COMMANDS[command][1]
+    args = SimpleNamespace(command=command,
+                           **{f.dest: f.default for f in flags})
+    given, unknown = set(), []
+    for token in rest:
+        name, has_value, value = token[2:].partition("=")
+        if _is_help(token):
+            sys.stdout.write(_help(command))
+            return None
+        flag = _flag_named(command, name) if token.startswith("--") else None
+        if flag is None:
+            unknown.append(token)
+            continue
+        if not has_value:
+            value = next(rest, None)
+            if value is None:
+                raise UsageError(command, f"argument --{flag.name}: "
+                                 "expected one argument")
+        setattr(args, flag.dest, _convert(command, flag, value))
+        given.add(flag)
+    missing = [f"--{f.name}" for f in flags if f.required and f not in given]
+    if missing:
+        raise UsageError(command, "the following arguments are required: "
+                         + ", ".join(missing))
+    if unknown:
+        raise UsageError(command, "unrecognized arguments: "
+                         + " ".join(unknown))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return USAGE_ERROR if e.code not in (0, None) else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as e:
+        print(e, file=sys.stderr)
+        return USAGE_ERROR
+    if args is None:
+        return 0
     try:
         args.q_values = parse_q(args.q) if args.q is not None else []
         return {"enumerate": cmd_enumerate, "verify": cmd_verify,
@@ -342,6 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return VERIFY_ERROR if isinstance(e, VerificationError) else USAGE_ERROR
     except Exception:
+        import traceback
         traceback.print_exc()
         return INTERNAL_ERROR
 

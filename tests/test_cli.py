@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -345,3 +349,191 @@ def test_failed_construction_exits_1(monkeypatch, capsys, c, message):
     assert code == cli.VERIFY_ERROR == 1
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [("verify", "--lemma", "nega", "--q", "4"),
+                                  ("verify", "--lemma", "consta", "--q", "7",
+                                   "--t", "3")])
+def test_verify_without_instances_is_a_usage_error(capsys, argv):
+    # a sweep that checks nothing proves nothing
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no admissible instance ") \
+        and err.count("\n") == 1
+
+
+def test_verify_with_some_instances_passes(capsys):
+    # nega and consta admit no even q, but rank1 and rank1-minus do
+    code, out, _ = run_cli(capsys, "verify", "--q", "2")
+    assert code == 0
+    counts = {r["lemma"]: r["instances"] for r in json.loads(out)["reports"]}
+    assert counts["nega"] == counts["consta"] == 0 < counts["rank1"]
+
+
+# --- command-line grammar, over every flag of COMMANDS ---------------------
+
+# the fewest flags each subcommand accepts
+BASE = {"enumerate": ["--q", "5"], "verify": [],
+        "distance": ["--family", "ii", "--q", "3"], "table": ["--q", "5"]}
+
+
+def _flags(keep=lambda flag: True):
+    return [pytest.param(command, flag, id=f"{command}-{flag.name}")
+            for command, (_, flags) in cli.COMMANDS.items()
+            for flag in flags if keep(flag)]
+
+
+def _values(flag):
+    """Two values the flag accepts, the first not its default."""
+    if flag.choices:
+        return flag.choices[-1], flag.choices[0]
+    return ("7", "8") if flag.type is int else ("x7", "x8")
+
+
+def _shortest_prefix(command, name):
+    names = [f.name for f in cli.COMMANDS[command][1]] + ["help"]
+    return next(name[:i] for i in range(1, len(name) + 1)
+                if name[:i] == name
+                or sum(n.startswith(name[:i]) for n in names) == 1)
+
+
+def _usage_error(capsys, command, argv):
+    code, out, err = run_cli(capsys, *argv)
+    prog = f"eaqmds {command}" if command else "eaqmds"
+    assert (code, out) == (2, ""), argv
+    assert err.startswith(f"usage: {prog} ") and f"\n{prog}: error: " in err
+    return err.splitlines()[-1].split(": error: ", 1)[1]
+
+
+def test_namespace_holds_every_dest_at_its_default():
+    assert vars(cli.parse_args(["distance", "--family", "ii", "--q", "3"])) \
+        == {"command": "distance", "family": "ii", "d": None, "n": None,
+            "delta": None, "delta1": None, "delta2": None,
+            "max_codewords": 10**7, "max_minors": 10**7, "q": "3",
+            "t": None, "output": None}
+    assert vars(cli.parse_args(["enumerate", "--q", "5"])) == {
+        "command": "enumerate", "family": "all", "n": None, "d": None,
+        "q": "5", "t": None, "output": None, "fmt": "json"}
+    assert vars(cli.parse_args(["verify"])) == {
+        "command": "verify", "lemma": "all", "q": None, "t": None,
+        "output": None}
+    assert vars(cli.parse_args(["table", "--q", "5"])) == {
+        "command": "table", "q": "5", "t": None, "output": None, "fmt": "md"}
+
+
+@pytest.mark.parametrize("command, flag", _flags())
+def test_flag_forms_agree(command, flag):
+    value, other = _values(flag)
+    prefix = _shortest_prefix(command, flag.name)
+    spaced, joined, short = (cli.parse_args([command, *BASE[command], *form])
+                             for form in ([f"--{flag.name}", value],
+                                          [f"--{flag.name}={value}"],
+                                          [f"--{prefix}", value]))
+    assert vars(spaced) == vars(joined) == vars(short)
+    assert getattr(spaced, flag.dest) == flag.type(value)
+    # a repeated flag keeps its last value
+    twice = cli.parse_args([command, f"--{prefix}={other}", *BASE[command],
+                            f"--{flag.name}", value])
+    assert vars(twice) == vars(spaced)
+
+
+def test_exact_name_beats_longer_names_and_dash_values_are_values():
+    args = cli.parse_args(["distance", "--family", "iv", "--q", "5",
+                           "--delta", "1", "--d", "6", "--t", "-3"])
+    assert (args.d, args.delta, args.delta1, args.t) == (6, 1, None, -3)
+
+
+def test_negative_value_reaches_the_family_check(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--family", "v", "--q", "5",
+                             "--t", "-3")
+    assert (code, out) == (2, "") and "not admissible for family v" in err
+
+
+@pytest.mark.parametrize("command, flag", _flags())
+def test_flag_without_value_is_a_usage_error(capsys, command, flag):
+    argv = [command, *BASE[command], f"--{flag.name}"]
+    assert _usage_error(capsys, command, argv) == \
+        f"argument --{flag.name}: expected one argument"
+
+
+@pytest.mark.parametrize("command, flag", _flags(lambda f: f.type is int))
+def test_non_int_value_is_a_usage_error(capsys, command, flag):
+    argv = [command, *BASE[command], f"--{flag.name}", "1.5"]
+    assert _usage_error(capsys, command, argv) == \
+        f"argument --{flag.name}: invalid int value: '1.5'"
+
+
+@pytest.mark.parametrize("command, flag", _flags(lambda f: f.choices))
+def test_value_outside_choices_is_a_usage_error(capsys, command, flag):
+    argv = [command, *BASE[command], f"--{flag.name}", "nope"]
+    assert _usage_error(capsys, command, argv).startswith(
+        f"argument --{flag.name}: invalid choice: 'nope' (choose from ")
+
+
+@pytest.mark.parametrize("command, flag", _flags(lambda f: f.required))
+def test_missing_required_flag_is_a_usage_error(capsys, command, flag):
+    base = BASE[command]
+    i = base.index(f"--{flag.name}")
+    argv = [command, *base[:i], *base[i + 2:]]
+    assert _usage_error(capsys, command, argv) == \
+        f"the following arguments are required: --{flag.name}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("nope",), "argument command: invalid choice: 'nope' (choose from "
+                "'enumerate', 'verify', 'distance', 'table')"),
+    (("--q", "5"), "argument command: invalid choice: '--q' (choose from "
+                   "'enumerate', 'verify', 'distance', 'table')"),
+])
+def test_missing_or_unknown_subcommand_is_a_usage_error(capsys, argv,
+                                                        message):
+    assert _usage_error(capsys, None, argv) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("distance", "--family", "ii", "--q", "3", "--max", "5"),
+     "ambiguous option: --max could match --max-codewords, --max-minors"),
+    (("enumerate", "--q", "5", "--f=csv"),
+     "ambiguous option: --f could match --family, --format"),
+    (("enumerate", "--q", "5", "--nope", "-x", "y"),
+     "unrecognized arguments: --nope -x y"),
+    (("table", "--q", "5", "--"), "unrecognized arguments: --"),
+    (("verify", "--help=1"), "unrecognized arguments: --help=1"),
+])
+def test_ambiguous_or_unknown_flag_is_a_usage_error(capsys, argv, message):
+    assert _usage_error(capsys, argv[0], argv) == message
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+@pytest.mark.parametrize("spelling", ["-h", "--help", "--he"])
+def test_help_names_every_flag(capsys, command, spelling):
+    argv = [spelling] if command is None else [command, spelling]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("usage: eaqmds ")
+    for name in [command] if command else cli.COMMANDS:
+        for flag in cli.COMMANDS[name][1]:
+            assert f"--{flag.name} " in out and flag.help in out
+
+
+def test_help_wins_over_later_errors(capsys):
+    code, out, _ = run_cli(capsys, "distance", "--family", "ii", "-h", "--d",
+                           "x")
+    assert code == 0 and out.startswith("usage: eaqmds distance ")
+
+
+def test_startup_imports_no_argument_parser_or_locale():
+    # pytest itself imports argparse, so the check needs a fresh process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from eaqmds import cli\n"
+            "rc = cli.main(['distance', '--family', 'ii', '--q', '3',"
+            " '--d', '4'])\n"
+            "loaded = [m for m in ('argparse', 'gettext', 'locale', 'csv',"
+            " 'traceback') if m in sys.modules]\n"
+            "assert (rc, loaded) == (0, []), (rc, loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
