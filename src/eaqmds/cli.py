@@ -15,6 +15,10 @@ usage and each flag's help.  It is not argparse: each command is one
 fresh process, and argparse's first use (with the gettext and locale
 imports it pulls in) costs more than certifying a small instance.
 
+--t is family v's constacyclic order (and the consta lemma's), which
+family v needs; a --t that no family or lemma would take at the
+requested q is a usage error.
+
 Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  Exit codes: 0 success,
 1 verification failure (a VerificationError included), 2 usage error
@@ -146,8 +150,24 @@ def _applicable_families(q: int, t: int | None,
             if admissible(name, q, t, n if name in VARIABLE_LENGTH else None)]
 
 
+def _check_t(family: str, t: int | None, q_values: list[int],
+             q_spec: str) -> None:
+    """Reject a t that nothing would take: only family v takes t, and
+    needs one; `--family all` passes t to family v alone, which must then
+    admit it at one of the requested q at least."""
+    if family == "v" and t is None:
+        raise ValueError("family v needs --t")
+    if t is None:
+        return
+    if family not in ("all", "v"):
+        raise ValueError(f"family {family} takes no --t, only family v does")
+    if not any(admissible("v", q, t) for q in q_values):
+        raise ValueError(f"t={t} not admissible for family v at q={q_spec}")
+
+
 def cmd_enumerate(args: SimpleNamespace) -> int:
     t0 = time.perf_counter()
+    _check_t(args.family, args.t, args.q_values, args.q)
     params: list[EaqeccParams] = []
     for q in args.q_values:
         fams = (_applicable_families(q, args.t, args.n)
@@ -175,14 +195,21 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
 
 def cmd_verify(args: SimpleNamespace) -> int:
     lemmas = list(ALL_LEMMAS) if args.lemma == "all" else [args.lemma]
+    if args.t is not None and "consta" not in lemmas:
+        raise ValueError(f"lemma {args.lemma} takes no --t, only lemma "
+                         "consta does")
     reports = []
     for lemma in lemmas:
         qs = args.q_values or list(DEFAULT_SWEEPS[lemma][0])
         ts = [args.t] if args.t is not None else (
             list(DEFAULT_SWEEPS[lemma][1]) if DEFAULT_SWEEPS[lemma][1] else None)
         reports.append(run_lemma_sweep(lemma, qs, ts))
-    if not any(r.entries for r in reports):
-        raise ValueError(f"no admissible instance of lemma {args.lemma} at "
+    if args.t is None:
+        lemma, takers = args.lemma, reports
+    else:  # t must reach an instance of consta, the one lemma that takes it
+        lemma, takers = "consta", [r for r in reports if r.lemma == "consta"]
+    if not any(r.entries for r in takers):
+        raise ValueError(f"no admissible instance of lemma {lemma} at "
                          f"q={args.q or 'the default grid'}"
                          + (f", t={args.t}" if args.t is not None else ""))
     doc = {"reports": [r.to_dict() for r in reports]}
@@ -199,6 +226,8 @@ def cmd_distance(args: SimpleNamespace) -> int:
         print("error: distance needs --family, a single --q and --d "
               "(or explicit --delta/--delta1/--delta2)", file=sys.stderr)
         return USAGE_ERROR
+    if args.family == "v" and args.t is None:
+        raise ValueError("family v needs --t")
     q = args.q_values[0]
     t = family_t(args.family, args.t)
     budget = OracleBudget(args.max_codewords, args.max_minors)
@@ -274,6 +303,7 @@ def _table_md(rows: list[dict]) -> str:
 
 
 def cmd_table(args: SimpleNamespace) -> int:
+    _check_t("all", args.t, args.q_values, args.q)
     rows = []
     for q in args.q_values:
         rows.extend(table_rows(q, args.t))

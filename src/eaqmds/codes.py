@@ -138,13 +138,34 @@ def parity_rows(q: int, Z: DefiningSet, sub) -> np.ndarray:
                     dtype=np.intp)
 
 
+def _vandermonde(B: np.ndarray, f: FieldContext) -> bool:
+    """True iff the square block B is (x_i^j) in distinct nonzero points
+    x_i, checked entry by entry in logs: no entry is zero, log B[:, j] =
+    j log B[:, 1] (mod Q-1) for every j, column 0 of ones included, and
+    the points B[:, 1] are pairwise distinct.  Then det B =
+    prod_{i<k} (x_k - x_i) is nonzero."""
+    rows = B.shape[0]
+    if B.shape[1] != rows or not B.all():
+        return False
+    if rows < 2:
+        return True
+    L = f.log[B]
+    if ((L - np.arange(rows) * L[:, 1:2]) % (f.order - 1)).any():
+        return False
+    # a set of |Z| ints: np.unique's first call imports lazily, and
+    # np.sort touches numpy's sort code, some 0.4 MB of resident pages
+    return len(set(B[:, 1].tolist())) == rows
+
+
 def _independent_rows(H: np.ndarray, f: FieldContext) -> bool:
-    """rank(H) = rows(H).  A nonsingular leading square block proves it.
-    For the rows built here it always is: power rows give a Vandermonde
-    matrix in the distinct points eta^z, and trace rows are T times one in
-    the points beta^z.  Only a singular block falls back to the full width."""
+    """rank(H) = rows(H), proved from the leading square block B.  Power
+    rows make B a Vandermonde matrix in the distinct points eta^z, which
+    _vandermonde checks with no elimination.  Trace rows, T times one in
+    the points beta^z, and any block that fails the check are eliminated:
+    B first, and the full width only when B is singular."""
     rows = H.shape[0]
-    if kernels.rank(H[:, :rows], f) == rows:
+    B = H[:, :rows]
+    if _vandermonde(B, f) or kernels.rank(B, f) == rows:
         return True
     return kernels.rank(H, f) == rows
 

@@ -26,7 +26,10 @@ Elimination negates by shifting logs by log(-1) and adds digit-wise.
 rank and eliminate share one forward pass, which clears below each
 pivot; eliminate's back pass then scales the pivots to 1 and clears
 above them.  Digit-wise addition measured faster there than Zech-log
-addition on GF(q^2) for prime q, the fields most codes live in.
+addition on GF(q^2) for prime q, the fields most codes live in.  rank
+first drops M's zero rows and columns, which never change a rank, so a
+sparse matrix such as a power-row Gram block costs in proportion to its
+nonzero lines.
 
 Minimum-weight search enumerates messages projectively (highest nonzero
 digit 1) from span tables.  One table holds every combination of the
@@ -179,7 +182,8 @@ def _forward(M, ctx) -> list[int]:
 
 
 def rank(M: np.ndarray, ctx) -> int:
-    return len(_forward(M.copy(), ctx))
+    # drop zero rows and columns; fancy indexing copies, so M is untouched
+    return len(_forward(M[M.any(axis=1)][:, M.any(axis=0)], ctx))
 
 
 def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, list[int]]:

@@ -228,6 +228,29 @@ def test_distance_reports_t_only_for_family_v(capsys):
     assert code == 0 and json.loads(out)["t"] == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("enumerate", "--q", "5", "--t", "0"),
+     "t=0 not admissible for family v at q=5"),
+    (("enumerate", "--q", "4", "--t", "3"),
+     "t=3 not admissible for family v at q=4"),
+    (("enumerate", "--family", "iii", "--q", "5", "--t", "3"),
+     "family iii takes no --t, only family v does"),
+    (("enumerate", "--family", "v", "--q", "5"), "family v needs --t"),
+    (("table", "--q", "5", "--t", "2"),
+     "t=2 not admissible for family v at q=5"),
+    (("verify", "--lemma", "rank1", "--q", "2..3", "--t", "3"),
+     "lemma rank1 takes no --t, only lemma consta does"),
+    (("verify", "--q", "4", "--t", "3"),
+     "no admissible instance of lemma consta at q=4, t=3"),
+    (("distance", "--family", "v", "--q", "5", "--d", "6"),
+     "family v needs --t"),
+], ids=["enumerate-t0", "enumerate-no-v", "enumerate-iii", "enumerate-v",
+        "table", "verify-rank1", "verify-all", "distance-v"])
+def test_t_that_nothing_takes_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_distance_has_no_format_option(capsys):
     code, out, err = run_cli(capsys, "distance", "--family", "ii", "--q", "3",
                              "--d", "4", "--format", "json")

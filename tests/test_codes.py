@@ -2,8 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eaqmds import codes, kernels
+from eaqmds.cli import main
 from eaqmds.codes import (
     _power_table,
     _trace_table,
@@ -14,7 +17,13 @@ from eaqmds.codes import (
 from eaqmds.cosets import DefiningSet, defining_set
 from eaqmds.eaqecc import ebit_count, gram_matrix
 from eaqmds.galois import build_field, factor_prime_power
-from reference import poly_from_roots, ref_order, root_rows, trace_root
+from reference import (
+    poly_from_roots,
+    ref_order,
+    ref_rref,
+    root_rows,
+    trace_root,
+)
 
 
 def _empty(n, r=1):
@@ -270,11 +279,20 @@ def _patch_power_table(table):
     return mock.patch.object(codes, "_power_table", return_value=table)
 
 
-def test_rank_window_is_enough_for_power_rows():
+def test_power_rows_are_proved_with_no_elimination():
+    # the leading block is Vandermonde in the distinct points eta^z
     with _spy_rank() as spy:
         code = constacyclic_code(5, defining_set("iii", 5, delta=2))
+    assert code.k == 24 - code.H.shape[0]
+    assert _rank_shapes(spy) == []
+
+
+def test_trace_rows_take_the_rank_window():
+    # family i at q = 4: Z = {0, +-1, +-2}, rows 1, tr[zj] and tr[z(j+1)]
+    with _spy_rank() as spy:
+        code = constacyclic_code(4, defining_set("i", 4, delta=2))
     rows = code.H.shape[0]
-    assert code.k == 24 - rows
+    assert (rows, code.k) == (5, 12)
     assert _rank_shapes(spy) == [(rows, rows)]
 
 
@@ -295,3 +313,99 @@ def test_rank_deficient_parity_check_still_raises():
             ValueError, match="^parity-check rows are not independent$"):
         constacyclic_code(5, DefiningSet(24, 1, frozenset({1, 2})))
     assert _rank_shapes(spy) == [(2, 2), (2, 24)]
+
+
+# GF(4), GF(9), GF(16), GF(25), GF(49)
+VANDERMONDE_FIELDS = [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2)]
+
+
+def _vandermonde_block(f, points):
+    """(x_i^j) for 0 <= i, j < len(points), with 0^0 = 1."""
+    return np.array([[f.pow(int(x), j) for j in range(len(points))]
+                     for x in points], dtype=np.int64)
+
+
+@st.composite
+def vandermonde_cases(draw):
+    """(field, H, spoil): H = [B | C], B square Vandermonde in distinct
+    nonzero points, then spoiled by a repeated point, a zero point, or
+    one entry of a column other than 1 altered to another nonzero value;
+    C holds random columns."""
+    f = build_field(*draw(st.sampled_from(VANDERMONDE_FIELDS)))
+    top = f.order - 1
+    spoil = draw(st.sampled_from(["none", "repeat", "zero", "alter"]))
+    rows = draw(st.integers(1 if spoil == "none" else 2, min(6, top)))
+    points = [int(f.exp[e]) for e in draw(st.permutations(range(top)))[:rows]]
+    if spoil == "repeat":
+        i, k = draw(st.lists(st.integers(0, rows - 1), min_size=2,
+                             max_size=2, unique=True))
+        points[k] = points[i]
+    elif spoil == "zero":
+        points[draw(st.integers(0, rows - 1))] = 0
+    B = _vandermonde_block(f, points)
+    if spoil == "alter":
+        i = draw(st.integers(0, rows - 1))
+        j = draw(st.sampled_from([0, *range(2, rows)]))
+        B[i, j] = draw(st.sampled_from(
+            [v for v in range(1, f.order) if v != B[i, j]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C = rng.integers(0, f.order, (rows, draw(st.integers(0, 4))))
+    return f, np.concatenate([B, C], axis=1), spoil
+
+
+def _vandermonde_case(pm, points, spoil="none"):
+    f = build_field(*pm)
+    return f, _vandermonde_block(f, points), spoil
+
+
+@settings(max_examples=200, deadline=None)
+@given(vandermonde_cases())
+# a zero point in a 2 x 2 block, (1, 0) over (1, x), passes the log test
+@example(case=_vandermonde_case((3, 2), [0, 1], "zero"))
+def test_vandermonde_certificate_matches_reference(case):
+    f, H, spoil = case
+    rows = H.shape[0]
+    certified = codes._vandermonde(H[:, :rows], f)
+    assert certified == (spoil == "none")
+    if certified:
+        assert len(ref_rref(H[:, :rows], f)[1]) == rows
+    # no elimination when certified; else the window, then the full width
+    with _spy_rank() as spy:
+        independent = codes._independent_rows(H, f)
+    assert independent == (len(ref_rref(H, f)[1]) == rows)
+    if certified:
+        assert _rank_shapes(spy) == []
+    else:
+        assert _rank_shapes(spy)[0] == (rows, rows)
+
+
+def test_vandermonde_certificate_needs_nonzero_entries():
+    # over GF(4) = {0, 1, g, g^2}: rows (1, g, 0), (1, 1, 1), (1, g^2, g)
+    # are singular, and log 0 = -1 meets the log test of row 0 in column 2
+    # (-1 = 2 log g mod 3); only the zero test rejects the block
+    f = build_field(2, 2)
+    g = int(f.exp[1])
+    B = np.array([[1, g, 0], [1, 1, 1], [1, f.mul(g, g), g]], dtype=np.int64)
+    assert len(ref_rref(B, f)[1]) < 3
+    assert not codes._vandermonde(B, f)
+    assert codes._vandermonde(np.ones((1, 1), dtype=np.int64), f)
+    assert not codes._vandermonde(np.zeros((1, 1), dtype=np.int64), f)
+
+
+def test_consta_sweep_work_is_proportional_to_rank():
+    """A deterministic work count in place of a timing test: the cells
+    (rows x cols) that reach the forward elimination during the consta
+    sweep over q = 5..29 (171,476 when every rank proof and every Gram
+    rank eliminated full matrices)."""
+    cells = []
+    forward = kernels._forward
+
+    def spy(M, ctx):
+        cells.append(M.size)
+        return forward(M, ctx)
+
+    with mock.patch.object(kernels, "_forward", spy), mock.patch.object(
+            codes, "_independent_rows", wraps=codes._independent_rows) as proofs:
+        assert main(["verify", "--lemma", "consta", "--q", "5..29"]) == 0
+    assert sum(cells) <= 10_000
+    assert proofs.call_count == 10

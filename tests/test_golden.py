@@ -14,10 +14,14 @@ from eaqmds.cli import main
 GOLDEN = [
     ("enumerate --q 2..9 --t 3",
      "54fa60cc87a2326d012fe73317b1353f0f32b0e94aacdabf127b627c28a3981d"),
+    ("enumerate --q 2..16 --t 3",
+     "307ee7d32ed2699e1f56e70a551bba42a74f54edf59b5d98e3e2ae5aff7c7313"),
     ("enumerate --q 2..9 --t 3 --format csv",
      "74aa36e508da87aa08f8594089e936ba3d6a38be0d1b9f7b3590d1fee827698d"),
     ("verify --q 3,5 --t 3",
      "be3bb463f854bee8d13141090ad3377e71e0585726d723f72146f233fc4f070f"),
+    ("verify --lemma consta --q 5..29",
+     "0fcea327c0a4f7df8138d9b0e784c99c94e2b3236810aba8fcae88a5fd28b771"),
     ("verify --lemma rank-ers --q 2..5",
      "c17201ff7ab3f2099a78ba76b9c29c06cb6af4fc66cf4ac816b742d86b9ffc7e"),
     ("table --q 2..9 --format json",

@@ -155,6 +155,38 @@ def test_rank_known_cases():
     assert kernels.rank(M, ctx) == 2
 
 
+@st.composite
+def zero_line_cases(draw):
+    """A random matrix, possibly all zero and possibly with 0 rows or 0
+    columns, with zero rows and zero columns inserted at random places."""
+    ctx = build_field(*draw(st.sampled_from(PROPERTY_FIELDS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = _random_codes(rng, (draw(st.integers(0, 6)), draw(st.integers(0, 8))),
+                      ctx.order, draw(st.sampled_from(["uniform", "sparse"])))
+    if draw(st.booleans()):
+        M[:] = 0
+    for axis in (0, 1):
+        for _ in range(draw(st.integers(0, 3))):
+            M = np.insert(M, draw(st.integers(0, M.shape[axis])), 0, axis=axis)
+    return ctx, M
+
+
+def _zeros_case(shape):
+    return build_field(3, 2), np.zeros(shape, dtype=np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(zero_line_cases())
+@example(case=_zeros_case((0, 4)))
+@example(case=_zeros_case((4, 0)))
+@example(case=_zeros_case((0, 0)))
+@example(case=_zeros_case((3, 5)))
+def test_rank_with_zero_lines_matches_reference(case):
+    ctx, M = case
+    M.setflags(write=False)  # rank eliminates a copy
+    assert kernels.rank(M, ctx) == len(ref_rref(M, ctx)[1])
+
+
 def test_min_weight_matches_bruteforce():
     ctx = build_field(3, 2)
     rng = np.random.default_rng(3)
