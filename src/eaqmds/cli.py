@@ -23,8 +23,9 @@ Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  Exit codes: 0 success,
 1 verification failure (a VerificationError included), 2 usage error
 (any other ValueError), 3 internal error (any other exception, with its
-traceback on stderr), 4 not certified within budget (distance reports
-the design distance only).
+traceback on stderr), 4 not certified: the codeword budget is exceeded
+and the Cauchy certificate gives no verdict, so distance reports the
+design distance only.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .galois import factor_prime_power
 from .verify import (
     ALL_LEMMAS,
     DEFAULT_SWEEPS,
-    OracleBudget,
+    MAX_CODEWORDS,
     certify_distance,
     run_lemma_sweep,
 )
@@ -230,9 +231,8 @@ def cmd_distance(args: SimpleNamespace) -> int:
         raise ValueError("family v needs --t")
     q = args.q_values[0]
     t = family_t(args.family, args.t)
-    budget = OracleBudget(args.max_codewords, args.max_minors)
     code = build_classical(args.family, q, args.d, t, args.n, **deltas)
-    result = certify_distance(code, budget)
+    result = certify_distance(code, max_codewords=args.max_codewords)
     rec = {
         "family": args.family, "q": q, "t": t,
         "classical": {"n": code.n, "k": code.k, "d_design": code.d_design},
@@ -371,11 +371,7 @@ COMMANDS: dict[str, tuple[str, tuple[Flag, ...]]] = {
              "explicit defining-set parameter (families iv, v)", int),
         Flag("max-codewords", "max_codewords",
              "largest |field|^k for message enumeration", int,
-             OracleBudget.max_codewords),
-        Flag("max-minors", "max_minors",
-             "largest C(n, k) for the minor walk, the fallback when the "
-             "Cauchy certificate gives no verdict", int,
-             OracleBudget.max_minors),
+             MAX_CODEWORDS),
         *_common())),
     "table": ("EAQMDS vs QMDS comparison table", _common(("md", "json"))),
 }

@@ -39,7 +39,7 @@ first table, has weight n minus the number of coordinates where s and h
 agree, so each codeword costs one integer comparison per coordinate and
 no field product.
 
-The minor oracles use the systematic form: a full-rank k x n matrix with
+The minor oracle uses the systematic form: a full-rank k x n matrix with
 echelon form [I | A], up to column order, has every k x k minor
 nonsingular iff every square submatrix of A is (MacWilliams-Sloane,
 ch. 11, thm 8).  The certificate decides that in O(k(n-k)) when A is a
@@ -55,19 +55,11 @@ and no two columns of A are proportional.  A zero entry or two
 proportional rows or columns is a singular 1 x 1 or 2 x 2 minor, and
 refutes; rank(B) > 2 gives no verdict.  An A of one row or one column
 has only 1 x 1 minors, and the zero test alone decides it (its columns,
-or rows, are all proportional).  The walk, the fallback, visits the pairs (R, C) of sorted row and
-column subsets of A.  Node (R, C) holds the Schur complement of A[R, C]
-on the rows after max R and the columns after max C, whose entry (r, c)
-is det A[R+r, C+c] / det A[R, C]: one nonzero test per minor.  A child
-is a rank-one update of its parent in logs, one Zech lookup per entry,
-and the nodes of one complement shape are one batch.  An a x b
-complement has C(a+b, a) nodes below it; roots are packed into walks of
-at most _WALK_NODES nodes, and a larger root is split into its children.
+or rows, are all proportional).
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -284,51 +276,6 @@ def min_weight(G: np.ndarray, ctx) -> int:
     return n - most
 
 
-# Nodes per Schur walk.  Each is one int32 entry of its parent's complement,
-# held about twice over by the updates: some 40 MB at 2^22.
-_WALK_NODES = 1 << 22
-
-
-@lru_cache(maxsize=None)
-def _zech(ctx):
-    """int32: entry e < 3(Q-1) is log(1 + g^(e-Q+1)), or -2Q if that is 0."""
-    ones = ctx.add(1, ctx.exp[:ctx.order - 1])
-    return np.tile(np.where(ones, ctx.log[ones], -2 * ctx.order), 3).astype(np.int32)
-
-
-def _children(L, ctx):
-    """Children of a (B, a, b) batch of complements, all in logs; None if
-    an entry is zero (a negative log).  Pivot row r is one update over all
-    pivot columns c and columns j, and child (r, c) is its part j > c: on
-    small walks one numpy call per row measured faster than one per pivot
-    that skips the unused half."""
-    if (L < 0).any():
-        return None
-    top, out = ctx.order - 1, []
-    L = L % top
-    for r in range(L.shape[1] - 1):
-        # Q-1 + log of -S[i, c] / S[r, c], for the rows i below r
-        lf = (L[:, r + 1:] + (ctx.log_neg_one - L[:, r, None])) % top + top
-        x = L[:, r + 1:, None]  # [B, i, c, j]
-        U = x + _zech(ctx)[lf[..., None] + L[:, r, None, None] - x]
-        out += [U[:, :, c, c + 1:] for c in range(L.shape[2] - 1)]
-    return out
-
-
-def _nodes(L):
-    """Nodes below a (1, a, b) complement: C(a + b, a)."""
-    return comb(L.shape[1] + L.shape[2], L.shape[1])
-
-
-def _systematic(M, ctx):
-    """A of the echelon form [I | A] of M, up to column order; None when
-    M's rank is below its row count."""
-    R, pivots = eliminate(M, ctx)
-    if len(pivots) < M.shape[0]:
-        return None
-    return np.delete(R, pivots, axis=1)
-
-
 def _has_proportional_rows(L, top):
     """True iff two rows of the log matrix L differ by a constant mod top:
     rows shifted to start at log 0 are sorted and neighbours compared."""
@@ -341,9 +288,10 @@ def cauchy_certificate(M: np.ndarray, ctx) -> bool | None:
     """Every k x k minor of the k x n matrix M, k <= n, nonsingular (True)
     or not (False), decided in O(k(n-k)) after the echelon form [I | A],
     or None: no verdict, when A is not a generalized Cauchy matrix."""
-    A = _systematic(M, ctx)
-    if A is None:
-        return False
+    R, pivots = eliminate(M, ctx)
+    if len(pivots) < M.shape[0]:
+        return False  # rank-deficient: every k x k minor is singular
+    A = np.delete(R, pivots, axis=1)
     if not A.all():
         return False  # a singular 1 x 1 minor
     if min(A.shape) < 2:
@@ -355,35 +303,6 @@ def cauchy_certificate(M: np.ndarray, ctx) -> bool | None:
     B = ctx.exp[-L % top]
     B = B if B.shape[0] >= B.shape[1] else B.T  # fewer columns, fewer steps
     return True if rank(B, ctx) <= 2 else None
-
-
-def minors_nonsingular(M: np.ndarray, ctx) -> bool:
-    """True iff every k x k minor of the k x n matrix M, k <= n, is
-    nonsingular: the Schur walk over the square minors of A, for [I | A]
-    the echelon form of M up to column order."""
-    A = _systematic(M, ctx)
-    if A is None:
-        return False
-    A = A if A.shape[0] <= A.shape[1] else A.T  # fewer rows, fewer updates
-    todo = [ctx.log[A][None].astype(np.int32)]
-    while todo:
-        pending, size = {}, 0
-        while todo and size + _nodes(todo[-1]) <= _WALK_NODES:
-            size += _nodes(todo[-1])
-            pending.setdefault(todo[-1].shape[1:], []).append(todo.pop())
-        if not pending:  # a root over the budget: test it, queue its children
-            children = _children(todo.pop(), ctx)
-            if children is None:
-                return False
-            todo += children
-        # one walk; shapes in decreasing order, a child being smaller both ways
-        while pending:
-            children = _children(np.concatenate(pending.pop(max(pending))), ctx)
-            if children is None:
-                return False
-            for L in children:
-                pending.setdefault(L.shape[1:], []).append(L)
-    return True
 
 
 def adjoint(M: np.ndarray, q: int, ctx) -> np.ndarray:

@@ -3,15 +3,14 @@
 The oracles take a plain int64 matrix and its field context and call the
 kernels directly.  The distance oracles are deliberately separate routes
 from the BCH design distance: full message enumeration when the message
-space fits the budget, otherwise the minor criterion.  A code is MDS iff
-every k x k minor of a generator matrix, equivalently every (n-k)-square
-minor of a full-rank parity check, is nonsingular, that is iff every
-square submatrix of A is, for [I | A] its systematic form.
-kernels.cauchy_certificate decides that in polynomial time when A is a
-generalized Cauchy matrix, as it is for every generalized Reed-Solomon
-code; kernels.minors_nonsingular, the fallback, by a Schur-complement
-walk over the square submatrices of A, within a budget.  Hermitian
-dual containment has two routes here, the coset test Z & -qZ = 0 and the
+space fits the budget, otherwise the generalized-Cauchy certificate.  A
+code is MDS iff every k x k minor of a generator matrix, equivalently
+every (n-k)-square minor of a full-rank parity check, is nonsingular,
+that is iff every square submatrix of A is, for [I | A] its systematic
+form.  kernels.cauchy_certificate decides that in polynomial time when A
+is a generalized Cauchy matrix, as it is for every generalized
+Reed-Solomon code; every family code here is one.  Hermitian dual
+containment has two routes here, the coset test Z & -qZ = 0 and the
 matrix test H H^dagger = 0.  The sweep harness builds every family
 instance that cosets.parameter_ranges admits, each group of them (one
 family, q, n, t and odd) through one eaqecc.family_codes build, and
@@ -23,7 +22,6 @@ Gram matrix on the rows of Z1 and Z2.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,48 +34,25 @@ from .eaqecc import ebit_count, expected_c, family_codes, gram_matrix
 from .galois import FieldContext
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Bounds on the two exponential oracles: Q^k messages to enumerate,
-    and C(n, k) minors for the walk, which runs only when the Cauchy
-    certificate gives no verdict."""
-
-    max_codewords: int = 10**7
-    max_minors: int = 10**7
-
-    def __post_init__(self):
-        if self.max_codewords < 1 or self.max_minors < 1:
-            raise ValueError("budgets must be positive")
+# largest Q^k for message enumeration
+MAX_CODEWORDS = 10**7
 
 
 class BudgetExceeded(RuntimeError):
     pass
 
 
-def exhaustive_min_distance(G: np.ndarray, ctx: FieldContext,
-                            budget: OracleBudget = OracleBudget()) -> int:
+def exhaustive_min_distance(G: np.ndarray, ctx: FieldContext, *,
+                            max_codewords: int = MAX_CODEWORDS) -> int:
     """Minimum Hamming weight over all nonzero codewords m G."""
     k = G.shape[0]
     size = ctx.order
-    if size**k > budget.max_codewords:
+    if size**k > max_codewords:
         raise BudgetExceeded(
-            f"{size}^{k} codewords exceed the budget {budget.max_codewords}")
+            f"{size}^{k} codewords exceed the budget {max_codewords}")
     if k == 0:
         raise ValueError("empty generator matrix has no nonzero codewords")
     return kernels.min_weight(G, ctx)
-
-
-def mds_minor_oracle(G: np.ndarray, ctx: FieldContext,
-                     budget: OracleBudget = OracleBudget()) -> bool:
-    """True iff every k x k minor of the k x n matrix G is nonsingular.
-    For a generator matrix that means d = n-k+1; so does it for a full-rank
-    parity check, whose every n-k columns are then independent.  The
-    budget counts the C(n, k) minors, one field update each."""
-    k, n = G.shape
-    if math.comb(n, k) > budget.max_minors:
-        raise BudgetExceeded(
-            f"C({n},{k}) minors exceed the budget {budget.max_minors}")
-    return kernels.minors_nonsingular(G, ctx)
 
 
 def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
@@ -97,37 +72,36 @@ def dual_containment_matrix_oracle(H: np.ndarray, q: int,
     return not gram_matrix(H, q, ctx).any()
 
 
-def certify_distance(code: ClassicalCode,
-                     budget: OracleBudget = OracleBudget()) -> dict:
+def certify_distance(code: ClassicalCode, *,
+                     max_codewords: int = MAX_CODEWORDS) -> dict:
     """Route to the first oracle that decides the code, and report what
     was certified.
 
     The routes, in order: message enumeration when Q^k fits
     max_codewords, the one route that finds d itself; the
-    generalized-Cauchy certificate; the Schur walk when the certificate
-    gives no verdict and C(n, k) fits max_minors; else design-only.
-    Returns {"method", "is_mds", "d"} where method is "enumeration",
-    "cauchy", "minors" or "design-only"; d is the exact distance when
-    enumeration ran, n-k+1 when the certificate or the walk confirmed
-    MDS, else None.
+    generalized-Cauchy certificate; else design-only.  Returns
+    {"method", "is_mds", "d"} where method is "enumeration", "cauchy" or
+    "design-only"; d is the exact distance when enumeration ran, n-k+1
+    when the certificate confirmed MDS, else None.  A nonpositive
+    max_codewords is a ValueError.
     """
+    if max_codewords < 1:
+        raise ValueError("the codeword budget must be positive")
     n, k = code.n, code.k
     if k == 0:
         return {"method": "design-only", "is_mds": None, "d": None}
-    if code.field.order**k <= budget.max_codewords:
-        d = exhaustive_min_distance(generator_matrix(code), code.field, budget)
+    if code.field.order**k <= max_codewords:
+        d = exhaustive_min_distance(generator_matrix(code), code.field,
+                                    max_codewords=max_codewords)
         return {"method": "enumeration", "is_mds": d == n - k + 1, "d": d}
-    # both routes test the smaller matrix: with n-k rows, H is MDS iff
-    # every n-k columns are independent, as G is iff every k are
+    # the certificate tests the smaller matrix: with n-k rows, H is MDS
+    # iff every n-k columns are independent, as G is iff every k are
     H = code.H
     M = H if H.shape[0] == n - k < k else generator_matrix(code)
     ok = kernels.cauchy_certificate(M, code.field)
-    if ok is not None:
-        return {"method": "cauchy", "is_mds": ok, "d": n - k + 1 if ok else None}
-    if math.comb(n, k) <= budget.max_minors:
-        ok = mds_minor_oracle(M, code.field, budget)
-        return {"method": "minors", "is_mds": ok, "d": n - k + 1 if ok else None}
-    return {"method": "design-only", "is_mds": None, "d": None}
+    if ok is None:
+        return {"method": "design-only", "is_mds": None, "d": None}
+    return {"method": "cauchy", "is_mds": ok, "d": n - k + 1 if ok else None}
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def ref_is_singular(S, ctx):
     return False
 
 
-def ref_all_minors_nonsingular(A, ctx):
+def ref_submatrices_nonsingular(A, ctx):
     """True iff every square submatrix of A is nonsingular, each tested
     by its own elimination."""
     m, k = A.shape

@@ -151,10 +151,10 @@ def test_distance_cli(capsys):
 
 
 def test_distance_design_only(capsys, monkeypatch):
-    # a code the certificate cannot decide, over the walk's budget
+    # a code the certificate cannot decide, over the codeword budget
     monkeypatch.setattr(kernels, "cauchy_certificate", lambda M, ctx: None)
     code, out, err = run_cli(capsys, "distance", "--family", "v", "--q", "27",
-                             "--t", "7", "--d", "26", "--max-minors", "1")
+                             "--t", "7", "--d", "26")
     assert code == 4  # not certified within budget
     rec = json.loads(out)
     assert rec["method"] == "design-only" and rec["is_mds"] is None
@@ -307,6 +307,13 @@ def test_distance_budget_override(capsys):
         ("cauchy", True, 4)
 
 
+def test_distance_nonpositive_budget_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "distance", "--family", "ii", "--q", "3",
+                             "--d", "4", "--max-codewords", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: the codeword budget must be positive\n"
+
+
 def test_table_q5(capsys):
     code, out, _ = run_cli(capsys, "table", "--q", "5")
     assert code == 0
@@ -432,7 +439,7 @@ def test_namespace_holds_every_dest_at_its_default():
     assert vars(cli.parse_args(["distance", "--family", "ii", "--q", "3"])) \
         == {"command": "distance", "family": "ii", "d": None, "n": None,
             "delta": None, "delta1": None, "delta2": None,
-            "max_codewords": 10**7, "max_minors": 10**7, "q": "3",
+            "max_codewords": 10**7, "q": "3",
             "t": None, "output": None}
     assert vars(cli.parse_args(["enumerate", "--q", "5"])) == {
         "command": "enumerate", "family": "all", "n": None, "d": None,
@@ -515,14 +522,16 @@ def test_missing_or_unknown_subcommand_is_a_usage_error(capsys, argv,
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("distance", "--family", "ii", "--q", "3", "--max", "5"),
-     "ambiguous option: --max could match --max-codewords, --max-minors"),
+    (("distance", "--family", "ii", "--q", "3", "--del", "1"),
+     "ambiguous option: --del could match --delta, --delta1, --delta2"),
     (("enumerate", "--q", "5", "--f=csv"),
      "ambiguous option: --f could match --family, --format"),
     (("enumerate", "--q", "5", "--nope", "-x", "y"),
      "unrecognized arguments: --nope -x y"),
     (("table", "--q", "5", "--"), "unrecognized arguments: --"),
     (("verify", "--help=1"), "unrecognized arguments: --help=1"),
+    (("distance", "--family", "ii", "--q", "3", "--d", "4", "--max-minors",
+      "5"), "unrecognized arguments: --max-minors 5"),
 ])
 def test_ambiguous_or_unknown_flag_is_a_usage_error(capsys, argv, message):
     assert _usage_error(capsys, argv[0], argv) == message

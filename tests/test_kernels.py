@@ -2,8 +2,7 @@
 and in reference.py.
 
 The property tests pin the vectorized oracles (the generalized-Cauchy
-certificate, the Schur-complement minor walk, projective enumeration)
-to per-item references.
+certificate, projective enumeration) to per-item references.
 """
 
 from unittest import mock
@@ -17,7 +16,7 @@ from eaqmds import kernels
 from eaqmds.eaqecc import build_classical
 from eaqmds.galois import build_field
 from reference import (
-    ref_all_minors_nonsingular,
+    ref_submatrices_nonsingular,
     ref_first_singular_minor,
     ref_matmul,
     ref_min_weight,
@@ -198,16 +197,16 @@ def test_min_weight_matches_bruteforce():
         assert kernels.min_weight(G, ctx) == expected
 
 
-def test_minors_nonsingular():
+def test_cauchy_certificate_on_gf4_points():
     ctx = build_field(2, 2)
     # evaluations of {1, x} at the four distinct points of GF(4):
     # every 2x2 minor is a Vandermonde determinant, hence nonsingular
     G = np.array([[1, 1, 1, 1], [0, 1, 2, 3]], dtype=np.int64)
-    assert kernels.minors_nonsingular(G, ctx)
+    assert kernels.cauchy_certificate(G, ctx) is True
     # duplicate an evaluation point: the minor on columns 2 and 3
     # degenerates
     Gbad = np.array([[1, 1, 1, 1], [0, 1, 3, 3]], dtype=np.int64)
-    assert not kernels.minors_nonsingular(Gbad, ctx)
+    assert kernels.cauchy_certificate(Gbad, ctx) is False
 
 
 @st.composite
@@ -236,41 +235,37 @@ def _vandermonde(k, n, p):
 
 
 @settings(max_examples=150, deadline=None)
-@given(minor_cases(), st.integers(0, 80))
+@given(minor_cases())
 # rank-deficient (the second row is twice the first)
-@example(case=(build_field(3, 1), np.array([[1, 2, 0, 1], [2, 1, 0, 2]])),
-         nodes=3)
+@example(case=(build_field(3, 1), np.array([[1, 2, 0, 1], [2, 1, 0, 2]])))
 # square: A is empty, and M is nonsingular
 @example(case=(build_field(2, 2), np.array([[1, 2, 3], [0, 1, 1],
-                                            [0, 0, 2]])), nodes=0)
+                                            [0, 0, 2]])))
 # 1 x n, zero in the pivot-free first column
-@example(case=(build_field(5, 1), np.array([[0, 3, 1, 4, 2]])), nodes=1)
-# MDS with k < n - k and k > n - k: every subtree is walked to its leaves
-@example(case=(build_field(7, 1), _vandermonde(2, 7, 7)), nodes=5)
-@example(case=(build_field(7, 1), _vandermonde(5, 7, 7)), nodes=5)
+@example(case=(build_field(5, 1), np.array([[0, 3, 1, 4, 2]])))
+# MDS with k < n - k and k > n - k: Reed-Solomon, so always decided
+@example(case=(build_field(7, 1), _vandermonde(2, 7, 7)))
+@example(case=(build_field(7, 1), _vandermonde(5, 7, 7)))
 # column 0 is zero: no k x k minor that uses it is nonsingular
 @example(case=(build_field(2, 2), np.array([[0, 2, 3, 2],
-                                            [0, 3, 0, 3]])), nodes=6)
-def test_minor_oracle_matches_reference(case, nodes):
+                                            [0, 3, 0, 3]])))
+def test_minor_oracle_matches_reference(case):
+    """The certificate on any k x n matrix, rank-deficient ones included:
+    never certified with a singular k x k minor, never refuted without
+    one."""
     ctx, G = case
-    expected = ref_first_singular_minor(G, ctx) == -1
-    # the default walk budget, a random one, and 0 and 1, which split
-    # every subtree down to single nodes
-    for limit in {kernels._WALK_NODES, nodes, 0, 1}:
-        with mock.patch.object(kernels, "_WALK_NODES", limit):
-            assert kernels.minors_nonsingular(G, ctx) == expected
+    verdict = kernels.cauchy_certificate(G, ctx)
+    assert verdict is None or verdict == (ref_first_singular_minor(G, ctx) == -1)
 
 
-@pytest.mark.parametrize("limit", [0, 1, 35, 1000, 19447, 19448, 1 << 22])
-def test_minor_oracle_on_family_i(limit):
-    # family i at q = 4, d = 8: H is 7 x 17, so the walk covers
-    # C(17, 7) = 19448 nodes; a limit below that splits it into walks
+def test_minor_oracle_on_family_i():
+    # family i at q = 4, d = 8: H is 7 x 17, with C(17, 7) = 19448
+    # column minors; repeating a column makes one of them singular
     code = build_classical("i", 4, 8)
     H = code.H.copy()
-    with mock.patch.object(kernels, "_WALK_NODES", limit):
-        assert kernels.minors_nonsingular(H, code.field)
-        H[:, 12] = H[:, 9]
-        assert not kernels.minors_nonsingular(H, code.field)
+    assert kernels.cauchy_certificate(H, code.field) is True
+    H[:, 12] = H[:, 9]
+    assert kernels.cauchy_certificate(H, code.field) is False
 
 
 # GF(4), GF(9), GF(16), GF(25), GF(49)
@@ -337,7 +332,7 @@ def test_cauchy_certificate_matches_reference(case):
     submatrix and refutes only such matrices; a generalized Cauchy matrix
     (every entry nonzero) is always decided."""
     ctx, A, M = case
-    expected = ref_all_minors_nonsingular(A, ctx)
+    expected = ref_submatrices_nonsingular(A, ctx)
     verdict = kernels.cauchy_certificate(M, ctx)
     assert verdict is None or verdict == expected
     if expected and (min(A.shape) < 2 or kernels.rank(np.array(
@@ -364,7 +359,7 @@ def test_cauchy_certificate_cases():
     assert kernels.cauchy_certificate(np.array([[1, 2], [0, 1]]), GF9)
     # MDS but not generalized Cauchy (1/A has rank 3): no verdict
     A = np.array([[8, 2, 5, 3], [1, 7, 1, 3], [4, 4, 1, 8]])
-    assert ref_all_minors_nonsingular(A, GF9)
+    assert ref_submatrices_nonsingular(A, GF9)
     assert kernels.cauchy_certificate(_systematic_case(GF9, A)[2],
                                       GF9) is None
 

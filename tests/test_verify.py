@@ -1,5 +1,6 @@
+import itertools
 import json
-import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -12,20 +13,26 @@ from eaqmds.codes import (
     extended_rs_code,
     generator_matrix,
 )
-from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
+from eaqmds.cli import parse_q
+from eaqmds.cosets import (
+    DefiningSet,
+    cyclotomic_coset,
+    defining_set,
+    parameter_ranges,
+)
 from eaqmds.eaqecc import build_classical, gram_matrix
 from eaqmds.galois import build_field
 from eaqmds.verify import (
     BudgetExceeded,
-    OracleBudget,
     _consta_intersection,
     _rank_entry,
     certify_distance,
+    divisors,
     dual_containment_matrix_oracle,
     exhaustive_min_distance,
-    mds_minor_oracle,
     run_lemma_sweep,
 )
+from reference import ref_submatrices_nonsingular
 
 
 def rs_8_5_4():
@@ -48,30 +55,43 @@ def test_exhaustive_budget_routing():
     # [12,7,6] over GF(25): 25^7 messages blow the default budget
     code = build_classical("iv", 5, 6)
     assert code.k == 7
+    G = generator_matrix(code)
     with pytest.raises(BudgetExceeded):
-        exhaustive_min_distance(generator_matrix(code), code.field)
-    # ... but the minor oracle fits: C(12,7) = 792
-    assert mds_minor_oracle(generator_matrix(code), code.field)
+        exhaustive_min_distance(G, code.field)
+    with pytest.raises(BudgetExceeded):
+        exhaustive_min_distance(G, code.field, max_codewords=25**7 - 1)
+    # ... so certify_distance routes it to the certificate
+    assert certify_distance(code) == {"method": "cauchy", "is_mds": True,
+                                      "d": 6}
+    # a budget of exactly Q^k messages admits enumeration
+    rs = rs_8_5_4()
+    assert exhaustive_min_distance(generator_matrix(rs), rs.field,
+                                   max_codewords=9**5) == 4
 
 
 def test_minor_oracle_cases(gf9):
-    assert mds_minor_oracle(np.eye(3, dtype=np.int64), gf9)
+    assert kernels.cauchy_certificate(np.eye(3, dtype=np.int64), gf9)
     bad = np.array([[1, 2, 1], [2, 1, 2]])  # repeated column
-    assert not mds_minor_oracle(bad, gf9)
+    assert kernels.cauchy_certificate(bad, gf9) is False
     code = build_classical("i", 4, 6)
     G = generator_matrix(code)
-    assert math.comb(17, 12) == 6188
-    assert mds_minor_oracle(G, code.field)
+    assert kernels.cauchy_certificate(G, code.field) is True
+    # 16^12 messages: over the default codeword budget, the certificate
+    # decides, and the enumeration oracle refuses to run
+    assert certify_distance(code)["method"] == "cauchy"
     with pytest.raises(BudgetExceeded):
-        mds_minor_oracle(G, code.field, OracleBudget(max_minors=100))
+        exhaustive_min_distance(G, code.field)
 
 
 def test_oracles_agree_where_both_apply():
     for code in [rs_8_5_4(), build_classical("ii", 3, 4),
-                 build_classical("iii", 3, 3)]:
+                 build_classical("iii", 3, 3),
+                 _with_repeated_column(build_classical("ii", 3, 4))]:
         G = generator_matrix(code)
         d = exhaustive_min_distance(G, code.field)
-        assert (d == code.n - code.k + 1) == mds_minor_oracle(G, code.field)
+        assert (d == code.n - code.k + 1) == \
+            kernels.cauchy_certificate(G, code.field) == \
+            kernels.cauchy_certificate(code.H, code.field)
 
 
 def test_dual_containment_matrix_oracle(gf9):
@@ -90,11 +110,11 @@ def test_certify_distance_routing():
     # 16^10 messages: over the codeword budget, so the certificate decides
     big = certify_distance(build_classical("i", 4, 8))
     assert big == {"method": "cauchy", "is_mds": True, "d": 8}
-    # C(104, 78) minors, over every minor budget: the certificate alone
+    # 729^79 messages, far over the codeword budget: the certificate decides
     huge = certify_distance(build_classical("v", 27, 26, t=7))
     assert huge == {"method": "cauchy", "is_mds": True, "d": 26}
     refuted = certify_distance(_with_repeated_column(extended_rs_code(3, 3)),
-                               OracleBudget(max_codewords=1))
+                               max_codewords=1)
     assert refuted == {"method": "cauchy", "is_mds": False, "d": None}
 
 
@@ -108,20 +128,21 @@ NOT_CAUCHY = {True: [[8, 2, 5, 3], [1, 7, 1, 3], [4, 4, 1, 8]],
 @pytest.mark.parametrize("is_mds", [True, False])
 def test_certify_distance_without_a_certificate_verdict(is_mds):
     """A [7, 4] code whose parity check [I | A] has no generalized-Cauchy
-    A: the certificate gives no verdict, and the Schur walk decides
-    within its budget; beyond it the code is design-only."""
+    A: the certificate gives no verdict, so over the codeword budget the
+    code is design-only, whether it is MDS or not; within the budget
+    enumeration decides it."""
     f = build_field(3, 2)
     A = np.array(NOT_CAUCHY[is_mds], dtype=np.int64)
+    assert ref_submatrices_nonsingular(A, f) == is_mds
     H = np.hstack([np.eye(3, dtype=np.int64), A])
     assert kernels.cauchy_certificate(H, f) is None
     code = ClassicalCode(n=7, k=4, d_design=4 if is_mds else 2, H=H, q=3,
                          field=f)
-    res = certify_distance(code, OracleBudget(max_codewords=1))
-    assert res == {"method": "minors", "is_mds": is_mds,
-                   "d": 4 if is_mds else None}
-    assert certify_distance(code, OracleBudget(max_codewords=1,
-                                               max_minors=34)) == \
+    assert certify_distance(code, max_codewords=1) == \
         {"method": "design-only", "is_mds": None, "d": None}
+    res = certify_distance(code)
+    assert res["method"] == "enumeration" and res["is_mds"] == is_mds
+    assert (res["d"] == 4) == is_mds
 
 
 def test_certify_distance_subfield_enumeration():
@@ -135,6 +156,38 @@ def test_certify_distance_subfield_enumeration():
 def test_certify_distance_plain_rs_code():
     res = certify_distance(rs_8_5_4())
     assert res == {"method": "enumeration", "is_mds": True, "d": 4}
+
+
+def _distance_instances(q):
+    """Every code `distance` can build at q, as build_classical builds it:
+    each n of families i and iii (both odd for iii), each t of family v,
+    and each parameter set of parameter_ranges."""
+    groups = [("i", None, n, False) for n in divisors(q * q + 1)]
+    groups += [("ii", None, None, False), ("iv", None, None, False)]
+    groups += [("iii", None, n, odd) for n in divisors(q * q - 1)
+               for odd in (False, True)]
+    groups += [("v", t, None, False) for t in range(3, q + 2, 2)]
+    for family, t, n, odd in groups:
+        try:
+            ranges = parameter_ranges(family, q, n, t, odd)[1]
+        except ValueError:
+            continue
+        for values in itertools.product(*ranges.values()):
+            yield build_classical(family, q, None, t, n, odd=odd,
+                                  **dict(zip(ranges, values)))
+
+
+def test_every_distance_instance_is_decided():
+    """Route census at q <= 16: certify_distance proves every instance
+    MDS by enumeration or by the certificate, and none falls through to
+    design-only (the whole q <= 32 census takes about 30 s)."""
+    methods = Counter()
+    for q in parse_q("2..16"):
+        for code in _distance_instances(q):
+            res = certify_distance(code)
+            assert res["is_mds"] is True and res["d"] == code.n - code.k + 1
+            methods[res["method"]] += 1
+    assert methods == {"enumeration": 25, "cauchy": 496}
 
 
 @pytest.mark.parametrize("family,q,d", [
@@ -164,19 +217,19 @@ def _with_repeated_column(code):
 @pytest.mark.parametrize("r", [3, 6])
 def test_minor_oracle_on_h_agrees_with_g(r):
     """Every k columns of G independent iff every n-k columns of H are:
-    both walks agree on an MDS code and on one with a repeated column,
-    for n-k < k (r = 3) and n-k > k (r = 6), and certify_distance answers
-    the same through the certificate on whichever matrix it picks."""
+    the certificate on G and on H agrees on an MDS code and on one with a
+    repeated column, for n-k < k (r = 3) and n-k > k (r = 6), and
+    certify_distance answers the same on whichever matrix it picks."""
     mds = extended_rs_code(3, r)            # [9, 9-r, r+1]
     for code, is_mds in ((mds, True), (_with_repeated_column(mds), False)):
         G = generator_matrix(code)
         f = code.field
         assert G.shape[0] == code.k == 9 - r
-        assert mds_minor_oracle(G, f) == mds_minor_oracle(code.H, f) == is_mds
         certificate = kernels.cauchy_certificate
+        assert certificate(G, f) == certificate(code.H, f) == is_mds
         with mock.patch.object(kernels, "cauchy_certificate",
                                wraps=certificate) as oracle:
-            res = certify_distance(code, OracleBudget(max_codewords=1))
+            res = certify_distance(code, max_codewords=1)
         assert oracle.call_args.args[0].shape[0] == min(r, 9 - r)
         assert res["method"] == "cauchy" and res["is_mds"] == is_mds
 
@@ -272,8 +325,9 @@ def test_sweep_entry_schema(lemma, q, t, pick, expected):
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        OracleBudget(max_codewords=0)
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            certify_distance(rs_8_5_4(), max_codewords=budget)
 
 
 def test_empty_generator_is_error(gf9):
