@@ -5,6 +5,8 @@ The property tests pin the vectorized oracles (the generalized-Cauchy
 certificate, projective enumeration) to per-item references.
 """
 
+import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -258,14 +260,24 @@ def test_minor_oracle_matches_reference(case):
     assert verdict is None or verdict == (ref_first_singular_minor(G, ctx) == -1)
 
 
-def test_minor_oracle_on_family_i():
+@pytest.mark.parametrize("index", [0, 1, 35, 1000, 19447, 19448, 1 << 22])
+def test_minor_oracle_on_family_i(index):
     # family i at q = 4, d = 8: H is 7 x 17, with C(17, 7) = 19448
-    # column minors; repeating a column makes one of them singular
+    # column minors. Permuting and scaling the columns (seeded by index)
+    # keeps H MDS; repeating a column inside the minor numbered
+    # index mod 19448, in lexicographic order, makes that minor singular
     code = build_classical("i", 4, 8)
-    H = code.H.copy()
-    assert kernels.cauchy_certificate(H, code.field) is True
-    H[:, 12] = H[:, 9]
-    assert kernels.cauchy_certificate(H, code.field) is False
+    ctx = code.field
+    k, n = code.H.shape
+    rng = np.random.default_rng(index)
+    scale = np.diag(rng.integers(1, ctx.order, n))
+    H = kernels.matmul(code.H[:, rng.permutation(n)], scale, ctx)
+    assert kernels.cauchy_certificate(H, ctx) is True
+    cols = next(itertools.islice(itertools.combinations(range(n), k),
+                                 index % math.comb(n, k), None))
+    H[:, cols[-1]] = H[:, cols[0]]
+    assert ref_first_singular_minor(H, ctx) != -1
+    assert kernels.cauchy_certificate(H, ctx) is False
 
 
 # GF(4), GF(9), GF(16), GF(25), GF(49)
