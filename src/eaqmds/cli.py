@@ -22,7 +22,8 @@ requested q is a usage error.
 Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  Exit codes: 0 success,
 1 verification failure (a VerificationError included), 2 usage error
-(any other ValueError), 3 internal error (any other exception, with its
+(any other ValueError, an --output path that cannot be written
+included), 3 internal error (any other exception, with its
 traceback on stderr), 4 not certified: the codeword budget is exceeded
 and the Cauchy certificate gives no verdict, so distance reports the
 design distance only.
@@ -96,8 +97,11 @@ def parse_q(spec: str) -> list[int]:
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {path}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -1,8 +1,9 @@
 """Concrete classical codes over GF(q^2) as parity-check matrices.
 
-Every code lives over GF(q^2): a ClassicalCode holds its parity check H
-as a read-only int64 array next to its field, and its generator matrix
-is the nullspace of H, read off the RREF from kernels.eliminate.  A
+Every code lives over GF(q^2), the one context that build_field caches
+for it: a ClassicalCode holds its parity check H as a read-only int64
+array next to that field, and its generator matrix is the nullspace of
+H, read off the RREF from kernels.eliminate.  A
 lambda-constacyclic code of length n and shift order r, with defining
 set Z modulo rn, is built by constacyclic_code from one cached root table
 of GF(q^2):
@@ -158,23 +159,20 @@ def _vandermonde(B: np.ndarray, f: FieldContext) -> bool:
 
 
 def _independent_rows(H: np.ndarray, f: FieldContext) -> bool:
-    """rank(H) = rows(H), proved from the leading square block B.  Power
-    rows make B a Vandermonde matrix in the distinct points eta^z, which
-    _vandermonde checks with no elimination.  Trace rows, T times one in
-    the points beta^z, and any block that fails the check are eliminated:
-    B first, and the full width only when B is singular."""
+    """True iff the leading square block B of H is nonsingular, which
+    proves rank(H) = rows(H), as it does for every accepted defining set.
+    Power rows make B Vandermonde in the distinct points eta^z, which
+    _vandermonde checks with no elimination; trace rows make it T V, T
+    invertible and V Vandermonde in the points beta^z, and B is eliminated."""
     rows = H.shape[0]
     B = H[:, :rows]
-    if _vandermonde(B, f) or kernels.rank(B, f) == rows:
-        return True
-    return kernels.rank(H, f) == rows
+    return _vandermonde(B, f) or kernels.rank(B, f) == rows
 
 
-def constacyclic_code(q: int, Z: DefiningSet,
-                      field: FieldContext | None = None) -> ClassicalCode:
-    """Code of length n = Z.n over GF(q^2) (`field`, or the cached default)
-    with roots {eta^z : z in Z}; k = n - |Z|, d from the BCH bound.  The
-    roots need gcd(n, q) = 1 and rn | q^2-1, or r = 1 and n | q^2+1."""
+def constacyclic_code(q: int, Z: DefiningSet) -> ClassicalCode:
+    """Code of length n = Z.n over GF(q^2) with roots {eta^z : z in Z};
+    k = n - |Z|, d from the BCH bound.  The roots need gcd(n, q) = 1 and
+    rn | q^2-1, or r = 1 and n | q^2+1."""
     p, e = factor_prime_power(q)
     n, rn = Z.n, Z.modulus
     if math.gcd(n, q) != 1:
@@ -183,11 +181,7 @@ def constacyclic_code(q: int, Z: DefiningSet,
     if traces and (Z.r != 1 or (q * q + 1) % n):
         raise ValueError(
             f"rn={rn} divides neither q^2-1 nor (r=1 case) q^2+1 for q={q}")
-    if field is None:
-        field = build_field(p, 2 * e)
-    elif field.p != p or field.m != 2 * e:
-        raise ValueError(
-            f"provided field GF({field.order}) is not GF({p}^{2 * e})")
+    field = build_field(p, 2 * e)
     zs = Z.sorted()
     if traces:
         H = _trace_rows(_trace_table(field, n), Z, field)
@@ -195,7 +189,7 @@ def constacyclic_code(q: int, Z: DefiningSet,
         z = np.array(zs, dtype=np.int64)[:, None]
         H = _power_table(field, rn)[z * np.arange(n) % rn]
     if zs and not _independent_rows(H, field):
-        raise ValueError("parity-check rows are not independent")
+        raise ValueError(f"singular leading {len(zs)} x {len(zs)} block in H")
     return _constacyclic(q, Z, H, field)
 
 
@@ -214,7 +208,7 @@ def _extended_rs(q: int, H: np.ndarray, f: FieldContext) -> ClassicalCode:
     return ClassicalCode(n=n, k=n - r, d_design=r + 1, H=H, q=q, field=f)
 
 
-def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> ClassicalCode:
+def extended_rs_code(q: int, r: int) -> ClassicalCode:
     """Reed-Solomon code of length q^2-1 extended by an overall parity
     check: evaluation points are 0, then g^0, g^1, ..., g^{q^2-2} for the
     field's generator g; H[i, j] = point_j^i with 0^0 = 1, so the first
@@ -223,9 +217,7 @@ def extended_rs_code(q: int, r: int, field: FieldContext | None = None) -> Class
     n = q * q
     if not 1 <= r <= n - 2:
         raise ValueError(f"r={r} outside [1, {n - 2}]")
-    f = field if field is not None else build_field(p, 2 * e)
-    if f.order != n:
-        raise ValueError(f"field GF({f.order}) is not GF({n})")
+    f = build_field(p, 2 * e)
     H = np.zeros((r, n), dtype=np.int64)
     H[:, 1:] = f.exp[np.arange(r)[:, None] * np.arange(n - 1) % (n - 1)]
     H[0, 0] = 1
@@ -236,10 +228,9 @@ def subcode(top: ClassicalCode,
             part: DefiningSet | int) -> tuple[ClassicalCode, np.ndarray]:
     """The code nested in `top` whose parity check is a row slice of
     top.H, and the positions of those rows: for a defining set inside
-    top.defining_set, constacyclic_code(top.q, part, top.field); for an
-    int r, extended_rs_code(top.q, r, top.field), whose H is the first r
-    rows.  No rank proof of its own: a subset of independent rows is
-    independent."""
+    top.defining_set, constacyclic_code(top.q, part); for an int r,
+    extended_rs_code(top.q, r), whose H is the first r rows.  No rank
+    proof of its own: a subset of independent rows is independent."""
     Z = top.defining_set
     if isinstance(part, int):
         if Z is not None or not 1 <= part <= top.H.shape[0]:

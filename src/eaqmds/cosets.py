@@ -15,13 +15,16 @@ VARIABLE_LENGTH names the families whose length n is a parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 def cyclotomic_coset(i: int, modulus: int, qsq: int) -> frozenset[int]:
-    """Orbit of i under multiplication by q^2 modulo `modulus`."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
+    """Orbit of i under multiplication by q^2 modulo `modulus`, which
+    must be coprime to q^2: otherwise the orbit need not return to i."""
+    if modulus < 1 or math.gcd(qsq, modulus) != 1:
+        raise ValueError(f"modulus {modulus} is not positive and coprime "
+                         f"to q^2={qsq}")
     i %= modulus
     orbit = {i}
     x = (i * qsq) % modulus

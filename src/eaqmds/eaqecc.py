@@ -182,8 +182,7 @@ def closed_form_k(family: str, q: int, d: int, t: int | None = None,
 
 
 def build_classical(family: str, q: int, d: int | None, t: int | None = None,
-                    n: int | None = None, field: FieldContext | None = None,
-                    **params) -> ClassicalCode:
+                    n: int | None = None, **params) -> ClassicalCode:
     """Classical code behind one family instance: at distance d, or from
     explicit parameters (r for family ii; delta, or delta1 and delta2, and
     odd for the constacyclic families) when d is None."""
@@ -199,18 +198,17 @@ def build_classical(family: str, q: int, d: int | None, t: int | None = None,
             raise ValueError(f"d={d} not admissible for family {family}, q={q}")
     if family == "ii" and "r" in params:
         check_parameters("ii", q, n, t, **params)
-        code = extended_rs_code(q, params["r"], field=field)
+        code = extended_rs_code(q, params["r"])
     else:
         # family ii without r has no defining set, and defining_set says so
         code = constacyclic_code(
-            q, defining_set(family, q, n=n, t=t, **params), field)
+            q, defining_set(family, q, n=n, t=t, **params))
     code.family = family
     return code
 
 
 def family_codes(family: str, q: int, params: list[dict],
-                 t: int | None = None, n: int | None = None,
-                 field: FieldContext | None = None
+                 t: int | None = None, n: int | None = None
                  ) -> Iterator[tuple[ClassicalCode, np.ndarray]]:
     """Each instance of one family group (family, q, t, n), one for each
     parameter set in `params` as build_classical takes them, as its code
@@ -227,7 +225,7 @@ def family_codes(family: str, q: int, params: list[dict],
         for kw in params:
             check_parameters("ii", q, n, t, **kw)
         parts = [kw["r"] for kw in params]
-        top = extended_rs_code(q, max(parts), field)
+        top = extended_rs_code(q, max(parts))
     else:
         # the sets wait for the union as int64 arrays: as DefiningSets
         # they took more memory than the parity check (160 KB against
@@ -239,7 +237,7 @@ def family_codes(family: str, q: int, params: list[dict],
             union |= Z.elements
             members.append(np.fromiter(Z.elements, np.int64, len(Z)))
         top = constacyclic_code(
-            q, DefiningSet(Z.modulus, Z.r, frozenset(union)), field)
+            q, DefiningSet(Z.modulus, Z.r, frozenset(union)))
         parts = (DefiningSet(Z.modulus, Z.r, frozenset(m.tolist()))
                  for m in members)
     gram = gram_matrix(top.H, q, top.field)
@@ -250,8 +248,7 @@ def family_codes(family: str, q: int, params: list[dict],
 
 
 def enumerate_family(family: str, q: int, t: int | None = None,
-                     n: int | None = None,
-                     field: FieldContext | None = None) -> list[EaqeccParams]:
+                     n: int | None = None) -> list[EaqeccParams]:
     """All EAQMDS codes of one family for a given q (and t), built by
     family_codes and each checked against the closed form.  A distance
     whose closed form gives k = 0 encodes no qudit and is left out."""
@@ -262,7 +259,7 @@ def enumerate_family(family: str, q: int, t: int | None = None,
     wanted = [(d, kw) for d, kw in instances(family, q, t, n).items()
               if closed_form_k(family, q, d, t, n) >= 1]
     out = []
-    built = family_codes(family, q, [kw for _, kw in wanted], t, n, field)
+    built = family_codes(family, q, [kw for _, kw in wanted], t, n)
     for (d, _), (code, gram) in zip(wanted, built):
         k = closed_form_k(family, q, d, t, n)
         params = derive_eaqecc(code, gram, t)

@@ -3,6 +3,8 @@
 Elements are stored as integers in [0, p^m): the base-p digits of the
 integer are the coefficients (ascending degree) of the element's
 polynomial over GF(p), taken modulo the field's irreducible modulus f.
+The package builds one representation of each field: build_field caches
+one FieldContext per (p, m), under the smallest monic irreducible f.
 
 Setup works on GF(p)-linear maps of digit row vectors, as matrices mod
 p.  The companion matrix C of f is multiplication by x, and a code a
@@ -21,8 +23,6 @@ Hermitian inner product on GF(q^2)^n.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -138,21 +138,12 @@ def _irreducible(f, p: int) -> np.ndarray:
     return ok
 
 
-def is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial over GF(p)."""
-    if len(coeffs) < 2 or coeffs[-1] != 1:
-        return False
-    return bool(_irreducible(coeffs, p))
-
-
-@lru_cache(maxsize=None)
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p).
 
     Candidates f are ordered by the high-to-low coefficient tuple
     (c_{m-1}, ..., c_0), i.e. by the code p^m + c whose digits they are;
-    for m = 1 that is x, giving GF(p) itself.  Cached, because
-    build_field needs it to find the key of its own field cache.
+    for m = 1 that is x, giving GF(p) itself.
     """
     code = _first(lambda codes: _irreducible(_digits(codes, p, m + 1), p),
                   p**m, 2 * p**m)
@@ -164,14 +155,18 @@ class FieldContext:
 
     Immutable after construction; all operations are pure functions of
     integer element codes, so a context is safe to share across threads.
-    Obtain instances through :func:`build_field`.
+    Obtain instances through :func:`build_field`; tests build other
+    representations here directly.  The modulus must be monic of degree
+    m, and a reducible one fails the table build.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        if len(modulus) != m + 1 or modulus[-1] != 1:
+            raise ValueError(f"modulus {modulus} is not monic of degree {m}")
         self.p = p
         self.m = m
         self.order = p**m
-        self.modulus = modulus
+        self.modulus = tuple(modulus)
         C = _companion(modulus, p)
         self.generator = self._find_generator(C)
         self.exp, self.log = self._build_tables(_times(self.generator, C, p))
@@ -284,36 +279,22 @@ class FieldContext:
         return f"GF({self.order})"
 
 
-_FIELD_CACHE: dict[tuple, FieldContext] = {}
+# keyed by (p, m): an lru_cache on build_field keys (3, 2) and p=3, m=2 apart
+_FIELD_CACHE: dict[tuple[int, int], FieldContext] = {}
 
 
-def build_field(p: int, m: int, modulus: list[int] | tuple[int, ...] | None = None
-                ) -> FieldContext:
-    """Construct (or fetch the cached) GF(p^m), of order at most SIZE_LIMIT.
-
-    `modulus` overrides the default lexicographically smallest monic
-    irreducible; it must be monic of degree m over GF(p).
-    """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if m < 1:
-        raise ValueError(f"extension degree m={m} must be >= 1")
-    if p**m > SIZE_LIMIT:
-        raise ValueError(
-            f"field order {p**m} exceeds the size ceiling {SIZE_LIMIT}")
-    if modulus is None:
-        mod = smallest_irreducible(p, m)
-    else:
-        mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != m + 1 or mod[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not is_irreducible(list(mod), p):
-            raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
-    key = (p, m, mod)
-    ctx = _FIELD_CACHE.get(key)
+def build_field(p: int, m: int) -> FieldContext:
+    """Construct (or fetch the cached) GF(p^m), of order at most
+    SIZE_LIMIT, under the lexicographically smallest monic irreducible."""
+    ctx = _FIELD_CACHE.get((p, m))
     if ctx is None:
-        ctx = FieldContext(p, m, mod)
-        _FIELD_CACHE[key] = ctx
+        if not is_prime(p) or m < 1:
+            raise ValueError(f"p={p}, m={m} name no field GF(p^m)")
+        if p**m > SIZE_LIMIT:
+            raise ValueError(
+                f"field order {p**m} exceeds the size ceiling {SIZE_LIMIT}")
+        ctx = FieldContext(p, m, smallest_irreducible(p, m))
+        _FIELD_CACHE[(p, m)] = ctx
     return ctx
 
 

@@ -94,10 +94,9 @@ def certify_distance(code: ClassicalCode, *,
         d = exhaustive_min_distance(generator_matrix(code), code.field,
                                     max_codewords=max_codewords)
         return {"method": "enumeration", "is_mds": d == n - k + 1, "d": d}
-    # the certificate tests the smaller matrix: with n-k rows, H is MDS
-    # iff every n-k columns are independent, as G is iff every k are
+    # G, a second elimination, only for an H with dependent rows
     H = code.H
-    M = H if H.shape[0] == n - k < k else generator_matrix(code)
+    M = H if H.shape[0] == n - k else generator_matrix(code)
     ok = kernels.cauchy_certificate(M, code.field)
     if ok is None:
         return {"method": "design-only", "is_mds": None, "d": None}

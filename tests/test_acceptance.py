@@ -7,9 +7,11 @@ lines; any assertion failure marks the criterion red.
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 
+from eaqmds import galois
 from eaqmds.cli import table_rows
 from eaqmds.codes import constacyclic_code
 from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
@@ -19,7 +21,7 @@ from eaqmds.eaqecc import (
     enumerate_family,
     instances,
 )
-from eaqmds.galois import build_field
+from eaqmds.galois import FieldContext, build_field
 from eaqmds.verify import (
     DEFAULT_SWEEPS,
     certify_distance,
@@ -280,14 +282,17 @@ def test_criterion_7_constacyclic_intersection():
 
 def test_criterion_8_representation_invariance():
     """Families i-v at q = 5 (t = 3 for family v) rebuilt over GF(25)
-    under x^2 + 3 instead of x^2 + 1 yield identical parameter records."""
-    alt_field = build_field(5, 2, modulus=[3, 0, 1])
+    under x^2 + 3 instead of the package's x^2 + 2 yield identical
+    parameter records.  The alternative field stands in for GF(25) in the
+    field cache while the rebuild runs, so it takes the same path."""
+    alt_field = FieldContext(5, 2, (3, 0, 1))
     assert alt_field.modulus != build_field(5, 2).modulus
     total = 0
     for family in FAMILIES:
         t = 3 if family == "v" else None
         default = enumerate_family(family, 5, t)
-        alt = enumerate_family(family, 5, t, field=alt_field)
+        with mock.patch.dict(galois._FIELD_CACHE, {(5, 2): alt_field}):
+            alt = enumerate_family(family, 5, t)
         base_records = [(p.n, p.k, p.d, p.c) for p in default]
         assert base_records == [(p.n, p.k, p.d, p.c) for p in alt]
         assert [p.defining_set for p in default] == \

@@ -108,6 +108,18 @@ def test_enumerate_deterministic_output(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "enumerate", "--q", "3",
+                             "--output", path)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write "
+                                                   f"{path}: ")
+
+
 def test_verify_cli(capsys):
     code, out, err = run_cli(capsys, "verify", "--lemma", "rank-ers",
                              "--q", "3..8")

@@ -221,7 +221,8 @@ def test_family_i_matches_root_evaluation(q):
         if n % 2 == 0:
             sets.append(DefiningSet(n, 1, frozenset({n // 2})))
         for Z in sets:
-            code = constacyclic_code(q, Z, f)
+            code = constacyclic_code(q, Z)
+            assert code.field is f
             H_root = root_rows(f4, beta, Z.sorted(), n)
             G = emb[generator_matrix(code)]
             assert not kernels.matmul(G, H_root.T, f4).any()
@@ -233,16 +234,6 @@ def test_family_i_matches_root_evaluation(q):
 def test_trace_rows_need_a_symmetric_defining_set():
     with pytest.raises(ValueError, match="not closed"):
         constacyclic_code(4, DefiningSet(17, 1, frozenset({1})))
-
-
-def test_supplied_field_must_be_gf_q_squared():
-    Z = defining_set("iv", 5, delta1=0, delta2=3)
-    gf25 = build_field(5, 2, modulus=[3, 0, 1])
-    assert constacyclic_code(5, Z, gf25).field is gf25
-    for wrong in (build_field(5, 1), build_field(3, 2), build_field(5, 4)):
-        with pytest.raises(ValueError, match=r"^provided field GF\(\d+\) "
-                           r"is not GF\(5\^2\)$"):
-            constacyclic_code(5, Z, wrong)
 
 
 def test_singleton_bound_enforced():
@@ -295,23 +286,28 @@ def test_trace_rows_take_the_rank_window():
     assert _rank_shapes(spy) == [(rows, rows)]
 
 
-def test_singular_rank_window_falls_back_to_full_width():
+SINGULAR_BLOCK = r"^singular leading 2 x 2 block in H$"
+
+
+def test_singular_leading_block_fails_the_build():
     # with eta^2 replaced by eta, rows z = 1, 2 agree in columns 0 and 1
-    # (eta^0, eta^1) but not in column 2 (eta^1 against eta^4)
+    # (eta^0, eta^1) but not in column 2 (eta^1 against eta^4): the rows
+    # are independent, but no accepted defining set gives such a block,
+    # so the build refuses it rather than eliminate the full width
     table = _power_table(build_field(5, 2), 24).copy()
     table[2] = table[1]
-    with _patch_power_table(table), _spy_rank() as spy:
-        code = constacyclic_code(5, DefiningSet(24, 1, frozenset({1, 2})))
-    assert code.k == 22
-    assert _rank_shapes(spy) == [(2, 2), (2, 24)]
+    with _patch_power_table(table), _spy_rank() as spy, pytest.raises(
+            ValueError, match=SINGULAR_BLOCK):
+        constacyclic_code(5, DefiningSet(24, 1, frozenset({1, 2})))
+    assert _rank_shapes(spy) == [(2, 2)]
 
 
 def test_rank_deficient_parity_check_still_raises():
     flat = np.ones(24, dtype=np.int64)
     with _patch_power_table(flat), _spy_rank() as spy, pytest.raises(
-            ValueError, match="^parity-check rows are not independent$"):
+            ValueError, match=SINGULAR_BLOCK):
         constacyclic_code(5, DefiningSet(24, 1, frozenset({1, 2})))
-    assert _rank_shapes(spy) == [(2, 2), (2, 24)]
+    assert _rank_shapes(spy) == [(2, 2)]
 
 
 # GF(4), GF(9), GF(16), GF(25), GF(49)
@@ -368,14 +364,11 @@ def test_vandermonde_certificate_matches_reference(case):
     assert certified == (spoil == "none")
     if certified:
         assert len(ref_rref(H[:, :rows], f)[1]) == rows
-    # no elimination when certified; else the window, then the full width
+    # no elimination when certified; else one of the leading block
     with _spy_rank() as spy:
         independent = codes._independent_rows(H, f)
-    assert independent == (len(ref_rref(H, f)[1]) == rows)
-    if certified:
-        assert _rank_shapes(spy) == []
-    else:
-        assert _rank_shapes(spy)[0] == (rows, rows)
+    assert independent == (len(ref_rref(H[:, :rows], f)[1]) == rows)
+    assert _rank_shapes(spy) == ([] if certified else [(rows, rows)])
 
 
 def test_vandermonde_certificate_needs_nonzero_entries():

@@ -45,6 +45,13 @@ def test_cyclotomic_coset_examples():
             frozenset({(2 * j - 1) % 24})
 
 
+@pytest.mark.parametrize("i, modulus, qsq", [(1, 4, 4), (2, 6, 9)])
+def test_cyclotomic_coset_needs_q_squared_coprime_to_modulus(i, modulus, qsq):
+    # the orbit of 1 modulo 4 under x4 is 1 -> 0 -> 0 ...: it never returns
+    with pytest.raises(ValueError, match="not positive and coprime"):
+        cyclotomic_coset(i, modulus, qsq)
+
+
 def test_defining_set_family_i():
     Z = defining_set("i", 4, delta=2)
     assert Z.modulus == 17 and Z.r == 1

@@ -20,10 +20,10 @@ from eaqmds.eaqecc import build_classical, family_codes
 def _checked(real, seen):
     """family_codes that compares each yielded instance with the direct
     build_classical of its parameters, recording what it covered."""
-    def wrapper(family, q, params, t=None, n=None, field=None):
-        built = real(family, q, params, t, n, field)
+    def wrapper(family, q, params, t=None, n=None):
+        built = real(family, q, params, t, n)
         for kw, (code, gram) in zip(params, built, strict=True):
-            direct = build_classical(family, q, None, t, n, field=field, **kw)
+            direct = build_classical(family, q, None, t, n, **kw)
             assert np.array_equal(code.H, direct.H), (family, q, t, n, kw)
             assert (code.n, code.k, code.d_design, code.family) == \
                 (direct.n, direct.k, direct.d_design, direct.family)

@@ -9,9 +9,9 @@ from eaqmds import galois
 from eaqmds.codes import _trace_table, constacyclic_code
 from eaqmds.cosets import defining_set
 from eaqmds.galois import (
+    FieldContext,
     build_field,
     factor_prime_power,
-    is_irreducible,
     is_prime,
     prime_factors,
     smallest_irreducible,
@@ -48,12 +48,16 @@ def test_build_field_errors():
 
 
 def test_modulus_validation():
-    with pytest.raises(ValueError):
-        build_field(2, 4, modulus=[1, 0, 0, 0, 1])  # x^4+1 reducible
-    with pytest.raises(ValueError):
-        build_field(2, 4, modulus=[1, 1, 1])  # wrong degree
-    alt = build_field(5, 2, modulus=[3, 0, 1])
-    assert alt.modulus == (3, 0, 1)
+    with pytest.raises(ValueError, match="not monic of degree 4"):
+        FieldContext(2, 4, (1, 1, 1))  # wrong degree
+    with pytest.raises(ValueError, match="not monic of degree 2"):
+        FieldContext(2, 2, (1, 1, 0))  # not monic
+    # a reducible modulus leaves no element of full order
+    for p, m, modulus in [(2, 4, (1, 0, 0, 0, 1)), (3, 2, (2, 0, 1))]:
+        with pytest.raises(RuntimeError):
+            FieldContext(p, m, modulus)
+    alt = FieldContext(5, 2, (3, 0, 1))
+    assert alt.modulus == (3, 0, 1) and alt is not build_field(5, 2)
     assert ref_order(alt, alt.generator) == 24
 
 
@@ -250,7 +254,7 @@ def test_irreducible_count_is_gauss_formula(p, top):
     """Every monic f of degree m <= top, reducible ones included: the
     number that pass is (1/m) sum_{d | m} mu(d) p^(m/d)."""
     for m in range(1, top + 1):
-        count = sum(is_irreducible(digits(c, p, m) + [1], p)
+        count = sum(bool(galois._irreducible(digits(c, p, m) + [1], p))
                     for c in range(p**m))
         gauss = sum(_mobius(d) * p ** (m // d)
                     for d in range(1, m + 1) if m % d == 0) // m
@@ -272,11 +276,10 @@ def test_prime_helpers():
 
 
 def test_build_field_caching():
-    assert build_field(3, 2) is build_field(3, 2)
-    assert build_field(5, 2) is not build_field(5, 2, modulus=[3, 0, 1])
-    # a cached field does not repeat the search for its default modulus
+    assert build_field(3, 2) is build_field(3, 2) is build_field(p=3, m=2)
+    # a cached field does not repeat the search for its modulus
     build_field(3, 4)
-    with mock.patch.object(galois, "is_irreducible",
-                           wraps=galois.is_irreducible) as spy:
+    with mock.patch.object(galois, "smallest_irreducible",
+                           wraps=galois.smallest_irreducible) as spy:
         assert build_field(3, 4) is build_field(3, 4)
     assert spy.call_count == 0

@@ -32,6 +32,8 @@ GOLDEN = [
      "984393f79699c9210a3f37170855c80710b77bb6c4df5de855390e91bf2e3278"),
     ("distance --family v --q 27 --t 7 --d 26",
      "dd36aac4388721325ced569a9e2b5e0df383af108c92c3ef26171f539be500c7"),
+    ("distance --family iv --q 5 --d 7",
+     "07b0fee45f40a1dfddb21c830d9e6957e383fd2ce1e346af2a6ab8a905d43b40"),
 ]
 
 

@@ -5,6 +5,7 @@ The property tests pin the vectorized oracles (the generalized-Cauchy
 certificate, projective enumeration) to per-item references.
 """
 
+import functools
 import itertools
 import math
 from unittest import mock
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from eaqmds import kernels
 from eaqmds.eaqecc import build_classical
-from eaqmds.galois import build_field
+from eaqmds.galois import FieldContext, build_field
 from reference import (
     ref_submatrices_nonsingular,
     ref_first_singular_minor,
@@ -60,6 +61,14 @@ PROPERTY_FIELDS = [(3, 3, None), (3, 4, None), (5, 3, None), (31, 2, None),
                    (2, 4, (1, 0, 0, 1, 1))]
 
 
+@functools.cache
+def _field(p, m, modulus=None):
+    """GF(p^m) under `modulus`, or the package's own representation."""
+    if modulus is None:
+        return build_field(p, m)
+    return FieldContext(p, m, modulus)
+
+
 def _random_codes(rng, shape, order, fill):
     """Element codes: uniform, mostly zero, or all Q-1 (every digit p-1,
     the largest digit-plane sums)."""
@@ -73,8 +82,7 @@ def _random_codes(rng, shape, order, fill):
 
 @st.composite
 def product_cases(draw):
-    pm = draw(st.sampled_from(PROPERTY_FIELDS))
-    ctx = build_field(*pm)
+    ctx = _field(*draw(st.sampled_from(PROPERTY_FIELDS)))
     inner = draw(st.one_of(st.integers(1, 12), st.integers(1000, 3000)))
     rows = draw(st.integers(1, 6 if inner <= 12 else 2))
     cols = draw(st.integers(1, 6 if inner <= 12 else 2))
@@ -85,7 +93,7 @@ def product_cases(draw):
 
 
 def _product_case(p, m, shape, fill, modulus=None):
-    ctx = build_field(p, m, modulus)
+    ctx = _field(p, m, modulus)
     rng = np.random.default_rng(1)
     rows, inner, cols = shape
     return (ctx, _random_codes(rng, (rows, inner), ctx.order, fill),
@@ -121,7 +129,7 @@ def test_matmul_exactness_bound():
 def elimination_cases(draw):
     """A random matrix with forced dependent rows (copies and multiples
     of earlier ones) and optional zero columns."""
-    ctx = build_field(*draw(st.sampled_from(PROPERTY_FIELDS)))
+    ctx = _field(*draw(st.sampled_from(PROPERTY_FIELDS)))
     rows = draw(st.integers(1, 8))
     cols = draw(st.one_of(st.integers(1, 10), st.integers(1000, 2000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -160,7 +168,7 @@ def test_rank_known_cases():
 def zero_line_cases(draw):
     """A random matrix, possibly all zero and possibly with 0 rows or 0
     columns, with zero rows and zero columns inserted at random places."""
-    ctx = build_field(*draw(st.sampled_from(PROPERTY_FIELDS)))
+    ctx = _field(*draw(st.sampled_from(PROPERTY_FIELDS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M = _random_codes(rng, (draw(st.integers(0, 6)), draw(st.integers(0, 8))),
                       ctx.order, draw(st.sampled_from(["uniform", "sparse"])))

@@ -219,7 +219,8 @@ def test_minor_oracle_on_h_agrees_with_g(r):
     """Every k columns of G independent iff every n-k columns of H are:
     the certificate on G and on H agrees on an MDS code and on one with a
     repeated column, for n-k < k (r = 3) and n-k > k (r = 6), and
-    certify_distance answers the same on whichever matrix it picks."""
+    certify_distance answers the same on H, which it picks whenever H
+    has n-k rows."""
     mds = extended_rs_code(3, r)            # [9, 9-r, r+1]
     for code, is_mds in ((mds, True), (_with_repeated_column(mds), False)):
         G = generator_matrix(code)
@@ -230,8 +231,21 @@ def test_minor_oracle_on_h_agrees_with_g(r):
         with mock.patch.object(kernels, "cauchy_certificate",
                                wraps=certificate) as oracle:
             res = certify_distance(code, max_codewords=1)
-        assert oracle.call_args.args[0].shape[0] == min(r, 9 - r)
+        assert oracle.call_args.args[0] is code.H
         assert res["method"] == "cauchy" and res["is_mds"] == is_mds
+
+
+def test_minor_oracle_takes_g_for_dependent_rows():
+    # a hand-built H that repeats a row has more than n-k rows, so the
+    # certificate runs on G
+    rs = extended_rs_code(3, 3)                   # [9, 6, 4]
+    code = ClassicalCode(n=9, k=6, d_design=4, H=np.vstack([rs.H, rs.H[:1]]),
+                         q=3, field=rs.field)
+    with mock.patch.object(kernels, "cauchy_certificate",
+                           wraps=kernels.cauchy_certificate) as oracle:
+        res = certify_distance(code, max_codewords=1)
+    assert oracle.call_args.args[0].shape == (6, 9)
+    assert res == {"method": "cauchy", "is_mds": True, "d": 4}
 
 
 def test_run_lemma_sweep_small():
