@@ -20,7 +20,10 @@ family v needs; a --t that no family or lemma would take at the
 requested q is a usage error.
 
 Data output is byte-identical across runs with the same flags: records
-are sorted, and timing goes to stderr only.  Exit codes: 0 success,
+are sorted, and timing goes to stderr only.  JSON is written by
+to_json, byte-identical to json.dumps(..., indent=2) for the types the
+commands print, without json's pure-Python indent encoder.  An --output
+path is checked before any work.  Exit codes: 0 success,
 1 verification failure (a VerificationError included), 2 usage error
 (any other ValueError, an --output path that cannot be written
 included), 3 internal error (any other exception, with its
@@ -32,10 +35,11 @@ design distance only.
 from __future__ import annotations
 
 import io
-import json
+import os
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .cosets import VARIABLE_LENGTH, parameter_ranges
@@ -95,6 +99,19 @@ def parse_q(spec: str) -> list[int]:
     return sorted(set(out))
 
 
+def _check_output(path: str | None) -> None:
+    """Reject an --output path that cannot be written before any work is
+    done: its directory must exist and the path must not be a
+    directory."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: Is a directory")
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
         try:
@@ -106,8 +123,64 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# the JSON text of each scalar type, as json.dumps writes it
+_SCALARS = {str: _quote, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _write(value, out: list[str], nl: str) -> None:
+    """Append the JSON text of value to out; nl is the newline and the
+    indentation of the line that value starts on."""
+    kind = type(value)
+    inner = nl + "  "
+    if kind is dict and value:
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            fmt = _SCALARS.get(type(item))
+            if fmt is None:
+                out += (sep, _quote(key), ": ")
+                _write(item, out, inner)
+            else:
+                out += (sep, _quote(key), ": ", fmt(item))
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list and value:
+        if all(type(item) is int for item in value):
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, value)),
+                    nl, "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is dict or kind is list:
+        out.append("{}" if kind is dict else "[]")
+    else:
+        fmt = _SCALARS.get(kind)
+        if fmt is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                            "serializable")
+        out.append(fmt(value))
+
+
+def to_json(value) -> str:
+    """json.dumps(value, indent=2) plus a newline, byte for byte, for a
+    value built of dict (str keys), list, str, int, bool and None; any
+    other type raises TypeError.  It builds one list of strings and joins
+    it once, where json.dumps with an indent runs a pure-Python encoder."""
+    out: list[str] = []
+    _write(value, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
 def records_to_json(records: list[dict]) -> str:
-    return json.dumps({"records": records}, indent=2) + "\n"
+    return to_json({"records": records})
 
 
 _CSV_FIELDS = ["family", "q", "t", "n", "k", "d", "c", "saturated",
@@ -218,7 +291,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
                          f"q={args.q or 'the default grid'}"
                          + (f", t={args.t}" if args.t is not None else ""))
     doc = {"reports": [r.to_dict() for r in reports]}
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(to_json(doc), args.output)
     for r in reports:
         print(r.to_text(), file=sys.stderr)
     return 0 if all(r.ok for r in reports) else VERIFY_ERROR
@@ -244,7 +317,7 @@ def cmd_distance(args: SimpleNamespace) -> int:
         "oracle_distance": result["d"],
         "is_mds": result["is_mds"],
     }
-    _emit(json.dumps(rec, indent=2) + "\n", args.output)
+    _emit(to_json(rec), args.output)
     if result["method"] == "design-only":
         print("budget exceeded: design-distance only", file=sys.stderr)
         return NOT_CERTIFIED
@@ -314,7 +387,7 @@ def cmd_table(args: SimpleNamespace) -> int:
     if args.fmt == "md":
         _emit(_table_md(rows), args.output)
     else:
-        _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.output)
+        _emit(to_json({"rows": rows}), args.output)
     return 0
 
 
@@ -511,6 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         args.q_values = parse_q(args.q) if args.q is not None else []
+        _check_output(args.output)
         return {"enumerate": cmd_enumerate, "verify": cmd_verify,
                 "distance": cmd_distance, "table": cmd_table}[args.command](args)
     except ValueError as e:

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
-SIZE_LIMIT = 1 << 20  # hard ceiling on field order: 24 MB of tables
+# hard ceiling on field order: 24 MB of tables, and 20 MB more for the
+# p = 2 product tables of GF(2^20) (kernels._xor_tables)
+SIZE_LIMIT = 1 << 20
 _TABLE_CHUNK = 1 << 10  # powers per block of the table build (its scratch)
 
 
@@ -157,7 +159,8 @@ class FieldContext:
     integer element codes, so a context is safe to share across threads.
     Obtain instances through :func:`build_field`; tests build other
     representations here directly.  The modulus must be monic of degree
-    m, and a reducible one fails the table build.
+    m and irreducible: otherwise ValueError, raised by the table build
+    for a reducible one.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -223,7 +226,9 @@ class FieldContext:
             log[codes] = np.arange(s, s + h)
             shift = shift @ step % p
         if log[1:].min() < 0:
-            raise RuntimeError("generator does not have full order")
+            # a reducible f has zero divisors, which no power of g reaches
+            raise ValueError(f"modulus {self.modulus} is reducible over "
+                             f"GF({p})")
         exp[n:] = exp[:n]
         exp.setflags(write=False)
         log.setflags(write=False)

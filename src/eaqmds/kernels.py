@@ -18,9 +18,13 @@ integer of at most inner * m * (p-1)^2, so the float64 product is exact
 while that stays below 2^53; this holds for any inner dimension below
 2^13 in every field the package builds (order <= 2^20), and matmul
 raises ValueError beyond it, as on a mismatched inner dimension.  For
-p = 2 the entry products are read off the log tables and XOR-summed,
-over chunks of the inner axis so that the product tensor is never held
-whole.
+p = 2 the entry products are read off log tables and XOR-summed, with no
+masks: zero gets the sentinel log S = 2(Q - 1), above every sum of two
+nonzero logs, and the exp table, in the narrowest unsigned dtype, reads
+0 from index S on.  A chunk of the inner axis is then one addition of
+int32 logs, one np.take and one XOR reduction over the contiguous last
+axis of a (rows, cols, chunk) tensor; the chunks keep the tensor from
+being held whole.  At the 2^20 ceiling the two tables take 20 MB.
 
 Elimination negates by shifting logs by log(-1) and adds digit-wise.
 rank and eliminate share one forward pass, which clears below each
@@ -118,18 +122,35 @@ def _plane_product(A, B, ctx):
     return codes.astype(np.int64).reshape(rows, cols)
 
 
+@lru_cache(maxsize=None)
+def _xor_tables(ctx):
+    """exp and log tables of the p = 2 product.  Zero gets the log
+    S = 2(Q - 1), above every sum of two logs of nonzero elements (at
+    most 2(Q - 2)), so a sum is >= S iff a factor is zero.  exp, in the
+    narrowest unsigned dtype, is g^i below S and zero from S to 2S; log
+    is int32."""
+    top = ctx.order - 1
+    exp = np.zeros(4 * top + 1, dtype=_narrow(top))
+    exp[:2 * top] = ctx.exp
+    log = ctx.log.astype(np.int32)
+    log[0] = 2 * top
+    exp.setflags(write=False)
+    log.setflags(write=False)
+    return exp, log
+
+
 def _xor_product(A, B, ctx):
-    exp, log = ctx.exp, ctx.log
+    exp, log = _xor_tables(ctx)
     rows, inner = A.shape
     cols = B.shape[1]
-    la, lb = log[A], log[B]  # log 0 = -1
-    out = np.zeros((rows, cols), dtype=np.int64)
+    la = np.take(log, A)[:, None]  # (rows, 1, inner)
+    lb = np.take(log, B.T)[None]  # (1, cols, inner), contiguous rows
+    out = np.zeros((rows, cols), dtype=exp.dtype)
     step = max(1, _XOR_CHUNK // max(1, rows * cols))
     for lo in range(0, inner, step):
-        x, y = la[:, lo:lo + step, None], lb[None, lo:lo + step]
-        prod = np.where((x >= 0) & (y >= 0), exp[np.maximum(x + y, 0)], 0)
-        out ^= np.bitwise_xor.reduce(prod, axis=1)
-    return out
+        logs = la[..., lo:lo + step] + lb[..., lo:lo + step]
+        out ^= np.bitwise_xor.reduce(np.take(exp, logs), axis=2)
+    return out.astype(np.int64)
 
 
 def matmul(A: np.ndarray, B: np.ndarray, ctx) -> np.ndarray:

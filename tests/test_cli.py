@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eaqmds import cli, eaqecc, kernels
 from eaqmds.cli import main, parse_q, table_rows
@@ -118,6 +120,45 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot write "
                                                    f"{path}: ")
+    assert list(tmp_path.iterdir()) == []  # no file created or left
+
+
+def test_unwritable_output_fails_before_the_work(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_family",
+                        lambda *a, **kw: calls.append(a) or [])
+    code, out, err = run_cli(capsys, "enumerate", "--q", "2..32", "--t", "3",
+                             "--output", "/nonexistent/x.json")
+    assert code == 2 and out == "" and calls == []
+    assert err.startswith("error: cannot write /nonexistent/x.json: ")
+    assert not os.path.exists("/nonexistent/x.json")
+
+
+# what the CLI prints: dicts with str keys, lists, str, int, bool, None;
+# the text includes non-ASCII, control and escape-needing characters
+_JSON_LEAVES = (st.none() | st.booleans() | st.text()
+                | st.integers(-2**80, 2**80)
+                | st.lists(st.integers(-10**30, 10**30) | st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner)
+                    | st.dictionaries(st.text(), inner), max_leaves=30))
+@example({})
+@example([])
+@example({"": [], "a\u00e9\n\"\\\x00\u2028\ud800": {}, "b": [[], {}]})
+@example({"ints": [1, -2, 10**40], "bools": [True, 1, False], "none": None})
+@example([[1, 2], [True], [[]], "x", 0])
+def test_json_writer_matches_json_dumps_indent_2(value):
+    assert cli.to_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": 0.5}, [1, 2.0], [[1.0]], {1: 2}, {"a": {None: 1}},
+    {"a": [{True: 1}]}, (1, 2), {"a": {1, 2}}])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli.to_json(value)
 
 
 def test_verify_cli(capsys):

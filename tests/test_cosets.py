@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from eaqmds.cosets import (
@@ -45,10 +48,28 @@ def test_cyclotomic_coset_examples():
             frozenset({(2 * j - 1) % 24})
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once `seconds` have passed, so that
+    a loop that never ends fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("i, modulus, qsq", [(1, 4, 4), (2, 6, 9)])
 def test_cyclotomic_coset_needs_q_squared_coprime_to_modulus(i, modulus, qsq):
-    # the orbit of 1 modulo 4 under x4 is 1 -> 0 -> 0 ...: it never returns
-    with pytest.raises(ValueError, match="not positive and coprime"):
+    # the orbit of 1 modulo 4 under x4 is 1 -> 0 -> 0 ...: it never
+    # returns, so without the coprimality check the call never ends
+    with deadline(5), pytest.raises(ValueError,
+                                    match="not positive and coprime"):
         cyclotomic_coset(i, modulus, qsq)
 
 

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -52,9 +53,11 @@ def test_modulus_validation():
         FieldContext(2, 4, (1, 1, 1))  # wrong degree
     with pytest.raises(ValueError, match="not monic of degree 2"):
         FieldContext(2, 2, (1, 1, 0))  # not monic
-    # a reducible modulus leaves no element of full order
+    # a reducible modulus (x^4 + 1 = (x + 1)^4, x^2 + 2 = (x + 1)(x + 2))
+    # is bad input, named in the error
     for p, m, modulus in [(2, 4, (1, 0, 0, 0, 1)), (3, 2, (2, 0, 1))]:
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"modulus {modulus} is reducible over GF({p})")):
             FieldContext(p, m, modulus)
     alt = FieldContext(5, 2, (3, 0, 1))
     assert alt.modulus == (3, 0, 1) and alt is not build_field(5, 2)

@@ -125,6 +125,24 @@ def test_matmul_exactness_bound():
         kernels.matmul(A, A.T, ctx)
 
 
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_xor_product_over_gf2m(m):
+    # the p = 2 product, with zero entries, a zero row and a zero column,
+    # over an inner axis of 7 chunks; a zero sentinel log that a sum of
+    # two nonzero logs can reach (such as Q - 1) reads a wrong product
+    ctx = build_field(2, m)
+    rng = np.random.default_rng(m)
+    A = rng.integers(0, ctx.order, (5, 20)) * rng.integers(0, 2, (5, 20))
+    B = rng.integers(0, ctx.order, (20, 4)) * rng.integers(0, 2, (20, 4))
+    A[2], B[:, 1] = 0, 0
+    A[0], B[:, 0] = ctx.order - 1, rng.integers(1, ctx.order, 20)
+    with mock.patch.object(kernels, "_XOR_CHUNK", 5 * 4 * 3):
+        C = kernels.matmul(A, B, ctx)
+    assert C.dtype == np.int64 and C.flags.writeable
+    assert np.array_equal(C, ref_matmul(A, B, ctx))
+    assert not C[2].any() and not C[:, 1].any()
+
+
 @st.composite
 def elimination_cases(draw):
     """A random matrix with forced dependent rows (copies and multiples
