@@ -244,7 +244,7 @@ def family_codes(family: str, q: int, params: list[dict],
     for part in parts:
         code, rows = subcode(top, part)
         code.family = family
-        yield code, gram[np.ix_(rows, rows)]
+        yield code, gram[rows[:, None], rows]
 
 
 def enumerate_family(family: str, q: int, t: int | None = None,

@@ -41,7 +41,10 @@ first rows of G, built by field additions, and a second one the
 combinations of the rows above them.  A codeword h - s, with s from the
 first table, has weight n minus the number of coordinates where s and h
 agree, so each codeword costs one integer comparison per coordinate and
-no field product.
+no field product.  The comparisons visit the same codewords wherever G
+is split, but each table row costs a digit-wise field addition, so the
+split balances the two tables: about half of the rows go to each,
+within the low table's cap of _SPAN_ROWS rows.
 
 The minor oracle uses the systematic form: a full-rank k x n matrix with
 echelon form [I | A], up to column order, has every k x k minor
@@ -225,7 +228,7 @@ def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-# Rows of the low span table, and codewords per comparison: 2^14
+# Most rows of the low span table, and codewords per comparison: 2^14
 _SPAN_ROWS = 1 << 14
 
 
@@ -266,20 +269,23 @@ def min_weight(G: np.ndarray, ctx) -> int:
 
     Projective enumeration: scaling a message by a nonzero field element
     keeps the codeword's weight, so only messages whose highest nonzero
-    digit is 1 are visited.  Messages split at L, the largest L <= k
-    with Q**L <= _SPAN_ROWS: the low table spans rows 0..L-1, and for
-    leading position j each high part h = G_j + sum_{L<=i<j} m_i G_i
-    meets the low span S = low[:Q**min(j, L)].  S is closed under
-    negation, so the codewords s + h are the h - s, and the weight of
-    h - s is n minus the count of s_c = h_c: one integer comparison per
-    coordinate.  The h come from one span table of G_L..G_{k-2}
-    (Q**(k-1-L) < Q**k / _SPAN_ROWS rows), prefix-sliced per j like the
-    low table.  Codewords with n zeros (G rank-deficient) are skipped;
-    n + 1 means every codeword is zero."""
+    digit is 1 are visited.  Messages split at L = k // 2, or at the
+    largest L with Q**L <= _SPAN_ROWS if that is smaller: the low table
+    spans rows 0..L-1, and for leading position j each high part
+    h = G_j + sum_{L<=i<j} m_i G_i meets the low span S =
+    low[:Q**min(j, L)].  S is closed under negation, so the codewords
+    s + h are the h - s, and the weight of h - s is n minus the count of
+    s_c = h_c: one integer comparison per coordinate.  The h come from
+    one span table of G_L..G_{k-2}, prefix-sliced per j like the low
+    table.  Its Q**(k-1-L) rows are at most the low table's Q**L unless
+    _SPAN_ROWS caps L.  That split minimises Q**L + Q**(k-1-L), the rows
+    built by field additions, and the codewords compared are the same
+    (Q**k - 1) / (Q - 1) at any L.  Codewords with n zeros (G
+    rank-deficient) are skipped; n + 1 means every codeword is zero."""
     k, n = G.shape
     Q = ctx.order
     levels = 0
-    while levels < k and Q ** (levels + 1) <= _SPAN_ROWS:
+    while levels < k // 2 and Q ** (levels + 1) <= _SPAN_ROWS:
         levels += 1
     dtype = _narrow(Q - 1)
     low = np.ascontiguousarray(_span(G[:levels], ctx).T, dtype=dtype)
@@ -299,10 +305,9 @@ def min_weight(G: np.ndarray, ctx) -> int:
 
 def _has_proportional_rows(L, top):
     """True iff two rows of the log matrix L differ by a constant mod top:
-    rows shifted to start at log 0 are sorted and neighbours compared."""
+    two rows shifted to start at log 0 are equal."""
     N = (L - L[:, :1]) % top
-    N = N[np.lexsort(N.T)]
-    return bool((N[1:] == N[:-1]).all(axis=1).any())
+    return len({row.tobytes() for row in N}) < len(N)
 
 
 def cauchy_certificate(M: np.ndarray, ctx) -> bool | None:

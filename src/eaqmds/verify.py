@@ -242,7 +242,7 @@ def _consta_intersection(q, t, d1, d2, code: ClassicalCode,
     inter = z1 & frozenset((-q * z) % modulus for z in z2)
     cross_rank = None
     if split_ok:
-        cross = gram[np.ix_(parity_rows(q, Z, z1), parity_rows(q, Z, z2))]
+        cross = gram[parity_rows(q, Z, z1)[:, None], parity_rows(q, Z, z2)]
         cross_rank = kernels.rank(cross, ctx)
     return {
         "split_ok": split_ok,

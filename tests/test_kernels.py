@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eaqmds import kernels
+from eaqmds.codes import generator_matrix
 from eaqmds.eaqecc import build_classical
 from eaqmds.galois import FieldContext, build_field
 from reference import (
@@ -428,13 +429,15 @@ def test_projective_min_weight_matches_reference(case):
 
 @st.composite
 def split_cases(draw):
-    """A random k x n generator matrix, k <= 5 and Q**k <= 4000, with
+    """A random k x n generator matrix, k <= 8 and Q**k <= 4000, with
     forced repeated (scaled) rows and zero rows, so rank-deficient G and
-    zero codewords are common."""
+    zero codewords are common.  Over GF(2) and GF(3), k reaches 7 or 8,
+    so the default split has a high table of several rows at odd and at
+    even k."""
     p, m = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
                                  (3, 2), (5, 1), (5, 2)]))
     ctx = build_field(p, m)
-    k_max = max(k for k in range(1, 6) if ctx.order ** k <= 4000)
+    k_max = max(k for k in range(1, 9) if ctx.order ** k <= 4000)
     k = draw(st.integers(1, k_max))
     n = draw(st.integers(1, 7))
     cells = st.integers(0, ctx.order - 1)
@@ -484,6 +487,45 @@ def test_min_weight_visits_each_projective_message_once(limit):
             mock.patch.object(kernels, "_zero_counts", spy):
         assert kernels.min_weight(SHORT_SLICE, ctx) == 1
     assert sum(counted) == (3**3 - 1) // 2
+
+
+@pytest.mark.parametrize("family, q, d", [("ii", 3, 4), ("i", 3, 4)])
+def test_min_weight_balances_span_tables(family, q, d):
+    # k = 6 and k = 7 over GF(9): the low table spans k // 2 rows and the
+    # high one the other k - 1 - k // 2 below the last row, so neither is
+    # the larger by more than a factor Q, though 9**4 low rows would also
+    # fit under _SPAN_ROWS
+    code = build_classical(family, q, d)
+    G, ctx = generator_matrix(code), code.field
+    k, Q = G.shape[0], ctx.order
+    sizes = []
+
+    def spy(rows, ctx):
+        S = span(rows, ctx)
+        sizes.append(len(S))
+        return S
+
+    span = kernels._span
+    with mock.patch.object(kernels, "_span", spy):
+        assert kernels.min_weight(G, ctx) == d
+    assert k in (6, 7)
+    assert sizes == [Q ** (k // 2), Q ** (k - 1 - k // 2)]
+    assert max(sizes) <= kernels._SPAN_ROWS
+
+
+@pytest.mark.parametrize("pair", ["row", "column", None])
+def test_has_proportional_rows(pair):
+    # a Cauchy matrix on distinct points has no two proportional rows or
+    # columns; a copy of row (column) 0 scaled by 5, not 1, makes a pair
+    A = _cauchy(GF9, [-1, 0, 1, 2], [3, 4, 5, 6, 7], [1, 2, 3, 4],
+                [5, 6, 7, 8, 1])
+    if pair == "row":
+        A[3] = [GF9.mul(5, int(a)) for a in A[0]]
+    elif pair == "column":
+        A[:, 4] = [GF9.mul(5, int(a)) for a in A[:, 0]]
+    L, top = GF9.log[A], GF9.order - 1
+    assert kernels._has_proportional_rows(L, top) == (pair == "row")
+    assert kernels._has_proportional_rows(L.T, top) == (pair == "column")
 
 
 def test_pow_entries(gf16):
