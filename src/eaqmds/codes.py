@@ -22,11 +22,17 @@ of GF(q^2):
 lambda = eta^n is a primitive r-th root of unity (1 for the cyclic
 families, -1 for the negacyclic family iv).
 
+rank(H) = |Z| is proved from H's leading square block with no
+elimination: power rows make it Vandermonde (_vandermonde), and trace
+rows T times a Vandermonde matrix over the extension, which
+_lucas_vandermonde reads off the trace entries alone.
+
 Row z of H depends only on z, so the code of a defining set Z' inside Z
 has as parity check the rows of Z' in the H of Z, and the extended RS
-code with r rows the first r rows of one with more.  parity_rows owns
-that row map and subcode reads a nested code off it; the independent
-rows of the larger H prove those of every subset.
+code with r rows the first r rows of one with more.  _row_map holds
+that row map, once per defining set, parity_rows reads it and subcode
+reads a nested code off it; the independent rows of the larger H prove
+those of every subset.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -117,25 +124,38 @@ def _traced(q: int, Z: DefiningSet) -> bool:
     return (q * q - 1) % Z.modulus != 0
 
 
+@lru_cache  # bounded: a sweep visits thousands of defining sets
+def _row_map(q: int, Z: DefiningSet) -> dict[int, tuple[int, ...]]:
+    """Each z in Z mapped to the positions of its rows in
+    constacyclic_code(q, Z).H: power rows are Z.sorted(), one row each;
+    trace rows, as _trace_rows lays them out, are z = 0, then each pair
+    {z, n-z} with 0 < 2z < n as two rows, held by z (n-z holds none),
+    then z = n/2."""
+    n, zs = Z.n, Z.elements
+    if not _traced(q, Z):
+        return {z: (i,) for i, z in enumerate(Z.sorted())}
+    out = dict.fromkeys(zs, ())
+    row = 0
+    if 0 in zs:
+        out[0], row = (0,), 1
+    for z in sorted(z for z in zs if 0 < 2 * z < n):
+        out[z], row = (row, row + 1), row + 2
+    if n % 2 == 0 and n // 2 in zs:
+        out[n // 2] = (row,)
+    return out
+
+
 def parity_rows(q: int, Z: DefiningSet, sub) -> np.ndarray:
     """Positions, ascending, of the rows of constacyclic_code(q, Z).H that
-    belong to the exponents in sub, a subset of Z.  Power rows are
-    Z.sorted().  Trace rows, as _trace_rows lays them out, are z = 0, then
-    each pair {z, n-z} with 0 < 2z < n as two rows, then z = n/2; sub must
-    then be closed under z -> -z."""
-    n, zs = Z.n, Z.elements
-    if not zs >= set(sub):
+    belong to the exponents in sub, a subset of Z, read off _row_map; for
+    trace rows sub must be closed under z -> -z."""
+    n = Z.n
+    if not Z.elements.issuperset(sub):
         raise ValueError("exponents outside the defining set")
-    if not _traced(q, Z):
-        return np.array([i for i, z in enumerate(Z.sorted()) if z in sub],
-                        dtype=np.intp)
-    if any((n - z) % n not in sub for z in sub):
+    if _traced(q, Z) and any((n - z) % n not in sub for z in sub):
         raise ValueError("trace rows need exponents closed under z -> -z")
-    pairs = sorted(z for z in zs if 0 < 2 * z < n)
-    row_z = ([0] if 0 in zs else []) + [z for z in pairs for _ in range(2)]
-    if n % 2 == 0 and n // 2 in zs:
-        row_z.append(n // 2)
-    return np.array([i for i, z in enumerate(row_z) if z in sub],
+    rows = _row_map(q, Z)
+    return np.array(sorted(chain.from_iterable(map(rows.__getitem__, sub))),
                     dtype=np.intp)
 
 
@@ -158,15 +178,51 @@ def _vandermonde(B: np.ndarray, f: FieldContext) -> bool:
     return len(set(B[:, 1].tolist())) == rows
 
 
+def _lucas_vandermonde(B: np.ndarray, f: FieldContext) -> bool:
+    """True if the square block B is proved nonsingular as trace rows
+    T V: an optional all-ones row, then row pairs (a, b), then, if the
+    rows left are odd, the row ((-1)^j).  Each pair needs a_0 = 2, b_j =
+    a_{j+1}, and a_0, ..., a_{r-1}, b_{r-1} to obey a_{j+1} = s a_j -
+    a_{j-1} with s = a_1.  Then a_j = x^j + x^-j for a root x of X^2 - s
+    X + 1, and (a, b) is [[1, 1], [x, 1/x]] times the rows (x^j), (x^-j).
+    The points 1, x_i^+-1 and -1 are pairwise distinct iff the s_i are,
+    no s_i is +-2 (x_i = x_i^-1 = +-1) and p is odd when both 1 and -1
+    occur; then det T = prod (1/x_i - x_i) and the Vandermonde det V are
+    nonzero.  Only GF(q^2) entries are read: x may lie in GF(q^4)."""
+    ones = bool((B[0] == 1).all())
+    P = B[int(ones):]
+    if len(P) % 2:
+        alternating = np.where(np.arange(len(B)) % 2, f.neg(1), 1)
+        if (P[-1] != alternating).any() or (ones and f.p == 2):
+            return False
+        P = P[:-1]
+    if not len(P):
+        return True
+    a, b = P[0::2], P[1::2]
+    two = f.add(1, 1)
+    s = a[:, 1]
+    # fewer s left once +-2 is removed: a repeat, or x = 1/x = +-1
+    if (a[:, 0] != two).any() or (b[:, :-1] != a[:, 1:]).any() or len(
+            set(s.tolist()) - {two, f.neg(two)}) < len(s):
+        return False
+    seq = np.concatenate([a, b[:, -1:]], axis=1)
+    ls, lv = f.log[s][:, None], f.log[seq[:, 1:-1]]
+    s_v = np.where((ls >= 0) & (lv >= 0),
+                   f.exp[np.maximum(ls, 0) + np.maximum(lv, 0)], 0)
+    return bool((f.add(seq[:, 2:], seq[:, :-2]) == s_v).all())
+
+
 def _independent_rows(H: np.ndarray, f: FieldContext) -> bool:
     """True iff the leading square block B of H is nonsingular, which
     proves rank(H) = rows(H), as it does for every accepted defining set.
     Power rows make B Vandermonde in the distinct points eta^z, which
-    _vandermonde checks with no elimination; trace rows make it T V, T
-    invertible and V Vandermonde in the points beta^z, and B is eliminated."""
+    _vandermonde checks; trace rows make it T V, T invertible and V
+    Vandermonde in the points beta^z, which _lucas_vandermonde checks.
+    Neither eliminates; a block that both reject is eliminated."""
     rows = H.shape[0]
     B = H[:, :rows]
-    return _vandermonde(B, f) or kernels.rank(B, f) == rows
+    return (_vandermonde(B, f) or _lucas_vandermonde(B, f)
+            or kernels.rank(B, f) == rows)
 
 
 def constacyclic_code(q: int, Z: DefiningSet) -> ClassicalCode:

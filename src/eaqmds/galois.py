@@ -180,7 +180,9 @@ class FieldContext:
 
     def _find_generator(self, C: np.ndarray) -> int:
         """Smallest element code a of full multiplicative order:
-        a(C)^((Q-1)/l) != I for every prime l | Q-1."""
+        a(C)^((Q-1)/l) != I for every prime l | Q-1.  For m > 1 the
+        search starts at code p: codes 1..p-1 are GF(p)'s nonzero
+        elements, whose order divides p - 1 < Q - 1."""
         p, target = self.p, self.order - 1
         eye = np.eye(self.m, dtype=np.int64)
 
@@ -191,7 +193,7 @@ class FieldContext:
                 ok &= ~(_mat_pow(A, target // ell, p) == eye).all(axis=(-2, -1))
             return ok
 
-        return _first(full_order, 1, self.order)
+        return _first(full_order, p if self.m > 1 else 1, self.order)
 
     def _build_tables(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """exp[i] = g^i for 0 <= i < 2(Q-1), and log[g^i] = i, log[0] = -1.

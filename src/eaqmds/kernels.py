@@ -31,9 +31,13 @@ rank and eliminate share one forward pass, which clears below each
 pivot; eliminate's back pass then scales the pivots to 1 and clears
 above them.  Digit-wise addition measured faster there than Zech-log
 addition on GF(q^2) for prime q, the fields most codes live in.  rank
-first drops M's zero rows and columns, which never change a rank, so a
-sparse matrix such as a power-row Gram block costs in proportion to its
-nonzero lines.
+eliminates nothing when M is monomial, with at most one nonzero in each
+row and each column: its nonzero entries are then a scaled partial
+permutation, and their number is the rank.  Every Gram block the
+families form is monomial (a power-row block is (n mod p) times a
+partial permutation), so an ebit count costs a few passes over the
+block.  Any other M goes to the forward pass, on its nonzero rows and
+columns only, which never change a rank.
 
 Minimum-weight search enumerates messages projectively (highest nonzero
 digit 1) from span tables.  One table holds every combination of the
@@ -198,8 +202,15 @@ def _forward(M, ctx) -> list[int]:
 
 
 def rank(M: np.ndarray, ctx) -> int:
-    # drop zero rows and columns; fancy indexing copies, so M is untouched
-    return len(_forward(M[M.any(axis=1)][:, M.any(axis=0)], ctx))
+    """rank(M), read off the support when M is monomial; else the forward
+    pass on M's nonzero rows and columns (copies, so M is untouched)."""
+    nz = M != 0
+    rows, cols = nz.any(axis=1), nz.any(axis=0)
+    count = int(np.count_nonzero(nz))
+    # count >= each line count, with equality iff no line holds two
+    if count == np.count_nonzero(rows) == np.count_nonzero(cols):
+        return count
+    return len(_forward(M[rows][:, cols], ctx))
 
 
 def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, list[int]]:

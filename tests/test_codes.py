@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eaqmds import codes, kernels
@@ -16,7 +16,7 @@ from eaqmds.codes import (
 )
 from eaqmds.cosets import DefiningSet, defining_set
 from eaqmds.eaqecc import ebit_count, gram_matrix
-from eaqmds.galois import build_field, factor_prime_power
+from eaqmds.galois import build_field, factor_prime_power, prime_factors
 from reference import (
     poly_from_roots,
     ref_order,
@@ -277,13 +277,193 @@ def test_power_rows_are_proved_with_no_elimination():
     assert _rank_shapes(spy) == []
 
 
-def test_trace_rows_take_the_rank_window():
+def test_trace_rows_are_proved_with_no_elimination():
     # family i at q = 4: Z = {0, +-1, +-2}, rows 1, tr[zj] and tr[z(j+1)]
     with _spy_rank() as spy:
         code = constacyclic_code(4, defining_set("i", 4, delta=2))
     rows = code.H.shape[0]
     assert (rows, code.k) == (5, 12)
-    assert _rank_shapes(spy) == [(rows, rows)]
+    assert codes._lucas_vandermonde(code.H[:, :rows], code.field)
+    assert _rank_shapes(spy) == []
+
+
+def _prime_power(q):
+    return len(prime_factors(q)) == 1
+
+
+def test_every_family_i_block_passes_the_trace_check():
+    """Every family i code at q <= 32, each n | q^2+1 and each delta
+    (470 codes): trace rows pass _lucas_vandermonde, and no build
+    eliminates."""
+    traced = 0
+    with _spy_rank() as spy:
+        for q in filter(_prime_power, range(2, 33)):
+            for n in range(2, q * q + 2):
+                if (q * q + 1) % n:
+                    continue
+                for delta in range(n // (q + 1) + 1):
+                    code = constacyclic_code(
+                        q, defining_set("i", q, n=n, delta=delta))
+                    if codes._traced(q, code.defining_set):
+                        rows = code.H.shape[0]
+                        assert codes._lucas_vandermonde(code.H[:, :rows],
+                                                        code.field)
+                        traced += 1
+    assert traced > 400
+    assert _rank_shapes(spy) == []
+
+
+def _tampered_build(q, Z, f, table):
+    """(lucas, built, expected, shapes): whether the leading block of the
+    trace rows of `table` passes _lucas_vandermonde, whether
+    constacyclic_code builds from that table, whether the reference
+    finds the block nonsingular, and the shapes sent to kernels.rank."""
+    rows = len(Z)
+    B = codes._trace_rows(table, Z, f)[:, :rows]
+    with mock.patch.object(codes, "_trace_table", return_value=table), \
+            _spy_rank() as spy:
+        try:
+            constacyclic_code(q, Z)
+            built = True
+        except ValueError as err:
+            assert str(err) == f"singular leading {rows} x {rows} block in H"
+            built = False
+    expected = len(ref_rref(B, f)[1]) == rows
+    return codes._lucas_vandermonde(B, f), built, expected, _rank_shapes(spy)
+
+
+@pytest.mark.parametrize("q, n, delta, tamper", [
+    (4, 17, 2, "entry"),        # tr[2] changed: the recurrence breaks
+    (4, 17, 2, "start"),        # tr[0] changed: a_0 != 2
+    (7, 50, 6, "period 5"),     # z = 5 gives s = 2; z = 1, 4 equal s
+    (7, 50, 6, "period 10"),    # z = 5 gives s = -2; z = 4, 6 equal s
+    (5, 26, 4, "period 2"),     # every s is +-2
+])
+def test_tampered_trace_table_falls_back_to_elimination(q, n, delta, tamper):
+    Z = defining_set("i", q, n=n, delta=delta)
+    f = constacyclic_code(q, Z).field
+    table = _trace_table(f, n).copy()
+    if tamper == "entry":
+        table[2] = f.add(table[2], 1)
+    elif tamper == "start":
+        table[0] = 1
+    else:
+        period = int(tamper.split()[1])
+        table = _trace_table(f, period)[np.arange(n) % period]
+    lucas, built, expected, shapes = _tampered_build(q, Z, f, table)
+    assert not lucas
+    assert built == expected
+    assert shapes == [(len(Z), len(Z))]
+
+
+def _lucas_pair(f, s, cols):
+    """Rows a_j = V_j(s) and b_j = V_{j+1}(s), j < cols, of the Lucas
+    sequence V_0 = 2, V_1 = s, V_{j+1} = s V_j - V_{j-1}."""
+    V = [f.add(1, 1), s]
+    while len(V) <= cols:
+        V.append(f.add(f.mul(s, V[-1]), f.neg(V[-2])))
+    return [V[:cols], V[1:cols + 1]]
+
+
+def _trace_block(f, ss, ones=False, alternating=False):
+    """Square block: the all-ones row, a Lucas pair for each s, the row
+    ((-1)^j), as _trace_rows lays out trace rows."""
+    rows = 2 * len(ss) + ones + alternating
+    B = [[1] * rows] if ones else []
+    for s in ss:
+        B += _lucas_pair(f, s, rows)
+    if alternating:
+        B.append([f.neg(1) if j % 2 else 1 for j in range(rows)])
+    return np.array(B, dtype=np.int64)
+
+
+def _singular_by_theory(f, ss, ones, alternating):
+    two = f.add(1, 1)
+    return (len(set(ss)) < len(ss) or two in ss or f.neg(two) in ss
+            or (ones and alternating and f.p == 2))
+
+
+@pytest.mark.parametrize("ss, ones, alternating", [
+    (["2"], False, False),           # s = 2: both rows (2, 2, 2, ...)
+    (["2", 7], True, False),         # s = 2 beside the all-ones row
+    (["-2"], False, True),           # s = -2: rows 2 (-1)^j, -2 (-1)^j
+    ([7, 7], False, False),          # two equal s
+    ([3, 7, 3], True, True),         # two equal s among three
+])
+def test_degenerate_trace_pairs_fall_back_to_elimination(ss, ones, alternating):
+    f = build_field(5, 2)
+    two = f.add(1, 1)
+    ss = [{"2": two, "-2": f.neg(two)}.get(s, s) for s in ss]
+    B = _trace_block(f, ss, ones, alternating)
+    assert _singular_by_theory(f, ss, ones, alternating)
+    assert not codes._lucas_vandermonde(B, f)
+    with _spy_rank() as spy:
+        independent = codes._independent_rows(B, f)
+    assert not independent and len(ref_rref(B, f)[1]) < len(B)
+    assert _rank_shapes(spy) == [B.shape]
+
+
+def _geometric_pair(f, x, cols):
+    """Rows c x^j and c x^(j+1) with c = 1 + x^-2: they obey a_{j+1} =
+    s a_j - a_{j-1} for s = a_1 = x + 1/x and b_j = a_{j+1}, but a_0 = c
+    is not 2, and the rows are proportional."""
+    c = f.add(1, f.pow(x, -2))
+    return [[f.mul(c, f.pow(x, j)) for j in range(cols)],
+            [f.mul(c, f.pow(x, j + 1)) for j in range(cols)]]
+
+
+def _scaled_pair(f, s, cols):
+    """The Lucas row a of s, and for b the multiple of a that agrees with
+    a_cols in its last entry: the recurrence and a_0 = 2 hold, b is not a
+    shifted by one, and the rows are proportional."""
+    a, b = _lucas_pair(f, s, cols)
+    c = f.mul(b[-1], f.pow(a[-1], -1))
+    return [a, [f.mul(c, v) for v in a]]
+
+
+@pytest.mark.parametrize("pair", [_geometric_pair, _scaled_pair],
+                         ids=["a_0 not 2", "b not a shifted"])
+def test_pairs_must_be_lucas_shifts(pair):
+    f = build_field(5, 2)
+    B = np.array([[1] * 3] + pair(f, int(f.exp[1]), 3), dtype=np.int64)
+    assert len(ref_rref(B, f)[1]) < 3
+    assert not codes._lucas_vandermonde(B, f)
+    with _spy_rank() as spy:
+        assert not codes._independent_rows(B, f)
+    assert _rank_shapes(spy) == [B.shape]
+
+
+@st.composite
+def trace_block_cases(draw):
+    """(field, B, valid): B laid out as trace rows from Lucas pairs of
+    arbitrary s, repeats and +-2 included, then perhaps one entry
+    altered; valid when no entry was altered and the points 1, x^+-1
+    and -1 are pairwise distinct by theory."""
+    f = build_field(*draw(st.sampled_from(VANDERMONDE_FIELDS)))
+    ss = draw(st.lists(st.integers(0, f.order - 1), min_size=0, max_size=4))
+    ones, alternating = draw(st.booleans()), draw(st.booleans())
+    assume(ss or ones or alternating)
+    B = _trace_block(f, ss, ones, alternating)
+    altered = draw(st.booleans())
+    if altered:
+        i, j = draw(st.integers(0, len(B) - 1)), draw(st.integers(0, len(B) - 1))
+        B[i, j] = draw(st.sampled_from(
+            [v for v in range(f.order) if v != B[i, j]]))
+    valid = not altered and not _singular_by_theory(f, ss, ones, alternating)
+    return f, B, valid
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_block_cases())
+def test_trace_block_check_is_sound(case):
+    """A passing block is nonsingular by the reference, and every block
+    laid out from distinct s other than +-2 passes."""
+    f, B, valid = case
+    lucas = codes._lucas_vandermonde(B, f)
+    if lucas:
+        assert len(ref_rref(B, f)[1]) == len(B)
+    if valid:
+        assert lucas
 
 
 SINGULAR_BLOCK = r"^singular leading 2 x 2 block in H$"
@@ -384,20 +564,40 @@ def test_vandermonde_certificate_needs_nonzero_entries():
     assert not codes._vandermonde(np.zeros((1, 1), dtype=np.int64), f)
 
 
-def test_consta_sweep_work_is_proportional_to_rank():
-    """A deterministic work count in place of a timing test: the cells
-    (rows x cols) that reach the forward elimination during the consta
-    sweep over q = 5..29 (171,476 when every rank proof and every Gram
-    rank eliminated full matrices)."""
-    cells = []
+def _forward_calls(argv):
+    """The matrices sent to kernels._forward while the CLI runs argv, and
+    the calls of codes._independent_rows."""
+    shapes = []
     forward = kernels._forward
 
     def spy(M, ctx):
-        cells.append(M.size)
+        shapes.append(M.shape)
         return forward(M, ctx)
 
     with mock.patch.object(kernels, "_forward", spy), mock.patch.object(
             codes, "_independent_rows", wraps=codes._independent_rows) as proofs:
-        assert main(["verify", "--lemma", "consta", "--q", "5..29"]) == 0
-    assert sum(cells) <= 10_000
-    assert proofs.call_count == 10
+        assert main(argv) == 0
+    return shapes, proofs.call_count
+
+
+def test_consta_sweep_work_is_proportional_to_rank():
+    """A deterministic work count in place of a timing test: nothing
+    reaches the forward elimination during the consta sweep over q =
+    5..29 (171,476 cells when every rank proof and every Gram rank
+    eliminated full matrices): its 10 rank proofs are Vandermonde blocks
+    and its ebit counts and cross ranks monomial Gram blocks."""
+    shapes, proofs = _forward_calls(["verify", "--lemma", "consta",
+                                     "--q", "5..29"])
+    assert shapes == []
+    assert proofs == 10
+
+
+@pytest.mark.parametrize("argv", [["verify"],
+                                  ["enumerate", "--q", "2..16", "--t", "3"]],
+                         ids=" ".join)
+def test_record_paths_eliminate_nothing(capsys, argv):
+    # family i's trace rows included: every rank proof and every ebit
+    # count is read off the matrix's structure
+    shapes, proofs = _forward_calls(argv)
+    assert shapes == []
+    assert proofs > 0

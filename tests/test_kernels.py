@@ -215,6 +215,50 @@ def test_rank_with_zero_lines_matches_reference(case):
     assert kernels.rank(M, ctx) == len(ref_rref(M, ctx)[1])
 
 
+@st.composite
+def monomial_cases(draw):
+    """(field, M, extra): a scaled partial permutation of k entries at
+    shuffled rows and columns, zero lines around it; with extra "row" or
+    "column", one more nonzero in a line that holds an entry, which keeps
+    the rank at k."""
+    ctx = _field(*draw(st.sampled_from(PROPERTY_FIELDS)))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, min(rows, cols)))
+    M = np.zeros((rows, cols), dtype=np.int64)
+    where = rng.permutation(rows)[:k], rng.permutation(cols)[:k]
+    M[where] = rng.integers(1, ctx.order, k)
+    extra = draw(st.sampled_from(["none", "row", "column"]))
+    if extra != "none":
+        assume(k >= 1 and min(rows, cols) >= 2)
+        i, j = where[0][0], where[1][0]
+        if extra == "row":
+            j = draw(st.sampled_from([c for c in range(cols) if c != j]))
+        else:
+            i = draw(st.sampled_from([r for r in range(rows) if r != i]))
+        M[i, j] = rng.integers(1, ctx.order)
+    return ctx, M, extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_cases())
+@example(case=(build_field(3, 2), np.array([[1, 2]]), "row"))
+@example(case=(build_field(3, 2), np.array([[1], [2]]), "column"))
+@example(case=(build_field(3, 2), np.array([[1, 0], [4, 5]]), "row"))
+def test_monomial_rank_is_its_support(case):
+    """A monomial matrix's rank is its number of nonzeros, with no
+    elimination; one extra nonzero goes to the forward pass."""
+    ctx, M, extra = case
+    M.setflags(write=False)
+    with mock.patch.object(kernels, "_forward",
+                           wraps=kernels._forward) as forward:
+        got = kernels.rank(M, ctx)
+    assert got == len(ref_rref(M, ctx)[1])
+    assert forward.call_count == (extra != "none")
+    if extra == "none":
+        assert got == np.count_nonzero(M)
+
+
 def test_min_weight_matches_bruteforce():
     ctx = build_field(3, 2)
     rng = np.random.default_rng(3)
