@@ -83,17 +83,17 @@ def parse_q(spec: str) -> list[int]:
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo_s, hi_s = part.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise ValueError(f"empty range {part!r}")
-            out.extend(q for q in range(lo, hi + 1) if _is_prime_power(q))
-        else:
-            q = int(part)
-            if not _is_prime_power(q):
-                raise ValueError(f"q={q} is not a prime power")
-            out.append(q)
+        bounds = part.split("..", 1)
+        try:
+            lo, hi = int(bounds[0]), int(bounds[-1])
+        except ValueError:
+            raise ValueError(f"bad --q part {part!r}: give a prime power, a "
+                             "comma list of them or a range a..b") from None
+        if len(bounds) == 1 and not _is_prime_power(lo):
+            raise ValueError(f"q={lo} is not a prime power")
+        if lo > hi:
+            raise ValueError(f"empty range {part!r}")
+        out.extend(q for q in range(lo, hi + 1) if _is_prime_power(q))
     if not out:
         raise ValueError(f"no admissible q in {spec!r}")
     return sorted(set(out))
@@ -261,8 +261,7 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
     if args.d is not None:
         params = [p for p in params if p.d == args.d]
         if not params:
-            print(f"error: d={args.d} not admissible here", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"d={args.d} not admissible here")
     params.sort(key=lambda p: (FAMILIES.index(p.family), p.q, p.t or 0, p.d))
     records = [p.to_record() for p in params]
     _emit(_FORMATTERS[args.fmt](records), args.output)
@@ -301,9 +300,8 @@ def cmd_distance(args: SimpleNamespace) -> int:
     deltas = {name: getattr(args, name) for name in ("delta", "delta1", "delta2")
               if getattr(args, name) is not None}
     if len(args.q_values) != 1 or (args.d is None and not deltas):
-        print("error: distance needs --family, a single --q and --d "
-              "(or explicit --delta/--delta1/--delta2)", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("distance needs --family, a single --q and --d "
+                         "(or explicit --delta/--delta1/--delta2)")
     if args.family == "v" and args.t is None:
         raise ValueError("family v needs --t")
     q = args.q_values[0]

@@ -1,37 +1,23 @@
-"""q^2-cyclotomic cosets and constacyclic defining sets.
+"""Constacyclic defining sets of the families, in closed form.
 
 A defining set Z lives modulo rn and is restricted to
-Omega = {1 + ri : 0 <= i < n} (all residues when r = 1).  Negative
-index notation from the construction recipes is normalized to
-canonical residues at build time.  parameter_ranges owns each family's
-length and the admissible range of its construction parameters: the
-defining-set parameters of the constacyclic families i and iii-v, and
-the number r of parity rows of family ii's extended Reed-Solomon code.
-The family metadata of eaqecc, the lemma sweeps and defining_set itself
-all read them from there, and check_parameters rejects a parameter
-missing from them, outside its range or not taken by the family.
-VARIABLE_LENGTH names the families whose length n is a parameter.
+Omega = {1 + ri : 0 <= i < n} (all residues when r = 1).  Every modulus
+rn the families use divides q^2 - 1 or, for family i, q^2 + 1, so q^2
+is +-1 modulo it and each q^2-cyclotomic coset is {z} or {z, -z}: every
+family's Z is one run of consecutive Omega indices, reduced modulo rn
+at build time.  parameter_ranges owns each family's length and the
+admissible range of its construction parameters: the defining-set
+parameters of the constacyclic families i and iii-v, and the number r
+of parity rows of family ii's extended Reed-Solomon code.  The family
+metadata of eaqecc, the lemma sweeps and defining_set itself all read
+them from there, and check_parameters rejects a parameter missing from
+them, outside its range or not taken by the family.  VARIABLE_LENGTH
+names the families whose length n is a parameter.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-
-def cyclotomic_coset(i: int, modulus: int, qsq: int) -> frozenset[int]:
-    """Orbit of i under multiplication by q^2 modulo `modulus`, which
-    must be coprime to q^2: otherwise the orbit need not return to i."""
-    if modulus < 1 or math.gcd(qsq, modulus) != 1:
-        raise ValueError(f"modulus {modulus} is not positive and coprime "
-                         f"to q^2={qsq}")
-    i %= modulus
-    orbit = {i}
-    x = (i * qsq) % modulus
-    while x != i:
-        orbit.add(x)
-        x = (x * qsq) % modulus
-    return frozenset(orbit)
 
 
 @dataclass(frozen=True)
@@ -70,13 +56,6 @@ class DefiningSet:
 
 # the only families that take a length n; the others have a fixed length
 VARIABLE_LENGTH = ("i", "iii")
-
-
-def _coset_union(indices, modulus: int, qsq: int) -> frozenset[int]:
-    out: set[int] = set()
-    for i in indices:
-        out |= cyclotomic_coset(i, modulus, qsq)
-    return frozenset(out)
 
 
 def parameter_ranges(family: str, q: int, n: int | None = None,
@@ -133,6 +112,9 @@ def check_parameters(family: str, q: int, n: int | None = None,
     for name, span in ranges.items():
         if given.get(name) is None:
             raise ValueError(f"family {family} needs {' and '.join(ranges)}")
+        if not span:
+            raise ValueError(f"family {family} admits no {name} at q={q}, "
+                             f"n={n}")
         if given[name] not in span:
             raise ValueError(f"{name}={given[name]} outside "
                              f"[{span.start}, {span.stop - 1}]")
@@ -143,20 +125,30 @@ def check_parameters(family: str, q: int, n: int | None = None,
     return n
 
 
+def _omega_run(n: int, r: int, lo: int, hi: int) -> DefiningSet:
+    """Z of the Omega indices lo..hi, taken modulo n: z = i when r = 1,
+    z = 1 + r*i otherwise."""
+    base = 0 if r == 1 else 1
+    return DefiningSet(r * n, r, frozenset(base + r * (i % n)
+                                           for i in range(lo, hi + 1)))
+
+
 def defining_set(family: str, q: int, *, n: int | None = None,
                  t: int | None = None, odd: bool = False,
                  **params: int | None) -> DefiningSet:
     """Defining set of one family instance, with parameters (delta, or
     delta1 and delta2) inside parameter_ranges; check_parameters rejects
-    any other name.
+    any other name.  q^2 is +-1 modulo each family's modulus, so the
+    cyclotomic cosets are {z} or {z, -z} and each Z is one run of Omega
+    indices i:
 
-    family "i"  : cyclic, Z = C_0 u ... u C_delta
-    family "iii": cyclic, Z = C_{-delta} u ... u C_delta, or the
-                  asymmetric C_{-delta} u ... u C_{delta-1} when odd=True
-    family "iv" : negacyclic, Z = C_{-2*delta1-1..2*delta2-1} over odd
-                  residues
-    family "v"  : constacyclic order t, consecutive singleton cosets around
-                  the anchor exponent (t-1)(q-1)/2
+    family "i"  : cyclic, i in [-delta, delta] (mod n)
+    family "iii": cyclic, i in [-delta, delta], or the asymmetric
+                  [-delta, delta-1] when odd=True (mod n)
+    family "iv" : negacyclic, z = 2j-1 for j in [-delta1, delta2], so
+                  i in [-delta1-1, delta2-1] (mod 2n)
+    family "v"  : constacyclic order t, i in [e0-delta1, e0+delta2]
+                  around the anchor 1 + t*e0 = (t-1)(q-1)/2 (mod tn)
     """
     if family == "ii":
         raise ValueError("family ii (extended RS) is not constacyclic and "
@@ -164,21 +156,15 @@ def defining_set(family: str, q: int, *, n: int | None = None,
     n = check_parameters(family, q, n, t, odd, **params)
     delta, delta1, delta2 = (params.get(name)
                              for name in ("delta", "delta1", "delta2"))
-    qsq = q * q
     if family == "i":
-        return DefiningSet(n, 1, _coset_union(range(delta + 1), n, qsq))
+        return _omega_run(n, 1, -delta, delta)
     if family == "iii":
-        hi = delta - 1 if odd else delta
-        return DefiningSet(n, 1, _coset_union(range(-delta, hi + 1), n, qsq))
+        return _omega_run(n, 1, -delta, delta - 1 if odd else delta)
     if family == "iv":
-        elems = _coset_union((2 * j - 1 for j in range(-delta1, delta2 + 1)),
-                             2 * n, qsq)
-        return DefiningSet(2 * n, 2, elems)
-    # anchor 1 + t*e0 = (t-1)(q-1)/2; t | q+1 makes e0 an integer
+        return _omega_run(n, 2, -delta1 - 1, delta2 - 1)
+    # t | q+1 makes e0 an integer
     e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
-    elems = _coset_union((1 + t * (e0 + i) for i in range(-delta1, delta2 + 1)),
-                         t * n, qsq)
-    return DefiningSet(t * n, t, elems)
+    return _omega_run(n, t, e0 - delta1, e0 + delta2)
 
 
 def bch_design_distance(Z: DefiningSet) -> int:

@@ -227,19 +227,10 @@ def family_codes(family: str, q: int, params: list[dict],
         parts = [kw["r"] for kw in params]
         top = extended_rs_code(q, max(parts))
     else:
-        # the sets wait for the union as int64 arrays: as DefiningSets
-        # they took more memory than the parity check (160 KB against
-        # 38 KB for the 81 sets of family v at q = 29)
-        union: set[int] = set()
-        members = []
-        for kw in params:
-            Z = defining_set(family, q, n=n, t=t, **kw)
-            union |= Z.elements
-            members.append(np.fromiter(Z.elements, np.int64, len(Z)))
+        parts = [defining_set(family, q, n=n, t=t, **kw) for kw in params]
+        union = frozenset().union(*(Z.elements for Z in parts))
         top = constacyclic_code(
-            q, DefiningSet(Z.modulus, Z.r, frozenset(union)))
-        parts = (DefiningSet(Z.modulus, Z.r, frozenset(m.tolist()))
-                 for m in members)
+            q, DefiningSet(parts[0].modulus, parts[0].r, union))
     gram = gram_matrix(top.H, q, top.field)
     for part in parts:
         code, rows = subcode(top, part)

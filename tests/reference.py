@@ -1,9 +1,11 @@
 """Pure-Python references in context arithmetic, one element at a time,
 for the vectorized kernels; schoolbook polynomial arithmetic modulo the
 field's modulus, for its log tables; the GF(q^4) root-evaluation route to
-family i that checks its trace rows; and the family-v cross rank from
-separately built codes."""
+family i that checks its trace rows; the family-v cross rank from
+separately built codes; and the q^2-cyclotomic coset by its orbit, the
+definition that the closed-form defining sets are checked against."""
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -12,6 +14,21 @@ from eaqmds import kernels
 from eaqmds.codes import _trace_table, constacyclic_code
 from eaqmds.cosets import DefiningSet
 from eaqmds.galois import build_field
+
+
+def cyclotomic_coset(i, modulus, qsq):
+    """Orbit of i under multiplication by q^2 modulo `modulus`, which
+    must be coprime to q^2: otherwise the orbit need not return to i."""
+    if modulus < 1 or math.gcd(qsq, modulus) != 1:
+        raise ValueError(f"modulus {modulus} is not positive and coprime "
+                         f"to q^2={qsq}")
+    i %= modulus
+    orbit = {i}
+    x = (i * qsq) % modulus
+    while x != i:
+        orbit.add(x)
+        x = (x * qsq) % modulus
+    return frozenset(orbit)
 
 
 def ref_matmul(A, B, ctx):

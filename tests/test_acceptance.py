@@ -14,7 +14,7 @@ import pytest
 from eaqmds import galois
 from eaqmds.cli import table_rows
 from eaqmds.codes import constacyclic_code
-from eaqmds.cosets import DefiningSet, cyclotomic_coset, defining_set
+from eaqmds.cosets import DefiningSet, defining_set
 from eaqmds.eaqecc import (
     FAMILIES,
     build_classical,
@@ -29,7 +29,7 @@ from eaqmds.verify import (
     is_hermitian_dual_containing,
     run_lemma_sweep,
 )
-from reference import ref_cross_rank
+from reference import cyclotomic_coset, ref_cross_rank
 
 
 def _labels(family, q, t=None):

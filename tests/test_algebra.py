@@ -14,6 +14,7 @@ from eaqmds.galois import build_field
 from eaqmds.kernels import adjoint, eliminate, matmul, rank
 from reference import (
     Polynomial,
+    cyclotomic_coset,
     poly_from_roots,
     ref_matmul,
     ref_rref,
@@ -124,7 +125,6 @@ def test_all_ones_gram_is_n_mod_p(gf9):
 
 def test_dual_containing_gram_vanishes():
     # Z1 = C_1 u C_2 for q = 4, n = 17 is Hermitian dual-containing
-    from eaqmds.cosets import cyclotomic_coset
     elems = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     from eaqmds.cosets import DefiningSet
     code = constacyclic_code(4, DefiningSet(17, 1, elems))

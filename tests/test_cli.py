@@ -29,6 +29,11 @@ def test_parse_q():
         parse_q("6..6")       # empty after filtering
     with pytest.raises(ValueError):
         parse_q("9..2")
+    for spec, part in (("3,x", "'x'"), ("2..", "'2..'"), ("", "''")):
+        with pytest.raises(ValueError, match=(
+                f"^bad --q part {part}: give a prime power, a comma list "
+                "of them or a range a..b$")):
+            parse_q(spec)
 
 
 def test_enumerate_family_i_json(capsys):
@@ -300,6 +305,27 @@ def test_distance_reports_t_only_for_family_v(capsys):
 ], ids=["enumerate-t0", "enumerate-no-v", "enumerate-iii", "enumerate-v",
         "table", "verify-rank1", "verify-all", "distance-v"])
 def test_t_that_nothing_takes_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("enumerate", "--family", "i", "--q", "4", "--d", "7"),
+     "d=7 not admissible here"),
+    (("distance", "--family", "i", "--q", "4"),
+     "distance needs --family, a single --q and --d (or explicit "
+     "--delta/--delta1/--delta2)"),
+    (("distance", "--family", "i", "--q", "4,5", "--d", "4"),
+     "distance needs --family, a single --q and --d (or explicit "
+     "--delta/--delta1/--delta2)"),
+    (("distance", "--family", "iii", "--q", "3", "--n", "2", "--delta", "0"),
+     "family iii admits no delta at q=3, n=2"),
+    (("enumerate", "--q=3,x"),
+     "bad --q part 'x': give a prime power, a comma list of them or a "
+     "range a..b"),
+], ids=["enumerate-d", "distance-no-d", "distance-two-q", "empty-range",
+        "bad-q"])
+def test_usage_error_is_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -1,15 +1,18 @@
+import itertools
 import signal
 from contextlib import contextmanager
 
 import pytest
 
+from eaqmds.cli import parse_q
 from eaqmds.cosets import (
     DefiningSet,
     bch_design_distance,
-    cyclotomic_coset,
     defining_set,
+    parameter_ranges,
 )
-from eaqmds.verify import is_hermitian_dual_containing
+from eaqmds.verify import divisors, is_hermitian_dual_containing
+from reference import cyclotomic_coset
 
 
 def coset_partition_check(modulus, qsq):
@@ -71,6 +74,58 @@ def test_cyclotomic_coset_needs_q_squared_coprime_to_modulus(i, modulus, qsq):
     with deadline(5), pytest.raises(ValueError,
                                     match="not positive and coprime"):
         cyclotomic_coset(i, modulus, qsq)
+
+
+def _recipe(family, q, t, odd, delta=None, delta1=None, delta2=None):
+    """Representatives of the cosets whose union is Z, as the
+    construction states them."""
+    if family == "i":
+        return range(delta + 1)                     # C_0 u ... u C_delta
+    if family == "iii":
+        return range(-delta, delta if odd else delta + 1)
+    if family == "iv":
+        return [2 * j - 1 for j in range(-delta1, delta2 + 1)]
+    anchor = (t - 1) * (q - 1) // 2
+    return [anchor + t * j for j in range(-delta1, delta2 + 1)]
+
+
+def _admissible_groups(q):
+    """(family, n, t, odd) of every family instance group at q."""
+    qsq = q * q
+    yield from (("i", n, None, False) for n in divisors(qsq + 1) if n >= 2)
+    yield from (("iii", n, None, odd) for n in divisors(qsq - 1)
+                if n >= 2 for odd in (False, True))
+    if q % 2:
+        yield "iv", None, None, False
+        yield from (("v", None, t, False) for t in divisors(q + 1)
+                    if t >= 3 and t % 2)
+
+
+def test_closed_form_equals_coset_orbit_union():
+    """Every admissible defining set at prime powers q < 66 is the union
+    of the q^2-cyclotomic cosets of its recipe, walked as orbits, and
+    its modulus divides q^2 - 1, or q^2 + 1 for family i."""
+    count = 0
+    for q in parse_q("2..65"):
+        qsq = q * q
+        orbits = {}
+        for family, n, t, odd in _admissible_groups(q):
+            ranges = parameter_ranges(family, q, n, t, odd)[1]
+            for values in itertools.product(*ranges.values()):
+                kw = dict(zip(ranges, values))
+                Z = defining_set(family, q, n=n, t=t, odd=odd, **kw)
+                m = Z.modulus
+                assert (qsq - 1) % m == 0 or (
+                    family == "i" and (qsq + 1) % m == 0)
+                union = set()
+                for i in _recipe(family, q, t, odd, **kw):
+                    key = (i % m, m)
+                    if key not in orbits:
+                        orbits[key] = cyclotomic_coset(i, m, qsq)
+                    union |= orbits[key]
+                assert Z.elements == union, (family, q, n, t, odd, kw)
+                count += 1
+    assert count == 11955
 
 
 def test_defining_set_family_i():

@@ -4,7 +4,6 @@ import pytest
 from eaqmds.codes import constacyclic_code
 from eaqmds.cosets import (
     DefiningSet,
-    cyclotomic_coset,
     defining_set,
     parameter_ranges,
 )
@@ -19,6 +18,7 @@ from eaqmds.eaqecc import (
     gram_matrix,
     instances,
 )
+from reference import cyclotomic_coset
 
 
 def test_ebit_count_dual_containing_is_zero():
@@ -164,7 +164,7 @@ def test_canonical_deltas_cover_ranges():
     inside parameter_ranges that realize it, with the largest admissible
     delta2 for families iv and v and r = d - 1 parity rows for family ii;
     defining_set, and build_classical for r, reject the value one below
-    and one above each range."""
+    and one above each range, or name an empty range."""
     for family, q, n, t, odd in _range_instances():
         ranges = parameter_ranges(family, q, n, t, odd)[1]
         by_d = instances(family, q, t, n)
@@ -183,8 +183,9 @@ def test_canonical_deltas_cover_ranges():
                     if d1 + d2 + 2 == d)
         inside = {name: span.start for name, span in ranges.items()}
         for name, span in ranges.items():
+            message = "outside" if span else f"admits no {name} at q={q}"
             for bad in (span.start - 1, span.stop):
-                with pytest.raises(ValueError, match="outside"):
+                with pytest.raises(ValueError, match=message):
                     defining_set(family, q, n=n, t=t, odd=odd,
                                  **{**inside, name: bad})
     for q in (2, 3, 4, 5, 7, 8, 9):

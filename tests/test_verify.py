@@ -16,7 +16,6 @@ from eaqmds.codes import (
 from eaqmds.cli import parse_q
 from eaqmds.cosets import (
     DefiningSet,
-    cyclotomic_coset,
     defining_set,
     parameter_ranges,
 )
@@ -32,7 +31,7 @@ from eaqmds.verify import (
     exhaustive_min_distance,
     run_lemma_sweep,
 )
-from reference import ref_submatrices_nonsingular
+from reference import cyclotomic_coset, ref_submatrices_nonsingular
 
 
 def rs_8_5_4():
