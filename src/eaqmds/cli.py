@@ -79,16 +79,17 @@ def _is_prime_power(q: int) -> bool:
 
 
 def parse_q(spec: str) -> list[int]:
-    """'7', '3,5,7' or '2..9' (ranges keep only prime powers)."""
+    """'7', '3,5,7' or '2..9' in ASCII digits (ranges keep only prime
+    powers)."""
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        bounds = part.split("..", 1)
-        try:
-            lo, hi = int(bounds[0]), int(bounds[-1])
-        except ValueError:
+        bounds = [b.strip() for b in part.split("..", 1)]
+        # int() alone would also take '1_1', '+5' and non-ASCII digits
+        if not all(b.isascii() and b.isdigit() for b in bounds):
             raise ValueError(f"bad --q part {part!r}: give a prime power, a "
-                             "comma list of them or a range a..b") from None
+                             "comma list of them or a range a..b")
+        lo, hi = int(bounds[0]), int(bounds[-1])
         if len(bounds) == 1 and not _is_prime_power(lo):
             raise ValueError(f"q={lo} is not a prime power")
         if lo > hi:
@@ -302,8 +303,7 @@ def cmd_distance(args: SimpleNamespace) -> int:
     if len(args.q_values) != 1 or (args.d is None and not deltas):
         raise ValueError("distance needs --family, a single --q and --d "
                          "(or explicit --delta/--delta1/--delta2)")
-    if args.family == "v" and args.t is None:
-        raise ValueError("family v needs --t")
+    _check_t(args.family, args.t, args.q_values, args.q)
     q = args.q_values[0]
     t = family_t(args.family, args.t)
     code = build_classical(args.family, q, args.d, t, args.n, **deltas)

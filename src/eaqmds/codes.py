@@ -206,9 +206,7 @@ def _lucas_vandermonde(B: np.ndarray, f: FieldContext) -> bool:
             set(s.tolist()) - {two, f.neg(two)}) < len(s):
         return False
     seq = np.concatenate([a, b[:, -1:]], axis=1)
-    ls, lv = f.log[s][:, None], f.log[seq[:, 1:-1]]
-    s_v = np.where((ls >= 0) & (lv >= 0),
-                   f.exp[np.maximum(ls, 0) + np.maximum(lv, 0)], 0)
+    s_v = f.exp[f.log[s][:, None] + f.log[seq[:, 1:-1]]]
     return bool((f.add(seq[:, 2:], seq[:, :-2]) == s_v).all())
 
 
@@ -268,15 +266,19 @@ def extended_rs_code(q: int, r: int) -> ClassicalCode:
     """Reed-Solomon code of length q^2-1 extended by an overall parity
     check: evaluation points are 0, then g^0, g^1, ..., g^{q^2-2} for the
     field's generator g; H[i, j] = point_j^i with 0^0 = 1, so the first
-    row is all ones; parameters [q^2, q^2-r, r+1]."""
+    row is all ones; parameters [q^2, q^2-r, r+1].  H[:, 1:] is power
+    rows in the distinct points g^i, which _independent_rows proves."""
     p, e = factor_prime_power(q)
     n = q * q
     if not 1 <= r <= n - 2:
         raise ValueError(f"r={r} outside [1, {n - 2}]")
     f = build_field(p, 2 * e)
     H = np.zeros((r, n), dtype=np.int64)
-    H[:, 1:] = f.exp[np.arange(r)[:, None] * np.arange(n - 1) % (n - 1)]
+    H[:, 1:] = _power_table(f, n - 1)[
+        np.arange(r)[:, None] * np.arange(n - 1) % (n - 1)]
     H[0, 0] = 1
+    if not _independent_rows(H[:, 1:], f):
+        raise ValueError(f"singular leading {r} x {r} block in H")
     return _extended_rs(q, H, f)
 
 

@@ -13,9 +13,11 @@ search for a primitive element g and the exp/log tables of g, built
 from g(C), need only matrix products and powers mod p.
 
 At run time products, inverses and powers are index arithmetic in
-those tables.  FieldContext owns element arithmetic for scalar callers
-and the vectorized kernels alike: `add` is the one digit-wise addition
-mod p (XOR for p = 2) and takes ints or int arrays, and `log_neg_one`,
+those tables.  Zero has the log S = 2(Q-1), and exp, of 4(Q-1)+1
+entries, reads 0 from S on, so exp[log a + log b] = a b with no zero
+test.  FieldContext owns element arithmetic for scalar callers and the
+vectorized kernels alike: `add` is the one digit-wise addition mod p
+(XOR for p = 2) and takes ints or int arrays, and `log_neg_one`,
 log(-1), is the one shift behind negation.
 
 The conjugation map a -> a^q (see kernels.adjoint) backs the
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# hard ceiling on field order: 24 MB of tables, and 20 MB more for the
-# p = 2 product tables of GF(2^20) (kernels._xor_tables)
+# hard ceiling on field order: 40 MB of tables, and 20 MB more for their
+# narrow p = 2 casts at GF(2^20) (kernels._xor_tables)
 SIZE_LIMIT = 1 << 20
 _TABLE_CHUNK = 1 << 10  # powers per block of the table build (its scratch)
 
@@ -196,7 +198,7 @@ class FieldContext:
         return _first(full_order, p if self.m > 1 else 1, self.order)
 
     def _build_tables(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """exp[i] = g^i for 0 <= i < 2(Q-1), and log[g^i] = i, log[0] = -1.
+        """exp[i] = g^i for i < 2(Q-1), else 0; log[g^i] = i, log[0] = 2(Q-1).
 
         T = g(C) is multiplication by g on digit vectors: digits(g*a) =
         digits(a) @ T.  So g^(s+i) has the digits of g^i times T^s.  The
@@ -218,8 +220,8 @@ class FieldContext:
         # size is either n (one block) or _TABLE_CHUNK, a power of two,
         # and then step = T^size
         weights = p ** np.arange(m, dtype=np.int64)
-        exp = np.empty(2 * n, dtype=np.int64)
-        log = np.full(self.order, -1, dtype=np.int64)
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        log = np.full(self.order, 2 * n, dtype=np.int64)
         shift = np.eye(m, dtype=np.int64)  # T^s
         for s in range(0, n, size):
             h = min(size, n - s)
@@ -227,11 +229,11 @@ class FieldContext:
             exp[s:s + h] = codes
             log[codes] = np.arange(s, s + h)
             shift = shift @ step % p
-        if log[1:].min() < 0:
+        if log[1:].max() == 2 * n:
             # a reducible f has zero divisors, which no power of g reaches
             raise ValueError(f"modulus {self.modulus} is reducible over "
                              f"GF({p})")
-        exp[n:] = exp[:n]
+        exp[n:2 * n] = exp[:n]
         exp.setflags(write=False)
         log.setflags(write=False)
         return exp, log
@@ -255,14 +257,10 @@ class FieldContext:
     def neg(self, a):
         """-a by the log shift exp[log a + log(-1)], for ints or int
         arrays."""
-        la = self.log[a]
-        if isinstance(a, np.ndarray):
-            return np.where(la >= 0, self.exp[la + self.log_neg_one], 0)
-        return int(self.exp[la + self.log_neg_one]) if a else 0
+        out = self.exp[self.log[a] + self.log_neg_one]
+        return out if isinstance(a, np.ndarray) else int(out)
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return int(self.exp[self.log[a] + self.log[b]])
 
     def pow(self, a: int, e: int) -> int:

@@ -18,15 +18,15 @@ integer of at most inner * m * (p-1)^2, so the float64 product is exact
 while that stays below 2^53; this holds for any inner dimension below
 2^13 in every field the package builds (order <= 2^20), and matmul
 raises ValueError beyond it, as on a mismatched inner dimension.  For
-p = 2 the entry products are read off log tables and XOR-summed, with no
-masks: zero gets the sentinel log S = 2(Q - 1), above every sum of two
-nonzero logs, and the exp table, in the narrowest unsigned dtype, reads
-0 from index S on.  A chunk of the inner axis is then one addition of
-int32 logs, one np.take and one XOR reduction over the contiguous last
-axis of a (rows, cols, chunk) tensor; the chunks keep the tensor from
-being held whole.  At the 2^20 ceiling the two tables take 20 MB.
+p = 2 the entry products are read off the field's log tables, cast to
+int32 logs and exps in the narrowest unsigned dtype, and XOR-summed.
+A chunk of the inner axis is one addition of logs, one np.take and one
+XOR reduction over the contiguous last axis of a (rows, cols, chunk)
+tensor; the chunks keep the tensor from being held whole.  At the 2^20
+ceiling the two casts take 20 MB.
 
-Elimination negates by shifting logs by log(-1) and adds digit-wise.
+A product in logs, zero included, is one read exp[log a + log b] (see
+galois).  Elimination negates by the log(-1) shift, adds digit-wise.
 rank and eliminate share one forward pass, which clears below each
 pivot; eliminate's back pass then scales the pivots to 1 and clears
 above them.  Digit-wise addition measured faster there than Zech-log
@@ -131,16 +131,10 @@ def _plane_product(A, B, ctx):
 
 @lru_cache(maxsize=None)
 def _xor_tables(ctx):
-    """exp and log tables of the p = 2 product.  Zero gets the log
-    S = 2(Q - 1), above every sum of two logs of nonzero elements (at
-    most 2(Q - 2)), so a sum is >= S iff a factor is zero.  exp, in the
-    narrowest unsigned dtype, is g^i below S and zero from S to 2S; log
-    is int32."""
-    top = ctx.order - 1
-    exp = np.zeros(4 * top + 1, dtype=_narrow(top))
-    exp[:2 * top] = ctx.exp
+    """The field's exp table in the narrowest unsigned dtype and its log
+    table as int32, the p = 2 product's operands."""
+    exp = ctx.exp.astype(_narrow(ctx.order - 1))
     log = ctx.log.astype(np.int32)
-    log[0] = 2 * top
     exp.setflags(write=False)
     log.setflags(write=False)
     return exp, log
@@ -196,8 +190,8 @@ def _forward(M, ctx) -> list[int]:
             lrow = log[M[r - 1, c + 1:]]
             # log of -(entry / pivot), the factor that clears each row
             lf = (log[M[below, c]] + ctx.log_neg_one - log[M[r - 1, c]]) % top
-            upd = np.where(lrow >= 0, exp[lf[:, None] + np.maximum(lrow, 0)], 0)
-            M[below, c + 1:] = ctx.add(M[below, c + 1:], upd)
+            M[below, c + 1:] = ctx.add(M[below, c + 1:],
+                                       exp[lf[:, None] + lrow])
     return pivots
 
 
@@ -226,7 +220,8 @@ def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, list[int]]:
         R[i, :c] = 0
     lr = log[R[:r]]
     lp = lr[np.arange(r), pivots]
-    R[:r] = np.where(lr >= 0, exp[(lr - lp[:, None]) % top], 0)
+    # + top: a nonzero quotient's log is in [1, 2 top - 1], a zero's >= 2 top
+    R[:r] = exp[lr - lp[:, None] + top]
     for i in range(r - 1, 0, -1):
         c = pivots[i]
         above = R[:i, c].nonzero()[0]
@@ -234,8 +229,7 @@ def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, list[int]]:
             # row i is 1 at c and zero left of it: add -(entry) * row i
             lrow = log[R[i, c:]]
             lf = (log[R[above, c]] + ctx.log_neg_one) % top
-            upd = np.where(lrow >= 0, exp[lf[:, None] + np.maximum(lrow, 0)], 0)
-            R[above, c:] = ctx.add(R[above, c:], upd)
+            R[above, c:] = ctx.add(R[above, c:], exp[lf[:, None] + lrow])
     return R, pivots
 
 
@@ -248,14 +242,11 @@ def _span(rows, ctx):
     S_0 = {0} and S_{i+1} = S_i + a * rows[i] for a in code order, so
     row id r of the table is the combination whose coefficients are the
     base-Q digits of r, and S[:Q**j] spans the first j rows."""
-    exp, log, Q = ctx.exp, ctx.log, ctx.order
+    exp, log = ctx.exp, ctx.log
     n = rows.shape[1]
     S = np.zeros((1, n), dtype=np.int64)
-    la = log[1:Q, None]
     for g in rows:
-        multiples = np.zeros((Q, n), dtype=np.int64)  # a * g, a in code order
-        nz = g != 0
-        multiples[1:, nz] = exp[la + log[g[nz]]]
+        multiples = exp[log[:, None] + log[g]]  # a * g, a in code order
         S = ctx.add(multiples[:, None], S[None]).reshape(-1, n)
     return S
 
@@ -343,6 +334,7 @@ def cauchy_certificate(M: np.ndarray, ctx) -> bool | None:
 
 
 def adjoint(M: np.ndarray, q: int, ctx) -> np.ndarray:
-    """Conjugate transpose of M under a -> a^q (log 0 = -1 is masked)."""
+    """Conjugate transpose of M under a -> a^q."""
     _check_conj_compat(ctx, q)
+    # a power, not a sum of logs: q log 0 = 0 (mod Q - 1), so mask zero
     return np.where(M != 0, ctx.exp[ctx.log[M] * q % (ctx.order - 1)], 0).T

@@ -29,7 +29,11 @@ def test_parse_q():
         parse_q("6..6")       # empty after filtering
     with pytest.raises(ValueError):
         parse_q("9..2")
-    for spec, part in (("3,x", "'x'"), ("2..", "'2..'"), ("", "''")):
+    assert parse_q("3, 5") == [3, 5]
+    assert parse_q("2 .. 9") == parse_q("2..9")
+    for spec, part in (("3,x", "'x'"), ("2..", "'2..'"), ("", "''"),
+                       ("1_1", "'1_1'"), ("+5", "'\\+5'"),
+                       ("\u0665", "'\u0665'")):
         with pytest.raises(ValueError, match=(
                 f"^bad --q part {part}: give a prime power, a comma list "
                 "of them or a range a..b$")):
@@ -279,7 +283,7 @@ def test_distance_rejects_extra_parameters(capsys, argv, message):
 
 def test_distance_reports_t_only_for_family_v(capsys):
     code, out, _ = run_cli(capsys, "distance", "--family", "i", "--q", "3",
-                           "--d", "4", "--t", "3")
+                           "--d", "4")
     assert code == 0 and json.loads(out)["t"] is None
     code, out, _ = run_cli(capsys, "distance", "--family", "v", "--q", "5",
                            "--t", "3", "--d", "6")
@@ -294,6 +298,8 @@ def test_distance_reports_t_only_for_family_v(capsys):
     (("enumerate", "--family", "iii", "--q", "5", "--t", "3"),
      "family iii takes no --t, only family v does"),
     (("enumerate", "--family", "v", "--q", "5"), "family v needs --t"),
+    (("distance", "--family", "i", "--q", "3", "--d", "6", "--t", "3"),
+     "family i takes no --t, only family v does"),
     (("table", "--q", "5", "--t", "2"),
      "t=2 not admissible for family v at q=5"),
     (("verify", "--lemma", "rank1", "--q", "2..3", "--t", "3"),
@@ -303,7 +309,7 @@ def test_distance_reports_t_only_for_family_v(capsys):
     (("distance", "--family", "v", "--q", "5", "--d", "6"),
      "family v needs --t"),
 ], ids=["enumerate-t0", "enumerate-no-v", "enumerate-iii", "enumerate-v",
-        "table", "verify-rank1", "verify-all", "distance-v"])
+        "distance-i", "table", "verify-rank1", "verify-all", "distance-v"])
 def test_t_that_nothing_takes_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -265,7 +265,8 @@ def _spy_rank():
 
 
 def _patch_power_table(table):
-    """Make constacyclic_code read its roots eta^m from `table`."""
+    """Make constacyclic_code and extended_rs_code read their roots
+    eta^m from `table`."""
     return mock.patch.object(codes, "_power_table", return_value=table)
 
 
@@ -488,6 +489,18 @@ def test_rank_deficient_parity_check_still_raises():
             ValueError, match=SINGULAR_BLOCK):
         constacyclic_code(5, DefiningSet(24, 1, frozenset({1, 2})))
     assert _rank_shapes(spy) == [(2, 2)]
+
+
+def test_extended_rs_rows_get_a_rank_proof():
+    # power rows in the points g^i are proved with no elimination; with
+    # every point 1 the build refuses H
+    with _spy_rank() as spy:
+        extended_rs_code(5, 9)
+    assert _rank_shapes(spy) == []
+    flat = np.ones(24, dtype=np.int64)
+    with _patch_power_table(flat), pytest.raises(
+            ValueError, match=r"^singular leading 3 x 3 block in H$"):
+        extended_rs_code(5, 3)
 
 
 # GF(4), GF(9), GF(16), GF(25), GF(49)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqmds import galois
+from eaqmds import galois, kernels
 from eaqmds.codes import _trace_table, constacyclic_code
 from eaqmds.cosets import defining_set
 from eaqmds.galois import (
@@ -192,12 +192,38 @@ def test_table_and_polynomial_backends_agree(p, m):
 def test_log_table_covers_largest_field():
     ctx = build_field(2, 20)
     n = ctx.order - 1
-    assert ctx.log[0] == -1
+    assert ctx.log[0] == 2 * n
     assert np.array_equal(np.sort(ctx.log[1:]), np.arange(n))
     assert np.array_equal(ctx.exp[ctx.log[1:]], np.arange(1, ctx.order))
-    assert np.array_equal(ctx.exp[n:], ctx.exp[:n])
+    assert np.array_equal(ctx.exp[n:2 * n], ctx.exp[:n])
+    assert len(ctx.exp) == 4 * n + 1 and not ctx.exp[2 * n:].any()
     g = ctx.generator
     assert ctx.exp[1] == g and ctx.exp[12345] == ref_poly_pow(g, 12345, ctx)
+
+
+# GF(2), GF(4), GF(2^8), GF(3), GF(9), GF(25), GF(27) and GF(3^6)
+CONVENTION_FIELDS = [(2, 1), (2, 2), (2, 8), (3, 1), (3, 2), (5, 2), (3, 3),
+                     (3, 6)]
+
+
+@pytest.mark.parametrize("pm", CONVENTION_FIELDS, ids="{0[0]}-{0[1]}".format)
+def test_every_log_domain_product_is_one_table_read(pm):
+    # log 0 = 2(Q-1) and exp reads 0 from there on, so exp[log a + log b]
+    # is a * b with zero among the factors too
+    ctx = build_field(*pm)
+    Q = ctx.order
+    rng = np.random.default_rng(Q)
+    sample = np.unique(np.r_[0, 1, Q - 1, rng.integers(0, Q, 40)]).tolist()
+    L = ctx.log[sample]
+    assert ctx.exp[L[:, None] + L].tolist() == [
+        [ref_poly_mul(a, b, ctx) for b in sample] for a in sample]
+    assert ctx.mul(0, 0) == 0
+    codes = [0, *sample, 0]
+    assert ctx.neg(np.array(codes)).tolist() == [digit_neg(a, *pm)
+                                                 for a in codes]
+    exp, log = kernels._xor_tables(ctx)
+    assert exp.dtype == kernels._narrow(Q - 1) and log.dtype == np.int32
+    assert np.array_equal(exp, ctx.exp) and np.array_equal(log, ctx.log)
 
 
 def test_smallest_irreducible_known_values():
