@@ -22,17 +22,21 @@ of GF(q^2):
 lambda = eta^n is a primitive r-th root of unity (1 for the cyclic
 families, -1 for the negacyclic family iv).
 
-rank(H) = |Z| is proved from H's leading square block with no
-elimination: power rows make it Vandermonde (_vandermonde), and trace
-rows T times a Vandermonde matrix over the extension, which
-_lucas_vandermonde reads off the trace entries alone.
+Power rows run in the circular order of their Omega indices from the
+start of Z's run (DefiningSet.in_run_order), so row k of a run has the
+index start + k (mod n).  Trace rows come as z = 0, then each pair
+{z, n-z} by z = 1, 2, ..., then z = n/2.  Row z of H depends only on
+z, so the code of a run inside Z has as parity check a contiguous block
+of Z's rows: parity_rows finds it by offset arithmetic and subcode
+reads the nested code off it as a view of H, as it reads the extended
+RS code with r rows off the first r rows of one with more.
 
-Row z of H depends only on z, so the code of a defining set Z' inside Z
-has as parity check the rows of Z' in the H of Z, and the extended RS
-code with r rows the first r rows of one with more.  _row_map holds
-that row map, once per defining set, parity_rows reads it and subcode
-reads a nested code off it; the independent rows of the larger H prove
-those of every subset.
+rank(H) = |Z| is proved from H's leading square block with no
+elimination: power rows make it Vandermonde (_vandermonde), in any row
+order, and trace rows T times a Vandermonde matrix over the extension,
+which _lucas_vandermonde reads off the trace entries alone.  The
+independent rows of the larger H prove those of every subset; a block
+that fails the proof is a VerificationError.
 """
 
 from __future__ import annotations
@@ -40,13 +44,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from . import kernels
 from .cosets import DefiningSet, bch_design_distance
 from .galois import FieldContext, build_field, factor_prime_power
+
+
+class VerificationError(ValueError):
+    """A constructed code contradicts the EA-Singleton bound or its
+    family's theory."""
 
 
 @lru_cache(maxsize=None)
@@ -124,39 +132,32 @@ def _traced(q: int, Z: DefiningSet) -> bool:
     return (q * q - 1) % Z.modulus != 0
 
 
-@lru_cache  # bounded: a sweep visits thousands of defining sets
-def _row_map(q: int, Z: DefiningSet) -> dict[int, tuple[int, ...]]:
-    """Each z in Z mapped to the positions of its rows in
-    constacyclic_code(q, Z).H: power rows are Z.sorted(), one row each;
-    trace rows, as _trace_rows lays them out, are z = 0, then each pair
-    {z, n-z} with 0 < 2z < n as two rows, held by z (n-z holds none),
-    then z = n/2."""
-    n, zs = Z.n, Z.elements
-    if not _traced(q, Z):
-        return {z: (i,) for i, z in enumerate(Z.sorted())}
-    out = dict.fromkeys(zs, ())
-    row = 0
-    if 0 in zs:
-        out[0], row = (0,), 1
-    for z in sorted(z for z in zs if 0 < 2 * z < n):
-        out[z], row = (row, row + 1), row + 2
-    if n % 2 == 0 and n // 2 in zs:
-        out[n // 2] = (row,)
-    return out
-
-
-def parity_rows(q: int, Z: DefiningSet, sub) -> np.ndarray:
-    """Positions, ascending, of the rows of constacyclic_code(q, Z).H that
-    belong to the exponents in sub, a subset of Z, read off _row_map; for
-    trace rows sub must be closed under z -> -z."""
-    n = Z.n
-    if not Z.elements.issuperset(sub):
+def parity_rows(q: int, Z: DefiningSet, part: DefiningSet) -> slice:
+    """The rows of constacyclic_code(q, Z).H that hold the code of part, a
+    run inside the run Z, as a slice found by offset arithmetic.  Power
+    rows: part's first row is the offset of its start from Z's.  Trace
+    rows: part must be closed under z -> -z, so it is centred on 0 or on
+    n/2, and its rows follow those of the z nearer 0 than all of its own.
+    With f the least |z| of a set (f = start, or 0 when it holds 0), the
+    trace layout has 2f - 1 rows of smaller |z| (none for f = 0)."""
+    size = len(part)
+    if not Z.elements.issuperset(part.elements):
         raise ValueError("exponents outside the defining set")
-    if _traced(q, Z) and any((n - z) % n not in sub for z in sub):
-        raise ValueError("trace rows need exponents closed under z -> -z")
-    rows = _row_map(q, Z)
-    return np.array(sorted(chain.from_iterable(map(rows.__getitem__, sub))),
-                    dtype=np.intp)
+    if not (Z.run and part.run):
+        raise ValueError("rows of a defining set that is not one run")
+    if not size:
+        return slice(0, 0)
+    n = Z.n
+    if _traced(q, Z):
+        if size < n and (2 * part.start + size - 1) % n:
+            raise ValueError("trace rows need exponents closed under z -> -z")
+        first = (0 if 0 in part.elements else 2 * part.start - 1) - (
+            0 if 0 in Z.elements else 2 * Z.start - 1)
+    else:
+        first = (part.start - Z.start) % n
+    if first + size > len(Z):
+        raise ValueError("the rows of the part are not contiguous in H")
+    return slice(first, first + size)
 
 
 def _vandermonde(B: np.ndarray, f: FieldContext) -> bool:
@@ -236,14 +237,14 @@ def constacyclic_code(q: int, Z: DefiningSet) -> ClassicalCode:
         raise ValueError(
             f"rn={rn} divides neither q^2-1 nor (r=1 case) q^2+1 for q={q}")
     field = build_field(p, 2 * e)
-    zs = Z.sorted()
     if traces:
         H = _trace_rows(_trace_table(field, n), Z, field)
     else:
-        z = np.array(zs, dtype=np.int64)[:, None]
+        z = np.array(Z.in_run_order(), dtype=np.int64)[:, None]
         H = _power_table(field, rn)[z * np.arange(n) % rn]
-    if zs and not _independent_rows(H, field):
-        raise ValueError(f"singular leading {len(zs)} x {len(zs)} block in H")
+    rows = len(Z)
+    if rows and not _independent_rows(H, field):
+        raise VerificationError(f"singular leading {rows} x {rows} block in H")
     return _constacyclic(q, Z, H, field)
 
 
@@ -278,26 +279,27 @@ def extended_rs_code(q: int, r: int) -> ClassicalCode:
         np.arange(r)[:, None] * np.arange(n - 1) % (n - 1)]
     H[0, 0] = 1
     if not _independent_rows(H[:, 1:], f):
-        raise ValueError(f"singular leading {r} x {r} block in H")
+        raise VerificationError(f"singular leading {r} x {r} block in H")
     return _extended_rs(q, H, f)
 
 
 def subcode(top: ClassicalCode,
-            part: DefiningSet | int) -> tuple[ClassicalCode, np.ndarray]:
-    """The code nested in `top` whose parity check is a row slice of
-    top.H, and the positions of those rows: for a defining set inside
-    top.defining_set, constacyclic_code(top.q, part); for an int r,
-    extended_rs_code(top.q, r), whose H is the first r rows.  No rank
-    proof of its own: a subset of independent rows is independent."""
+            part: DefiningSet | int) -> tuple[ClassicalCode, slice]:
+    """The code nested in `top` whose parity check is a block of
+    consecutive rows of top.H, a read-only view, and the slice of those
+    rows: for a run inside top.defining_set, constacyclic_code(top.q,
+    part); for an int r, extended_rs_code(top.q, r), whose H is the first
+    r rows.  No rank proof of its own: a subset of independent rows is
+    independent."""
     Z = top.defining_set
     if isinstance(part, int):
         if Z is not None or not 1 <= part <= top.H.shape[0]:
             raise ValueError(f"{top!r} holds no extended RS code with "
                              f"r={part}")
-        return _extended_rs(top.q, top.H[:part], top.field), np.arange(part)
+        return _extended_rs(top.q, top.H[:part], top.field), slice(0, part)
     if Z is None or (part.modulus, part.r) != (Z.modulus, Z.r):
         raise ValueError(f"{top!r} holds no code of {part}")
-    rows = parity_rows(top.q, Z, part.elements)
+    rows = parity_rows(top.q, Z, part)
     return _constacyclic(top.q, part, top.H[rows], top.field), rows
 
 

@@ -5,7 +5,10 @@ Omega = {1 + ri : 0 <= i < n} (all residues when r = 1).  Every modulus
 rn the families use divides q^2 - 1 or, for family i, q^2 + 1, so q^2
 is +-1 modulo it and each q^2-cyclotomic coset is {z} or {z, -z}: every
 family's Z is one run of consecutive Omega indices, reduced modulo rn
-at build time.  parameter_ranges owns each family's length and the
+at build time.  A DefiningSet keeps the Omega index its run starts at,
+which fixes the order of a parity check's power rows (codes): the set
+omega_run builds is given it, and any other set derives it from its
+elements.  parameter_ranges owns each family's length and the
 admissible range of its construction parameters: the defining-set
 parameters of the constacyclic families i and iii-v, and the number r
 of parity rows of family ii's extended Reed-Solomon code.  The family
@@ -17,16 +20,25 @@ names the families whose length n is a parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """Exponent set Z of a constacyclic code's generator-polynomial roots."""
+    """Exponent set Z of a constacyclic code's generator-polynomial roots.
+
+    z = 1 + r i holds the Omega index i = z // r (z = i when r = 1).
+    start is the Omega index Z's run begins at, and run says whether Z is
+    one circular run; a set that is not gets the start of its first run,
+    the one at the smallest index.  The empty and the full set are runs
+    from 0.  Both are derived from the elements unless start is given,
+    which only omega_run does, for the run it builds."""
 
     modulus: int                  # rn
     r: int                        # constacyclic order (1 cyclic, 2 negacyclic)
     elements: frozenset[int]
+    start: int | None = field(default=None, compare=False)
+    run: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         if self.modulus % self.r:
@@ -36,6 +48,11 @@ class DefiningSet:
                 raise ValueError(f"element {z} not a canonical residue")
             if self.r > 1 and z % self.r != 1:
                 raise ValueError(f"element {z} outside Omega (z % r != 1)")
+        if self.start is None:
+            n, idx = self.n, self.indices()
+            starts = [i for i in idx if (i - 1) % n not in idx]
+            object.__setattr__(self, "start", min(starts, default=0))
+            object.__setattr__(self, "run", len(starts) <= 1)
 
     @property
     def n(self) -> int:
@@ -44,11 +61,17 @@ class DefiningSet:
     def sorted(self) -> list[int]:
         return sorted(self.elements)
 
+    def in_run_order(self) -> list[int]:
+        """The elements by the circular offset of their Omega index from
+        start: the order of a parity check's power rows."""
+        r, n, start = self.r, self.n, self.start
+        return sorted(self.elements, key=lambda z: (z // r - start) % n)
+
     def indices(self) -> frozenset[int]:
         """Omega indices i with 1 + r*i in Z (i = z when r = 1)."""
         if self.r == 1:
             return self.elements
-        return frozenset(((z - 1) // self.r) % self.n for z in self.elements)
+        return frozenset(z // self.r for z in self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -125,12 +148,14 @@ def check_parameters(family: str, q: int, n: int | None = None,
     return n
 
 
-def _omega_run(n: int, r: int, lo: int, hi: int) -> DefiningSet:
+def omega_run(n: int, r: int, lo: int, hi: int) -> DefiningSet:
     """Z of the Omega indices lo..hi, taken modulo n: z = i when r = 1,
-    z = 1 + r*i otherwise."""
+    z = 1 + r*i otherwise; a run from lo (from 0 when it is empty or
+    covers Z_n)."""
     base = 0 if r == 1 else 1
     return DefiningSet(r * n, r, frozenset(base + r * (i % n)
-                                           for i in range(lo, hi + 1)))
+                                           for i in range(lo, hi + 1)),
+                       start=lo % n if 0 < hi - lo + 1 < n else 0)
 
 
 def defining_set(family: str, q: int, *, n: int | None = None,
@@ -157,24 +182,25 @@ def defining_set(family: str, q: int, *, n: int | None = None,
     delta, delta1, delta2 = (params.get(name)
                              for name in ("delta", "delta1", "delta2"))
     if family == "i":
-        return _omega_run(n, 1, -delta, delta)
+        return omega_run(n, 1, -delta, delta)
     if family == "iii":
-        return _omega_run(n, 1, -delta, delta - 1 if odd else delta)
+        return omega_run(n, 1, -delta, delta - 1 if odd else delta)
     if family == "iv":
-        return _omega_run(n, 2, -delta1 - 1, delta2 - 1)
+        return omega_run(n, 2, -delta1 - 1, delta2 - 1)
     # t | q+1 makes e0 an integer
     e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
-    return _omega_run(n, t, e0 - delta1, e0 + delta2)
+    return omega_run(n, t, e0 - delta1, e0 + delta2)
 
 
 def bch_design_distance(Z: DefiningSet) -> int:
-    """Longest circular run of consecutive Omega indices, plus one."""
+    """Longest circular run of consecutive Omega indices, plus one: |Z| + 1
+    when Z is one run."""
     if not Z.elements:
         raise ValueError("empty defining set has no design distance")
+    if Z.run:
+        return len(Z) + 1
     n = Z.n
     idx = Z.indices()
-    if len(idx) == n:
-        return n + 1
     best = 0
     for i in idx:
         if (i - 1) % n in idx:

@@ -12,8 +12,9 @@ cosets.parameter_ranges, family_t says which family takes t, and
 instances is the one map from an admissible distance to the parameters
 that build it.  build_classical turns one family instance, given by its
 distance or by explicit parameters, into a code; family_codes turns all
-instances of one family group (family, q, t, n) into row slices of one
-code, each with a principal block of that code's one Gram matrix.
+instances of one family group (family, q, t, n) into views of one
+code's rows, each with a principal block of that code's one Gram matrix.
+VerificationError, which codes defines, is re-exported here.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .codes import ClassicalCode, constacyclic_code, extended_rs_code, subcode
+from .codes import (
+    ClassicalCode,
+    VerificationError,
+    constacyclic_code,
+    extended_rs_code,
+    subcode,
+)
 from .cosets import (
     DefiningSet,
     check_parameters,
@@ -32,11 +39,6 @@ from .cosets import (
     parameter_ranges,
 )
 from .galois import FieldContext, factor_prime_power
-
-
-class VerificationError(ValueError):
-    """A constructed code contradicts the EA-Singleton bound or its
-    family's closed form."""
 
 
 @dataclass(frozen=True)
@@ -214,11 +216,12 @@ def family_codes(family: str, q: int, params: list[dict],
     parameter set in `params` as build_classical takes them, as its code
     and its Gram matrix H H^dagger; nothing for no parameter sets.  One
     code holds them all: the extended RS code with the largest r (family
-    ii), or the constacyclic code of the union of the defining sets, whose
-    rank proof covers every subset of its rows.  Its Gram matrix is formed
-    once; each instance's H is a row slice of its H (codes.subcode) and
-    the Gram matrix the principal block on those rows.  The codes are
-    yielded one at a time, so only one slice is alive at once."""
+    ii), or the constacyclic code of the union of the defining sets, one
+    run whose rank proof covers every subset of its rows.  Its Gram matrix
+    is formed once.  Each instance's rows are a contiguous block of that
+    code's (codes.subcode), so its H is a view of the group's H and its
+    Gram matrix a view of the principal block on those rows: no instance
+    copies either."""
     if not params:
         return
     if family == "ii":
@@ -235,7 +238,7 @@ def family_codes(family: str, q: int, params: list[dict],
     for part in parts:
         code, rows = subcode(top, part)
         code.family = family
-        yield code, gram[rows[:, None], rows]
+        yield code, gram[rows, rows]
 
 
 def enumerate_family(family: str, q: int, t: int | None = None,

@@ -13,10 +13,11 @@ Reed-Solomon code; every family code here is one.  Hermitian dual
 containment has two routes here, the coset test Z & -qZ = 0 and the
 matrix test H H^dagger = 0.  The sweep harness builds every family
 instance that cosets.parameter_ranges admits, each group of them (one
-family, q, n, t and odd) through one eaqecc.family_codes build, and
-compares rank(H H^dagger) against the predicted ebit count; the family-v
-cross rank rank(H1 H2^dagger) is that of the block of the entry's own
-Gram matrix on the rows of Z1 and Z2.
+family, q, n and t, family iii's two distance parities together) through
+one eaqecc.family_codes build, and compares rank(H H^dagger) against the
+predicted ebit count.  Each instance's H and Gram matrix are views of
+the group's; the family-v cross rank rank(H1 H2^dagger) is that of a
+block of the entry's own Gram matrix, sliced on the rows of Z1 and Z2.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .codes import ClassicalCode, generator_matrix, parity_rows
-from .cosets import DefiningSet, parameter_ranges
+from .cosets import DefiningSet, omega_run, parameter_ranges
 from .eaqecc import ebit_count, expected_c, family_codes, gram_matrix
 from .galois import FieldContext
 
@@ -171,8 +172,7 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
     elif lemma == "rank1-minus":
         for q in q_list:
             for n in divisors(q * q - 1):
-                for odd in (False, True):
-                    _sweep_family(report, "iii", q, n=n, odd=odd)
+                _sweep_family(report, "iii", q, n=n, odds=(False, True))
     elif lemma == "rank-ers":
         for q in q_list:
             _sweep_family(report, "ii", q)
@@ -193,26 +193,29 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
 
 def _sweep_family(report: SweepReport, family: str, q: int,
                   n: int | None = None, t: int | None = None,
-                  odd: bool | None = None) -> None:
+                  odds: tuple[bool, ...] | None = None) -> None:
     """One entry per admissible choice of the construction parameters of
-    one family instance, all built by one family_codes call and each
-    checked against the family's expected_c; none when parameter_ranges
-    rejects (q, n, t) or admits no choice.  Entry params list t first
-    when given, then the family's parameters, then odd unless it is
-    None."""
+    one family instance, for each odd in odds in turn, all built by one
+    family_codes call and each checked against the family's expected_c;
+    none when parameter_ranges rejects (q, n, t) or admits no choice.
+    Entry params list t first when given, then the family's parameters,
+    then odd when odds are given."""
     try:
-        length, ranges = parameter_ranges(family, q, n, t, bool(odd))
+        length = parameter_ranges(family, q, n, t)[0]
     except ValueError:
         return
     expected = expected_c(family, t)
-    grid = [dict(zip(ranges, values))
-            for values in itertools.product(*ranges.values())]
-    built = family_codes(family, q, [dict(kw, odd=bool(odd)) for kw in grid],
+    grid = []
+    for odd in odds or (False,):
+        ranges = parameter_ranges(family, q, n, t, odd)[1]
+        grid += [(odd, dict(zip(ranges, values)))
+                 for values in itertools.product(*ranges.values())]
+    built = family_codes(family, q, [dict(kw, odd=odd) for odd, kw in grid],
                          t, n)
-    for kw, (code, gram) in zip(grid, built):
+    for (odd, kw), (code, gram) in zip(grid, built):
         Z = code.defining_set
         params = dict(kw) if t is None else {"t": t, **kw}
-        if odd is not None:
+        if odds is not None:
             params["odd"] = odd
         extra = {}
         if family == "v":
@@ -226,23 +229,25 @@ def _sweep_family(report: SweepReport, family: str, q: int,
 def _consta_intersection(q, t, d1, d2, code: ClassicalCode,
                          gram: np.ndarray) -> dict:
     """Check that the split of the code's defining set Z around its anchor
-    exponent rebuilds Z, |Z1 & Z2^{-q}| = (t-1)/2 and rank(H1 H2^dagger)
-    = (t-1)/2.  Row z of the code's H depends only on z, so H1 and H2 are
-    its rows of Z1 and Z2 (codes.parity_rows), and H1 H2^dagger is the
-    block of its Gram matrix `gram` = H H^dagger on those rows.  When the
-    split does not rebuild Z, there is no cross rank to take."""
+    exponent (t-1)(q-1)/2 rebuilds Z, |Z1 & Z2^{-q}| = (t-1)/2 and
+    rank(H1 H2^dagger) = (t-1)/2.  Z1 and Z2 are the runs of Omega indices
+    below and above the anchor's, e0.  Row z of the code's H depends only
+    on z, so H1 and H2 are its rows of Z1 and Z2, two blocks of
+    consecutive rows (codes.parity_rows), and H1 H2^dagger is the block
+    of its Gram matrix `gram` = H H^dagger sliced on them.  When the split
+    does not rebuild Z, there is no cross rank to take."""
     Z, ctx = code.defining_set, code.field
     s = (t - 1) // 2
     anchor = s * (q - 1)
     modulus = Z.modulus
     e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
-    z1 = frozenset((1 + t * (e0 - j)) % modulus for j in range(1, d1 + 1))
-    z2 = frozenset((1 + t * (e0 + j)) % modulus for j in range(1, d2 + 1))
-    split_ok = z1 | z2 | {anchor} == Z.elements
-    inter = z1 & frozenset((-q * z) % modulus for z in z2)
+    z1 = omega_run(Z.n, t, e0 - d1, e0 - 1)
+    z2 = omega_run(Z.n, t, e0 + 1, e0 + d2)
+    split_ok = z1.elements | z2.elements | {anchor} == Z.elements
+    inter = z1.elements & frozenset((-q * z) % modulus for z in z2.elements)
     cross_rank = None
     if split_ok:
-        cross = gram[parity_rows(q, Z, z1)[:, None], parity_rows(q, Z, z2)]
+        cross = gram[parity_rows(q, Z, z1), parity_rows(q, Z, z2)]
         cross_rank = kernels.rank(cross, ctx)
     return {
         "split_ok": split_ok,

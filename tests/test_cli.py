@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqmds import cli, eaqecc, kernels
+from eaqmds import cli, codes, eaqecc, kernels
 from eaqmds.cli import main, parse_q, table_rows
 
 
@@ -464,6 +464,16 @@ def test_failed_construction_exits_1(monkeypatch, capsys, c, message):
     assert code == cli.VERIFY_ERROR == 1
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and out == ""
+
+
+def test_singular_parity_check_exits_1(monkeypatch, capsys):
+    # a parity check whose rank proof fails is a broken build, not bad
+    # input: family iii at q = 5 builds one group, the union [-3, 3]
+    monkeypatch.setattr(codes, "_independent_rows", lambda H, f: False)
+    code, out, err = run_cli(capsys, "enumerate", "--family", "iii", "--q", "5")
+    assert code == cli.VERIFY_ERROR == 1
+    assert (out, err) == ("", "error: singular leading 7 x 7 block in H\n")
+    assert eaqecc.VerificationError is codes.VerificationError
 
 
 @pytest.mark.parametrize("argv", [("verify", "--lemma", "nega", "--q", "4"),

@@ -3,12 +3,15 @@ import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqmds.cli import parse_q
 from eaqmds.cosets import (
     DefiningSet,
     bch_design_distance,
     defining_set,
+    omega_run,
     parameter_ranges,
 )
 from eaqmds.verify import divisors, is_hermitian_dual_containing
@@ -224,6 +227,44 @@ def test_design_distance_is_size_plus_one_for_families():
     ]
     for Z in cases:
         assert bch_design_distance(Z) == len(Z) + 1
+
+
+def _windows_of(n, size):
+    """Every circular run of `size` Omega indices modulo n, by start."""
+    return {s: {(s + k) % n for k in range(size)} for s in range(n)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from([1, 2, 3]),
+    st.sets(st.integers(0, n - 1)), st.integers(-n, n))))
+def test_start_and_run_from_the_elements(case):
+    """A set given by its elements finds whether it is one run and where
+    its (first) run starts, lays out its elements from there, and agrees
+    with omega_run on a run; the BCH distance is its longest run + 1."""
+    n, r, idx, lo = case
+    base = 0 if r == 1 else 1
+    Z = DefiningSet(r * n, r, frozenset(base + r * i for i in idx))
+    windows = _windows_of(n, len(idx))
+    run_starts = [s for s, w in windows.items() if w == idx]
+    assert Z.run == bool(run_starts)
+    if 0 < len(idx) < n and Z.run:
+        assert run_starts == [Z.start]
+    elif not Z.run:
+        edges = [i for i in idx if (i - 1) % n not in idx]
+        assert Z.start == min(edges)
+    else:
+        assert Z.start == 0
+    offsets = [(z // r - Z.start) % n for z in Z.in_run_order()]
+    assert offsets == sorted(offsets) and len(offsets) == len(idx)
+    if idx:
+        longest = max(size for size in range(1, len(idx) + 1)
+                      if any(w <= idx for w in _windows_of(n, size).values()))
+        assert bch_design_distance(Z) == longest + 1
+    run = omega_run(n, r, lo, lo + len(idx) - 1)
+    derived = DefiningSet(run.modulus, r, run.elements)
+    assert run == derived and run.run and derived.run
+    assert run.start == derived.start
 
 
 def test_coset_partition_check():

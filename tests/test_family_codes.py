@@ -1,19 +1,23 @@
 """eaqecc.family_codes builds each family group (family, q, t, n) once
-and hands out its instances as row slices of one parity check, each with
-the principal block of one Gram matrix.  A wrong row map would reach every
-instance of a family, so every instance that `enumerate --q 2..16 --t 3`
-and the default `verify` grids produce is compared with a direct build;
-and the union's one rank proof and one Gram product are counted."""
+and hands out its instances as views of consecutive rows of one parity
+check, each with a view of the principal block of one Gram matrix.  A
+wrong row offset would reach every instance of a family, so every
+instance that `enumerate --q 2..16 --t 3` and the default `verify` grids
+produce is compared with a direct build, and random windows of random
+runs are too; the views are checked to share the group's memory; and the
+union's one rank proof and one Gram product are counted."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqmds import codes, eaqecc, kernels, verify
 from eaqmds.cli import main
 from eaqmds.codes import constacyclic_code, subcode
-from eaqmds.cosets import DefiningSet, defining_set
+from eaqmds.cosets import DefiningSet, defining_set, omega_run
 from eaqmds.eaqecc import build_classical, family_codes
 
 
@@ -92,6 +96,22 @@ def test_one_rank_proof_and_one_gram_product_per_group(monkeypatch, capsys):
     assert len(products) == len(groups) < len(records)
 
 
+def test_one_family_iii_group_per_length(monkeypatch, capsys):
+    # both distance parities of one (q, n) come from one build, the even
+    # instances' entries first: the odd run [-delta, delta-1] lies inside
+    # the even union [-delta, delta]
+    builds = _count_calls(monkeypatch, verify, "family_codes")
+    assert main(["verify", "--lemma", "rank1-minus"]) == 0
+    entries = json.loads(capsys.readouterr().out)["reports"][0]["entries"]
+    groups = list(dict.fromkeys((e["q"], e["n"]) for e in entries))
+    # a (q, n) that admits no delta asks for no instance and builds nothing
+    assert len([args for args in builds if args[2]]) == len(groups) == 22
+    for group in groups:
+        odd = [e["params"]["odd"] for e in entries
+               if (e["q"], e["n"]) == group]
+        assert odd == sorted(odd) and odd[0] is False
+
+
 def test_empty_group_yields_nothing():
     # family iii at q = 5, n = 4 < q + 1 admits no delta
     assert list(family_codes("iii", 5, [], n=4)) == []
@@ -119,3 +139,113 @@ def test_subcode_rejects_what_the_union_does_not_hold():
         subcode(rs, 5)
     with pytest.raises(ValueError, match="holds no code"):
         subcode(rs, Z)
+
+
+@pytest.mark.parametrize("family, q, t, odds", [
+    ("i", 8, None, None),
+    ("ii", 5, None, None),
+    ("iii", 7, None, (False, True)),
+    ("iv", 7, None, None),
+    ("v", 11, 3, None),
+])
+def test_instances_are_views_of_their_group(monkeypatch, family, q, t, odds):
+    """Each instance's H is a view of its group's H, and each matrix
+    whose rank a sweep takes, the Gram block and family v's cross block,
+    is a view of the group's Gram matrix: no instance copies rows."""
+    groups, views, ranked = [], [], []
+    real_gram, real_subcode, real_rank = (eaqecc.gram_matrix, eaqecc.subcode,
+                                          kernels.rank)
+
+    def gram(H, q, f):
+        groups.append((H, real_gram(H, q, f)))
+        return groups[-1][1]
+
+    def sub(top, part):
+        code, rows = real_subcode(top, part)
+        views.append(code.H)
+        return code, rows
+
+    def rank(M, f):
+        ranked.append(M)
+        return real_rank(M, f)
+
+    monkeypatch.setattr(eaqecc, "gram_matrix", gram)
+    monkeypatch.setattr(eaqecc, "subcode", sub)
+    monkeypatch.setattr(kernels, "rank", rank)
+    report = verify.SweepReport("views")
+    verify._sweep_family(report, family, q, t=t, odds=odds)
+    instances = len(report.entries)
+    assert report.ok and instances > 3
+    [(H, gram_all)] = groups
+    assert len(views) == instances
+    assert all(np.shares_memory(view, H) for view in views)
+    assert len(ranked) == instances * (2 if family == "v" else 1)
+    assert all(np.shares_memory(M, gram_all) for M in ranked)
+
+
+# (family, q, t): n and r follow from parameter_ranges
+_POWER_GROUPS = [("iii", q, None) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)] + [
+    ("iv", q, None) for q in (3, 5, 7, 9, 11, 13)] + [
+    ("v", 5, 3), ("v", 9, 5), ("v", 11, 3), ("v", 13, 7)]
+
+
+@st.composite
+def _windows(draw):
+    """(q, run, part, outside): a random run of Omega indices of one power
+    row family at q <= 13, a window inside it, and a run that reaches one
+    index past one of its ends."""
+    family, q, t = draw(st.sampled_from(_POWER_GROUPS))
+    n = verify.parameter_ranges(family, q, t=t)[0]
+    r = {"iii": 1, "iv": 2}.get(family, t)
+    size = draw(st.integers(1, n - 1))
+    lo = draw(st.integers(0, n - 1))
+    run = omega_run(n, r, lo, lo + size - 1)
+    first = draw(st.integers(0, size - 1))
+    last = draw(st.integers(first, size - 1))
+    part = omega_run(n, r, lo + first, lo + last)
+    if draw(st.booleans()):
+        outside = omega_run(n, r, lo + first, lo + size)
+    else:
+        outside = omega_run(n, r, lo - 1, lo + last)
+    return q, run, part, outside
+
+
+@settings(max_examples=150, deadline=None)
+@given(_windows())
+def test_a_window_of_a_run_is_a_view_of_its_rows(case):
+    q, run, part, outside = case
+    # given only its elements, as a group's union is, the run derives
+    # the start that omega_run gives it
+    top = DefiningSet(run.modulus, run.r, run.elements)
+    assert top.run and top.start == run.start
+    big = constacyclic_code(q, top)
+    code, rows = subcode(big, part)
+    assert np.array_equal(code.H, constacyclic_code(q, part).H)
+    assert np.shares_memory(code.H, big.H) and not code.H.flags.writeable
+    assert code.defining_set == part and rows.stop - rows.start == len(part)
+    with pytest.raises(ValueError, match="outside the defining set"):
+        subcode(big, outside)
+
+
+@pytest.mark.parametrize("q, n, part", [
+    (4, 17, {8, 9}),          # centred on n/2 = 8.5: the last pair
+    (3, 10, {4, 5, 6}),       # the pair 4, 6 and the row of n/2 = 5
+    (4, 17, {16, 0, 1}),      # centred on 0: the first three rows
+])
+def test_trace_rows_of_a_closed_run_are_a_view(q, n, part):
+    full = constacyclic_code(q, DefiningSet(n, 1, frozenset(range(n))))
+    Z = DefiningSet(n, 1, frozenset(part))
+    code, rows = subcode(full, Z)
+    assert np.array_equal(code.H, constacyclic_code(q, Z).H)
+    assert np.shares_memory(code.H, full.H)
+    assert rows == (slice(0, 3) if 0 in part else slice(n - len(part), n))
+
+
+def test_parts_that_are_not_one_run_are_refused():
+    top = constacyclic_code(5, defining_set("iii", 5, delta=3))
+    for elements in ({1, 3}, {23, 2}):
+        with pytest.raises(ValueError, match="not one run"):
+            subcode(top, DefiningSet(24, 1, frozenset(elements)))
+    gappy = constacyclic_code(5, DefiningSet(24, 1, frozenset({0, 1, 5})))
+    with pytest.raises(ValueError, match="not one run"):
+        subcode(gappy, DefiningSet(24, 1, frozenset({5})))
