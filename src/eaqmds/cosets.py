@@ -5,10 +5,9 @@ Omega = {1 + ri : 0 <= i < n} (all residues when r = 1).  Every modulus
 rn the families use divides q^2 - 1 or, for family i, q^2 + 1, so q^2
 is +-1 modulo it and each q^2-cyclotomic coset is {z} or {z, -z}: every
 family's Z is one run of consecutive Omega indices, reduced modulo rn
-at build time.  A DefiningSet keeps the Omega index its run starts at,
-which fixes the order of a parity check's power rows (codes): the set
-omega_run builds is given it, and any other set derives it from its
-elements.  parameter_ranges owns each family's length and the
+at build time.  A DefiningSet derives from its elements the Omega index
+its run starts at, which fixes the order of a parity check's power rows
+(codes).  parameter_ranges owns each family's length and the
 admissible range of its construction parameters: the defining-set
 parameters of the constacyclic families i and iii-v, and the number r
 of parity rows of family ii's extended Reed-Solomon code.  The family
@@ -31,28 +30,28 @@ class DefiningSet:
     start is the Omega index Z's run begins at, and run says whether Z is
     one circular run; a set that is not gets the start of its first run,
     the one at the smallest index.  The empty and the full set are runs
-    from 0.  Both are derived from the elements unless start is given,
-    which only omega_run does, for the run it builds."""
+    from 0.  Both are derived from the elements, never given."""
 
     modulus: int                  # rn
     r: int                        # constacyclic order (1 cyclic, 2 negacyclic)
     elements: frozenset[int]
-    start: int | None = field(default=None, compare=False)
-    run: bool = field(default=True, compare=False)
+    start: int = field(init=False, compare=False, repr=False)
+    run: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.modulus % self.r:
+        r, modulus, elements = self.r, self.modulus, self.elements
+        if modulus % r:
             raise ValueError("constacyclic order must divide the modulus")
-        for z in self.elements:
-            if not 0 <= z < self.modulus:
+        starts = []   # z whose predecessor z - r (mod rn) is absent
+        for z in elements:
+            if not 0 <= z < modulus:
                 raise ValueError(f"element {z} not a canonical residue")
-            if self.r > 1 and z % self.r != 1:
+            if r > 1 and z % r != 1:
                 raise ValueError(f"element {z} outside Omega (z % r != 1)")
-        if self.start is None:
-            n, idx = self.n, self.indices()
-            starts = [i for i in idx if (i - 1) % n not in idx]
-            object.__setattr__(self, "start", min(starts, default=0))
-            object.__setattr__(self, "run", len(starts) <= 1)
+            if (z - r) % modulus not in elements:
+                starts.append(z)
+        object.__setattr__(self, "start", min(starts, default=0) // r)
+        object.__setattr__(self, "run", len(starts) <= 1)
 
     @property
     def n(self) -> int:
@@ -71,7 +70,8 @@ class DefiningSet:
         """Omega indices i with 1 + r*i in Z (i = z when r = 1)."""
         if self.r == 1:
             return self.elements
-        return frozenset(z // self.r for z in self.elements)
+        r = self.r
+        return frozenset(z // r for z in self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -150,12 +150,13 @@ def check_parameters(family: str, q: int, n: int | None = None,
 
 def omega_run(n: int, r: int, lo: int, hi: int) -> DefiningSet:
     """Z of the Omega indices lo..hi, taken modulo n: z = i when r = 1,
-    z = 1 + r*i otherwise; a run from lo (from 0 when it is empty or
+    z = 1 + r*i otherwise; a run from lo % n (from 0 when it is empty or
     covers Z_n)."""
     base = 0 if r == 1 else 1
-    return DefiningSet(r * n, r, frozenset(base + r * (i % n)
-                                           for i in range(lo, hi + 1)),
-                       start=lo % n if 0 < hi - lo + 1 < n else 0)
+    lo, end = lo % n, lo % n + min(hi - lo + 1, n)  # past n when it wraps
+    return DefiningSet(r * n, r, frozenset(
+        range(base + r * lo, base + r * min(end, n), r)).union(
+        range(base, base + r * (end - n), r)))
 
 
 def defining_set(family: str, q: int, *, n: int | None = None,
@@ -193,14 +194,13 @@ def defining_set(family: str, q: int, *, n: int | None = None,
 
 
 def bch_design_distance(Z: DefiningSet) -> int:
-    """Longest circular run of consecutive Omega indices, plus one: |Z| + 1
-    when Z is one run."""
+    """Longest circular run of consecutive Omega indices, plus one."""
     if not Z.elements:
         raise ValueError("empty defining set has no design distance")
-    if Z.run:
-        return len(Z) + 1
     n = Z.n
     idx = Z.indices()
+    if len(idx) == n:
+        return n + 1
     best = 0
     for i in idx:
         if (i - 1) % n in idx:

@@ -172,7 +172,7 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
     elif lemma == "rank1-minus":
         for q in q_list:
             for n in divisors(q * q - 1):
-                _sweep_family(report, "iii", q, n=n, odds=(False, True))
+                _sweep_family(report, "iii", q, n=n)
     elif lemma == "rank-ers":
         for q in q_list:
             _sweep_family(report, "ii", q)
@@ -192,21 +192,20 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
 
 
 def _sweep_family(report: SweepReport, family: str, q: int,
-                  n: int | None = None, t: int | None = None,
-                  odds: tuple[bool, ...] | None = None) -> None:
+                  n: int | None = None, t: int | None = None) -> None:
     """One entry per admissible choice of the construction parameters of
-    one family instance, for each odd in odds in turn, all built by one
-    family_codes call and each checked against the family's expected_c;
-    none when parameter_ranges rejects (q, n, t) or admits no choice.
-    Entry params list t first when given, then the family's parameters,
-    then odd when odds are given."""
+    one family instance, for family iii with even and then odd distance,
+    all built by one family_codes call and each checked against the
+    family's expected_c; none when parameter_ranges rejects (q, n, t) or
+    admits no choice.  Entry params list t first when given, then the
+    family's parameters, then odd for family iii."""
     try:
         length = parameter_ranges(family, q, n, t)[0]
     except ValueError:
         return
     expected = expected_c(family, t)
     grid = []
-    for odd in odds or (False,):
+    for odd in (False, True) if family == "iii" else (False,):
         ranges = parameter_ranges(family, q, n, t, odd)[1]
         grid += [(odd, dict(zip(ranges, values)))
                  for values in itertools.product(*ranges.values())]
@@ -215,7 +214,7 @@ def _sweep_family(report: SweepReport, family: str, q: int,
     for (odd, kw), (code, gram) in zip(grid, built):
         Z = code.defining_set
         params = dict(kw) if t is None else {"t": t, **kw}
-        if odds is not None:
+        if family == "iii":
             params["odd"] = odd
         extra = {}
         if family == "v":

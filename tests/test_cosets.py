@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import signal
 from contextlib import contextmanager
@@ -262,9 +263,21 @@ def test_start_and_run_from_the_elements(case):
                       if any(w <= idx for w in _windows_of(n, size).values()))
         assert bch_design_distance(Z) == longest + 1
     run = omega_run(n, r, lo, lo + len(idx) - 1)
-    derived = DefiningSet(run.modulus, r, run.elements)
-    assert run == derived and run.run and derived.run
-    assert run.start == derived.start
+    assert run.run and run.start == (lo % n if 0 < len(idx) < n else 0)
+
+
+def test_start_and_run_are_never_given():
+    """A set with a gap is not a run, whatever a caller would claim, and
+    a copy with other elements derives them anew."""
+    gapped = DefiningSet(24, 1, frozenset({0, 1, 5}))
+    assert not gapped.run and gapped.start == 0
+    assert bch_design_distance(gapped) == 3
+    for claim in ({"start": 0}, {"run": True}):
+        with pytest.raises(TypeError):
+            DefiningSet(24, 1, frozenset({0, 1, 5}), **claim)
+    moved = dataclasses.replace(gapped, elements=frozenset({22, 23, 0}))
+    assert moved.run and moved.start == 22
+    assert bch_design_distance(moved) == 4
 
 
 def test_coset_partition_check():
