@@ -2,7 +2,7 @@
 
 from .codes import ClassicalCode, constacyclic_code, extended_rs_code
 from .cosets import DefiningSet, bch_design_distance, defining_set
-from .eaqecc import EaqeccParams, derive_eaqecc, ebit_count, enumerate_family
+from .eaqecc import EaqeccParams, derive_eaqecc, enumerate_family
 from .galois import FieldContext, build_field
 from .verify import certify_distance, exhaustive_min_distance, run_lemma_sweep
 
@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassicalCode", "constacyclic_code", "extended_rs_code",
     "DefiningSet", "bch_design_distance", "defining_set",
-    "EaqeccParams", "derive_eaqecc", "ebit_count", "enumerate_family",
+    "EaqeccParams", "derive_eaqecc", "enumerate_family",
     "FieldContext", "build_field",
     "certify_distance", "exhaustive_min_distance", "run_lemma_sweep",
 ]

@@ -194,13 +194,14 @@ def defining_set(family: str, q: int, *, n: int | None = None,
 
 
 def bch_design_distance(Z: DefiningSet) -> int:
-    """Longest circular run of consecutive Omega indices, plus one."""
+    """Longest circular run of consecutive Omega indices, plus one: |Z| + 1
+    when Z is one run, as every family's set is; other sets are walked."""
     if not Z.elements:
         raise ValueError("empty defining set has no design distance")
+    if Z.run:
+        return len(Z) + 1
     n = Z.n
     idx = Z.indices()
-    if len(idx) == n:
-        return n + 1
     best = 0
     for i in idx:
         if (i - 1) % n in idx:

@@ -3,18 +3,19 @@
 A classical [n, k_cl, d]_{q^2} code with parity check H yields an
 [[n, 2 k_cl - n + c, d; c]]_q EAQECC where c = rank(H H^dagger); the
 EA-Singleton bound n + c - k >= 2(d - 1) must hold with equality for
-the MDS families.  c is ebit_count, the kernels.rank of the Gram matrix
-that gram_matrix forms by kernels.matmul and kernels.adjoint on H and the
-code's field.  Family enumerators construct every code and verify the
-closed-form parameters instead of printing them.  FAMILIES names the five
-families; their lengths and admissible q follow from
-cosets.parameter_ranges, family_t says which family takes t, and
-instances is the one map from an admissible distance to the parameters
-that build it.  build_classical turns one family instance, given by its
-distance or by explicit parameters, into a code; family_codes turns all
-instances of one family group (family, q, t, n) into views of one
-code's rows, each with a principal block of that code's one Gram matrix.
-VerificationError, which codes defines, is re-exported here.
+the MDS families.  gram_matrix forms H H^dagger by kernels.matmul and
+kernels.adjoint on H and the code's field.  Family enumerators construct
+every code and verify the closed-form parameters instead of printing
+them.  FAMILIES names the five families; their lengths and admissible q
+follow from cosets.parameter_ranges, family_t says which family takes
+t, and instances is the one map from an admissible distance to the
+parameters that build it.  build_classical turns one family instance,
+given by its distance or by explicit parameters, into a code;
+family_codes turns all instances of one family group (family, q, t, n)
+into views of one code's rows, each with a principal block of that
+code's one Gram matrix and its ebit count c, the rank of that block:
+kernels.block_ranks counts every instance's c in one pass over the Gram
+matrix's support.  VerificationError, which codes defines, is re-exported here.
 """
 
 from __future__ import annotations
@@ -86,12 +87,6 @@ def gram_matrix(H: np.ndarray, q: int, ctx: FieldContext) -> np.ndarray:
     return kernels.matmul(H, kernels.adjoint(H, q, ctx), ctx)
 
 
-def ebit_count(gram: np.ndarray, ctx: FieldContext) -> int:
-    """c = rank(H H^dagger), the number of maximally entangled states,
-    from the Gram matrix H H^dagger of the code's parity check."""
-    return kernels.rank(gram, ctx)
-
-
 def ea_singleton_check(q: int, n: int, k: int, d: int, c: int) -> bool:
     """True iff [[n, k, d; c]]_q has n + c - k = 2(d - 1); a strict
     violation of the bound means the construction is broken and raises."""
@@ -104,11 +99,10 @@ def ea_singleton_check(q: int, n: int, k: int, d: int, c: int) -> bool:
     return slack == 0
 
 
-def derive_eaqecc(code: ClassicalCode, gram: np.ndarray,
+def derive_eaqecc(code: ClassicalCode, c: int,
                   t: int | None = None) -> EaqeccParams:
     """[[n, 2k - n + c, d; c]]_q from a classical code over GF(q^2) and
-    its Gram matrix H H^dagger, with t recorded as given."""
-    c = ebit_count(gram, code.field)
+    its ebit count c = rank(H H^dagger), with t recorded as given."""
     k = 2 * code.k - code.n + c
     if k < 0:
         raise ValueError(
@@ -211,17 +205,19 @@ def build_classical(family: str, q: int, d: int | None, t: int | None = None,
 
 def family_codes(family: str, q: int, params: list[dict],
                  t: int | None = None, n: int | None = None
-                 ) -> Iterator[tuple[ClassicalCode, np.ndarray]]:
+                 ) -> Iterator[tuple[ClassicalCode, np.ndarray, int]]:
     """Each instance of one family group (family, q, t, n), one for each
-    parameter set in `params` as build_classical takes them, as its code
-    and its Gram matrix H H^dagger; nothing for no parameter sets.  One
-    code holds them all: the extended RS code with the largest r (family
-    ii), or the constacyclic code of the union of the defining sets, one
-    run whose rank proof covers every subset of its rows.  Its Gram matrix
-    is formed once.  Each instance's rows are a contiguous block of that
-    code's (codes.subcode), so its H is a view of the group's H and its
-    Gram matrix a view of the principal block on those rows: no instance
-    copies either."""
+    parameter set in `params` as build_classical takes them, as its code,
+    its Gram matrix H H^dagger and its ebit count c = rank(H H^dagger);
+    nothing for no parameter sets.  One code holds them all: the extended
+    RS code with the largest r (family ii), or the constacyclic code of
+    the union of the defining sets, one run whose rank proof covers every
+    subset of its rows.  Its Gram matrix is formed once.  Each instance's
+    rows are a contiguous block of that code's (codes.subcode), so its H
+    is a view of the group's H and its Gram matrix a view of the
+    principal block on those rows: no instance copies either.  One
+    kernels.block_ranks call on the group's Gram matrix counts every
+    instance's c."""
     if not params:
         return
     if family == "ii":
@@ -235,10 +231,12 @@ def family_codes(family: str, q: int, params: list[dict],
         top = constacyclic_code(
             q, DefiningSet(parts[0].modulus, parts[0].r, union))
     gram = gram_matrix(top.H, q, top.field)
-    for part in parts:
-        code, rows = subcode(top, part)
+    subs = [subcode(top, part) for part in parts]
+    counts = kernels.block_ranks(gram, [(rows, rows) for _, rows in subs],
+                                 top.field)
+    for (code, rows), c in zip(subs, counts):
         code.family = family
-        yield code, gram[rows, rows]
+        yield code, gram[rows, rows], c
 
 
 def enumerate_family(family: str, q: int, t: int | None = None,
@@ -254,9 +252,9 @@ def enumerate_family(family: str, q: int, t: int | None = None,
               if closed_form_k(family, q, d, t, n) >= 1]
     out = []
     built = family_codes(family, q, [kw for _, kw in wanted], t, n)
-    for (d, _), (code, gram) in zip(wanted, built):
+    for (d, _), (code, _, ebits) in zip(wanted, built):
         k = closed_form_k(family, q, d, t, n)
-        params = derive_eaqecc(code, gram, t)
+        params = derive_eaqecc(code, ebits, t)
         expected = (length, k, d, c)
         got = (params.n, params.k, params.d, params.c)
         if got != expected:

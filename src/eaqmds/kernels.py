@@ -33,11 +33,15 @@ above them.  Digit-wise addition measured faster there than Zech-log
 addition on GF(q^2) for prime q, the fields most codes live in.  rank
 eliminates nothing when M is monomial, with at most one nonzero in each
 row and each column: its nonzero entries are then a scaled partial
-permutation, and their number is the rank.  Every Gram block the
-families form is monomial (a power-row block is (n mod p) times a
-partial permutation), so an ebit count costs a few passes over the
-block.  Any other M goes to the forward pass, on its nonzero rows and
-columns only, which never change a rank.
+permutation, and their number is the rank.  Any other M goes to the
+forward pass, on its nonzero rows and columns only, which never change
+a rank.  Every block of a monomial M is monomial, so block_ranks reads
+the ranks of many blocks of one M off one np.nonzero of it: the number
+of nonzeros inside each block.  Every Gram matrix the families form is
+monomial (a power-row Gram matrix is (n mod p) times a partial
+permutation), so the ebit counts of all instances of a family group,
+principal blocks of the group's Gram matrix, cost one pass over its
+support.
 
 Minimum-weight search enumerates messages projectively (highest nonzero
 digit 1) from span tables.  One table holds every combination of the
@@ -195,16 +199,40 @@ def _forward(M, ctx) -> list[int]:
     return pivots
 
 
+def _monomial(nz: np.ndarray) -> bool:
+    """True iff the support nz holds at most one nonzero in each row and
+    each column.  Its count of nonzeros is at least the number of rows,
+    and of columns, that hold one, with equality iff no line holds two."""
+    count = np.count_nonzero(nz)
+    return (count == np.count_nonzero(nz.any(axis=1))
+            == np.count_nonzero(nz.any(axis=0)))
+
+
 def rank(M: np.ndarray, ctx) -> int:
     """rank(M), read off the support when M is monomial; else the forward
     pass on M's nonzero rows and columns (copies, so M is untouched)."""
     nz = M != 0
-    rows, cols = nz.any(axis=1), nz.any(axis=0)
-    count = int(np.count_nonzero(nz))
-    # count >= each line count, with equality iff no line holds two
-    if count == np.count_nonzero(rows) == np.count_nonzero(cols):
-        return count
-    return len(_forward(M[rows][:, cols], ctx))
+    if _monomial(nz):
+        return int(np.count_nonzero(nz))
+    return len(_forward(M[nz.any(axis=1)][:, nz.any(axis=0)], ctx))
+
+
+def block_ranks(M: np.ndarray, blocks, ctx) -> list[int]:
+    """rank(M[rows, cols]) for each pair (rows, cols) of step-1 slices in
+    blocks.  Every block of a monomial M is monomial, so its rank is the
+    number of M's nonzeros inside it: one np.nonzero and one bounds test
+    count them all.  Any other M ranks each block."""
+    if any(s.step not in (None, 1) for block in blocks for s in block):
+        raise ValueError("block_ranks takes slices of step 1")
+    nz = M != 0
+    if not _monomial(nz):
+        return [rank(M[rows, cols], ctx) for rows, cols in blocks]
+    r, c = np.nonzero(nz)
+    lo_r, hi_r, lo_c, hi_c = np.array(
+        [rows.indices(M.shape[0])[:2] + cols.indices(M.shape[1])[:2]
+         for rows, cols in blocks], dtype=np.int64).reshape(-1, 4).T[..., None]
+    inside = (lo_r <= r) & (r < hi_r) & (lo_c <= c) & (c < hi_c)
+    return inside.sum(axis=1).tolist()
 
 
 def eliminate(M: np.ndarray, ctx) -> tuple[np.ndarray, list[int]]:

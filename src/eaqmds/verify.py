@@ -14,10 +14,12 @@ containment has two routes here, the coset test Z & -qZ = 0 and the
 matrix test H H^dagger = 0.  The sweep harness builds every family
 instance that cosets.parameter_ranges admits, each group of them (one
 family, q, n and t, family iii's two distance parities together) through
-one eaqecc.family_codes build, and compares rank(H H^dagger) against the
-predicted ebit count.  Each instance's H and Gram matrix are views of
-the group's; the family-v cross rank rank(H1 H2^dagger) is that of a
-block of the entry's own Gram matrix, sliced on the rows of Z1 and Z2.
+one eaqecc.family_codes build, and compares rank(H H^dagger), which
+that build counts for the whole group in one kernels.block_ranks pass,
+against the predicted ebit count.  Each instance's H and Gram matrix are
+views of the group's; the family-v cross rank rank(H1 H2^dagger) is that
+of a block of the entry's own Gram matrix, sliced on the rows of Z1 and
+Z2.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from . import kernels
 from .codes import ClassicalCode, generator_matrix, parity_rows
 from .cosets import DefiningSet, omega_run, parameter_ranges
-from .eaqecc import ebit_count, expected_c, family_codes, gram_matrix
+from .eaqecc import expected_c, family_codes, gram_matrix
 from .galois import FieldContext
 
 
@@ -140,9 +142,8 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _rank_entry(lemma, q, n, r, params, Z, gram, ctx, expected,
+def _rank_entry(lemma, q, n, r, params, Z, computed, expected,
                 **extra) -> dict:
-    computed = ebit_count(gram, ctx)
     ok = computed == expected and all(
         v for k, v in extra.items() if k.endswith("_ok"))
     entry = {"lemma": lemma, "q": q, "n": n, "r": r, "params": params,
@@ -211,7 +212,7 @@ def _sweep_family(report: SweepReport, family: str, q: int,
                  for values in itertools.product(*ranges.values())]
     built = family_codes(family, q, [dict(kw, odd=odd) for odd, kw in grid],
                          t, n)
-    for (odd, kw), (code, gram) in zip(grid, built):
+    for (odd, kw), (code, gram, c) in zip(grid, built):
         Z = code.defining_set
         params = dict(kw) if t is None else {"t": t, **kw}
         if family == "iii":
@@ -222,7 +223,7 @@ def _sweep_family(report: SweepReport, family: str, q: int,
                                          code, gram)
         report.add(_rank_entry(report.lemma, q, length,
                                Z.r if Z is not None else None, params, Z,
-                               gram, code.field, expected, **extra))
+                               c, expected, **extra))
 
 
 def _consta_intersection(q, t, d1, d2, code: ClassicalCode,

@@ -457,9 +457,11 @@ def test_exit_codes_separate_bugs_from_usage_errors(monkeypatch, capsys):
 def test_failed_construction_exits_1(monkeypatch, capsys, c, message):
     # family i at q = 4 has n = 17 and c = 1: c = 17 leaves [0, n-1]
     # (ea_singleton_check), c = 2 meets the bound but not the closed
-    # form (enumerate_family).  ebit_count reads c off each record's
-    # Gram block, so it is the one seam for c.
-    monkeypatch.setattr(eaqecc, "ebit_count", lambda gram, ctx: c)
+    # form (enumerate_family).  family_codes counts every record's c in
+    # one kernels.block_ranks call on the group's Gram matrix, so that
+    # call is the one seam for c.
+    monkeypatch.setattr(kernels, "block_ranks",
+                        lambda gram, blocks, ctx: [c] * len(blocks))
     code, out, err = run_cli(capsys, "enumerate", "--family", "i", "--q", "4")
     assert code == cli.VERIFY_ERROR == 1
     assert err.startswith("error: ") and message in err

@@ -15,7 +15,7 @@ from eaqmds.codes import (
     generator_matrix,
 )
 from eaqmds.cosets import DefiningSet, defining_set
-from eaqmds.eaqecc import ebit_count, gram_matrix
+from eaqmds.eaqecc import gram_matrix
 from eaqmds.galois import build_field, factor_prime_power, prime_factors
 from reference import (
     poly_from_roots,
@@ -227,7 +227,7 @@ def test_family_i_matches_root_evaluation(q):
             G = emb[generator_matrix(code)]
             assert not kernels.matmul(G, H_root.T, f4).any()
             gram = kernels.matmul(H_root, kernels.adjoint(H_root, q, f4), f4)
-            c = ebit_count(gram_matrix(code.H, q, code.field), code.field)
+            c = kernels.rank(gram_matrix(code.H, q, code.field), code.field)
             assert c == kernels.rank(gram, f4)
 
 

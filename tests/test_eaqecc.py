@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eaqmds import kernels
 from eaqmds.codes import constacyclic_code
 from eaqmds.cosets import (
     DefiningSet,
@@ -12,7 +13,6 @@ from eaqmds.eaqecc import (
     closed_form_k,
     derive_eaqecc,
     ea_singleton_check,
-    ebit_count,
     enumerate_family,
     expected_c,
     gram_matrix,
@@ -25,25 +25,30 @@ def test_ebit_count_dual_containing_is_zero():
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     code = constacyclic_code(4, DefiningSet(17, 1, z1))
     f = code.field
-    assert ebit_count(gram_matrix(code.H, 4, f), f) == 0
+    assert kernels.rank(gram_matrix(code.H, 4, f), f) == 0
     empty = np.zeros((0, 17), dtype=np.int64)
-    assert ebit_count(gram_matrix(empty, 4, f), f) == 0
+    assert kernels.rank(gram_matrix(empty, 4, f), f) == 0
 
 
 def test_ebit_count_one_for_small_cyclic():
     code = constacyclic_code(2, defining_set("i", 2, delta=1))
-    assert ebit_count(gram_matrix(code.H, 2, code.field), code.field) == 1
+    assert kernels.rank(gram_matrix(code.H, 2, code.field), code.field) == 1
 
 
 def test_ebit_count_t_for_constacyclic():
     code = constacyclic_code(11, defining_set("v", 11, t=3, delta1=4,
                                               delta2=4))
-    assert ebit_count(gram_matrix(code.H, 11, code.field), code.field) == 3
+    assert kernels.rank(gram_matrix(code.H, 11, code.field), code.field) == 3
+
+
+def _ebits(code):
+    """c = rank(H H^dagger) of one code, from its own Gram matrix."""
+    return kernels.rank(gram_matrix(code.H, code.q, code.field), code.field)
 
 
 def test_derive_17_8_6():
     code = build_classical("i", 4, 6)
-    params = derive_eaqecc(code, gram_matrix(code.H, 4, code.field))
+    params = derive_eaqecc(code, _ebits(code))
     assert params.label() == "[[17,8,6;1]]_4"
     assert params.saturates_ea_singleton
 
@@ -51,14 +56,14 @@ def test_derive_17_8_6():
 def test_derive_24_17_5():
     code = build_classical("iii", 5, 5)
     assert (code.n, code.k) == (24, 20)   # |Z| = 4, asymmetric set
-    params = derive_eaqecc(code, gram_matrix(code.H, 5, code.field))
+    params = derive_eaqecc(code, _ebits(code))
     assert params.label() == "[[24,17,5;1]]_5"
 
 
 def test_derive_dual_containing_reduces_to_stabilizer():
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
     code = constacyclic_code(4, DefiningSet(17, 1, z1))
-    params = derive_eaqecc(code, gram_matrix(code.H, 4, code.field))
+    params = derive_eaqecc(code, _ebits(code))
     assert params.c == 0
     assert params.k == 2 * code.k - code.n  # [[n, 2k-n, d; 0]]
     assert not params.saturates_ea_singleton
@@ -222,7 +227,7 @@ def test_derive_k_negative_is_error():
     code2 = type(code)(n=code.n, k=1, d_design=1, H=code.H, q=3,
                        field=code.field)
     with pytest.raises(ValueError):
-        derive_eaqecc(code2, gram_matrix(code2.H, 3, code2.field))
+        derive_eaqecc(code2, _ebits(code2))
 
 
 def test_record_schema():

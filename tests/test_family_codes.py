@@ -1,11 +1,13 @@
 """eaqecc.family_codes builds each family group (family, q, t, n) once
 and hands out its instances as views of consecutive rows of one parity
-check, each with a view of the principal block of one Gram matrix.  A
-wrong row offset would reach every instance of a family, so every
-instance that `enumerate --q 2..16 --t 3` and the default `verify` grids
-produce is compared with a direct build, and random windows of random
-runs are too; the views are checked to share the group's memory; and the
-union's one rank proof and one Gram product are counted."""
+check, each with a view of the principal block of one Gram matrix and
+its ebit count, all counted in one kernels.block_ranks pass over that
+Gram matrix.  A wrong row offset would reach every instance of a family,
+so every instance that `enumerate --q 2..16 --t 3` and the default
+`verify` grids produce is compared with a direct build, and random
+windows of random runs are too; the views are checked to share the
+group's memory; and the union's one rank proof, one Gram product and one
+rank pass are counted."""
 
 import json
 
@@ -22,11 +24,12 @@ from eaqmds.eaqecc import build_classical, family_codes
 
 
 def _checked(real, seen):
-    """family_codes that compares each yielded instance with the direct
-    build_classical of its parameters, recording what it covered."""
+    """family_codes that compares each yielded instance, its Gram matrix
+    and its ebit count with the direct build_classical of its parameters,
+    recording what it covered."""
     def wrapper(family, q, params, t=None, n=None):
         built = real(family, q, params, t, n)
-        for kw, (code, gram) in zip(params, built, strict=True):
+        for kw, (code, gram, c) in zip(params, built, strict=True):
             direct = build_classical(family, q, None, t, n, **kw)
             assert np.array_equal(code.H, direct.H), (family, q, t, n, kw)
             assert (code.n, code.k, code.d_design, code.family) == \
@@ -34,13 +37,14 @@ def _checked(real, seen):
             assert code.defining_set == direct.defining_set
             assert code.field is direct.field
             f = direct.field
-            assert np.array_equal(
-                gram, kernels.matmul(direct.H, kernels.adjoint(direct.H, q, f),
-                                     f)), (family, q, t, n, kw)
+            direct_gram = kernels.matmul(direct.H,
+                                         kernels.adjoint(direct.H, q, f), f)
+            assert np.array_equal(gram, direct_gram), (family, q, t, n, kw)
+            assert c == kernels.rank(direct_gram, f), (family, q, t, n, kw)
             Z = code.defining_set
             traced = Z is not None and (q * q - 1) % Z.modulus != 0
             seen.append((family, traced, kw.get("odd", False)))
-            yield code, gram
+            yield code, gram, c
     return wrapper
 
 
@@ -96,6 +100,37 @@ def test_one_rank_proof_and_one_gram_product_per_group(monkeypatch, capsys):
     assert len(products) == len(groups) < len(records)
 
 
+def _principal(M, gram):
+    """True iff M is a view of a principal block of gram: its diagonal
+    lies on gram's."""
+    return np.shares_memory(M.diagonal(), gram.diagonal())
+
+
+def test_one_rank_pass_per_group(monkeypatch, capsys):
+    passes = _count_calls(monkeypatch, kernels, "block_ranks")
+    ranked = _count_calls(monkeypatch, kernels, "rank")
+    # the only ranks taken one at a time are family v's cross blocks, one
+    # per instance, none on a principal block of a group's Gram matrix
+    assert main(["verify", "--lemma", "consta", "--q", "5..29"]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert len(passes) == 10
+    assert sum(len(blocks) for _, blocks, _ in passes) == report["instances"]
+    assert len(ranked) == report["instances"]
+    assert not any(_principal(M, gram) for M, _ in ranked
+                   for gram, _, _ in passes)
+    assert all(any(np.shares_memory(M, gram) for gram, _, _ in passes)
+               for M, _ in ranked)
+
+    passes.clear()
+    ranked.clear()
+    assert main(["enumerate", "--q", "2..9", "--t", "3"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    groups = {(r["family"], r["q"]) for r in records}
+    assert len(passes) == len(groups) < len(records)
+    assert sum(len(blocks) for _, blocks, _ in passes) == len(records)
+    assert ranked == []
+
+
 def test_one_family_iii_group_per_length(monkeypatch, capsys):
     # both distance parities of one (q, n) come from one build, the even
     # instances' entries first: the odd run [-delta, delta-1] lies inside
@@ -149,12 +184,13 @@ def test_subcode_rejects_what_the_union_does_not_hold():
     ("v", 11, 3),
 ])
 def test_instances_are_views_of_their_group(monkeypatch, family, q, t):
-    """Each instance's H is a view of its group's H, and each matrix
-    whose rank a sweep takes, the Gram block and family v's cross block,
-    is a view of the group's Gram matrix: no instance copies rows."""
-    groups, views, ranked = [], [], []
-    real_gram, real_subcode, real_rank = (eaqecc.gram_matrix, eaqecc.subcode,
-                                          kernels.rank)
+    """Each instance's H is a view of its group's H, each Gram block is
+    a view of the group's Gram matrix, and one block_ranks call on that
+    matrix counts every instance's c; family v's cross rank is one
+    kernels.rank per instance, on a view of it: no instance copies rows."""
+    groups, views, passes, ranked = [], [], [], []
+    real_gram, real_subcode, real_rank, real_blocks = (
+        eaqecc.gram_matrix, eaqecc.subcode, kernels.rank, kernels.block_ranks)
 
     def gram(H, q, f):
         groups.append((H, real_gram(H, q, f)))
@@ -169,9 +205,14 @@ def test_instances_are_views_of_their_group(monkeypatch, family, q, t):
         ranked.append(M)
         return real_rank(M, f)
 
+    def block_ranks(M, blocks, f):
+        passes.append((M, blocks))
+        return real_blocks(M, blocks, f)
+
     monkeypatch.setattr(eaqecc, "gram_matrix", gram)
     monkeypatch.setattr(eaqecc, "subcode", sub)
     monkeypatch.setattr(kernels, "rank", rank)
+    monkeypatch.setattr(kernels, "block_ranks", block_ranks)
     report = verify.SweepReport("views")
     verify._sweep_family(report, family, q, t=t)
     instances = len(report.entries)
@@ -179,8 +220,11 @@ def test_instances_are_views_of_their_group(monkeypatch, family, q, t):
     [(H, gram_all)] = groups
     assert len(views) == instances
     assert all(np.shares_memory(view, H) for view in views)
-    assert len(ranked) == instances * (2 if family == "v" else 1)
-    assert all(np.shares_memory(M, gram_all) for M in ranked)
+    [(counted, blocks)] = passes
+    assert counted is gram_all and len(blocks) == instances
+    assert len(ranked) == (instances if family == "v" else 0)
+    assert all(np.shares_memory(M, gram_all) and not _principal(M, gram_all)
+               for M in ranked)
 
 
 # (family, q, t): n and r follow from parameter_ranges

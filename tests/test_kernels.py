@@ -259,6 +259,89 @@ def test_monomial_rank_is_its_support(case):
         assert got == np.count_nonzero(M)
 
 
+# GF(9), GF(16) and GF(25): the fields of the families' Gram matrices
+BLOCK_FIELDS = [(3, 2), (2, 4), (5, 2)]
+
+
+@st.composite
+def _slices(draw, size):
+    """A step-1 slice of range(size): full, empty, or random bounds, which
+    may be negative, past the end or reversed."""
+    kind = draw(st.sampled_from(["full", "empty", "random"]))
+    if kind == "full":
+        return slice(None)
+    if kind == "empty":
+        at = draw(st.integers(0, size))
+        return slice(at, at)
+    bound = st.one_of(st.none(), st.integers(-size - 1, size + 1))
+    return slice(draw(bound), draw(bound))
+
+
+@st.composite
+def block_cases(draw):
+    """(field, M, blocks, kind): M a scaled partial permutation (kind
+    "monomial"), the same with one more nonzero in a line that holds one
+    ("extra") or uniform random ("dense"), and up to 6 blocks of it."""
+    ctx = _field(*draw(st.sampled_from(BLOCK_FIELDS)))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["monomial", "extra", "dense"]))
+    if kind == "dense":
+        M = rng.integers(0, ctx.order, (rows, cols)).astype(np.int64)
+    else:
+        k = draw(st.integers(0, min(rows, cols)))
+        M = np.zeros((rows, cols), dtype=np.int64)
+        where = rng.permutation(rows)[:k], rng.permutation(cols)[:k]
+        M[where] = rng.integers(1, ctx.order, k)
+        if kind == "extra":
+            assume(k >= 1 and cols >= 2)
+            j = draw(st.sampled_from([c for c in range(cols)
+                                      if c != where[1][0]]))
+            M[where[0][0], j] = rng.integers(1, ctx.order)
+    blocks = draw(st.lists(st.tuples(_slices(rows), _slices(cols)),
+                           max_size=6))
+    return ctx, M, blocks, kind
+
+
+def _block_case(M, blocks, kind):
+    return build_field(3, 2), np.array(M, dtype=np.int64), blocks, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_cases())
+# a block whose rows hold a nonzero its columns leave out
+@example(case=_block_case([[2, 0, 0], [0, 3, 0], [0, 0, 4]],
+                          [(slice(0, 2), slice(1, 3))], "monomial"))
+# a nonzero just past the row stop, then just past the column stop
+@example(case=_block_case([[2, 0], [0, 3]],
+                          [(slice(0, 1), slice(None)),
+                           (slice(None), slice(0, 1))], "monomial"))
+# rank 1, four nonzeros
+@example(case=_block_case([[1, 1], [1, 1]], [(slice(None), slice(None))],
+                          "dense"))
+def test_block_ranks_match_rank_of_each_block(case):
+    """block_ranks gives kernels.rank of each block, and eliminates
+    nothing when M is monomial."""
+    ctx, M, blocks, kind = case
+    M.setflags(write=False)
+    want = [kernels.rank(M[rows, cols], ctx) for rows, cols in blocks]
+    with mock.patch.object(kernels, "_forward",
+                           wraps=kernels._forward) as forward:
+        assert kernels.block_ranks(M, blocks, ctx) == want
+    if kind == "monomial":
+        assert forward.call_count == 0
+
+
+def test_block_ranks_take_step_1_slices_only():
+    ctx = build_field(3, 2)
+    M = np.eye(4, dtype=np.int64)
+    assert kernels.block_ranks(M, [], ctx) == []
+    assert kernels.block_ranks(M, [(slice(0, 4, 1), slice(1, None))],
+                               ctx) == [3]
+    with pytest.raises(ValueError, match="step 1"):
+        kernels.block_ranks(M, [(slice(0, 4, 2), slice(None))], ctx)
+
+
 def test_min_weight_matches_bruteforce():
     ctx = build_field(3, 2)
     rng = np.random.default_rng(3)

@@ -267,7 +267,8 @@ def test_consta_split_mismatch_is_reported():
     gram = gram_matrix(code.H, 5, f)
     good = _consta_intersection(5, 3, 2, 2, code, gram)
     assert good["split_ok"] and good["cross_rank"] == 1
-    assert _rank_entry("consta", 5, 8, 3, {}, Z, gram, f, 3, **good)["ok"]
+    assert _rank_entry("consta", 5, 8, 3, {}, Z, kernels.rank(gram, f), 3,
+                       **good)["ok"]
     # a defining set missing one element is not rebuilt by the split,
     # and its rows no longer hold H1 and H2: no cross rank is taken
     short = DefiningSet(Z.modulus, Z.r, Z.elements - {max(Z.elements)})
@@ -276,8 +277,8 @@ def test_consta_split_mismatch_is_reported():
     extra = _consta_intersection(5, 3, 2, 2, short_code, short_gram)
     assert extra["split_ok"] is False
     assert extra["cross_rank"] is None and extra["cross_rank_ok"] is False
-    entry = _rank_entry("consta", 5, 8, 3, {}, short, short_gram, f, 3,
-                        **extra)
+    entry = _rank_entry("consta", 5, 8, 3, {}, short,
+                        kernels.rank(short_gram, f), 3, **extra)
     assert entry["ok"] is False and entry["split_ok"] is False
 
 
