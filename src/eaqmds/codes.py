@@ -32,11 +32,13 @@ reads the nested code off it as a view of H, as it reads the extended
 RS code with r rows off the first r rows of one with more.
 
 rank(H) = |Z| is proved from H's leading square block with no
-elimination: power rows make it Vandermonde (_vandermonde), in any row
-order, and trace rows T times a Vandermonde matrix over the extension,
-which _lucas_vandermonde reads off the trace entries alone.  The
-independent rows of the larger H prove those of every subset; a block
-that fails the proof is a VerificationError.
+elimination, by the one proof of H's row kind: power rows make it
+Vandermonde (_vandermonde), in any row order, and trace rows T times a
+Vandermonde matrix over the extension, which _lucas_vandermonde reads
+off the trace entries alone.  The independent rows of the larger H
+prove those of every subset.  A block that fails its proof is refused
+with a VerificationError, never eliminated.  The extended RS code of
+family ii takes its rows from constacyclic_code and so its proof.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .cosets import DefiningSet, bch_design_distance
+from .cosets import DefiningSet, bch_design_distance, omega_run
 from .galois import FieldContext, build_field, factor_prime_power
 
 
@@ -211,23 +213,13 @@ def _lucas_vandermonde(B: np.ndarray, f: FieldContext) -> bool:
     return bool((f.add(seq[:, 2:], seq[:, :-2]) == s_v).all())
 
 
-def _independent_rows(H: np.ndarray, f: FieldContext) -> bool:
-    """True iff the leading square block B of H is nonsingular, which
-    proves rank(H) = rows(H), as it does for every accepted defining set.
-    Power rows make B Vandermonde in the distinct points eta^z, which
-    _vandermonde checks; trace rows make it T V, T invertible and V
-    Vandermonde in the points beta^z, which _lucas_vandermonde checks.
-    Neither eliminates; a block that both reject is eliminated."""
-    rows = H.shape[0]
-    B = H[:, :rows]
-    return (_vandermonde(B, f) or _lucas_vandermonde(B, f)
-            or kernels.rank(B, f) == rows)
-
-
 def constacyclic_code(q: int, Z: DefiningSet) -> ClassicalCode:
     """Code of length n = Z.n over GF(q^2) with roots {eta^z : z in Z};
     k = n - |Z|, d from the BCH bound.  The roots need gcd(n, q) = 1 and
-    rn | q^2-1, or r = 1 and n | q^2+1."""
+    rn | q^2-1 (power rows), or r = 1 and n | q^2+1 (trace rows).  The
+    leading |Z| x |Z| block of H must pass the rank proof of its row
+    kind, _vandermonde or _lucas_vandermonde; else the build raises
+    VerificationError."""
     p, e = factor_prime_power(q)
     n, rn = Z.n, Z.modulus
     if math.gcd(n, q) != 1:
@@ -243,8 +235,10 @@ def constacyclic_code(q: int, Z: DefiningSet) -> ClassicalCode:
         z = np.array(Z.in_run_order(), dtype=np.int64)[:, None]
         H = _power_table(field, rn)[z * np.arange(n) % rn]
     rows = len(Z)
-    if rows and not _independent_rows(H, field):
-        raise VerificationError(f"singular leading {rows} x {rows} block in H")
+    proof = _lucas_vandermonde if traces else _vandermonde
+    if rows and not proof(H[:, :rows], field):
+        raise VerificationError(
+            f"leading {rows} x {rows} block of H fails its rank proof")
     return _constacyclic(q, Z, H, field)
 
 
@@ -267,20 +261,16 @@ def extended_rs_code(q: int, r: int) -> ClassicalCode:
     """Reed-Solomon code of length q^2-1 extended by an overall parity
     check: evaluation points are 0, then g^0, g^1, ..., g^{q^2-2} for the
     field's generator g; H[i, j] = point_j^i with 0^0 = 1, so the first
-    row is all ones; parameters [q^2, q^2-r, r+1].  H[:, 1:] is power
-    rows in the distinct points g^i, which _independent_rows proves."""
-    p, e = factor_prime_power(q)
+    row is all ones; parameters [q^2, q^2-r, r+1].  H is the column
+    (1, 0, ..., 0) of the point 0 before the rows of the cyclic RS code
+    with defining set 0..r-1 mod q^2-1, whose power rows in the distinct
+    points g^j constacyclic_code builds and proves."""
     n = q * q
     if not 1 <= r <= n - 2:
         raise ValueError(f"r={r} outside [1, {n - 2}]")
-    f = build_field(p, 2 * e)
-    H = np.zeros((r, n), dtype=np.int64)
-    H[:, 1:] = _power_table(f, n - 1)[
-        np.arange(r)[:, None] * np.arange(n - 1) % (n - 1)]
-    H[0, 0] = 1
-    if not _independent_rows(H[:, 1:], f):
-        raise VerificationError(f"singular leading {r} x {r} block in H")
-    return _extended_rs(q, H, f)
+    rs = constacyclic_code(q, omega_run(n - 1, 1, 0, r - 1))
+    H = np.hstack([np.eye(r, 1, dtype=np.int64), rs.H])
+    return _extended_rs(q, H, rs.field)
 
 
 def subcode(top: ClassicalCode,

@@ -153,6 +153,18 @@ def _rank_entry(lemma, q, n, r, params, Z, computed, expected,
     return entry
 
 
+# each lemma's family, and for families i and iii the sign s of the
+# lengths they sweep, every divisor n of q^2+s
+LEMMAS: dict[str, tuple[str, int | None]] = {
+    "rank1": ("i", 1),
+    "rank1-minus": ("iii", -1),
+    "rank-ers": ("ii", None),
+    "nega": ("iv", None),
+    "consta": ("v", None),
+}
+ALL_LEMMAS = tuple(LEMMAS)
+
+
 def run_lemma_sweep(lemma: str, q_list: list[int],
                     t_list: list[int] | None = None) -> SweepReport:
     """Rebuild every admissible instance of one rank lemma and compare
@@ -164,30 +176,17 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
     (constacyclic order t, c = t, plus the |Z1 & Z2^{-q}| = (t-1)/2
     intersection count).
     """
+    if lemma not in LEMMAS:
+        raise ValueError(f"unknown lemma {lemma!r}")
+    family, sign = LEMMAS[lemma]
+    if family == "v" and not t_list:
+        raise ValueError("consta sweep needs t values")
     start = time.perf_counter()
     report = SweepReport(lemma)
-    if lemma == "rank1":
-        for q in q_list:
-            for n in divisors(q * q + 1):
-                _sweep_family(report, "i", q, n=n)
-    elif lemma == "rank1-minus":
-        for q in q_list:
-            for n in divisors(q * q - 1):
-                _sweep_family(report, "iii", q, n=n)
-    elif lemma == "rank-ers":
-        for q in q_list:
-            _sweep_family(report, "ii", q)
-    elif lemma == "nega":
-        for q in q_list:
-            _sweep_family(report, "iv", q)
-    elif lemma == "consta":
-        if not t_list:
-            raise ValueError("consta sweep needs t values")
-        for q in q_list:
-            for t in t_list:
-                _sweep_family(report, "v", q, t=t)
-    else:
-        raise ValueError(f"unknown lemma {lemma!r}")
+    for q in q_list:
+        for t in t_list if family == "v" else [None]:
+            for n in divisors(q * q + sign) if sign else [None]:
+                _sweep_family(report, family, q, n=n, t=t)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -257,8 +256,6 @@ def _consta_intersection(q, t, d1, d2, code: ClassicalCode,
         "cross_rank_ok": cross_rank == s,
     }
 
-
-ALL_LEMMAS = ("rank1", "rank1-minus", "rank-ers", "nega", "consta")
 
 # acceptance-grade default grids per lemma
 DEFAULT_SWEEPS: dict[str, tuple[tuple[int, ...], tuple[int, ...] | None]] = {

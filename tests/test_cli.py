@@ -471,10 +471,11 @@ def test_failed_construction_exits_1(monkeypatch, capsys, c, message):
 def test_singular_parity_check_exits_1(monkeypatch, capsys):
     # a parity check whose rank proof fails is a broken build, not bad
     # input: family iii at q = 5 builds one group, the union [-3, 3]
-    monkeypatch.setattr(codes, "_independent_rows", lambda H, f: False)
+    monkeypatch.setattr(codes, "_vandermonde", lambda B, f: False)
     code, out, err = run_cli(capsys, "enumerate", "--family", "iii", "--q", "5")
     assert code == cli.VERIFY_ERROR == 1
-    assert (out, err) == ("", "error: singular leading 7 x 7 block in H\n")
+    assert (out, err) == (
+        "", "error: leading 7 x 7 block of H fails its rank proof\n")
     assert eaqecc.VerificationError is codes.VerificationError
 
 

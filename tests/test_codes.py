@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from reference import (
     root_rows,
     trace_root,
 )
+from test_acceptance import _family_subset_cases, _random_coset_union_cases
 
 
 def _empty(n, r=1):
@@ -270,6 +272,41 @@ def _patch_power_table(table):
     return mock.patch.object(codes, "_power_table", return_value=table)
 
 
+class _Rows:
+    """A stand-in root table: every block of rows read off it is H."""
+
+    def __init__(self, H):
+        self.H = H
+
+    def __getitem__(self, index):
+        return self.H
+
+
+def _patch_rows(q, Z, H):
+    """Make constacyclic_code(q, Z) take H as its power or trace rows."""
+    if codes._traced(q, Z):
+        return mock.patch.object(codes, "_trace_rows", return_value=H)
+    return _patch_power_table(_Rows(H))
+
+
+REFUSED = "leading {0} x {0} block of H fails its rank proof"
+
+
+def _build(q, Z, patch):
+    """(built, eliminations): whether constacyclic_code(q, Z) builds
+    under `patch`, and the calls that reached kernels.rank or
+    kernels._forward.  A refused build raises the rank-proof error."""
+    with patch, _spy_rank() as rank, mock.patch.object(
+            kernels, "_forward", wraps=kernels._forward) as forward:
+        try:
+            constacyclic_code(q, Z)
+            built = True
+        except codes.VerificationError as err:
+            assert str(err) == REFUSED.format(len(Z))
+            built = False
+    return built, rank.call_count + forward.call_count
+
+
 def test_power_rows_are_proved_with_no_elimination():
     # the leading block is Vandermonde in the distinct points eta^z
     with _spy_rank() as spy:
@@ -314,23 +351,10 @@ def test_every_family_i_block_passes_the_trace_check():
     assert _rank_shapes(spy) == []
 
 
-def _tampered_build(q, Z, f, table):
-    """(lucas, built, expected, shapes): whether the leading block of the
-    trace rows of `table` passes _lucas_vandermonde, whether
-    constacyclic_code builds from that table, whether the reference
-    finds the block nonsingular, and the shapes sent to kernels.rank."""
-    rows = len(Z)
-    B = codes._trace_rows(table, Z, f)[:, :rows]
-    with mock.patch.object(codes, "_trace_table", return_value=table), \
-            _spy_rank() as spy:
-        try:
-            constacyclic_code(q, Z)
-            built = True
-        except ValueError as err:
-            assert str(err) == f"singular leading {rows} x {rows} block in H"
-            built = False
-    expected = len(ref_rref(B, f)[1]) == rows
-    return codes._lucas_vandermonde(B, f), built, expected, _rank_shapes(spy)
+def _traced_set(rows):
+    """A defining set of `rows` elements that takes trace rows at q = 5,
+    since n = 26 divides 5^2+1; _patch_rows supplies the rows."""
+    return DefiningSet(26, 1, frozenset(range(rows)))
 
 
 @pytest.mark.parametrize("q, n, delta, tamper", [
@@ -341,6 +365,8 @@ def _tampered_build(q, Z, f, table):
     (5, 26, 4, "period 2"),     # every s is +-2
 ])
 def test_tampered_trace_table_falls_back_to_elimination(q, n, delta, tamper):
+    # whether or not the tampered block is singular, trace rows that
+    # contradict their kind fail the trace proof, and nothing eliminates
     Z = defining_set("i", q, n=n, delta=delta)
     f = constacyclic_code(q, Z).field
     table = _trace_table(f, n).copy()
@@ -351,10 +377,10 @@ def test_tampered_trace_table_falls_back_to_elimination(q, n, delta, tamper):
     else:
         period = int(tamper.split()[1])
         table = _trace_table(f, period)[np.arange(n) % period]
-    lucas, built, expected, shapes = _tampered_build(q, Z, f, table)
-    assert not lucas
-    assert built == expected
-    assert shapes == [(len(Z), len(Z))]
+    B = codes._trace_rows(table, Z, f)[:, :len(Z)]
+    assert not codes._lucas_vandermonde(B, f)
+    patch = mock.patch.object(codes, "_trace_table", return_value=table)
+    assert _build(q, Z, patch) == (False, 0)
 
 
 def _lucas_pair(f, s, cols):
@@ -398,10 +424,9 @@ def test_degenerate_trace_pairs_fall_back_to_elimination(ss, ones, alternating):
     B = _trace_block(f, ss, ones, alternating)
     assert _singular_by_theory(f, ss, ones, alternating)
     assert not codes._lucas_vandermonde(B, f)
-    with _spy_rank() as spy:
-        independent = codes._independent_rows(B, f)
-    assert not independent and len(ref_rref(B, f)[1]) < len(B)
-    assert _rank_shapes(spy) == [B.shape]
+    assert len(ref_rref(B, f)[1]) < len(B)
+    Z = _traced_set(len(B))
+    assert _build(5, Z, _patch_rows(5, Z, B)) == (False, 0)
 
 
 def _geometric_pair(f, x, cols):
@@ -429,9 +454,8 @@ def test_pairs_must_be_lucas_shifts(pair):
     B = np.array([[1] * 3] + pair(f, int(f.exp[1]), 3), dtype=np.int64)
     assert len(ref_rref(B, f)[1]) < 3
     assert not codes._lucas_vandermonde(B, f)
-    with _spy_rank() as spy:
-        assert not codes._independent_rows(B, f)
-    assert _rank_shapes(spy) == [B.shape]
+    Z = _traced_set(3)
+    assert _build(5, Z, _patch_rows(5, Z, B)) == (False, 0)
 
 
 @st.composite
@@ -467,28 +491,21 @@ def test_trace_block_check_is_sound(case):
         assert lucas
 
 
-SINGULAR_BLOCK = r"^singular leading 2 x 2 block in H$"
-
-
 def test_singular_leading_block_fails_the_build():
     # with eta^2 replaced by eta, rows z = 1, 2 agree in columns 0 and 1
     # (eta^0, eta^1) but not in column 2 (eta^1 against eta^4): the rows
     # are independent, but no accepted defining set gives such a block,
-    # so the build refuses it rather than eliminate the full width
+    # so the power proof refuses it and nothing eliminates
     table = _power_table(build_field(5, 2), 24).copy()
     table[2] = table[1]
-    with _patch_power_table(table), _spy_rank() as spy, pytest.raises(
-            ValueError, match=SINGULAR_BLOCK):
-        constacyclic_code(5, DefiningSet(24, 1, frozenset({1, 2})))
-    assert _rank_shapes(spy) == [(2, 2)]
+    Z = DefiningSet(24, 1, frozenset({1, 2}))
+    assert _build(5, Z, _patch_power_table(table)) == (False, 0)
 
 
 def test_rank_deficient_parity_check_still_raises():
     flat = np.ones(24, dtype=np.int64)
-    with _patch_power_table(flat), _spy_rank() as spy, pytest.raises(
-            ValueError, match=SINGULAR_BLOCK):
-        constacyclic_code(5, DefiningSet(24, 1, frozenset({1, 2})))
-    assert _rank_shapes(spy) == [(2, 2)]
+    Z = DefiningSet(24, 1, frozenset({1, 2}))
+    assert _build(5, Z, _patch_power_table(flat)) == (False, 0)
 
 
 def test_extended_rs_rows_get_a_rank_proof():
@@ -499,8 +516,24 @@ def test_extended_rs_rows_get_a_rank_proof():
     assert _rank_shapes(spy) == []
     flat = np.ones(24, dtype=np.int64)
     with _patch_power_table(flat), pytest.raises(
-            ValueError, match=r"^singular leading 3 x 3 block in H$"):
+            codes.VerificationError, match=f"^{REFUSED.format(3)}$"):
         extended_rs_code(5, 3)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 33) if _prime_power(q)])
+def test_extended_rs_rows_are_cyclic_rs_rows_after_the_point_0(q):
+    # H = [e0 | rows 0..r-1 of the cyclic RS code mod q^2-1], and row i
+    # holds the powers point^i of 0, g^0, g^1, ..., g^{q^2-2}
+    p, e = factor_prime_power(q)
+    f = build_field(p, 2 * e)
+    for r in sorted({1, q, 2 * q - 2, q * q - 2}):
+        H = extended_rs_code(q, r).H
+        rs = constacyclic_code(q, DefiningSet(q * q - 1, 1,
+                                              frozenset(range(r))))
+        assert (H[:, 0] == np.eye(r, 1, dtype=np.int64)[:, 0]).all()
+        assert (H[:, 1:] == rs.H).all()
+        i, j = np.arange(r)[:, None], np.arange(q * q - 1)
+        assert (H[:, 1:] == f.exp[i * j % (q * q - 1)]).all()
 
 
 # GF(4), GF(9), GF(16), GF(25), GF(49)
@@ -550,6 +583,8 @@ def _vandermonde_case(pm, points, spoil="none"):
 @given(vandermonde_cases())
 # a zero point in a 2 x 2 block, (1, 0) over (1, x), passes the log test
 @example(case=_vandermonde_case((3, 2), [0, 1], "zero"))
+# the rows of a repeated point agree in every log step
+@example(case=_vandermonde_case((3, 2), [2, 2], "repeat"))
 def test_vandermonde_certificate_matches_reference(case):
     f, H, spoil = case
     rows = H.shape[0]
@@ -557,11 +592,10 @@ def test_vandermonde_certificate_matches_reference(case):
     assert certified == (spoil == "none")
     if certified:
         assert len(ref_rref(H[:, :rows], f)[1]) == rows
-    # no elimination when certified; else one of the leading block
-    with _spy_rank() as spy:
-        independent = codes._independent_rows(H, f)
-    assert independent == (len(ref_rref(H[:, :rows], f)[1]) == rows)
-    assert _rank_shapes(spy) == ([] if certified else [(rows, rows)])
+    # power rows H over GF(q^2) build iff certified, with no elimination
+    q = round(f.order ** 0.5)
+    Z = DefiningSet(q * q - 1, 1, frozenset(range(rows)))
+    assert _build(q, Z, _patch_rows(q, Z, H)) == (certified, 0)
 
 
 def test_vandermonde_certificate_needs_nonzero_entries():
@@ -579,7 +613,7 @@ def test_vandermonde_certificate_needs_nonzero_entries():
 
 def _forward_calls(argv):
     """The matrices sent to kernels._forward while the CLI runs argv, and
-    the calls of codes._independent_rows."""
+    the calls of the rank proofs of power and trace rows."""
     shapes = []
     forward = kernels._forward
 
@@ -588,9 +622,11 @@ def _forward_calls(argv):
         return forward(M, ctx)
 
     with mock.patch.object(kernels, "_forward", spy), mock.patch.object(
-            codes, "_independent_rows", wraps=codes._independent_rows) as proofs:
+            codes, "_vandermonde", wraps=codes._vandermonde) as power, \
+            mock.patch.object(codes, "_lucas_vandermonde",
+                              wraps=codes._lucas_vandermonde) as trace:
         assert main(argv) == 0
-    return shapes, proofs.call_count
+    return shapes, power.call_count + trace.call_count
 
 
 def test_consta_sweep_work_is_proportional_to_rank():
@@ -614,3 +650,19 @@ def test_record_paths_eliminate_nothing(capsys, argv):
     shapes, proofs = _forward_calls(argv)
     assert shapes == []
     assert proofs > 0
+
+
+def test_coset_unions_and_family_groups_build_with_no_rank_call(capsys):
+    # criterion 3's defining sets, coset unions that are no run included,
+    # and every family group up to q = 32: each parity check is proved by
+    # its row kind
+    cases = _family_subset_cases() + _random_coset_union_cases(130)
+    with _spy_rank() as rank, mock.patch.object(
+            kernels, "_forward", wraps=kernels._forward) as forward:
+        for q, Z in cases:
+            constacyclic_code(q, Z)
+    assert rank.call_count == forward.call_count == 0
+    shapes, proofs = _forward_calls(["enumerate", "--q", "2..32", "--t", "3"])
+    records = json.loads(capsys.readouterr().out)["records"]
+    groups = {(r["family"], r["q"]) for r in records}
+    assert shapes == [] and proofs == len(groups) > 0

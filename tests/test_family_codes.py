@@ -82,21 +82,24 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_one_rank_proof_and_one_gram_product_per_group(monkeypatch, capsys):
-    proofs = _count_calls(monkeypatch, codes, "_independent_rows")
+    # the rank proofs of power rows and of trace rows
+    power = _count_calls(monkeypatch, codes, "_vandermonde")
+    trace = _count_calls(monkeypatch, codes, "_lucas_vandermonde")
     products = _count_calls(monkeypatch, kernels, "matmul")
     # 210 instances in 10 (q, t) groups; the cross ranks of family v take
     # blocks of the Gram matrix and multiply nothing
     assert main(["verify", "--lemma", "consta", "--q", "5..29"]) == 0
     report = json.loads(capsys.readouterr().out)["reports"][0]
     assert report["instances"] == 210 and report["failures"] == 0
-    assert len(proofs) == len(products) == 10
+    assert len(power) + len(trace) == len(products) == 10
 
-    proofs.clear()
+    power.clear()
+    trace.clear()
     products.clear()
     assert main(["enumerate", "--q", "2..9", "--t", "3"]) == 0
     records = json.loads(capsys.readouterr().out)["records"]
     groups = {(r["family"], r["q"]) for r in records}
-    assert len(proofs) == len(groups)
+    assert len(power) + len(trace) == len(groups)
     assert len(products) == len(groups) < len(records)
 
 
