@@ -18,6 +18,8 @@ of GF(q^2):
   invertible when 2z != 0 (mod n).  z = 0 gives the all-ones row and
   z = n/2 the row ((-1)^j).  So the root matrix is T H with T invertible
   over the extension: the same code and the same rank(H H^dagger).
+  Each field has one trace sequence, for a beta of order N = q^2+1,
+  and the table of every n | N is its view with stride N/n.
 
 lambda = eta^n is a primitive r-th root of unity (1 for the cyclic
 families, -1 for the negacyclic family iv).
@@ -69,21 +71,31 @@ def _power_table(f: FieldContext, rn: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _trace_table(f: FieldContext, n: int) -> np.ndarray:
-    """tr[m] = beta^m + beta^-m (m < n) for a primitive n-th root of
-    unity beta over f.  tr is the Lucas sequence V_0 = 2, V_1 = t,
-    V_{m+1} = t V_m - V_{m-1}, and beta^m = 1 iff V_m = 2, so t is the
-    smallest element code whose sequence first returns to 2 at m = n."""
-    two = f.add(1, 1)
+def _trace_sequence(f: FieldContext) -> np.ndarray:
+    """tr[m] = beta^m + beta^-m (m < N = Q+1) for a beta of order N over
+    f = GF(Q), one per field.  tr is the Lucas sequence V_0 = 2, V_1 =
+    t, V_{m+1} = t V_m - V_{m-1}, and beta^m = 1 iff V_m = 2, so t is the
+    smallest element code whose sequence first returns to 2 at m = N.
+    Products and negation are reads of list copies of f's tables."""
+    N = f.order + 1
+    exp, log = f.exp.tolist(), f.log.tolist()
+    two, neg = f.add(1, 1), f.log_neg_one
     for t in range(f.order):
-        tr = [two, t]
-        while tr[-1] != two and len(tr) <= n:
-            tr.append(f.add(f.mul(t, tr[-1]), f.neg(tr[-2])))
-        if tr[-1] == two and len(tr) == n + 1:
-            table = np.array(tr[:n], dtype=np.int64)
+        tr, lt = [two, t], log[t]
+        while tr[-1] != two and len(tr) <= N:
+            tr.append(f.add(exp[lt + log[tr[-1]]], exp[neg + log[tr[-2]]]))
+        if tr[-1] == two and len(tr) == N + 1:
+            table = np.array(tr[:N], dtype=np.int64)
             table.setflags(write=False)
             return table
-    raise RuntimeError(f"no element of order {n} over GF({f.order})")
+    raise RuntimeError(f"no element of order {N} over GF({f.order})")
+
+
+def _trace_table(f: FieldContext, n: int) -> np.ndarray:
+    """tr[m] = beta^m + beta^-m (m < n) for a primitive n-th root of
+    unity beta over f, n | N = Q+1: the read-only view of the field's one
+    trace sequence with stride N/n, as beta_N^(N/n) has order exactly n."""
+    return _trace_sequence(f)[::(f.order + 1) // n]
 
 
 @dataclass(eq=False)

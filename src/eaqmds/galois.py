@@ -6,11 +6,12 @@ polynomial over GF(p), taken modulo the field's irreducible modulus f.
 The package builds one representation of each field: build_field caches
 one FieldContext per (p, m), under the smallest monic irreducible f.
 
-Setup works on GF(p)-linear maps of digit row vectors, as matrices mod
-p.  The companion matrix C of f is multiplication by x, and a code a
-multiplies as a(C) = sum_i a_i C^i.  Rabin's test that picks f, the
-search for a primitive element g and the exp/log tables of g, built
-from g(C), need only matrix products and powers mod p.
+Setup works on scalar polynomials over GF(p), as coefficient lists:
+Ben-Or's test picks f, one candidate at a time, the primitive element g
+passes a^((Q-1)/l) != 1 mod f for each prime l | Q-1, and the same
+product gives T, multiplication by g on digit vectors.  Only the exp/log
+tables, which grow with the field, are built in numpy, by doubling with
+T.  Family i's traces are one sequence per field, read by stride, in codes.
 
 At run time products, inverses and powers are index arithmetic in
 those tables.  Zero has the log S = 2(Q-1), and exp, of 4(Q-1)+1
@@ -66,92 +67,89 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# setup arithmetic: GF(p)-linear maps of digit row vectors
+# setup arithmetic: polynomials over GF(p) as ascending coefficient lists
 # ---------------------------------------------------------------------------
 
-def _digits(codes, p: int, m: int) -> np.ndarray:
-    """Base-p digits, ascending, of an int or an int array of codes, on
-    a new last axis of length m."""
-    return np.asarray(codes, dtype=np.int64)[..., None] // p ** np.arange(
-        m, dtype=np.int64) % p
+def _digits(code: int, p: int, m: int) -> list[int]:
+    """The m base-p digits, ascending, of an element code."""
+    return [code // p**i % p for i in range(m)]
 
 
-def _first(test, lo: int, hi: int) -> int:
-    """Smallest code c in [lo, hi) that passes `test`, a mask over an
-    array of codes, tried in blocks that double from 4 codes (fastest on
-    GF(q^2), q <= 32): a hit at c costs O(log c) batched tests."""
-    size = 4
-    while lo < hi:
-        codes = np.arange(lo, min(lo + size, hi))
-        hit = np.flatnonzero(test(codes))
-        if hit.size:
-            return int(codes[hit[0]])
-        lo, size = lo + size, 2 * size
-    raise RuntimeError("no candidate passes")  # unreachable
+def _mulmod(a: list[int], b: list[int], f, p: int) -> list[int]:
+    """a b mod monic f over GF(p), for a and b of m = len(f) - 1
+    coefficients each, as is the result."""
+    m = len(f) - 1
+    out = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    for k in range(2 * m - 2, m - 1, -1):  # cancel c x^k by c x^(k-m) f
+        c = out[k] % p
+        if c:
+            for j in range(m):
+                out[k - m + j] -= c * f[j]
+    return [c % p for c in out[:m]]
 
 
-def _companion(f, p: int) -> np.ndarray:
-    """Multiplication by x modulo monic f on digit row vectors, for one f
-    or a stack (..., m + 1): row j holds the digits of x^(j+1), so
-    digits(a) @ C = digits(x a).  Products of digit vectors stay below
-    m * p^2 <= 2^40 for orders up to SIZE_LIMIT, so int64 is exact."""
-    f = np.asarray(f, dtype=np.int64)
-    m = f.shape[-1] - 1
-    C = np.broadcast_to(np.eye(m, k=1, dtype=np.int64),
-                        f.shape[:-1] + (m, m)).copy()
-    C[..., -1, :] = -f[..., :-1] % p
-    return C
-
-
-def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
-    """M^e mod p for e >= 1 by left-to-right square-and-multiply; M may
-    be a stack of matrices."""
-    out = M
+def _powmod(a: list[int], e: int, f, p: int) -> list[int]:
+    """a^e mod f for e >= 1 by left-to-right square-and-multiply."""
+    out = a
     for bit in bin(e)[3:]:
-        out = out @ out % p
+        out = _mulmod(out, out, f, p)
         if bit == "1":
-            out = out @ M % p
+            out = _mulmod(out, a, f, p)
     return out
 
 
-def _times(codes, C: np.ndarray, p: int) -> np.ndarray:
-    """a(C) = sum_i a_i C^i, multiplication by the element code a, for
-    each of `codes`: row j holds the digits of a x^j, i.e. digits(a) @
-    C^j, so that digits(a b) = digits(b) @ a(C)."""
-    rows = [_digits(codes, p, len(C))]
-    for _ in range(len(C) - 1):
-        rows.append(rows[-1] @ C % p)
-    return np.stack(rows, axis=-2)
+def _coprime(a: list[int], b: list[int], p: int) -> bool:
+    """True iff gcd(a, b) over GF(p) is a unit, by Euclid's algorithm:
+    each step cancels the lead of the longer by that of the shorter."""
+    a, b = list(a), list(b)
+    while True:
+        for r in (a, b):
+            while r and not r[-1]:
+                r.pop()
+        if not (a and b):
+            return len(a or b) == 1
+        if len(a) < len(b):
+            a, b = b, a
+        c, shift = a[-1] * pow(b[-1], -1, p) % p, len(a) - len(b)
+        for j, bj in enumerate(b):
+            a[shift + j] = (a[shift + j] - c * bj) % p
 
 
-def _irreducible(f, p: int) -> np.ndarray:
-    """Rabin's test for monic f of degree m over GF(p), one or a stack,
-    on the companion matrix C: f is irreducible iff C^(p^m) = C and, for
-    each prime l | m, N = C^(p^(m/l)) - C is a unit.  Once C^(p^m) = C,
-    GF(p)[x]/f is a product of fields GF(p^d) with d | m, so N is a unit
-    iff N^(p^m - 1) = I."""
-    C = _companion(f, p)
-    m = C.shape[-1]
-    frob = [C]  # frob[j] = C^(p^j)
-    for _ in range(m):
-        frob.append(_mat_pow(frob[-1], p, p))
-    ok = (frob[m] == C).all(axis=(-2, -1))
-    for ell in prime_factors(m):
-        N = (frob[m // ell] - C) % p
-        ok &= (_mat_pow(N, p**m - 1, p) == np.eye(m)).all(axis=(-2, -1))
-    return ok
+def _irreducible(f, p: int) -> bool:
+    """Ben-Or's test for a monic f of degree m over GF(p), as ascending
+    coefficients: f is irreducible iff gcd(x^(p^i) - x, f) = 1 for 1 <=
+    i <= m/2, since a reducible f has an irreducible factor of some
+    degree d <= m/2, which divides x^(p^d) - x.  A reducible f fails at
+    i = d for the least such d, most often at i = 1 on a linear factor."""
+    m = len(f) - 1
+    h = _digits(p, p, m)  # x, for m >= 2
+    for _ in range(m // 2):
+        h = _powmod(h, p, f, p)  # x^(p^i)
+        if not _coprime([h[0], (h[1] - 1) % p, *h[2:]], f, p):
+            return False
+    return True
 
 
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p).
 
     Candidates f are ordered by the high-to-low coefficient tuple
-    (c_{m-1}, ..., c_0), i.e. by the code p^m + c whose digits they are;
-    for m = 1 that is x, giving GF(p) itself.
+    (c_{m-1}, ..., c_0), i.e. by the code p^m + c whose digits they are,
+    and tested one at a time; for m = 1 that is x, giving GF(p) itself.
     """
-    code = _first(lambda codes: _irreducible(_digits(codes, p, m + 1), p),
-                  p**m, 2 * p**m)
-    return tuple(_digits(code, p, m + 1).tolist())
+    return next(f for f in (tuple(_digits(c, p, m)) + (1,)
+                            for c in range(p**m)) if _irreducible(f, p))
+
+
+def _check_field(p: int, m: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if m < 1:
+        raise ValueError(f"m={m} is below 1")
 
 
 class FieldContext:
@@ -160,52 +158,57 @@ class FieldContext:
     Immutable after construction; all operations are pure functions of
     integer element codes, so a context is safe to share across threads.
     Obtain instances through :func:`build_field`; tests build other
-    representations here directly.  The modulus must be monic of degree
-    m and irreducible: otherwise ValueError, raised by the table build
-    for a reducible one.
+    representations here directly.  p must be prime, m >= 1 and the
+    modulus monic of degree m, with coefficients in [0, p), and
+    irreducible: otherwise ValueError, raised by the table build for a
+    reducible one.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        _check_field(p, m)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus {modulus} is not monic of degree {m}")
+        if not all(0 <= c < p for c in modulus):
+            raise ValueError(f"modulus {modulus} has a digit outside [0, {p})")
         self.p = p
         self.m = m
         self.order = p**m
         self.modulus = tuple(modulus)
-        C = _companion(modulus, p)
-        self.generator = self._find_generator(C)
-        self.exp, self.log = self._build_tables(_times(self.generator, C, p))
+        self.generator = self._find_generator()
+        # T, multiplication by g on digit rows: row j holds the digits of
+        # g x^j mod f (x is the code p), so digits(g a) = digits(a) @ T
+        rows = [_digits(self.generator, p, m)]
+        for _ in range(m - 1):
+            rows.append(_mulmod(rows[-1], _digits(p, p, m), modulus, p))
+        self.exp, self.log = self._build_tables(np.array(rows, dtype=np.int64))
         # g^((Q-1)/2) = -1 for odd p; -1 = 1 = g^0 for p = 2
         self.log_neg_one = 0 if p == 2 else (self.order - 1) // 2
 
     # -- construction helpers ------------------------------------------------
 
-    def _find_generator(self, C: np.ndarray) -> int:
-        """Smallest element code a of full multiplicative order:
-        a(C)^((Q-1)/l) != I for every prime l | Q-1.  For m > 1 the
-        search starts at code p: codes 1..p-1 are GF(p)'s nonzero
-        elements, whose order divides p - 1 < Q - 1."""
-        p, target = self.p, self.order - 1
-        eye = np.eye(self.m, dtype=np.int64)
-
-        def full_order(codes):
-            A = _times(codes, C, p)
-            ok = np.ones(len(codes), dtype=bool)
-            for ell in prime_factors(target):
-                ok &= ~(_mat_pow(A, target // ell, p) == eye).all(axis=(-2, -1))
-            return ok
-
-        return _first(full_order, p if self.m > 1 else 1, self.order)
+    def _find_generator(self) -> int:
+        """Smallest element code a of full multiplicative order: a^((Q-1)/l)
+        != 1 mod f for every prime l | Q-1.  For m > 1 the search starts
+        at code p: codes 1..p-1 are GF(p)'s nonzero elements, whose order
+        divides p - 1 < Q - 1.  If f is reducible a zero divisor passes,
+        and the table build refuses it."""
+        p, m, f, target = self.p, self.m, self.modulus, self.order - 1
+        one = _digits(1, p, m)
+        ells = prime_factors(target)
+        return next(a for a in range(p if m > 1 else 1, self.order)
+                    if all(_powmod(_digits(a, p, m), target // ell, f, p)
+                           != one for ell in ells))
 
     def _build_tables(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """exp[i] = g^i for i < 2(Q-1), else 0; log[g^i] = i, log[0] = 2(Q-1).
 
-        T = g(C) is multiplication by g on digit vectors: digits(g*a) =
+        T is multiplication by g on digit vectors: digits(g*a) =
         digits(a) @ T.  So g^(s+i) has the digits of g^i times T^s.  The
         first block of powers comes from doubling (g^(L+i) = g^i g^L for
         i < L); every later block is the first one times T^s.  Only one
         block of digit vectors is held at a time, never a digit matrix of
-        the whole field.
+        the whole field.  Digit products sum to below m p^2 <= 2^40 for
+        orders up to SIZE_LIMIT, so int64 is exact.
         """
         p, m, n = self.p, self.m, self.order - 1
         size = min(_TABLE_CHUNK, n)
@@ -260,9 +263,6 @@ class FieldContext:
         out = self.exp[self.log[a] + self.log_neg_one]
         return out if isinstance(a, np.ndarray) else int(out)
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.exp[self.log[a] + self.log[b]])
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
@@ -293,8 +293,7 @@ def build_field(p: int, m: int) -> FieldContext:
     SIZE_LIMIT, under the lexicographically smallest monic irreducible."""
     ctx = _FIELD_CACHE.get((p, m))
     if ctx is None:
-        if not is_prime(p) or m < 1:
-            raise ValueError(f"p={p}, m={m} name no field GF(p^m)")
+        _check_field(p, m)
         if p**m > SIZE_LIMIT:
             raise ValueError(
                 f"field order {p**m} exceeds the size ceiling {SIZE_LIMIT}")

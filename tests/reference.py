@@ -31,13 +31,18 @@ def cyclotomic_coset(i, modulus, qsq):
     return frozenset(orbit)
 
 
+def mul(ctx, a, b):
+    """The product of two element codes, one log-table read."""
+    return int(ctx.exp[ctx.log[a] + ctx.log[b]])
+
+
 def ref_matmul(A, B, ctx):
     C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for i in range(A.shape[0]):
         for j in range(B.shape[1]):
             s = 0
             for k in range(A.shape[1]):
-                s = ctx.add(s, ctx.mul(int(A[i, k]), int(B[k, j])))
+                s = ctx.add(s, mul(ctx, int(A[i, k]), int(B[k, j])))
             C[i, j] = s
     return C
 
@@ -55,11 +60,11 @@ def ref_rref(M, ctx):
             continue
         R[r], R[piv] = R[piv], R[r]
         inv = ctx.pow(R[r][c], -1)
-        R[r] = [ctx.mul(inv, v) for v in R[r]]
+        R[r] = [mul(ctx, inv, v) for v in R[r]]
         for i in range(rows):
             if i != r and R[i][c]:
                 f = ctx.neg(R[i][c])
-                R[i] = [ctx.add(a, ctx.mul(f, b)) for a, b in zip(R[i], R[r])]
+                R[i] = [ctx.add(a, mul(ctx, f, b)) for a, b in zip(R[i], R[r])]
         pivots.append(c)
         if len(pivots) == rows:
             break
@@ -77,8 +82,8 @@ def ref_is_singular(S, ctx):
         S[c], S[piv] = S[piv], S[c]
         inv = ctx.pow(S[c][c], -1)
         for r in range(c + 1, k):
-            f = ctx.neg(ctx.mul(S[r][c], inv))
-            S[r] = [ctx.add(a, ctx.mul(f, b)) for a, b in zip(S[r], S[c])]
+            f = ctx.neg(mul(ctx, S[r][c], inv))
+            S[r] = [ctx.add(a, mul(ctx, f, b)) for a, b in zip(S[r], S[c])]
     return False
 
 
@@ -111,7 +116,7 @@ def ref_min_weight(G, ctx):
         cw = [0] * n
         for mi, row in zip(msg, G):
             for c in range(n):
-                cw[c] = ctx.add(cw[c], ctx.mul(int(mi), int(row[c])))
+                cw[c] = ctx.add(cw[c], mul(ctx, int(mi), int(row[c])))
         w = sum(1 for v in cw if v)
         if w:
             best = min(best, w)
@@ -149,7 +154,7 @@ def ref_order(ctx, a):
         raise ValueError("zero has no multiplicative order")
     x, e = a, 1
     while x != 1:
-        x, e = ctx.mul(x, a), e + 1
+        x, e = mul(ctx, x, a), e + 1
     return e
 
 
@@ -173,7 +178,7 @@ class Polynomial:
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
-            acc = self.ctx.add(self.ctx.mul(acc, x), c)
+            acc = self.ctx.add(mul(self.ctx, acc, x), c)
         return acc
 
     def __mul__(self, other):
@@ -184,7 +189,7 @@ class Polynomial:
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = self.ctx.add(out[i + j], self.ctx.mul(a, b))
+                out[i + j] = self.ctx.add(out[i + j], mul(self.ctx, a, b))
         return Polynomial(self.ctx, out)
 
 
@@ -211,7 +216,7 @@ def quadratic_extension(f):
     for a in range(f.order):
         acc = 0
         for d, wi in zip(digits(a, f.p, f.m), powers):
-            acc = f4.add(acc, f4.mul(d, wi))
+            acc = f4.add(acc, mul(f4, d, wi))
         emb.append(acc)
     return f4, np.array(emb, dtype=np.int64)
 

@@ -18,7 +18,9 @@ from eaqmds.codes import (
 from eaqmds.cosets import DefiningSet, defining_set
 from eaqmds.eaqecc import gram_matrix
 from eaqmds.galois import build_field, factor_prime_power, prime_factors
+from eaqmds.verify import divisors
 from reference import (
+    mul,
     poly_from_roots,
     ref_order,
     ref_rref,
@@ -81,8 +83,8 @@ def test_codewords_vanish_at_defining_set_roots():
         for row in G:
             acc, x = 0, 1
             for cj in row:
-                acc = f.add(acc, f.mul(int(cj), x))
-                x = f.mul(x, root)
+                acc = f.add(acc, mul(f, int(cj), x))
+                x = mul(f, x, root)
             assert acc == 0
 
 
@@ -104,7 +106,7 @@ def test_constacyclic_shift_invariance(q, n, r, family, kwargs):
     shifted = np.zeros_like(G)
     shifted[:, 1:] = G[:, :-1]
     for i in range(G.shape[0]):
-        shifted[i, 0] = f.mul(lam, int(G[i, -1]))
+        shifted[i, 0] = mul(f, lam, int(G[i, -1]))
     assert not kernels.matmul(code.H, shifted.T, f).any()
 
 
@@ -231,6 +233,44 @@ def test_family_i_matches_root_evaluation(q):
             gram = kernels.matmul(H_root, kernels.adjoint(H_root, q, f4), f4)
             c = kernels.rank(gram_matrix(code.H, q, code.field), code.field)
             assert c == kernels.rank(gram, f4)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 33)
+                               if len(prime_factors(q)) == 1])
+def test_trace_tables_are_strided_views_of_one_sequence(q):
+    """For every n | q^2+1, tr = _trace_table(f, n) over f = GF(q^2) has
+    tr[0] = 2 and tr[m] != 2 for 0 < m < n, so its beta has order exactly
+    n; obeys tr[m+1] = tr[1] tr[m] - tr[m-1] with indices mod n, so it is
+    the Lucas sequence of tr[1] over one period; and is a read-only view
+    of the field's one trace sequence."""
+    p, e = factor_prime_power(q)
+    f = build_field(p, 2 * e)
+    two = f.add(1, 1)
+    for n in divisors(q * q + 1):
+        table = _trace_table(f, n)
+        tr = table.tolist()
+        assert len(tr) == n and tr[0] == two and two not in tr[1:]
+        s = tr[1 % n]
+        for m in range(n):
+            step = f.add(mul(f, s, tr[m]), f.neg(tr[m - 1]))
+            assert tr[(m + 1) % n] == step
+        assert np.shares_memory(table, codes._trace_sequence(f))
+        assert not table.flags.writeable
+
+
+def test_one_trace_sequence_per_field(capsys):
+    """verify --lemma rank1 --q 2..9 reads 15 trace tables over the 7
+    fields GF(q^2) and builds the sequence once per field."""
+    codes._trace_sequence.cache_clear()
+    with mock.patch.object(codes, "_trace_table",
+                           wraps=codes._trace_table) as reads:
+        assert main(["verify", "--lemma", "rank1", "--q", "2..9"]) == 0
+    capsys.readouterr()
+    built = codes._trace_sequence.cache_info()
+    assert built.misses == built.currsize == 7
+    tables = {(call.args[0].order, call.args[1])
+              for call in reads.call_args_list}
+    assert len(tables) == 15
 
 
 def test_trace_rows_need_a_symmetric_defining_set():
@@ -388,7 +428,7 @@ def _lucas_pair(f, s, cols):
     sequence V_0 = 2, V_1 = s, V_{j+1} = s V_j - V_{j-1}."""
     V = [f.add(1, 1), s]
     while len(V) <= cols:
-        V.append(f.add(f.mul(s, V[-1]), f.neg(V[-2])))
+        V.append(f.add(mul(f, s, V[-1]), f.neg(V[-2])))
     return [V[:cols], V[1:cols + 1]]
 
 
@@ -434,8 +474,8 @@ def _geometric_pair(f, x, cols):
     s a_j - a_{j-1} for s = a_1 = x + 1/x and b_j = a_{j+1}, but a_0 = c
     is not 2, and the rows are proportional."""
     c = f.add(1, f.pow(x, -2))
-    return [[f.mul(c, f.pow(x, j)) for j in range(cols)],
-            [f.mul(c, f.pow(x, j + 1)) for j in range(cols)]]
+    return [[mul(f, c, f.pow(x, j)) for j in range(cols)],
+            [mul(f, c, f.pow(x, j + 1)) for j in range(cols)]]
 
 
 def _scaled_pair(f, s, cols):
@@ -443,8 +483,8 @@ def _scaled_pair(f, s, cols):
     a_cols in its last entry: the recurrence and a_0 = 2 hold, b is not a
     shifted by one, and the rows are proportional."""
     a, b = _lucas_pair(f, s, cols)
-    c = f.mul(b[-1], f.pow(a[-1], -1))
-    return [a, [f.mul(c, v) for v in a]]
+    c = mul(f, b[-1], f.pow(a[-1], -1))
+    return [a, [mul(f, c, v) for v in a]]
 
 
 @pytest.mark.parametrize("pair", [_geometric_pair, _scaled_pair],
@@ -604,7 +644,7 @@ def test_vandermonde_certificate_needs_nonzero_entries():
     # (-1 = 2 log g mod 3); only the zero test rejects the block
     f = build_field(2, 2)
     g = int(f.exp[1])
-    B = np.array([[1, g, 0], [1, 1, 1], [1, f.mul(g, g), g]], dtype=np.int64)
+    B = np.array([[1, g, 0], [1, 1, 1], [1, mul(f, g, g), g]], dtype=np.int64)
     assert len(ref_rref(B, f)[1]) < 3
     assert not codes._vandermonde(B, f)
     assert codes._vandermonde(np.ones((1, 1), dtype=np.int64), f)

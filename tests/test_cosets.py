@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import signal
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -58,17 +59,36 @@ def test_cyclotomic_coset_examples():
 @contextmanager
 def deadline(seconds):
     """Raise TimeoutError in the body once `seconds` have passed, so that
-    a loop that never ends fails its test instead of hanging the suite."""
+    a loop that never ends fails its test instead of hanging the suite.
+    The suite's own ITIMER_REAL limit (conftest) is set aside for the
+    body and re-armed on exit with what is left of it."""
     def expire(signum, frame):
         raise TimeoutError(f"no result within {seconds} s")
 
+    outer, _ = signal.getitimer(signal.ITIMER_REAL)
+    start = time.monotonic()
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            # an outer limit that ran out meanwhile fires at once
+            left = outer - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3))
+
+
+def test_deadline_leaves_the_suite_time_limit_armed():
+    outer, _ = signal.getitimer(signal.ITIMER_REAL)
+    handler = signal.getsignal(signal.SIGALRM)
+    assert outer > 0  # armed for every test by conftest
+    with deadline(5):
+        pass
+    left, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < left <= outer
+    assert signal.getsignal(signal.SIGALRM) is handler
 
 
 @pytest.mark.parametrize("i, modulus, qsq", [(1, 4, 4), (2, 6, 9)])

@@ -20,6 +20,7 @@ from eaqmds.codes import generator_matrix
 from eaqmds.eaqecc import build_classical
 from eaqmds.galois import FieldContext, build_field
 from reference import (
+    mul,
     ref_submatrices_nonsingular,
     ref_first_singular_minor,
     ref_matmul,
@@ -157,7 +158,7 @@ def elimination_cases(draw):
     for _ in range(draw(st.integers(0, 3))):
         src, dst = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
         scale = draw(st.integers(0, ctx.order - 1))
-        M[dst] = [ctx.mul(scale, int(v)) for v in M[src]]
+        M[dst] = [mul(ctx, scale, int(v)) for v in M[src]]
     if draw(st.booleans()):
         M[:, draw(st.integers(0, cols - 1))] = 0
     return ctx, M
@@ -380,7 +381,7 @@ def minor_cases(draw):
     for _ in range(draw(st.integers(0, 2))):
         src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         scale = draw(cells)
-        G[:, dst] = [ctx.mul(scale, int(v)) for v in G[:, src]]
+        G[:, dst] = [mul(ctx, scale, int(v)) for v in G[:, src]]
     return ctx, G
 
 
@@ -449,7 +450,7 @@ def _cauchy(ctx, xs, ys, us, vs):
             return 1 if x < 0 else ctx.neg(1)
         return ctx.add(x, ctx.neg(y))
 
-    return np.array([[ctx.mul(ctx.mul(u, v), ctx.pow(det(x, y), -1))
+    return np.array([[mul(ctx, mul(ctx, u, v), ctx.pow(det(x, y), -1))
                       if det(x, y) else 0 for y, v in zip(ys, vs)]
                      for x, u in zip(xs, us)], dtype=np.int64)
 
@@ -573,7 +574,7 @@ def split_cases(draw):
     for _ in range(draw(st.integers(0, 2))):
         src, dst = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
         scale = draw(cells)
-        G[dst] = [ctx.mul(scale, int(v)) for v in G[src]]
+        G[dst] = [mul(ctx, scale, int(v)) for v in G[src]]
     if draw(st.booleans()):
         G[draw(st.integers(0, k - 1))] = 0
     return ctx, G
@@ -647,9 +648,9 @@ def test_has_proportional_rows(pair):
     A = _cauchy(GF9, [-1, 0, 1, 2], [3, 4, 5, 6, 7], [1, 2, 3, 4],
                 [5, 6, 7, 8, 1])
     if pair == "row":
-        A[3] = [GF9.mul(5, int(a)) for a in A[0]]
+        A[3] = [mul(GF9, 5, int(a)) for a in A[0]]
     elif pair == "column":
-        A[:, 4] = [GF9.mul(5, int(a)) for a in A[:, 0]]
+        A[:, 4] = [mul(GF9, 5, int(a)) for a in A[:, 0]]
     L, top = GF9.log[A], GF9.order - 1
     assert kernels._has_proportional_rows(L, top) == (pair == "row")
     assert kernels._has_proportional_rows(L.T, top) == (pair == "column")
