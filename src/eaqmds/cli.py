@@ -17,7 +17,11 @@ imports it pulls in) costs more than certifying a small instance.
 
 --t is family v's constacyclic order (and the consta lemma's), which
 family v needs; a --t that no family or lemma would take at the
-requested q is a usage error.
+requested q is a usage error.  verify sweeps the lemmas of
+verify.LEMMAS, each over its own default grid unless --q or --t
+overrides it.  enumerate --d builds only the instances at distance d.
+A --q range that reaches a q with q^2 past galois.SIZE_LIMIT is a usage
+error before any work.
 
 Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  JSON is written by
@@ -40,6 +44,7 @@ import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from math import isqrt
 from types import SimpleNamespace
 
 from .cosets import VARIABLE_LENGTH, parameter_ranges
@@ -55,14 +60,8 @@ from .eaqecc import (
     family_t,
     instances,
 )
-from .galois import factor_prime_power
-from .verify import (
-    ALL_LEMMAS,
-    DEFAULT_SWEEPS,
-    MAX_CODEWORDS,
-    certify_distance,
-    run_lemma_sweep,
-)
+from .galois import SIZE_LIMIT, factor_prime_power
+from .verify import LEMMAS, MAX_CODEWORDS, certify_distance, run_lemma_sweep
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -78,9 +77,15 @@ def _is_prime_power(q: int) -> bool:
         return False
 
 
+# the largest q whose field GF(q^2) fits the size ceiling
+_Q_CEILING = isqrt(SIZE_LIMIT)
+
+
 def parse_q(spec: str) -> list[int]:
     """'7', '3,5,7' or '2..9' in ASCII digits (ranges keep only prime
-    powers)."""
+    powers).  A range that holds a prime power past _Q_CEILING is
+    refused at the first such q, found by stepping up from the ceiling,
+    before the range below it is walked."""
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
@@ -94,6 +99,12 @@ def parse_q(spec: str) -> list[int]:
             raise ValueError(f"q={lo} is not a prime power")
         if lo > hi:
             raise ValueError(f"empty range {part!r}")
+        over = len(bounds) == 2 and next(
+            (q for q in range(max(lo, _Q_CEILING + 1), hi + 1)
+             if _is_prime_power(q)), None)
+        if over:
+            raise ValueError(f"field order {over * over} exceeds the size "
+                             f"ceiling {SIZE_LIMIT}")
         out.extend(q for q in range(lo, hi + 1) if _is_prime_power(q))
     if not out:
         raise ValueError(f"no admissible q in {spec!r}")
@@ -258,11 +269,10 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
         for fam in fams:
             # --family all passes n only to the families that take it
             n = args.n if fam in given_n else None
-            params.extend(enumerate_family(fam, q, family_t(fam, args.t), n=n))
-    if args.d is not None:
-        params = [p for p in params if p.d == args.d]
-        if not params:
-            raise ValueError(f"d={args.d} not admissible here")
+            params.extend(enumerate_family(fam, q, family_t(fam, args.t), n,
+                                           args.d))
+    if args.d is not None and not params:
+        raise ValueError(f"d={args.d} not admissible here")
     params.sort(key=lambda p: (FAMILIES.index(p.family), p.q, p.t or 0, p.d))
     records = [p.to_record() for p in params]
     _emit(_FORMATTERS[args.fmt](records), args.output)
@@ -272,16 +282,13 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    lemmas = list(ALL_LEMMAS) if args.lemma == "all" else [args.lemma]
+    lemmas = list(LEMMAS) if args.lemma == "all" else [args.lemma]
     if args.t is not None and "consta" not in lemmas:
         raise ValueError(f"lemma {args.lemma} takes no --t, only lemma "
                          "consta does")
-    reports = []
-    for lemma in lemmas:
-        qs = args.q_values or list(DEFAULT_SWEEPS[lemma][0])
-        ts = [args.t] if args.t is not None else (
-            list(DEFAULT_SWEEPS[lemma][1]) if DEFAULT_SWEEPS[lemma][1] else None)
-        reports.append(run_lemma_sweep(lemma, qs, ts))
+    ts = None if args.t is None else [args.t]
+    reports = [run_lemma_sweep(lemma, args.q_values or None, ts)
+               for lemma in lemmas]
     if args.t is None:
         lemma, takers = args.lemma, reports
     else:  # t must reach an instance of consta, the one lemma that takes it
@@ -429,7 +436,7 @@ COMMANDS: dict[str, tuple[str, tuple[Flag, ...]]] = {
         *_common(("json", "csv", "md")))),
     "verify": ("run rank-lemma sweeps", (
         Flag("lemma", "lemma", "one lemma, or all",
-             default="all", choices=("all", *ALL_LEMMAS)),
+             default="all", choices=("all", *LEMMAS)),
         Flag("q", "q", "override the default sweep grid"),
         Flag("t", "t", "override the default constacyclic orders", int),
         _OUTPUT)),

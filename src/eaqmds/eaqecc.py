@@ -240,26 +240,30 @@ def family_codes(family: str, q: int, params: list[dict],
 
 
 def enumerate_family(family: str, q: int, t: int | None = None,
-                     n: int | None = None) -> list[EaqeccParams]:
-    """All EAQMDS codes of one family for a given q (and t), built by
-    family_codes and each checked against the closed form.  A distance
-    whose closed form gives k = 0 encodes no qudit and is left out."""
+                     n: int | None = None,
+                     d: int | None = None) -> list[EaqeccParams]:
+    """All EAQMDS codes of one family for a given q (and t), or with d
+    just the one at distance d, built by family_codes and each checked
+    against the closed form; only the codes asked for are built.  A
+    distance whose closed form gives k = 0 encodes no qudit and is left
+    out."""
     if not admissible(family, q, t):
         raise ValueError(f"q={q} (t={t}) not admissible for family {family}")
     length = parameter_ranges(family, q, n, t)[0]
     c = expected_c(family, t)
-    wanted = [(d, kw) for d, kw in instances(family, q, t, n).items()
-              if closed_form_k(family, q, d, t, n) >= 1]
+    wanted = [(dist, kw) for dist, kw in instances(family, q, t, n).items()
+              if (d is None or dist == d)
+              and closed_form_k(family, q, dist, t, n) >= 1]
     out = []
     built = family_codes(family, q, [kw for _, kw in wanted], t, n)
-    for (d, _), (code, _, ebits) in zip(wanted, built):
-        k = closed_form_k(family, q, d, t, n)
+    for (dist, _), (code, _, ebits) in zip(wanted, built):
+        k = closed_form_k(family, q, dist, t, n)
         params = derive_eaqecc(code, ebits, t)
-        expected = (length, k, d, c)
+        expected = (length, k, dist, c)
         got = (params.n, params.k, params.d, params.c)
         if got != expected:
             raise VerificationError(
-                f"family {family} q={q} d={d}: constructed {got} != "
+                f"family {family} q={q} d={dist}: constructed {got} != "
                 f"closed form {expected}")
         out.append(params)
     return out

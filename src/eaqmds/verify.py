@@ -2,8 +2,9 @@
 
 The oracles take a plain int64 matrix and its field context and call the
 kernels directly.  The distance oracles are deliberately separate routes
-from the BCH design distance: full message enumeration when the message
-space fits the budget, otherwise the generalized-Cauchy certificate.  A
+from the BCH design distance, both routed by certify_distance: full
+message enumeration (kernels.min_weight) when the message space fits
+the budget, otherwise the generalized-Cauchy certificate.  A
 code is MDS iff every k x k minor of a generator matrix, equivalently
 every (n-k)-square minor of a full-rank parity check, is nonsingular,
 that is iff every square submatrix of A is, for [I | A] its systematic
@@ -11,11 +12,13 @@ form.  kernels.cauchy_certificate decides that in polynomial time when A
 is a generalized Cauchy matrix, as it is for every generalized
 Reed-Solomon code; every family code here is one.  Hermitian dual
 containment has two routes here, the coset test Z & -qZ = 0 and the
-matrix test H H^dagger = 0.  The sweep harness builds every family
-instance that cosets.parameter_ranges admits, each group of them (one
-family, q, n and t, family iii's two distance parities together) through
-one eaqecc.family_codes build, and compares rank(H H^dagger), which
-that build counts for the whole group in one kernels.block_ranks pass,
+matrix test H H^dagger = 0.  LEMMAS is the one table of rank lemmas:
+each lemma's family, its lengths and its default q and t grids.  The
+sweep harness builds every family instance that
+cosets.parameter_ranges admits, each group of them (one family, q, n
+and t, family iii's two distance parities together) through one
+eaqecc.family_codes build, and compares rank(H H^dagger), which that
+build counts for the whole group in one kernels.block_ranks pass,
 against the predicted ebit count.  Each instance's H and Gram matrix are
 views of the group's; the family-v cross rank rank(H1 H2^dagger) is that
 of a block of the entry's own Gram matrix, sliced on the rows of Z1 and
@@ -41,23 +44,6 @@ from .galois import FieldContext
 MAX_CODEWORDS = 10**7
 
 
-class BudgetExceeded(RuntimeError):
-    pass
-
-
-def exhaustive_min_distance(G: np.ndarray, ctx: FieldContext, *,
-                            max_codewords: int = MAX_CODEWORDS) -> int:
-    """Minimum Hamming weight over all nonzero codewords m G."""
-    k = G.shape[0]
-    size = ctx.order
-    if size**k > max_codewords:
-        raise BudgetExceeded(
-            f"{size}^{k} codewords exceed the budget {max_codewords}")
-    if k == 0:
-        raise ValueError("empty generator matrix has no nonzero codewords")
-    return kernels.min_weight(G, ctx)
-
-
 def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
     """Coset criterion: the code is Hermitian dual-containing iff
     Z and -qZ (mod rn) are disjoint.
@@ -80,9 +66,10 @@ def certify_distance(code: ClassicalCode, *,
     """Route to the first oracle that decides the code, and report what
     was certified.
 
-    The routes, in order: message enumeration when Q^k fits
-    max_codewords, the one route that finds d itself; the
-    generalized-Cauchy certificate; else design-only.  Returns
+    The routes, in order: message enumeration (kernels.min_weight on a
+    generator matrix) when Q^k fits max_codewords, the one route that
+    finds d itself; the generalized-Cauchy certificate; else
+    design-only, as is a code with k = 0 and no nonzero codeword.  Returns
     {"method", "is_mds", "d"} where method is "enumeration", "cauchy" or
     "design-only"; d is the exact distance when enumeration ran, n-k+1
     when the certificate confirmed MDS, else None.  A nonpositive
@@ -94,8 +81,7 @@ def certify_distance(code: ClassicalCode, *,
     if k == 0:
         return {"method": "design-only", "is_mds": None, "d": None}
     if code.field.order**k <= max_codewords:
-        d = exhaustive_min_distance(generator_matrix(code), code.field,
-                                    max_codewords=max_codewords)
+        d = kernels.min_weight(generator_matrix(code), code.field)
         return {"method": "enumeration", "is_mds": d == n - k + 1, "d": d}
     # G, a second elimination, only for an H with dependent rows
     H = code.H
@@ -114,17 +100,15 @@ def certify_distance(code: ClassicalCode, *,
 class SweepReport:
     lemma: str
     entries: list[dict] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
     elapsed: float = 0.0
+
+    @property
+    def failures(self) -> list[dict]:
+        return [e for e in self.entries if not e["ok"]]
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def add(self, entry: dict) -> None:
-        self.entries.append(entry)
-        if not entry["ok"]:
-            self.failures.append(entry)
 
     def to_dict(self) -> dict:
         return {"lemma": self.lemma, "instances": len(self.entries),
@@ -153,22 +137,24 @@ def _rank_entry(lemma, q, n, r, params, Z, computed, expected,
     return entry
 
 
-# each lemma's family, and for families i and iii the sign s of the
-# lengths they sweep, every divisor n of q^2+s
-LEMMAS: dict[str, tuple[str, int | None]] = {
-    "rank1": ("i", 1),
-    "rank1-minus": ("iii", -1),
-    "rank-ers": ("ii", None),
-    "nega": ("iv", None),
-    "consta": ("v", None),
+# lemma -> (family, sign, q grid, t grid): for families i and iii the
+# sign s of the lengths they sweep, every divisor n of q^2+s; the grids
+# are the acceptance-grade defaults that `verify` sweeps
+LEMMAS: dict[str, tuple[str, int | None, tuple[int, ...],
+                        tuple[int, ...] | None]] = {
+    "rank1": ("i", 1, (2, 3, 4, 5, 7, 8, 9), None),
+    "rank1-minus": ("iii", -1, (2, 3, 4, 5, 7, 8, 9), None),
+    "rank-ers": ("ii", None, (3, 4, 5, 7, 8), None),
+    "nega": ("iv", None, (3, 5, 7, 9, 11, 13), None),
+    "consta": ("v", None, (5, 9, 11, 13, 19), (3, 5, 7)),
 }
-ALL_LEMMAS = tuple(LEMMAS)
 
 
-def run_lemma_sweep(lemma: str, q_list: list[int],
+def run_lemma_sweep(lemma: str, q_list: list[int] | None = None,
                     t_list: list[int] | None = None) -> SweepReport:
     """Rebuild every admissible instance of one rank lemma and compare
-    rank(H H^dagger) with the predicted ebit count.
+    rank(H H^dagger) with the predicted ebit count, over q_list and, for
+    consta, t_list; None takes the lemma's grid in LEMMAS.
 
     Lemmas: rank1 (cyclic, n | q^2+1, c = 1); rank1-minus (cyclic,
     n | q^2-1, both distance parities, c = 1); rank-ers (extended RS,
@@ -178,9 +164,9 @@ def run_lemma_sweep(lemma: str, q_list: list[int],
     """
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma!r}")
-    family, sign = LEMMAS[lemma]
-    if family == "v" and not t_list:
-        raise ValueError("consta sweep needs t values")
+    family, sign, q_grid, t_grid = LEMMAS[lemma]
+    q_list = q_grid if q_list is None else q_list
+    t_list = t_grid if t_list is None else t_list
     start = time.perf_counter()
     report = SweepReport(lemma)
     for q in q_list:
@@ -220,9 +206,9 @@ def _sweep_family(report: SweepReport, family: str, q: int,
         if family == "v":
             extra = _consta_intersection(q, t, kw["delta1"], kw["delta2"],
                                          code, gram)
-        report.add(_rank_entry(report.lemma, q, length,
-                               Z.r if Z is not None else None, params, Z,
-                               c, expected, **extra))
+        report.entries.append(_rank_entry(
+            report.lemma, q, length, Z.r if Z is not None else None, params,
+            Z, c, expected, **extra))
 
 
 def _consta_intersection(q, t, d1, d2, code: ClassicalCode,
@@ -255,13 +241,3 @@ def _consta_intersection(q, t, d1, d2, code: ClassicalCode,
         "cross_rank": cross_rank,
         "cross_rank_ok": cross_rank == s,
     }
-
-
-# acceptance-grade default grids per lemma
-DEFAULT_SWEEPS: dict[str, tuple[tuple[int, ...], tuple[int, ...] | None]] = {
-    "rank1": ((2, 3, 4, 5, 7, 8, 9), None),
-    "rank1-minus": ((2, 3, 4, 5, 7, 8, 9), None),
-    "rank-ers": ((3, 4, 5, 7, 8), None),
-    "nega": ((3, 5, 7, 9, 11, 13), None),
-    "consta": ((5, 9, 11, 13, 19), (3, 5, 7)),
-}

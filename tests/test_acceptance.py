@@ -23,7 +23,7 @@ from eaqmds.eaqecc import (
 )
 from eaqmds.galois import FieldContext, build_field
 from eaqmds.verify import (
-    DEFAULT_SWEEPS,
+    LEMMAS,
     certify_distance,
     dual_containment_matrix_oracle,
     is_hermitian_dual_containing,
@@ -77,8 +77,8 @@ def test_criterion_2_rank_lemma_sweeps():
     """All five rank-lemma sweeps exact, total runtime < 5 min."""
     t0 = time.perf_counter()
     total = 0
-    for lemma, (qs, ts) in DEFAULT_SWEEPS.items():
-        rep = run_lemma_sweep(lemma, list(qs), list(ts) if ts else None)
+    for lemma in LEMMAS:
+        rep = run_lemma_sweep(lemma)
         assert rep.ok, rep.to_text()
         total += len(rep.entries)
         print(f"ACCEPTANCE 2 PASS sweep {lemma}: {len(rep.entries)} "

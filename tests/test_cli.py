@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,47 @@ def test_parse_q():
                 f"^bad --q part {part}: give a prime power, a comma list "
                 "of them or a range a..b$")):
             parse_q(spec)
+
+
+def test_parse_q_refuses_a_range_past_the_field_ceiling():
+    """A range is refused at its first prime power q with q^2 past the
+    2^20 ceiling, found by stepping up from the ceiling, without walking
+    the range; a single q is left to the field build."""
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^field order 1062961 exceeds the "
+                       "size ceiling 1048576$"):
+        parse_q("2..1000000")
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ValueError, match="^field order 1062961 "):
+        parse_q("1024..1031")
+    assert parse_q("1000..1024") == [1009, 1013, 1019, 1021, 1024]
+    with pytest.raises(ValueError, match="^no admissible q in "):
+        parse_q("1025..1030")
+    assert parse_q("1031") == [1031]
+
+
+def test_enumerate_range_past_the_ceiling_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--q", "2..1000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: field order 1062961 exceeds the size ceiling "
+                   "1048576\n")
+
+
+def test_enumerate_d_builds_only_that_distance(capsys, monkeypatch):
+    # each family group is built with the one parameter set of distance
+    # d, if it has one, not with all of them
+    sizes = []
+    build = eaqecc.family_codes
+
+    def spy(family, q, params, *rest):
+        sizes.append(len(params))
+        return build(family, q, params, *rest)
+
+    monkeypatch.setattr(eaqecc, "family_codes", spy)
+    code, out, _ = run_cli(capsys, "enumerate", "--q", "7", "--d", "4")
+    assert code == 0 and sizes and max(sizes) <= 1
+    records = json.loads(out)["records"]
+    assert records and {r["d"] for r in records} == {4}
 
 
 def test_enumerate_family_i_json(capsys):

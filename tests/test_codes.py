@@ -404,7 +404,7 @@ def _traced_set(rows):
     (7, 50, 6, "period 10"),    # z = 5 gives s = -2; z = 4, 6 equal s
     (5, 26, 4, "period 2"),     # every s is +-2
 ])
-def test_tampered_trace_table_falls_back_to_elimination(q, n, delta, tamper):
+def test_tampered_trace_table_is_refused(q, n, delta, tamper):
     # whether or not the tampered block is singular, trace rows that
     # contradict their kind fail the trace proof, and nothing eliminates
     Z = defining_set("i", q, n=n, delta=delta)
@@ -457,7 +457,7 @@ def _singular_by_theory(f, ss, ones, alternating):
     ([7, 7], False, False),          # two equal s
     ([3, 7, 3], True, True),         # two equal s among three
 ])
-def test_degenerate_trace_pairs_fall_back_to_elimination(ss, ones, alternating):
+def test_degenerate_trace_pairs_are_refused(ss, ones, alternating):
     f = build_field(5, 2)
     two = f.add(1, 1)
     ss = [{"2": two, "-2": f.neg(two)}.get(s, s) for s in ss]

@@ -18,6 +18,10 @@ GOLDEN = [
      "307ee7d32ed2699e1f56e70a551bba42a74f54edf59b5d98e3e2ae5aff7c7313"),
     ("enumerate --q 2..9 --t 3 --format csv",
      "74aa36e508da87aa08f8594089e936ba3d6a38be0d1b9f7b3590d1fee827698d"),
+    ("verify",
+     "eed63930b56d0b8088159ec1d9caf00e0d42654be0a4f0edf5ed0f1035540a6d"),
+    ("verify --lemma consta",
+     "3e66287d0817c41a80bed9feecd8299bca29472467c6c2b7b085ba9175a908f9"),
     ("verify --q 3,5 --t 3",
      "be3bb463f854bee8d13141090ad3377e71e0585726d723f72146f233fc4f070f"),
     ("verify --lemma consta --q 5..29",

@@ -22,13 +22,11 @@ from eaqmds.cosets import (
 from eaqmds.eaqecc import build_classical, gram_matrix
 from eaqmds.galois import build_field
 from eaqmds.verify import (
-    BudgetExceeded,
     _consta_intersection,
     _rank_entry,
     certify_distance,
     divisors,
     dual_containment_matrix_oracle,
-    exhaustive_min_distance,
     run_lemma_sweep,
 )
 from reference import cyclotomic_coset, ref_submatrices_nonsingular
@@ -41,31 +39,39 @@ def rs_8_5_4():
 
 def test_exhaustive_min_distance_repetition_style(gf9):
     G = np.ones((1, 4), dtype=np.int64)
-    assert exhaustive_min_distance(G, gf9) == 4
+    assert kernels.min_weight(G, gf9) == 4
 
 
 def test_exhaustive_min_distance_rs_8_5_4():
     code = rs_8_5_4()
     G = generator_matrix(code)
-    assert exhaustive_min_distance(G, code.field) == 4   # 9^5 = 59049 messages
+    assert kernels.min_weight(G, code.field) == 4   # 9^5 = 59049 messages
+
+
+def _routes(code, **kw):
+    """certify_distance's result and the number of kernels.min_weight
+    calls it made."""
+    with mock.patch.object(kernels, "min_weight",
+                           wraps=kernels.min_weight) as spy:
+        res = certify_distance(code, **kw)
+    return res, spy.call_count
 
 
 def test_exhaustive_budget_routing():
-    # [12,7,6] over GF(25): 25^7 messages blow the default budget
+    """A codeword budget of exactly Q^k messages admits enumeration, one
+    below it takes the certificate."""
+    rs = rs_8_5_4()                                  # 9^5 messages
+    assert _routes(rs, max_codewords=9**5) == (
+        {"method": "enumeration", "is_mds": True, "d": 4}, 1)
+    assert _routes(rs, max_codewords=9**5 - 1) == (
+        {"method": "cauchy", "is_mds": True, "d": 4}, 0)
+    # [12,7,6] over GF(25): 25^7 messages blow the default budget and
+    # one below Q^k, so certify_distance routes it to the certificate
     code = build_classical("iv", 5, 6)
     assert code.k == 7
-    G = generator_matrix(code)
-    with pytest.raises(BudgetExceeded):
-        exhaustive_min_distance(G, code.field)
-    with pytest.raises(BudgetExceeded):
-        exhaustive_min_distance(G, code.field, max_codewords=25**7 - 1)
-    # ... so certify_distance routes it to the certificate
-    assert certify_distance(code) == {"method": "cauchy", "is_mds": True,
-                                      "d": 6}
-    # a budget of exactly Q^k messages admits enumeration
-    rs = rs_8_5_4()
-    assert exhaustive_min_distance(generator_matrix(rs), rs.field,
-                                   max_codewords=9**5) == 4
+    for budget in (verify.MAX_CODEWORDS, 25**7 - 1):
+        assert _routes(code, max_codewords=budget) == (
+            {"method": "cauchy", "is_mds": True, "d": 6}, 0)
 
 
 def test_minor_oracle_cases(gf9):
@@ -76,10 +82,9 @@ def test_minor_oracle_cases(gf9):
     G = generator_matrix(code)
     assert kernels.cauchy_certificate(G, code.field) is True
     # 16^12 messages: over the default codeword budget, the certificate
-    # decides, and the enumeration oracle refuses to run
-    assert certify_distance(code)["method"] == "cauchy"
-    with pytest.raises(BudgetExceeded):
-        exhaustive_min_distance(G, code.field)
+    # decides, and no message is enumerated
+    assert _routes(code) == ({"method": "cauchy", "is_mds": True,
+                              "d": 6}, 0)
 
 
 def test_oracles_agree_where_both_apply():
@@ -87,7 +92,7 @@ def test_oracles_agree_where_both_apply():
                  build_classical("iii", 3, 3),
                  _with_repeated_column(build_classical("ii", 3, 4))]:
         G = generator_matrix(code)
-        d = exhaustive_min_distance(G, code.field)
+        d = kernels.min_weight(G, code.field)
         assert (d == code.n - code.k + 1) == \
             kernels.cauchy_certificate(G, code.field) == \
             kernels.cauchy_certificate(code.H, code.field)
@@ -299,6 +304,7 @@ def test_sweep_expects_the_family_ebit_count(lemma, q, t, family, c):
     with mock.patch.object(verify, "expected_c", shifted):
         rep = run_lemma_sweep(lemma, [q], [t] if t else None)
     assert rep.entries and len(rep.failures) == len(rep.entries)
+    assert not rep.ok
     assert {e["expected"] for e in rep.entries} == {c + 1}
     assert set(calls) == {(family, t)}
 
@@ -306,8 +312,20 @@ def test_sweep_expects_the_family_ebit_count(lemma, q, t, family, c):
 def test_run_lemma_sweep_errors():
     with pytest.raises(ValueError):
         run_lemma_sweep("rank9", [2])
-    with pytest.raises(ValueError):
-        run_lemma_sweep("consta", [5])
+
+
+def test_run_lemma_sweep_defaults_to_the_lemma_grids():
+    """None takes the lemma's row of LEMMAS: its q grid, and for consta
+    its t grid; an explicit list replaces only its own grid."""
+    for lemma, (_, _, qs, ts) in verify.LEMMAS.items():
+        with mock.patch.object(verify, "_sweep_family") as sweep:
+            run_lemma_sweep(lemma)
+        assert {c.args[2] for c in sweep.call_args_list} == set(qs)
+        assert {c.kwargs["t"] for c in sweep.call_args_list} == \
+            set(ts or [None])
+    rep = run_lemma_sweep("consta", [5])
+    assert [e["params"]["t"] for e in rep.entries] == [3]
+    assert run_lemma_sweep("consta", [5], [5]).entries == []
 
 
 def test_sweep_report_serialization_is_deterministic():
@@ -344,6 +362,10 @@ def test_budget_validation():
             certify_distance(rs_8_5_4(), max_codewords=budget)
 
 
-def test_empty_generator_is_error(gf9):
-    with pytest.raises(ValueError):
-        exhaustive_min_distance(np.zeros((0, 4), dtype=np.int64), gf9)
+def test_empty_code_is_design_only(gf9):
+    """A code with k = 0 has no nonzero codeword, so no distance to
+    enumerate: it is design-only, and no message is enumerated."""
+    code = ClassicalCode(n=4, k=0, d_design=5,
+                         H=np.eye(4, dtype=np.int64), q=3, field=gf9)
+    assert _routes(code) == (
+        {"method": "design-only", "is_mds": None, "d": None}, 0)
