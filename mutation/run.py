@@ -1,26 +1,24 @@
 """Run the mutation catalogue against the test suite.
 
-Usage: python mutation/run.py [--timeout S] [INDEX ...]
+Usage: python mutation/run.py
 
 catalogue.json lists mutants.  Each entry gives a file under src/, the
 exact text to replace (it occurs once in that file), its replacement,
 the pytest selector that must fail once the mutant is applied, and a
-one-line reason.  INDEX picks entries by their position in the list;
-none runs them all.
+one-line reason.  Every entry is run.
 
-Each selector first runs on an unmutated copy of src/, so that a
-selector that already fails is not counted as a kill.  Then, for each
-mutant, src/ is copied to a temporary directory and the mutant applied
-there; the selector runs in a pytest subprocess that imports the
-package from that copy, under a wall-clock limit.  One line is printed
-per mutant: killed (the selector failed), survived (it passed), timed
+Each selector first runs on the unmutated src/, so that a selector
+that already fails is not counted as a kill.  Then, for each mutant,
+src/ is copied to a temporary directory and the mutant applied there;
+the selector runs in a pytest subprocess that imports the package from
+that copy, under a wall-clock limit of TIMEOUT seconds.  One line is
+printed per mutant: killed (the selector failed), survived (it passed), timed
 out, or error (pytest could not run the selector, or the selector fails
 without the mutant).  The exit status is 0 iff every mutant was killed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -31,19 +29,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CATALOGUE = Path(__file__).resolve().with_name("catalogue.json")
+TIMEOUT = 120.0
 
 
 def load() -> list[dict]:
     return json.loads(CATALOGUE.read_text())
 
 
-def run_selector(selector: str, src: Path, timeout: float) -> str:
+def run_selector(selector: str, src: Path) -> str:
     """Run one pytest selector with the package imported from src."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
            "no:cacheprovider", "-o", f"pythonpath={src}", selector]
     try:
-        done = subprocess.run(cmd, cwd=ROOT, env=env, timeout=timeout,
+        done = subprocess.run(cmd, cwd=ROOT, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
@@ -52,7 +51,7 @@ def run_selector(selector: str, src: Path, timeout: float) -> str:
         done.returncode, f"error (pytest exit {done.returncode})")
 
 
-def run_mutant(entry: dict, timeout: float) -> str:
+def run_mutant(entry: dict) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src)
@@ -61,31 +60,22 @@ def run_mutant(entry: dict, timeout: float) -> str:
         if text.count(entry["text"]) != 1:
             return "error (text does not occur exactly once)"
         path.write_text(text.replace(entry["text"], entry["replacement"]))
-        return run_selector(entry["selector"], src, timeout)
+        return run_selector(entry["selector"], src)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="wall-clock seconds per selector run")
-    parser.add_argument("index", type=int, nargs="*",
-                        help="catalogue positions to run (default: all)")
-    args = parser.parse_args(argv)
+def main() -> int:
     catalogue = load()
-    picked = args.index or range(len(catalogue))
     baseline = {}
-    for i in picked:
-        selector = catalogue[i]["selector"]
+    for entry in catalogue:
+        selector = entry["selector"]
         if selector not in baseline:
-            baseline[selector] = run_selector(selector, ROOT / "src",
-                                              args.timeout)
+            baseline[selector] = run_selector(selector, ROOT / "src")
     results = []
-    for i in picked:
-        entry = catalogue[i]
+    for i, entry in enumerate(catalogue):
         if baseline[entry["selector"]] != "survived":
             result = "error (selector fails without the mutant)"
         else:
-            result = run_mutant(entry, args.timeout)
+            result = run_mutant(entry)
         results.append(result)
         print(f"{i:3d} {result:10s} {entry['file']}: {entry['reason']}",
               flush=True)

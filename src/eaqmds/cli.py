@@ -60,7 +60,7 @@ from .eaqecc import (
     family_t,
     instances,
 )
-from .galois import SIZE_LIMIT, factor_prime_power
+from .galois import SIZE_LIMIT, check_order, factor_prime_power
 from .verify import LEMMAS, MAX_CODEWORDS, certify_distance, run_lemma_sweep
 
 USAGE_ERROR = 2
@@ -85,7 +85,9 @@ def parse_q(spec: str) -> list[int]:
     """'7', '3,5,7' or '2..9' in ASCII digits (ranges keep only prime
     powers).  A range that holds a prime power past _Q_CEILING is
     refused at the first such q, found by stepping up from the ceiling,
-    before the range below it is walked."""
+    before the range below it is walked.  A single q past the ceiling,
+    also inside a comma list, is left to the field build and fails
+    there."""
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
@@ -99,12 +101,10 @@ def parse_q(spec: str) -> list[int]:
             raise ValueError(f"q={lo} is not a prime power")
         if lo > hi:
             raise ValueError(f"empty range {part!r}")
-        over = len(bounds) == 2 and next(
-            (q for q in range(max(lo, _Q_CEILING + 1), hi + 1)
-             if _is_prime_power(q)), None)
-        if over:
-            raise ValueError(f"field order {over * over} exceeds the size "
-                             f"ceiling {SIZE_LIMIT}")
+        if len(bounds) == 2:
+            over = next((q for q in range(max(lo, _Q_CEILING + 1), hi + 1)
+                         if _is_prime_power(q)), 0)
+            check_order(over * over)
         out.extend(q for q in range(lo, hi + 1) if _is_prime_power(q))
     if not out:
         raise ValueError(f"no admissible q in {spec!r}")

@@ -288,15 +288,20 @@ class FieldContext:
 _FIELD_CACHE: dict[tuple[int, int], FieldContext] = {}
 
 
+def check_order(order: int) -> None:
+    """Refuse a field order above SIZE_LIMIT."""
+    if order > SIZE_LIMIT:
+        raise ValueError(
+            f"field order {order} exceeds the size ceiling {SIZE_LIMIT}")
+
+
 def build_field(p: int, m: int) -> FieldContext:
     """Construct (or fetch the cached) GF(p^m), of order at most
     SIZE_LIMIT, under the lexicographically smallest monic irreducible."""
     ctx = _FIELD_CACHE.get((p, m))
     if ctx is None:
         _check_field(p, m)
-        if p**m > SIZE_LIMIT:
-            raise ValueError(
-                f"field order {p**m} exceeds the size ceiling {SIZE_LIMIT}")
+        check_order(p**m)
         ctx = FieldContext(p, m, smallest_irreducible(p, m))
         _FIELD_CACHE[(p, m)] = ctx
     return ctx

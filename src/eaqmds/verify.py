@@ -154,7 +154,8 @@ def run_lemma_sweep(lemma: str, q_list: list[int] | None = None,
                     t_list: list[int] | None = None) -> SweepReport:
     """Rebuild every admissible instance of one rank lemma and compare
     rank(H H^dagger) with the predicted ebit count, over q_list and, for
-    consta, t_list; None takes the lemma's grid in LEMMAS.
+    consta, t_list; None takes the lemma's grid in LEMMAS, and an empty
+    t_list for consta is an error.
 
     Lemmas: rank1 (cyclic, n | q^2+1, c = 1); rank1-minus (cyclic,
     n | q^2-1, both distance parities, c = 1); rank-ers (extended RS,
@@ -167,6 +168,8 @@ def run_lemma_sweep(lemma: str, q_list: list[int] | None = None,
     family, sign, q_grid, t_grid = LEMMAS[lemma]
     q_list = q_grid if q_list is None else q_list
     t_list = t_grid if t_list is None else t_list
+    if family == "v" and not t_list:
+        raise ValueError("consta sweep needs t values")
     start = time.perf_counter()
     report = SweepReport(lemma)
     for q in q_list:

@@ -312,6 +312,9 @@ def test_sweep_expects_the_family_ebit_count(lemma, q, t, family, c):
 def test_run_lemma_sweep_errors():
     with pytest.raises(ValueError):
         run_lemma_sweep("rank9", [2])
+    # an explicit empty t list would sweep nothing and report ok
+    with pytest.raises(ValueError, match="consta sweep needs t values"):
+        run_lemma_sweep("consta", [5], [])
 
 
 def test_run_lemma_sweep_defaults_to_the_lemma_grids():
