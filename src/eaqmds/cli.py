@@ -20,8 +20,8 @@ family v needs; a --t that no family or lemma would take at the
 requested q is a usage error.  verify sweeps the lemmas of
 verify.LEMMAS, each over its own default grid unless --q or --t
 overrides it.  enumerate --d builds only the instances at distance d.
-A --q range that reaches a q with q^2 past galois.SIZE_LIMIT is a usage
-error before any work.
+A --q that holds a q with q^2 past galois.SIZE_LIMIT, in a range or
+not, is a usage error before any work.
 
 Data output is byte-identical across runs with the same flags: records
 are sorted, and timing goes to stderr only.  JSON is written by
@@ -83,11 +83,9 @@ _Q_CEILING = isqrt(SIZE_LIMIT)
 
 def parse_q(spec: str) -> list[int]:
     """'7', '3,5,7' or '2..9' in ASCII digits (ranges keep only prime
-    powers).  A range that holds a prime power past _Q_CEILING is
-    refused at the first such q, found by stepping up from the ceiling,
-    before the range below it is walked.  A single q past the ceiling,
-    also inside a comma list, is left to the field build and fails
-    there."""
+    powers).  A part that holds a prime power past _Q_CEILING, a single
+    q or a range, is refused at the first such q, found by stepping up
+    from the ceiling, before the range below it is walked."""
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
@@ -101,10 +99,9 @@ def parse_q(spec: str) -> list[int]:
             raise ValueError(f"q={lo} is not a prime power")
         if lo > hi:
             raise ValueError(f"empty range {part!r}")
-        if len(bounds) == 2:
-            over = next((q for q in range(max(lo, _Q_CEILING + 1), hi + 1)
-                         if _is_prime_power(q)), 0)
-            check_order(over * over)
+        over = next((q for q in range(max(lo, _Q_CEILING + 1), hi + 1)
+                     if _is_prime_power(q)), 0)
+        check_order(over * over)
         out.extend(q for q in range(lo, hi + 1) if _is_prime_power(q))
     if not out:
         raise ValueError(f"no admissible q in {spec!r}")

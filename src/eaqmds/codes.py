@@ -22,14 +22,15 @@ of GF(q^2):
   and the table of every n | N is its view with stride N/n.
 
 lambda = eta^n is a primitive r-th root of unity (1 for the cyclic
-families, -1 for the negacyclic family iv).
+families, -1 for the negacyclic family iv).  Z is one run, so the BCH
+bound gives the design distance |Z| + 1.
 
 Power rows run in the circular order of their Omega indices from the
 start of Z's run (DefiningSet.in_run_order), so row k of a run has the
 index start + k (mod n).  Trace rows come as z = 0, then each pair
 {z, n-z} by z = 1, 2, ..., then z = n/2.  Row z of H depends only on
 z, so the code of a run inside Z has as parity check a contiguous block
-of Z's rows: parity_rows finds it by offset arithmetic and subcode
+of Z's rows: parity_rows finds it by DefiningSet.offset and subcode
 reads the nested code off it as a view of H, as it reads the extended
 RS code with r rows off the first r rows of one with more.
 
@@ -52,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .cosets import DefiningSet, bch_design_distance, omega_run
+from .cosets import DefiningSet, omega_run
 from .galois import FieldContext, build_field, factor_prime_power
 
 
@@ -122,13 +123,19 @@ class ClassicalCode:
                 f"over GF({self.field.order}))")
 
 
+def _closed(Z: DefiningSet) -> bool:
+    """True iff the run Z = -Z: empty, full, or with first and last index
+    summing to 0 (mod n), centred on 0 or n/2."""
+    return Z.size in (0, Z.n) or not (2 * Z.start + Z.size - 1) % Z.n
+
+
 def _trace_rows(tr: np.ndarray, Z: DefiningSet, f: FieldContext) -> np.ndarray:
     """GF(q^2) rows spanning the root rows (beta^{zj})_j, z in Z = -Z,
     from the trace table tr of beta."""
-    n, zs = Z.n, Z.elements
-    if any((n - z) % n not in zs for z in zs):
+    if not _closed(Z):
         raise ValueError("defining set is not closed under z -> -z, so the "
                          "code is not defined over GF(q^2)")
+    n, zs = Z.n, Z.elements
     j = np.arange(n, dtype=np.int64)
     pairs = np.array(sorted(z for z in zs if 0 < 2 * z < n), dtype=np.int64)
     shifts = np.stack([j, j + 1])                         # (2, n)
@@ -154,21 +161,15 @@ def parity_rows(q: int, Z: DefiningSet, part: DefiningSet) -> slice:
     n/2, and its rows follow those of the z nearer 0 than all of its own.
     With f the least |z| of a set (f = start, or 0 when it holds 0), the
     trace layout has 2f - 1 rows of smaller |z| (none for f = 0)."""
-    size = len(part)
-    if not Z.elements.issuperset(part.elements):
-        raise ValueError("exponents outside the defining set")
-    if not (Z.run and part.run):
-        raise ValueError("rows of a defining set that is not one run")
+    first, size, n = Z.offset(part), len(part), Z.n
     if not size:
         return slice(0, 0)
-    n = Z.n
     if _traced(q, Z):
-        if size < n and (2 * part.start + size - 1) % n:
+        if not _closed(part):
             raise ValueError("trace rows need exponents closed under z -> -z")
-        first = (0 if 0 in part.elements else 2 * part.start - 1) - (
-            0 if 0 in Z.elements else 2 * Z.start - 1)
-    else:
-        first = (part.start - Z.start) % n
+        lead = [0 if s.start + s.size > n or not s.start else 2 * s.start - 1
+                for s in (part, Z)]
+        first = lead[0] - lead[1]
     if first + size > len(Z):
         raise ValueError("the rows of the part are not contiguous in H")
     return slice(first, first + size)
@@ -256,11 +257,10 @@ def constacyclic_code(q: int, Z: DefiningSet) -> ClassicalCode:
 
 def _constacyclic(q: int, Z: DefiningSet, H: np.ndarray,
                   field: FieldContext) -> ClassicalCode:
-    """The code with defining set Z and parity check H: k = n - |Z|, d
-    from the BCH bound."""
-    d = bch_design_distance(Z) if Z.elements else 1
-    return ClassicalCode(n=Z.n, k=Z.n - len(Z), d_design=d, H=H, q=q,
-                         field=field, defining_set=Z)
+    """The code with defining set Z and parity check H: k = n - |Z|, and
+    d = |Z| + 1 by the BCH bound, as Z is one run."""
+    return ClassicalCode(n=Z.n, k=Z.n - len(Z), d_design=len(Z) + 1, H=H,
+                         q=q, field=field, defining_set=Z)
 
 
 def _extended_rs(q: int, H: np.ndarray, f: FieldContext) -> ClassicalCode:

@@ -4,10 +4,12 @@ A defining set Z lives modulo rn and is restricted to
 Omega = {1 + ri : 0 <= i < n} (all residues when r = 1).  Every modulus
 rn the families use divides q^2 - 1 or, for family i, q^2 + 1, so q^2
 is +-1 modulo it and each q^2-cyclotomic coset is {z} or {z, -z}: every
-family's Z is one run of consecutive Omega indices, reduced modulo rn
-at build time.  A DefiningSet derives from its elements the Omega index
-its run starts at, which fixes the order of a parity check's power rows
-(codes).  parameter_ranges owns each family's length and the
+family's Z is one run of consecutive Omega indices on the circle of n
+indices.  A DefiningSet is that run as four integers, modulus, r, start
+and size, and its elements are derived from them.  Its start fixes the
+order of a parity check's power rows (codes); offset places one run in
+another and hull finds the least run that holds several, by arithmetic
+on the circle.  parameter_ranges owns each family's length and the
 admissible range of its construction parameters: the defining-set
 parameters of the constacyclic families i and iii-v, and the number r
 of parity rows of family ii's extended Reed-Solomon code.  The family
@@ -19,62 +21,81 @@ names the families whose length n is a parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """Exponent set Z of a constacyclic code's generator-polynomial roots.
-
-    z = 1 + r i holds the Omega index i = z // r (z = i when r = 1).
-    start is the Omega index Z's run begins at, and run says whether Z is
-    one circular run; a set that is not gets the start of its first run,
-    the one at the smallest index.  The empty and the full set are runs
-    from 0.  Both are derived from the elements, never given."""
+    """Exponent set Z of a constacyclic code's generator-polynomial roots:
+    the run of `size` Omega indices start, start + 1, ... (mod n), where
+    the Omega index i stands for z = 1 + r i (z = i when r = 1).  The
+    empty and the full set start at 0, so equal sets compare equal."""
 
     modulus: int                  # rn
     r: int                        # constacyclic order (1 cyclic, 2 negacyclic)
-    elements: frozenset[int]
-    start: int = field(init=False, compare=False, repr=False)
-    run: bool = field(init=False, compare=False, repr=False)
+    start: int
+    size: int
 
     def __post_init__(self):
-        r, modulus, elements = self.r, self.modulus, self.elements
-        if modulus % r:
+        if self.modulus % self.r:
             raise ValueError("constacyclic order must divide the modulus")
-        starts = []   # z whose predecessor z - r (mod rn) is absent
-        for z in elements:
-            if not 0 <= z < modulus:
-                raise ValueError(f"element {z} not a canonical residue")
-            if r > 1 and z % r != 1:
-                raise ValueError(f"element {z} outside Omega (z % r != 1)")
-            if (z - r) % modulus not in elements:
-                starts.append(z)
-        object.__setattr__(self, "start", min(starts, default=0) // r)
-        object.__setattr__(self, "run", len(starts) <= 1)
+        n = self.n
+        if not 0 <= self.size <= n:
+            raise ValueError(f"run of {self.size} indices outside [0, {n}]")
+        if not 0 <= self.start < n:
+            raise ValueError(f"run start {self.start} outside [0, {n})")
+        if self.start and self.size in (0, n):
+            raise ValueError("the empty and the full set start at 0")
 
     @property
     def n(self) -> int:
         return self.modulus // self.r
 
+    @cached_property
+    def elements(self) -> frozenset[int]:
+        return frozenset(self.in_run_order())
+
     def sorted(self) -> list[int]:
         return sorted(self.elements)
 
     def in_run_order(self) -> list[int]:
-        """The elements by the circular offset of their Omega index from
-        start: the order of a parity check's power rows."""
+        """The elements from start on round the circle: the order of a
+        parity check's power rows."""
         r, n, start = self.r, self.n, self.start
-        return sorted(self.elements, key=lambda z: (z // r - start) % n)
+        base = 0 if r == 1 else 1
+        return [base + r * ((start + k) % n) for k in range(self.size)]
 
-    def indices(self) -> frozenset[int]:
-        """Omega indices i with 1 + r*i in Z (i = z when r = 1)."""
-        if self.r == 1:
-            return self.elements
-        r = self.r
-        return frozenset(z // r for z in self.elements)
+    def offset(self, part: DefiningSet) -> int:
+        """The circular offset of part's start from this run's start, for
+        a run part inside this one; ValueError if it is not inside."""
+        off = (part.start - self.start) % self.n
+        if part.size and self.size < self.n and off + part.size > self.size:
+            raise ValueError("exponents outside the defining set")
+        return off
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.size
+
+
+def hull(parts: list[DefiningSet]) -> DefiningSet:
+    """The least run that holds every part, runs of one modulus and r:
+    their union, which must be one run; ValueError if it is not.  The
+    arcs [start, start + size) are merged in order of start, and the last
+    one merged may wrap round onto the first."""
+    n, r = parts[0].n, parts[0].r
+    arcs: list[list[int]] = []
+    for s, e in sorted((p.start, p.start + p.size) for p in parts if p.size):
+        if arcs and s <= arcs[-1][1]:
+            arcs[-1][1] = max(arcs[-1][1], e)
+        else:
+            arcs.append([s, e])
+    while len(arcs) > 1 and arcs[-1][1] >= arcs[0][0] + n:
+        arcs[-1][1] = max(arcs[-1][1], arcs.pop(0)[1] + n)
+    if len(arcs) > 1:
+        raise ValueError("the union of the defining sets is not one run")
+    s, e = arcs[0] if arcs else (0, 0)
+    return omega_run(n, r, s, e - 1)
 
 
 # the only families that take a length n; the others have a fixed length
@@ -152,11 +173,8 @@ def omega_run(n: int, r: int, lo: int, hi: int) -> DefiningSet:
     """Z of the Omega indices lo..hi, taken modulo n: z = i when r = 1,
     z = 1 + r*i otherwise; a run from lo % n (from 0 when it is empty or
     covers Z_n)."""
-    base = 0 if r == 1 else 1
-    lo, end = lo % n, lo % n + min(hi - lo + 1, n)  # past n when it wraps
-    return DefiningSet(r * n, r, frozenset(
-        range(base + r * lo, base + r * min(end, n), r)).union(
-        range(base, base + r * (end - n), r)))
+    size = max(0, min(hi - lo + 1, n))
+    return DefiningSet(r * n, r, lo % n if 0 < size < n else 0, size)
 
 
 def defining_set(family: str, q: int, *, n: int | None = None,
@@ -191,25 +209,3 @@ def defining_set(family: str, q: int, *, n: int | None = None,
     # t | q+1 makes e0 an integer
     e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
     return omega_run(n, t, e0 - delta1, e0 + delta2)
-
-
-def bch_design_distance(Z: DefiningSet) -> int:
-    """Longest circular run of consecutive Omega indices, plus one: |Z| + 1
-    when Z is one run, as every family's set is; other sets are walked."""
-    if not Z.elements:
-        raise ValueError("empty defining set has no design distance")
-    if Z.run:
-        return len(Z) + 1
-    n = Z.n
-    idx = Z.indices()
-    best = 0
-    for i in idx:
-        if (i - 1) % n in idx:
-            continue  # only start runs at their left edge
-        run = 1
-        j = (i + 1) % n
-        while j in idx:
-            run += 1
-            j = (j + 1) % n
-        best = max(best, run)
-    return best + 1

@@ -12,7 +12,8 @@ t, and instances is the one map from an admissible distance to the
 parameters that build it.  build_classical turns one family instance,
 given by its distance or by explicit parameters, into a code;
 family_codes turns all instances of one family group (family, q, t, n)
-into views of one code's rows, each with a principal block of that
+into views of the rows of one code, that of the least run holding
+their defining sets (cosets.hull), each with a principal block of that
 code's one Gram matrix and its ebit count c, the rank of that block:
 kernels.block_ranks counts every instance's c in one pass over the Gram
 matrix's support.  VerificationError, which codes defines, is re-exported here.
@@ -33,12 +34,7 @@ from .codes import (
     extended_rs_code,
     subcode,
 )
-from .cosets import (
-    DefiningSet,
-    check_parameters,
-    defining_set,
-    parameter_ranges,
-)
+from .cosets import check_parameters, defining_set, hull, parameter_ranges
 from .galois import FieldContext, factor_prime_power
 
 
@@ -211,13 +207,14 @@ def family_codes(family: str, q: int, params: list[dict],
     its Gram matrix H H^dagger and its ebit count c = rank(H H^dagger);
     nothing for no parameter sets.  One code holds them all: the extended
     RS code with the largest r (family ii), or the constacyclic code of
-    the union of the defining sets, one run whose rank proof covers every
-    subset of its rows.  Its Gram matrix is formed once.  Each instance's
-    rows are a contiguous block of that code's (codes.subcode), so its H
-    is a view of the group's H and its Gram matrix a view of the
-    principal block on those rows: no instance copies either.  One
-    kernels.block_ranks call on the group's Gram matrix counts every
-    instance's c."""
+    the least run that holds every defining set (cosets.hull, a
+    ValueError when their union is not one run), whose rank proof
+    covers every subset of its rows.  Its Gram matrix is formed once.
+    Each instance's rows are a contiguous block of that code's
+    (codes.subcode), so its H is a view of the group's H and its Gram
+    matrix a view of the principal block on those rows: no instance
+    copies either.  One kernels.block_ranks call on the group's Gram
+    matrix counts every instance's c."""
     if not params:
         return
     if family == "ii":
@@ -227,9 +224,7 @@ def family_codes(family: str, q: int, params: list[dict],
         top = extended_rs_code(q, max(parts))
     else:
         parts = [defining_set(family, q, n=n, t=t, **kw) for kw in params]
-        union = frozenset().union(*(Z.elements for Z in parts))
-        top = constacyclic_code(
-            q, DefiningSet(parts[0].modulus, parts[0].r, union))
+        top = constacyclic_code(q, hull(parts))
     gram = gram_matrix(top.H, q, top.field)
     subs = [subcode(top, part) for part in parts]
     counts = kernels.block_ranks(gram, [(rows, rows) for _, rows in subs],

@@ -11,7 +11,8 @@ that is iff every square submatrix of A is, for [I | A] its systematic
 form.  kernels.cauchy_certificate decides that in polynomial time when A
 is a generalized Cauchy matrix, as it is for every generalized
 Reed-Solomon code; every family code here is one.  Hermitian dual
-containment has two routes here, the coset test Z & -qZ = 0 and the
+containment has two routes here, the coset test Z & -qZ = 0 on an
+exponent set and its modulus, which need not be one run, and the
 matrix test H H^dagger = 0.  LEMMAS is the one table of rank lemmas:
 each lemma's family, its lengths and its default q and t grids.  The
 sweep harness builds every family instance that
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import kernels
 from .codes import ClassicalCode, generator_matrix, parity_rows
-from .cosets import DefiningSet, omega_run, parameter_ranges
+from .cosets import omega_run, parameter_ranges
 from .eaqecc import expected_c, family_codes, gram_matrix
 from .galois import FieldContext
 
@@ -44,15 +45,17 @@ from .galois import FieldContext
 MAX_CODEWORDS = 10**7
 
 
-def is_hermitian_dual_containing(Z: DefiningSet, q: int) -> bool:
-    """Coset criterion: the code is Hermitian dual-containing iff
-    Z and -qZ (mod rn) are disjoint.
+def is_hermitian_dual_containing(Z: frozenset[int], modulus: int,
+                                 q: int) -> bool:
+    """Coset criterion: the code with the exponent set Z modulo rn =
+    `modulus`, one run or not, is Hermitian dual-containing iff Z and
+    -qZ (mod rn) are disjoint.
 
     Equivalent to the matrix test H H^dagger = 0 whenever r | q+1
     (true for every family here); for other r the Hermitian dual
     leaves the lambda-constacyclic class and this shortcut does not
     apply."""
-    return not Z.elements & {(-q * z) % Z.modulus for z in Z.elements}
+    return Z.isdisjoint({(-q * z) % modulus for z in Z})
 
 
 def dual_containment_matrix_oracle(H: np.ndarray, q: int,

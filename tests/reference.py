@@ -2,8 +2,11 @@
 for the vectorized kernels; schoolbook polynomial arithmetic modulo the
 field's modulus, for its log tables; the GF(q^4) root-evaluation route to
 family i that checks its trace rows; the family-v cross rank from
-separately built codes; and the q^2-cyclotomic coset by its orbit, the
-definition that the closed-form defining sets are checked against."""
+separately built codes; the q^2-cyclotomic coset by its orbit, the
+definition that the closed-form defining sets are checked against; runs
+of Omega indices built and read element by element, for the run
+arithmetic of cosets.DefiningSet; and a parity check for any exponent
+set, one run or not, for the coset test of dual containment."""
 
 import math
 from itertools import combinations, product
@@ -12,8 +15,8 @@ import numpy as np
 
 from eaqmds import kernels
 from eaqmds.codes import _trace_table, constacyclic_code
-from eaqmds.cosets import DefiningSet
-from eaqmds.galois import build_field
+from eaqmds.cosets import DefiningSet, omega_run
+from eaqmds.galois import build_field, factor_prime_power
 
 
 def cyclotomic_coset(i, modulus, qsq):
@@ -29,6 +32,67 @@ def cyclotomic_coset(i, modulus, qsq):
         orbit.add(x)
         x = (x * qsq) % modulus
     return frozenset(orbit)
+
+
+# ---------------------------------------------------------------------------
+# runs of Omega indices, element by element
+# ---------------------------------------------------------------------------
+
+def ref_omega_run(n, r, lo, hi):
+    """The elements z of the Omega indices lo..hi modulo n (z = i when
+    r = 1, z = 1 + r i otherwise), as two ranges: up to n, then from 0."""
+    base = 0 if r == 1 else 1
+    lo, end = lo % n, lo % n + min(hi - lo + 1, n)  # past n when it wraps
+    return frozenset(range(base + r * lo, base + r * min(end, n), r)).union(
+        range(base, base + r * (end - n), r))
+
+
+def ref_run(modulus, r, elements):
+    """The DefiningSet of an element set that is one circular run of
+    Omega indices, its start found by a scan for the z whose predecessor
+    z - r is absent; None for a set with a gap.  The empty and the full
+    set start at 0."""
+    starts = [z for z in elements if (z - r) % modulus not in elements]
+    if len(starts) > 1:
+        return None
+    return DefiningSet(modulus, r, min(starts, default=0) // r, len(elements))
+
+
+def ref_in_run_order(Z, elements):
+    """elements by the circular offset of their Omega index from
+    Z.start."""
+    return sorted(elements, key=lambda z: (z // Z.r - Z.start) % Z.n)
+
+
+def ref_hull(parts):
+    """The run that the union of the parts' elements is, or ValueError."""
+    union = frozenset().union(*(ref_omega_run(p.n, p.r, p.start,
+                                              p.start + p.size - 1)
+                                for p in parts))
+    run = ref_run(parts[0].modulus, parts[0].r, union)
+    if run is None:
+        raise ValueError("not one run")
+    return run
+
+
+def ref_parity_check(q, modulus, r, elements):
+    """(H, field) whose rows vanish on the code with exponent set
+    `elements` modulo rn = `modulus`, any set closed under z -> q^2 z:
+    the power rows (eta^{zj})_j over GF(q^2) for an eta of order rn when
+    rn | q^2-1, else (r = 1, n | q^2+1) the root rows (beta^{zj})_j over
+    GF(q^4).  The root rows are T H for the trace rows H and an invertible
+    T, and a -> a^q is a field automorphism, so H_root H_root^dagger = 0
+    iff H H^dagger = 0."""
+    p, e = factor_prime_power(q)
+    f = build_field(p, 2 * e)
+    n, zs = modulus // r, sorted(elements)
+    if (q * q - 1) % modulus == 0:
+        eta = f.exp[(f.order - 1) // modulus]
+        H = np.array([[f.pow(eta, z * j) for j in range(n)] for z in zs],
+                     dtype=np.int64).reshape(len(zs), n)
+        return H, f
+    f4, _, beta = trace_root(f, n)
+    return root_rows(f4, beta, zs, n), f4
 
 
 def mul(ctx, a, b):
@@ -249,11 +313,8 @@ def ref_cross_rank(q, t, d1, d2, n):
     """rank(H1 H2^dagger) for the halves Z1, Z2 of the family-v defining
     set with parameters (d1, d2), each built by constacyclic_code as a
     code of length n and shift order t of its own."""
-    modulus = t * n
     e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
-    z1 = frozenset((1 + t * (e0 - j)) % modulus for j in range(1, d1 + 1))
-    z2 = frozenset((1 + t * (e0 + j)) % modulus for j in range(1, d2 + 1))
-    code1 = constacyclic_code(q, DefiningSet(modulus, t, z1))
+    code1 = constacyclic_code(q, omega_run(n, t, e0 - d1, e0 - 1))
     H1, f = code1.H, code1.field
-    H2 = constacyclic_code(q, DefiningSet(modulus, t, z2)).H
+    H2 = constacyclic_code(q, omega_run(n, t, e0 + 1, e0 + d2)).H
     return kernels.rank(kernels.matmul(H1, kernels.adjoint(H2, q, f), f), f)

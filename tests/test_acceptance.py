@@ -14,7 +14,7 @@ import pytest
 from eaqmds import galois
 from eaqmds.cli import table_rows
 from eaqmds.codes import constacyclic_code
-from eaqmds.cosets import DefiningSet, defining_set
+from eaqmds.cosets import defining_set
 from eaqmds.eaqecc import (
     FAMILIES,
     build_classical,
@@ -29,7 +29,12 @@ from eaqmds.verify import (
     is_hermitian_dual_containing,
     run_lemma_sweep,
 )
-from reference import cyclotomic_coset, ref_cross_rank
+from reference import (
+    cyclotomic_coset,
+    ref_cross_rank,
+    ref_parity_check,
+    ref_run,
+)
 
 
 def _labels(family, q, t=None):
@@ -94,8 +99,13 @@ def test_criterion_2_rank_lemma_sweeps():
 
 def _family_subset_cases():
     """The Z_1/Z_2 sub-sets the lemma proofs split defining sets into,
-    plus the full sets."""
+    plus the full sets, as (q, modulus, r, elements); family i's Z_1 =
+    C_1 u ... u C_delta has a gap at 0."""
     cases = []
+
+    def family(q, Z):
+        cases.append((q, Z.modulus, Z.r, Z.elements))
+
     for q in (2, 3, 4, 5):
         n = q * q + 1
         qsq = q * q
@@ -103,18 +113,18 @@ def _family_subset_cases():
             z1 = frozenset().union(
                 *[cyclotomic_coset(i, n, qsq)
                   for i in range(1, delta + 1)])
-            cases.append((q, DefiningSet(n, 1, z1)))
-            cases.append((q, defining_set("i", q, delta=delta)))
+            cases.append((q, n, 1, z1))
+            family(q, defining_set("i", q, delta=delta))
     for q in (3, 4, 5, 7):
         n = q * q - 1
         dmax = n // (q + 1) - 1
         for delta in range(1, dmax + 1):
             z1 = frozenset(range(n - delta, n))
             z2 = frozenset(range(1, delta + 1))
-            cases.append((q, DefiningSet(n, 1, z1)))
-            cases.append((q, DefiningSet(n, 1, z2)))
-            cases.append((q, defining_set("iii", q, delta=delta)))
-            cases.append((q, defining_set("iii", q, delta=delta, odd=True)))
+            cases.append((q, n, 1, z1))
+            cases.append((q, n, 1, z2))
+            family(q, defining_set("iii", q, delta=delta))
+            family(q, defining_set("iii", q, delta=delta, odd=True))
     for q in (3, 5, 7):
         n = (q * q - 1) // 2
         for d1 in range((q - 1) // 2):
@@ -124,9 +134,9 @@ def _family_subset_cases():
                 z2 = frozenset((2 * j - 1) % (2 * n)
                                for j in range(1, d2 + 1))
                 if z1:
-                    cases.append((q, DefiningSet(2 * n, 2, z1)))
-                cases.append((q, DefiningSet(2 * n, 2, z2)))
-                cases.append((q, defining_set("iv", q, delta1=d1, delta2=d2)))
+                    cases.append((q, 2 * n, 2, z1))
+                cases.append((q, 2 * n, 2, z2))
+                family(q, defining_set("iv", q, delta1=d1, delta2=d2))
     for q, t in ((5, 3), (9, 5), (11, 3)):
         n = (q * q - 1) // t
         e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
@@ -137,13 +147,15 @@ def _family_subset_cases():
                            for j in range(1, d1 + 1))
             z2 = frozenset((1 + t * (e0 + j)) % (t * n)
                            for j in range(1, d2 + 1))
-            cases.append((q, DefiningSet(t * n, t, z1)))
-            cases.append((q, DefiningSet(t * n, t, z2)))
-            cases.append((q, defining_set("v", q, t=t, delta1=d1, delta2=d2)))
+            cases.append((q, t * n, t, z1))
+            cases.append((q, t * n, t, z2))
+            family(q, defining_set("v", q, t=t, delta1=d1, delta2=d2))
     return cases
 
 
 def _random_coset_union_cases(count):
+    """`count` random unions of q^2-cyclotomic cosets, most of them not
+    one run, as (q, modulus, r, elements)."""
     rng = random.Random(20160423)
     # r | q+1 throughout: the coset criterion presumes the Hermitian dual
     # stays lambda-constacyclic, which needs lambda^{q+1} = 1
@@ -158,8 +170,19 @@ def _random_coset_union_cases(count):
         picks = rng.sample(omega, rng.randint(1, max(1, n // 2)))
         elems = frozenset().union(
             *[cyclotomic_coset(z, r * n, qsq) for z in picks])
-        cases.append((q, DefiningSet(r * n, r, elems)))
+        cases.append((q, r * n, r, elems))
     return cases
+
+
+def _parity_check(q, modulus, r, elements):
+    """(H, field) of the code with exponent set `elements`: the package's
+    constacyclic_code for one run, the reference builder for a set with a
+    gap, which the package no longer builds."""
+    run = ref_run(modulus, r, elements)
+    if run is None:
+        return ref_parity_check(q, modulus, r, elements)
+    code = constacyclic_code(q, run)
+    return code.H, code.field
 
 
 def test_criterion_3_dual_containment_oracle_equivalence():
@@ -169,16 +192,20 @@ def test_criterion_3_dual_containment_oracle_equivalence():
     assert len(cases) >= 200
     disagreements = 0
     containing = 0
-    for q, Z in cases:
-        code = constacyclic_code(q, Z)
-        coset_route = is_hermitian_dual_containing(Z, q)
-        matrix_route = dual_containment_matrix_oracle(code.H, q, code.field)
+    gapped = 0
+    for q, modulus, r, elements in cases:
+        H, field = _parity_check(q, modulus, r, elements)
+        coset_route = is_hermitian_dual_containing(elements, modulus, q)
+        matrix_route = dual_containment_matrix_oracle(H, q, field)
         containing += coset_route
+        gapped += ref_run(modulus, r, elements) is None
         disagreements += coset_route != matrix_route
     assert disagreements == 0
     assert 0 < containing < len(cases)  # both outcomes exercised
+    assert 0 < gapped < len(cases)
     print(f"ACCEPTANCE 3 PASS {len(cases)} defining sets "
-          f"({containing} dual-containing), 0 disagreements")
+          f"({containing} dual-containing, {gapped} not one run), "
+          f"0 disagreements")
 
 
 def test_criterion_4_distance_certification():

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqmds.codes import ClassicalCode, constacyclic_code, generator_matrix
-from eaqmds.cosets import defining_set
+from eaqmds.cosets import defining_set, omega_run
 from eaqmds.eaqecc import gram_matrix
 from eaqmds.galois import build_field
 from eaqmds.kernels import adjoint, eliminate, matmul, rank
 from reference import (
     Polynomial,
-    cyclotomic_coset,
     mul,
     poly_from_roots,
     ref_matmul,
@@ -125,10 +124,9 @@ def test_all_ones_gram_is_n_mod_p(gf9):
 
 
 def test_dual_containing_gram_vanishes():
-    # Z1 = C_1 u C_2 for q = 4, n = 17 is Hermitian dual-containing
-    elems = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
-    from eaqmds.cosets import DefiningSet
-    code = constacyclic_code(4, DefiningSet(17, 1, elems))
+    # Z = {7, 8, 9, 10}, centred on n/2, is Hermitian dual-containing for
+    # q = 4, n = 17
+    code = constacyclic_code(4, omega_run(17, 1, 7, 10))
     H1, f = code.H, code.field
     assert not matmul(H1, adjoint(H1, 4, f), f).any()
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqmds import cli, codes, eaqecc, kernels
+from eaqmds import cli, codes, eaqecc, galois, kernels
 from eaqmds.cli import main, parse_q, table_rows
 
 
@@ -44,7 +44,7 @@ def test_parse_q():
 def test_parse_q_refuses_a_range_past_the_field_ceiling():
     """A range is refused at its first prime power q with q^2 past the
     2^20 ceiling, found by stepping up from the ceiling, without walking
-    the range; a single q is left to the field build."""
+    the range; a single q past it is refused too."""
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="^field order 1062961 exceeds the "
                        "size ceiling 1048576$"):
@@ -55,7 +55,30 @@ def test_parse_q_refuses_a_range_past_the_field_ceiling():
     assert parse_q("1000..1024") == [1009, 1013, 1019, 1021, 1024]
     with pytest.raises(ValueError, match="^no admissible q in "):
         parse_q("1025..1030")
-    assert parse_q("1031") == [1031]
+    for spec in ("1031", "7,1031", "1031,3"):
+        with pytest.raises(ValueError, match="^field order 1062961 "):
+            parse_q(spec)
+    assert parse_q("1024") == [1024]
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "--q", "7,1031"),
+                                  ("table", "--q", "1031,3")],
+                         ids=" ".join)
+def test_a_single_q_past_the_ceiling_builds_no_field(capsys, monkeypatch,
+                                                     argv):
+    built = []
+    real = galois.build_field
+
+    def spy(p, m):
+        built.append((p, m))
+        return real(p, m)
+
+    for module in (galois, codes):
+        monkeypatch.setattr(module, "build_field", spy)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, built) == (2, "", [])
+    assert err == ("error: field order 1062961 exceeds the size ceiling "
+                   "1048576\n")
 
 
 def test_enumerate_range_past_the_ceiling_is_a_usage_error(capsys):

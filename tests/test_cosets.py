@@ -1,23 +1,29 @@
-import dataclasses
 import itertools
 import signal
 import time
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eaqmds.cli import parse_q
+from eaqmds.codes import constacyclic_code
 from eaqmds.cosets import (
     DefiningSet,
-    bch_design_distance,
     defining_set,
+    hull,
     omega_run,
     parameter_ranges,
 )
 from eaqmds.verify import divisors, is_hermitian_dual_containing
-from reference import cyclotomic_coset
+from reference import (
+    cyclotomic_coset,
+    ref_hull,
+    ref_in_run_order,
+    ref_omega_run,
+    ref_run,
+)
 
 
 def coset_partition_check(modulus, qsq):
@@ -202,102 +208,94 @@ def test_defining_set_range_errors():
 
 
 def test_omega_membership_enforced():
-    with pytest.raises(ValueError):
-        DefiningSet(24, 2, frozenset({2}))   # even residue, r = 2
-    with pytest.raises(ValueError):
-        DefiningSet(24, 2, frozenset({25}))  # not canonical
+    """A run's elements lie in Omega by construction; its four integers
+    are checked."""
+    assert DefiningSet(24, 2, 11, 2).sorted() == [1, 23]
+    for bad in [(24, 5, 0, 1),      # r does not divide the modulus
+                (24, 2, 0, 13),     # more indices than n = 12
+                (24, 2, 0, -1),
+                (24, 2, 12, 1),     # start outside [0, n)
+                (24, 2, -1, 1),
+                (24, 2, 3, 0),      # the empty and the full set start at 0
+                (24, 2, 3, 12)]:
+        with pytest.raises(ValueError):
+            DefiningSet(*bad)
 
 
 def test_hermitian_dual_containing():
-    empty = DefiningSet(17, 1, frozenset())
-    assert is_hermitian_dual_containing(empty, 4)
+    assert is_hermitian_dual_containing(frozenset(), 17, 4)
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
-    assert is_hermitian_dual_containing(DefiningSet(17, 1, z1), 4)
+    assert is_hermitian_dual_containing(z1, 17, 4)
     # adding C_0 breaks it: -q*0 = 0 stays in Z
-    assert not is_hermitian_dual_containing(
-        DefiningSet(17, 1, z1 | {0}), 4)
+    assert not is_hermitian_dual_containing(z1 | {0}, 17, 4)
 
 
 def test_bch_design_distance():
-    assert bch_design_distance(DefiningSet(17, 1, frozenset({0}))) == 2
-    assert bch_design_distance(defining_set("i", 4, delta=2)) == 6
-    assert bch_design_distance(defining_set("iv", 5, delta1=1, delta2=3)) == 6
-    with pytest.raises(ValueError):
-        bch_design_distance(DefiningSet(17, 1, frozenset()))
+    """d_design = |Z| + 1, the BCH bound of one run; 1 for no root."""
+    assert constacyclic_code(4, omega_run(17, 1, 0, 0)).d_design == 2
+    assert constacyclic_code(4, defining_set("i", 4, delta=2)).d_design == 6
+    assert constacyclic_code(
+        5, defining_set("iv", 5, delta1=1, delta2=3)).d_design == 6
+    assert constacyclic_code(4, omega_run(17, 1, 0, -1)).d_design == 1
 
 
 def test_bch_distance_wraps_around():
-    # run 15, 16, 0, 1 wraps through zero
-    Z = DefiningSet(17, 1, frozenset({15, 16, 0, 1}))
-    assert bch_design_distance(Z) == 5
-    # two disjoint runs: the longer one counts
-    Z2 = DefiningSet(20, 1, frozenset({3, 4, 10, 11, 12}))
-    assert bch_design_distance(Z2) == 4
+    # run 22, 23, 0, 1 wraps through zero
+    Z = omega_run(24, 1, -2, 1)
+    assert Z.sorted() == [0, 1, 22, 23] and Z.in_run_order() == [22, 23, 0, 1]
+    assert constacyclic_code(5, Z).d_design == 5
     # full circle
-    Z3 = DefiningSet(6, 1, frozenset(range(6)))
-    assert bch_design_distance(Z3) == 7
+    assert constacyclic_code(7, omega_run(6, 1, 0, 5)).d_design == 7
 
 
 def test_design_distance_is_size_plus_one_for_families():
     cases = [
-        defining_set("i", 4, delta=2),
-        defining_set("iii", 5, delta=3),
-        defining_set("iii", 5, delta=3, odd=True),
-        defining_set("iv", 5, delta1=1, delta2=3),
-        defining_set("v", 11, t=3, delta1=4, delta2=6),
+        (4, defining_set("i", 4, delta=2)),
+        (5, defining_set("iii", 5, delta=3)),
+        (5, defining_set("iii", 5, delta=3, odd=True)),
+        (5, defining_set("iv", 5, delta1=1, delta2=3)),
+        (11, defining_set("v", 11, t=3, delta1=4, delta2=6)),
     ]
-    for Z in cases:
-        assert bch_design_distance(Z) == len(Z) + 1
-
-
-def _windows_of(n, size):
-    """Every circular run of `size` Omega indices modulo n, by start."""
-    return {s: {(s + k) % n for k in range(size)} for s in range(n)}
+    for q, Z in cases:
+        assert constacyclic_code(q, Z).d_design == len(Z) + 1
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.sampled_from([1, 2, 3]),
-    st.sets(st.integers(0, n - 1)), st.integers(-n, n))))
-def test_start_and_run_from_the_elements(case):
-    """A set given by its elements finds whether it is one run and where
-    its (first) run starts, lays out its elements from there, and agrees
-    with omega_run on a run; the BCH distance is its longest run + 1."""
-    n, r, idx, lo = case
-    base = 0 if r == 1 else 1
-    Z = DefiningSet(r * n, r, frozenset(base + r * i for i in idx))
-    windows = _windows_of(n, len(idx))
-    run_starts = [s for s, w in windows.items() if w == idx]
-    assert Z.run == bool(run_starts)
-    if 0 < len(idx) < n and Z.run:
-        assert run_starts == [Z.start]
-    elif not Z.run:
-        edges = [i for i in idx if (i - 1) % n not in idx]
-        assert Z.start == min(edges)
+    st.lists(st.tuples(st.integers(-n, 2 * n), st.integers(0, n + 1)),
+             min_size=1, max_size=3))))
+@example(case=(5, 1, [(3, 4), (4, 1)]))            # wrapped, part inside
+@example(case=(5, 2, [(2, 0), (7, 0)]))            # empty
+@example(case=(5, 3, [(2, 5), (4, 2), (-1, 6)]))   # full
+@example(case=(12, 1, [(0, 2), (5, 2)]))           # a gap: no hull
+def test_run_arithmetic_matches_the_reference(case):
+    """Runs from omega_run, wrapped, empty and full ones included, against
+    the element-wise reference: their elements, both orders, the run the
+    elements are, the offset of the last run in the first and the hull of
+    them all."""
+    n, r, windows = case
+    runs = [omega_run(n, r, lo, lo + size - 1) for lo, size in windows]
+    for (lo, size), Z in zip(windows, runs):
+        elements = ref_omega_run(n, r, lo, lo + size - 1)
+        assert Z.elements == elements and len(Z) == len(elements)
+        assert Z == ref_run(r * n, r, elements)
+        assert Z.sorted() == sorted(elements)
+        assert Z.in_run_order() == ref_in_run_order(Z, elements)
+    Z, part = runs[0], runs[-1]
+    if part.elements <= Z.elements:
+        offset = Z.offset(part)
+        assert not part.size or offset == (part.start - Z.start) % n
     else:
-        assert Z.start == 0
-    offsets = [(z // r - Z.start) % n for z in Z.in_run_order()]
-    assert offsets == sorted(offsets) and len(offsets) == len(idx)
-    if idx:
-        longest = max(size for size in range(1, len(idx) + 1)
-                      if any(w <= idx for w in _windows_of(n, size).values()))
-        assert bch_design_distance(Z) == longest + 1
-    run = omega_run(n, r, lo, lo + len(idx) - 1)
-    assert run.run and run.start == (lo % n if 0 < len(idx) < n else 0)
-
-
-def test_start_and_run_are_never_given():
-    """A set with a gap is not a run, whatever a caller would claim, and
-    a copy with other elements derives them anew."""
-    gapped = DefiningSet(24, 1, frozenset({0, 1, 5}))
-    assert not gapped.run and gapped.start == 0
-    assert bch_design_distance(gapped) == 3
-    for claim in ({"start": 0}, {"run": True}):
-        with pytest.raises(TypeError):
-            DefiningSet(24, 1, frozenset({0, 1, 5}), **claim)
-    moved = dataclasses.replace(gapped, elements=frozenset({22, 23, 0}))
-    assert moved.run and moved.start == 22
-    assert bch_design_distance(moved) == 4
+        with pytest.raises(ValueError, match="outside the defining set"):
+            Z.offset(part)
+    try:
+        expected = ref_hull(runs)
+    except ValueError:
+        with pytest.raises(ValueError, match="not one run"):
+            hull(runs)
+    else:
+        assert hull(runs) == expected
 
 
 def test_coset_partition_check():

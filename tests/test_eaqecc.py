@@ -3,11 +3,7 @@ import pytest
 
 from eaqmds import kernels
 from eaqmds.codes import constacyclic_code
-from eaqmds.cosets import (
-    DefiningSet,
-    defining_set,
-    parameter_ranges,
-)
+from eaqmds.cosets import defining_set, omega_run, parameter_ranges
 from eaqmds.eaqecc import (
     build_classical,
     closed_form_k,
@@ -18,12 +14,12 @@ from eaqmds.eaqecc import (
     gram_matrix,
     instances,
 )
-from reference import cyclotomic_coset
 
 
 def test_ebit_count_dual_containing_is_zero():
-    z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
-    code = constacyclic_code(4, DefiningSet(17, 1, z1))
+    # {7, 8, 9, 10} modulo 17, centred on n/2, is Hermitian
+    # dual-containing at q = 4
+    code = constacyclic_code(4, omega_run(17, 1, 7, 10))
     f = code.field
     assert kernels.rank(gram_matrix(code.H, 4, f), f) == 0
     empty = np.zeros((0, 17), dtype=np.int64)
@@ -61,12 +57,13 @@ def test_derive_24_17_5():
 
 
 def test_derive_dual_containing_reduces_to_stabilizer():
-    z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
-    code = constacyclic_code(4, DefiningSet(17, 1, z1))
+    code = constacyclic_code(4, omega_run(17, 1, 7, 10))
     params = derive_eaqecc(code, _ebits(code))
     assert params.c == 0
     assert params.k == 2 * code.k - code.n  # [[n, 2k-n, d; 0]]
-    assert not params.saturates_ea_singleton
+    # an MDS code that contains its dual: a quantum MDS code
+    assert params.label() == "[[17,9,5;0]]_4"
+    assert params.saturates_ea_singleton
 
 
 def test_ea_singleton_check():

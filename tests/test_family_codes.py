@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from eaqmds import codes, eaqecc, kernels, verify
 from eaqmds.cli import main
 from eaqmds.codes import constacyclic_code, subcode
-from eaqmds.cosets import DefiningSet, defining_set, omega_run
+from eaqmds.cosets import defining_set, hull, omega_run
 from eaqmds.eaqecc import build_classical, family_codes
 
 
@@ -162,12 +162,12 @@ def test_subcode_rejects_what_the_union_does_not_hold():
     with pytest.raises(ValueError, match="no extended RS"):
         subcode(top, 3)
     with pytest.raises(ValueError, match="outside the defining set"):
-        subcode(top, DefiningSet(17, 1, frozenset({5})))
+        subcode(top, omega_run(17, 1, 5, 5))
     # trace rows (n = 17 does not divide 15) hold only sets closed under
     # z -> -z
     assert (4 * 4 - 1) % Z.modulus
     with pytest.raises(ValueError, match="closed"):
-        subcode(top, DefiningSet(17, 1, frozenset({0, 1})))
+        subcode(top, omega_run(17, 1, 0, 1))
     code, rows = subcode(top, defining_set("i", 4, delta=1))
     direct = constacyclic_code(4, defining_set("i", 4, delta=1))
     assert np.array_equal(code.H, direct.H)
@@ -271,24 +271,37 @@ def test_a_window_of_a_run_is_a_view_of_its_rows(case):
 
 
 @pytest.mark.parametrize("q, n, part", [
-    (4, 17, {8, 9}),          # centred on n/2 = 8.5: the last pair
-    (3, 10, {4, 5, 6}),       # the pair 4, 6 and the row of n/2 = 5
-    (4, 17, {16, 0, 1}),      # centred on 0: the first three rows
+    (4, 17, (8, 9)),          # centred on n/2 = 8.5: the last pair
+    (3, 10, (4, 6)),          # the pair 4, 6 and the row of n/2 = 5
+    (4, 17, (-1, 1)),         # centred on 0: the first three rows
 ])
 def test_trace_rows_of_a_closed_run_are_a_view(q, n, part):
-    full = constacyclic_code(q, DefiningSet(n, 1, frozenset(range(n))))
-    Z = DefiningSet(n, 1, frozenset(part))
+    full = constacyclic_code(q, omega_run(n, 1, 0, n - 1))
+    Z = omega_run(n, 1, *part)
     code, rows = subcode(full, Z)
     assert np.array_equal(code.H, constacyclic_code(q, Z).H)
     assert np.shares_memory(code.H, full.H)
-    assert rows == (slice(0, 3) if 0 in part else slice(n - len(part), n))
+    assert rows == (slice(0, 3) if 0 in Z.elements else
+                    slice(n - len(Z), n))
 
 
-def test_parts_that_are_not_one_run_are_refused():
-    top = constacyclic_code(5, defining_set("iii", 5, delta=3))
-    for elements in ({1, 3}, {23, 2}):
+def test_parts_that_are_not_one_run_are_refused(monkeypatch):
+    """A group whose defining sets leave a gap gets no top code: the hull
+    refuses the union, and does not fill the gap with the indices
+    between."""
+    gapped = [[(1, 1), (3, 3)], [(-1, 2), (4, 6)], [(0, 1), (5, 5)],
+              [(0, 10), (12, 22)]]
+    for windows in gapped:
+        parts = [omega_run(24, 1, lo, hi) for lo, hi in windows]
         with pytest.raises(ValueError, match="not one run"):
-            subcode(top, DefiningSet(24, 1, frozenset(elements)))
-    gappy = constacyclic_code(5, DefiningSet(24, 1, frozenset({0, 1, 5})))
+            hull(parts)
+    # a wrapped part that closes the circle leaves no gap
+    assert hull([omega_run(24, 1, 0, 10), omega_run(24, 1, 11, 24)]) == \
+        omega_run(24, 1, 0, 23)
+    monkeypatch.setattr(eaqecc, "defining_set",
+                        lambda family, q, *, n, t, lo, hi: omega_run(
+                            24, 1, lo, hi))
     with pytest.raises(ValueError, match="not one run"):
-        subcode(gappy, DefiningSet(24, 1, frozenset({5})))
+        list(family_codes("iii", 5, [{"lo": 1, "hi": 1}, {"lo": 3, "hi": 3}]))
+    assert len(list(family_codes("iii", 5, [{"lo": 1, "hi": 2},
+                                            {"lo": 3, "hi": 3}]))) == 2

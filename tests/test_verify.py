@@ -14,11 +14,7 @@ from eaqmds.codes import (
     generator_matrix,
 )
 from eaqmds.cli import parse_q
-from eaqmds.cosets import (
-    DefiningSet,
-    defining_set,
-    parameter_ranges,
-)
+from eaqmds.cosets import defining_set, omega_run, parameter_ranges
 from eaqmds.eaqecc import build_classical, gram_matrix
 from eaqmds.galois import build_field
 from eaqmds.verify import (
@@ -29,12 +25,16 @@ from eaqmds.verify import (
     dual_containment_matrix_oracle,
     run_lemma_sweep,
 )
-from reference import cyclotomic_coset, ref_submatrices_nonsingular
+from reference import (
+    cyclotomic_coset,
+    ref_parity_check,
+    ref_submatrices_nonsingular,
+)
 
 
 def rs_8_5_4():
     """Reed-Solomon [8,5,4] over GF(9): roots eta, eta^2, eta^3."""
-    return constacyclic_code(3, DefiningSet(8, 1, frozenset({1, 2, 3})))
+    return constacyclic_code(3, omega_run(8, 1, 1, 3))
 
 
 def test_exhaustive_min_distance_repetition_style(gf9):
@@ -101,11 +101,13 @@ def test_oracles_agree_where_both_apply():
 def test_dual_containment_matrix_oracle(gf9):
     assert dual_containment_matrix_oracle(
         np.zeros((0, 4), dtype=np.int64), 3, gf9)
+    # C_1 u C_2 modulo 17 at q = 4, a set with a gap at 0, by the
+    # reference root rows over GF(256); with 0 added it is one run
     z1 = cyclotomic_coset(1, 17, 16) | cyclotomic_coset(2, 17, 16)
-    code = constacyclic_code(4, DefiningSet(17, 1, z1))
-    assert dual_containment_matrix_oracle(code.H, 4, code.field)
-    Hfull = constacyclic_code(4, DefiningSet(17, 1, z1 | {0})).H
-    assert not dual_containment_matrix_oracle(Hfull, 4, code.field)
+    H, f4 = ref_parity_check(4, 17, 1, z1)
+    assert dual_containment_matrix_oracle(H, 4, f4)
+    full = constacyclic_code(4, omega_run(17, 1, -2, 2))
+    assert not dual_containment_matrix_oracle(full.H, 4, full.field)
 
 
 def test_certify_distance_routing():
@@ -276,7 +278,8 @@ def test_consta_split_mismatch_is_reported():
                        **good)["ok"]
     # a defining set missing one element is not rebuilt by the split,
     # and its rows no longer hold H1 and H2: no cross rank is taken
-    short = DefiningSet(Z.modulus, Z.r, Z.elements - {max(Z.elements)})
+    short = omega_run(Z.n, Z.r, Z.start + 1, Z.start + len(Z) - 1)
+    assert short.elements == Z.elements - {max(Z.elements)}
     short_code = constacyclic_code(5, short)
     short_gram = gram_matrix(short_code.H, 5, f)
     extra = _consta_intersection(5, 3, 2, 2, short_code, short_gram)
