@@ -47,18 +47,13 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isqrt
 from types import SimpleNamespace
 
-from .cosets import VARIABLE_LENGTH, parameter_ranges
+from .cosets import FAMILIES, group, takers
 from .eaqecc import (
-    FAMILIES,
     EaqeccParams,
     VerificationError,
     admissible,
     build_classical,
-    closed_form_k,
     enumerate_family,
-    expected_c,
-    family_t,
-    instances,
 )
 from .galois import SIZE_LIMIT, check_order, factor_prime_power
 from .verify import LEMMAS, MAX_CODEWORDS, certify_distance, run_lemma_sweep
@@ -234,7 +229,7 @@ def _applicable_families(q: int, t: int | None,
     """The families that admit q and t; with n, of the families of
     variable length just those that admit n."""
     return [name for name in FAMILIES
-            if admissible(name, q, t, n if name in VARIABLE_LENGTH else None)]
+            if admissible(name, q, t, n if name in takers("n") else None)]
 
 
 def _check_t(family: str, t: int | None, q_values: list[int],
@@ -242,32 +237,32 @@ def _check_t(family: str, t: int | None, q_values: list[int],
     """Reject a t that nothing would take: only family v takes t, and
     needs one; `--family all` passes t to family v alone, which must then
     admit it at one of the requested q at least."""
-    if family == "v" and t is None:
-        raise ValueError("family v needs --t")
+    [v] = takers("t")
+    if family == v and t is None:
+        raise ValueError(f"family {v} needs --t")
     if t is None:
         return
-    if family not in ("all", "v"):
-        raise ValueError(f"family {family} takes no --t, only family v does")
-    if not any(admissible("v", q, t) for q in q_values):
-        raise ValueError(f"t={t} not admissible for family v at q={q_spec}")
+    if family not in ("all", v):
+        raise ValueError(f"family {family} takes no --t, only family {v} does")
+    if not any(admissible(v, q, t) for q in q_values):
+        raise ValueError(f"t={t} not admissible for family {v} at q={q_spec}")
 
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
     t0 = time.perf_counter()
     _check_t(args.family, args.t, args.q_values, args.q)
     params: list[EaqeccParams] = []
+    given_n = {*takers("n"), args.family}
     for q in args.q_values:
         fams = (_applicable_families(q, args.t, args.n)
                 if args.family == "all" else [args.family])
-        given_n = {*VARIABLE_LENGTH, args.family}
         if args.n is not None and not given_n & {*fams}:
-            raise ValueError(f"neither family {' nor '.join(VARIABLE_LENGTH)}"
+            raise ValueError(f"neither family {' nor '.join(takers('n'))}"
                              f" admits n={args.n} at q={q}")
         for fam in fams:
             # --family all passes n only to the families that take it
             n = args.n if fam in given_n else None
-            params.extend(enumerate_family(fam, q, family_t(fam, args.t), n,
-                                           args.d))
+            params.extend(enumerate_family(fam, q, args.t, n, args.d))
     if args.d is not None and not params:
         raise ValueError(f"d={args.d} not admissible here")
     params.sort(key=lambda p: (FAMILIES.index(p.family), p.q, p.t or 0, p.d))
@@ -309,11 +304,10 @@ def cmd_distance(args: SimpleNamespace) -> int:
                          "(or explicit --delta/--delta1/--delta2)")
     _check_t(args.family, args.t, args.q_values, args.q)
     q = args.q_values[0]
-    t = family_t(args.family, args.t)
-    code = build_classical(args.family, q, args.d, t, args.n, **deltas)
+    code = build_classical(args.family, q, args.d, args.t, args.n, **deltas)
     result = certify_distance(code, max_codewords=args.max_codewords)
     rec = {
-        "family": args.family, "q": q, "t": t,
+        "family": args.family, "q": q, "t": args.t,
         "classical": {"n": code.n, "k": code.k, "d_design": code.d_design},
         "method": result["method"],
         "oracle_distance": result["d"],
@@ -326,35 +320,27 @@ def cmd_distance(args: SimpleNamespace) -> int:
     return 0 if result["is_mds"] else VERIFY_ERROR
 
 
-# QMDS closed forms from the comparison table: k = n - 2d + 2 with the
-# listed per-length distance ranges.
-def _qmds_column(family: str, q: int, t: int | None, n: int) -> dict:
-    d_max = {"i": q + 1, "ii": q, "iii": q - 1, "iv": q,
-             "v": (t + 1) * (q + 1) // (2 * t) - 1 if t else None}[family]
-    return {"k_formula": f"{n + 2}-2d", "d_min": 2, "d_max": d_max}
-
-
 def table_rows(q: int, t: int | None) -> list[dict]:
     rows = []
     for fam in _applicable_families(q, t):
-        tt = family_t(fam, t)
-        params = enumerate_family(fam, q, tt)
-        n = parameter_ranges(fam, q, None, tt)[0]
-        ds = list(instances(fam, q, tt))  # the full range, k = 0 included
+        row = group(fam, q, t)
+        params = enumerate_family(fam, q, t)
+        ds = list(row.instances())  # the full range, k = 0 included
         rows.append({
-            "length": n,
+            "length": row.n,
             "family": fam,
             "q": q,
-            "t": tt,
+            "t": row.t,
             "eaqmds": {
                 # the closed form's constant term is its k at d = 0
-                "k_formula": f"{closed_form_k(fam, q, 0, tt)}-2d",
-                "c": expected_c(fam, tt),
+                "k_formula": f"{row.k(0)}-2d",
+                "c": row.c,
                 "d_min": min(ds),
                 "d_max": max(ds),
-                "d_parity": "even" if fam == "i" else "any",
+                "d_parity": row.d_parity,
             },
-            "qmds": _qmds_column(fam, q, tt, n),
+            "qmds": {"k_formula": f"{row.n + 2}-2d", "d_min": 2,
+                     "d_max": row.qmds_d_max},
             "verified": all(p.saturates_ea_singleton for p in params),
             "codes": [p.label() for p in params],
         })
@@ -365,11 +351,9 @@ def table_rows(q: int, t: int | None) -> list[dict]:
 def _table_md(rows: list[dict]) -> str:
     lines = ["| Length | q-ary EAQMDS codes | q-ary QMDS codes | Construction |",
              "|---|---|---|---|"]
-    names = {"i": "cyclic, n | q^2+1", "ii": "extended Reed-Solomon",
-             "iii": "cyclic, n | q^2-1", "iv": "negacyclic",
-             "v": "constacyclic order t"}
     for r in rows:
         e, s = r["eaqmds"], r["qmds"]
+        name = group(r["family"], r["q"], r["t"]).construction
         parity = ", d even" if e["d_parity"] == "even" else ""
         lines.append(
             f"| {r['length']} "
@@ -377,7 +361,7 @@ def _table_md(rows: list[dict]) -> str:
             f"{e['d_min']} <= d <= {e['d_max']}{parity} "
             f"| [[{r['length']},{s['k_formula']},d]], "
             f"{s['d_min']} <= d <= {s['d_max']} "
-            f"| {names[r['family']]} (family {r['family']}) |")
+            f"| {name} (family {r['family']}) |")
     return "\n".join(lines) + "\n"
 
 

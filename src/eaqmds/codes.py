@@ -31,8 +31,11 @@ index start + k (mod n).  Trace rows come as z = 0, then each pair
 {z, n-z} by z = 1, 2, ..., then z = n/2.  Row z of H depends only on
 z, so the code of a run inside Z has as parity check a contiguous block
 of Z's rows: parity_rows finds it by DefiningSet.offset and subcode
-reads the nested code off it as a view of H, as it reads the extended
-RS code with r rows off the first r rows of one with more.
+reads the nested code off it as a view of H.  Family ii's extended
+Reed-Solomon code is the cyclic RS code of the run 0..r-1 modulo q^2-1
+with one more column, that of the point 0, which is 0^z on row z: so
+its rows nest in the same way, and its ClassicalCode holds the run but
+no defining set.
 
 rank(H) = |Z| is proved from H's leading square block with no
 elimination, by the one proof of H's row kind: power rows make it
@@ -40,8 +43,8 @@ Vandermonde (_vandermonde), in any row order, and trace rows T times a
 Vandermonde matrix over the extension, which _lucas_vandermonde reads
 off the trace entries alone.  The independent rows of the larger H
 prove those of every subset.  A block that fails its proof is refused
-with a VerificationError, never eliminated.  The extended RS code of
-family ii takes its rows from constacyclic_code and so its proof.
+with a VerificationError, never eliminated.  The point 0's column
+comes after the proof.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .cosets import DefiningSet, omega_run
+from .cosets import DefiningSet
 from .galois import FieldContext, build_field, factor_prime_power
 
 
@@ -110,13 +113,20 @@ class ClassicalCode:
     H: np.ndarray
     q: int
     field: FieldContext
-    defining_set: DefiningSet | None = None
+    run: DefiningSet | None = None    # the exponents of H's rows
     family: str | None = None
 
     def __post_init__(self):
         if self.d_design > self.n - self.k + 1:
             raise ValueError("design distance violates the Singleton bound")
         self.H.setflags(write=False)
+
+    @property
+    def defining_set(self) -> DefiningSet | None:
+        """run, when the code is constacyclic on run's circle; None when
+        H also has the column of the point 0, as family ii's has."""
+        return self.run if self.run is not None and self.run.n == self.n \
+            else None
 
     def __repr__(self) -> str:
         return (f"ClassicalCode([{self.n},{self.k},{self.d_design}] "
@@ -226,21 +236,25 @@ def _lucas_vandermonde(B: np.ndarray, f: FieldContext) -> bool:
     return bool((f.add(seq[:, 2:], seq[:, :-2]) == s_v).all())
 
 
-def constacyclic_code(q: int, Z: DefiningSet) -> ClassicalCode:
+def constacyclic_code(q: int, Z: DefiningSet,
+                      point0: bool = False) -> ClassicalCode:
     """Code of length n = Z.n over GF(q^2) with roots {eta^z : z in Z};
     k = n - |Z|, d from the BCH bound.  The roots need gcd(n, q) = 1 and
     rn | q^2-1 (power rows), or r = 1 and n | q^2+1 (trace rows).  The
     leading |Z| x |Z| block of H must pass the rank proof of its row
     kind, _vandermonde or _lucas_vandermonde; else the build raises
-    VerificationError."""
+    VerificationError.  With point0, power rows get the point 0 ahead of
+    the points eta^j: its column 0^z (0^0 = 1) comes first and n = Z.n +
+    1.  For Z = 0..r-1 modulo q^2-1 that is the extended Reed-Solomon
+    code [q^2, q^2-r, r+1] of family ii."""
     p, e = factor_prime_power(q)
     n, rn = Z.n, Z.modulus
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n={n}, q={q}) != 1")
     traces = _traced(q, Z)
-    if traces and (Z.r != 1 or (q * q + 1) % n):
-        raise ValueError(
-            f"rn={rn} divides neither q^2-1 nor (r=1 case) q^2+1 for q={q}")
+    if traces and (Z.r != 1 or (q * q + 1) % n or point0):
+        raise ValueError(f"rn={rn} divides neither q^2-1 nor (r=1 case, "
+                         f"no point 0) q^2+1 for q={q}")
     field = build_field(p, 2 * e)
     if traces:
         H = _trace_rows(_trace_table(field, n), Z, field)
@@ -252,53 +266,28 @@ def constacyclic_code(q: int, Z: DefiningSet) -> ClassicalCode:
     if rows and not proof(H[:, :rows], field):
         raise VerificationError(
             f"leading {rows} x {rows} block of H fails its rank proof")
+    if point0:
+        H = np.hstack([(z == 0).astype(np.int64), H])
     return _constacyclic(q, Z, H, field)
 
 
 def _constacyclic(q: int, Z: DefiningSet, H: np.ndarray,
                   field: FieldContext) -> ClassicalCode:
-    """The code with defining set Z and parity check H: k = n - |Z|, and
-    d = |Z| + 1 by the BCH bound, as Z is one run."""
-    return ClassicalCode(n=Z.n, k=Z.n - len(Z), d_design=len(Z) + 1, H=H,
-                         q=q, field=field, defining_set=Z)
-
-
-def _extended_rs(q: int, H: np.ndarray, f: FieldContext) -> ClassicalCode:
-    """The [q^2, q^2-r, r+1] code whose parity check is the r rows H."""
-    n, r = q * q, H.shape[0]
-    return ClassicalCode(n=n, k=n - r, d_design=r + 1, H=H, q=q, field=f)
-
-
-def extended_rs_code(q: int, r: int) -> ClassicalCode:
-    """Reed-Solomon code of length q^2-1 extended by an overall parity
-    check: evaluation points are 0, then g^0, g^1, ..., g^{q^2-2} for the
-    field's generator g; H[i, j] = point_j^i with 0^0 = 1, so the first
-    row is all ones; parameters [q^2, q^2-r, r+1].  H is the column
-    (1, 0, ..., 0) of the point 0 before the rows of the cyclic RS code
-    with defining set 0..r-1 mod q^2-1, whose power rows in the distinct
-    points g^j constacyclic_code builds and proves."""
-    n = q * q
-    if not 1 <= r <= n - 2:
-        raise ValueError(f"r={r} outside [1, {n - 2}]")
-    rs = constacyclic_code(q, omega_run(n - 1, 1, 0, r - 1))
-    H = np.hstack([np.eye(r, 1, dtype=np.int64), rs.H])
-    return _extended_rs(q, H, rs.field)
+    """The code whose parity check H has the rows of the run Z: k = n -
+    |Z|, and d = |Z| + 1 by the BCH bound, as Z is one run."""
+    n = H.shape[1]
+    return ClassicalCode(n=n, k=n - len(Z), d_design=len(Z) + 1, H=H, q=q,
+                         field=field, run=Z)
 
 
 def subcode(top: ClassicalCode,
-            part: DefiningSet | int) -> tuple[ClassicalCode, slice]:
+            part: DefiningSet) -> tuple[ClassicalCode, slice]:
     """The code nested in `top` whose parity check is a block of
     consecutive rows of top.H, a read-only view, and the slice of those
-    rows: for a run inside top.defining_set, constacyclic_code(top.q,
-    part); for an int r, extended_rs_code(top.q, r), whose H is the first
-    r rows.  No rank proof of its own: a subset of independent rows is
-    independent."""
-    Z = top.defining_set
-    if isinstance(part, int):
-        if Z is not None or not 1 <= part <= top.H.shape[0]:
-            raise ValueError(f"{top!r} holds no extended RS code with "
-                             f"r={part}")
-        return _extended_rs(top.q, top.H[:part], top.field), slice(0, part)
+    rows: for a run inside top.run, the code constacyclic_code(top.q,
+    part) builds, with the point 0 when top has it.  No rank proof of its
+    own: a subset of independent rows is independent."""
+    Z = top.run
     if Z is None or (part.modulus, part.r) != (Z.modulus, Z.r):
         raise ValueError(f"{top!r} holds no code of {part}")
     rows = parity_rows(top.q, Z, part)

@@ -6,13 +6,12 @@ EA-Singleton bound n + c - k >= 2(d - 1) must hold with equality for
 the MDS families.  gram_matrix forms H H^dagger by kernels.matmul and
 kernels.adjoint on H and the code's field.  Family enumerators construct
 every code and verify the closed-form parameters instead of printing
-them.  FAMILIES names the five families; their lengths and admissible q
-follow from cosets.parameter_ranges, family_t says which family takes
-t, and instances is the one map from an admissible distance to the
-parameters that build it.  build_classical turns one family instance,
-given by its distance or by explicit parameters, into a code;
-family_codes turns all instances of one family group (family, q, t, n)
-into views of the rows of one code, that of the least run holding
+them.  Every fact of a family at (q, t, n) comes from its row of the
+family table, cosets.group: the length, c, the closed form k and the
+window of Omega indices of each admissible distance.  build_classical
+turns one family instance, given by its distance or by explicit
+parameters, into a code; family_codes turns the windows of one family
+group into views of the rows of one code, that of the least run holding
 their defining sets (cosets.hull), each with a principal block of that
 code's one Gram matrix and its ebit count c, the rank of that block:
 kernels.block_ranks counts every instance's c in one pass over the Gram
@@ -27,14 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .codes import (
-    ClassicalCode,
-    VerificationError,
-    constacyclic_code,
-    extended_rs_code,
-    subcode,
-)
-from .cosets import check_parameters, defining_set, hull, parameter_ranges
+from .codes import ClassicalCode, VerificationError, constacyclic_code, subcode
+from .cosets import Group, group, hull
 from .galois import FieldContext, factor_prime_power
 
 
@@ -115,122 +108,59 @@ def derive_eaqecc(code: ClassicalCode, c: int,
     )
 
 
-FAMILIES = ("i", "ii", "iii", "iv", "v")
-
-
-def family_t(family: str, t: int | None) -> int | None:
-    """t for family v, the only family whose construction takes it;
-    None for the others."""
-    return t if family == "v" else None
-
-
 def admissible(family: str, q: int, t: int | None = None,
                n: int | None = None) -> bool:
-    """True iff q is a prime power and parameter_ranges admits (q, n, t)."""
+    """True iff q is a prime power and group(family, q, t, n) exists."""
     try:
         factor_prime_power(q)
-        parameter_ranges(family, q, n, t)
+        group(family, q, t, n)
     except ValueError:
         return False
     return True
 
 
-def instances(family: str, q: int, t: int | None = None,
-              n: int | None = None) -> dict[int, dict]:
-    """Each admissible minimum distance, ascending, mapped to the
-    parameters that build it: r = d - 1 parity rows (family ii),
-    d = 2 delta + 2 (family i, and family iii at even d),
-    d = 2 delta + 1 with odd=True (family iii at odd d), and
-    d = delta1 + delta2 + 2 with delta2 as large as its range allows
-    (families iv and v)."""
-    ranges = parameter_ranges(family, q, n, t)[1]
-    if family == "ii":
-        out = {r + 1: {"r": r} for r in ranges["r"]}
-    elif family in ("i", "iii"):
-        out = {2 * delta + 2: {"delta": delta} for delta in ranges["delta"]}
-        if family == "iii":
-            odd = parameter_ranges("iii", q, n, t, odd=True)[1]
-            out.update({2 * delta + 1: {"delta": delta, "odd": True}
-                        for delta in odd["delta"]})
-    else:
-        # delta2 ascends in the outer loop, so the last pair written
-        # for a distance has the largest delta2
-        out = {d1 + d2 + 2: {"delta1": d1, "delta2": d2}
-               for d2 in ranges["delta2"] for d1 in ranges["delta1"]}
-    return dict(sorted(out.items()))
-
-
-def expected_c(family: str, t: int | None = None) -> int:
-    """The ebit count rank(H H^dagger) of every code of the family."""
-    return {"i": 1, "ii": 1, "iii": 1, "iv": 2}.get(family, t)
-
-
-def closed_form_k(family: str, q: int, d: int, t: int | None = None,
-                  n: int | None = None) -> int:
-    """k = n + c + 2 - 2d, the EA-Singleton bound n + c - k = 2(d - 1)
-    met with equality."""
-    length = parameter_ranges(family, q, n, t)[0]
-    return length + expected_c(family, t) + 2 - 2 * d
-
-
 def build_classical(family: str, q: int, d: int | None, t: int | None = None,
                     n: int | None = None, **params) -> ClassicalCode:
-    """Classical code behind one family instance: at distance d, or from
-    explicit parameters (r for family ii; delta, or delta1 and delta2, and
-    odd for the constacyclic families) when d is None."""
+    """Classical code behind one family instance: at distance d, or when d
+    is None from explicit parameters, checked by Group.check (r for family
+    ii; delta, or delta1 and delta2, and odd for family iii)."""
     if params and d is not None:
         raise ValueError(f"d={d} and explicit parameters "
                          f"{', '.join(params)} exclude each other")
-    if not params:
-        if not admissible(family, q, t):
-            raise ValueError(
-                f"q={q} (t={t}) not admissible for family {family}")
-        params = instances(family, q, t, n).get(d)
-        if params is None:
-            raise ValueError(f"d={d} not admissible for family {family}, q={q}")
-    if family == "ii" and "r" in params:
-        check_parameters("ii", q, n, t, **params)
-        code = extended_rs_code(q, params["r"])
-    else:
-        # family ii without r has no defining set, and defining_set says so
-        code = constacyclic_code(
-            q, defining_set(family, q, n=n, t=t, **params))
+    if not params and not admissible(family, q, t):
+        raise ValueError(f"q={q} (t={t}) not admissible for family {family}")
+    row = group(family, q, t, n)
+    window = row.check(**params) if params else row.instances().get(d)
+    if window is None:
+        raise ValueError(f"d={d} not admissible for family {family}, q={q}")
+    code = constacyclic_code(q, row.run(*window), row.point0)
     code.family = family
     return code
 
 
-def family_codes(family: str, q: int, params: list[dict],
-                 t: int | None = None, n: int | None = None
+def family_codes(row: Group, windows: list[tuple[int, int]]
                  ) -> Iterator[tuple[ClassicalCode, np.ndarray, int]]:
-    """Each instance of one family group (family, q, t, n), one for each
-    parameter set in `params` as build_classical takes them, as its code,
-    its Gram matrix H H^dagger and its ebit count c = rank(H H^dagger);
-    nothing for no parameter sets.  One code holds them all: the extended
-    RS code with the largest r (family ii), or the constacyclic code of
-    the least run that holds every defining set (cosets.hull, a
-    ValueError when their union is not one run), whose rank proof
-    covers every subset of its rows.  Its Gram matrix is formed once.
-    Each instance's rows are a contiguous block of that code's
-    (codes.subcode), so its H is a view of the group's H and its Gram
-    matrix a view of the principal block on those rows: no instance
+    """Each instance of one family group, one for each window (lo, hi)
+    of the row, as its code, its Gram matrix H H^dagger and its ebit
+    count c = rank(H H^dagger); nothing for no windows.  One code holds
+    them all: that of the least run that holds every window's defining
+    set (cosets.hull, a ValueError when their union is not one run),
+    whose rank proof covers every subset of its rows.  Its Gram matrix is
+    formed once.  Each instance's rows are a contiguous block of that
+    code's (codes.subcode), so its H is a view of the group's H and its
+    Gram matrix a view of the principal block on those rows: no instance
     copies either.  One kernels.block_ranks call on the group's Gram
     matrix counts every instance's c."""
-    if not params:
+    if not windows:
         return
-    if family == "ii":
-        for kw in params:
-            check_parameters("ii", q, n, t, **kw)
-        parts = [kw["r"] for kw in params]
-        top = extended_rs_code(q, max(parts))
-    else:
-        parts = [defining_set(family, q, n=n, t=t, **kw) for kw in params]
-        top = constacyclic_code(q, hull(parts))
-    gram = gram_matrix(top.H, q, top.field)
+    parts = [row.run(lo, hi) for lo, hi in windows]
+    top = constacyclic_code(row.q, hull(parts), row.point0)
+    gram = gram_matrix(top.H, row.q, top.field)
     subs = [subcode(top, part) for part in parts]
     counts = kernels.block_ranks(gram, [(rows, rows) for _, rows in subs],
                                  top.field)
     for (code, rows), c in zip(subs, counts):
-        code.family = family
+        code.family = row.family
         yield code, gram[rows, rows], c
 
 
@@ -244,17 +174,14 @@ def enumerate_family(family: str, q: int, t: int | None = None,
     out."""
     if not admissible(family, q, t):
         raise ValueError(f"q={q} (t={t}) not admissible for family {family}")
-    length = parameter_ranges(family, q, n, t)[0]
-    c = expected_c(family, t)
-    wanted = [(dist, kw) for dist, kw in instances(family, q, t, n).items()
-              if (d is None or dist == d)
-              and closed_form_k(family, q, dist, t, n) >= 1]
+    row = group(family, q, t, n)
+    wanted = [(dist, window) for dist, window in row.instances().items()
+              if (d is None or dist == d) and row.k(dist) >= 1]
     out = []
-    built = family_codes(family, q, [kw for _, kw in wanted], t, n)
+    built = family_codes(row, [window for _, window in wanted])
     for (dist, _), (code, _, ebits) in zip(wanted, built):
-        k = closed_form_k(family, q, dist, t, n)
-        params = derive_eaqecc(code, ebits, t)
-        expected = (length, k, dist, c)
+        params = derive_eaqecc(code, ebits, row.t)
+        expected = (row.n, row.k(dist), dist, row.c)
         got = (params.n, params.k, params.d, params.c)
         if got != expected:
             raise VerificationError(

@@ -14,21 +14,20 @@ Reed-Solomon code; every family code here is one.  Hermitian dual
 containment has two routes here, the coset test Z & -qZ = 0 on an
 exponent set and its modulus, which need not be one run, and the
 matrix test H H^dagger = 0.  LEMMAS is the one table of rank lemmas:
-each lemma's family, its lengths and its default q and t grids.  The
-sweep harness builds every family instance that
-cosets.parameter_ranges admits, each group of them (one family, q, n
-and t, family iii's two distance parities together) through one
-eaqecc.family_codes build, and compares rank(H H^dagger), which that
-build counts for the whole group in one kernels.block_ranks pass,
-against the predicted ebit count.  Each instance's H and Gram matrix are
-views of the group's; the family-v cross rank rank(H1 H2^dagger) is that
-of a block of the entry's own Gram matrix, sliced on the rows of Z1 and
-Z2.
+each lemma's family and its default q and t grids.  The sweep harness
+builds every instance of every group of the family that the family
+table admits (cosets.groups), each group (one family, q, n and t,
+family iii's two distance parities together) through one
+eaqecc.family_codes build of the row's windows, and compares
+rank(H H^dagger), which that build counts for the whole group in one
+kernels.block_ranks pass, against the row's ebit count c.  Each
+instance's H and Gram matrix are views of the group's; the family-v
+cross rank rank(H1 H2^dagger) is that of a block of the entry's own
+Gram matrix, sliced on the rows of Z1 and Z2.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -36,8 +35,8 @@ import numpy as np
 
 from . import kernels
 from .codes import ClassicalCode, generator_matrix, parity_rows
-from .cosets import omega_run, parameter_ranges
-from .eaqecc import expected_c, family_codes, gram_matrix
+from .cosets import Group, groups, omega_run
+from .eaqecc import family_codes, gram_matrix
 from .galois import FieldContext
 
 
@@ -125,10 +124,6 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def _rank_entry(lemma, q, n, r, params, Z, computed, expected,
                 **extra) -> dict:
     ok = computed == expected and all(
@@ -140,16 +135,14 @@ def _rank_entry(lemma, q, n, r, params, Z, computed, expected,
     return entry
 
 
-# lemma -> (family, sign, q grid, t grid): for families i and iii the
-# sign s of the lengths they sweep, every divisor n of q^2+s; the grids
-# are the acceptance-grade defaults that `verify` sweeps
-LEMMAS: dict[str, tuple[str, int | None, tuple[int, ...],
-                        tuple[int, ...] | None]] = {
-    "rank1": ("i", 1, (2, 3, 4, 5, 7, 8, 9), None),
-    "rank1-minus": ("iii", -1, (2, 3, 4, 5, 7, 8, 9), None),
-    "rank-ers": ("ii", None, (3, 4, 5, 7, 8), None),
-    "nega": ("iv", None, (3, 5, 7, 9, 11, 13), None),
-    "consta": ("v", None, (5, 9, 11, 13, 19), (3, 5, 7)),
+# lemma -> (family, q grid, t grid): the acceptance-grade default grids
+# that `verify` sweeps; a t grid for the family that takes t alone
+LEMMAS: dict[str, tuple[str, tuple[int, ...], tuple[int, ...] | None]] = {
+    "rank1": ("i", (2, 3, 4, 5, 7, 8, 9), None),
+    "rank1-minus": ("iii", (2, 3, 4, 5, 7, 8, 9), None),
+    "rank-ers": ("ii", (3, 4, 5, 7, 8), None),
+    "nega": ("iv", (3, 5, 7, 9, 11, 13), None),
+    "consta": ("v", (5, 9, 11, 13, 19), (3, 5, 7)),
 }
 
 
@@ -158,7 +151,9 @@ def run_lemma_sweep(lemma: str, q_list: list[int] | None = None,
     """Rebuild every admissible instance of one rank lemma and compare
     rank(H H^dagger) with the predicted ebit count, over q_list and, for
     consta, t_list; None takes the lemma's grid in LEMMAS, and an empty
-    t_list for consta is an error.
+    t_list for consta is an error.  The lengths are those of the
+    family's groups at each q (cosets.groups): every divisor n >= 2 of
+    q^2+1 for rank1 and of q^2-1 for rank1-minus.
 
     Lemmas: rank1 (cyclic, n | q^2+1, c = 1); rank1-minus (cyclic,
     n | q^2-1, both distance parities, c = 1); rank-ers (extended RS,
@@ -168,53 +163,38 @@ def run_lemma_sweep(lemma: str, q_list: list[int] | None = None,
     """
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma!r}")
-    family, sign, q_grid, t_grid = LEMMAS[lemma]
+    family, q_grid, t_grid = LEMMAS[lemma]
     q_list = q_grid if q_list is None else q_list
     t_list = t_grid if t_list is None else t_list
-    if family == "v" and not t_list:
+    if t_grid and not t_list:
         raise ValueError("consta sweep needs t values")
     start = time.perf_counter()
     report = SweepReport(lemma)
     for q in q_list:
-        for t in t_list if family == "v" else [None]:
-            for n in divisors(q * q + sign) if sign else [None]:
-                _sweep_family(report, family, q, n=n, t=t)
+        for t in t_list if t_grid else [None]:
+            for row in groups(family, q, t):
+                _sweep_group(report, row)
     report.elapsed = time.perf_counter() - start
     return report
 
 
-def _sweep_family(report: SweepReport, family: str, q: int,
-                  n: int | None = None, t: int | None = None) -> None:
-    """One entry per admissible choice of the construction parameters of
-    one family instance, for family iii with even and then odd distance,
-    all built by one family_codes call and each checked against the
-    family's expected_c; none when parameter_ranges rejects (q, n, t) or
-    admits no choice.  Entry params list t first when given, then the
-    family's parameters, then odd for family iii."""
-    try:
-        length = parameter_ranges(family, q, n, t)[0]
-    except ValueError:
-        return
-    expected = expected_c(family, t)
-    grid = []
-    for odd in (False, True) if family == "iii" else (False,):
-        ranges = parameter_ranges(family, q, n, t, odd)[1]
-        grid += [(odd, dict(zip(ranges, values)))
-                 for values in itertools.product(*ranges.values())]
-    built = family_codes(family, q, [dict(kw, odd=odd) for odd, kw in grid],
-                         t, n)
-    for (odd, kw), (code, gram, c) in zip(grid, built):
+def _sweep_group(report: SweepReport, row: Group) -> None:
+    """One entry per parameter set of the row's grid, for family iii
+    with even and then odd distance, all built by one family_codes call
+    and each checked against the row's c.  Entry params list t first
+    when the row has one, then the grid's parameters, odd included."""
+    grid = row.grid()
+    built = family_codes(row, [row.window(kw) for kw in grid])
+    for kw, (code, gram, c) in zip(grid, built):
         Z = code.defining_set
-        params = dict(kw) if t is None else {"t": t, **kw}
-        if family == "iii":
-            params["odd"] = odd
-        extra = {}
-        if family == "v":
-            extra = _consta_intersection(q, t, kw["delta1"], kw["delta2"],
-                                         code, gram)
+        params, extra = kw, {}
+        if row.t is not None:
+            params = {"t": row.t, **kw}
+            extra = _consta_intersection(row.q, row.t, kw["delta1"],
+                                         kw["delta2"], code, gram)
         report.entries.append(_rank_entry(
-            report.lemma, q, length, Z.r if Z is not None else None, params,
-            Z, c, expected, **extra))
+            report.lemma, row.q, row.n, Z.r if Z is not None else None,
+            params, Z, c, row.c, **extra))
 
 
 def _consta_intersection(q, t, d1, d2, code: ClassicalCode,

@@ -5,8 +5,11 @@ family i that checks its trace rows; the family-v cross rank from
 separately built codes; the q^2-cyclotomic coset by its orbit, the
 definition that the closed-form defining sets are checked against; runs
 of Omega indices built and read element by element, for the run
-arithmetic of cosets.DefiningSet; and a parity check for any exponent
-set, one run or not, for the coset test of dual containment."""
+arithmetic of cosets.DefiningSet; a parity check for any exponent set,
+one run or not, for the coset test of dual containment; and the family
+facts as the closed forms that the rows of cosets.group are checked
+against: each family's length and parameter ranges, its defining set
+and its parameters at each distance, by family branches."""
 
 import math
 from itertools import combinations, product
@@ -17,6 +20,10 @@ from eaqmds import kernels
 from eaqmds.codes import _trace_table, constacyclic_code
 from eaqmds.cosets import DefiningSet, omega_run
 from eaqmds.galois import build_field, factor_prime_power
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def cyclotomic_coset(i, modulus, qsq):
@@ -318,3 +325,142 @@ def ref_cross_rank(q, t, d1, d2, n):
     H1, f = code1.H, code1.field
     H2 = constacyclic_code(q, omega_run(n, t, e0 + 1, e0 + d2)).H
     return kernels.rank(kernels.matmul(H1, kernels.adjoint(H2, q, f), f), f)
+
+
+# ---------------------------------------------------------------------------
+# the family table as closed forms, one function per fact
+# ---------------------------------------------------------------------------
+
+# the only families that take a length n; the others have a fixed length
+REF_VARIABLE_LENGTH = ("i", "iii")
+
+
+def ref_parameter_ranges(family: str, q: int, n: int | None = None,
+                         t: int | None = None, odd: bool = False
+                         ) -> tuple[int, dict[str, range]]:
+    """Length n of one family instance and the admissible range of each of
+    its construction parameters; ValueError when (q, n, t) admits none.
+
+    family "i"  : n | q^2+1 (default q^2+1), 0 <= delta <= n // (q+1)
+    family "ii" : n = q^2, q <= r <= 2q-2 parity rows (d = r + 1)
+    family "iii": n | q^2-1 (default q^2-1), odd <= delta <= n // (q+1) - 1
+    family "iv" : odd q, n = (q^2-1)/2, 0 <= delta1 <= (q-1)/2 - 1 and
+                  (q+1)/2 <= delta2 <= q-1
+    family "v"  : odd q, odd t >= 3 with t | q+1, n = (q^2-1)/t, and both
+                  deltas in [(t-1)(q+1)/(2t), (t+1)(q+1)/(2t) - 2]
+    """
+    qsq = q * q
+    if family == "i":
+        n = qsq + 1 if n is None else n
+        if n < 2 or (qsq + 1) % n:
+            raise ValueError(f"family i needs n | q^2+1 with n >= 2, got n={n}")
+        return n, {"delta": range(n // (q + 1) + 1)}
+    if family == "iii":
+        n = qsq - 1 if n is None else n
+        if n < 2 or (qsq - 1) % n:
+            raise ValueError(f"family iii needs n | q^2-1 with n >= 2, got n={n}")
+        return n, {"delta": range(1 if odd else 0, n // (q + 1))}
+    if n is not None:   # families i and iii, which take n, returned above
+        raise ValueError(f"family {family} has a fixed length; n applies to "
+                         f"families {' and '.join(REF_VARIABLE_LENGTH)} only")
+    if family == "iv":
+        if q % 2 == 0:
+            raise ValueError("family iv needs odd q")
+        return (qsq - 1) // 2, {"delta1": range((q - 1) // 2),
+                                "delta2": range((q + 1) // 2, q)}
+    if family == "v":
+        if t is None or q % 2 == 0 or t < 3 or t % 2 == 0 or (q + 1) % t:
+            raise ValueError("family v needs odd q, odd t >= 3, t | q+1")
+        span = range((t - 1) * (q + 1) // (2 * t),
+                     (t + 1) * (q + 1) // (2 * t) - 1)
+        return (qsq - 1) // t, {"delta1": span, "delta2": span}
+    if family == "ii":
+        return qsq, {"r": range(q, 2 * q - 1)}
+    raise ValueError(f"unknown family {family!r}")
+
+
+def ref_check_parameters(family: str, q: int, n: int | None = None,
+                         t: int | None = None, odd: bool = False,
+                         **given: int | None) -> int:
+    """Length n of one family instance, once each of its construction
+    parameters is given and inside ref_parameter_ranges, and no parameter
+    of another family is; ValueError if not."""
+    n, ranges = ref_parameter_ranges(family, q, n, t, odd)
+    for name, span in ranges.items():
+        if given.get(name) is None:
+            raise ValueError(f"family {family} needs {' and '.join(ranges)}")
+        if not span:
+            raise ValueError(f"family {family} admits no {name} at q={q}, "
+                             f"n={n}")
+        if given[name] not in span:
+            raise ValueError(f"{name}={given[name]} outside "
+                             f"[{span.start}, {span.stop - 1}]")
+    for name, value in given.items():
+        if value is not None and name not in ranges:
+            raise ValueError(f"family {family} takes {' and '.join(ranges)}"
+                             f", not {name}")
+    return n
+
+
+def ref_defining_set(family: str, q: int, *, n: int | None = None,
+                     t: int | None = None, odd: bool = False,
+                     **params: int | None) -> DefiningSet:
+    """Defining set of one family instance, with parameters (delta, or
+    delta1 and delta2) inside ref_parameter_ranges; ref_check_parameters
+    rejects any other name.  q^2 is +-1 modulo each family's modulus, so the
+    cyclotomic cosets are {z} or {z, -z} and each Z is one run of Omega
+    indices i:
+
+    family "i"  : cyclic, i in [-delta, delta] (mod n)
+    family "iii": cyclic, i in [-delta, delta], or the asymmetric
+                  [-delta, delta-1] when odd=True (mod n)
+    family "iv" : negacyclic, z = 2j-1 for j in [-delta1, delta2], so
+                  i in [-delta1-1, delta2-1] (mod 2n)
+    family "v"  : constacyclic order t, i in [e0-delta1, e0+delta2]
+                  around the anchor 1 + t*e0 = (t-1)(q-1)/2 (mod tn)
+    """
+    if family == "ii":
+        raise ValueError("family ii (extended RS) is not constacyclic and "
+                         "has no defining set")
+    n = ref_check_parameters(family, q, n, t, odd, **params)
+    delta, delta1, delta2 = (params.get(name)
+                             for name in ("delta", "delta1", "delta2"))
+    if family == "i":
+        return omega_run(n, 1, -delta, delta)
+    if family == "iii":
+        return omega_run(n, 1, -delta, delta - 1 if odd else delta)
+    if family == "iv":
+        return omega_run(n, 2, -delta1 - 1, delta2 - 1)
+    # t | q+1 makes e0 an integer
+    e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
+    return omega_run(n, t, e0 - delta1, e0 + delta2)
+
+
+def ref_instances(family: str, q: int, t: int | None = None,
+                  n: int | None = None) -> dict[int, dict]:
+    """Each admissible minimum distance, ascending, mapped to the
+    parameters that build it: r = d - 1 parity rows (family ii),
+    d = 2 delta + 2 (family i, and family iii at even d),
+    d = 2 delta + 1 with odd=True (family iii at odd d), and
+    d = delta1 + delta2 + 2 with delta2 as large as its range allows
+    (families iv and v)."""
+    ranges = ref_parameter_ranges(family, q, n, t)[1]
+    if family == "ii":
+        out = {r + 1: {"r": r} for r in ranges["r"]}
+    elif family in ("i", "iii"):
+        out = {2 * delta + 2: {"delta": delta} for delta in ranges["delta"]}
+        if family == "iii":
+            odd = ref_parameter_ranges("iii", q, n, t, odd=True)[1]
+            out.update({2 * delta + 1: {"delta": delta, "odd": True}
+                        for delta in odd["delta"]})
+    else:
+        # delta2 ascends in the outer loop, so the last pair written
+        # for a distance has the largest delta2
+        out = {d1 + d2 + 2: {"delta1": d1, "delta2": d2}
+               for d2 in ranges["delta2"] for d1 in ranges["delta1"]}
+    return dict(sorted(out.items()))
+
+
+def ref_expected_c(family: str, t: int | None = None) -> int:
+    """The ebit count rank(H H^dagger) of every code of the family."""
+    return {"i": 1, "ii": 1, "iii": 1, "iv": 2}.get(family, t)

@@ -14,13 +14,8 @@ import pytest
 from eaqmds import galois
 from eaqmds.cli import table_rows
 from eaqmds.codes import constacyclic_code
-from eaqmds.cosets import defining_set
-from eaqmds.eaqecc import (
-    FAMILIES,
-    build_classical,
-    enumerate_family,
-    instances,
-)
+from eaqmds.cosets import FAMILIES, group
+from eaqmds.eaqecc import build_classical, enumerate_family
 from eaqmds.galois import FieldContext, build_field
 from eaqmds.verify import (
     LEMMAS,
@@ -32,6 +27,7 @@ from eaqmds.verify import (
 from reference import (
     cyclotomic_coset,
     ref_cross_rank,
+    ref_defining_set,
     ref_parity_check,
     ref_run,
 )
@@ -114,7 +110,7 @@ def _family_subset_cases():
                 *[cyclotomic_coset(i, n, qsq)
                   for i in range(1, delta + 1)])
             cases.append((q, n, 1, z1))
-            family(q, defining_set("i", q, delta=delta))
+            family(q, ref_defining_set("i", q, delta=delta))
     for q in (3, 4, 5, 7):
         n = q * q - 1
         dmax = n // (q + 1) - 1
@@ -123,8 +119,8 @@ def _family_subset_cases():
             z2 = frozenset(range(1, delta + 1))
             cases.append((q, n, 1, z1))
             cases.append((q, n, 1, z2))
-            family(q, defining_set("iii", q, delta=delta))
-            family(q, defining_set("iii", q, delta=delta, odd=True))
+            family(q, ref_defining_set("iii", q, delta=delta))
+            family(q, ref_defining_set("iii", q, delta=delta, odd=True))
     for q in (3, 5, 7):
         n = (q * q - 1) // 2
         for d1 in range((q - 1) // 2):
@@ -136,7 +132,7 @@ def _family_subset_cases():
                 if z1:
                     cases.append((q, 2 * n, 2, z1))
                 cases.append((q, 2 * n, 2, z2))
-                family(q, defining_set("iv", q, delta1=d1, delta2=d2))
+                family(q, ref_defining_set("iv", q, delta1=d1, delta2=d2))
     for q, t in ((5, 3), (9, 5), (11, 3)):
         n = (q * q - 1) // t
         e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
@@ -149,7 +145,7 @@ def _family_subset_cases():
                            for j in range(1, d2 + 1))
             cases.append((q, t * n, t, z1))
             cases.append((q, t * n, t, z2))
-            family(q, defining_set("v", q, t=t, delta1=d1, delta2=d2))
+            family(q, ref_defining_set("v", q, t=t, delta1=d1, delta2=d2))
     return cases
 
 
@@ -216,7 +212,7 @@ def test_criterion_4_distance_certification():
     grid += [("iv", 3, None), ("iv", 5, None)]
     checked = 0
     for family, q, t in grid:
-        for d in instances(family, q, t):
+        for d in group(family, q, t).instances():
             code = build_classical(family, q, d, t)
             if code.k == 0:
                 continue

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqmds.codes import ClassicalCode, constacyclic_code, generator_matrix
-from eaqmds.cosets import defining_set, omega_run
+from eaqmds.cosets import omega_run
 from eaqmds.eaqecc import gram_matrix
 from eaqmds.galois import build_field
 from eaqmds.kernels import adjoint, eliminate, matmul, rank
@@ -16,6 +16,7 @@ from reference import (
     Polynomial,
     mul,
     poly_from_roots,
+    ref_defining_set,
     ref_matmul,
     ref_rref,
     root_rows,
@@ -90,7 +91,7 @@ def test_gram_rank_of_small_cyclic_code():
     # the root rows is sum_j beta^{(z1 + 2 z2) j} = n [z1 + 2 z2 = 0 mod 5]
     # computed by geometric-sum expansion, so only the (0, 0) entry
     # survives; the trace rows over GF(4) have the same Gram rank.
-    Z = defining_set("i", 2, delta=1, n=5)
+    Z = ref_defining_set("i", 2, delta=1, n=5)
     assert Z.sorted() == [0, 1, 4]
     code = constacyclic_code(2, Z)
     f4, _, beta = trace_root(code.field, 5)
@@ -143,7 +144,7 @@ def test_nullspace_identity_and_all_ones(gf9):
 
 
 def test_nullspace_of_cyclic_code():
-    code = constacyclic_code(4, defining_set("i", 4, delta=2))
+    code = constacyclic_code(4, ref_defining_set("i", 4, delta=2))
     G = generator_matrix(code)
     assert G.shape[0] == 12
     assert not matmul(code.H, G.T, code.field).any()

@@ -3,7 +3,8 @@ eaqmds.__all__ resolves, and each one, like every public top-level
 function and public method, is referenced somewhere in the package other
 than its own def or class (the package __init__, which only re-exports,
 does not count).  The only exceptions are the two dual-containment
-oracles of verify.py, which the tests run against each other."""
+oracles of verify.py, which the tests run against each other.  Outside
+the family table, cosets.py, no code branches on a family's name."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,36 @@ def test_public_functions_are_used_by_the_package():
               if not name.startswith("_") and name not in used
               and where not in ORACLES]
     assert unused == []
+
+
+def _family_branches():
+    """module:line of each comparison with a family-name literal, or a
+    tuple, list or set of them, and of each dict keyed by one, outside
+    cosets.py."""
+    names = {"i", "ii", "iii", "iv", "v"}
+
+    def family_literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(family_literal(item) for item in node.elts)
+        return isinstance(node, ast.Constant) and node.value in names
+
+    for module, tree in _modules():
+        if module == "cosets":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                found = any(map(family_literal,
+                                [node.left, *node.comparators]))
+            elif isinstance(node, ast.Dict):
+                found = any(map(family_literal, filter(None, node.keys)))
+            else:
+                found = False
+            if found:
+                yield f"{module}:{node.lineno}"
+
+
+def test_no_family_branches_outside_the_family_table():
+    """The facts of each family live in one place, the rows of
+    cosets.group: no other module branches on a family's name or keys a
+    dict by it."""
+    assert list(_family_branches()) == []

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqmds import cli, codes, eaqecc, galois, kernels
+from eaqmds import cli, codes, cosets, eaqecc, galois, kernels
 from eaqmds.cli import main, parse_q, table_rows
 
 
@@ -89,14 +91,14 @@ def test_enumerate_range_past_the_ceiling_is_a_usage_error(capsys):
 
 
 def test_enumerate_d_builds_only_that_distance(capsys, monkeypatch):
-    # each family group is built with the one parameter set of distance
-    # d, if it has one, not with all of them
+    # each family group is built with the one window of distance d, if
+    # it has one, not with all of them
     sizes = []
     build = eaqecc.family_codes
 
-    def spy(family, q, params, *rest):
-        sizes.append(len(params))
-        return build(family, q, params, *rest)
+    def spy(row, windows):
+        sizes.append(len(windows))
+        return build(row, windows)
 
     monkeypatch.setattr(eaqecc, "family_codes", spy)
     code, out, _ = run_cli(capsys, "enumerate", "--q", "7", "--d", "4")
@@ -732,3 +734,74 @@ def test_startup_imports_no_argument_parser_or_locale():
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+
+
+_DIGIT = st.integers(0, 9).map(str)
+_Q_SPECS = st.one_of(
+    st.sampled_from(["2", "3", "4", "5", "7", "8", "9", "3,5", "2..9"]),
+    st.builds("{}..{}".format, _DIGIT, _DIGIT),
+    st.lists(_DIGIT, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", "x", "3,", "..", "-1", "1031"]))
+
+
+def _value(flag):
+    """A value for one flag, valid more often than not: one of its
+    choices or a bad one, a q spec at q <= 9, a small int or a non-int,
+    and a codeword budget small enough that no message enumeration takes
+    long."""
+    if flag.choices:
+        return st.sampled_from([*flag.choices] * 3 + ["bogus"])
+    if flag.name == "q":
+        return _Q_SPECS
+    if flag.name == "max-codewords":
+        return st.integers(-1, 2000).map(str)
+    return st.one_of(st.integers(0, 12).map(str),
+                     st.sampled_from(["-1", "99", "z"]))
+
+
+@st.composite
+def _argv(draw):
+    """A command of cli.COMMANDS with its required flags and a random
+    subset of the others, all but --output, which would write files;
+    distance always gets a budget."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = [command]
+    for flag in cli.COMMANDS[command][1]:
+        if flag.name == "output":
+            continue
+        if flag.required or flag.name == "max-codewords" or not draw(
+                st.integers(0, 3)):
+            argv += [f"--{flag.name}", draw(_value(flag))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_commands_exit_with_a_defined_code(argv):
+    """No command line exits 3, the internal error, and a usage error
+    (exit 2) writes nothing to stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 4), (argv, err.getvalue())
+    assert code != 2 or out.getvalue() == "", argv
+
+
+def test_sweeps_and_enumerate_check_no_parameters(monkeypatch, capsys):
+    """Only outside input goes through Group.check: the sweeps and
+    enumerate draw every parameter set from the row."""
+    calls = []
+    check = cosets.Group.check
+
+    def spy(row, *args, **kwargs):
+        calls.append(kwargs)
+        return check(row, *args, **kwargs)
+
+    monkeypatch.setattr(cosets.Group, "check", spy)
+    assert main(["verify", "--lemma", "nega", "--q", "3..13"]) == 0
+    assert main(["enumerate", "--q", "2..9", "--t", "3"]) == 0
+    assert calls == []
+    assert main(["distance", "--family", "iv", "--q", "5", "--delta1", "1",
+                 "--delta2", "3"]) == 0
+    assert calls == [{"delta1": 1, "delta2": 3}]
+    capsys.readouterr()

@@ -12,16 +12,16 @@ from eaqmds.codes import (
     _power_table,
     _trace_table,
     constacyclic_code,
-    extended_rs_code,
     generator_matrix,
 )
-from eaqmds.cosets import DefiningSet, defining_set, omega_run
+from eaqmds.cosets import DefiningSet, omega_run
 from eaqmds.eaqecc import gram_matrix
 from eaqmds.galois import build_field, factor_prime_power, prime_factors
-from eaqmds.verify import divisors
 from reference import (
+    divisors,
     mul,
     poly_from_roots,
+    ref_defining_set,
     ref_order,
     ref_rref,
     root_rows,
@@ -50,14 +50,14 @@ def test_constacyclic_code_picks_evaluation_field():
 
 
 def test_constacyclic_code_17_12_6():
-    code = constacyclic_code(4, defining_set("i", 4, delta=2))
+    code = constacyclic_code(4, ref_defining_set("i", 4, delta=2))
     assert (code.n, code.k, code.d_design) == (17, 12, 6)
     assert code.H.shape == (5, 17)
     assert kernels.rank(code.H, code.field) == 5
 
 
 def test_constacyclic_code_family_iv():
-    code = constacyclic_code(5, defining_set("iv", 5, delta1=1, delta2=3))
+    code = constacyclic_code(5, ref_defining_set("iv", 5, delta1=1, delta2=3))
     assert (code.n, code.k, code.d_design) == (12, 7, 6)
     assert code.field.order == 25
 
@@ -72,7 +72,7 @@ def test_empty_defining_set_gives_full_space():
 
 
 def test_codewords_vanish_at_defining_set_roots():
-    Z = defining_set("iii", 5, delta=2)
+    Z = ref_defining_set("iii", 5, delta=2)
     code = constacyclic_code(5, Z)
     G = generator_matrix(code)
     f = code.field
@@ -96,7 +96,7 @@ def test_constacyclic_shift_invariance(q, n, r, family, kwargs):
     """(c_1..c_n) in C implies (lam*c_n, c_1, .., c_{n-1}) in C, for
     lam = eta^n a primitive r-th root of unity: 1 (cyclic), -1
     (negacyclic) and of order t = 3 (family v)."""
-    code = constacyclic_code(q, defining_set(family, q, **kwargs))
+    code = constacyclic_code(q, ref_defining_set(family, q, **kwargs))
     assert code.n == n
     G = generator_matrix(code)
     f = code.field
@@ -145,20 +145,27 @@ def test_rs_parameter_sweep(qm):
         assert code.k == code.n - kernels.rank(code.H, code.field)
 
 
+def extended_rs(q, r):
+    """The extended RS code [q^2, q^2-r, r+1]: the cyclic RS code of the
+    run 0..r-1 modulo q^2-1 with the point 0."""
+    return constacyclic_code(q, omega_run(q * q - 1, 1, 0, r - 1), True)
+
+
 def test_extended_rs_examples():
-    code = extended_rs_code(3, 3)
+    code = extended_rs(3, 3)
     assert (code.n, code.k, code.d_design) == (9, 6, 4)
-    code = extended_rs_code(5, 5)
+    code = extended_rs(5, 5)
     assert (code.n, code.k, code.d_design) == (25, 20, 6)
-    parity = extended_rs_code(3, 1)
+    parity = extended_rs(3, 1)
     assert (parity.n, parity.k, parity.d_design) == (9, 8, 2)
     assert np.all(parity.H == 1)
-    with pytest.raises(ValueError):
-        extended_rs_code(3, 8)
+    # the point 0 extends power rows only
+    with pytest.raises(ValueError, match="divides neither"):
+        constacyclic_code(4, omega_run(17, 1, 0, 0), point0=True)
 
 
 def test_extended_rs_structure():
-    code = extended_rs_code(3, 3)
+    code = extended_rs(3, 3)
     f = code.field
     # first evaluation point is 0 with 0^0 = 1 in the all-ones row
     assert np.all(code.H[0] == 1)
@@ -174,13 +181,13 @@ def test_extended_rs_structure():
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_extended_rs_parameter_sweep(q):
     for r in range(1, q * q - 2):
-        code = extended_rs_code(q, r)
+        code = extended_rs(q, r)
         assert (code.n, code.k, code.d_design) == (q * q, q * q - r, r + 1)
         assert kernels.rank(code.H, code.field) == r
 
 
 def test_generator_matrix_nullspace():
-    code = extended_rs_code(3, 3)
+    code = extended_rs(3, 3)
     G = generator_matrix(code)
     assert G.shape[0] == 6
     assert not kernels.matmul(code.H, G.T, code.field).any()
@@ -190,7 +197,7 @@ def test_subfield_subcode_structure():
     """[17,12,6] over GF(16) is the GF(16)-subfield subcode of the code
     with roots beta^z in GF(256): g(x) = prod (x - beta^z) has GF(16)
     coefficients and every codeword vanishes at the roots."""
-    code = constacyclic_code(4, defining_set("i", 4, delta=2))
+    code = constacyclic_code(4, ref_defining_set("i", 4, delta=2))
     assert code.field.order == 16
     f4, emb, beta = trace_root(code.field, 17)
     zs = code.defining_set.sorted()
@@ -218,7 +225,7 @@ def test_family_i_matches_root_evaluation(q):
         assert ref_order(f4, beta) == n
         assert emb[_trace_table(f, n)].tolist() == [
             f4.add(f4.pow(beta, m), f4.pow(beta, -m)) for m in range(n)]
-        sets = [defining_set("i", q, delta=delta, n=n)
+        sets = [ref_defining_set("i", q, delta=delta, n=n)
                 for delta in range(n // (q + 1) + 1)]
         sets.append(omega_run(n, 1, 0, n - 1))
         if n % 2 == 0:
@@ -279,19 +286,19 @@ def test_trace_rows_need_a_symmetric_defining_set():
 
 def test_singleton_bound_enforced():
     from eaqmds.codes import ClassicalCode
-    code = constacyclic_code(5, defining_set("iii", 5, delta=1))
+    code = constacyclic_code(5, ref_defining_set("iii", 5, delta=1))
     with pytest.raises(ValueError):
         ClassicalCode(n=code.n, k=code.k, d_design=code.n - code.k + 2,
                       H=code.H, q=5, field=code.field)
 
 
 def test_code_record():
-    code = extended_rs_code(3, 3)
+    code = extended_rs(3, 3)
     assert (code.n, code.k, code.d_design) == (9, 6, 4)
     assert code.field.order == 9
-    cyc = constacyclic_code(4, defining_set("i", 4, delta=1))
+    cyc = constacyclic_code(4, ref_defining_set("i", 4, delta=1))
     assert cyc.defining_set.sorted() == [0, 1, 16]
-    assert cyc.field is extended_rs_code(4, 5).field
+    assert cyc.field is extended_rs(4, 5).field
     # H is a read-only int64 array of element codes
     for c in (code, cyc):
         assert c.H.dtype == np.int64 and not c.H.flags.writeable
@@ -306,7 +313,7 @@ def _spy_rank():
 
 
 def _patch_power_table(table):
-    """Make constacyclic_code and extended_rs_code read their roots
+    """Make constacyclic_code read its roots
     eta^m from `table`."""
     return mock.patch.object(codes, "_power_table", return_value=table)
 
@@ -349,7 +356,7 @@ def _build(q, Z, patch):
 def test_power_rows_are_proved_with_no_elimination():
     # the leading block is Vandermonde in the distinct points eta^z
     with _spy_rank() as spy:
-        code = constacyclic_code(5, defining_set("iii", 5, delta=2))
+        code = constacyclic_code(5, ref_defining_set("iii", 5, delta=2))
     assert code.k == 24 - code.H.shape[0]
     assert _rank_shapes(spy) == []
 
@@ -357,7 +364,7 @@ def test_power_rows_are_proved_with_no_elimination():
 def test_trace_rows_are_proved_with_no_elimination():
     # family i at q = 4: Z = {0, +-1, +-2}, rows 1, tr[zj] and tr[z(j+1)]
     with _spy_rank() as spy:
-        code = constacyclic_code(4, defining_set("i", 4, delta=2))
+        code = constacyclic_code(4, ref_defining_set("i", 4, delta=2))
     rows = code.H.shape[0]
     assert (rows, code.k) == (5, 12)
     assert codes._lucas_vandermonde(code.H[:, :rows], code.field)
@@ -380,7 +387,7 @@ def test_every_family_i_block_passes_the_trace_check():
                     continue
                 for delta in range(n // (q + 1) + 1):
                     code = constacyclic_code(
-                        q, defining_set("i", q, n=n, delta=delta))
+                        q, ref_defining_set("i", q, n=n, delta=delta))
                     if codes._traced(q, code.defining_set):
                         rows = code.H.shape[0]
                         assert codes._lucas_vandermonde(code.H[:, :rows],
@@ -406,7 +413,7 @@ def _traced_set(rows):
 def test_tampered_trace_table_is_refused(q, n, delta, tamper):
     # whether or not the tampered block is singular, trace rows that
     # contradict their kind fail the trace proof, and nothing eliminates
-    Z = defining_set("i", q, n=n, delta=delta)
+    Z = ref_defining_set("i", q, n=n, delta=delta)
     f = constacyclic_code(q, Z).field
     table = _trace_table(f, n).copy()
     if tamper == "entry":
@@ -551,12 +558,12 @@ def test_extended_rs_rows_get_a_rank_proof():
     # power rows in the points g^i are proved with no elimination; with
     # every point 1 the build refuses H
     with _spy_rank() as spy:
-        extended_rs_code(5, 9)
+        extended_rs(5, 9)
     assert _rank_shapes(spy) == []
     flat = np.ones(24, dtype=np.int64)
     with _patch_power_table(flat), pytest.raises(
             codes.VerificationError, match=f"^{REFUSED.format(3)}$"):
-        extended_rs_code(5, 3)
+        extended_rs(5, 3)
 
 
 @pytest.mark.parametrize("q", [q for q in range(2, 33) if _prime_power(q)])
@@ -566,7 +573,7 @@ def test_extended_rs_rows_are_cyclic_rs_rows_after_the_point_0(q):
     p, e = factor_prime_power(q)
     f = build_field(p, 2 * e)
     for r in sorted({1, q, 2 * q - 2, q * q - 2}):
-        H = extended_rs_code(q, r).H
+        H = extended_rs(q, r).H
         rs = constacyclic_code(q, omega_run(q * q - 1, 1, 0, r - 1))
         assert (H[:, 0] == np.eye(r, 1, dtype=np.int64)[:, 0]).all()
         assert (H[:, 1:] == rs.H).all()

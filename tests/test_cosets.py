@@ -1,4 +1,5 @@
 import itertools
+import re
 import signal
 import time
 from contextlib import contextmanager
@@ -10,18 +11,25 @@ from hypothesis import strategies as st
 from eaqmds.cli import parse_q
 from eaqmds.codes import constacyclic_code
 from eaqmds.cosets import (
+    FAMILIES,
     DefiningSet,
-    defining_set,
+    group,
+    groups,
     hull,
     omega_run,
-    parameter_ranges,
 )
-from eaqmds.verify import divisors, is_hermitian_dual_containing
+from eaqmds.eaqecc import build_classical
+from eaqmds.verify import is_hermitian_dual_containing
 from reference import (
     cyclotomic_coset,
+    divisors,
+    ref_defining_set,
+    ref_expected_c,
     ref_hull,
     ref_in_run_order,
+    ref_instances,
     ref_omega_run,
+    ref_parameter_ranges,
     ref_run,
 )
 
@@ -106,7 +114,7 @@ def test_cyclotomic_coset_needs_q_squared_coprime_to_modulus(i, modulus, qsq):
         cyclotomic_coset(i, modulus, qsq)
 
 
-def _recipe(family, q, t, odd, delta=None, delta1=None, delta2=None):
+def _recipe(family, q, t, delta=None, delta1=None, delta2=None, odd=False):
     """Representatives of the cosets whose union is Z, as the
     construction states them."""
     if family == "i":
@@ -119,16 +127,15 @@ def _recipe(family, q, t, odd, delta=None, delta1=None, delta2=None):
     return [anchor + t * j for j in range(-delta1, delta2 + 1)]
 
 
-def _admissible_groups(q):
-    """(family, n, t, odd) of every family instance group at q."""
-    qsq = q * q
-    yield from (("i", n, None, False) for n in divisors(qsq + 1) if n >= 2)
-    yield from (("iii", n, None, odd) for n in divisors(qsq - 1)
-                if n >= 2 for odd in (False, True))
-    if q % 2:
-        yield "iv", None, None, False
-        yield from (("v", None, t, False) for t in divisors(q + 1)
-                    if t >= 3 and t % 2)
+def _constacyclic_groups(q, ts=None):
+    """The group of each constacyclic family (all but family ii) at q and
+    each length: every t of ts, by default every odd t >= 3 dividing
+    q+1, for family v."""
+    for family in FAMILIES:
+        ts_v = [t for t in divisors(q + 1) if t >= 3 and t % 2]
+        for t in (ts_v if ts is None else ts) if family == "v" else [None]:
+            yield from (row for row in groups(family, q, t)
+                        if not row.point0)
 
 
 def test_closed_form_equals_coset_orbit_union():
@@ -139,50 +146,116 @@ def test_closed_form_equals_coset_orbit_union():
     for q in parse_q("2..65"):
         qsq = q * q
         orbits = {}
-        for family, n, t, odd in _admissible_groups(q):
-            ranges = parameter_ranges(family, q, n, t, odd)[1]
-            for values in itertools.product(*ranges.values()):
-                kw = dict(zip(ranges, values))
-                Z = defining_set(family, q, n=n, t=t, odd=odd, **kw)
+        for row in _constacyclic_groups(q):
+            for kw in row.grid():
+                Z = row.run(*row.window(kw))
                 m = Z.modulus
                 assert (qsq - 1) % m == 0 or (
-                    family == "i" and (qsq + 1) % m == 0)
+                    row.family == "i" and (qsq + 1) % m == 0)
                 union = set()
-                for i in _recipe(family, q, t, odd, **kw):
+                for i in _recipe(row.family, q, row.t, **kw):
                     key = (i % m, m)
                     if key not in orbits:
                         orbits[key] = cyclotomic_coset(i, m, qsq)
                     union |= orbits[key]
-                assert Z.elements == union, (family, q, n, t, odd, kw)
+                assert Z.elements == union, (row, kw)
                 count += 1
     assert count == 11955
 
 
+def _reference_cases():
+    """(family, q, t, n) at every prime power q <= 32: every n >= 2
+    dividing q^2+1 (family i) or q^2-1 (family iii), and every t in
+    {3, 5, 7, 9, 11} for family v, admissible or not."""
+    for q in parse_q("2..32"):
+        for family in FAMILIES:
+            sign = {"i": 1, "iii": -1}.get(family)
+            for t in (3, 5, 7, 9, 11) if family == "v" else [None]:
+                for n in [n for n in divisors(q * q + sign) if n >= 2] \
+                        if sign else [None]:
+                    yield family, q, t, n
+
+
+def _reference_set(family, q, t, n, kw):
+    """The reference's defining set of one parameter set; for family ii,
+    the run 0..r-1 of the cyclic RS code modulo q^2-1 that its extended
+    RS code extends."""
+    if family == "ii":
+        return omega_run(q * q - 1, 1, 0, kw["r"] - 1)
+    return ref_defining_set(family, q, n=n, t=t, **kw)
+
+
+def test_family_table_matches_the_reference():
+    """Each row of the family table against the closed forms of the
+    reference, case by case: the error for no group, else the length, c
+    and t, the parameter grid in sweep order (each range's product, and
+    for family iii the even-d sets, then the odd-d ones), the window of
+    each of its sets, and the distances with the window of each, which
+    the checked route gives too."""
+    cases = refused = 0
+    for family, q, t, n in _reference_cases():
+        try:
+            length = ref_parameter_ranges(family, q, n, t)[0]
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                group(family, q, t, n)
+            refused += 1
+            continue
+        row = group(family, q, t, n)
+        assert (row.n, row.c) == (length, ref_expected_c(family, t))
+        assert row.t == (t if family == "v" else None)
+        grid = []
+        for odd in (False, True) if family == "iii" else (False,):
+            ranges = ref_parameter_ranges(family, q, n, t, odd)[1]
+            flag = {"odd": odd} if family == "iii" else {}
+            grid += [{**dict(zip(ranges, values)), **flag}
+                     for values in itertools.product(*ranges.values())]
+        assert row.grid() == grid, (family, q, t, n)
+        for kw in grid:
+            assert row.run(*row.window(kw)) == _reference_set(
+                family, q, t, n, kw), (family, q, t, n, kw)
+        windows = row.instances()
+        reference = ref_instances(family, q, t, n)
+        assert list(windows) == list(reference)
+        for d, kw in reference.items():
+            assert row.run(*windows[d]) == _reference_set(family, q, t, n,
+                                                          kw)
+            assert row.check(**kw) == windows[d]
+        cases += 1
+    assert (cases, refused) == (346, 84)
+
+
+def _Z(family, q, t=None, n=None, **kw):
+    """The defining set of one instance from explicit parameters."""
+    row = group(family, q, t, n)
+    return row.run(*row.check(**kw))
+
+
 def test_defining_set_family_i():
-    Z = defining_set("i", 4, delta=2)
+    Z = _Z("i", 4, delta=2)
     assert Z.modulus == 17 and Z.r == 1
     assert Z.sorted() == [0, 1, 2, 15, 16]
     assert all((z * 16) % 17 in Z.elements for z in Z.elements)  # coset union
 
 
 def test_defining_set_family_iii():
-    Z = defining_set("iii", 5, delta=1)
+    Z = _Z("iii", 5, delta=1)
     assert Z.modulus == 24
     assert Z.sorted() == [0, 1, 23]
     # asymmetric variant for odd distances
-    Zo = defining_set("iii", 5, delta=2, odd=True)
+    Zo = _Z("iii", 5, delta=2, odd=True)
     assert Zo.sorted() == [0, 1, 22, 23]
 
 
 def test_defining_set_family_iv():
-    Z = defining_set("iv", 5, delta1=1, delta2=3)
+    Z = _Z("iv", 5, delta1=1, delta2=3)
     assert Z.modulus == 24 and Z.r == 2
     assert Z.sorted() == [1, 3, 5, 21, 23]   # odd residues -3..5 mod 24
     assert all(z % 2 == 1 for z in Z.elements)
 
 
 def test_defining_set_family_v():
-    Z = defining_set("v", 11, t=3, delta1=4, delta2=4)
+    Z = _Z("v", 11, t=3, delta1=4, delta2=4)
     assert Z.modulus == 120 and Z.r == 3
     anchor = (3 - 1) // 2 * (11 - 1)
     assert anchor in Z.elements
@@ -192,19 +265,35 @@ def test_defining_set_family_v():
 
 def test_defining_set_range_errors():
     with pytest.raises(ValueError):
-        defining_set("i", 4, delta=5)          # above n // (q+1)
+        _Z("i", 4, delta=5)          # above n // (q+1)
     with pytest.raises(ValueError):
-        defining_set("i", 4, delta=1, n=5)     # 5 does not divide 17
+        _Z("i", 4, delta=1, n=5)     # 5 does not divide 17
     with pytest.raises(ValueError):
-        defining_set("iii", 5, delta=0, odd=True)
+        _Z("iii", 5, delta=0, odd=True)
     with pytest.raises(ValueError):
-        defining_set("iv", 4, delta1=0, delta2=2)   # even q
+        _Z("iv", 4, delta1=0, delta2=2)   # even q
     with pytest.raises(ValueError):
-        defining_set("v", 11, t=4, delta1=4, delta2=4)  # even t
+        _Z("v", 11, t=4, delta1=4, delta2=4)  # even t
     with pytest.raises(ValueError):
-        defining_set("v", 11, t=5, delta1=4, delta2=4)  # 5 does not divide 12
-    with pytest.raises(ValueError):
-        defining_set("ii", 4, delta=1)  # extended RS has no defining set
+        _Z("v", 11, t=5, delta1=4, delta2=4)  # 5 does not divide 12
+    with pytest.raises(ValueError, match="no defining set"):
+        _Z("ii", 4, delta=1)  # extended RS has no defining set
+
+
+@pytest.mark.parametrize("family, q, params", [
+    ("i", 5, {"delta": 1}),
+    ("ii", 5, {"r": 5}),
+    ("iv", 5, {"delta1": 1, "delta2": 3}),
+    ("v", 5, {"t": 3, "delta1": 2, "delta2": 2}),
+])
+def test_only_family_iii_takes_odd(family, q, params):
+    """odd picks family iii's odd-d windows; any other family refuses it
+    as a parameter it does not take, where it was once ignored."""
+    takes = " and ".join(name for name in params if name != "t")
+    with pytest.raises(ValueError, match=f"^family {family} takes {takes}, "
+                                         "not odd$"):
+        build_classical(family, q, None, odd=True, **params)
+    assert build_classical("iii", q, None, odd=True, delta=1).d_design == 3
 
 
 def test_omega_membership_enforced():
@@ -233,9 +322,9 @@ def test_hermitian_dual_containing():
 def test_bch_design_distance():
     """d_design = |Z| + 1, the BCH bound of one run; 1 for no root."""
     assert constacyclic_code(4, omega_run(17, 1, 0, 0)).d_design == 2
-    assert constacyclic_code(4, defining_set("i", 4, delta=2)).d_design == 6
+    assert constacyclic_code(4, _Z("i", 4, delta=2)).d_design == 6
     assert constacyclic_code(
-        5, defining_set("iv", 5, delta1=1, delta2=3)).d_design == 6
+        5, _Z("iv", 5, delta1=1, delta2=3)).d_design == 6
     assert constacyclic_code(4, omega_run(17, 1, 0, -1)).d_design == 1
 
 
@@ -250,11 +339,11 @@ def test_bch_distance_wraps_around():
 
 def test_design_distance_is_size_plus_one_for_families():
     cases = [
-        (4, defining_set("i", 4, delta=2)),
-        (5, defining_set("iii", 5, delta=3)),
-        (5, defining_set("iii", 5, delta=3, odd=True)),
-        (5, defining_set("iv", 5, delta1=1, delta2=3)),
-        (11, defining_set("v", 11, t=3, delta1=4, delta2=6)),
+        (4, _Z("i", 4, delta=2)),
+        (5, _Z("iii", 5, delta=3)),
+        (5, _Z("iii", 5, delta=3, odd=True)),
+        (5, _Z("iv", 5, delta1=1, delta2=3)),
+        (11, _Z("v", 11, t=3, delta1=4, delta2=6)),
     ]
     for q, Z in cases:
         assert constacyclic_code(q, Z).d_design == len(Z) + 1

@@ -3,17 +3,15 @@ import pytest
 
 from eaqmds import kernels
 from eaqmds.codes import constacyclic_code
-from eaqmds.cosets import defining_set, omega_run, parameter_ranges
+from eaqmds.cosets import group, omega_run
 from eaqmds.eaqecc import (
     build_classical,
-    closed_form_k,
     derive_eaqecc,
     ea_singleton_check,
     enumerate_family,
-    expected_c,
     gram_matrix,
-    instances,
 )
+from reference import ref_defining_set
 
 
 def test_ebit_count_dual_containing_is_zero():
@@ -27,12 +25,12 @@ def test_ebit_count_dual_containing_is_zero():
 
 
 def test_ebit_count_one_for_small_cyclic():
-    code = constacyclic_code(2, defining_set("i", 2, delta=1))
+    code = constacyclic_code(2, ref_defining_set("i", 2, delta=1))
     assert kernels.rank(gram_matrix(code.H, 2, code.field), code.field) == 1
 
 
 def test_ebit_count_t_for_constacyclic():
-    code = constacyclic_code(11, defining_set("v", 11, t=3, delta1=4,
+    code = constacyclic_code(11, ref_defining_set("v", 11, t=3, delta1=4,
                                               delta2=4))
     assert kernels.rank(gram_matrix(code.H, 11, code.field), code.field) == 3
 
@@ -128,14 +126,15 @@ def test_enumerate_general_divisor_length():
 def test_family_invariants(family, q, t):
     """Closed form, saturation and defining-set consumption across a grid."""
     params = enumerate_family(family, q, t)
+    row = group(family, q, t)
     # every admissible distance except those whose closed form gives k = 0
-    assert [p.d for p in params] == [d for d in instances(family, q, t)
-                                     if closed_form_k(family, q, d, t) >= 1]
+    assert [p.d for p in params] == [d for d in row.instances()
+                                     if row.k(d) >= 1]
     for p in params:
         assert ea_singleton_check(p.q, p.n, p.k, p.d, p.c)
         assert p.n + p.c - p.k == 2 * (p.d - 1)
-        assert p.k == closed_form_k(family, q, p.d, t)
-        assert p.c == expected_c(family, t)
+        assert p.k == row.k(p.d)
+        assert p.c == row.c
         n_cl, k_cl, d_cl = p.classical
         assert d_cl == p.d
         if p.defining_set is not None:
@@ -161,45 +160,29 @@ def _range_instances():
                     yield "v", q, None, t, False
 
 
-def test_canonical_deltas_cover_ranges():
-    """Each admissible distance, in ascending order, maps to parameters
-    inside parameter_ranges that realize it, with the largest admissible
-    delta2 for families iv and v and r = d - 1 parity rows for family ii;
-    defining_set, and build_classical for r, reject the value one below
-    and one above each range, or name an empty range."""
+def test_check_refuses_parameters_outside_the_ranges():
+    """The distances of each group ascend, each window of d - 1 indices;
+    Group.check, and so build_classical, rejects the value one below and
+    one above each parameter's range, or names an empty range."""
     for family, q, n, t, odd in _range_instances():
-        ranges = parameter_ranges(family, q, n, t, odd)[1]
-        by_d = instances(family, q, t, n)
-        assert list(by_d) == sorted(by_d)
-        for d, kw in by_d.items():
-            kw = dict(kw)
-            if kw.pop("odd", False) != odd:
-                continue
-            assert kw.keys() == ranges.keys()
-            assert all(kw[name] in span for name, span in ranges.items())
-            Z = defining_set(family, q, n=n, t=t, odd=odd, **kw)
-            assert len(Z) + 1 == d
-            if family in ("iv", "v"):
-                assert kw["delta2"] == max(
-                    d2 for d1 in ranges["delta1"] for d2 in ranges["delta2"]
-                    if d1 + d2 + 2 == d)
+        row = group(family, q, t, n)
+        windows = row.instances()
+        assert list(windows) == sorted(windows)
+        assert all(hi - lo + 2 == d for d, (lo, hi) in windows.items())
+        ranges = row.kinds[odd][1]
         inside = {name: span.start for name, span in ranges.items()}
         for name, span in ranges.items():
             message = "outside" if span else f"admits no {name} at q={q}"
             for bad in (span.start - 1, span.stop):
                 with pytest.raises(ValueError, match=message):
-                    defining_set(family, q, n=n, t=t, odd=odd,
-                                 **{**inside, name: bad})
+                    row.check(odd=odd, **{**inside, name: bad})
     for q in (2, 3, 4, 5, 7, 8, 9):
-        by_d = instances("ii", q)
-        span = parameter_ranges("ii", q)[1]["r"]
-        assert list(by_d) == sorted(by_d)
-        assert [kw["r"] for kw in by_d.values()] == list(span)
-        for d, kw in by_d.items():
-            assert kw == {"r": d - 1}
-            code = build_classical("ii", q, d)
-            assert (code.n, code.k) == (q * q, q * q - kw["r"])
-            assert code.family == "ii"
+        span = group("ii", q).kinds[0][1]["r"]
+        assert list(group("ii", q).instances()) == [r + 1 for r in span]
+        for r in span:
+            code = build_classical("ii", q, r + 1)
+            assert (code.n, code.k) == (q * q, q * q - r)
+            assert code.family == "ii" and code.defining_set is None
         # an explicit r is checked like the defining-set parameters
         for bad in (1, span.start - 1, span.stop):
             with pytest.raises(ValueError, match=(

@@ -19,31 +19,33 @@ from hypothesis import strategies as st
 from eaqmds import codes, eaqecc, kernels, verify
 from eaqmds.cli import main
 from eaqmds.codes import constacyclic_code, subcode
-from eaqmds.cosets import defining_set, hull, omega_run
+from eaqmds.cosets import FAMILIES, group, hull, omega_run
 from eaqmds.eaqecc import build_classical, family_codes
 
 
 def _checked(real, seen):
     """family_codes that compares each yielded instance, its Gram matrix
-    and its ebit count with the direct build_classical of its parameters,
-    recording what it covered."""
-    def wrapper(family, q, params, t=None, n=None):
-        built = real(family, q, params, t, n)
-        for kw, (code, gram, c) in zip(params, built, strict=True):
-            direct = build_classical(family, q, None, t, n, **kw)
-            assert np.array_equal(code.H, direct.H), (family, q, t, n, kw)
+    and its ebit count with the direct build of its window, recording
+    what it covered."""
+    def wrapper(row, windows):
+        q = row.q
+        for (lo, hi), (code, gram, c) in zip(windows, real(row, windows),
+                                             strict=True):
+            direct = constacyclic_code(q, row.run(lo, hi), row.point0)
+            assert np.array_equal(code.H, direct.H), (row, lo, hi)
             assert (code.n, code.k, code.d_design, code.family) == \
-                (direct.n, direct.k, direct.d_design, direct.family)
+                (direct.n, direct.k, direct.d_design, row.family)
             assert code.defining_set == direct.defining_set
             assert code.field is direct.field
             f = direct.field
             direct_gram = kernels.matmul(direct.H,
                                          kernels.adjoint(direct.H, q, f), f)
-            assert np.array_equal(gram, direct_gram), (family, q, t, n, kw)
-            assert c == kernels.rank(direct_gram, f), (family, q, t, n, kw)
+            assert np.array_equal(gram, direct_gram), (row, lo, hi)
+            assert c == kernels.rank(direct_gram, f), (row, lo, hi)
             Z = code.defining_set
             traced = Z is not None and (q * q - 1) % Z.modulus != 0
-            seen.append((family, traced, kw.get("odd", False)))
+            # d = hi - lo + 2 is odd
+            seen.append((row.family, traced, (hi - lo) % 2 == 1))
             yield code, gram, c
     return wrapper
 
@@ -62,7 +64,7 @@ def test_every_slice_matches_its_direct_build(monkeypatch, capsys, argv,
     count = (len(out["records"]) if "records" in out
              else sum(r["instances"] for r in out["reports"]))
     assert len(seen) == count
-    assert {fam for fam, _, _ in seen} == set(eaqecc.FAMILIES)
+    assert {fam for fam, _, _ in seen} == set(FAMILIES)
     # both trace-row and power-row parity checks, and family iii at even
     # and odd distance
     assert {traced for _, traced, _ in seen} == {False, True}
@@ -143,7 +145,7 @@ def test_one_family_iii_group_per_length(monkeypatch, capsys):
     entries = json.loads(capsys.readouterr().out)["reports"][0]["entries"]
     groups = list(dict.fromkeys((e["q"], e["n"]) for e in entries))
     # a (q, n) that admits no delta asks for no instance and builds nothing
-    assert len([args for args in builds if args[2]]) == len(groups) == 22
+    assert len([args for args in builds if args[1]]) == len(groups) == 22
     for group in groups:
         odd = [e["params"]["odd"] for e in entries
                if (e["q"], e["n"]) == group]
@@ -152,15 +154,13 @@ def test_one_family_iii_group_per_length(monkeypatch, capsys):
 
 def test_empty_group_yields_nothing():
     # family iii at q = 5, n = 4 < q + 1 admits no delta
-    assert list(family_codes("iii", 5, [], n=4)) == []
+    assert list(family_codes(group("iii", 5, n=4), [])) == []
     assert verify.run_lemma_sweep("rank1-minus", [5]).ok
 
 
 def test_subcode_rejects_what_the_union_does_not_hold():
     top = build_classical("i", 4, None, delta=2)
     Z = top.defining_set
-    with pytest.raises(ValueError, match="no extended RS"):
-        subcode(top, 3)
     with pytest.raises(ValueError, match="outside the defining set"):
         subcode(top, omega_run(17, 1, 5, 5))
     # trace rows (n = 17 does not divide 15) hold only sets closed under
@@ -168,13 +168,15 @@ def test_subcode_rejects_what_the_union_does_not_hold():
     assert (4 * 4 - 1) % Z.modulus
     with pytest.raises(ValueError, match="closed"):
         subcode(top, omega_run(17, 1, 0, 1))
-    code, rows = subcode(top, defining_set("i", 4, delta=1))
-    direct = constacyclic_code(4, defining_set("i", 4, delta=1))
+    code, rows = subcode(top, omega_run(17, 1, -1, 1))
+    direct = constacyclic_code(4, omega_run(17, 1, -1, 1))
     assert np.array_equal(code.H, direct.H)
     assert np.array_equal(code.H, top.H[rows])
+    # family ii's code holds the runs of its circle, q^2-1, alone
     rs = build_classical("ii", 3, None, r=4)
-    with pytest.raises(ValueError, match="no extended RS"):
-        subcode(rs, 5)
+    code, rows = subcode(rs, omega_run(8, 1, 0, 2))
+    assert np.array_equal(code.H, build_classical("ii", 3, 4).H)
+    assert (code.n, rows, code.defining_set) == (9, slice(0, 3), None)
     with pytest.raises(ValueError, match="holds no code"):
         subcode(rs, Z)
 
@@ -217,7 +219,7 @@ def test_instances_are_views_of_their_group(monkeypatch, family, q, t):
     monkeypatch.setattr(kernels, "rank", rank)
     monkeypatch.setattr(kernels, "block_ranks", block_ranks)
     report = verify.SweepReport("views")
-    verify._sweep_family(report, family, q, t=t)
+    verify._sweep_group(report, group(family, q, t))
     instances = len(report.entries)
     assert report.ok and instances > 3
     [(H, gram_all)] = groups
@@ -230,7 +232,7 @@ def test_instances_are_views_of_their_group(monkeypatch, family, q, t):
                for M in ranked)
 
 
-# (family, q, t): n and r follow from parameter_ranges
+# (family, q, t): n and r follow from the family's group
 _POWER_GROUPS = [("iii", q, None) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)] + [
     ("iv", q, None) for q in (3, 5, 7, 9, 11, 13)] + [
     ("v", 5, 3), ("v", 9, 5), ("v", 11, 3), ("v", 13, 7)]
@@ -242,8 +244,8 @@ def _windows(draw):
     row family at q <= 13, a window inside it, and a run that reaches one
     index past one of its ends."""
     family, q, t = draw(st.sampled_from(_POWER_GROUPS))
-    n = verify.parameter_ranges(family, q, t=t)[0]
-    r = {"iii": 1, "iv": 2}.get(family, t)
+    row = group(family, q, t)
+    n, r = row.n, row.r
     size = draw(st.integers(1, n - 1))
     lo = draw(st.integers(0, n - 1))
     run = omega_run(n, r, lo, lo + size - 1)
@@ -285,7 +287,7 @@ def test_trace_rows_of_a_closed_run_are_a_view(q, n, part):
                     slice(n - len(Z), n))
 
 
-def test_parts_that_are_not_one_run_are_refused(monkeypatch):
+def test_parts_that_are_not_one_run_are_refused():
     """A group whose defining sets leave a gap gets no top code: the hull
     refuses the union, and does not fill the gap with the indices
     between."""
@@ -298,10 +300,7 @@ def test_parts_that_are_not_one_run_are_refused(monkeypatch):
     # a wrapped part that closes the circle leaves no gap
     assert hull([omega_run(24, 1, 0, 10), omega_run(24, 1, 11, 24)]) == \
         omega_run(24, 1, 0, 23)
-    monkeypatch.setattr(eaqecc, "defining_set",
-                        lambda family, q, *, n, t, lo, hi: omega_run(
-                            24, 1, lo, hi))
+    row = group("iii", 5)
     with pytest.raises(ValueError, match="not one run"):
-        list(family_codes("iii", 5, [{"lo": 1, "hi": 1}, {"lo": 3, "hi": 3}]))
-    assert len(list(family_codes("iii", 5, [{"lo": 1, "hi": 2},
-                                            {"lo": 3, "hi": 3}]))) == 2
+        list(family_codes(row, [(1, 1), (3, 3)]))
+    assert len(list(family_codes(row, [(1, 2), (3, 3)]))) == 2

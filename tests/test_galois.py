@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from eaqmds import galois, kernels
 from eaqmds.codes import _trace_table, constacyclic_code
-from eaqmds.cosets import defining_set
 from eaqmds.galois import (
     FieldContext,
     build_field,
@@ -21,6 +20,7 @@ from eaqmds.kernels import adjoint
 from reference import (
     digits,
     mul,
+    ref_defining_set,
     ref_order,
     ref_poly_mul,
     ref_poly_pow,
@@ -38,7 +38,7 @@ def test_splitting_field_for_17th_roots():
     # and family i at q = 4 keeps only their traces, in GF(16)
     assert pow(16, 1, 17) != 1 and pow(16, 2, 17) == 1
     assert (build_field(2, 8).order - 1) % 17 == 0
-    code = constacyclic_code(4, defining_set("i", 4, delta=1))
+    code = constacyclic_code(4, ref_defining_set("i", 4, delta=1))
     assert code.field.order == 16 and code.H.shape == (3, 17)
     assert len(_trace_table(code.field, 17)) == 17
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-PARITY_CHECK_SPANS = ("codes.constacyclic_code", "codes.extended_rs_code")
+PARITY_CHECK_SPANS = ("codes.constacyclic_code",)
 
 
 def run_child(argv, trace):

@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 import json
 from collections import Counter
 from unittest import mock
@@ -10,23 +10,22 @@ from eaqmds import kernels, verify
 from eaqmds.codes import (
     ClassicalCode,
     constacyclic_code,
-    extended_rs_code,
     generator_matrix,
 )
 from eaqmds.cli import parse_q
-from eaqmds.cosets import defining_set, omega_run, parameter_ranges
+from eaqmds.cosets import FAMILIES, groups, omega_run
 from eaqmds.eaqecc import build_classical, gram_matrix
 from eaqmds.galois import build_field
 from eaqmds.verify import (
     _consta_intersection,
     _rank_entry,
     certify_distance,
-    divisors,
     dual_containment_matrix_oracle,
     run_lemma_sweep,
 )
 from reference import (
     cyclotomic_coset,
+    ref_defining_set,
     ref_parity_check,
     ref_submatrices_nonsingular,
 )
@@ -119,8 +118,9 @@ def test_certify_distance_routing():
     # 729^79 messages, far over the codeword budget: the certificate decides
     huge = certify_distance(build_classical("v", 27, 26, t=7))
     assert huge == {"method": "cauchy", "is_mds": True, "d": 26}
-    refuted = certify_distance(_with_repeated_column(extended_rs_code(3, 3)),
-                               max_codewords=1)
+    refuted = certify_distance(
+        _with_repeated_column(build_classical("ii", 3, None, r=3)),
+        max_codewords=1)
     assert refuted == {"method": "cauchy", "is_mds": False, "d": None}
 
 
@@ -165,22 +165,16 @@ def test_certify_distance_plain_rs_code():
 
 
 def _distance_instances(q):
-    """Every code `distance` can build at q, as build_classical builds it:
-    each n of families i and iii (both odd for iii), each t of family v,
-    and each parameter set of parameter_ranges."""
-    groups = [("i", None, n, False) for n in divisors(q * q + 1)]
-    groups += [("ii", None, None, False), ("iv", None, None, False)]
-    groups += [("iii", None, n, odd) for n in divisors(q * q - 1)
-               for odd in (False, True)]
-    groups += [("v", t, None, False) for t in range(3, q + 2, 2)]
-    for family, t, n, odd in groups:
-        try:
-            ranges = parameter_ranges(family, q, n, t, odd)[1]
-        except ValueError:
-            continue
-        for values in itertools.product(*ranges.values()):
-            yield build_classical(family, q, None, t, n, odd=odd,
-                                  **dict(zip(ranges, values)))
+    """Every code `distance` can build at q, as build_classical builds it
+    from explicit parameters: each group of each family at q (each n of
+    families i and iii, each odd t of family v), and each parameter set
+    of its grid (both parities for family iii)."""
+    for family in FAMILIES:
+        for t in range(3, q + 2, 2) if family == "v" else [None]:
+            for row in groups(family, q, t):
+                n = row.n if row.takes == "n" else None
+                for kw in row.grid():
+                    yield build_classical(family, q, None, t, n, **kw)
 
 
 def test_every_distance_instance_is_decided():
@@ -227,7 +221,8 @@ def test_minor_oracle_on_h_agrees_with_g(r):
     repeated column, for n-k < k (r = 3) and n-k > k (r = 6), and
     certify_distance answers the same on H, which it picks whenever H
     has n-k rows."""
-    mds = extended_rs_code(3, r)            # [9, 9-r, r+1]
+    # the extended RS code [9, 9-r, r+1]
+    mds = constacyclic_code(3, omega_run(8, 1, 0, r - 1), True)
     for code, is_mds in ((mds, True), (_with_repeated_column(mds), False)):
         G = generator_matrix(code)
         f = code.field
@@ -244,7 +239,7 @@ def test_minor_oracle_on_h_agrees_with_g(r):
 def test_minor_oracle_takes_g_for_dependent_rows():
     # a hand-built H that repeats a row has more than n-k rows, so the
     # certificate runs on G
-    rs = extended_rs_code(3, 3)                   # [9, 6, 4]
+    rs = build_classical("ii", 3, None, r=3)      # [9, 6, 4]
     code = ClassicalCode(n=9, k=6, d_design=4, H=np.vstack([rs.H, rs.H[:1]]),
                          q=3, field=rs.field)
     with mock.patch.object(kernels, "cauchy_certificate",
@@ -268,7 +263,7 @@ def test_run_lemma_sweep_small():
 
 def test_consta_split_mismatch_is_reported():
     # q = 5, t = 3 admits only delta1 = delta2 = 2; Z then has 5 elements
-    Z = defining_set("v", 5, t=3, delta1=2, delta2=2)
+    Z = ref_defining_set("v", 5, t=3, delta1=2, delta2=2)
     code = constacyclic_code(5, Z)
     f = code.field
     gram = gram_matrix(code.H, 5, f)
@@ -296,15 +291,16 @@ def test_consta_split_mismatch_is_reported():
     ("consta", 5, 3, "v", 3),
 ])
 def test_sweep_expects_the_family_ebit_count(lemma, q, t, family, c):
-    """Each sweep compares against eaqecc.expected_c of its family: with
-    that count moved off by one, every entry fails."""
+    """Each sweep compares against the c of its family's row: with that
+    count moved off by one, every entry fails."""
     calls = []
 
-    def shifted(fam, tt=None):
+    def shifted(fam, qq, tt=None):
         calls.append((fam, tt))
-        return c + 1
+        return [dataclasses.replace(row, c=row.c + 1)
+                for row in groups(fam, qq, tt)]
 
-    with mock.patch.object(verify, "expected_c", shifted):
+    with mock.patch.object(verify, "groups", shifted):
         rep = run_lemma_sweep(lemma, [q], [t] if t else None)
     assert rep.entries and len(rep.failures) == len(rep.entries)
     assert not rep.ok
@@ -323,12 +319,11 @@ def test_run_lemma_sweep_errors():
 def test_run_lemma_sweep_defaults_to_the_lemma_grids():
     """None takes the lemma's row of LEMMAS: its q grid, and for consta
     its t grid; an explicit list replaces only its own grid."""
-    for lemma, (_, _, qs, ts) in verify.LEMMAS.items():
-        with mock.patch.object(verify, "_sweep_family") as sweep:
+    for lemma, (_, qs, ts) in verify.LEMMAS.items():
+        with mock.patch.object(verify, "groups", return_value=[]) as sweep:
             run_lemma_sweep(lemma)
-        assert {c.args[2] for c in sweep.call_args_list} == set(qs)
-        assert {c.kwargs["t"] for c in sweep.call_args_list} == \
-            set(ts or [None])
+        assert {c.args[1] for c in sweep.call_args_list} == set(qs)
+        assert {c.args[2] for c in sweep.call_args_list} == set(ts or [None])
     rep = run_lemma_sweep("consta", [5])
     assert [e["params"]["t"] for e in rep.entries] == [3]
     assert run_lemma_sweep("consta", [5], [5]).entries == []
