@@ -47,13 +47,14 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isqrt
 from types import SimpleNamespace
 
-from .cosets import FAMILIES, group, takers
+from .cosets import FAMILIES, Group, takers
 from .eaqecc import (
     EaqeccParams,
     VerificationError,
     admissible,
     build_classical,
     enumerate_family,
+    enumerate_group,
 )
 from .galois import SIZE_LIMIT, check_order, factor_prime_power
 from .verify import LEMMAS, MAX_CODEWORDS, certify_distance, run_lemma_sweep
@@ -224,12 +225,12 @@ _FORMATTERS = {"json": records_to_json, "csv": records_to_csv,
                "md": records_to_md}
 
 
-def _applicable_families(q: int, t: int | None,
-                         n: int | None = None) -> list[str]:
-    """The families that admit q and t; with n, of the families of
-    variable length just those that admit n."""
-    return [name for name in FAMILIES
-            if admissible(name, q, t, n if name in takers("n") else None)]
+def _applicable_groups(q: int, t: int | None,
+                       n: int | None = None) -> list[Group]:
+    """The group of each family that admits q and t; with n, of the
+    families of variable length just those that admit n."""
+    return [row for name in FAMILIES if (row := admissible(
+        name, q, t, n if name in takers("n") else None))]
 
 
 def _check_t(family: str, t: int | None, q_values: list[int],
@@ -254,7 +255,7 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
     params: list[EaqeccParams] = []
     given_n = {*takers("n"), args.family}
     for q in args.q_values:
-        fams = (_applicable_families(q, args.t, args.n)
+        fams = ([row.family for row in _applicable_groups(q, args.t, args.n)]
                 if args.family == "all" else [args.family])
         if args.n is not None and not given_n & {*fams}:
             raise ValueError(f"neither family {' nor '.join(takers('n'))}"
@@ -320,15 +321,15 @@ def cmd_distance(args: SimpleNamespace) -> int:
     return 0 if result["is_mds"] else VERIFY_ERROR
 
 
-def table_rows(q: int, t: int | None) -> list[dict]:
+def table_rows(q: int, t: int | None) -> list[tuple[Group, dict]]:
+    """(group, table row) of each family group at q and t, longest first."""
     rows = []
-    for fam in _applicable_families(q, t):
-        row = group(fam, q, t)
-        params = enumerate_family(fam, q, t)
-        ds = list(row.instances())  # the full range, k = 0 included
-        rows.append({
+    for row in _applicable_groups(q, t):
+        ds = row.instances()  # the full range, k = 0 included
+        params = enumerate_group(row, ds)
+        rows.append((row, {
             "length": row.n,
-            "family": fam,
+            "family": row.family,
             "q": q,
             "t": row.t,
             "eaqmds": {
@@ -343,17 +344,16 @@ def table_rows(q: int, t: int | None) -> list[dict]:
                      "d_max": row.qmds_d_max},
             "verified": all(p.saturates_ea_singleton for p in params),
             "codes": [p.label() for p in params],
-        })
-    rows.sort(key=lambda r: -r["length"])
+        }))
+    rows.sort(key=lambda r: -r[0].n)
     return rows
 
 
-def _table_md(rows: list[dict]) -> str:
+def _table_md(rows: list[tuple[Group, dict]]) -> str:
     lines = ["| Length | q-ary EAQMDS codes | q-ary QMDS codes | Construction |",
              "|---|---|---|---|"]
-    for r in rows:
-        e, s = r["eaqmds"], r["qmds"]
-        name = group(r["family"], r["q"], r["t"]).construction
+    for row, r in rows:
+        e, s, name = r["eaqmds"], r["qmds"], row.construction
         parity = ", d even" if e["d_parity"] == "even" else ""
         lines.append(
             f"| {r['length']} "
@@ -373,7 +373,7 @@ def cmd_table(args: SimpleNamespace) -> int:
     if args.fmt == "md":
         _emit(_table_md(rows), args.output)
     else:
-        _emit(to_json({"rows": rows}), args.output)
+        _emit(to_json({"rows": [r for _, r in rows]}), args.output)
     return 0
 
 

@@ -13,21 +13,24 @@ turns one family instance, given by its distance or by explicit
 parameters, into a code; family_codes turns the windows of one family
 group into views of the rows of one code, that of the least run holding
 their defining sets (cosets.hull), each with a principal block of that
-code's one Gram matrix and its ebit count c, the rank of that block:
-kernels.block_ranks counts every instance's c in one pass over the Gram
-matrix's support.  VerificationError, which codes defines, is re-exported here.
+code's one Gram matrix and its ebit count c, the rank of that block, and,
+when asked, a cross rank, that of the block on the rows of two runs inside
+its defining set: kernels.block_ranks counts every instance's c and cross
+rank in one pass over the Gram matrix's support.  VerificationError, which
+codes defines, is re-exported here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .codes import ClassicalCode, VerificationError, constacyclic_code, subcode
-from .cosets import Group, group, hull
+from .codes import (ClassicalCode, VerificationError, constacyclic_code,
+                    parity_rows, subcode)
+from .cosets import DefiningSet, Group, group, hull
 from .galois import FieldContext, factor_prime_power
 
 
@@ -109,14 +112,14 @@ def derive_eaqecc(code: ClassicalCode, c: int,
 
 
 def admissible(family: str, q: int, t: int | None = None,
-               n: int | None = None) -> bool:
-    """True iff q is a prime power and group(family, q, t, n) exists."""
+               n: int | None = None) -> Group | None:
+    """group(family, q, t, n) when q is a prime power and that group
+    exists, else None."""
     try:
         factor_prime_power(q)
-        group(family, q, t, n)
+        return group(family, q, t, n)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def build_classical(family: str, q: int, d: int | None, t: int | None = None,
@@ -138,54 +141,71 @@ def build_classical(family: str, q: int, d: int | None, t: int | None = None,
     return code
 
 
-def family_codes(row: Group, windows: list[tuple[int, int]]
-                 ) -> Iterator[tuple[ClassicalCode, np.ndarray, int]]:
+def family_codes(row: Group, windows: list[tuple[int, int]],
+                 cross: Sequence[tuple[DefiningSet, DefiningSet] | None] = ()
+                 ) -> Iterator[tuple[ClassicalCode, np.ndarray, int,
+                                     int | None]]:
     """Each instance of one family group, one for each window (lo, hi)
-    of the row, as its code, its Gram matrix H H^dagger and its ebit
-    count c = rank(H H^dagger); nothing for no windows.  One code holds
-    them all: that of the least run that holds every window's defining
-    set (cosets.hull, a ValueError when their union is not one run),
-    whose rank proof covers every subset of its rows.  Its Gram matrix is
-    formed once.  Each instance's rows are a contiguous block of that
-    code's (codes.subcode), so its H is a view of the group's H and its
-    Gram matrix a view of the principal block on those rows: no instance
-    copies either.  One kernels.block_ranks call on the group's Gram
-    matrix counts every instance's c."""
+    of the row, as its code, its Gram matrix H H^dagger, its ebit count
+    c = rank(H H^dagger) and its cross rank; nothing for no windows.  One
+    code holds them all: that of the least run that holds every window's
+    defining set (cosets.hull, a ValueError when their union is not one
+    run), whose rank proof covers every subset of its rows.  Its Gram
+    matrix is formed once.  Each instance's rows are a contiguous block of
+    that code's (codes.subcode), so its H is a view of the group's H and
+    its Gram matrix a view of the principal block on those rows: no
+    instance copies either.  cross may give, for each window in turn, a
+    pair of runs (Z1, Z2) inside its defining set; that instance's cross
+    rank is then rank(H1 H2^dagger), the block of the group's Gram matrix
+    on the rows of Z1 and Z2, and otherwise None.  One kernels.block_ranks
+    call on the group's Gram matrix counts every instance's c and every
+    cross rank."""
     if not windows:
         return
     parts = [row.run(lo, hi) for lo, hi in windows]
     top = constacyclic_code(row.q, hull(parts), row.point0)
     gram = gram_matrix(top.H, row.q, top.field)
     subs = [subcode(top, part) for part in parts]
-    counts = kernels.block_ranks(gram, [(rows, rows) for _, rows in subs],
-                                 top.field)
-    for (code, rows), c in zip(subs, counts):
+    asked = [i for i, pair in enumerate(cross) if pair is not None]
+    blocks = [(rows, rows) for _, rows in subs] + [
+        tuple(parity_rows(row.q, top.run, half) for half in cross[i])
+        for i in asked]
+    counts = kernels.block_ranks(gram, blocks, top.field)
+    ranks = dict(zip(asked, counts[len(subs):]))
+    for i, ((code, rows), c) in enumerate(zip(subs, counts)):
         code.family = row.family
-        yield code, gram[rows, rows], c
+        yield code, gram[rows, rows], c, ranks.get(i)
 
 
 def enumerate_family(family: str, q: int, t: int | None = None,
                      n: int | None = None,
                      d: int | None = None) -> list[EaqeccParams]:
     """All EAQMDS codes of one family for a given q (and t), or with d
-    just the one at distance d, built by family_codes and each checked
-    against the closed form; only the codes asked for are built.  A
-    distance whose closed form gives k = 0 encodes no qudit and is left
-    out."""
+    just the one at distance d: enumerate_group on its group."""
     if not admissible(family, q, t):
         raise ValueError(f"q={q} (t={t}) not admissible for family {family}")
     row = group(family, q, t, n)
-    wanted = [(dist, window) for dist, window in row.instances().items()
+    return enumerate_group(row, row.instances(), d)
+
+
+def enumerate_group(row: Group, instances: dict[int, tuple[int, int]],
+                    d: int | None = None) -> list[EaqeccParams]:
+    """The codes of one family group, given its row.instances(), or with
+    d just the one at distance d, built by family_codes and each checked
+    against the closed form; only the codes asked for are built.  A
+    distance whose closed form gives k = 0 encodes no qudit and is left
+    out."""
+    wanted = [(dist, window) for dist, window in instances.items()
               if (d is None or dist == d) and row.k(dist) >= 1]
     out = []
     built = family_codes(row, [window for _, window in wanted])
-    for (dist, _), (code, _, ebits) in zip(wanted, built):
+    for (dist, _), (code, _, ebits, _) in zip(wanted, built):
         params = derive_eaqecc(code, ebits, row.t)
         expected = (row.n, row.k(dist), dist, row.c)
         got = (params.n, params.k, params.d, params.c)
         if got != expected:
             raise VerificationError(
-                f"family {family} q={q} d={dist}: constructed {got} != "
-                f"closed form {expected}")
+                f"family {row.family} q={row.q} d={dist}: constructed {got} "
+                f"!= closed form {expected}")
         out.append(params)
     return out

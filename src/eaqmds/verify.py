@@ -21,9 +21,10 @@ family iii's two distance parities together) through one
 eaqecc.family_codes build of the row's windows, and compares
 rank(H H^dagger), which that build counts for the whole group in one
 kernels.block_ranks pass, against the row's ebit count c.  Each
-instance's H and Gram matrix are views of the group's; the family-v
-cross rank rank(H1 H2^dagger) is that of a block of the entry's own
-Gram matrix, sliced on the rows of Z1 and Z2.
+instance's H and Gram matrix are views of the group's.  Family v's
+lemma is checked per group too: each split by window arithmetic, each
+|Z1 & Z2^{-q}| from one list of matched pairs, and each cross rank
+rank(H1 H2^dagger) in the group's one block_ranks pass.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .codes import ClassicalCode, generator_matrix, parity_rows
-from .cosets import Group, groups, omega_run
+from .codes import ClassicalCode, generator_matrix
+from .cosets import Group, groups
 from .eaqecc import family_codes, gram_matrix
 from .galois import FieldContext
 
@@ -119,20 +120,16 @@ class SweepReport:
     def to_text(self) -> str:
         lines = [f"lemma {self.lemma}: {len(self.entries)} instances, "
                  f"{len(self.failures)} failures ({self.elapsed:.2f}s)"]
-        for e in self.failures:
-            lines.append(f"  FAIL {e}")
-        return "\n".join(lines)
+        return "\n".join(lines + [f"  FAIL {e}" for e in self.failures])
 
 
 def _rank_entry(lemma, q, n, r, params, Z, computed, expected,
                 **extra) -> dict:
     ok = computed == expected and all(
         v for k, v in extra.items() if k.endswith("_ok"))
-    entry = {"lemma": lemma, "q": q, "n": n, "r": r, "params": params,
-             "size_Z": len(Z) if Z is not None else None,
-             "expected": expected, "computed": computed, "ok": ok}
-    entry.update(extra)
-    return entry
+    return {"lemma": lemma, "q": q, "n": n, "r": r, "params": params,
+            "size_Z": len(Z) if Z is not None else None,
+            "expected": expected, "computed": computed, "ok": ok, **extra}
 
 
 # lemma -> (family, q grid, t grid): the acceptance-grade default grids
@@ -182,48 +179,51 @@ def _sweep_group(report: SweepReport, row: Group) -> None:
     """One entry per parameter set of the row's grid, for family iii
     with even and then odd distance, all built by one family_codes call
     and each checked against the row's c.  Entry params list t first
-    when the row has one, then the grid's parameters, odd included."""
+    when the row has one, then the grid's parameters, odd included, and
+    such a row's entries add _consta_checks and their cross ranks."""
     grid = row.grid()
-    built = family_codes(row, [row.window(kw) for kw in grid])
-    for kw, (code, gram, c) in zip(grid, built):
-        Z = code.defining_set
-        params, extra = kw, {}
-        if row.t is not None:
-            params = {"t": row.t, **kw}
-            extra = _consta_intersection(row.q, row.t, kw["delta1"],
-                                         kw["delta2"], code, gram)
+    windows = [row.window(kw) for kw in grid]
+    checks = _consta_checks(row, grid, windows) if row.t is not None else []
+    built = family_codes(row, windows, [halves for halves, _ in checks])
+    for i, (kw, (code, _, c, cross)) in enumerate(zip(grid, built)):
+        Z, params, extra = code.defining_set, kw, {}
+        if checks:
+            params, extra = {"t": row.t, **kw}, checks[i][1]
+            extra.update(cross_rank=cross,
+                         cross_rank_ok=cross == (row.t - 1) // 2)
         report.entries.append(_rank_entry(
             report.lemma, row.q, row.n, Z.r if Z is not None else None,
             params, Z, c, row.c, **extra))
 
 
-def _consta_intersection(q, t, d1, d2, code: ClassicalCode,
-                         gram: np.ndarray) -> dict:
-    """Check that the split of the code's defining set Z around its anchor
-    exponent (t-1)(q-1)/2 rebuilds Z, |Z1 & Z2^{-q}| = (t-1)/2 and
-    rank(H1 H2^dagger) = (t-1)/2.  Z1 and Z2 are the runs of Omega indices
-    below and above the anchor's, e0.  Row z of the code's H depends only
-    on z, so H1 and H2 are its rows of Z1 and Z2, two blocks of
-    consecutive rows (codes.parity_rows), and H1 H2^dagger is the block
-    of its Gram matrix `gram` = H H^dagger sliced on them.  When the split
-    does not rebuild Z, there is no cross rank to take."""
-    Z, ctx = code.defining_set, code.field
-    s = (t - 1) // 2
-    anchor = s * (q - 1)
-    modulus = Z.modulus
+def _consta_checks(row: Group, grid: list[dict],
+                   windows: list[tuple[int, int]]) -> list[tuple]:
+    """For each window of a family-v row, the halves (Z1, Z2) of its
+    defining set Z, the runs of Omega indices below and above e0, and the
+    checks of its split and of |Z1 & Z2^{-q}| = s.  e0, the index of the
+    anchor exponent s(q-1), s = (t-1)/2, and s(q-1) come from their closed
+    forms, not from the row, so a row whose windows are off fails.  The
+    split holds when index e0 holds s(q-1), |Z1| + 1 + |Z2| = |Z| <= n
+    and Z starts where Z1 does; else the halves are None and no cross
+    rank is taken.  The intersection counts the pairs (a, b), z(e0-a) =
+    -q z(e0+b) (mod rn), with a <= delta1 and b <= delta2, matched once on
+    the group's largest halves (shorter than the circle)."""
+    q, t, n, s = row.q, row.t, row.n, (row.t - 1) // 2
     e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
-    z1 = omega_run(Z.n, t, e0 - d1, e0 - 1)
-    z2 = omega_run(Z.n, t, e0 + 1, e0 + d2)
-    split_ok = z1.elements | z2.elements | {anchor} == Z.elements
-    inter = z1.elements & frozenset((-q * z) % modulus for z in z2.elements)
-    cross_rank = None
-    if split_ok:
-        cross = gram[parity_rows(q, Z, z1), parity_rows(q, Z, z2)]
-        cross_rank = kernels.rank(cross, ctx)
-    return {
-        "split_ok": split_ok,
-        "intersection": len(inter),
-        "intersection_ok": len(inter) == s,
-        "cross_rank": cross_rank,
-        "cross_rank_ok": cross_rank == s,
-    }
+    anchored = row.run(e0, e0).in_run_order() == [s * (q - 1)]
+    lower = row.run(e0 - max(kw["delta1"] for kw in grid), e0 - 1)
+    index = {z: a for a, z in enumerate(reversed(lower.in_run_order()), 1)}
+    upper = row.run(e0 + 1, e0 + max(kw["delta2"] for kw in grid))
+    pairs = [(index[x], b) for b, z in enumerate(upper.in_run_order(), 1)
+             if (x := -q * z % lower.modulus) in index]
+    out = []
+    for kw, (lo, hi) in zip(grid, windows):
+        d1, d2 = kw["delta1"], kw["delta2"]
+        split = anchored and hi - lo == d1 + d2 < n \
+            and (lo - e0 + d1) % n == 0
+        inter = sum(a <= d1 and b <= d2 for a, b in pairs)
+        out.append(((row.run(e0 - d1, e0 - 1), row.run(e0 + 1, e0 + d2))
+                    if split else None,
+                    {"split_ok": split, "intersection": inter,
+                     "intersection_ok": inter == s}))
+    return out

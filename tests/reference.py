@@ -1,15 +1,16 @@
 """Pure-Python references in context arithmetic, one element at a time,
 for the vectorized kernels; schoolbook polynomial arithmetic modulo the
 field's modulus, for its log tables; the GF(q^4) root-evaluation route to
-family i that checks its trace rows; the family-v cross rank from
-separately built codes; the q^2-cyclotomic coset by its orbit, the
-definition that the closed-form defining sets are checked against; runs
-of Omega indices built and read element by element, for the run
-arithmetic of cosets.DefiningSet; a parity check for any exponent set,
-one run or not, for the coset test of dual containment; and the family
-facts as the closed forms that the rows of cosets.group are checked
-against: each family's length and parameter ranges, its defining set
-and its parameters at each distance, by family branches."""
+family i that checks its trace rows; the family-v lemma checked one
+instance at a time on sets, and its cross rank from separately built
+codes; the q^2-cyclotomic coset by its orbit, the definition that the
+closed-form defining sets are checked against; runs of Omega indices
+built and read element by element, for the run arithmetic of
+cosets.DefiningSet; a parity check for any exponent set, one run or
+not, for the coset test of dual containment; and the family facts as
+the closed forms that the rows of cosets.group are checked against:
+each family's length and parameter ranges, its defining set and its
+parameters at each distance, by family branches."""
 
 import math
 from itertools import combinations, product
@@ -17,7 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from eaqmds import kernels
-from eaqmds.codes import _trace_table, constacyclic_code
+from eaqmds.codes import _trace_table, constacyclic_code, parity_rows
 from eaqmds.cosets import DefiningSet, omega_run
 from eaqmds.galois import build_field, factor_prime_power
 
@@ -313,8 +314,32 @@ def root_rows(f4, beta, zs, n):
 
 
 # ---------------------------------------------------------------------------
-# family v: the cross rank with H1 and H2 built as codes of their own
+# family v: the lemma one instance at a time, and the cross rank with H1
+# and H2 built as codes of their own
 # ---------------------------------------------------------------------------
+
+def ref_consta_checks(q, t, Z, d1, d2, code, gram):
+    """The family-v checks of the instance with defining set Z and
+    parameters (d1, d2), on sets of exponents: Z1 and Z2 are the
+    omega_run halves below and above e0, the index of the anchor exponent
+    s(q-1), s = (t-1)/2; the split holds iff Z1 | {s(q-1)} | Z2 = Z; the
+    intersection is |Z1 & Z2^{-q}|; and, when the split holds, the cross
+    rank is kernels.rank of the block on the rows of Z1 and Z2
+    (codes.parity_rows) of `gram`, the Gram matrix of `code`, a code
+    built directly on a run that holds Z; else it is None."""
+    e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
+    z1 = omega_run(Z.n, t, e0 - d1, e0 - 1)
+    z2 = omega_run(Z.n, t, e0 + 1, e0 + d2)
+    split = z1.elements | z2.elements | {(t - 1) // 2 * (q - 1)} \
+        == Z.elements
+    inter = z1.elements & {(-q * z) % Z.modulus for z in z2.elements}
+    cross = None
+    if split:
+        rows = [parity_rows(q, code.run, half) for half in (z1, z2)]
+        cross = kernels.rank(gram[rows[0], rows[1]], code.field)
+    return {"split_ok": split, "intersection": len(inter),
+            "cross_rank": cross}
+
 
 def ref_cross_rank(q, t, d1, d2, n):
     """rank(H1 H2^dagger) for the halves Z1, Z2 of the family-v defining

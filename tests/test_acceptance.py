@@ -264,7 +264,7 @@ TABLE1 = {
 ])
 def test_criterion_6_table_regeneration(q, t, lengths):
     """Table rows match the published formulas and d-ranges."""
-    rows = table_rows(q, t)
+    rows = [r for _, r in table_rows(q, t)]
     assert [r["length"] for r in rows] == lengths
     for row in rows:
         fam = row["family"]

@@ -128,7 +128,7 @@ def test_enumerate_emits_no_k0_records(capsys):
     labels = {(r["family"], r["q"], r["n"], r["d"]) for r in records}
     assert ("i", 2, 5, 2) in labels and ("i", 2, 5, 4) not in labels
     assert not any(r["family"] == "iv" and r["q"] == 3 for r in records)
-    assert [r["eaqmds"]["d_max"] for r in table_rows(2, None)
+    assert [r["eaqmds"]["d_max"] for _, r in table_rows(2, None)
             if r["family"] == "i"] == [4]
 
 
@@ -492,11 +492,41 @@ def test_table_even_q_omits_odd_only_rows(capsys):
 
 
 def test_table_rows_verified():
-    for row in table_rows(5, None):
-        assert row["verified"]
+    for group, row in table_rows(5, None):
+        assert row["verified"] and (group.n, group.family) == (
+            row["length"], row["family"])
         e = row["eaqmds"]
         assert len(row["codes"]) == e["d_max"] - e["d_min"] + 1 \
             or row["family"] == "i"
+
+
+def test_table_takes_one_group_row_per_family_and_q(monkeypatch, capsys):
+    """table builds each family group's row once, at its admissibility
+    check, and computes the row's windows once, for both the table row
+    and its records."""
+    built, windows = [], []
+    real_group, real_instances = eaqecc.group, cosets.Group.instances
+
+    def group(*args, **kwargs):
+        built.append(real_group(*args, **kwargs))
+        return built[-1]
+
+    def instances(row):
+        windows.append(row)
+        return real_instances(row)
+
+    monkeypatch.setattr(eaqecc, "group", group)
+    monkeypatch.setattr(cosets.Group, "instances", instances)
+    for fmt in ("json", "md"):
+        built.clear()
+        windows.clear()
+        code, out, _ = run_cli(capsys, "table", "--q", "2..9", "--format",
+                               fmt)
+        assert code == 0
+        count = (len(json.loads(out)["rows"]) if fmt == "json"
+                 else out.count("\n") - 2)
+        assert len(built) == len(windows) == count > 20
+        assert all(w is b for w, b in zip(windows, built))
 
 
 def test_cli_rejects_unknown_arguments(capsys):

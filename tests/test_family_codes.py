@@ -26,11 +26,11 @@ from eaqmds.eaqecc import build_classical, family_codes
 def _checked(real, seen):
     """family_codes that compares each yielded instance, its Gram matrix
     and its ebit count with the direct build of its window, recording
-    what it covered."""
-    def wrapper(row, windows):
+    what it covered; cross ranks pass through."""
+    def wrapper(row, windows, *cross):
         q = row.q
-        for (lo, hi), (code, gram, c) in zip(windows, real(row, windows),
-                                             strict=True):
+        for (lo, hi), (code, gram, c, rank) in zip(
+                windows, real(row, windows, *cross), strict=True):
             direct = constacyclic_code(q, row.run(lo, hi), row.point0)
             assert np.array_equal(code.H, direct.H), (row, lo, hi)
             assert (code.n, code.k, code.d_design, code.family) == \
@@ -46,7 +46,7 @@ def _checked(real, seen):
             traced = Z is not None and (q * q - 1) % Z.modulus != 0
             # d = hi - lo + 2 is odd
             seen.append((row.family, traced, (hi - lo) % 2 == 1))
-            yield code, gram, c
+            yield code, gram, c, rank
     return wrapper
 
 
@@ -114,17 +114,15 @@ def _principal(M, gram):
 def test_one_rank_pass_per_group(monkeypatch, capsys):
     passes = _count_calls(monkeypatch, kernels, "block_ranks")
     ranked = _count_calls(monkeypatch, kernels, "rank")
-    # the only ranks taken one at a time are family v's cross blocks, one
-    # per instance, none on a principal block of a group's Gram matrix
+    # family v's cross blocks join each group's one pass: two blocks per
+    # instance, its principal block and its cross block, and no rank
+    # taken one at a time
     assert main(["verify", "--lemma", "consta", "--q", "5..29"]) == 0
     report = json.loads(capsys.readouterr().out)["reports"][0]
     assert len(passes) == 10
-    assert sum(len(blocks) for _, blocks, _ in passes) == report["instances"]
-    assert len(ranked) == report["instances"]
-    assert not any(_principal(M, gram) for M, _ in ranked
-                   for gram, _, _ in passes)
-    assert all(any(np.shares_memory(M, gram) for gram, _, _ in passes)
-               for M, _ in ranked)
+    assert sum(len(blocks) for _, blocks, _ in passes) \
+        == 2 * report["instances"]
+    assert ranked == []
 
     passes.clear()
     ranked.clear()
@@ -191,8 +189,10 @@ def test_subcode_rejects_what_the_union_does_not_hold():
 def test_instances_are_views_of_their_group(monkeypatch, family, q, t):
     """Each instance's H is a view of its group's H, each Gram block is
     a view of the group's Gram matrix, and one block_ranks call on that
-    matrix counts every instance's c; family v's cross rank is one
-    kernels.rank per instance, on a view of it: no instance copies rows."""
+    matrix counts every instance's c and, for family v, its cross rank:
+    the blocks are each instance's principal block, then family v's
+    cross blocks, off the diagonal.  No rank is taken one at a time and
+    no instance copies rows."""
     groups, views, passes, ranked = [], [], [], []
     real_gram, real_subcode, real_rank, real_blocks = (
         eaqecc.gram_matrix, eaqecc.subcode, kernels.rank, kernels.block_ranks)
@@ -226,10 +226,16 @@ def test_instances_are_views_of_their_group(monkeypatch, family, q, t):
     assert len(views) == instances
     assert all(np.shares_memory(view, H) for view in views)
     [(counted, blocks)] = passes
-    assert counted is gram_all and len(blocks) == instances
-    assert len(ranked) == (instances if family == "v" else 0)
-    assert all(np.shares_memory(M, gram_all) and not _principal(M, gram_all)
-               for M in ranked)
+    assert counted is gram_all and ranked == []
+    principal, cross = blocks[:instances], blocks[instances:]
+    assert all(rows == cols for rows, cols in principal)
+    assert len(cross) == (instances if family == "v" else 0)
+    assert all(not _principal(gram_all[rows, cols], gram_all)
+               for rows, cols in cross)
+    # each cross block lies in its instance's principal block
+    assert all(p.start <= r.start and r.stop <= p.stop
+               and p.start <= c.start and c.stop <= p.stop
+               for (p, _), (r, c) in zip(principal, cross))
 
 
 # (family, q, t): n and r follow from the family's group

@@ -1,7 +1,9 @@
 """The mutation catalogue cannot rot silently: every entry's text occurs
 exactly once in its source file, its replacement changes it, and its
-selector names a test file that exists."""
+selector names a test function that its test file defines, so that a
+renamed test fails here and not only in the mutation runner."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -18,4 +20,8 @@ def test_catalogue_entries_apply_once():
         text = (ROOT / entry["file"]).read_text()
         assert text.count(entry["text"]) == 1, entry
         assert entry["replacement"] != entry["text"], entry
-        assert (ROOT / entry["selector"].split("::")[0]).is_file(), entry
+        path, name = entry["selector"].split("::")
+        tree = ast.parse((ROOT / path).read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef)}
+        assert name.split("[")[0] in defined, entry

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqmds import kernels, verify
 from eaqmds.codes import (
@@ -13,19 +15,17 @@ from eaqmds.codes import (
     generator_matrix,
 )
 from eaqmds.cli import parse_q
-from eaqmds.cosets import FAMILIES, groups, omega_run
+from eaqmds.cosets import FAMILIES, group, groups, omega_run
 from eaqmds.eaqecc import build_classical, gram_matrix
 from eaqmds.galois import build_field
 from eaqmds.verify import (
-    _consta_intersection,
-    _rank_entry,
     certify_distance,
     dual_containment_matrix_oracle,
     run_lemma_sweep,
 )
 from reference import (
     cyclotomic_coset,
-    ref_defining_set,
+    ref_consta_checks,
     ref_parity_check,
     ref_submatrices_nonsingular,
 )
@@ -262,27 +262,78 @@ def test_run_lemma_sweep_small():
 
 
 def test_consta_split_mismatch_is_reported():
-    # q = 5, t = 3 admits only delta1 = delta2 = 2; Z then has 5 elements
-    Z = ref_defining_set("v", 5, t=3, delta1=2, delta2=2)
-    code = constacyclic_code(5, Z)
-    f = code.field
-    gram = gram_matrix(code.H, 5, f)
-    good = _consta_intersection(5, 3, 2, 2, code, gram)
-    assert good["split_ok"] and good["cross_rank"] == 1
-    assert _rank_entry("consta", 5, 8, 3, {}, Z, kernels.rank(gram, f), 3,
-                       **good)["ok"]
-    # a defining set missing one element is not rebuilt by the split,
-    # and its rows no longer hold H1 and H2: no cross rank is taken
-    short = omega_run(Z.n, Z.r, Z.start + 1, Z.start + len(Z) - 1)
-    assert short.elements == Z.elements - {max(Z.elements)}
-    short_code = constacyclic_code(5, short)
-    short_gram = gram_matrix(short_code.H, 5, f)
-    extra = _consta_intersection(5, 3, 2, 2, short_code, short_gram)
-    assert extra["split_ok"] is False
-    assert extra["cross_rank"] is None and extra["cross_rank_ok"] is False
-    entry = _rank_entry("consta", 5, 8, 3, {}, short,
-                        kernels.rank(short_gram, f), 3, **extra)
-    assert entry["ok"] is False and entry["split_ok"] is False
+    """e0 and the anchor exponent come from the closed forms, not from
+    the row: a family-v row whose windows or t disagree with them fails
+    the split on every entry, and no cross rank is taken."""
+    row = group("v", 11, 3)
+    assert row.anchor == 3
+    # every window one index past the closed-form anchor; and t = 5,
+    # whose anchor exponent s(q-1) = 20 is not 1 + 3 e0 = 10
+    for moved in ({"anchor": 4}, {"t": 5}):
+        report = verify.SweepReport("consta")
+        verify._sweep_group(report, dataclasses.replace(row, **moved))
+        assert len(report.entries) == 9
+        for e in report.entries:
+            assert e["split_ok"] is False and e["cross_rank"] is None
+            assert e["cross_rank_ok"] is False and e["ok"] is False
+
+
+def _consta_rows(q_max):
+    """The family-v group of every odd prime power q <= q_max and every
+    t >= 3 with t | q+1."""
+    return [group("v", q, t) for q in parse_q(f"3..{q_max}") if q % 2
+            for t in range(3, q + 1, 2) if (q + 1) % t == 0]
+
+
+@pytest.mark.parametrize("row", _consta_rows(61),
+                         ids=lambda row: f"{row.q}-{row.t}")
+def test_consta_checks_match_the_reference(row):
+    """Each sweep entry's split, intersection and cross rank equal the
+    per-instance reference: frozensets of the omega_run halves, and
+    kernels.rank on a block of a Gram matrix built without family_codes,
+    that of the code of the widest window, e0-max delta1..e0+max delta2,
+    which holds every instance's defining set."""
+    q, t = row.q, row.t
+    rep = run_lemma_sweep("consta", [q], [t])
+    assert rep.ok and len(rep.entries) == len(row.grid())
+    e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
+    top = constacyclic_code(q, row.run(
+        e0 - max(e["params"]["delta1"] for e in rep.entries),
+        e0 + max(e["params"]["delta2"] for e in rep.entries)))
+    gram = gram_matrix(top.H, q, top.field)
+    for e in rep.entries:
+        p = e["params"]
+        Z = row.run(*row.window(p))
+        want = ref_consta_checks(q, t, Z, p["delta1"], p["delta2"], top, gram)
+        assert {k: e[k] for k in want} == want, e
+
+
+@st.composite
+def _consta_grids(draw):
+    """A family-v row at q <= 29 and a few (delta1, delta2) of any
+    lengths below n, so that the halves around e0 often wrap."""
+    row = draw(st.sampled_from(_consta_rows(29)))
+    delta = st.integers(0, row.n - 1)
+    grid = draw(st.lists(st.fixed_dictionaries(
+        {"delta1": delta, "delta2": delta}), min_size=1, max_size=4))
+    return row, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(_consta_grids())
+def test_matched_pairs_count_the_intersection(case):
+    """The count from the group's one list of matched pairs is
+    |Z1 & Z2^{-q}| of the frozensets of the halves of each length."""
+    row, grid = case
+    q, t, n = row.q, row.t, row.n
+    e0 = ((t - 1) * (q - 1) - 2) // (2 * t)
+    checks = verify._consta_checks(row, grid, [row.window(kw)
+                                               for kw in grid])
+    for kw, (_, got) in zip(grid, checks):
+        z1 = omega_run(n, t, e0 - kw["delta1"], e0 - 1).elements
+        z2 = omega_run(n, t, e0 + 1, e0 + kw["delta2"]).elements
+        want = len(z1 & {-q * z % (t * n) for z in z2})
+        assert got["intersection"] == want, (row, kw)
 
 
 @pytest.mark.parametrize("lemma, q, t, family, c", [
